@@ -165,7 +165,7 @@ def _selected_for_train(cfg: RunConfig, bank: EmbeddingBank,
                             images=np.zeros((0, ds.image_dim), dtype=np.float32),
                             caption_feats=np.zeros((0, ds.feat_dim),
                                                    dtype=np.float32))
-    if cfg.samples and Path(cfg.samples).exists():
+    if cfg.samples:
         return SelectedBank.from_bank(bank, load_sample_csv(cfg.samples))
     return SelectedBank.from_bank(bank, _sample_bank(cfg, bank, ds)[1])
 

@@ -82,7 +82,9 @@ class FrozenEmbedder:
 
 @dataclass
 class EncoderParams:
-    """Two-layer tanh MLP (image_dim -> hidden -> feat) plus a linear class head."""
+    """Two-layer tanh MLP (image_dim -> hidden -> feat) plus a linear class head.
+
+    The same container holds gradients and SGD velocity, field for field."""
 
     w1: np.ndarray      # (hidden, image_dim)
     b1: np.ndarray      # (hidden,)
@@ -110,33 +112,19 @@ class EncoderParams:
     def copy(self) -> "EncoderParams":
         return EncoderParams(*(f.copy() for f in self.fields()))
 
-    def fields(self) -> tuple[np.ndarray, ...]:
-        return (self.w1, self.b1, self.w2, self.b2, self.head_w, self.head_b)
-
-
-@dataclass
-class EncoderGrads:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    head_w: np.ndarray
-    head_b: np.ndarray
+    def zeros_like(self) -> "EncoderParams":
+        return EncoderParams(*(np.zeros_like(f) for f in self.fields()))
 
     def fields(self) -> tuple[np.ndarray, ...]:
         return (self.w1, self.b1, self.w2, self.b2, self.head_w, self.head_b)
 
-    def add_(self, other: "EncoderGrads") -> "EncoderGrads":
+    def add_(self, other: "EncoderParams") -> "EncoderParams":
         for mine, theirs in zip(self.fields(), other.fields()):
             mine += theirs
         return self
 
     def norm(self) -> float:
         return float(np.sqrt(sum(float(np.sum(f * f)) for f in self.fields())))
-
-    @classmethod
-    def zeros_like(cls, params: EncoderParams) -> "EncoderGrads":
-        return cls(*(np.zeros_like(f) for f in params.fields()))
 
 
 @dataclass(frozen=True)
@@ -231,7 +219,7 @@ def encode_and_classify(params: EncoderParams, x: np.ndarray) -> ForwardTrace:
 
 def param_gradients(params: EncoderParams, trace: ForwardTrace,
                     d_logits: np.ndarray | None = None,
-                    d_unit: np.ndarray | None = None) -> EncoderGrads:
+                    d_unit: np.ndarray | None = None) -> EncoderParams:
     """Reverse accumulation from upstream logit and/or unit-embedding grads.
 
     d_logits: (N, classes) dL/dlogits; d_unit: (N, feat) dL/dv.  Either may
@@ -257,8 +245,8 @@ def param_gradients(params: EncoderParams, trace: ForwardTrace,
     d_z1 = d_a1 * (1.0 - trace.a1 ** 2)
     w1_grad = d_z1.T @ trace.x
     b1_grad = d_z1.sum(axis=0)
-    return EncoderGrads(w1=w1_grad, b1=b1_grad, w2=w2_grad, b2=b2_grad,
-                        head_w=head_w_grad, head_b=head_b_grad)
+    return EncoderParams(w1=w1_grad, b1=b1_grad, w2=w2_grad, b2=b2_grad,
+                         head_w=head_w_grad, head_b=head_b_grad)
 
 
 def save_params(params: EncoderParams, path) -> None:

@@ -66,10 +66,8 @@ def _margins_ok(params: EncoderParams, unlabeled_weak: np.ndarray,
         part = np.sort(probs, axis=1)
         if np.any(part[:, -1] - part[:, -2] <= _MARGIN):
             return False
-    if need_confident:
-        pseudo = pseudo_label_batch(probs, t_thresh)
-        if not any(pl.confident for pl in pseudo):
-            return False
+    if need_confident and not pseudo_label_batch(probs, t_thresh).confident.any():
+        return False
     return True
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pseudo_triplets import PseudoLabel
+from .pseudo_triplets import PseudoLabels
 
 logger = logging.getLogger(__name__)
 
@@ -73,21 +73,23 @@ class ContrastiveResult:
     grad_v: np.ndarray  # (N, d) gradient w.r.t. the unit image embeddings
 
 
-def cross_entropy(label: int, probs: np.ndarray) -> float:
-    """-log p[label], with p clamped away from zero (clamps are logged)."""
-    p = float(probs[label])
-    if p < _CLAMP:
-        logger.warning("cross_entropy clamped probability %.3e for label %d",
-                       p, label)
-        p = _CLAMP
-    return -float(np.log(p))
+def cross_entropy(labels: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Row-wise -log probs[i, labels[i]], with p clamped away from zero.
+
+    One warning per call reports how many rows were clamped."""
+    p = probs[np.arange(labels.shape[0]), labels]
+    low = p < _CLAMP
+    if low.any():
+        logger.warning("cross_entropy clamped %d of %d probabilities "
+                       "(smallest %.3e)", int(low.sum()), p.shape[0], p.min())
+        p = np.where(low, _CLAMP, p)
+    return -np.log(p)
 
 
 def supervised_loss(labels: np.ndarray, probs: np.ndarray) -> float:
     if labels.shape[0] == 0:
         raise ValueError("supervised loss over an empty batch is undefined")
-    return float(np.mean([cross_entropy(int(y), probs[i])
-                          for i, y in enumerate(labels)]))
+    return float(np.mean(cross_entropy(labels, probs)))
 
 
 def supervised_logit_grads(labels: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -98,7 +100,7 @@ def supervised_logit_grads(labels: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return g / b
 
 
-def unlabeled_loss(pseudo: list[PseudoLabel], strong_probs: np.ndarray,
+def unlabeled_loss(pseudo: PseudoLabels, strong_probs: np.ndarray,
                    mu: int, batch_size: int) -> float:
     """Confident terms only, but divided by the full mu * batch_size."""
     denom = mu * batch_size
@@ -106,21 +108,22 @@ def unlabeled_loss(pseudo: list[PseudoLabel], strong_probs: np.ndarray,
         return 0.0
     if len(pseudo) != strong_probs.shape[0]:
         raise ValueError("pseudo labels and strong probabilities disagree in length")
-    total = sum(cross_entropy(pl.label, strong_probs[j])
-                for j, pl in enumerate(pseudo) if pl.confident)
+    rows = np.flatnonzero(pseudo.confident)
+    # left-to-right in row order; np.sum's pairwise order would move the
+    # last bits of loss_u
+    total = sum(cross_entropy(pseudo.label[rows], strong_probs[rows]).tolist())
     return float(total) / denom
 
 
-def unlabeled_logit_grads(pseudo: list[PseudoLabel], strong_probs: np.ndarray,
+def unlabeled_logit_grads(pseudo: PseudoLabels, strong_probs: np.ndarray,
                           mu: int, batch_size: int) -> np.ndarray:
     denom = mu * batch_size
     g = np.zeros_like(strong_probs)
     if denom == 0:
         return g
-    for j, pl in enumerate(pseudo):
-        if pl.confident:
-            g[j] = strong_probs[j]
-            g[j, pl.label] -= 1.0
+    rows = np.flatnonzero(pseudo.confident)
+    g[rows] = strong_probs[rows]
+    g[rows, pseudo.label[rows]] -= 1.0
     return g / denom
 
 

@@ -6,8 +6,10 @@ flows through the labeling itself), strong unlabeled views feed the
 pseudo-label term.  The contrastive term runs over the unit embeddings of
 the unified triplet batch, and its gradient is routed back through whichever
 forward pass produced each triplet's view.  Loss weights scale the gradients
-here so the returned EncoderGrads are exactly the gradient of
-breakdown.loss_total.
+here so the returned gradients are exactly the gradient of
+breakdown.loss_total.  The unlabeled rows are pseudo-labeled once per step,
+and that pass's confident mask gates the pseudo-label term, selects the weak
+rows of the contrastive batch and routes their gradients back.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import (
-    EncoderGrads,
     EncoderParams,
     NumericError,
     encode_and_classify,
@@ -71,7 +72,7 @@ def _require_finite(name: str, value: float) -> None:
 
 
 def batch_objective(params: EncoderParams, batch: ObjectiveBatch,
-                    settings: ObjectiveSettings) -> tuple[LossBreakdown, EncoderGrads]:
+                    settings: ObjectiveSettings) -> tuple[LossBreakdown, EncoderParams]:
     if batch.n_labeled < 1:
         raise ValueError("objective needs at least one labeled sample")
     b, u = batch.n_labeled, batch.n_unlabeled
@@ -89,51 +90,45 @@ def batch_objective(params: EncoderParams, batch: ObjectiveBatch,
         d_logits_l = None
     _require_finite("supervised loss", loss_x)
 
+    weak_probs = trace_w.probs if u else np.zeros((0, params.n_classes))
+    pseudo = pseudo_label_batch(weak_probs, settings.t_thresh)
+    confident = pseudo.confident
+    n_confident = int(confident.sum())
     if u:
-        pseudo = pseudo_label_batch(trace_w.probs, settings.t_thresh)
         loss_u = unlabeled_loss(pseudo, trace_s.probs, settings.mu,
                                 settings.batch_size)
         d_logits_s = unlabeled_logit_grads(pseudo, trace_s.probs, settings.mu,
                                            settings.batch_size)
         if cfg.eta != 1.0:
             d_logits_s = d_logits_s * cfg.eta
-        n_confident = sum(pl.confident for pl in pseudo)
-        weak_probs = trace_w.probs
     else:
-        pseudo = []
         loss_u = 0.0
         d_logits_s = None
-        n_confident = 0
-        weak_probs = np.zeros((0, batch.class_text_feats.shape[0]))
     _require_finite("unlabeled loss", loss_u)
 
-    triplets = build_batch_triplets(
-        batch.labeled_weak, batch.labels, batch.unlabeled_weak,
-        batch.unlabeled_strong, weak_probs, batch.caption_feats,
-        batch.class_text_feats, settings.t_thresh)
+    triplets = build_batch_triplets(batch.labels, pseudo, batch.caption_feats,
+                                    batch.class_text_feats)
 
     loss_i2t = loss_t2i = 0.0
     d_unit_l = d_unit_w = d_unit_s = None
     if cfg.lambda_ > 0.0 and triplets.n >= 2:
-        confident_rows = np.array([pl.confident for pl in pseudo], dtype=bool) \
-            if u else np.zeros(0, dtype=bool)
         v_parts = [trace_l.unit_embedding]
         if u:
-            v_parts.append(trace_w.unit_embedding[confident_rows])
+            v_parts.append(trace_w.unit_embedding[confident])
             v_parts.append(trace_s.unit_embedding)
         v_all = np.concatenate(v_parts, axis=0)
-        con = contrastive_loss(v_all, triplets.text_feats(), triplets.labels(), cfg)
+        con = contrastive_loss(v_all, triplets.text_feats, triplets.labels, cfg)
         loss_i2t, loss_t2i = con.loss_i2t, con.loss_t2i
         grad_v = con.grad_v if cfg.lambda_ == 1.0 else con.grad_v * cfg.lambda_
         d_unit_l = grad_v[:b]
         if u:
             n_weak = triplets.n_weak
             d_unit_w = np.zeros_like(trace_w.unit_embedding)
-            d_unit_w[confident_rows] = grad_v[b:b + n_weak]
+            d_unit_w[confident] = grad_v[b:b + n_weak]
             d_unit_s = grad_v[b + n_weak:]
     _require_finite("contrastive loss", loss_i2t + loss_t2i)
 
-    grads = EncoderGrads.zeros_like(params)
+    grads = params.zeros_like()
     if d_logits_l is not None or d_unit_l is not None:
         grads.add_(param_gradients(params, trace_l, d_logits_l, d_unit_l))
     if u and d_unit_w is not None:

@@ -1,7 +1,7 @@
 """Confidence-thresholded pseudo-labels and the unified image-text-label batch.
 
-A batch mixes three origins into one list of (image view, text feature,
-label) triplets:
+A batch mixes three origins into one stack of (text feature, label) rows,
+each paired with one image view in the same order:
 
   downstream       weak views of labeled images, paired with their class
                    template feature and true label;
@@ -10,7 +10,7 @@ label) triplets:
                    the pseudo-class template feature and pseudo-label;
   strong_pretrain  strong views of every retrieved record in the batch,
                    paired with the record's own caption feature and a fresh
-                   label j + max_label (j counted from 1 within the batch),
+                   label n_classes + j (j counted from 0 within the batch),
                    above every downstream class so each strong record forms
                    its own contrastive group.
 
@@ -24,129 +24,76 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ORIGIN_DOWNSTREAM = "downstream"
-ORIGIN_WEAK = "weak_pretrain"
-ORIGIN_STRONG = "strong_pretrain"
-
 _PROB_SUM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
-class PseudoLabel:
-    sample_id: int
-    label: int          # argmax class
-    confidence: float   # max probability
-    confident: bool     # confidence >= threshold
+class PseudoLabels:
+    """One labelling pass over a batch of probability rows."""
 
+    label: np.ndarray       # (U,) int64 argmax class
+    confidence: np.ndarray  # (U,) float64 max probability
+    confident: np.ndarray   # (U,) bool, confidence >= threshold
 
-@dataclass(frozen=True)
-class Triplet:
-    image: np.ndarray      # one augmented view, (image_dim,)
-    text_feat: np.ndarray  # unit-norm text feature, (feat_dim,)
-    label: int
-    origin: str
+    def __len__(self) -> int:
+        return self.label.shape[0]
 
 
 @dataclass(frozen=True)
 class BatchTriplets:
-    """Triplets in fixed emission order: downstream ascending, confident weak
+    """Rows in fixed emission order: downstream ascending, confident weak
     ascending, then all strong ascending.  Trainers rely on that order to
     route contrastive gradients back to the right forward pass."""
 
-    triplets: list[Triplet]
+    text_feats: np.ndarray  # (N, feat_dim) unit rows
+    labels: np.ndarray      # (N,) int64
     n_downstream: int
     n_weak: int
     n_strong: int
 
     @property
     def n(self) -> int:
-        return len(self.triplets)
-
-    def labels(self) -> np.ndarray:
-        return np.array([t.label for t in self.triplets], dtype=np.int64)
-
-    def text_feats(self) -> np.ndarray:
-        return np.stack([t.text_feat for t in self.triplets])
+        return self.labels.shape[0]
 
 
-def _validate_prob_row(p: np.ndarray) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
-    if not np.all(np.isfinite(p)):
-        raise ValueError("probability vector has non-finite entries")
-    total = float(p.sum())
-    if abs(total - 1.0) > _PROB_SUM_TOL:
-        raise ValueError(f"probabilities sum to {total}, not 1 within {_PROB_SUM_TOL}")
-    return p
-
-
-def pseudo_label(p: np.ndarray, t_thresh: float, sample_id: int = 0) -> PseudoLabel:
+def pseudo_label_batch(probs: np.ndarray, t_thresh: float) -> PseudoLabels:
     if not 0.0 < t_thresh <= 1.0:
         raise ValueError(f"t_thresh {t_thresh} outside (0, 1]")
-    p = _validate_prob_row(p)
-    label = int(np.argmax(p))  # ties resolve to the lowest index
-    confidence = float(p[label])
-    return PseudoLabel(sample_id=sample_id, label=label, confidence=confidence,
-                       confident=confidence >= t_thresh)
-
-
-def pseudo_label_batch(probs: np.ndarray, t_thresh: float,
-                       sample_ids=None) -> list[PseudoLabel]:
     probs = np.asarray(probs, dtype=np.float64)
-    if sample_ids is None:
-        sample_ids = range(probs.shape[0])
-    return [pseudo_label(probs[i], t_thresh, sample_id=int(sid))
-            for i, sid in enumerate(sample_ids)]
+    if not np.all(np.isfinite(probs)):
+        raise ValueError("probability vector has non-finite entries")
+    totals = probs.sum(axis=1)
+    off = np.flatnonzero(np.abs(totals - 1.0) > _PROB_SUM_TOL)
+    if off.size:
+        i = int(off[0])
+        raise ValueError(f"probabilities of row {i} sum to {totals[i]}, "
+                         f"not 1 within {_PROB_SUM_TOL}")
+    label = np.argmax(probs, axis=1).astype(np.int64)  # ties: lowest index
+    confidence = probs[np.arange(label.shape[0]), label]
+    return PseudoLabels(label=label, confidence=confidence,
+                        confident=confidence >= t_thresh)
 
 
-def strong_label(j: int, max_label: int) -> int:
-    """Label for the j-th (1-based) strong view of a batch: j + max_label."""
-    if j < 1:
-        raise ValueError(f"strong view index is 1-based, got {j}")
-    return j + max_label
+def build_batch_triplets(labels: np.ndarray, pseudo: PseudoLabels,
+                         caption_feats: np.ndarray,
+                         class_text_feats: np.ndarray) -> BatchTriplets:
+    """Assemble the unified batch from the step's pseudo-label pass.
 
-
-def build_batch_triplets(labeled_images: np.ndarray, labels: np.ndarray,
-                         unlabeled_weak: np.ndarray, unlabeled_strong: np.ndarray,
-                         weak_probs: np.ndarray, caption_feats: np.ndarray,
-                         class_text_feats: np.ndarray, t_thresh: float,
-                         sample_ids=None) -> BatchTriplets:
-    """Assemble the unified batch from already-augmented views.
-
-    labeled_images are weak views of the labeled batch; unlabeled_weak and
-    unlabeled_strong are the two views of the same retrieved records, with
-    weak_probs the classifier output on the weak views and caption_feats the
-    records' own caption features.  Strong labels start above max over the
-    whole downstream label set (classes - 1), not the batch, so they can
-    never collide with a pseudo-label.
+    labels are the labeled batch's classes; pseudo labels the weak views of
+    the retrieved records whose own caption features are caption_feats.
+    Strong labels start at the downstream class count, not the batch's
+    largest label, so they can never collide with a pseudo-label.
     """
     n_classes = class_text_feats.shape[0]
-    b = labeled_images.shape[0]
-    u = unlabeled_weak.shape[0]
-    if unlabeled_strong.shape[0] != u or weak_probs.shape[0] != u \
-            or caption_feats.shape[0] != u:
-        raise ValueError("unlabeled views, probabilities and caption features "
-                         "must agree in length")
-    if labels.shape[0] != b:
-        raise ValueError("labeled images and labels must agree in length")
+    b, u = labels.shape[0], len(pseudo)
+    if caption_feats.shape[0] != u:
+        raise ValueError("pseudo-labels and caption features must agree in length")
     if b and (labels.min() < 0 or labels.max() >= n_classes):
         raise ValueError("labeled batch contains a label outside [0, classes)")
-
-    triplets = [Triplet(image=labeled_images[i], text_feat=class_text_feats[labels[i]],
-                        label=int(labels[i]), origin=ORIGIN_DOWNSTREAM)
-                for i in range(b)]
-    pseudo = pseudo_label_batch(weak_probs, t_thresh, sample_ids)
-    n_weak = 0
-    for j, pl in enumerate(pseudo):
-        if pl.confident:
-            triplets.append(Triplet(image=unlabeled_weak[j],
-                                    text_feat=class_text_feats[pl.label],
-                                    label=pl.label, origin=ORIGIN_WEAK))
-            n_weak += 1
-    max_label = n_classes - 1
-    for j in range(u):
-        triplets.append(Triplet(image=unlabeled_strong[j],
-                                text_feat=caption_feats[j],
-                                label=strong_label(j + 1, max_label),
-                                origin=ORIGIN_STRONG))
-    return BatchTriplets(triplets=triplets, n_downstream=b, n_weak=n_weak,
-                         n_strong=u)
+    weak = pseudo.label[pseudo.confident]
+    return BatchTriplets(
+        text_feats=np.concatenate([class_text_feats[labels],
+                                   class_text_feats[weak], caption_feats]),
+        labels=np.concatenate([labels.astype(np.int64), weak,
+                               n_classes + np.arange(u, dtype=np.int64)]),
+        n_downstream=b, n_weak=weak.shape[0], n_strong=u)

@@ -163,26 +163,22 @@ def topk_per_column_dedup(s: np.ndarray, k: int) -> SampleResult:
     m, q = s.shape
     assigned = np.argmax(s, axis=1)          # ties resolve to the lowest column
     row_score = s[np.arange(m), assigned]
-    return _select_from_candidates(np.arange(m, dtype=np.int64), assigned,
-                                   row_score, q, k)
+    takes = []
+    for j in range(q):
+        pool = np.flatnonzero(assigned == j)  # row index doubles as record id
+        takes.append(pool[_rank_order(row_score[pool], pool)[:k]])
+    return _assemble(takes, [row_score[take] for take in takes], k)
 
 
-def _select_from_candidates(ids, assigned, scores, n_columns, k) -> SampleResult:
-    sel_ids, sel_cols, sel_scores = [], [], []
-    deficits = np.zeros(n_columns, dtype=np.int64)
-    for j in range(n_columns):
-        pool = np.flatnonzero(assigned == j)
-        order = _rank_order(scores[pool], ids[pool])[:k]
-        take = pool[order]
-        deficits[j] = k - take.size
-        sel_ids.append(ids[take])
-        sel_cols.append(np.full(take.size, j, dtype=np.int64))
-        sel_scores.append(scores[take])
+def _assemble(cand_ids: list[np.ndarray], cand_scores: list[np.ndarray],
+              k: int) -> SampleResult:
+    """One result from each column's candidates, already in rank order."""
+    counts = np.array([ids.size for ids in cand_ids], dtype=np.int64)
     return SampleResult(
-        selected_ids=np.concatenate(sel_ids) if sel_ids else np.zeros(0, np.int64),
-        assigned_column=np.concatenate(sel_cols) if sel_cols else np.zeros(0, np.int64),
-        score=np.concatenate(sel_scores) if sel_scores else np.zeros(0),
-        deficits=deficits,
+        selected_ids=np.concatenate(cand_ids) if cand_ids else np.zeros(0, np.int64),
+        assigned_column=np.repeat(np.arange(counts.size, dtype=np.int64), counts),
+        score=np.concatenate(cand_scores) if cand_scores else np.zeros(0),
+        deficits=k - counts,
         k=k,
     )
 
@@ -222,20 +218,7 @@ def select_topk_streamed(v: np.ndarray, f: np.ndarray, k: int,
             order = _rank_order(merged_scores, merged_ids)[:k]
             cand_ids[j] = merged_ids[order]
             cand_scores[j] = merged_scores[order]
-    sel_ids, sel_cols, sel_scores = [], [], []
-    deficits = np.zeros(q, dtype=np.int64)
-    for j in range(q):
-        deficits[j] = k - cand_ids[j].size
-        sel_ids.append(cand_ids[j])
-        sel_cols.append(np.full(cand_ids[j].size, j, dtype=np.int64))
-        sel_scores.append(cand_scores[j])
-    return SampleResult(
-        selected_ids=np.concatenate(sel_ids) if sel_ids else np.zeros(0, np.int64),
-        assigned_column=np.concatenate(sel_cols) if sel_cols else np.zeros(0, np.int64),
-        score=np.concatenate(sel_scores) if sel_scores else np.zeros(0),
-        deficits=deficits,
-        k=k,
-    )
+    return _assemble(cand_ids, cand_scores, k)
 
 
 def default_k1(n_downstream: int, n_classes: int,

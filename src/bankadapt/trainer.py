@@ -18,7 +18,6 @@ import numpy as np
 from .augment import AugmentConfig, augment_view
 from .embank import DownstreamDataset, EmbeddingBank, ValidationError
 from .encoder import (
-    EncoderGrads,
     EncoderParams,
     FrozenEmbedder,
     encode_and_classify,
@@ -87,6 +86,11 @@ class SelectedBank:
     @classmethod
     def from_bank(cls, bank: EmbeddingBank, result: SampleResult) -> "SelectedBank":
         ids = np.asarray(result.selected_ids, dtype=np.int64)
+        bad = np.flatnonzero((ids < 0) | (ids >= bank.size))
+        if bad.size:
+            raise ValidationError([
+                f"selected record id {int(ids[bad[0]])} is outside the bank's "
+                f"{bank.size} records"])
         return cls(ids=ids, images=bank.images[ids],
                    caption_feats=bank.caption_feats[ids])
 
@@ -171,13 +175,13 @@ def compose_batch(ds: DownstreamDataset, selected: SelectedBank,
     )
 
 
-def sgd_update(params: EncoderParams, velocity: EncoderGrads,
-               grads: EncoderGrads, lr: float, momentum: float) -> None:
-    for name in ("w1", "b1", "w2", "b2", "head_w", "head_b"):
-        buf = getattr(velocity, name)
+def sgd_update(params: EncoderParams, velocity: EncoderParams,
+               grads: EncoderParams, lr: float, momentum: float) -> None:
+    for param, buf, grad in zip(params.fields(), velocity.fields(),
+                                grads.fields()):
         buf *= momentum
-        buf += getattr(grads, name)
-        getattr(params, name)[...] -= lr * buf
+        buf += grad
+        param -= lr * buf
 
 
 def evaluate(params: EncoderParams, ds: DownstreamDataset) -> float:
@@ -202,7 +206,7 @@ def fit(ds: DownstreamDataset, selected: SelectedBank,
         else:
             params = init_params(cfg.seed, ds.image_dim, cfg.hidden_dim,
                                  feat_dim, ds.n_classes)
-    velocity = EncoderGrads.zeros_like(params)
+    velocity = params.zeros_like()
     loss_cfg = cfg.loss_config()
     metrics: list[StepMetrics] = []
     global_step = 0

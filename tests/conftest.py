@@ -32,3 +32,26 @@ def random_dataset(seed=0, n=12, n_classes=3, d_img=6, d=4) -> DownstreamDataset
         class_descriptions=[f"synthetic category {c}" for c in range(n_classes)],
         class_text_feats=unit_rows(rng, n_classes, d),
     )
+
+
+def awkward_probs(seed, n=60, n_classes=4, t_thresh=0.7):
+    """Softmax rows shuffled with the rows the pseudo-label rules decide:
+    exact argmax ties, a top probability exactly at t_thresh, and rows so
+    sharp that some entries fall below 1e-12."""
+    rng = np.random.default_rng(seed)
+    scale = rng.choice([1.0, 5.0, 60.0], size=(n, 1))
+    logits = rng.standard_normal((n, n_classes)) * scale
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    for i in range(0, n, 5):  # two columns share the row's top value
+        row = rng.random(n_classes)
+        a, b = rng.choice(n_classes, size=2, replace=False)
+        row[a] = row[b] = row.max() + 0.5
+        probs[i] = row / row.sum()
+    for i in range(1, n, 5):  # the top probability is exactly t_thresh
+        rest = rng.random(n_classes)
+        top = int(rng.integers(n_classes))
+        rest[top] = 0.0
+        probs[i] = rest * ((1.0 - t_thresh) / rest.sum())
+        probs[i, top] = t_thresh
+    return probs

@@ -255,8 +255,7 @@ def test_criterion_7_sweep_mechanics(tmp_path):
     thresholds = [0.5, 0.6, 0.7, 0.8, 0.9, 0.95]
     sets = []
     for t in thresholds:
-        pseudo = pseudo_label_batch(probs, t)
-        sets.append({pl.sample_id for pl in pseudo if pl.confident})
+        sets.append(set(np.flatnonzero(pseudo_label_batch(probs, t).confident)))
     nested = all(sets[i + 1] <= sets[i] for i in range(len(sets) - 1))
     counts = [len(s) for s in sets]
     ok = deterministic and nested and counts == sorted(counts, reverse=True)

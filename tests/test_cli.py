@@ -113,6 +113,34 @@ def test_missing_data_file_exits_two(tmp_path):
                 "--out_dir", str(tmp_path / "o")]) == 2
 
 
+def test_train_with_missing_samples_file_exits_two(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(["train", *TINY, "--samples", str(tmp_path / "no.csv"),
+                "--out_dir", str(out)]) == 2
+    assert "no.csv" in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
+
+
+def test_train_with_samples_from_a_larger_bank_exits_one(tmp_path, capsys):
+    big, small = tmp_path / "big", tmp_path / "small"
+    assert run(["synth-gen", *TINY, "--bank_size", "1200",
+                "--out_dir", str(big)]) == 0
+    assert run(["synth-gen", *TINY, "--out_dir", str(small)]) == 0
+    assert run(["sample", *TINY, "--bank", str(big / "bank.datb"),
+                "--dataset", str(big / "train.datd"),
+                "--out_dir", str(big)]) == 0
+    ids = np.loadtxt(big / "samples.csv", delimiter=",", skiprows=1,
+                     usecols=0, dtype=np.int64)
+    first_bad = int(ids[np.flatnonzero(ids >= 300)[0]])
+    capsys.readouterr()
+    assert run(["train", *TINY, "--bank", str(small / "bank.datb"),
+                "--dataset", str(small / "train.datd"),
+                "--samples", str(big / "samples.csv"),
+                "--out_dir", str(tmp_path / "t")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"id {first_bad} is outside" in err
+
+
 def test_gradcheck_passes(capsys):
     assert run(["gradcheck", "--seed", "0"]) == 0
     out = capsys.readouterr().out

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -16,7 +17,8 @@ from bankadapt.losses import (
     unlabeled_logit_grads,
     unlabeled_loss,
 )
-from bankadapt.pseudo_triplets import PseudoLabel
+from bankadapt.pseudo_triplets import PseudoLabels, pseudo_label_batch
+from conftest import awkward_probs
 
 
 def oracle_contrastive(v, t, labels, tau, reduction="sum"):
@@ -56,16 +58,27 @@ def random_unit(rng, n, d):
 
 class TestCrossEntropy:
     def test_uniform_two_class(self):
-        assert abs(cross_entropy(0, np.array([0.5, 0.5])) - math.log(2)) < 1e-12
+        val = cross_entropy(np.array([0]), np.array([[0.5, 0.5]]))
+        assert abs(val[0] - math.log(2)) < 1e-12
 
     def test_quarter_probability_is_two_ln_two(self):
-        val = cross_entropy(1, np.array([0.75, 0.25]))
-        assert abs(val - 2 * math.log(2)) < 1e-12
+        val = cross_entropy(np.array([1]), np.array([[0.75, 0.25]]))
+        assert abs(val[0] - 2 * math.log(2)) < 1e-12
 
     def test_zero_probability_clamps_instead_of_inf(self, caplog):
-        val = cross_entropy(0, np.array([0.0, 1.0]))
-        assert math.isfinite(val)
-        assert abs(val - (-math.log(1e-12))) < 1e-9
+        probs = np.array([[0.0, 1.0], [1e-30, 1.0 - 1e-30], [0.5, 0.5]])
+        with caplog.at_level(logging.WARNING, logger="bankadapt.losses"):
+            val = cross_entropy(np.array([0, 0, 1]), probs)
+        assert np.all(np.isfinite(val))
+        np.testing.assert_allclose(val[:2], -math.log(1e-12), atol=1e-9)
+        assert abs(val[2] - math.log(2)) < 1e-12
+        assert len(caplog.records) == 1  # one warning per call, not per row
+        assert "clamped 2 of 3" in caplog.records[0].getMessage()
+
+    def test_no_warning_without_clamps(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="bankadapt.losses"):
+            cross_entropy(np.array([0, 1]), np.array([[0.5, 0.5], [0.1, 0.9]]))
+        assert caplog.records == []
 
     def test_supervised_mean(self):
         probs = np.array([[0.5, 0.5], [0.25, 0.75]])
@@ -86,11 +99,26 @@ class TestCrossEntropy:
         np.testing.assert_allclose(g.sum(axis=1), 0.0, atol=1e-12)
 
 
+def reference_unlabeled(pseudo, strong_probs, mu, batch_size):
+    """Per-row loop over confident rows: clamped -log p summed left to right
+    in row order, and softmax - onehot for the logit gradient."""
+    denom = mu * batch_size
+    total = 0.0
+    g = np.zeros_like(strong_probs)
+    for j in range(len(pseudo)):
+        if pseudo.confident[j]:
+            label = int(pseudo.label[j])
+            total += -float(np.log(max(float(strong_probs[j, label]), 1e-12)))
+            g[j] = strong_probs[j]
+            g[j, label] -= 1.0
+    return total / denom, g / denom
+
+
 class TestUnlabeledLoss:
     def mk_pseudo(self, flags, labels):
-        return [PseudoLabel(sample_id=i, label=int(l), confidence=0.99,
-                            confident=bool(f))
-                for i, (f, l) in enumerate(zip(flags, labels))]
+        return PseudoLabels(label=np.array(labels, dtype=np.int64),
+                            confidence=np.full(len(flags), 0.99),
+                            confident=np.array(flags, dtype=bool))
 
     def test_divides_by_full_batch_not_confident_count(self):
         probs = np.array([[0.25, 0.75], [0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])
@@ -104,7 +132,8 @@ class TestUnlabeledLoss:
         assert unlabeled_loss(pseudo, probs, mu=4, batch_size=1) == 0.0
 
     def test_mu_zero_is_zero(self):
-        assert unlabeled_loss([], np.zeros((0, 2)), mu=0, batch_size=32) == 0.0
+        pseudo = self.mk_pseudo([], [])
+        assert unlabeled_loss(pseudo, np.zeros((0, 2)), mu=0, batch_size=32) == 0.0
 
     def test_grads_zero_for_unconfident_rows(self):
         probs = np.array([[0.9, 0.1], [0.3, 0.7]])
@@ -113,6 +142,23 @@ class TestUnlabeledLoss:
         np.testing.assert_allclose(g[1], 0.0)
         np.testing.assert_allclose(g[0], (probs[0] - np.array([1.0, 0.0])) / 2,
                                    atol=1e-12)
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="disagree in length"):
+            unlabeled_loss(self.mk_pseudo([1], [0]), np.full((2, 2), 0.5),
+                           mu=2, batch_size=1)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_row_reference(self, seed):
+        t = 0.7
+        pseudo = pseudo_label_batch(awkward_probs(seed, t_thresh=t), t)
+        strong = awkward_probs(seed + 100, t_thresh=t)
+        labels = pseudo.label[pseudo.confident]
+        assert (strong[pseudo.confident, labels] < 1e-12).any()  # clamps
+        loss, grads = reference_unlabeled(pseudo, strong, mu=3, batch_size=20)
+        assert unlabeled_loss(pseudo, strong, mu=3, batch_size=20) == loss
+        np.testing.assert_array_equal(
+            unlabeled_logit_grads(pseudo, strong, mu=3, batch_size=20), grads)
 
 
 E1 = np.array([1.0, 0.0])

@@ -105,7 +105,7 @@ def test_n_confident_matches_pseudo_labels():
     cfg = settings(t=0.4)
     bd, _ = batch_objective(params, batch, cfg)
     probs = encode_and_classify(params, batch.unlabeled_weak).probs
-    expect = sum(pl.confident for pl in pseudo_label_batch(probs, 0.4))
+    expect = int(pseudo_label_batch(probs, 0.4).confident.sum())
     assert bd.n_confident == expect
 
 
@@ -123,8 +123,7 @@ def test_fixture_margins_hold():
     top = np.sort(probs, axis=1)
     assert np.all(np.abs(top[:, -1] - fx.settings.t_thresh) > 1e-3)
     assert np.all(top[:, -1] - top[:, -2] > 1e-3)
-    pseudo = pseudo_label_batch(probs, fx.settings.t_thresh)
-    assert any(pl.confident for pl in pseudo)
+    assert pseudo_label_batch(probs, fx.settings.t_thresh).confident.any()
 
 
 def test_fixture_deterministic():

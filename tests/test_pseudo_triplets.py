@@ -3,43 +3,49 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bankadapt.pseudo_triplets import (
-    ORIGIN_DOWNSTREAM,
-    ORIGIN_STRONG,
-    ORIGIN_WEAK,
-    build_batch_triplets,
-    pseudo_label,
-    pseudo_label_batch,
-    strong_label,
-)
+from bankadapt.pseudo_triplets import build_batch_triplets, pseudo_label_batch
+from conftest import awkward_probs
+
+
+def reference_pseudo_labels(probs, t_thresh):
+    """Per-row loop: the first maximum wins, confident iff it reaches t."""
+    labels, confidences, confident = [], [], []
+    for row in probs:
+        label = 0
+        for c in range(1, row.shape[0]):
+            if row[c] > row[label]:
+                label = c
+        labels.append(label)
+        confidences.append(float(row[label]))
+        confident.append(float(row[label]) >= t_thresh)
+    return labels, confidences, confident
 
 
 class TestPseudoLabel:
     def test_threshold_is_inclusive(self):
-        p = np.array([0.95, 0.05])
-        assert pseudo_label(p, 0.95).confident is True
-        assert pseudo_label(p, 0.950001).confident is False
+        p = np.array([[0.95, 0.05]])
+        assert pseudo_label_batch(p, 0.95).confident.tolist() == [True]
+        assert pseudo_label_batch(p, 0.950001).confident.tolist() == [False]
 
     def test_argmax_tie_takes_lowest_class(self):
-        p = np.array([0.4, 0.4, 0.2])
-        pl = pseudo_label(p, 0.5)
-        assert pl.label == 0
-        assert pl.confidence == 0.4
-        assert not pl.confident
+        pl = pseudo_label_batch(np.array([[0.4, 0.4, 0.2], [0.2, 0.4, 0.4]]), 0.5)
+        assert pl.label.tolist() == [0, 1]
+        assert pl.confidence.tolist() == [0.4, 0.4]
+        assert not pl.confident.any()
 
     def test_probabilities_must_sum_to_one(self):
-        with pytest.raises(ValueError, match="sum"):
-            pseudo_label(np.array([0.6, 0.6]), 0.9)
+        with pytest.raises(ValueError, match="row 1 sum"):
+            pseudo_label_batch(np.array([[0.5, 0.5], [0.6, 0.6]]), 0.9)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
-            pseudo_label(np.array([np.nan, 1.0]), 0.9)
+            pseudo_label_batch(np.array([[np.nan, 1.0]]), 0.9)
 
     def test_threshold_range_validated(self):
         with pytest.raises(ValueError, match="t_thresh"):
-            pseudo_label(np.array([1.0, 0.0]), 0.0)
+            pseudo_label_batch(np.array([[1.0, 0.0]]), 0.0)
         with pytest.raises(ValueError, match="t_thresh"):
-            pseudo_label(np.array([1.0, 0.0]), 1.5)
+            pseudo_label_batch(np.array([[1.0, 0.0]]), 1.5)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000),
@@ -50,34 +56,42 @@ class TestPseudoLabel:
         logits = rng.standard_normal((20, 4)) * 3
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         probs = e / e.sum(axis=1, keepdims=True)
-        at_lo = {pl.sample_id for pl in pseudo_label_batch(probs, t_lo) if pl.confident}
-        at_hi = {pl.sample_id for pl in pseudo_label_batch(probs, t_hi) if pl.confident}
-        assert at_hi <= at_lo
+        at_lo = pseudo_label_batch(probs, t_lo).confident
+        at_hi = pseudo_label_batch(probs, t_hi).confident
+        assert not np.any(at_hi & ~at_lo)
 
-    def test_batch_preserves_sample_ids(self):
-        probs = np.array([[0.9, 0.1], [0.2, 0.8]])
-        out = pseudo_label_batch(probs, 0.5, sample_ids=[17, 42])
-        assert [pl.sample_id for pl in out] == [17, 42]
-        assert [pl.label for pl in out] == [0, 1]
+    def test_batch_returns_one_row_per_input(self):
+        pl = pseudo_label_batch(np.array([[0.9, 0.1], [0.2, 0.8]]), 0.5)
+        assert len(pl) == 2
+        assert pl.label.dtype == np.int64 and pl.confidence.dtype == np.float64
+        assert pl.confident.dtype == bool
+        assert pl.label.tolist() == [0, 1]
+        assert len(pseudo_label_batch(np.zeros((0, 3)), 0.5)) == 0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_row_reference(self, seed):
+        t = 0.7
+        probs = awkward_probs(seed, t_thresh=t)
+        assert (probs < 1e-12).any()
+        labels, confidences, confident = reference_pseudo_labels(probs, t)
+        pl = pseudo_label_batch(probs, t)
+        assert pl.label.tolist() == labels
+        assert pl.confidence.tolist() == confidences
+        assert pl.confident.tolist() == confident
+        assert pl.confident[1::5].all()  # exactly at the threshold
+        assert len(pl) == probs.shape[0]
 
 
 class TestStrongLabel:
     def test_formula(self):
-        assert strong_label(1, 9) == 10
-        assert strong_label(3, 9) == 12
-
-    def test_one_based_index_enforced(self):
-        with pytest.raises(ValueError, match="1-based"):
-            strong_label(0, 9)
+        batch, *_ = small_batch(n_classes=9, u=3)
+        assert batch.labels[batch.n_downstream + batch.n_weak:].tolist() == [9, 10, 11]
 
 
-def small_batch(b=3, u=4, n_classes=3, d_img=5, d_feat=4, seed=0,
-                peaked=None, t_thresh=0.6):
+def small_batch(b=3, u=4, n_classes=3, d_feat=4, seed=0, peaked=None,
+                t_thresh=0.6):
     rng = np.random.default_rng(seed)
-    labeled = rng.standard_normal((b, d_img))
     labels = rng.integers(0, n_classes, size=b)
-    weak = rng.standard_normal((u, d_img))
-    strong = rng.standard_normal((u, d_img))
     probs = np.full((u, n_classes), 1.0 / n_classes)
     if peaked:
         for j, cls in peaked.items():
@@ -87,48 +101,46 @@ def small_batch(b=3, u=4, n_classes=3, d_img=5, d_feat=4, seed=0,
     captions /= np.linalg.norm(captions, axis=1, keepdims=True)
     class_feats = rng.standard_normal((n_classes, d_feat))
     class_feats /= np.linalg.norm(class_feats, axis=1, keepdims=True)
-    batch = build_batch_triplets(labeled, labels, weak, strong, probs, captions,
-                                 class_feats, t_thresh)
+    batch = build_batch_triplets(labels, pseudo_label_batch(probs, t_thresh),
+                                 captions, class_feats)
     return batch, labels, captions, class_feats
 
 
 class TestBatchAssembly:
     def test_counts_and_order(self):
-        batch, *_ = small_batch(peaked={1: 2, 3: 0})
+        batch, labels, captions, class_feats = small_batch(peaked={1: 2, 3: 0})
         assert batch.n_downstream == 3
         assert batch.n_weak == 2
         assert batch.n_strong == 4
         assert batch.n == 3 + 2 + 4
-        origins = [t.origin for t in batch.triplets]
-        assert origins == [ORIGIN_DOWNSTREAM] * 3 + [ORIGIN_WEAK] * 2 \
-            + [ORIGIN_STRONG] * 4
+        assert batch.text_feats.shape == (9, 4)
+        # downstream rows, then confident weak rows ascending, then strong
+        assert batch.labels.tolist() == [*labels, 2, 0, 3, 4, 5, 6]
+        np.testing.assert_array_equal(batch.text_feats[3:5], class_feats[[2, 0]])
+        np.testing.assert_array_equal(batch.text_feats[5:], captions)
 
     def test_downstream_text_feat_is_class_template(self):
         batch, labels, _, class_feats = small_batch()
-        for i in range(batch.n_downstream):
-            t = batch.triplets[i]
-            np.testing.assert_array_equal(t.text_feat, class_feats[labels[i]])
-            assert t.label == labels[i]
+        b = batch.n_downstream
+        np.testing.assert_array_equal(batch.text_feats[:b], class_feats[labels])
+        assert batch.labels[:b].tolist() == labels.tolist()
 
     def test_confident_weak_uses_pseudo_class_template(self):
         batch, _, _, class_feats = small_batch(peaked={1: 2})
-        weak = [t for t in batch.triplets if t.origin == ORIGIN_WEAK]
-        assert len(weak) == 1
-        np.testing.assert_array_equal(weak[0].text_feat, class_feats[2])
-        assert weak[0].label == 2
+        assert batch.n_weak == 1
+        row = batch.n_downstream
+        np.testing.assert_array_equal(batch.text_feats[row], class_feats[2])
+        assert batch.labels[row] == 2
 
     def test_strong_labels_are_fresh_and_above_downstream_range(self):
         batch, *_ = small_batch(n_classes=3, u=4)
-        strong = [t for t in batch.triplets if t.origin == ORIGIN_STRONG]
-        assert [t.label for t in strong] == [3, 4, 5, 6]
-        for t in strong:
-            assert t.label >= 3  # outside [0, n_classes)
+        strong = batch.labels[batch.n_downstream + batch.n_weak:]
+        assert strong.tolist() == [3, 4, 5, 6]
+        assert (strong >= 3).all()  # outside [0, n_classes)
 
     def test_strong_uses_record_caption_feature(self):
         batch, _, captions, _ = small_batch(u=2)
-        strong = [t for t in batch.triplets if t.origin == ORIGIN_STRONG]
-        np.testing.assert_array_equal(strong[0].text_feat, captions[0])
-        np.testing.assert_array_equal(strong[1].text_feat, captions[1])
+        np.testing.assert_array_equal(batch.text_feats[-2:], captions)
 
     def test_no_confident_records_yields_no_weak_triplets(self):
         batch, *_ = small_batch(peaked=None, t_thresh=0.95)
@@ -137,39 +149,33 @@ class TestBatchAssembly:
 
     def test_text_feats_are_unit_norm(self):
         batch, *_ = small_batch(peaked={0: 1})
-        norms = np.linalg.norm(batch.text_feats(), axis=1)
+        norms = np.linalg.norm(batch.text_feats, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-6)
 
     def test_label_partition_by_origin(self):
         batch, *_ = small_batch(n_classes=3, peaked={0: 0, 2: 1})
-        for t in batch.triplets:
-            if t.origin == ORIGIN_STRONG:
-                assert t.label >= 3
-            else:
-                assert 0 <= t.label < 3
+        n_class_rows = batch.n_downstream + batch.n_weak
+        assert ((batch.labels[:n_class_rows] >= 0)
+                & (batch.labels[:n_class_rows] < 3)).all()
+        assert (batch.labels[n_class_rows:] >= 3).all()
 
     def test_empty_unlabeled_batch_is_fine(self):
         rng = np.random.default_rng(1)
         class_feats = rng.standard_normal((3, 4))
         class_feats /= np.linalg.norm(class_feats, axis=1, keepdims=True)
         batch = build_batch_triplets(
-            rng.standard_normal((2, 5)), np.array([0, 2]),
-            np.zeros((0, 5)), np.zeros((0, 5)), np.zeros((0, 3)),
-            np.zeros((0, 4)), class_feats, 0.9)
+            np.array([0, 2]), pseudo_label_batch(np.zeros((0, 3)), 0.9),
+            np.zeros((0, 4)), class_feats)
         assert batch.n == 2 and batch.n_strong == 0 and batch.n_weak == 0
 
     def test_mismatched_lengths_rejected(self):
-        rng = np.random.default_rng(2)
-        class_feats = np.eye(3, 4)
         with pytest.raises(ValueError, match="agree in length"):
             build_batch_triplets(
-                rng.standard_normal((2, 5)), np.array([0, 1]),
-                rng.standard_normal((3, 5)), rng.standard_normal((2, 5)),
-                np.full((3, 3), 1 / 3), np.eye(3, 4), class_feats, 0.9)
+                np.array([0, 1]), pseudo_label_batch(np.full((3, 3), 1 / 3), 0.9),
+                np.eye(2, 4), np.eye(3, 4))
 
     def test_out_of_range_label_rejected(self):
         with pytest.raises(ValueError, match="outside"):
             build_batch_triplets(
-                np.zeros((1, 5)), np.array([7]), np.zeros((0, 5)),
-                np.zeros((0, 5)), np.zeros((0, 3)), np.zeros((0, 4)),
-                np.eye(3, 4), 0.9)
+                np.array([7]), pseudo_label_batch(np.zeros((0, 3)), 0.9),
+                np.zeros((0, 4)), np.eye(3, 4))

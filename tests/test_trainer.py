@@ -8,7 +8,7 @@ import pytest
 from bankadapt.augment import AugmentConfig, augment_view
 from bankadapt.embank import ValidationError
 from bankadapt.encoder import FrozenEmbedder, init_params, load_params, save_params
-from bankadapt.sampler import stage1_sample, stage2_sample
+from bankadapt.sampler import SampleResult, stage1_sample, stage2_sample
 from bankadapt.seeding import derive_rng
 from bankadapt.synth import SynthSpec, generate_downstream, generate_pretrain_bank
 from bankadapt.trainer import (
@@ -66,6 +66,16 @@ def test_selected_bank_gathers_by_id():
         np.testing.assert_array_equal(selected.images[row], bank.images[rid])
         np.testing.assert_array_equal(selected.caption_feats[row],
                                       bank.caption_feats[rid])
+
+
+@pytest.mark.parametrize("bad_id", [150, 4000, -1])
+def test_selected_bank_rejects_ids_outside_the_bank(bad_id):
+    _, _, bank, _ = tiny_world()
+    ids = np.array([3, bad_id, 7, 9999], dtype=np.int64)
+    result = SampleResult(selected_ids=ids, assigned_column=np.zeros(4, np.int64),
+                          score=np.zeros(4), deficits=np.zeros(1, np.int64), k=4)
+    with pytest.raises(ValidationError, match=f"id {bad_id} is outside"):
+        SelectedBank.from_bank(bank, result)
 
 
 def test_compose_batch_shapes_and_determinism():
