@@ -195,7 +195,7 @@ def cmd_sample(cfg: RunConfig, args) -> int:
     bank, ds, _ = _load_world(cfg)
     s1, s2 = _sample_bank(cfg, bank, ds)
     samples_path = Path(cfg.samples) if cfg.samples else out / "samples.csv"
-    save_sample_csv(s2, samples_path)
+    save_sample_csv(s2, samples_path, samples_path.with_name("deficits.csv"))
     print(f"stage 1 kept {s1.n_selected} records "
           f"({int(s1.deficits.sum())} short), stage 2 kept {s2.n_selected} "
           f"({int(s2.deficits.sum())} short) -> {samples_path}")
@@ -216,6 +216,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg)
     bank, ds, eval_ds = _load_world(cfg)
     selected = _selected_for_train(cfg, bank, ds)
+    del bank  # selected holds copies of its rows; training needs no more of the bank
     embedder = FrozenEmbedder.from_seed("image", cfg.seed, ds.feat_dim,
                                         ds.image_dim)
     result = fit(ds, selected, ds.class_text_feats, train_config(cfg),
@@ -267,6 +268,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         raise ConfigError(f"bad sweep grid: {exc}") from exc
     bank, ds, eval_ds = _load_world(cfg)
     selected = _selected_for_train(replace(cfg, mu=max(mu_grid + [1])), bank, ds)
+    del bank  # selected holds copies of its rows; training needs no more of the bank
     embedder = FrozenEmbedder.from_seed("image", cfg.seed, ds.feat_dim,
                                         ds.image_dim)
     summary = ["mu,t_thresh,final_acc"]

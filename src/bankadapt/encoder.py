@@ -20,13 +20,13 @@ All trainable math runs in binary64; checkpoints store binary64 exactly.
 
 from __future__ import annotations
 
+import math
 import struct
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .embank import ChecksumError, FormatError, TruncatedFileError
+from .embank import read_container, write_container
 from .seeding import derive_rng
 
 CHECKPOINT_VERSION = 1
@@ -253,40 +253,16 @@ def save_params(params: EncoderParams, path) -> None:
     header = _CHECKPOINT_HEADER.pack(
         _CHECKPOINT_MAGIC, CHECKPOINT_VERSION, 0,
         params.image_dim, params.hidden_dim, params.feat_dim, params.n_classes)
-    payload = b"".join(np.ascontiguousarray(f, dtype="<f8").tobytes()
-                       for f in params.fields())
-    crc = zlib.crc32(payload) & 0xFFFFFFFF
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
-        fh.write(struct.pack("<I", crc))
+    write_container(path, header, [np.ascontiguousarray(f, dtype="<f8").tobytes()
+                                   for f in params.fields()])
 
 
 def load_params(path) -> EncoderParams:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    hsize = _CHECKPOINT_HEADER.size
-    if len(data) < hsize + 4:
-        raise TruncatedFileError(
-            f"expected at least {hsize + 4} bytes, file has {len(data)}")
-    magic, version, _, d_img, h, d, c = _CHECKPOINT_HEADER.unpack_from(data, 0)
-    if magic != _CHECKPOINT_MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {_CHECKPOINT_MAGIC!r}")
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version}")
+    fields, cur = read_container(path, _CHECKPOINT_MAGIC, _CHECKPOINT_HEADER,
+                                 CHECKPOINT_VERSION)
+    _, _, _, d_img, h, d, c = fields
     shapes = [(h, d_img), (h,), (d, h), (d,), (c, d), (c,)]
-    expected = hsize + sum(int(np.prod(s)) * 8 for s in shapes) + 4
-    if len(data) != expected:
-        raise TruncatedFileError(f"expected {expected} bytes, file has {len(data)}")
-    payload = data[hsize:-4]
-    (stored_crc,) = struct.unpack("<I", data[-4:])
-    if zlib.crc32(payload) & 0xFFFFFFFF != stored_crc:
-        raise ChecksumError("checkpoint payload does not match stored crc32")
-    arrays = []
-    pos = 0
-    for shape in shapes:
-        count = int(np.prod(shape))
-        arrays.append(np.frombuffer(payload, dtype="<f8", count=count,
-                                    offset=pos).astype(np.float64).reshape(shape))
-        pos += count * 8
+    arrays = [cur.take_array(math.prod(shape), np.float64, "weights").reshape(shape)
+              for shape in shapes]
+    cur.finish("weights")
     return EncoderParams(*arrays)

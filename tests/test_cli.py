@@ -1,5 +1,7 @@
 """Command line pipeline: subcommands, exit codes, and reproducibility."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,19 @@ def test_sample_reports_precision_above_in_dist_rate(tmp_path, capsys):
     p2 = float(text.splitlines()[1].split("=")[1])
     assert p2 > 0.25
     assert (out / "samples.csv").exists()
+
+
+def test_sample_writes_deficits_that_sum_to_the_reported_shortfall(tmp_path, capsys):
+    out = tmp_path / "s"
+    assert run(["sample", *TINY, "--out_dir", str(out)]) == 0
+    short = int(re.search(r"stage 2 kept \d+ \((\d+) short\)",
+                          capsys.readouterr().out).group(1))
+    rows = (out / "deficits.csv").read_text().splitlines()
+    assert rows[0] == "column,deficit"
+    columns, deficits = zip(*(map(int, row.split(",")) for row in rows[1:]))
+    assert list(columns) == list(range(3 * 6))  # one per downstream image
+    assert short > 0
+    assert sum(deficits) == short
 
 
 def test_train_writes_outputs(tmp_path, capsys):

@@ -1,15 +1,21 @@
 import struct
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bankadapt import embank
+from bankadapt.cli import main
 from bankadapt.embank import (
+    UNIT_NORM_TOL,
     ChecksumError,
     DownstreamDataset,
     EmbeddingBank,
     FormatError,
+    StringTable,
     TruncatedFileError,
     ValidationError,
     decode_bank_file,
@@ -19,6 +25,7 @@ from bankadapt.embank import (
     validate_bank,
     validate_dataset,
 )
+from bankadapt.encoder import init_params, load_params, save_params
 
 from conftest import random_bank, random_dataset, unit_rows
 
@@ -191,3 +198,179 @@ class TestDatasetRoundTrip:
         feats[1] *= 1.0 + 5e-5  # just outside the 1e-5 tolerance
         object.__setattr__(ds, "class_text_feats", feats.astype(np.float32))
         assert any("class_text_feats row 1" in v for v in validate_dataset(ds))
+
+
+def rewrite_payload(path, header_size, edit):
+    """Apply edit to the payload and store its new crc32, so that decoding
+    gets past the checksum to the structure checks behind it."""
+    data = bytearray(path.read_bytes()[:-4])
+    payload = bytearray(data[header_size:])
+    edit(payload)
+    crc = zlib.crc32(payload) & 0xFFFFFFFF
+    path.write_bytes(bytes(data[:header_size]) + bytes(payload) + struct.pack("<I", crc))
+
+
+CAPTIONS = ["café", "写真", "plain-2", "thing-3", "über", "end"]
+
+
+def set_entry(i, off, ln):
+    def edit(payload, table):
+        struct.pack_into("<QQ", payload, table + 8 + 16 * i, off, ln)
+    return edit
+
+
+def poke_blob(pos, value):
+    def edit(payload, table):
+        payload[table + 8 + 16 * len(CAPTIONS) + pos] = value
+    return edit
+
+
+CAPTION_CORRUPTIONS = {
+    # the blob is 33 bytes: "café" 0-5, "写真" 5-11, "plain-2" 11-18, ...
+    "entry past the blob": (set_entry(3, 32, 2), "entry 3 points outside"),
+    "offset 2**64-1": (set_entry(2, 2**64 - 1, 2), "entry 2 points outside"),
+    "length 2**64-1": (set_entry(2, 1, 2**64 - 1), "entry 2 points outside"),
+    "invalid utf-8 in one entry": (poke_blob(13, 0xFF), "not valid UTF-8"),
+    "entry ends inside a character": (set_entry(0, 0, 4), "entry 0 splits"),
+    "entry starts inside a character": (set_entry(1, 6, 5), "entry 1 splits"),
+    "trailing bytes after the table": (lambda payload, table: payload.extend(b"\0\0"),
+                                       "2 trailing bytes after the caption table"),
+}
+
+
+class TestCaptionTableCorruption:
+    @pytest.fixture
+    def files(self, tmp_path):
+        bank = random_bank(seed=7, m=len(CAPTIONS))
+        object.__setattr__(bank, "captions", CAPTIONS)
+        bank_path, ds_path = tmp_path / "bank.datb", tmp_path / "train.datd"
+        encode_bank_file(bank, bank_path)
+        encode_dataset_file(random_dataset(seed=7), ds_path)
+        table = 4 * bank.size * (bank.image_dim + 2 * bank.feat_dim + 1)
+        return bank_path, ds_path, table
+
+    def test_the_fixture_decodes(self, files):
+        assert decode_bank_file(files[0]).captions == CAPTIONS
+
+    @pytest.mark.parametrize("case", CAPTION_CORRUPTIONS)
+    def test_corrupt_table_fails_at_decode_and_sample_exits_one(self, files, tmp_path,
+                                                                 case):
+        bank_path, ds_path, table = files
+        edit, message = CAPTION_CORRUPTIONS[case]
+        rewrite_payload(bank_path, 24, lambda payload: edit(payload, table))
+        with pytest.raises(FormatError, match=message):
+            decode_bank_file(bank_path)
+        assert main(["sample", "--bank", str(bank_path), "--dataset", str(ds_path),
+                     "--out_dir", str(tmp_path / "out")]) == 1
+
+
+def test_string_tables_decode_on_read_and_compare_as_lists(tmp_path):
+    ds = random_dataset(seed=5)
+    path = tmp_path / "ds.datd"
+    encode_dataset_file(ds, path)
+    names = decode_dataset_file(path).class_names
+    assert isinstance(names, StringTable)
+    assert names == ds.class_names and ds.class_names == names
+    assert names != ds.class_names[:-1] and names != ["x"] * len(names)
+    assert names[-1] == ds.class_names[-1] and names[1:] == ds.class_names[1:]
+    with pytest.raises(IndexError):
+        names[len(names)]
+    with pytest.raises(TypeError):
+        names[0] = "x"
+
+
+def test_decode_peak_memory_stays_near_the_file_size(tmp_path):
+    path = tmp_path / "big.datb"
+    encode_bank_file(random_bank(seed=8, m=100_000, d_img=20, d=16), path)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        bank = decode_bank_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bank.size == 100_000
+    assert peak <= 1.25 * path.stat().st_size
+
+
+def whole_array_violations(bank):
+    """The finite and unit-row checks of validate_bank on whole arrays."""
+    out = []
+    for name in ("images", "feats", "caption_feats"):
+        bad = ~np.isfinite(getattr(bank, name))
+        if bad.any():
+            idx = tuple(int(i) for i in np.argwhere(bad)[0])
+            out.append(f"{name} has non-finite value at index {idx}")
+    for name in ("feats", "caption_feats"):
+        norms = np.linalg.norm(getattr(bank, name).astype(np.float64), axis=1)
+        off = np.abs(norms - 1.0) > UNIT_NORM_TOL
+        if off.any():
+            i = int(np.argmax(off))
+            out.append(f"{name} row {i} has norm {norms[i]:.8f}, "
+                       f"expected 1 within {UNIT_NORM_TOL}")
+    return out
+
+
+@pytest.mark.parametrize("extra", [0, 1, 37])
+def test_blocked_validation_matches_whole_array_checks(extra):
+    rows = embank._VALIDATE_BLOCK_ROWS
+    m = 2 * rows + extra
+    bank = random_bank(seed=9, m=m, d_img=5, d=8)
+    assert validate_bank(bank) == [] == whole_array_violations(bank)
+    bank.images[rows + 3, 4] = np.inf
+    bank.images[2 * rows - 1, 0] = np.nan
+    bank.feats[m - 1] *= 1.0 + 3e-5
+    bank.caption_feats[rows] *= 1.0 - 3e-5
+    bank.caption_feats[rows + 9] *= 2.0
+    got = validate_bank(bank)
+    assert got == whole_array_violations(bank)
+    assert [v.split(" has ")[0] for v in got] == [
+        "images", f"feats row {m - 1}", f"caption_feats row {rows}"]
+    assert f"index ({rows + 3}, 4)" in got[0]
+
+
+CONTAINERS = {
+    "DATB": (lambda p: encode_bank_file(random_bank(seed=10), p), decode_bank_file, 24),
+    "DATD": (lambda p: encode_dataset_file(random_dataset(seed=10), p),
+             decode_dataset_file, 28),
+    "DATC": (lambda p: save_params(init_params(10, 6, 5, 4, 3), p), load_params, 24),
+}
+
+
+@pytest.mark.parametrize("fmt", CONTAINERS)
+class TestSharedReader:
+    """DATB, DATD and DATC go through one reader and one set of checks."""
+
+    def write(self, tmp_path, fmt):
+        write, read, header_size = CONTAINERS[fmt]
+        path = tmp_path / f"file.{fmt.lower()}"
+        write(path)
+        return path, read, header_size
+
+    def test_bad_magic_and_version(self, tmp_path, fmt):
+        path, read, _ = self.write(tmp_path, fmt)
+        good = path.read_bytes()
+        path.write_bytes(b"XXXX" + good[4:])
+        with pytest.raises(FormatError, match="magic"):
+            read(path)
+        path.write_bytes(good[:4] + struct.pack("<H", 7) + good[6:])
+        with pytest.raises(FormatError, match="version 7"):
+            read(path)
+
+    def test_short_payload_with_a_matching_crc(self, tmp_path, fmt):
+        path, read, header_size = self.write(tmp_path, fmt)
+        rewrite_payload(path, header_size, lambda payload: payload.pop())
+        with pytest.raises(TruncatedFileError, match="truncated while reading"):
+            read(path)
+
+    def test_trailing_byte_with_a_matching_crc(self, tmp_path, fmt):
+        path, read, header_size = self.write(tmp_path, fmt)
+        rewrite_payload(path, header_size, lambda payload: payload.append(0))
+        with pytest.raises(FormatError, match="1 trailing bytes"):
+            read(path)
+
+    def test_shorter_than_a_header(self, tmp_path, fmt):
+        path, read, header_size = self.write(tmp_path, fmt)
+        path.write_bytes(path.read_bytes()[:header_size + 3])
+        with pytest.raises(TruncatedFileError, match="expected at least"):
+            read(path)
