@@ -24,7 +24,6 @@ from .config import (
     RunConfig,
     apply_updates,
     augment_config,
-    chunk_plan,
     config_keys,
     load_config,
     synth_spec,
@@ -150,11 +149,9 @@ def _sample_bank(cfg: RunConfig, bank: EmbeddingBank, ds: DownstreamDataset):
     embedder = FrozenEmbedder.from_seed("image", cfg.seed, ds.feat_dim,
                                         ds.image_dim)
     k1 = default_k1(ds.size, ds.n_classes, cfg.stage1_multiplier)
-    s1 = stage1_sample(bank, ds, k1,
-                       chunk_plan(cfg, ds.feat_dim, ds.n_classes))
+    s1 = stage1_sample(bank, ds, k1, cfg.memory_budget_bytes)
     k2 = default_k2(s1.n_selected, ds.size, cfg.stage2_keep)
-    s2 = stage2_sample(s1, bank, ds, embedder, k2,
-                       chunk_plan(cfg, ds.feat_dim, ds.size))
+    s2 = stage2_sample(s1, bank, ds, embedder, k2, cfg.memory_budget_bytes)
     return s1, s2
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields, replace
 
 from .augment import AugmentConfig
 from .embank import ValidationError
-from .sampler import SimilarityChunkPlan
+from .sampler import DEFAULT_MEMORY_BUDGET_BYTES
 from .synth import SynthSpec
 from .trainer import TrainConfig
 
@@ -63,8 +63,7 @@ class RunConfig:
     # sampler
     stage1_multiplier: float = 8.0
     stage2_keep: float = 0.5
-    chunk_rows: int = 8192
-    memory_budget_bytes: int | None = None
+    memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES
     # paths ("" means unset)
     bank: str = ""
     dataset: str = ""
@@ -72,6 +71,11 @@ class RunConfig:
     samples: str = ""
     checkpoint: str = ""
     out_dir: str = "out"
+
+    def __post_init__(self):
+        if self.memory_budget_bytes < 1:
+            raise ConfigError(f"key 'memory_budget_bytes': must be at least 1, "
+                              f"got {self.memory_budget_bytes}")
 
 
 KEY_HELP = {
@@ -104,8 +108,8 @@ KEY_HELP = {
     "warm_start": "start the encoder near the frozen projection",
     "stage1_multiplier": "stage-1 keeps multiplier * n downstream records",
     "stage2_keep": "stage-2 keeps this fraction of the stage-1 selection",
-    "chunk_rows": "bank rows scored per chunk",
-    "memory_budget_bytes": "optional cap that sizes chunk_rows instead",
+    "memory_budget_bytes": "bytes the sampler may hold while scoring and "
+                           "merging; sets the rows per chunk",
     "bank": "path to a DATB bank file",
     "dataset": "path to a DATD downstream dataset",
     "eval_dataset": "path to a DATD held-out dataset",
@@ -140,16 +144,12 @@ def _parse_value(key: str, field_type: str, raw: str):
             if raw.lower() in ("false", "0", "no"):
                 return False
             raise ValueError(raw)
-        if field_type == "int | None":
-            return None if raw == "" or raw.lower() == "none" else int(raw)
         return raw
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: cannot parse {raw!r} as {field_type}") from exc
 
 
 def _format_value(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -224,10 +224,3 @@ def train_config(cfg: RunConfig) -> TrainConfig:
                        epochs=cfg.epochs, lr=cfg.lr, momentum=cfg.momentum,
                        hidden_dim=cfg.hidden_dim, warm_start=cfg.warm_start,
                        augment=augment_config(cfg))
-
-
-def chunk_plan(cfg: RunConfig, feat_dim: int, n_columns: int) -> SimilarityChunkPlan:
-    if cfg.memory_budget_bytes is not None:
-        return SimilarityChunkPlan.from_budget(cfg.memory_budget_bytes,
-                                               feat_dim, n_columns)
-    return SimilarityChunkPlan(chunk_rows=cfg.chunk_rows)

@@ -210,15 +210,11 @@ def validate_dataset(ds: DownstreamDataset) -> list[str]:
 
 def _encode_string_table(strings: Sequence[str]) -> bytes:
     blobs = [s.encode("utf-8") for s in strings]
-    offsets = []
-    pos = 0
-    for b in blobs:
-        offsets.append((pos, len(b)))
-        pos += len(b)
-    parts = [struct.pack("<Q", pos)]
-    parts.extend(struct.pack("<QQ", off, ln) for off, ln in offsets)
-    parts.extend(blobs)
-    return b"".join(parts)
+    table = np.zeros((len(blobs), 2), dtype="<u8")
+    table[:, 1] = np.fromiter(map(len, blobs), dtype=np.uint64, count=len(blobs))
+    np.cumsum(table[:-1, 1], out=table[1:, 0])
+    blob_len = int(table[:, 1].sum())
+    return struct.pack("<Q", blob_len) + table.tobytes() + b"".join(blobs)
 
 
 class StringTable(Sequence):

@@ -58,16 +58,6 @@ class FrozenEmbedder:
         proj = rng.standard_normal((feat_dim, image_dim)) / np.sqrt(image_dim)
         return cls(kind=kind, projection=proj)
 
-    def embed(self, x: np.ndarray) -> np.ndarray:
-        """Project one D_img vector and normalize to the unit sphere."""
-        y = self.projection @ np.asarray(x, dtype=np.float64)
-        if not np.all(np.isfinite(y)):
-            raise NumericError(f"{self.kind} embedder produced non-finite values")
-        norm = np.linalg.norm(y)
-        if norm == 0.0:
-            raise NumericError(f"{self.kind} embedder got a zero-norm projection output")
-        return y / norm
-
     def embed_rows(self, x: np.ndarray) -> np.ndarray:
         y = np.asarray(x, dtype=np.float64) @ self.projection.T
         if not np.all(np.isfinite(y)):

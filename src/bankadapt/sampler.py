@@ -8,15 +8,23 @@ category of its own, and keeps the top k2 per image.  Defaults size the
 label bank at stage1_multiplier times the downstream set and keep
 stage2_keep of it.
 
-Scoring is exact cosine similarity, computed in row chunks under a memory
-budget.  The accumulation over the feature dimension runs in fixed index
-order with elementwise ops rather than a matmul, so scores (and therefore
-selections) are bit-identical no matter how the rows are chunked.  Ties are
-broken toward the lowest class/column index at assignment and toward the
-lowest record id within a column; per-chunk candidate buffers are truncated
-with the same total order, which cannot change the final top-k.  A column
-whose assigned pool is smaller than k reports a deficit; nothing is
-backfilled from other columns.
+Scoring is exact cosine similarity, computed in row chunks.  A chunk holds
+as many rows (bytes_per_row each) as the memory budget leaves after the part
+that does not grow with the chunk: the query rows and up to 2*k*q held
+candidates (merge_bytes).  The accumulation over the feature dimension
+runs in fixed index order with elementwise ops rather than a matmul, so
+scores (and therefore selections) are bit-identical no matter how the rows
+are chunked.  Ties are broken toward the lowest class/column index at
+assignment and toward the lowest record id within a column.
+
+Candidates are held as three arrays (id, column, score).  Once a column has
+k candidates, the score of its k-th is the column's floor, and a later row
+enters only with a score strictly above it: its id is larger than every
+held id, so it cannot win a tie.  The arrays are sorted by
+(column, -score, id) and cut to k per column only when they outgrow 2*k*q
+entries, and once at the end, so the result equals a top k taken over the
+full score matrix.  A column whose assigned pool is smaller than k reports
+a deficit; nothing is backfilled from other columns.
 """
 
 from __future__ import annotations
@@ -32,7 +40,13 @@ from .encoder import FrozenEmbedder
 
 DEFAULT_STAGE1_MULTIPLIER = 8.0
 DEFAULT_STAGE2_KEEP = 0.5
-DEFAULT_CHUNK_ROWS = 8192
+DEFAULT_MEMORY_BUDGET_BYTES = 4 * 1024 * 1024
+
+# Int64/float64 vectors a chunk row or a held candidate may need at once in
+# the merge: assignment, row score, admitted index, the (id, column, score)
+# arrays and their copies while they grow, and the negated scores, sort
+# order and rank arrays of a cut.
+_MERGE_VECTORS = 12
 
 
 class DegenerateRowError(ValueError):
@@ -43,35 +57,29 @@ class PrecisionUndefinedError(ValueError):
     """No ground-truth latent classes anywhere in the bank."""
 
 
-@dataclass(frozen=True)
-class SimilarityChunkPlan:
-    """How many bank rows to score at once, plus the budget that implies it."""
+def bytes_per_row(feat_dim: int, n_columns: int) -> int:
+    """Bytes one chunk row may hold while it is scored and merged: the owned
+    float64 copy (8d), the score block and the per-feature product temporary
+    (16q), and its merge vectors."""
+    return 8 * feat_dim + 16 * n_columns + 8 * _MERGE_VECTORS
 
-    chunk_rows: int = DEFAULT_CHUNK_ROWS
-    memory_budget_bytes: int | None = None
 
-    def __post_init__(self):
-        if self.chunk_rows < 1:
-            raise ValueError(f"chunk_rows must be at least 1, got {self.chunk_rows}")
+def merge_bytes(k: int, feat_dim: int, n_columns: int) -> int:
+    """Bytes the selection holds whatever the chunk size: the unit query
+    rows (8dq), a few per-column vectors (floors, counts, offsets) and up to
+    2kq held candidates with the vectors of their cut."""
+    return 8 * n_columns * (feat_dim + 8) + 2 * k * n_columns * 8 * _MERGE_VECTORS
 
-    @staticmethod
-    def bytes_per_row(feat_dim: int, n_columns: int) -> int:
-        # Per chunk row: the owned float64 copy (8d), two score-block buffers
-        # (scores and the per-feature product temporary, 16q), and a flat
-        # allowance for the small int64/float64 row vectors (norms, ids,
-        # assignment, row scores, the merge loop's transient masks).
-        return 8 * feat_dim + 16 * n_columns + 64
 
-    @classmethod
-    def from_budget(cls, memory_budget_bytes: int, feat_dim: int,
-                    n_columns: int) -> "SimilarityChunkPlan":
-        per_row = cls.bytes_per_row(feat_dim, n_columns)
-        rows = max(1, memory_budget_bytes // per_row)
-        return cls(chunk_rows=rows, memory_budget_bytes=memory_budget_bytes)
-
-    def block_bytes(self, feat_dim: int, n_columns: int) -> int:
-        """Planned peak additional allocation for one chunk."""
-        return self.chunk_rows * self.bytes_per_row(feat_dim, n_columns)
+def budget_chunk_rows(memory_budget_bytes: int, k: int, feat_dim: int,
+                      n_columns: int) -> int:
+    """Rows per chunk that keep the selection within the budget; at least
+    one, so a budget smaller than its fixed part still makes progress."""
+    if memory_budget_bytes < 1:
+        raise ValueError(
+            f"memory_budget_bytes must be at least 1, got {memory_budget_bytes}")
+    spare = memory_budget_bytes - merge_bytes(k, feat_dim, n_columns)
+    return max(1, spare // bytes_per_row(feat_dim, n_columns))
 
 
 @dataclass(frozen=True)
@@ -108,12 +116,6 @@ def _normalize_into(dst: np.ndarray, rows: np.ndarray, offset: int,
     return block
 
 
-def _normalize_block(rows: np.ndarray, offset: int, what: str) -> np.ndarray:
-    rows = np.asarray(rows)
-    buf = np.empty((rows.shape[0], rows.shape[1]), dtype=np.float64)
-    return _normalize_into(buf, rows, offset, what)
-
-
 def _scores_fixed_order(unit_rows: np.ndarray, unit_cols: np.ndarray,
                         out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """out[i, j] = sum_t unit_rows[i, t] * unit_cols[j, t], accumulated in
@@ -127,98 +129,63 @@ def _scores_fixed_order(unit_rows: np.ndarray, unit_cols: np.ndarray,
     return out[:r]
 
 
-def similarity_matrix(v: np.ndarray, f: np.ndarray,
-                      plan: SimilarityChunkPlan | None = None) -> np.ndarray:
-    """Full (m, q) cosine similarity matrix; rows normalized internally."""
-    plan = plan or SimilarityChunkPlan()
-    v = np.asarray(v)
-    q_unit = _normalize_block(f, 0, "query")
-    m, q = v.shape[0], q_unit.shape[0]
-    out = np.empty((m, q), dtype=np.float64)
-    rows = plan.chunk_rows
-    scratch_block = np.empty((min(rows, max(m, 1)), v.shape[1]))
-    scratch_out = np.empty((min(rows, max(m, 1)), q))
-    scratch_tmp = np.empty_like(scratch_out)
-    for start in range(0, m, rows):
-        stop = min(start + rows, m)
-        unit = _normalize_into(scratch_block, v[start:stop], start, "bank")
-        out[start:stop] = _scores_fixed_order(unit, q_unit, scratch_out, scratch_tmp)
-    return out
-
-
-def _rank_order(scores: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Indices sorting by score descending, then id ascending."""
-    return np.lexsort((ids, -scores))
-
-
-def topk_per_column_dedup(s: np.ndarray, k: int) -> SampleResult:
-    """Assign each row to its argmax column, then keep the top k per column.
-
-    Each row is used at most once (its assigned column), so the selected ids
-    are distinct by construction.
-    """
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    s = np.asarray(s, dtype=np.float64)
-    m, q = s.shape
-    assigned = np.argmax(s, axis=1)          # ties resolve to the lowest column
-    row_score = s[np.arange(m), assigned]
-    takes = []
-    for j in range(q):
-        pool = np.flatnonzero(assigned == j)  # row index doubles as record id
-        takes.append(pool[_rank_order(row_score[pool], pool)[:k]])
-    return _assemble(takes, [row_score[take] for take in takes], k)
-
-
-def _assemble(cand_ids: list[np.ndarray], cand_scores: list[np.ndarray],
-              k: int) -> SampleResult:
-    """One result from each column's candidates, already in rank order."""
-    counts = np.array([ids.size for ids in cand_ids], dtype=np.int64)
-    return SampleResult(
-        selected_ids=np.concatenate(cand_ids) if cand_ids else np.zeros(0, np.int64),
-        assigned_column=np.repeat(np.arange(counts.size, dtype=np.int64), counts),
-        score=np.concatenate(cand_scores) if cand_scores else np.zeros(0),
-        deficits=k - counts,
-        k=k,
-    )
+def _cut_to_k(ids: np.ndarray, cols: np.ndarray, scores: np.ndarray, k: int,
+              q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The candidates in (column, -score, id) order with at most k per
+    column, and each column's floor: its k-th score, or -inf below k."""
+    order = np.lexsort((ids, -scores, cols))
+    counts = np.bincount(cols, minlength=q)
+    starts = np.cumsum(counts) - counts
+    rank = np.arange(order.size)
+    rank -= np.repeat(starts, counts)
+    keep = order[rank < k]
+    full = counts >= k
+    floor = np.full(q, -np.inf)
+    floor[full] = scores[order[starts[full] + k - 1]]
+    return ids[keep], cols[keep], scores[keep], floor
 
 
 def select_topk_streamed(v: np.ndarray, f: np.ndarray, k: int,
-                         plan: SimilarityChunkPlan | None = None) -> SampleResult:
-    """Streaming equivalent of topk_per_column_dedup(similarity_matrix(v, f), k).
+                         chunk_rows: int) -> SampleResult:
+    """Assign each row of v to its most cosine-similar row of f, then keep
+    the top k rows per column under (score desc, id asc).
 
-    Scores one chunk of rows at a time, truncates each column's candidates
-    to its current top k under (score desc, id asc), and merges at the end.
-    Peak additional memory stays within plan.block_bytes plus the retained
-    candidates (at most k per column per chunk boundary).
+    Scores chunk_rows rows of v at a time and merges them into the
+    candidates through the column floors (see the module docstring).  Each
+    row is used at most once (its assigned column), so the selected ids are
+    distinct by construction.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    plan = plan or SimilarityChunkPlan()
+    if chunk_rows < 1:
+        raise ValueError(f"chunk_rows must be at least 1, got {chunk_rows}")
     v = np.asarray(v)
-    q_unit = _normalize_block(f, 0, "query")
+    f = np.asarray(f)
+    q_unit = _normalize_into(np.empty(f.shape), f, 0, "query")
     m, q = v.shape[0], q_unit.shape[0]
-    rows = plan.chunk_rows
-    scratch_block = np.empty((min(rows, max(m, 1)), v.shape[1]))
-    scratch_out = np.empty((min(rows, max(m, 1)), q))
+    rows = min(chunk_rows, max(m, 1))
+    scratch_block = np.empty((rows, v.shape[1]))
+    scratch_out = np.empty((rows, q))
     scratch_tmp = np.empty_like(scratch_out)
-    cand_ids = [np.zeros(0, np.int64) for _ in range(q)]
-    cand_scores = [np.zeros(0) for _ in range(q)]
-    for start in range(0, m, rows):
-        stop = min(start + rows, m)
+    ids = np.zeros(0, np.int64)
+    cols = np.zeros(0, np.int64)
+    scores = np.zeros(0)
+    floor = np.full(q, -np.inf)
+    for start in range(0, m, chunk_rows):
+        stop = min(start + chunk_rows, m)
         unit = _normalize_into(scratch_block, v[start:stop], start, "bank")
         block = _scores_fixed_order(unit, q_unit, scratch_out, scratch_tmp)
         assigned = np.argmax(block, axis=1)
         row_score = block[np.arange(stop - start), assigned]
-        row_ids = np.arange(start, stop, dtype=np.int64)
-        for j in np.unique(assigned):
-            pool = np.flatnonzero(assigned == j)
-            merged_ids = np.concatenate([cand_ids[j], row_ids[pool]])
-            merged_scores = np.concatenate([cand_scores[j], row_score[pool]])
-            order = _rank_order(merged_scores, merged_ids)[:k]
-            cand_ids[j] = merged_ids[order]
-            cand_scores[j] = merged_scores[order]
-    return _assemble(cand_ids, cand_scores, k)
+        admit = np.flatnonzero(row_score > floor[assigned])
+        ids = np.concatenate([ids, admit + start])
+        cols = np.concatenate([cols, assigned[admit]])
+        scores = np.concatenate([scores, row_score[admit]])
+        if ids.size > 2 * k * q:
+            ids, cols, scores, floor = _cut_to_k(ids, cols, scores, k, q)
+    ids, cols, scores, _ = _cut_to_k(ids, cols, scores, k, q)
+    return SampleResult(selected_ids=ids, assigned_column=cols, score=scores,
+                        deficits=k - np.bincount(cols, minlength=q), k=k)
 
 
 def default_k1(n_downstream: int, n_classes: int,
@@ -235,19 +202,23 @@ def default_k2(label_bank_size: int, n_downstream: int,
 
 def stage1_sample(bank: EmbeddingBank, ds: DownstreamDataset,
                   k1: int | None = None,
-                  plan: SimilarityChunkPlan | None = None) -> SampleResult:
+                  memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES
+                  ) -> SampleResult:
     """Zero-shot retrieval: bank features against class text features."""
     if bank.feat_dim != ds.feat_dim:
         raise ValueError(f"bank feat_dim {bank.feat_dim} != dataset {ds.feat_dim}")
     if k1 is None:
         k1 = default_k1(ds.size, ds.n_classes)
-    return select_topk_streamed(bank.feats, ds.class_text_feats, k1, plan)
+    rows = budget_chunk_rows(memory_budget_bytes, k1, ds.feat_dim,
+                             ds.n_classes)
+    return select_topk_streamed(bank.feats, ds.class_text_feats, k1, rows)
 
 
 def stage2_sample(label_bank: SampleResult, bank: EmbeddingBank,
                   ds: DownstreamDataset, embedder: FrozenEmbedder,
                   k2: int | None = None,
-                  plan: SimilarityChunkPlan | None = None) -> SampleResult:
+                  memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES
+                  ) -> SampleResult:
     """Per-image retrieval within the label bank only.
 
     Each downstream image acts as its own category; returned ids are bank
@@ -260,7 +231,8 @@ def stage2_sample(label_bank: SampleResult, bank: EmbeddingBank,
         k2 = default_k2(label_bank.n_selected, ds.size)
     image_feats = embedder.embed_rows(np.asarray(ds.images, dtype=np.float64))
     pool_feats = bank.feats[label_bank.selected_ids]
-    picked = select_topk_streamed(pool_feats, image_feats, k2, plan)
+    rows = budget_chunk_rows(memory_budget_bytes, k2, ds.feat_dim, ds.size)
+    picked = select_topk_streamed(pool_feats, image_feats, k2, rows)
     return SampleResult(
         selected_ids=label_bank.selected_ids[picked.selected_ids],
         assigned_column=picked.assigned_column,

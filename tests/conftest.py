@@ -12,6 +12,29 @@ def unit_rows(rng, n, d, dtype=np.float32):
     return x.astype(dtype)
 
 
+def embed_one(embedder, x) -> np.ndarray:
+    """Per-vector reference for FrozenEmbedder.embed_rows: project one image
+    vector and scale it to unit norm."""
+    y = embedder.projection @ np.asarray(x, dtype=np.float64)
+    return y / np.linalg.norm(y)
+
+
+def fixed_order_scores(v, f) -> np.ndarray:
+    """Full (m, q) cosine matrix with the sampler's arithmetic: float64 rows
+    divided by the square root of their einsum squared norms, products
+    summed over the feature index in ascending order.  Its entries equal the
+    sampler's scores bit for bit."""
+    def unit(x):
+        x = np.array(x, dtype=np.float64)
+        return x / np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
+
+    a, b = unit(v), unit(f)
+    s = np.zeros((a.shape[0], b.shape[0]))
+    for t in range(a.shape[1]):
+        s += a[:, t, None] * b[None, :, t]
+    return s
+
+
 def random_bank(seed=0, m=17, d_img=6, d=4) -> EmbeddingBank:
     rng = np.random.default_rng(seed)
     return EmbeddingBank(

@@ -21,14 +21,18 @@ from bankadapt.gradcheck import FIXTURE_KINDS, run_gradient_suite
 from bankadapt.losses import LossConfig, contrastive_loss
 from bankadapt.pseudo_triplets import pseudo_label_batch
 from bankadapt.sampler import (
-    SimilarityChunkPlan,
+    budget_chunk_rows,
+    bytes_per_row,
+    default_k1,
+    merge_bytes,
     sampler_precision,
     select_topk_streamed,
-    similarity_matrix,
     stage1_sample,
     stage2_sample,
 )
 from bankadapt.synth import SynthSpec, generate_downstream, generate_pretrain_bank
+
+from conftest import fixed_order_scores
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -105,7 +109,7 @@ def test_criterion_2_contrastive_closed_forms():
 
 def _brute_force_topk(rows, cols, k):
     """Full-matrix oracle with pure-Python assignment and ranking."""
-    s = similarity_matrix(rows, cols, SimilarityChunkPlan(chunk_rows=len(rows)))
+    s = fixed_order_scores(rows, cols)
     m, q = s.shape
     pools = [[] for _ in range(q)]
     for r in range(m):
@@ -137,8 +141,8 @@ def test_criterion_3_sampler_bit_exactness():
         k = int(rng.integers(1, 13))
         rows = rng.standard_normal((m, d))
         cols = rng.standard_normal((q, d))
-        plan = SimilarityChunkPlan(chunk_rows=int(rng.integers(1, m + 1)))
-        got = select_topk_streamed(rows, cols, k, plan)
+        chunk_rows = int(rng.integers(1, m + 1))
+        got = select_topk_streamed(rows, cols, k, chunk_rows)
         want_ids, want_cols, want_scores, want_deficits = \
             _brute_force_topk(rows, cols, k)
         assert np.array_equal(got.selected_ids, want_ids)
@@ -163,10 +167,10 @@ def test_criterion_3_stage_chunking_invariance():
     bank = generate_pretrain_bank(spec, ds)
     embedder = FrozenEmbedder.from_seed("image", 3, 8, 12)
     results = []
-    for chunk in (7, 100000):
-        plan = SimilarityChunkPlan(chunk_rows=chunk)
-        s1 = stage1_sample(bank, ds, plan=plan)
-        s2 = stage2_sample(s1, bank, ds, embedder, plan=plan)
+    # one row per chunk, against every row in one chunk
+    for budget in (1, 1 << 30):
+        s1 = stage1_sample(bank, ds, memory_budget_bytes=budget)
+        s2 = stage2_sample(s1, bank, ds, embedder, memory_budget_bytes=budget)
         results.append((s1, s2))
     (a1, a2), (b1, b2) = results
     for a, b in ((a1, b1), (a2, b2)):
@@ -283,11 +287,12 @@ def test_criterion_8_large_bank_performance():
                            class_descriptions=[""] * q,
                            class_text_feats=text_feats.astype(np.float32))
     budget = 64 * 1024 * 1024
-    plan = SimilarityChunkPlan.from_budget(budget, d, q)
-    accounted = plan.block_bytes(d, q)
+    k = default_k1(n, q)
+    accounted = (budget_chunk_rows(budget, k, d, q) * bytes_per_row(d, q)
+                 + merge_bytes(k, d, q))
     tracemalloc.start()
     t0 = time.perf_counter()
-    result = stage1_sample(bank, ds, plan=plan)
+    result = stage1_sample(bank, ds, memory_budget_bytes=budget)
     elapsed = time.perf_counter() - t0
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()

@@ -61,6 +61,18 @@ def test_sample_writes_deficits_that_sum_to_the_reported_shortfall(tmp_path, cap
     assert sum(deficits) == short
 
 
+def test_sample_rejects_a_non_positive_budget_before_decoding(tmp_path, capsys):
+    # the files do not exist: decoding them would exit 2, not 1
+    for budget in ("0", "-1"):
+        code = run(["sample", "--bank", str(tmp_path / "missing.datb"),
+                    "--dataset", str(tmp_path / "missing.datd"),
+                    "--memory_budget_bytes", budget, "--out_dir", str(tmp_path)])
+        assert code == 1
+        assert "memory_budget_bytes" in capsys.readouterr().err
+    assert run(["sample", *TINY, "--memory_budget_bytes", "1",
+                "--out_dir", str(tmp_path / "s")]) == 0
+
+
 def test_train_writes_outputs(tmp_path, capsys):
     out = tmp_path / "t"
     assert run(["train", *TINY, "--out_dir", str(out)]) == 0

@@ -9,7 +9,6 @@ from bankadapt.config import (
     RunConfig,
     apply_updates,
     augment_config,
-    chunk_plan,
     config_keys,
     load_config,
     parse_config,
@@ -76,10 +75,15 @@ def test_bad_value_refused():
         parse_config("warm_start = maybe\n")
 
 
-def test_optional_int_parsing():
-    assert parse_config("memory_budget_bytes = \n").memory_budget_bytes is None
-    assert parse_config("memory_budget_bytes = none\n").memory_budget_bytes is None
-    assert parse_config("memory_budget_bytes = 4096\n").memory_budget_bytes == 4096
+def test_memory_budget_must_be_a_positive_int():
+    assert RunConfig().memory_budget_bytes == 4 * 1024 * 1024
+    assert parse_config("memory_budget_bytes = 1\n").memory_budget_bytes == 1
+    for raw in ("", "none"):
+        with pytest.raises(ConfigError, match="cannot parse"):
+            parse_config(f"memory_budget_bytes = {raw}\n")
+    for raw in ("0", "-4096"):
+        with pytest.raises(ConfigError, match="'memory_budget_bytes': must be at least 1"):
+            parse_config(f"memory_budget_bytes = {raw}\n")
 
 
 def test_bool_spellings():
@@ -121,10 +125,8 @@ def test_object_mapping():
     assert tc.augment == aug
 
 
-def test_chunk_plan_selection():
-    rows_plan = chunk_plan(RunConfig(chunk_rows=64), feat_dim=8, n_columns=4)
-    assert rows_plan.chunk_rows == 64
-    budget_plan = chunk_plan(RunConfig(memory_budget_bytes=10_000),
-                             feat_dim=8, n_columns=4)
-    assert budget_plan.memory_budget_bytes == 10_000
-    assert budget_plan.block_bytes(8, 4) <= 10_000
+def test_chunk_rows_key_is_gone():
+    # rows per chunk follow from memory_budget_bytes and the shape
+    assert len(config_keys()) == 36
+    with pytest.raises(ConfigError, match="unknown config key 'chunk_rows'"):
+        parse_config("chunk_rows = 8192\n")

@@ -264,6 +264,29 @@ class TestCaptionTableCorruption:
                      "--out_dir", str(tmp_path / "out")]) == 1
 
 
+def encode_string_table_per_entry(strings):
+    """Reference layout: blob_len u64, one (offset, len) u64 pair per entry,
+    then the UTF-8 blob, packed entry by entry."""
+    blobs = [x.encode("utf-8") for x in strings]
+    parts, pos = [], 0
+    for b in blobs:
+        parts.append(struct.pack("<QQ", pos, len(b)))
+        pos += len(b)
+    return struct.pack("<Q", pos) + b"".join(parts) + b"".join(blobs)
+
+
+@pytest.mark.parametrize("strings", [
+    [],
+    [""],
+    ["", "", ""],
+    ["a photo of thing-0.", "b", "", "caption three"],
+    ["naïve café", "", "日本語のキャプション", "emoji 🙂 end", "x"],
+    [f"entry {i} " + "é" * (i % 5) for i in range(1000)],
+])
+def test_string_table_bytes_match_the_per_entry_layout(strings):
+    assert embank._encode_string_table(strings) == encode_string_table_per_entry(strings)
+
+
 def test_string_tables_decode_on_read_and_compare_as_lists(tmp_path):
     ds = random_dataset(seed=5)
     path = tmp_path / "ds.datd"

@@ -15,6 +15,8 @@ from bankadapt.encoder import (
 )
 from bankadapt.embank import ChecksumError, FormatError
 
+from conftest import embed_one
+
 
 class TestFrozenEmbedder:
     def test_basis_vector_maps_to_normalized_projection_column(self):
@@ -22,7 +24,8 @@ class TestFrozenEmbedder:
         x = np.zeros(7)
         x[0] = 1.0
         col = emb.projection[:, 0]
-        np.testing.assert_allclose(emb.embed(x), col / np.linalg.norm(col), atol=1e-15)
+        want = col / np.linalg.norm(col)
+        np.testing.assert_allclose(emb.embed_rows(x[None])[0], want, atol=1e-15)
 
     def test_same_seed_same_projection(self):
         a = FrozenEmbedder.from_seed("image", 3, 4, 6)
@@ -45,7 +48,7 @@ class TestFrozenEmbedder:
     def test_zero_vector_is_rejected(self):
         emb = FrozenEmbedder.from_seed("image", 0, 4, 6)
         with pytest.raises(NumericError, match="zero-norm"):
-            emb.embed(np.zeros(6))
+            emb.embed_rows(np.zeros((1, 6)))
         with pytest.raises(NumericError, match="row 1"):
             emb.embed_rows(np.vstack([np.ones(6), np.zeros(6)]))
 
@@ -55,7 +58,7 @@ class TestFrozenEmbedder:
         x = rng.standard_normal((7, 9))
         rows = emb.embed_rows(x)
         for i in range(7):
-            np.testing.assert_allclose(rows[i], emb.embed(x[i]), atol=1e-14)
+            np.testing.assert_allclose(rows[i], embed_one(emb, x[i]), atol=1e-14)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError):

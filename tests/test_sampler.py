@@ -1,28 +1,34 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bankadapt import sampler
+from bankadapt.embank import EmbeddingBank
 from bankadapt.encoder import FrozenEmbedder
 from bankadapt.sampler import (
+    DEFAULT_MEMORY_BUDGET_BYTES,
     DegenerateRowError,
     PrecisionUndefinedError,
     SampleResult,
-    SimilarityChunkPlan,
+    budget_chunk_rows,
+    bytes_per_row,
     default_k1,
     default_k2,
     load_sample_csv,
+    merge_bytes,
     sampler_precision,
     save_sample_csv,
     select_topk_streamed,
-    similarity_matrix,
     stage1_sample,
     stage2_sample,
-    topk_per_column_dedup,
 )
 from bankadapt.synth import SynthSpec, generate_downstream, generate_pretrain_bank
 
-from conftest import random_bank, random_dataset
+from conftest import fixed_order_scores, random_bank, random_dataset
 
 
 def brute_force_select(v, f, k):
@@ -41,73 +47,97 @@ def brute_force_select(v, f, k):
     return out, s
 
 
-class TestSimilarityMatrix:
-    def test_chunk_size_never_changes_the_matrix(self):
+def select_all(v, f, chunk_rows=None):
+    """Every row with its best column and score, via the streaming selector."""
+    m = len(v)
+    return select_topk_streamed(v, f, m, chunk_rows or m)
+
+
+def score_of(result):
+    """record id -> (assigned column, score)."""
+    return {int(i): (int(c), float(s)) for i, c, s in
+            zip(result.selected_ids, result.assigned_column, result.score)}
+
+
+class TestScores:
+    def test_chunk_size_never_changes_the_scores(self):
         rng = np.random.default_rng(0)
         v = rng.standard_normal((1000, 12))
         f = rng.standard_normal((7, 12))
-        full = similarity_matrix(v, f, SimilarityChunkPlan(chunk_rows=1000))
-        for rows in (1, 64, 1000):
-            chunked = similarity_matrix(v, f, SimilarityChunkPlan(chunk_rows=rows))
-            np.testing.assert_array_equal(chunked, full)
+        full = select_all(v, f)
+        for rows in (1, 64, 999):
+            chunked = select_all(v, f, rows)
+            np.testing.assert_array_equal(chunked.selected_ids, full.selected_ids)
+            np.testing.assert_array_equal(chunked.score, full.score)
 
-    def test_scores_match_plain_matmul(self):
+    def test_scores_are_the_fixed_order_cosines(self):
         rng = np.random.default_rng(1)
         v = rng.standard_normal((50, 8))
         f = rng.standard_normal((5, 8))
-        s = similarity_matrix(v, f)
+        r = select_all(v, f, 7)
+        s = fixed_order_scores(v, f)
+        np.testing.assert_array_equal(r.score, s[r.selected_ids, r.assigned_column])
         _, oracle = brute_force_select(v, f, 1)
-        np.testing.assert_allclose(s, oracle, atol=1e-12)
+        np.testing.assert_allclose(r.score, oracle[r.selected_ids, r.assigned_column],
+                                   atol=1e-12)
 
     def test_rows_are_normalized_internally(self):
         rng = np.random.default_rng(2)
         v = rng.standard_normal((20, 6))
         f = rng.standard_normal((3, 6))
-        scaled = similarity_matrix(v * 7.5, f * 0.01)
-        plain = similarity_matrix(v, f)
-        np.testing.assert_allclose(scaled, plain, atol=1e-12)
+        scaled = score_of(select_all(v * 7.5, f * 0.01))
+        plain = score_of(select_all(v, f))
+        assert scaled.keys() == plain.keys()
+        for rid, (col, sc) in plain.items():
+            assert scaled[rid][0] == col
+            assert abs(scaled[rid][1] - sc) <= 1e-12
 
     def test_zero_norm_row_names_its_index(self):
         v = np.ones((4, 3))
         v[2] = 0.0
-        with pytest.raises(DegenerateRowError, match="bank row 2"):
-            similarity_matrix(v, np.ones((2, 3)))
+        for rows in (1, 4):
+            with pytest.raises(DegenerateRowError, match="bank row 2"):
+                select_topk_streamed(v, np.ones((2, 3)), 1, rows)
         with pytest.raises(DegenerateRowError, match="query row 1"):
-            similarity_matrix(np.ones((2, 3)), np.vstack([np.ones(3), np.zeros(3)]))
+            select_topk_streamed(np.ones((2, 3)), np.vstack([np.ones(3), np.zeros(3)]),
+                                 1, 2)
 
     def test_cosine_bounds(self):
         rng = np.random.default_rng(3)
-        s = similarity_matrix(rng.standard_normal((30, 5)),
-                              rng.standard_normal((4, 5)))
-        assert s.max() <= 1.0 + 1e-12 and s.min() >= -1.0 - 1e-12
+        r = select_all(rng.standard_normal((30, 5)), rng.standard_normal((4, 5)))
+        assert r.score.max() <= 1.0 + 1e-12 and r.score.min() >= -1.0 - 1e-12
+
+
+AXES_2D = np.eye(2)
 
 
 class TestTopkSelection:
     def test_engineered_two_column_example(self):
-        s = np.array([[0.9, 0.1], [0.8, 0.2], [0.7, 0.3],
+        v = np.array([[0.9, 0.1], [0.8, 0.2], [0.7, 0.3],
                       [0.2, 0.9], [0.1, 0.8], [0.3, 0.6]])
-        r = topk_per_column_dedup(s, k=2)
+        r = select_topk_streamed(v, AXES_2D, 2, 4)
         col0 = set(r.selected_ids[r.assigned_column == 0].tolist())
         col1 = set(r.selected_ids[r.assigned_column == 1].tolist())
         assert col0 == {0, 1} and col1 == {3, 4}
         assert r.deficits.tolist() == [0, 0]
 
     def test_assignment_tie_goes_to_lowest_column(self):
-        s = np.array([[0.5, 0.5, 0.2]])
-        r = topk_per_column_dedup(s, k=1)
-        assert r.assigned_column.tolist() == [0, ]
+        # [1, 1, 0] is equally close to the first two axes
+        r = select_topk_streamed(np.array([[1.0, 1.0, 0.0]]), np.eye(3), 1, 1)
+        assert r.assigned_column.tolist() == [0]
         assert r.deficits.tolist() == [0, 1, 1]
 
     def test_score_tie_goes_to_lowest_record_id(self):
-        s = np.array([[0.7], [0.7], [0.7]])
-        r = topk_per_column_dedup(s, k=2)
-        assert r.selected_ids.tolist() == [0, 1]
+        v = np.tile([1.0, 2.0], (3, 1))
+        for rows in (1, 2, 3):
+            r = select_topk_streamed(v, np.array([[1.0, 0.0]]), 2, rows)
+            assert r.selected_ids.tolist() == [0, 1]
 
     def test_deficit_reported_without_backfill(self):
         # column 1 attracts a single row; column 0 has plenty but must not
         # donate its surplus
-        s = np.array([[0.9, 0.0], [0.8, 0.1], [0.85, 0.2], [0.1, 0.9]])
-        r = topk_per_column_dedup(s, k=3)
+        v = np.array([[0.9, 0.0], [0.8, 0.1], [0.85, 0.2], [0.1, 0.9]])
+        r = select_topk_streamed(v, AXES_2D, 3, 2)
         assert r.deficits.tolist() == [0, 2]
         assert sorted(r.selected_ids[r.assigned_column == 1].tolist()) == [3]
         assert r.n_selected == 4
@@ -116,13 +146,57 @@ class TestTopkSelection:
         rng = np.random.default_rng(4)
         v = rng.standard_normal((500, 10))
         f = rng.standard_normal((6, 10))
-        full = topk_per_column_dedup(similarity_matrix(v, f), 3)
+        s = fixed_order_scores(v, f)
+        oracle, _ = brute_force_select(v, f, 3)
         for rows in (1, 17, 100, 500, 4096):
-            stream = select_topk_streamed(v, f, 3, SimilarityChunkPlan(chunk_rows=rows))
-            np.testing.assert_array_equal(stream.selected_ids, full.selected_ids)
-            np.testing.assert_array_equal(stream.assigned_column, full.assigned_column)
-            np.testing.assert_array_equal(stream.score, full.score)
-            np.testing.assert_array_equal(stream.deficits, full.deficits)
+            stream = select_topk_streamed(v, f, 3, rows)
+            for j in range(6):
+                assert stream.selected_ids[stream.assigned_column == j].tolist() == oracle[j]
+            np.testing.assert_array_equal(
+                stream.score, s[stream.selected_ids, stream.assigned_column])
+            np.testing.assert_array_equal(stream.deficits, np.zeros(6, np.int64))
+
+    @pytest.mark.parametrize("k", [1, 3, 4])
+    def test_equal_scores_across_chunk_edges_at_the_kth_place(self, k):
+        # Copies of one row straddle the chunk edges, and the k-th place is
+        # the first copy: once a cut sets the floor to that score, no later
+        # copy may enter.
+        rng = np.random.default_rng(k)
+        dup = np.array([1.0, 0.2, -0.3])
+        better = dup + rng.uniform(-0.05, 0.05, (k - 1, 3))
+        better[:, 0] += 1.0
+        worse = dup + np.array([0.0, 0.4, 0.0])
+        h = (k - 1) // 2
+        v = np.vstack([worse, dup, better[:h], dup, dup, worse, better[h:],
+                       dup, worse, dup, dup, worse, dup, dup])
+        m = len(v)
+        f = np.array([[1.0, 0.0, 0.0]])
+        want = brute_force_select(v, f, k)[0][0]
+        assert want[-1] == 1  # the first copy
+        for rows in sorted({1, 2, k, k + 1, m}):
+            r = select_topk_streamed(v, f, k, rows)
+            assert r.selected_ids.tolist() == want, rows
+            np.testing.assert_array_equal(r.score, fixed_order_scores(v, f)[want, 0])
+
+    def test_many_columns_cut_the_candidates_more_than_once(self, monkeypatch):
+        cuts = []
+        cut = sampler._cut_to_k
+
+        def counting_cut(ids, cols, scores, k, q):
+            cuts.append(ids.size)
+            return cut(ids, cols, scores, k, q)
+
+        monkeypatch.setattr(sampler, "_cut_to_k", counting_cut)
+        rng = np.random.default_rng(5)
+        v = rng.standard_normal((3000, 6))
+        f = rng.standard_normal((40, 6))
+        k = 2
+        r = select_topk_streamed(v, f, k, 50)
+        assert len(cuts) > 2  # at least two cuts while streaming, one at the end
+        assert max(cuts[:-1]) <= 2 * k * 40 + 50
+        oracle, _ = brute_force_select(v, f, k)
+        for j in range(40):
+            assert r.selected_ids[r.assigned_column == j].tolist() == oracle[j]
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000), m=st.integers(1, 300),
@@ -132,7 +206,7 @@ class TestTopkSelection:
         rng = np.random.default_rng(seed)
         v = rng.standard_normal((m, 5))
         f = rng.standard_normal((q, 5))
-        r = select_topk_streamed(v, f, k, SimilarityChunkPlan(chunk_rows=rows))
+        r = select_topk_streamed(v, f, k, rows)
         oracle, _ = brute_force_select(v, f, k)
         for j in range(q):
             got = r.selected_ids[r.assigned_column == j].tolist()
@@ -145,27 +219,67 @@ class TestTopkSelection:
         rng = np.random.default_rng(seed)
         v = rng.standard_normal((80, 6))
         f = rng.standard_normal((4, 6))
-        small = topk_per_column_dedup(similarity_matrix(v, f), k)
-        large = topk_per_column_dedup(similarity_matrix(v, f), k + 1)
+        small = select_topk_streamed(v, f, k, 80)
+        large = select_topk_streamed(v, f, k + 1, 80)
         for j in range(4):
             a = set(small.selected_ids[small.assigned_column == j].tolist())
             b = set(large.selected_ids[large.assigned_column == j].tolist())
             assert a <= b
 
+    def test_invalid_k_and_chunk_rows(self):
+        v = np.ones((3, 2))
+        with pytest.raises(ValueError, match="k must"):
+            select_topk_streamed(v, v, 0, 1)
+        with pytest.raises(ValueError, match="chunk_rows"):
+            select_topk_streamed(v, v, 1, 0)
 
-class TestChunkPlan:
+
+class TestChunkBudget:
     def test_budget_inversion(self):
-        plan = SimilarityChunkPlan.from_budget(1 << 20, feat_dim=64, n_columns=10)
-        assert plan.block_bytes(64, 10) <= 1 << 20
-        assert plan.chunk_rows >= 1
+        for k, q in ((80, 10), (4, 2000), (320, 50)):
+            rows = budget_chunk_rows(1 << 22, k, 64, q)
+            assert rows >= 1
+            assert rows * bytes_per_row(64, q) + merge_bytes(k, 64, q) <= 1 << 22
 
     def test_tiny_budget_still_makes_progress(self):
-        plan = SimilarityChunkPlan.from_budget(16, feat_dim=64, n_columns=10)
-        assert plan.chunk_rows == 1
+        assert budget_chunk_rows(16, 80, feat_dim=64, n_columns=10) == 1
+        _, ds, bank, _ = make_world(6, m=300)
+        r = stage1_sample(bank, ds, k1=2, memory_budget_bytes=16)
+        assert r.n_selected == 2 * ds.n_classes
 
-    def test_invalid_chunk_rows(self):
-        with pytest.raises(ValueError, match="chunk_rows"):
-            SimilarityChunkPlan(chunk_rows=0)
+    def test_non_positive_budget_rejected(self):
+        for budget in (0, -1):
+            with pytest.raises(ValueError, match="memory_budget_bytes"):
+                budget_chunk_rows(budget, 1, 4, 2)
+
+    def test_stage2_peak_stays_within_budget_at_rerank_shape(self):
+        # A 16,000-row label bank re-ranked against 2,000 images (d = 16):
+        # the scratch, the candidates and their cuts stay inside the default
+        # budget, so the traced peak is that plus the gathered pool features
+        # and the image features.
+        m, d, d_img, n, n_classes = 16_000, 16, 32, 2000, 50
+        rng = np.random.default_rng(7)
+        feats = rng.standard_normal((m, d)).astype(np.float32)
+        feats /= np.linalg.norm(feats, axis=1, keepdims=True)
+        bank = EmbeddingBank(images=np.zeros((m, 1), np.float32), feats=feats,
+                             caption_feats=feats, captions=[""] * m,
+                             latent_class=np.full(m, -1, np.int32))
+        ds = random_dataset(seed=7, n=n, n_classes=n_classes, d_img=d_img, d=d)
+        emb = FrozenEmbedder.from_seed("image", 7, d, d_img)
+        label_bank = SampleResult(
+            selected_ids=np.arange(m, dtype=np.int64),
+            assigned_column=np.zeros(m, np.int64), score=np.zeros(m),
+            deficits=np.zeros(n_classes, np.int64), k=m)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            r = stage2_sample(label_bank, bank, ds, emb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.k == 4 and r.n_selected > 0
+        allowed = DEFAULT_MEMORY_BUDGET_BYTES + feats.nbytes + n * d * 8
+        assert peak <= allowed, (peak, allowed)
 
 
 def make_world(seed, m=8000, rho=0.25, noise=0.8, n_classes=10, npc=20):
@@ -232,10 +346,9 @@ class TestStages:
     def test_stage_outputs_are_chunk_independent(self):
         _, ds, bank, emb = make_world(2, m=2000)
         base = None
-        for rows in (64, 999, 4096):
-            plan = SimilarityChunkPlan(chunk_rows=rows)
-            s1 = stage1_sample(bank, ds, plan=plan)
-            s2 = stage2_sample(s1, bank, ds, emb, plan=plan)
+        for budget in (1, 100_000, 1 << 22):
+            s1 = stage1_sample(bank, ds, memory_budget_bytes=budget)
+            s2 = stage2_sample(s1, bank, ds, emb, memory_budget_bytes=budget)
             key = (s2.selected_ids.tolist(), s2.assigned_column.tolist(),
                    s2.score.tolist())
             if base is None:

@@ -12,6 +12,8 @@ from bankadapt.synth import (
     weak_pair_mask,
 )
 
+from conftest import embed_one
+
 
 def lstsq_one_vs_rest_accuracy(images, labels, n_classes):
     """Independent linear-probe oracle: least squares onto one-hot targets."""
@@ -88,7 +90,7 @@ class TestDownstream:
         emb = FrozenEmbedder.from_seed("text", spec.seed, spec.feat_dim,
                                        spec.image_dim)
         for c in range(3):
-            np.testing.assert_allclose(ds.class_text_feats[c], emb.embed(protos[c]),
+            np.testing.assert_allclose(ds.class_text_feats[c], embed_one(emb, protos[c]),
                                        atol=2e-7)
 
     def test_template_averaging_renormalizes(self):
