@@ -109,7 +109,8 @@ KEY_HELP = {
     "stage1_multiplier": "stage-1 keeps multiplier * n downstream records",
     "stage2_keep": "stage-2 keeps this fraction of the stage-1 selection",
     "memory_budget_bytes": "bytes the sampler may hold while scoring and "
-                           "merging; sets the rows per chunk",
+                           "merging; sets the rows per chunk, after at most "
+                           "three quarters for the held candidates",
     "bank": "path to a DATB bank file",
     "dataset": "path to a DATD downstream dataset",
     "eval_dataset": "path to a DATD held-out dataset",

@@ -11,7 +11,8 @@ stage2_keep of it.
 Scoring is exact cosine similarity, computed in row chunks.  A chunk holds
 as many rows (bytes_per_row each) as the memory budget leaves after the part
 that does not grow with the chunk: the query rows and up to 2*k*q held
-candidates (merge_bytes).  The accumulation over the feature dimension
+candidates (merge_bytes).  That part is charged at most three quarters of
+the budget, so a large k*q cannot shrink the chunk below a quarter of it.  The accumulation over the feature dimension
 runs in fixed index order with elementwise ops rather than a matmul, so
 scores (and therefore selections) are bit-identical no matter how the rows
 are chunked.  Ties are broken toward the lowest class/column index at
@@ -73,12 +74,14 @@ def merge_bytes(k: int, feat_dim: int, n_columns: int) -> int:
 
 def budget_chunk_rows(memory_budget_bytes: int, k: int, feat_dim: int,
                       n_columns: int) -> int:
-    """Rows per chunk that keep the selection within the budget; at least
-    one, so a budget smaller than its fixed part still makes progress."""
-    if memory_budget_bytes < 1:
-        raise ValueError(
-            f"memory_budget_bytes must be at least 1, got {memory_budget_bytes}")
-    spare = memory_budget_bytes - merge_bytes(k, feat_dim, n_columns)
+    """Rows per chunk: the budget less merge_bytes, over bytes_per_row.  The
+    merge is charged at most three quarters of the budget, so the chunk never
+    gets less than a quarter of it; past that point the held candidates,
+    which grow with the k*q selected, are what the selection holds beyond
+    the budget."""
+    reserved = min(merge_bytes(k, feat_dim, n_columns),
+                   3 * memory_budget_bytes // 4)
+    spare = memory_budget_bytes - reserved
     return max(1, spare // bytes_per_row(feat_dim, n_columns))
 
 
@@ -178,6 +181,8 @@ def select_topk_streamed(v: np.ndarray, f: np.ndarray, k: int,
         assigned = np.argmax(block, axis=1)
         row_score = block[np.arange(stop - start), assigned]
         admit = np.flatnonzero(row_score > floor[assigned])
+        if admit.size == 0:
+            continue
         ids = np.concatenate([ids, admit + start])
         cols = np.concatenate([cols, assigned[admit]])
         scores = np.concatenate([scores, row_score[admit]])
