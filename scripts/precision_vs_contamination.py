@@ -13,9 +13,10 @@ import argparse
 
 import numpy as np
 
+from bankadapt.config import RunConfig
 from bankadapt.encoder import FrozenEmbedder
 from bankadapt.sampler import sampler_precision, stage1_sample, stage2_sample
-from bankadapt.synth import SynthSpec, generate_downstream, generate_pretrain_bank
+from bankadapt.synth import generate_downstream, generate_pretrain_bank
 
 FRACTIONS = (0.75, 0.5, 0.25, 0.1)
 
@@ -31,15 +32,15 @@ def main() -> int:
     for frac in FRACTIONS:
         p1s, p2s = [], []
         for seed in range(args.seeds):
-            spec = SynthSpec(seed=seed, n_classes=10, n_per_class=20,
-                             bank_size=args.bank_size, image_dim=32,
-                             feat_dim=16, class_sep=4.0,
-                             in_dist_fraction=frac, weak_pair_rate=0.3,
-                             noise_sigma=args.noise_sigma)
-            ds = generate_downstream(spec)
-            bank = generate_pretrain_bank(spec, ds)
+            cfg = RunConfig(seed=seed, n_classes=10, n_per_class=20,
+                            bank_size=args.bank_size, image_dim=32,
+                            feat_dim=16, class_sep=4.0,
+                            in_dist_fraction=frac, weak_pair_rate=0.3,
+                            noise_sigma=args.noise_sigma)
+            ds = generate_downstream(cfg)
+            bank = generate_pretrain_bank(cfg, ds)
             embedder = FrozenEmbedder.from_seed("image", seed,
-                                                spec.feat_dim, spec.image_dim)
+                                                cfg.feat_dim, cfg.image_dim)
             s1 = stage1_sample(bank, ds)
             s2 = stage2_sample(s1, bank, ds, embedder)
             p1s.append(sampler_precision(s1, bank, ds))

@@ -4,39 +4,22 @@ Weak adds Gaussian noise; strong adds larger noise and then zeroes a fixed
 fraction of coordinates chosen without replacement.  Each view's RNG stream
 is derived only from (seed, epoch, sample_id, view), so views are
 reproducible without any global state; draw order within a stream is noise
-first, then mask indices.
+first, then mask indices.  The scales come from a RunConfig's
+sigma_weak, sigma_strong and mask_frac.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .config import RunConfig
 from .seeding import derive_rng
 
 WEAK = "weak"
 STRONG = "strong"
 
 
-@dataclass(frozen=True)
-class AugmentConfig:
-    sigma_weak: float = 0.1
-    sigma_strong: float = 0.5
-    mask_frac: float = 0.25
-
-    def __post_init__(self):
-        if self.sigma_weak < 0 or self.sigma_strong < 0:
-            raise ValueError("noise sigmas must be non-negative")
-        if self.sigma_weak > self.sigma_strong:
-            raise ValueError(
-                f"sigma_weak {self.sigma_weak} must not exceed sigma_strong "
-                f"{self.sigma_strong}")
-        if not 0.0 <= self.mask_frac < 1.0:
-            raise ValueError(f"mask_frac {self.mask_frac} outside [0, 1)")
-
-
-def augment_view(x: np.ndarray, view: str, cfg: AugmentConfig, seed: int,
+def augment_view(x: np.ndarray, view: str, cfg: RunConfig, seed: int,
                  epoch: int, sample_id: int) -> np.ndarray:
     if view not in (WEAK, STRONG):
         raise ValueError(f"unknown view {view!r}")

@@ -3,36 +3,27 @@
 One world per seed: a 10-class downstream set of 20 labeled images per
 class, a held-out split, and an 8000-record bank at 50 % in-distribution
 with 30 % weak-paired captions.  The two-stage sampler keeps a nominal 4x
-the downstream size.  Settings below are tuned so the full recipe clears
-the supervised baseline by a wide margin and each single-extra-loss variant
-lands between them; they are deliberately frozen so the numbers are
-comparable across machines.
+the downstream size.  BENCH holds the recipe as one RunConfig; its
+settings are tuned so the full recipe clears the supervised baseline by a
+wide margin and each single-extra-loss variant lands between them, and
+they are deliberately frozen so the numbers are comparable across
+machines.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .augment import AugmentConfig
+from .config import RunConfig
 from .encoder import FrozenEmbedder
 from .sampler import stage1_sample, stage2_sample
-from .synth import SynthSpec, generate_downstream, generate_pretrain_bank
-from .trainer import SelectedBank, TrainConfig, TrainResult, fit
+from .synth import generate_downstream, generate_pretrain_bank
+from .trainer import SelectedBank, TrainResult, fit
 
-BENCH_N_CLASSES = 10
-BENCH_N_PER_CLASS = 20
-BENCH_EVAL_PER_CLASS = 50
-BENCH_BANK_SIZE = 8000
-BENCH_IMAGE_DIM = 32
-BENCH_FEAT_DIM = 16
-BENCH_CLASS_SEP = 4.0
-BENCH_IN_DIST = 0.5
-BENCH_WEAK_PAIR = 0.3
-BENCH_NOISE = 0.8
-BENCH_LR = 0.0025
-BENCH_EPOCHS = 12
+BENCH = RunConfig(bank_size=8000, noise_sigma=0.8, lr=0.0025,
+                  sigma_strong=0.3, mask_frac=0.1)
 
 # (eta, lambda, mu) per variant; "unlabeled"/"contrastive" add one extra
 # loss each on top of the supervised term.
@@ -53,35 +44,14 @@ class BenchmarkWorld:
     embedder: FrozenEmbedder
 
 
-def benchmark_spec(seed: int) -> SynthSpec:
-    return SynthSpec(seed=seed, n_classes=BENCH_N_CLASSES,
-                     n_per_class=BENCH_N_PER_CLASS, bank_size=BENCH_BANK_SIZE,
-                     image_dim=BENCH_IMAGE_DIM, feat_dim=BENCH_FEAT_DIM,
-                     class_sep=BENCH_CLASS_SEP, in_dist_fraction=BENCH_IN_DIST,
-                     weak_pair_rate=BENCH_WEAK_PAIR, noise_sigma=BENCH_NOISE)
-
-
-def benchmark_augment() -> AugmentConfig:
-    return AugmentConfig(sigma_weak=0.1, sigma_strong=0.3, mask_frac=0.1)
-
-
-def benchmark_train_config(seed: int, eta: float, lambda_: float,
-                           mu: int) -> TrainConfig:
-    return TrainConfig(seed=seed, batch_size=32, mu=mu, t_thresh=0.95,
-                       eta=eta, lambda_=lambda_, tau=0.07,
-                       epochs=BENCH_EPOCHS, lr=BENCH_LR, momentum=0.9,
-                       hidden_dim=32, warm_start=False,
-                       augment=benchmark_augment())
-
-
 def build_world(seed: int) -> BenchmarkWorld:
-    spec = benchmark_spec(seed)
-    train_ds = generate_downstream(spec)
-    eval_ds = generate_downstream(spec, split="test",
-                                  n_per_class=BENCH_EVAL_PER_CLASS)
-    bank = generate_pretrain_bank(spec, train_ds)
-    embedder = FrozenEmbedder.from_seed("image", seed, BENCH_FEAT_DIM,
-                                        BENCH_IMAGE_DIM)
+    cfg = replace(BENCH, seed=seed)
+    train_ds = generate_downstream(cfg)
+    eval_ds = generate_downstream(cfg, split="test",
+                                  n_per_class=cfg.eval_n_per_class)
+    bank = generate_pretrain_bank(cfg, train_ds)
+    embedder = FrozenEmbedder.from_seed("image", seed, cfg.feat_dim,
+                                        cfg.image_dim)
     s1 = stage1_sample(bank, train_ds)
     s2 = stage2_sample(s1, bank, train_ds, embedder)
     return BenchmarkWorld(seed=seed, train_ds=train_ds, eval_ds=eval_ds,
@@ -91,7 +61,7 @@ def build_world(seed: int) -> BenchmarkWorld:
 
 def run_variant(world: BenchmarkWorld, variant: str) -> TrainResult:
     eta, lambda_, mu = VARIANTS[variant]
-    cfg = benchmark_train_config(world.seed, eta, lambda_, mu)
+    cfg = replace(BENCH, seed=world.seed, eta=eta, lambda_=lambda_, mu=mu)
     return fit(world.train_ds, world.selected, world.train_ds.class_text_feats,
                cfg, eval_ds=world.eval_ds)
 

@@ -23,11 +23,9 @@ from .config import (
     ConfigError,
     RunConfig,
     apply_updates,
-    augment_config,
     config_keys,
-    load_config,
-    synth_spec,
-    train_config,
+    config_values,
+    parse_updates,
     write_config,
 )
 from .embank import (
@@ -59,11 +57,8 @@ GRADCHECK_TOLERANCE = 1e-4
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", metavar="FILE",
                      help="flat key = value file applied before flag overrides")
-    defaults = RunConfig()
-    for key in config_keys():
-        attr = "lambda_" if key == "lambda" else key
-        default = getattr(defaults, attr)
-        sub.add_argument(f"--{key}", metavar="V", dest=attr,
+    for key, default in config_values(RunConfig()).items():
+        sub.add_argument(f"--{key}", metavar="V", dest=key,
                          help=f"{KEY_HELP[key]} (default: {default})")
 
 
@@ -103,21 +98,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
+    """File values, then flag values, then the ablation switches, built and
+    checked as one RunConfig."""
+    updates = {}
     if getattr(args, "config", None):
-        cfg = load_config(args.config, cfg)
-    overrides = {}
+        updates = parse_updates(Path(args.config).read_text(encoding="utf-8"))
     for key in config_keys():
-        attr = "lambda_" if key == "lambda" else key
-        value = getattr(args, attr, None)
+        value = getattr(args, key, None)
         if value is not None:
-            overrides[key] = value
-    cfg = apply_updates(cfg, overrides)
+            updates[key] = value
     if getattr(args, "no_unlabeled", False):
-        cfg = replace(cfg, eta=0.0)
+        updates["eta"] = "0.0"
     if getattr(args, "no_contrastive", False):
-        cfg = replace(cfg, lambda_=0.0)
-    return cfg
+        updates["lambda"] = "0.0"
+    return apply_updates(RunConfig(), updates)
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -138,11 +132,10 @@ def _load_world(cfg: RunConfig) -> tuple[EmbeddingBank, DownstreamDataset,
         ds = decode_dataset_file(cfg.dataset)
         eval_ds = decode_dataset_file(cfg.eval_dataset) if cfg.eval_dataset else None
         return bank, ds, eval_ds
-    spec = synth_spec(cfg)
-    ds = generate_downstream(spec)
-    eval_ds = generate_downstream(spec, split="test",
+    ds = generate_downstream(cfg)
+    eval_ds = generate_downstream(cfg, split="test",
                                   n_per_class=cfg.eval_n_per_class)
-    return generate_pretrain_bank(spec, ds), ds, eval_ds
+    return generate_pretrain_bank(cfg, ds), ds, eval_ds
 
 
 def _sample_bank(cfg: RunConfig, bank: EmbeddingBank, ds: DownstreamDataset):
@@ -169,11 +162,10 @@ def _selected_for_train(cfg: RunConfig, bank: EmbeddingBank,
 
 def cmd_synth_gen(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg)
-    spec = synth_spec(cfg)
-    ds = generate_downstream(spec)
-    eval_ds = generate_downstream(spec, split="test",
+    ds = generate_downstream(cfg)
+    eval_ds = generate_downstream(cfg, split="test",
                                   n_per_class=cfg.eval_n_per_class)
-    bank = generate_pretrain_bank(spec, ds)
+    bank = generate_pretrain_bank(cfg, ds)
     bank_path = Path(cfg.bank) if cfg.bank else out / "bank.datb"
     ds_path = Path(cfg.dataset) if cfg.dataset else out / "train.datd"
     eval_path = Path(cfg.eval_dataset) if cfg.eval_dataset else out / "eval.datd"
@@ -216,8 +208,8 @@ def cmd_train(cfg: RunConfig, args) -> int:
     del bank  # selected holds copies of its rows; training needs no more of the bank
     embedder = FrozenEmbedder.from_seed("image", cfg.seed, ds.feat_dim,
                                         ds.image_dim)
-    result = fit(ds, selected, ds.class_text_feats, train_config(cfg),
-                 eval_ds=eval_ds, embedder=embedder)
+    result = fit(ds, selected, ds.class_text_feats, cfg, eval_ds=eval_ds,
+                 embedder=embedder)
     metrics_path = out / "metrics.csv"
     write_metrics_csv(result.metrics, metrics_path)
     ckpt_path = Path(cfg.checkpoint) if cfg.checkpoint else out / "encoder.datc"
@@ -257,29 +249,29 @@ def cmd_gradcheck(cfg: RunConfig, args) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
-    out = _out_dir(cfg)
     try:
         mu_grid = [int(v) for v in args.mu_list.split(",") if v.strip()]
         t_grid = [float(v) for v in args.t_list.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad sweep grid: {exc}") from exc
+    # every cell is built, and so checked, before any work
+    cells = [replace(cfg, mu=mu, t_thresh=t) for mu in mu_grid for t in t_grid]
+    out = _out_dir(cfg)
     bank, ds, eval_ds = _load_world(cfg)
     selected = _selected_for_train(replace(cfg, mu=max(mu_grid + [1])), bank, ds)
     del bank  # selected holds copies of its rows; training needs no more of the bank
     embedder = FrozenEmbedder.from_seed("image", cfg.seed, ds.feat_dim,
                                         ds.image_dim)
     summary = ["mu,t_thresh,final_acc"]
-    for mu in mu_grid:
-        for t in t_grid:
-            cell_cfg = replace(cfg, mu=mu, t_thresh=t)
-            cell_dir = out / "sweep" / f"mu{mu}_t{repr(t)}"
-            cell_dir.mkdir(parents=True, exist_ok=True)
-            result = fit(ds, selected, ds.class_text_feats,
-                         train_config(cell_cfg), eval_ds=eval_ds,
-                         embedder=embedder)
-            write_metrics_csv(result.metrics, cell_dir / "metrics.csv")
-            acc = "" if result.final_acc is None else repr(result.final_acc)
-            summary.append(f"{mu},{repr(t)},{acc}")
+    for cell in cells:
+        mu, t = cell.mu, repr(cell.t_thresh)
+        cell_dir = out / "sweep" / f"mu{mu}_t{t}"
+        cell_dir.mkdir(parents=True, exist_ok=True)
+        result = fit(ds, selected, ds.class_text_feats, cell, eval_ds=eval_ds,
+                     embedder=embedder)
+        write_metrics_csv(result.metrics, cell_dir / "metrics.csv")
+        acc = "" if result.final_acc is None else repr(result.final_acc)
+        summary.append(f"{mu},{t},{acc}")
     summary_path = out / "sweep" / "summary.csv"
     summary_path.write_text("\n".join(summary) + "\n", encoding="utf-8")
     _echo_config(cfg, out, "sweep")

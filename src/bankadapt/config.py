@@ -1,5 +1,10 @@
 """Flat `key = value` run configuration with a closed schema.
 
+RunConfig is the one configuration object: the synthetic world, the
+augmentation, the losses, the trainer and the sampler all read their
+settings from it by the same names.  Every rule on its values is checked
+when it is built, so a run refuses a bad value before it reads any file.
+
 Every effective run writes its resolved configuration back out through
 write_config, and parse_config(write_config(cfg)) reproduces the exact
 values, so any run can be repeated bit-for-bit from its echo file.  The
@@ -11,15 +16,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 
-from .augment import AugmentConfig
 from .embank import ValidationError
 from .sampler import DEFAULT_MEMORY_BUDGET_BYTES
-from .synth import SynthSpec
-from .trainer import TrainConfig
+
+ANCHOR_REDUCTIONS = ("sum", "mean")
 
 
 class ConfigError(ValidationError):
-    """Unknown key, malformed line, or a value that fails to parse."""
+    """Unknown key, malformed line, or a value that fails to parse or
+    breaks a rule of RunConfig."""
 
     def __init__(self, message: str):
         super().__init__([message])
@@ -73,9 +78,49 @@ class RunConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
-        if self.memory_budget_bytes < 1:
-            raise ConfigError(f"key 'memory_budget_bytes': must be at least 1, "
-                              f"got {self.memory_budget_bytes}")
+        for key, holds, rule in self._rules():
+            if not holds:
+                value = getattr(self, _key_to_field(key))
+                raise ConfigError(f"key {key!r}: {rule}, got {value!r}")
+
+    def _rules(self) -> tuple[tuple[str, bool, str], ...]:
+        """(key, holds, rule) for every constraint, checked in this order."""
+        return (
+            ("n_classes", self.n_classes >= 1, "must be at least 1"),
+            ("n_per_class", self.n_per_class >= 1, "must be at least 1"),
+            ("eval_n_per_class", self.eval_n_per_class >= 1, "must be at least 1"),
+            ("bank_size", self.bank_size >= 0, "must be non-negative"),
+            ("image_dim", self.image_dim >= 1, "must be at least 1"),
+            ("feat_dim", self.feat_dim >= 1, "must be at least 1"),
+            ("class_sep", self.class_sep > 0.0, "must be positive"),
+            ("in_dist_fraction", 0.0 <= self.in_dist_fraction <= 1.0,
+             "must lie in [0, 1]"),
+            ("weak_pair_rate", 0.0 <= self.weak_pair_rate <= 1.0,
+             "must lie in [0, 1]"),
+            ("noise_sigma", self.noise_sigma >= 0.0, "must be non-negative"),
+            ("n_templates", self.n_templates >= 1, "must be at least 1"),
+            ("sigma_weak", self.sigma_weak >= 0.0, "must be non-negative"),
+            ("sigma_strong", self.sigma_strong >= 0.0, "must be non-negative"),
+            ("sigma_weak", self.sigma_weak <= self.sigma_strong,
+             f"must not exceed sigma_strong {self.sigma_strong!r}"),
+            ("mask_frac", 0.0 <= self.mask_frac < 1.0, "must lie in [0, 1)"),
+            ("tau", self.tau > 0.0, "must be positive"),
+            ("eta", self.eta >= 0.0, "must be non-negative"),
+            ("lambda", self.lambda_ >= 0.0, "must be non-negative"),
+            ("anchor_reduction", self.anchor_reduction in ANCHOR_REDUCTIONS,
+             f"must be one of {ANCHOR_REDUCTIONS}"),
+            ("batch_size", self.batch_size >= 1, "must be at least 1"),
+            ("mu", self.mu >= 0, "must be non-negative"),
+            ("t_thresh", 0.0 < self.t_thresh <= 1.0, "must lie in (0, 1]"),
+            ("epochs", self.epochs >= 0, "must be non-negative"),
+            ("lr", self.lr > 0.0, "must be positive"),
+            ("momentum", 0.0 <= self.momentum < 1.0, "must lie in [0, 1)"),
+            ("hidden_dim", self.hidden_dim >= 1, "must be at least 1"),
+            ("stage1_multiplier", self.stage1_multiplier > 0.0, "must be positive"),
+            ("stage2_keep", self.stage2_keep > 0.0, "must be positive"),
+            ("memory_budget_bytes", self.memory_budget_bytes >= 1,
+             "must be at least 1"),
+        )
 
 
 KEY_HELP = {
@@ -171,8 +216,8 @@ def apply_updates(cfg: RunConfig, updates: dict[str, str]) -> RunConfig:
     return replace(cfg, **resolved)
 
 
-def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
-    cfg = base if base is not None else RunConfig()
+def parse_updates(text: str) -> dict[str, str]:
+    """Raw values by key from `key = value` lines, for apply_updates."""
     updates: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -185,7 +230,12 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
         if key in updates:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         updates[key] = raw
-    return apply_updates(cfg, updates)
+    return updates
+
+
+def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
+    cfg = base if base is not None else RunConfig()
+    return apply_updates(cfg, parse_updates(text))
 
 
 def load_config(path, base: RunConfig | None = None) -> RunConfig:
@@ -193,35 +243,13 @@ def load_config(path, base: RunConfig | None = None) -> RunConfig:
         return parse_config(fh.read(), base)
 
 
+def config_values(cfg: RunConfig) -> dict[str, object]:
+    """Every value by config key, in schema order."""
+    return {_field_to_key(f.name): getattr(cfg, f.name) for f in fields(RunConfig)}
+
+
 def write_config(cfg: RunConfig, path) -> None:
-    lines = []
-    for f in fields(RunConfig):
-        lines.append(f"{_field_to_key(f.name)} = {_format_value(getattr(cfg, f.name))}")
+    lines = [f"{key} = {_format_value(value)}"
+             for key, value in config_values(cfg).items()]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def synth_spec(cfg: RunConfig) -> SynthSpec:
-    return SynthSpec(seed=cfg.seed, n_classes=cfg.n_classes,
-                     n_per_class=cfg.n_per_class, bank_size=cfg.bank_size,
-                     image_dim=cfg.image_dim, feat_dim=cfg.feat_dim,
-                     class_sep=cfg.class_sep,
-                     in_dist_fraction=cfg.in_dist_fraction,
-                     weak_pair_rate=cfg.weak_pair_rate,
-                     noise_sigma=cfg.noise_sigma, n_templates=cfg.n_templates)
-
-
-def augment_config(cfg: RunConfig) -> AugmentConfig:
-    return AugmentConfig(sigma_weak=cfg.sigma_weak,
-                         sigma_strong=cfg.sigma_strong,
-                         mask_frac=cfg.mask_frac)
-
-
-def train_config(cfg: RunConfig) -> TrainConfig:
-    return TrainConfig(seed=cfg.seed, batch_size=cfg.batch_size, mu=cfg.mu,
-                       t_thresh=cfg.t_thresh, eta=cfg.eta,
-                       lambda_=cfg.lambda_, tau=cfg.tau,
-                       anchor_reduction=cfg.anchor_reduction,
-                       epochs=cfg.epochs, lr=cfg.lr, momentum=cfg.momentum,
-                       hidden_dim=cfg.hidden_dim, warm_start=cfg.warm_start,
-                       augment=augment_config(cfg))

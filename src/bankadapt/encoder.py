@@ -99,9 +99,6 @@ class EncoderParams:
     def n_classes(self) -> int:
         return self.head_w.shape[0]
 
-    def copy(self) -> "EncoderParams":
-        return EncoderParams(*(f.copy() for f in self.fields()))
-
     def zeros_like(self) -> "EncoderParams":
         return EncoderParams(*(np.zeros_like(f) for f in self.fields()))
 

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig
 from .encoder import EncoderParams, encode_and_classify, init_params
-from .losses import LossConfig
-from .objective import ObjectiveBatch, ObjectiveSettings, batch_objective
+from .objective import ObjectiveBatch, batch_objective
 from .pseudo_triplets import pseudo_label_batch
 from .seeding import derive_rng
 
@@ -30,7 +30,8 @@ class GradCheckFixture:
     kind: str
     params: EncoderParams
     batch: ObjectiveBatch
-    settings: ObjectiveSettings
+    cfg: RunConfig
+    include_supervised: bool
 
 
 @dataclass(frozen=True)
@@ -40,15 +41,13 @@ class GradCheckResult:
     block_errors: dict[str, float]
 
 
-def _settings_for(kind: str, t_thresh: float, mu: int, batch_size: int) -> ObjectiveSettings:
+def _config_for(kind: str, t_thresh: float) -> RunConfig:
     if kind not in FIXTURE_KINDS:
         raise ValueError(f"unknown fixture kind {kind!r}")
     eta = 1.0 if kind in ("unlabeled", "full") else 0.0
     lam = 1.0 if kind in ("contrastive", "full") else 0.0
-    include_sup = kind in ("supervised", "full")
-    cfg = LossConfig(tau=0.07, eta=eta, lambda_=lam, anchor_reduction="sum")
-    return ObjectiveSettings(loss=cfg, t_thresh=t_thresh, mu=mu,
-                             batch_size=batch_size, include_supervised=include_sup)
+    return RunConfig(tau=0.07, eta=eta, lambda_=lam, anchor_reduction="sum",
+                     t_thresh=t_thresh)
 
 
 def _unit_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
@@ -75,7 +74,7 @@ def make_fixture(kind: str, seed: int, *, image_dim: int = 6, hidden_dim: int = 
                  feat_dim: int = 4, n_classes: int = 3, n_labeled: int = 2,
                  n_unlabeled: int = 4, t_thresh: float = 0.5) -> GradCheckFixture:
     """Build a small batch whose objective is smooth at the current params."""
-    settings = _settings_for(kind, t_thresh, mu=n_unlabeled, batch_size=1)
+    cfg = _config_for(kind, t_thresh)
     need_confident = kind in ("unlabeled", "full")
     for attempt in range(_MAX_ATTEMPTS):
         rng = derive_rng(seed, "gradcheck", kind, attempt)
@@ -97,15 +96,20 @@ def make_fixture(kind: str, seed: int, *, image_dim: int = 6, hidden_dim: int = 
                                unlabeled_strong=unlabeled_strong,
                                caption_feats=caption_feats,
                                class_text_feats=class_text_feats)
-        return GradCheckFixture(kind=kind, params=params, batch=batch,
-                                settings=settings)
+        return GradCheckFixture(kind=kind, params=params, batch=batch, cfg=cfg,
+                                include_supervised=kind in ("supervised", "full"))
     raise RuntimeError(f"no well-margined fixture found for kind={kind} seed={seed}")
 
 
 def finite_diff_check(fixture: GradCheckFixture, step: float = 1e-5) -> GradCheckResult:
     """Compare analytic gradients to central differences, field by field."""
     params = fixture.params
-    _, grads = batch_objective(params, fixture.batch, fixture.settings)
+
+    def objective():
+        return batch_objective(params, fixture.batch, fixture.cfg,
+                               include_supervised=fixture.include_supervised)
+
+    _, grads = objective()
     block_errors: dict[str, float] = {}
     worst = 0.0
     for name in ("w1", "b1", "w2", "b2", "head_w", "head_b"):
@@ -117,9 +121,9 @@ def finite_diff_check(fixture: GradCheckFixture, step: float = 1e-5) -> GradChec
             idx = it.multi_index
             keep = target[idx]
             target[idx] = keep + step
-            up = batch_objective(params, fixture.batch, fixture.settings)[0].loss_total
+            up = objective()[0].loss_total
             target[idx] = keep - step
-            down = batch_objective(params, fixture.batch, fixture.settings)[0].loss_total
+            down = objective()[0].loss_total
             target[idx] = keep
             fd[idx] = (up - down) / (2.0 * step)
         denom = np.maximum(1e-8, np.abs(analytic) + np.abs(fd))

@@ -19,7 +19,8 @@ term), positives P(i) = {k : y_k = y_i} including i, and anchor_reduction
 "mean" divides both by the batch size.  The gradient in z is
 (softmax - positive-mass) per anchor, column-wise for text anchors and
 row-wise for image anchors; text features are frozen, so only the image
-embedding gradients are returned.
+embedding gradients are returned.  tau, anchor_reduction and the weights
+eta and lambda are read from a RunConfig.
 """
 
 from __future__ import annotations
@@ -29,29 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig
 from .pseudo_triplets import PseudoLabels
 
 logger = logging.getLogger(__name__)
 
 _CLAMP = 1e-12
-ANCHOR_REDUCTIONS = ("sum", "mean")
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    tau: float = 0.07
-    eta: float = 1.0      # weight of the unlabeled term
-    lambda_: float = 1.0  # weight of the contrastive term
-    anchor_reduction: str = "sum"
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.eta < 0 or self.lambda_ < 0:
-            raise ValueError("loss weights must be non-negative")
-        if self.anchor_reduction not in ANCHOR_REDUCTIONS:
-            raise ValueError(f"anchor_reduction must be one of {ANCHOR_REDUCTIONS}, "
-                             f"got {self.anchor_reduction!r}")
 
 
 @dataclass(frozen=True)
@@ -100,13 +84,12 @@ def supervised_logit_grads(labels: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return g / b
 
 
-def unlabeled_loss(pseudo: PseudoLabels, strong_probs: np.ndarray,
-                   mu: int, batch_size: int) -> float:
-    """Confident terms only, but divided by the full mu * batch_size."""
-    denom = mu * batch_size
+def unlabeled_loss(pseudo: PseudoLabels, strong_probs: np.ndarray) -> float:
+    """Confident terms only, but divided by the full unlabeled row count."""
+    denom = strong_probs.shape[0]
     if denom == 0:
         return 0.0
-    if len(pseudo) != strong_probs.shape[0]:
+    if len(pseudo) != denom:
         raise ValueError("pseudo labels and strong probabilities disagree in length")
     rows = np.flatnonzero(pseudo.confident)
     # left-to-right in row order; np.sum's pairwise order would move the
@@ -115,9 +98,8 @@ def unlabeled_loss(pseudo: PseudoLabels, strong_probs: np.ndarray,
     return float(total) / denom
 
 
-def unlabeled_logit_grads(pseudo: PseudoLabels, strong_probs: np.ndarray,
-                          mu: int, batch_size: int) -> np.ndarray:
-    denom = mu * batch_size
+def unlabeled_logit_grads(pseudo: PseudoLabels, strong_probs: np.ndarray) -> np.ndarray:
+    denom = strong_probs.shape[0]
     g = np.zeros_like(strong_probs)
     if denom == 0:
         return g
@@ -140,7 +122,7 @@ def _log_softmax(z: np.ndarray, axis: int) -> np.ndarray:
 
 
 def contrastive_loss(v: np.ndarray, text_feats: np.ndarray, labels: np.ndarray,
-                     cfg: LossConfig) -> ContrastiveResult:
+                     cfg: RunConfig) -> ContrastiveResult:
     """Bidirectional contrast over one unified batch.
 
     v and text_feats must be unit rows; labels group the positives.  Returns
@@ -185,7 +167,7 @@ def contrastive_loss(v: np.ndarray, text_feats: np.ndarray, labels: np.ndarray,
 
 
 def total_loss(loss_x: float, loss_u: float, loss_i2t: float, loss_t2i: float,
-               n_confident: int, cfg: LossConfig) -> LossBreakdown:
+               n_confident: int, cfg: RunConfig) -> LossBreakdown:
     loss_con = loss_i2t + loss_t2i
     total = loss_x + cfg.eta * loss_u + cfg.lambda_ * loss_con
     return LossBreakdown(loss_x=loss_x, loss_u=loss_u, loss_i2t=loss_i2t,

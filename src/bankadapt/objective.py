@@ -9,7 +9,8 @@ forward pass produced each triplet's view.  Loss weights scale the gradients
 here so the returned gradients are exactly the gradient of
 breakdown.loss_total.  The unlabeled rows are pseudo-labeled once per step,
 and that pass's confident mask gates the pseudo-label term, selects the weak
-rows of the contrastive batch and routes their gradients back.
+rows of the contrastive batch and routes their gradients back.  The loss
+weights, tau, anchor_reduction and t_thresh are read from a RunConfig.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig
 from .encoder import (
     EncoderParams,
     NumericError,
@@ -26,7 +28,6 @@ from .encoder import (
 )
 from .losses import (
     LossBreakdown,
-    LossConfig,
     contrastive_loss,
     supervised_logit_grads,
     supervised_loss,
@@ -57,32 +58,25 @@ class ObjectiveBatch:
         return self.unlabeled_weak.shape[0]
 
 
-@dataclass(frozen=True)
-class ObjectiveSettings:
-    loss: LossConfig
-    t_thresh: float
-    mu: int
-    batch_size: int
-    include_supervised: bool = True
-
-
 def _require_finite(name: str, value: float) -> None:
     if not np.isfinite(value):
         raise NumericError(f"{name} is not finite")
 
 
-def batch_objective(params: EncoderParams, batch: ObjectiveBatch,
-                    settings: ObjectiveSettings) -> tuple[LossBreakdown, EncoderParams]:
+def batch_objective(params: EncoderParams, batch: ObjectiveBatch, cfg: RunConfig,
+                    include_supervised: bool = True
+                    ) -> tuple[LossBreakdown, EncoderParams]:
+    """include_supervised=False drops the supervised term, so the gradient
+    check can test the other terms on their own."""
     if batch.n_labeled < 1:
         raise ValueError("objective needs at least one labeled sample")
     b, u = batch.n_labeled, batch.n_unlabeled
-    cfg = settings.loss
 
     trace_l = encode_and_classify(params, batch.labeled_weak)
     trace_w = encode_and_classify(params, batch.unlabeled_weak) if u else None
     trace_s = encode_and_classify(params, batch.unlabeled_strong) if u else None
 
-    if settings.include_supervised:
+    if include_supervised:
         loss_x = supervised_loss(batch.labels, trace_l.probs)
         d_logits_l = supervised_logit_grads(batch.labels, trace_l.probs)
     else:
@@ -91,14 +85,12 @@ def batch_objective(params: EncoderParams, batch: ObjectiveBatch,
     _require_finite("supervised loss", loss_x)
 
     weak_probs = trace_w.probs if u else np.zeros((0, params.n_classes))
-    pseudo = pseudo_label_batch(weak_probs, settings.t_thresh)
+    pseudo = pseudo_label_batch(weak_probs, cfg.t_thresh)
     confident = pseudo.confident
     n_confident = int(confident.sum())
     if u:
-        loss_u = unlabeled_loss(pseudo, trace_s.probs, settings.mu,
-                                settings.batch_size)
-        d_logits_s = unlabeled_logit_grads(pseudo, trace_s.probs, settings.mu,
-                                           settings.batch_size)
+        loss_u = unlabeled_loss(pseudo, trace_s.probs)
+        d_logits_s = unlabeled_logit_grads(pseudo, trace_s.probs)
         if cfg.eta != 1.0:
             d_logits_s = d_logits_s * cfg.eta
     else:

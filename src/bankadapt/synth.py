@@ -9,72 +9,40 @@ swapped for those of a random distractor, leaving the image and
 latent_class alone; those are the noisy image-text pairs the retrieval and
 contrastive machinery has to cope with.
 
-Everything is a pure function of the SynthSpec, so generation is
-bit-reproducible.
+Everything is a pure function of the RunConfig's world keys (seed through
+n_templates), so generation is bit-reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .config import RunConfig
 from .embank import DownstreamDataset, EmbeddingBank
 from .encoder import FrozenEmbedder
 from .seeding import derive_rng
 
 
-@dataclass(frozen=True)
-class SynthSpec:
-    seed: int = 0
-    n_classes: int = 10
-    n_per_class: int = 20
-    bank_size: int = 4000
-    image_dim: int = 32
-    feat_dim: int = 16
-    class_sep: float = 4.0
-    in_dist_fraction: float = 0.5   # share of bank records from downstream classes
-    weak_pair_rate: float = 0.3     # per-record caption swap probability
-    noise_sigma: float = 1.0
-    n_templates: int = 1            # >1 averages jittered template embeddings
-
-    def __post_init__(self):
-        if self.n_classes <= 0 or self.n_per_class <= 0:
-            raise ValueError("n_classes and n_per_class must be positive")
-        if self.bank_size < 0:
-            raise ValueError("bank_size must be non-negative")
-        if self.image_dim <= 0 or self.feat_dim <= 0:
-            raise ValueError("image_dim and feat_dim must be positive")
-        if not 0.0 <= self.in_dist_fraction <= 1.0:
-            raise ValueError(f"in_dist_fraction {self.in_dist_fraction} outside [0, 1]")
-        if not 0.0 <= self.weak_pair_rate <= 1.0:
-            raise ValueError(f"weak_pair_rate {self.weak_pair_rate} outside [0, 1]")
-        if self.class_sep <= 0 or self.noise_sigma < 0:
-            raise ValueError("class_sep must be positive, noise_sigma non-negative")
-        if self.n_templates < 1:
-            raise ValueError("n_templates must be at least 1")
-
-
-def n_distractors(spec: SynthSpec) -> int:
+def n_distractors(cfg: RunConfig) -> int:
     # at least as many distractor concepts as downstream classes, and enough
     # to make swapped captions varied even for tiny tasks
-    return max(spec.n_classes, 8)
+    return max(cfg.n_classes, 8)
 
 
-def prototypes(spec: SynthSpec) -> tuple[np.ndarray, np.ndarray]:
+def prototypes(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     """(downstream C x D, distractor K x D) prototype vectors.
 
     Directions are Gram-Schmidt orthonormalized while the dimension allows,
     then plain unit vectors; all scaled so pairwise prototype distance is
     about class_sep for the orthogonal ones.
     """
-    total = spec.n_classes + n_distractors(spec)
-    rng = derive_rng(spec.seed, "prototypes")
-    raw = rng.standard_normal((total, spec.image_dim))
+    total = cfg.n_classes + n_distractors(cfg)
+    rng = derive_rng(cfg.seed, "prototypes")
+    raw = rng.standard_normal((total, cfg.image_dim))
     basis = []
     for i in range(total):
         v = raw[i].copy()
-        if i < spec.image_dim:
+        if i < cfg.image_dim:
             for u in basis:
                 v -= (v @ u) * u
         norm = np.linalg.norm(v)
@@ -82,101 +50,101 @@ def prototypes(spec: SynthSpec) -> tuple[np.ndarray, np.ndarray]:
             # essentially impossible for Gaussian draws; keep the raw direction
             v, norm = raw[i], np.linalg.norm(raw[i])
         v /= norm
-        if i < spec.image_dim:
+        if i < cfg.image_dim:
             basis.append(v)
         raw[i] = v
-    scaled = raw * (spec.class_sep / np.sqrt(2.0))
-    return scaled[:spec.n_classes], scaled[spec.n_classes:]
+    scaled = raw * (cfg.class_sep / np.sqrt(2.0))
+    return scaled[:cfg.n_classes], scaled[cfg.n_classes:]
 
 
 def _caption(name: str) -> str:
     return f"a photo of {name}."
 
 
-def class_text_features(spec: SynthSpec, protos: np.ndarray,
+def class_text_features(cfg: RunConfig, protos: np.ndarray,
                         embedder: FrozenEmbedder) -> np.ndarray:
     """Frozen text features per class; with n_templates > 1 the feature is
     the renormalized mean over jittered copies of the prototype."""
-    if spec.n_templates == 1:
+    if cfg.n_templates == 1:
         return embedder.embed_rows(protos)
-    rng = derive_rng(spec.seed, "template-jitter")
+    rng = derive_rng(cfg.seed, "template-jitter")
     feats = np.zeros((protos.shape[0], embedder.projection.shape[0]))
-    for t in range(spec.n_templates):
-        jitter = rng.normal(0.0, spec.noise_sigma, size=protos.shape)
+    for t in range(cfg.n_templates):
+        jitter = rng.normal(0.0, cfg.noise_sigma, size=protos.shape)
         feats += embedder.embed_rows(protos + jitter)
-    feats /= spec.n_templates
+    feats /= cfg.n_templates
     norms = np.linalg.norm(feats, axis=1, keepdims=True)
     return feats / norms
 
 
-def generate_downstream(spec: SynthSpec, split: str = "train",
+def generate_downstream(cfg: RunConfig, split: str = "train",
                         n_per_class: int | None = None) -> DownstreamDataset:
     """Labeled dataset; a different split shares prototypes but redraws noise."""
-    npc = spec.n_per_class if n_per_class is None else n_per_class
-    protos, _ = prototypes(spec)
-    labels = np.repeat(np.arange(spec.n_classes), npc).astype(np.int32)
-    rng = derive_rng(spec.seed, "downstream-images", split)
-    noise = rng.normal(0.0, spec.noise_sigma, size=(labels.size, spec.image_dim))
+    npc = cfg.n_per_class if n_per_class is None else n_per_class
+    protos, _ = prototypes(cfg)
+    labels = np.repeat(np.arange(cfg.n_classes), npc).astype(np.int32)
+    rng = derive_rng(cfg.seed, "downstream-images", split)
+    noise = rng.normal(0.0, cfg.noise_sigma, size=(labels.size, cfg.image_dim))
     images = protos[labels] + noise
-    text_emb = FrozenEmbedder.from_seed("text", spec.seed, spec.feat_dim,
-                                        spec.image_dim)
-    names = [f"class-{c:02d}" for c in range(spec.n_classes)]
-    descriptions = [f"synthetic category {c} of seed {spec.seed}"
-                    for c in range(spec.n_classes)]
+    text_emb = FrozenEmbedder.from_seed("text", cfg.seed, cfg.feat_dim,
+                                        cfg.image_dim)
+    names = [f"class-{c:02d}" for c in range(cfg.n_classes)]
+    descriptions = [f"synthetic category {c} of seed {cfg.seed}"
+                    for c in range(cfg.n_classes)]
     return DownstreamDataset(
         images=images.astype(np.float32),
         labels=labels,
         class_names=names,
         class_descriptions=descriptions,
-        class_text_feats=class_text_features(spec, protos, text_emb).astype(np.float32),
+        class_text_feats=class_text_features(cfg, protos, text_emb).astype(np.float32),
     )
 
 
-def _raw_weak_mask(spec: SynthSpec) -> np.ndarray:
-    rng = derive_rng(spec.seed, "weak-pairs")
-    return rng.random(spec.bank_size) < spec.weak_pair_rate
+def _raw_weak_mask(cfg: RunConfig) -> np.ndarray:
+    rng = derive_rng(cfg.seed, "weak-pairs")
+    return rng.random(cfg.bank_size) < cfg.weak_pair_rate
 
 
-def _bank_order(spec: SynthSpec) -> np.ndarray:
-    return derive_rng(spec.seed, "bank-order").permutation(spec.bank_size)
+def _bank_order(cfg: RunConfig) -> np.ndarray:
+    return derive_rng(cfg.seed, "bank-order").permutation(cfg.bank_size)
 
 
-def weak_pair_mask(spec: SynthSpec) -> np.ndarray:
+def weak_pair_mask(cfg: RunConfig) -> np.ndarray:
     """Boolean mask, in emitted record order, of bank records whose caption
-    was swapped; pure function of the spec, so callers can recover it
+    was swapped; pure function of the config, so callers can recover it
     without regenerating the bank."""
-    return _raw_weak_mask(spec)[_bank_order(spec)]
+    return _raw_weak_mask(cfg)[_bank_order(cfg)]
 
 
-def generate_pretrain_bank(spec: SynthSpec, ds: DownstreamDataset) -> EmbeddingBank:
-    if ds.image_dim != spec.image_dim or ds.feat_dim != spec.feat_dim:
+def generate_pretrain_bank(cfg: RunConfig, ds: DownstreamDataset) -> EmbeddingBank:
+    if ds.image_dim != cfg.image_dim or ds.feat_dim != cfg.feat_dim:
         raise ValueError(
-            f"dataset dims ({ds.image_dim}, {ds.feat_dim}) do not match spec "
-            f"({spec.image_dim}, {spec.feat_dim})")
-    protos, distractors = prototypes(spec)
-    m = spec.bank_size
-    n_in = int(spec.in_dist_fraction * m)
+            f"dataset dims ({ds.image_dim}, {ds.feat_dim}) do not match config "
+            f"({cfg.image_dim}, {cfg.feat_dim})")
+    protos, distractors = prototypes(cfg)
+    m = cfg.bank_size
+    n_in = int(cfg.in_dist_fraction * m)
 
-    rng_cls = derive_rng(spec.seed, "bank-classes")
+    rng_cls = derive_rng(cfg.seed, "bank-classes")
     latent = np.full(m, -1, dtype=np.int32)
-    latent[:n_in] = rng_cls.integers(0, spec.n_classes, size=n_in)
+    latent[:n_in] = rng_cls.integers(0, cfg.n_classes, size=n_in)
     distractor_of = rng_cls.integers(0, distractors.shape[0], size=m)
 
     sources = np.where(latent[:, None] >= 0,
                        protos[np.clip(latent, 0, None)],
                        distractors[distractor_of])
-    rng_img = derive_rng(spec.seed, "bank-images")
-    images = sources + rng_img.normal(0.0, spec.noise_sigma, size=sources.shape)
+    rng_img = derive_rng(cfg.seed, "bank-images")
+    images = sources + rng_img.normal(0.0, cfg.noise_sigma, size=sources.shape)
 
-    image_emb = FrozenEmbedder.from_seed("image", spec.seed, spec.feat_dim,
-                                         spec.image_dim)
-    text_emb = FrozenEmbedder.from_seed("text", spec.seed, spec.feat_dim,
-                                        spec.image_dim)
+    image_emb = FrozenEmbedder.from_seed("image", cfg.seed, cfg.feat_dim,
+                                         cfg.image_dim)
+    text_emb = FrozenEmbedder.from_seed("text", cfg.seed, cfg.feat_dim,
+                                        cfg.image_dim)
     feats = image_emb.embed_rows(images)
 
     # caption subject: own concept, unless weak-paired to a random distractor
-    swapped = _raw_weak_mask(spec)
-    rng_swap = derive_rng(spec.seed, "weak-pair-targets")
+    swapped = _raw_weak_mask(cfg)
+    rng_swap = derive_rng(cfg.seed, "weak-pair-targets")
     swap_to = rng_swap.integers(0, distractors.shape[0], size=m)
     subj_vectors = sources.copy()
     subj_vectors[swapped] = distractors[swap_to[swapped]]
@@ -191,7 +159,7 @@ def generate_pretrain_bank(spec: SynthSpec, ds: DownstreamDataset) -> EmbeddingB
     caption_feats = text_emb.embed_rows(subj_vectors)
 
     # fixed shuffle so in-distribution records are not a contiguous prefix
-    order = _bank_order(spec)
+    order = _bank_order(cfg)
     return EmbeddingBank(
         images=images[order].astype(np.float32),
         feats=feats[order].astype(np.float32),

@@ -5,17 +5,18 @@ two fits with the same resolved config produce bit-identical parameters and
 metrics.  Batches draw labeled rows from a per-epoch permutation of the
 downstream set and unlabeled rows from a per-epoch permutation of the
 sampled bank subset, wrapping around when the subset is smaller than the
-epoch's unlabeled demand.
+epoch's unlabeled demand.  Every setting is read from one RunConfig.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .augment import AugmentConfig, augment_view
+from .augment import augment_view
+from .config import RunConfig
 from .embank import DownstreamDataset, EmbeddingBank, ValidationError
 from .encoder import (
     EncoderParams,
@@ -24,51 +25,12 @@ from .encoder import (
     init_params,
     init_params_warm,
 )
-from .losses import LossConfig
-from .objective import ObjectiveBatch, ObjectiveSettings, batch_objective
+from .objective import ObjectiveBatch, batch_objective
 from .sampler import SampleResult
 from .seeding import derive_rng
 
 METRICS_HEADER = ("step,epoch,loss_x,loss_u,loss_con,loss_total,"
                   "n_confident,grad_norm,acc_eval")
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    seed: int = 0
-    batch_size: int = 32
-    mu: int = 4
-    t_thresh: float = 0.95
-    eta: float = 1.0
-    lambda_: float = 1.0
-    tau: float = 0.07
-    anchor_reduction: str = "sum"
-    epochs: int = 12
-    lr: float = 0.05
-    momentum: float = 0.9
-    hidden_dim: int = 32
-    warm_start: bool = False
-    augment: AugmentConfig = field(default_factory=AugmentConfig)
-
-    def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ValidationError(["batch_size must be at least 1"])
-        if self.mu < 0:
-            raise ValidationError(["mu must be non-negative"])
-        if not 0.0 < self.t_thresh <= 1.0:
-            raise ValidationError(["t_thresh must lie in (0, 1]"])
-        if self.epochs < 0:
-            raise ValidationError(["epochs must be non-negative"])
-        if self.lr <= 0.0:
-            raise ValidationError(["lr must be positive"])
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValidationError(["momentum must lie in [0, 1)"])
-        if self.hidden_dim < 1:
-            raise ValidationError(["hidden_dim must be at least 1"])
-
-    def loss_config(self) -> LossConfig:
-        return LossConfig(tau=self.tau, eta=self.eta, lambda_=self.lambda_,
-                          anchor_reduction=self.anchor_reduction)
 
 
 @dataclass(frozen=True)
@@ -126,24 +88,24 @@ def steps_per_epoch(n: int, batch_size: int) -> int:
 
 
 def _augment_rows(images: np.ndarray, sample_ids: np.ndarray, view: str,
-                  cfg: AugmentConfig, seed: int, epoch: int) -> np.ndarray:
+                  cfg: RunConfig, epoch: int) -> np.ndarray:
     out = np.empty((sample_ids.shape[0], images.shape[1]))
     for row, sid in enumerate(sample_ids):
         out[row] = augment_view(images[row].astype(np.float64), view, cfg,
-                                seed, epoch, int(sid))
+                                cfg.seed, epoch, int(sid))
     return out
 
 
 def compose_batch(ds: DownstreamDataset, selected: SelectedBank,
-                  class_text_feats: np.ndarray, cfg: TrainConfig,
+                  class_text_feats: np.ndarray, cfg: RunConfig,
                   epoch: int, step: int) -> ObjectiveBatch:
     n = ds.size
     order_l = derive_rng(cfg.seed, "batch-labeled", epoch).permutation(n)
     lab_idx = order_l[step * cfg.batch_size:(step + 1) * cfg.batch_size]
     if lab_idx.size == 0:
         raise ValueError(f"step {step} is past the end of epoch {epoch}")
-    labeled_weak = _augment_rows(ds.images[lab_idx], lab_idx, "weak",
-                                 cfg.augment, cfg.seed, epoch)
+    labeled_weak = _augment_rows(ds.images[lab_idx], lab_idx, "weak", cfg,
+                                 epoch)
 
     u = cfg.mu * lab_idx.size
     if u > 0 and selected.size > 0:
@@ -155,9 +117,9 @@ def compose_batch(ds: DownstreamDataset, selected: SelectedBank,
         # downstream streams.
         aug_ids = n + pos
         unlabeled_weak = _augment_rows(selected.images[pos], aug_ids, "weak",
-                                       cfg.augment, cfg.seed, epoch)
+                                       cfg, epoch)
         unlabeled_strong = _augment_rows(selected.images[pos], aug_ids,
-                                         "strong", cfg.augment, cfg.seed, epoch)
+                                         "strong", cfg, epoch)
         caption_feats = selected.caption_feats[pos].astype(np.float64)
     else:
         dim = ds.image_dim
@@ -192,7 +154,7 @@ def evaluate(params: EncoderParams, ds: DownstreamDataset) -> float:
 
 
 def fit(ds: DownstreamDataset, selected: SelectedBank,
-        class_text_feats: np.ndarray, cfg: TrainConfig,
+        class_text_feats: np.ndarray, cfg: RunConfig,
         eval_ds: DownstreamDataset | None = None,
         embedder: FrozenEmbedder | None = None,
         params: EncoderParams | None = None) -> TrainResult:
@@ -207,7 +169,6 @@ def fit(ds: DownstreamDataset, selected: SelectedBank,
             params = init_params(cfg.seed, ds.image_dim, cfg.hidden_dim,
                                  feat_dim, ds.n_classes)
     velocity = params.zeros_like()
-    loss_cfg = cfg.loss_config()
     metrics: list[StepMetrics] = []
     global_step = 0
     n_steps = steps_per_epoch(ds.size, cfg.batch_size)
@@ -215,10 +176,7 @@ def fit(ds: DownstreamDataset, selected: SelectedBank,
         for step in range(n_steps):
             batch = compose_batch(ds, selected, class_text_feats, cfg,
                                   epoch, step)
-            settings = ObjectiveSettings(loss=loss_cfg, t_thresh=cfg.t_thresh,
-                                         mu=cfg.mu,
-                                         batch_size=batch.n_labeled)
-            breakdown, grads = batch_objective(params, batch, settings)
+            breakdown, grads = batch_objective(params, batch, cfg)
             grad_norm = grads.norm()
             sgd_update(params, velocity, grads, cfg.lr, cfg.momentum)
             acc = None

@@ -15,10 +15,11 @@ import pytest
 
 from bankadapt.benchmark import VARIANTS, mean_accuracy, run_benchmark
 from bankadapt.cli import main as cli_main
+from bankadapt.config import RunConfig
 from bankadapt.embank import DownstreamDataset, EmbeddingBank
 from bankadapt.encoder import FrozenEmbedder, encode_and_classify, init_params
 from bankadapt.gradcheck import FIXTURE_KINDS, run_gradient_suite
-from bankadapt.losses import LossConfig, contrastive_loss
+from bankadapt.losses import contrastive_loss
 from bankadapt.pseudo_triplets import pseudo_label_batch
 from bankadapt.sampler import (
     budget_chunk_rows,
@@ -30,7 +31,7 @@ from bankadapt.sampler import (
     stage1_sample,
     stage2_sample,
 )
-from bankadapt.synth import SynthSpec, generate_downstream, generate_pretrain_bank
+from bankadapt.synth import generate_downstream, generate_pretrain_bank
 
 from conftest import fixed_order_scores
 
@@ -75,7 +76,7 @@ def _oracle_bidirectional(v, t, labels, tau):
 
 
 def test_criterion_2_contrastive_closed_forms():
-    cfg = LossConfig(tau=0.07)
+    cfg = RunConfig(tau=0.07)
     worst_uniform = 0.0
     for n in (2, 4, 8):
         d = n + 1
@@ -93,7 +94,7 @@ def test_criterion_2_contrastive_closed_forms():
     v2 = np.eye(2)
     t2 = np.eye(2)
     labels2 = np.array([0, 1])
-    impl = contrastive_loss(v2, t2, labels2, LossConfig(tau=1.0))
+    impl = contrastive_loss(v2, t2, labels2, RunConfig(tau=1.0))
     oi2t, ot2i = _oracle_bidirectional(v2, t2, labels2, 1.0)
     oracle_con = oi2t + ot2i
     dev = abs(impl.loss_con - oracle_con)
@@ -160,7 +161,7 @@ def test_criterion_3_sampler_bit_exactness():
 
 
 def test_criterion_3_stage_chunking_invariance():
-    spec = SynthSpec(seed=3, n_classes=5, n_per_class=8, bank_size=600,
+    spec = RunConfig(seed=3, n_classes=5, n_per_class=8, bank_size=600,
                      image_dim=12, feat_dim=8, class_sep=4.0,
                      in_dist_fraction=0.5, weak_pair_rate=0.3, noise_sigma=1.0)
     ds = generate_downstream(spec)
@@ -184,7 +185,7 @@ def test_criterion_4_sampler_precision():
     t0 = time.perf_counter()
     precisions = []
     for seed in range(5):
-        spec = SynthSpec(seed=seed, n_classes=10, n_per_class=20,
+        spec = RunConfig(seed=seed, n_classes=10, n_per_class=20,
                          bank_size=20000, image_dim=32, feat_dim=16,
                          class_sep=4.0, in_dist_fraction=0.25,
                          weak_pair_rate=0.3, noise_sigma=1.0)

@@ -73,6 +73,30 @@ def test_sample_rejects_a_non_positive_budget_before_decoding(tmp_path, capsys):
                 "--out_dir", str(tmp_path / "s")]) == 0
 
 
+def test_sample_rejects_a_non_positive_stage2_keep_before_decoding(tmp_path, capsys):
+    # the files do not exist: decoding them would exit 2, not 1
+    code = run(["sample", "--bank", str(tmp_path / "missing.datb"),
+                "--dataset", str(tmp_path / "missing.datd"),
+                "--stage2_keep", "-1", "--out_dir", str(tmp_path / "o")])
+    assert code == 1
+    assert "'stage2_keep'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_flag_makes_a_config_file_value_valid(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sigma_weak = 0.6\n")
+    tiny = TINY[:TINY.index("--sigma_strong")]
+    assert run(["sample", *tiny, "--config", str(cfg),
+                "--out_dir", str(tmp_path / "a")]) == 1
+    assert "'sigma_weak'" in capsys.readouterr().err
+    out = tmp_path / "b"
+    assert run(["sample", *tiny, "--config", str(cfg), "--sigma_strong", "0.8",
+                "--out_dir", str(out)]) == 0
+    lines = (out / "resolved-sample.cfg").read_text().splitlines()
+    assert "sigma_weak = 0.6" in lines and "sigma_strong = 0.8" in lines
+
+
 def test_train_writes_outputs(tmp_path, capsys):
     out = tmp_path / "t"
     assert run(["train", *TINY, "--out_dir", str(out)]) == 0
@@ -187,6 +211,14 @@ def test_sweep_deterministic_summary(tmp_path):
     assert len(lines) == 5
     assert (a / "sweep" / "mu2_t0.6" / "metrics.csv").exists()
     assert (a / "sweep" / "mu3_t0.95" / "metrics.csv").exists()
+
+
+def test_sweep_checks_every_cell_before_training(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(["sweep", *TINY, "--epochs", "1", "--mu_list", "2",
+                "--t_list", "0.5,1.5", "--out_dir", str(out)]) == 1
+    assert "'t_thresh'" in capsys.readouterr().err
+    assert not (out / "sweep").exists()
 
 
 def test_unknown_key_in_config_file(tmp_path):

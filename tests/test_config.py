@@ -1,21 +1,36 @@
-"""Closed config schema: parsing, echo round-trip, and object mapping."""
+"""Closed config schema: parsing, echo round-trip, and the value rules."""
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import pytest
 
+from bankadapt.benchmark import BENCH
 from bankadapt.config import (
     ConfigError,
     RunConfig,
     apply_updates,
-    augment_config,
     config_keys,
     load_config,
     parse_config,
-    synth_spec,
-    train_config,
     write_config,
 )
+
+PERFBENCH_RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+
+# one value per checked key that its rule refuses
+BAD_VALUES = {
+    "n_classes": "0", "n_per_class": "0", "eval_n_per_class": "0",
+    "bank_size": "-1", "image_dim": "0", "feat_dim": "0", "class_sep": "0.0",
+    "in_dist_fraction": "1.5", "weak_pair_rate": "-0.1", "noise_sigma": "-1.0",
+    "n_templates": "0", "sigma_weak": "-0.1", "sigma_strong": "-0.1",
+    "mask_frac": "1.0", "tau": "0.0", "eta": "-1.0", "lambda": "-1.0",
+    "anchor_reduction": "median", "batch_size": "0", "mu": "-1",
+    "t_thresh": "0.0", "epochs": "-1", "lr": "0.0", "momentum": "1.0",
+    "hidden_dim": "0", "stage1_multiplier": "-3", "stage2_keep": "-1",
+    "memory_budget_bytes": "0",
+}
 
 
 def test_defaults_round_trip(tmp_path):
@@ -111,18 +126,47 @@ def test_apply_updates_overrides_base():
         apply_updates(base, {"lambda_": "0.0"})
 
 
-def test_object_mapping():
-    cfg = RunConfig(seed=4, n_classes=5, sigma_weak=0.2, tau=0.1, mu=3,
-                    anchor_reduction="mean", warm_start=True)
-    spec = synth_spec(cfg)
-    assert spec.seed == 4 and spec.n_classes == 5
-    aug = augment_config(cfg)
-    assert aug.sigma_weak == 0.2
-    tc = train_config(cfg)
-    assert tc.mu == 3 and tc.tau == 0.1
-    assert tc.anchor_reduction == "mean"
-    assert tc.warm_start is True
-    assert tc.augment == aug
+@pytest.mark.parametrize("key", sorted(BAD_VALUES))
+def test_every_rule_names_its_key(key):
+    with pytest.raises(ConfigError, match=f"^key '{key}': "):
+        parse_config(f"{key} = {BAD_VALUES[key]}\n")
+
+
+def test_sampler_and_eval_sizes_must_be_positive():
+    for key in ("stage1_multiplier", "stage2_keep"):
+        with pytest.raises(ConfigError, match=f"'{key}': must be positive"):
+            parse_config(f"{key} = 0.0\n")
+    cfg = parse_config("eval_n_per_class = 1\nstage1_multiplier = 0.01\n"
+                       "stage2_keep = 0.01\n")
+    assert (cfg.eval_n_per_class, cfg.stage1_multiplier, cfg.stage2_keep) == (
+        1, 0.01, 0.01)
+
+
+def test_nan_is_refused():
+    for key in ("lr", "tau", "eta", "noise_sigma", "t_thresh", "stage2_keep"):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            parse_config(f"{key} = nan\n")
+
+
+def test_cross_key_rule_sees_every_update_at_once():
+    # sigma_weak = 0.6 is valid only once sigma_strong rises to match it
+    with pytest.raises(ConfigError, match="'sigma_weak': must not exceed"):
+        parse_config("sigma_weak = 0.6\n")
+    cfg = parse_config("sigma_weak = 0.6\nsigma_strong = 0.8\n")
+    assert (cfg.sigma_weak, cfg.sigma_strong) == (0.6, 0.8)
+
+
+def test_bench_matches_the_perfbench_recipe():
+    # perfbench/run.py keeps its own copy of the frozen recipe as flag values
+    recipe = {}
+    for node in ast.parse(PERFBENCH_RUN.read_text(encoding="utf-8")).body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and getattr(node.targets[0], "id", "") in ("RECIPE_WORLD",
+                                                           "RECIPE_TRAIN")):
+            recipe.update(ast.literal_eval(node.value))
+    assert "noise_sigma" in recipe and "lr" in recipe
+    updates = {key: str(value) for key, value in recipe.items()}
+    assert apply_updates(RunConfig(), updates) == BENCH
 
 
 def test_chunk_rows_key_is_gone():

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bankadapt.config import RunConfig
 from bankadapt.losses import (
     ContrastiveResult,
-    LossConfig,
     contrastive_loss,
     cross_entropy,
     supervised_logit_grads,
@@ -123,30 +123,29 @@ class TestUnlabeledLoss:
     def test_divides_by_full_batch_not_confident_count(self):
         probs = np.array([[0.25, 0.75], [0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])
         pseudo = self.mk_pseudo([1, 0, 0, 0], [1, 0, 0, 0])
-        val = unlabeled_loss(pseudo, probs, mu=4, batch_size=1)
+        val = unlabeled_loss(pseudo, probs)
         assert abs(val - (-math.log(0.75)) / 4) < 1e-12
 
     def test_no_confident_terms_gives_zero(self):
         probs = np.full((4, 2), 0.5)
         pseudo = self.mk_pseudo([0, 0, 0, 0], [0, 0, 0, 0])
-        assert unlabeled_loss(pseudo, probs, mu=4, batch_size=1) == 0.0
+        assert unlabeled_loss(pseudo, probs) == 0.0
 
     def test_mu_zero_is_zero(self):
         pseudo = self.mk_pseudo([], [])
-        assert unlabeled_loss(pseudo, np.zeros((0, 2)), mu=0, batch_size=32) == 0.0
+        assert unlabeled_loss(pseudo, np.zeros((0, 2))) == 0.0
 
     def test_grads_zero_for_unconfident_rows(self):
         probs = np.array([[0.9, 0.1], [0.3, 0.7]])
         pseudo = self.mk_pseudo([1, 0], [0, 1])
-        g = unlabeled_logit_grads(pseudo, probs, mu=2, batch_size=1)
+        g = unlabeled_logit_grads(pseudo, probs)
         np.testing.assert_allclose(g[1], 0.0)
         np.testing.assert_allclose(g[0], (probs[0] - np.array([1.0, 0.0])) / 2,
                                    atol=1e-12)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="disagree in length"):
-            unlabeled_loss(self.mk_pseudo([1], [0]), np.full((2, 2), 0.5),
-                           mu=2, batch_size=1)
+            unlabeled_loss(self.mk_pseudo([1], [0]), np.full((2, 2), 0.5))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_per_row_reference(self, seed):
@@ -156,9 +155,9 @@ class TestUnlabeledLoss:
         labels = pseudo.label[pseudo.confident]
         assert (strong[pseudo.confident, labels] < 1e-12).any()  # clamps
         loss, grads = reference_unlabeled(pseudo, strong, mu=3, batch_size=20)
-        assert unlabeled_loss(pseudo, strong, mu=3, batch_size=20) == loss
+        assert unlabeled_loss(pseudo, strong) == loss
         np.testing.assert_array_equal(
-            unlabeled_logit_grads(pseudo, strong, mu=3, batch_size=20), grads)
+            unlabeled_logit_grads(pseudo, strong), grads)
 
 
 E1 = np.array([1.0, 0.0])
@@ -168,14 +167,14 @@ E2 = np.array([0.0, 1.0])
 class TestContrastiveClosedForms:
     def test_identical_embeddings_distinct_labels(self):
         v = np.vstack([E1, E1])
-        cfg = LossConfig(tau=1.0)
+        cfg = RunConfig(tau=1.0)
         res = contrastive_loss(v, v, np.array([0, 1]), cfg)
         assert abs(res.loss_i2t - 2 * math.log(2)) < 1e-12
         assert abs(res.loss_con - 4 * math.log(2)) < 1e-12
 
     def test_orthogonal_pair_distinct_labels(self):
         v = np.vstack([E1, E2])
-        cfg = LossConfig(tau=1.0)
+        cfg = RunConfig(tau=1.0)
         res = contrastive_loss(v, v, np.array([0, 1]), cfg)
         per_anchor = -math.log(math.e / (math.e + 1))
         assert abs(per_anchor - 0.3132616875182228) < 1e-12
@@ -185,7 +184,7 @@ class TestContrastiveClosedForms:
 
     def test_orthogonal_pair_shared_label(self):
         v = np.vstack([E1, E2])
-        cfg = LossConfig(tau=1.0)
+        cfg = RunConfig(tau=1.0)
         res = contrastive_loss(v, v, np.array([3, 3]), cfg)
         p_hi = math.e / (math.e + 1)       # 0.731059
         p_lo = 1.0 / (math.e + 1)          # 0.268941
@@ -196,7 +195,7 @@ class TestContrastiveClosedForms:
     def test_uniform_logits_singleton_positives_is_n_ln_n(self):
         for n in (2, 4, 8):
             v = np.tile(E1, (n, 1))
-            res = contrastive_loss(v, v, np.arange(n), LossConfig(tau=0.07))
+            res = contrastive_loss(v, v, np.arange(n), RunConfig(tau=0.07))
             assert abs(res.loss_i2t - n * math.log(n)) <= 1e-9
             assert abs(res.loss_t2i - n * math.log(n)) <= 1e-9
 
@@ -210,7 +209,7 @@ class TestContrastiveGeneral:
             t = random_unit(rng, n, d)
             labels = rng.integers(0, 3, n)
             for reduction in ("sum", "mean"):
-                cfg = LossConfig(tau=0.07, anchor_reduction=reduction)
+                cfg = RunConfig(tau=0.07, anchor_reduction=reduction)
                 res = contrastive_loss(v, t, labels, cfg)
                 oi, ot = oracle_contrastive(v.tolist(), t.tolist(), labels.tolist(),
                                             0.07, reduction)
@@ -223,7 +222,7 @@ class TestContrastiveGeneral:
         v = random_unit(rng, n, d)
         t = random_unit(rng, n, d)
         labels = np.array([0, 1, 0, 2, 1])
-        cfg = LossConfig(tau=0.5)
+        cfg = RunConfig(tau=0.5)
         res = contrastive_loss(v, t, labels, cfg)
         step = 1e-6
         for i in range(n):
@@ -245,8 +244,8 @@ class TestContrastiveGeneral:
         v = random_unit(rng, 6, 4)
         t = random_unit(rng, 6, 4)
         labels = rng.integers(0, 2, 6)
-        s = contrastive_loss(v, t, labels, LossConfig(tau=0.1, anchor_reduction="sum"))
-        m = contrastive_loss(v, t, labels, LossConfig(tau=0.1, anchor_reduction="mean"))
+        s = contrastive_loss(v, t, labels, RunConfig(tau=0.1, anchor_reduction="sum"))
+        m = contrastive_loss(v, t, labels, RunConfig(tau=0.1, anchor_reduction="mean"))
         assert abs(m.loss_con - s.loss_con / 6) < 1e-12
         np.testing.assert_allclose(m.grad_v, s.grad_v / 6, atol=1e-15)
 
@@ -258,7 +257,7 @@ class TestContrastiveGeneral:
         v = random_unit(rng, n, 5)
         t = random_unit(rng, n, 5)
         labels = rng.integers(0, 3, n)
-        cfg = LossConfig(tau=0.07)
+        cfg = RunConfig(tau=0.07)
         base = contrastive_loss(v, t, labels, cfg)
         perm = rng.permutation(n)
         permuted = contrastive_loss(v[perm], t[perm], labels[perm], cfg)
@@ -279,11 +278,11 @@ class TestContrastiveGeneral:
         # a singleton class still has a well-defined (self-positive) term
         v = random_unit(np.random.default_rng(4), 3, 4)
         t = random_unit(np.random.default_rng(5), 3, 4)
-        res = contrastive_loss(v, t, np.array([0, 1, 2]), LossConfig(tau=1.0))
+        res = contrastive_loss(v, t, np.array([0, 1, 2]), RunConfig(tau=1.0))
         assert res.loss_con > 0
 
     def test_rejects_tiny_batches_and_bad_norms(self):
-        cfg = LossConfig()
+        cfg = RunConfig()
         with pytest.raises(ValueError, match="at least 2"):
             contrastive_loss(np.array([E1]), np.array([E1]), np.array([0]), cfg)
         bad = np.vstack([E1 * 2.0, E2])
@@ -294,7 +293,7 @@ class TestContrastiveGeneral:
 
     def test_text_side_receives_no_gradient(self):
         res = contrastive_loss(np.vstack([E1, E2]), np.vstack([E1, E2]),
-                               np.array([0, 1]), LossConfig(tau=1.0))
+                               np.array([0, 1]), RunConfig(tau=1.0))
         assert isinstance(res, ContrastiveResult)
         assert res.grad_v.shape == (2, 2)
         assert not hasattr(res, "grad_t")
@@ -302,7 +301,7 @@ class TestContrastiveGeneral:
 
 class TestTotalLoss:
     def test_weighted_sum_identity(self):
-        cfg = LossConfig(tau=0.07, eta=0.5, lambda_=2.0)
+        cfg = RunConfig(tau=0.07, eta=0.5, lambda_=2.0)
         br = total_loss(1.0, 0.25, 0.3, 0.4, n_confident=3, cfg=cfg)
         assert abs(br.loss_total - (1.0 + 0.5 * 0.25 + 2.0 * 0.7)) <= 1e-12
         assert br.loss_con == pytest.approx(0.7)
@@ -312,15 +311,15 @@ class TestTotalLoss:
         rng = np.random.default_rng(6)
         v = random_unit(rng, 4, 3)
         t = random_unit(rng, 4, 3)
-        res = contrastive_loss(v, t, rng.integers(0, 2, 4), LossConfig())
-        br = total_loss(0.3, 0.1, res.loss_i2t, res.loss_t2i, 1, LossConfig())
+        res = contrastive_loss(v, t, rng.integers(0, 2, 4), RunConfig())
+        br = total_loss(0.3, 0.1, res.loss_i2t, res.loss_t2i, 1, RunConfig())
         assert br.loss_x >= 0 and br.loss_u >= 0 and br.loss_con >= 0
         assert br.loss_total >= 0
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="tau"):
-            LossConfig(tau=0.0)
+            RunConfig(tau=0.0)
         with pytest.raises(ValueError, match="anchor_reduction"):
-            LossConfig(anchor_reduction="median")
+            RunConfig(anchor_reduction="median")
         with pytest.raises(ValueError, match="non-negative"):
-            LossConfig(eta=-1.0)
+            RunConfig(eta=-1.0)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bankadapt import sampler
+from bankadapt.config import RunConfig
 from bankadapt.embank import EmbeddingBank
 from bankadapt.encoder import FrozenEmbedder
 from bankadapt.sampler import (
@@ -26,7 +27,7 @@ from bankadapt.sampler import (
     stage1_sample,
     stage2_sample,
 )
-from bankadapt.synth import SynthSpec, generate_downstream, generate_pretrain_bank
+from bankadapt.synth import generate_downstream, generate_pretrain_bank
 
 from conftest import fixed_order_scores, random_bank, random_dataset
 
@@ -293,7 +294,7 @@ class TestChunkBudget:
 
 
 def make_world(seed, m=8000, rho=0.25, noise=0.8, n_classes=10, npc=20):
-    spec = SynthSpec(seed=seed, n_classes=n_classes, n_per_class=npc, bank_size=m,
+    spec = RunConfig(seed=seed, n_classes=n_classes, n_per_class=npc, bank_size=m,
                      in_dist_fraction=rho, weak_pair_rate=0.3, noise_sigma=noise)
     ds = generate_downstream(spec)
     bank = generate_pretrain_bank(spec, ds)
@@ -308,7 +309,7 @@ class TestStages:
         from bankadapt.embank import EmbeddingBank
         from bankadapt.synth import prototypes
 
-        spec = SynthSpec(seed=0, n_classes=2, n_per_class=3, bank_size=2,
+        spec = RunConfig(seed=0, n_classes=2, n_per_class=3, bank_size=2,
                          noise_sigma=0.0)
         ds = generate_downstream(spec)
         protos, _ = prototypes(spec)

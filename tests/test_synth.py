@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from bankadapt.config import RunConfig
 from bankadapt.encoder import FrozenEmbedder
 from bankadapt.embank import validate_bank, validate_dataset
 from bankadapt.synth import (
-    SynthSpec,
     generate_downstream,
     generate_pretrain_bank,
     n_distractors,
@@ -27,7 +27,7 @@ def lstsq_one_vs_rest_accuracy(images, labels, n_classes):
 
 class TestPrototypes:
     def test_orthogonal_block_has_expected_pairwise_distance(self):
-        spec = SynthSpec(seed=0, n_classes=4, image_dim=32, class_sep=4.0)
+        spec = RunConfig(seed=0, n_classes=4, image_dim=32, class_sep=4.0)
         protos, _ = prototypes(spec)
         for i in range(4):
             for j in range(i + 1, 4):
@@ -36,7 +36,7 @@ class TestPrototypes:
 
     def test_at_least_as_many_distractors_as_classes(self):
         for c in (2, 8, 12):
-            spec = SynthSpec(seed=0, n_classes=c)
+            spec = RunConfig(seed=0, n_classes=c)
             _, distractors = prototypes(spec)
             assert distractors.shape[0] == n_distractors(spec) >= c
             # distinct directions
@@ -46,7 +46,7 @@ class TestPrototypes:
             assert np.abs(off_diag).max() < 0.999
 
     def test_more_prototypes_than_dimensions_still_works(self):
-        spec = SynthSpec(seed=1, n_classes=6, image_dim=4, feat_dim=3)
+        spec = RunConfig(seed=1, n_classes=6, image_dim=4, feat_dim=3)
         protos, distractors = prototypes(spec)
         assert protos.shape == (6, 4)
         assert np.isfinite(distractors).all()
@@ -54,7 +54,7 @@ class TestPrototypes:
 
 class TestDownstream:
     def test_generation_is_deterministic(self):
-        spec = SynthSpec(seed=3, n_classes=3, n_per_class=5, bank_size=0)
+        spec = RunConfig(seed=3, n_classes=3, n_per_class=5, bank_size=0)
         a = generate_downstream(spec)
         b = generate_downstream(spec)
         np.testing.assert_array_equal(a.images, b.images)
@@ -62,29 +62,29 @@ class TestDownstream:
         np.testing.assert_array_equal(a.class_text_feats, b.class_text_feats)
 
     def test_linear_probe_separability(self):
-        spec = SynthSpec(seed=0, n_classes=3, n_per_class=50, image_dim=32,
+        spec = RunConfig(seed=0, n_classes=3, n_per_class=50, image_dim=32,
                          class_sep=4.0, noise_sigma=0.5, bank_size=0)
         ds = generate_downstream(spec)
         assert lstsq_one_vs_rest_accuracy(ds.images, ds.labels, 3) >= 0.95
 
     def test_dataset_passes_validation(self):
-        ds = generate_downstream(SynthSpec(seed=1, n_classes=4, n_per_class=6))
+        ds = generate_downstream(RunConfig(seed=1, n_classes=4, n_per_class=6))
         assert validate_dataset(ds) == []
 
     def test_splits_share_text_feats_but_not_images(self):
-        spec = SynthSpec(seed=2, n_classes=3, n_per_class=8)
+        spec = RunConfig(seed=2, n_classes=3, n_per_class=8)
         train = generate_downstream(spec, split="train")
         test = generate_downstream(spec, split="test")
         np.testing.assert_array_equal(train.class_text_feats, test.class_text_feats)
         assert not np.array_equal(train.images, test.images)
 
     def test_split_size_override(self):
-        spec = SynthSpec(seed=2, n_classes=3, n_per_class=8)
+        spec = RunConfig(seed=2, n_classes=3, n_per_class=8)
         big = generate_downstream(spec, split="test", n_per_class=20)
         assert big.size == 60
 
     def test_class_text_feats_are_frozen_prototype_embeddings(self):
-        spec = SynthSpec(seed=5, n_classes=3, n_per_class=4)
+        spec = RunConfig(seed=5, n_classes=3, n_per_class=4)
         ds = generate_downstream(spec)
         protos, _ = prototypes(spec)
         emb = FrozenEmbedder.from_seed("text", spec.seed, spec.feat_dim,
@@ -94,8 +94,8 @@ class TestDownstream:
                                        atol=2e-7)
 
     def test_template_averaging_renormalizes(self):
-        one = SynthSpec(seed=6, n_classes=3, n_per_class=4, n_templates=1)
-        many = SynthSpec(seed=6, n_classes=3, n_per_class=4, n_templates=5)
+        one = RunConfig(seed=6, n_classes=3, n_per_class=4, n_templates=1)
+        many = RunConfig(seed=6, n_classes=3, n_per_class=4, n_templates=5)
         a = generate_downstream(one)
         b = generate_downstream(many)
         np.testing.assert_allclose(
@@ -110,7 +110,7 @@ class TestDownstream:
 
 class TestBank:
     def test_composition_counts(self):
-        spec = SynthSpec(seed=0, n_classes=4, n_per_class=5, bank_size=1000,
+        spec = RunConfig(seed=0, n_classes=4, n_per_class=5, bank_size=1000,
                          in_dist_fraction=0.3)
         ds = generate_downstream(spec)
         bank = generate_pretrain_bank(spec, ds)
@@ -120,7 +120,7 @@ class TestBank:
         assert validate_bank(bank) == []
 
     def test_generation_is_deterministic(self):
-        spec = SynthSpec(seed=4, n_classes=3, n_per_class=4, bank_size=200)
+        spec = RunConfig(seed=4, n_classes=3, n_per_class=4, bank_size=200)
         ds = generate_downstream(spec)
         a = generate_pretrain_bank(spec, ds)
         b = generate_pretrain_bank(spec, ds)
@@ -131,7 +131,7 @@ class TestBank:
         assert a.captions == b.captions
 
     def test_all_in_distribution_clean_captions_match_class_feats(self):
-        spec = SynthSpec(seed=7, n_classes=3, n_per_class=4, bank_size=60,
+        spec = RunConfig(seed=7, n_classes=3, n_per_class=4, bank_size=60,
                          in_dist_fraction=1.0, weak_pair_rate=0.0)
         ds = generate_downstream(spec)
         bank = generate_pretrain_bank(spec, ds)
@@ -143,7 +143,7 @@ class TestBank:
                 atol=3e-7)
 
     def test_weak_pair_mask_size_is_binomial(self):
-        spec = SynthSpec(seed=8, n_classes=3, n_per_class=4, bank_size=10_000,
+        spec = RunConfig(seed=8, n_classes=3, n_per_class=4, bank_size=10_000,
                          weak_pair_rate=0.3)
         mask = weak_pair_mask(spec)
         expected = 0.3 * 10_000
@@ -151,7 +151,7 @@ class TestBank:
         assert abs(int(mask.sum()) - expected) <= 4 * sigma
 
     def test_weak_pairing_swaps_caption_but_keeps_latent_class(self):
-        spec = SynthSpec(seed=9, n_classes=3, n_per_class=4, bank_size=400,
+        spec = RunConfig(seed=9, n_classes=3, n_per_class=4, bank_size=400,
                          in_dist_fraction=1.0, weak_pair_rate=0.5)
         ds = generate_downstream(spec)
         bank = generate_pretrain_bank(spec, ds)
@@ -166,7 +166,7 @@ class TestBank:
             assert bank.captions[i].startswith("a photo of distractor-")
 
     def test_clean_records_keep_their_own_caption(self):
-        spec = SynthSpec(seed=10, n_classes=3, n_per_class=4, bank_size=300,
+        spec = RunConfig(seed=10, n_classes=3, n_per_class=4, bank_size=300,
                          in_dist_fraction=1.0, weak_pair_rate=0.2)
         ds = generate_downstream(spec)
         bank = generate_pretrain_bank(spec, ds)
@@ -177,14 +177,14 @@ class TestBank:
             assert bank.captions[i] == f"a photo of {name}."
 
     def test_dimension_mismatch_is_an_error(self):
-        spec_a = SynthSpec(seed=0, n_classes=3, n_per_class=4, image_dim=16)
-        spec_b = SynthSpec(seed=0, n_classes=3, n_per_class=4, image_dim=32)
+        spec_a = RunConfig(seed=0, n_classes=3, n_per_class=4, image_dim=16)
+        spec_b = RunConfig(seed=0, n_classes=3, n_per_class=4, image_dim=32)
         ds = generate_downstream(spec_a)
         with pytest.raises(ValueError, match="dims"):
             generate_pretrain_bank(spec_b, ds)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="in_dist_fraction"):
-            SynthSpec(in_dist_fraction=1.5)
+            RunConfig(in_dist_fraction=1.5)
         with pytest.raises(ValueError, match="n_templates"):
-            SynthSpec(n_templates=0)
+            RunConfig(n_templates=0)

@@ -5,16 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from bankadapt.augment import AugmentConfig, augment_view
+from bankadapt.augment import augment_view
+from bankadapt.config import RunConfig
 from bankadapt.embank import ValidationError
 from bankadapt.encoder import FrozenEmbedder, init_params, load_params, save_params
 from bankadapt.sampler import SampleResult, stage1_sample, stage2_sample
 from bankadapt.seeding import derive_rng
-from bankadapt.synth import SynthSpec, generate_downstream, generate_pretrain_bank
+from bankadapt.synth import generate_downstream, generate_pretrain_bank
 from bankadapt.trainer import (
     METRICS_HEADER,
     SelectedBank,
-    TrainConfig,
     compose_batch,
     evaluate,
     fit,
@@ -25,7 +25,7 @@ from bankadapt.trainer import (
 
 def tiny_world(seed=0, n_classes=3, n_per_class=8, bank_size=150,
                image_dim=10, feat_dim=6, noise_sigma=0.5):
-    spec = SynthSpec(seed=seed, n_classes=n_classes, n_per_class=n_per_class,
+    spec = RunConfig(seed=seed, n_classes=n_classes, n_per_class=n_per_class,
                      bank_size=bank_size, image_dim=image_dim,
                      feat_dim=feat_dim, class_sep=4.0, in_dist_fraction=0.5,
                      weak_pair_rate=0.2, noise_sigma=noise_sigma)
@@ -45,11 +45,10 @@ def empty_selected(image_dim, feat_dim):
 
 def quick_config(**kw):
     base = dict(seed=0, batch_size=8, mu=2, t_thresh=0.8, epochs=2, lr=0.05,
-                momentum=0.9, hidden_dim=12,
-                augment=AugmentConfig(sigma_weak=0.05, sigma_strong=0.3,
-                                      mask_frac=0.2))
+                momentum=0.9, hidden_dim=12, sigma_weak=0.05,
+                sigma_strong=0.3, mask_frac=0.2)
     base.update(kw)
-    return TrainConfig(**base)
+    return RunConfig(**base)
 
 
 def test_steps_per_epoch():
@@ -114,8 +113,7 @@ def test_compose_batch_wraps_small_selected():
 
 def test_weak_view_identity_when_sigma_zero():
     _, ds, _, selected = tiny_world()
-    cfg = quick_config(augment=AugmentConfig(sigma_weak=0.0, sigma_strong=0.3,
-                                             mask_frac=0.1))
+    cfg = quick_config(sigma_weak=0.0, sigma_strong=0.3, mask_frac=0.1)
     batch = compose_batch(ds, selected, ds.class_text_feats, cfg, epoch=0, step=0)
     order = derive_rng(cfg.seed, "batch-labeled", 0).permutation(ds.size)
     idx = order[:cfg.batch_size]
@@ -183,7 +181,7 @@ def supervised_reference_fit(ds, cfg):
             xb = np.empty((idx.size, ds.image_dim))
             for r, i in enumerate(idx):
                 xb[r] = augment_view(ds.images[i].astype(np.float64), "weak",
-                                     cfg.augment, cfg.seed, epoch, int(i))
+                                     cfg, cfg.seed, epoch, int(i))
             z1 = xb @ w1.T + b1
             a1 = np.tanh(z1)
             v = a1 @ w2.T + b2
