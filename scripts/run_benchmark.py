@@ -1,5 +1,8 @@
 """Run the frozen benchmark variants and print per-seed accuracy tables.
 
+Each variant also reports its confident pseudo-labels (n_confident summed
+over every step of the fit), per seed and in total.
+
 Usage:
     python3 scripts/run_benchmark.py
     python3 scripts/run_benchmark.py --seeds 3 --variants baseline,full
@@ -8,7 +11,7 @@ Usage:
 import argparse
 import time
 
-from bankadapt.benchmark import VARIANTS, mean_accuracy, run_benchmark
+from bankadapt.benchmark import VARIANTS, mean_accuracy, run_fits
 
 
 def main() -> int:
@@ -25,12 +28,15 @@ def main() -> int:
             ap.error(f"unknown variant {v!r}, expected one of {sorted(VARIANTS)}")
 
     t0 = time.perf_counter()
-    accs = run_benchmark(seeds=range(args.seeds), variants=tuple(variants))
+    fits = run_fits(seeds=range(args.seeds), variants=tuple(variants))
     elapsed = time.perf_counter() - t0
+    accs = {v: [r.final_acc for r in fits[v]] for v in variants}
+    confident = {v: [sum(m.n_confident for m in r.metrics) for r in fits[v]]
+                 for v in variants}
     means = mean_accuracy(accs)
 
-    header = "variant      " + " ".join(f"seed{s}" for s in range(args.seeds))
-    print(header + "   mean")
+    seeds = " ".join(f"seed{s}" for s in range(args.seeds))
+    print(f"variant      {seeds}   mean")
     for v in variants:
         row = " ".join(f"{a:5.3f}" for a in accs[v])
         print(f"{v:<12} {row}  {means[v]:5.3f}")
@@ -39,6 +45,10 @@ def main() -> int:
             if v != "baseline":
                 delta = (means[v] - means["baseline"]) * 100
                 print(f"{v} - baseline: {delta:+.1f} points")
+    print(f"\nn_confident  {seeds}   total")
+    for v in variants:
+        row = " ".join(f"{c:5d}" for c in confident[v])
+        print(f"{v:<12} {row}  {sum(confident[v]):5d}")
     print(f"{len(variants) * args.seeds} runs in {elapsed:.0f}s")
     return 0
 

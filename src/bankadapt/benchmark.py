@@ -66,14 +66,20 @@ def run_variant(world: BenchmarkWorld, variant: str) -> TrainResult:
                cfg, eval_ds=world.eval_ds)
 
 
-def run_benchmark(seeds=range(5), variants=("baseline", "full")) -> dict[str, list[float]]:
-    """Held-out accuracy per variant, one entry per seed."""
-    accs: dict[str, list[float]] = {v: [] for v in variants}
+def run_fits(seeds=range(5), variants=("baseline", "full")) -> dict[str, list[TrainResult]]:
+    """One fit per variant and seed, in seed order."""
+    results: dict[str, list[TrainResult]] = {v: [] for v in variants}
     for seed in seeds:
         world = build_world(seed)
         for variant in variants:
-            accs[variant].append(run_variant(world, variant).final_acc)
-    return accs
+            results[variant].append(run_variant(world, variant))
+    return results
+
+
+def run_benchmark(seeds=range(5), variants=("baseline", "full")) -> dict[str, list[float]]:
+    """Held-out accuracy per variant, one entry per seed."""
+    return {v: [r.final_acc for r in fits]
+            for v, fits in run_fits(seeds, variants).items()}
 
 
 def mean_accuracy(accs: dict[str, list[float]]) -> dict[str, float]:

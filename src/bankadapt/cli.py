@@ -25,6 +25,7 @@ from .config import (
     apply_updates,
     config_keys,
     config_values,
+    format_value,
     parse_updates,
     write_config,
 )
@@ -59,7 +60,7 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
                      help="flat key = value file applied before flag overrides")
     for key, default in config_values(RunConfig()).items():
         sub.add_argument(f"--{key}", metavar="V", dest=key,
-                         help=f"{KEY_HELP[key]} (default: {default})")
+                         help=f"{KEY_HELP[key]} (default: {format_value(default)})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,11 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   help="drop the pseudo-label loss (eta = 0)")
     parsers["train"].add_argument("--no-contrastive", action="store_true",
                                   help="drop the contrastive loss (lambda = 0)")
-    parsers["sweep"].add_argument("--mu_list", default="2,3,4,5,6,7",
-                                  help="comma-separated mu grid")
-    parsers["sweep"].add_argument("--t_list",
-                                  default="0.5,0.6,0.7,0.8,0.9,0.95",
-                                  help="comma-separated t_thresh grid")
     parsers["inspect"].add_argument("path", help="file to inspect")
     return parser
 
@@ -150,7 +146,8 @@ def _sample_bank(cfg: RunConfig, bank: EmbeddingBank, ds: DownstreamDataset):
 
 def _selected_for_train(cfg: RunConfig, bank: EmbeddingBank,
                         ds: DownstreamDataset) -> SelectedBank:
-    if cfg.mu == 0 and cfg.lambda_ == 0.0:
+    # with mu = 0 no step draws an unlabeled row, so no step reads the selection
+    if cfg.mu == 0:
         return SelectedBank(ids=np.zeros(0, dtype=np.int64),
                             images=np.zeros((0, ds.image_dim), dtype=np.float32),
                             caption_feats=np.zeros((0, ds.feat_dim),
@@ -249,16 +246,11 @@ def cmd_gradcheck(cfg: RunConfig, args) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
-    try:
-        mu_grid = [int(v) for v in args.mu_list.split(",") if v.strip()]
-        t_grid = [float(v) for v in args.t_list.split(",") if v.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad sweep grid: {exc}") from exc
-    # every cell is built, and so checked, before any work
-    cells = [replace(cfg, mu=mu, t_thresh=t) for mu in mu_grid for t in t_grid]
+    cells = [replace(cfg, mu=mu, t_thresh=t)
+             for mu in cfg.mu_list for t in cfg.t_list]
     out = _out_dir(cfg)
     bank, ds, eval_ds = _load_world(cfg)
-    selected = _selected_for_train(replace(cfg, mu=max(mu_grid + [1])), bank, ds)
+    selected = _selected_for_train(replace(cfg, mu=max(cfg.mu_list)), bank, ds)
     del bank  # selected holds copies of its rows; training needs no more of the bank
     embedder = FrozenEmbedder.from_seed("image", cfg.seed, ds.feat_dim,
                                         ds.image_dim)

@@ -69,6 +69,9 @@ class RunConfig:
     stage1_multiplier: float = 8.0
     stage2_keep: float = 0.5
     memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES
+    # sweep grid
+    mu_list: tuple[int, ...] = (2, 3, 4, 5, 6, 7)
+    t_list: tuple[float, ...] = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95)
     # paths ("" means unset)
     bank: str = ""
     dataset: str = ""
@@ -120,6 +123,12 @@ class RunConfig:
             ("stage2_keep", self.stage2_keep > 0.0, "must be positive"),
             ("memory_budget_bytes", self.memory_budget_bytes >= 1,
              "must be at least 1"),
+            ("mu_list", len(self.mu_list) >= 1
+             and all(mu >= 0 for mu in self.mu_list),
+             "must list at least one 'mu', each non-negative"),
+            ("t_list", len(self.t_list) >= 1
+             and all(0.0 < t <= 1.0 for t in self.t_list),
+             "must list at least one 't_thresh', each in (0, 1]"),
         )
 
 
@@ -156,6 +165,8 @@ KEY_HELP = {
     "memory_budget_bytes": "bytes the sampler may hold while scoring and "
                            "merging; sets the rows per chunk, after at most "
                            "three quarters for the held candidates",
+    "mu_list": "comma-separated mu grid of sweep",
+    "t_list": "comma-separated t_thresh grid of sweep",
     "bank": "path to a DATB bank file",
     "dataset": "path to a DATD downstream dataset",
     "eval_dataset": "path to a DATD held-out dataset",
@@ -177,9 +188,15 @@ def config_keys() -> list[str]:
     return [_field_to_key(f.name) for f in fields(RunConfig)]
 
 
+_LIST_ITEMS = {"tuple[int, ...]": int, "tuple[float, ...]": float}
+
+
 def _parse_value(key: str, field_type: str, raw: str):
     raw = raw.strip()
     try:
+        if field_type in _LIST_ITEMS:
+            item = _LIST_ITEMS[field_type]
+            return tuple(item(v) for v in raw.split(",") if v.strip())
         if field_type == "int":
             return int(raw)
         if field_type == "float":
@@ -195,7 +212,9 @@ def _parse_value(key: str, field_type: str, raw: str):
         raise ConfigError(f"key {key!r}: cannot parse {raw!r} as {field_type}") from exc
 
 
-def _format_value(value) -> str:
+def format_value(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(format_value(v) for v in value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -249,7 +268,7 @@ def config_values(cfg: RunConfig) -> dict[str, object]:
 
 
 def write_config(cfg: RunConfig, path) -> None:
-    lines = [f"{key} = {_format_value(value)}"
+    lines = [f"{key} = {format_value(value)}"
              for key, value in config_values(cfg).items()]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

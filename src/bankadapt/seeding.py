@@ -1,9 +1,16 @@
 """Deterministic RNG streams derived from structured keys.
 
-Every random draw in the package goes through `derive_rng` so that a run is a
-pure function of its config.  Keys mix a user seed with string tags and loop
+Every random draw in the package is keyed here, so that a run is a pure
+function of its config.  Keys mix a user seed with string tags and loop
 indices; strings are folded in through blake2b so the streams are stable
 across platforms and Python processes (the builtin hash() is salted).
+
+Two kinds of stream use the keys.  Most draws (worlds, permutations,
+initial weights) come from a `derive_rng` Generator.  Augmentation is
+counter-based instead: `augment.py` takes one 64-bit key per call from
+`derive_seed_sequence(seed, "augment", epoch, view)` and derives each draw
+from a (sample_id, coordinate) counter under that key, so no per-row
+Generator is built.
 """
 
 from __future__ import annotations

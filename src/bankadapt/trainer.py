@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .augment import augment_view
+from .augment import STRONG, WEAK, augment_view
 from .config import RunConfig
 from .embank import DownstreamDataset, EmbeddingBank, ValidationError
 from .encoder import (
@@ -87,15 +87,6 @@ def steps_per_epoch(n: int, batch_size: int) -> int:
     return math.ceil(n / batch_size)
 
 
-def _augment_rows(images: np.ndarray, sample_ids: np.ndarray, view: str,
-                  cfg: RunConfig, epoch: int) -> np.ndarray:
-    out = np.empty((sample_ids.shape[0], images.shape[1]))
-    for row, sid in enumerate(sample_ids):
-        out[row] = augment_view(images[row].astype(np.float64), view, cfg,
-                                cfg.seed, epoch, int(sid))
-    return out
-
-
 def compose_batch(ds: DownstreamDataset, selected: SelectedBank,
                   class_text_feats: np.ndarray, cfg: RunConfig,
                   epoch: int, step: int) -> ObjectiveBatch:
@@ -104,8 +95,7 @@ def compose_batch(ds: DownstreamDataset, selected: SelectedBank,
     lab_idx = order_l[step * cfg.batch_size:(step + 1) * cfg.batch_size]
     if lab_idx.size == 0:
         raise ValueError(f"step {step} is past the end of epoch {epoch}")
-    labeled_weak = _augment_rows(ds.images[lab_idx], lab_idx, "weak", cfg,
-                                 epoch)
+    labeled_weak = augment_view(ds.images[lab_idx], lab_idx, WEAK, cfg, epoch)
 
     u = cfg.mu * lab_idx.size
     if u > 0 and selected.size > 0:
@@ -116,10 +106,9 @@ def compose_batch(ds: DownstreamDataset, selected: SelectedBank,
         # Augmentation ids offset by n so bank streams never collide with
         # downstream streams.
         aug_ids = n + pos
-        unlabeled_weak = _augment_rows(selected.images[pos], aug_ids, "weak",
-                                       cfg, epoch)
-        unlabeled_strong = _augment_rows(selected.images[pos], aug_ids,
-                                         "strong", cfg, epoch)
+        images = selected.images[pos]
+        unlabeled_weak = augment_view(images, aug_ids, WEAK, cfg, epoch)
+        unlabeled_strong = augment_view(images, aug_ids, STRONG, cfg, epoch)
         caption_feats = selected.caption_feats[pos].astype(np.float64)
     else:
         dim = ds.image_dim

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from bankadapt import cli
 from bankadapt.cli import main
 
 TINY = ["--n_classes", "3", "--n_per_class", "6", "--eval_n_per_class", "8",
@@ -226,3 +227,25 @@ def test_unknown_key_in_config_file(tmp_path):
     cfg.write_text("definitely_not_a_key = 4\n")
     assert run(["train", "--config", str(cfg),
                 "--out_dir", str(tmp_path / "o")]) == 1
+
+
+def test_train_with_mu_zero_never_samples_the_bank(tmp_path, monkeypatch):
+    # no step draws an unlabeled row at mu = 0, even with lambda > 0
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bank was sampled")
+
+    monkeypatch.setattr(cli, "_sample_bank", refuse)
+    assert run(["train", *TINY, "--mu", "0", "--epochs", "1",
+                "--out_dir", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "metrics.csv").exists()
+
+
+def test_sweep_rerun_from_its_resolved_config(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run(["sweep", *TINY, "--epochs", "1", "--mu_list", "2",
+                "--t_list", "0.6", "--out_dir", str(a)]) == 0
+    assert run(["sweep", "--config", str(a / "resolved-sweep.cfg"),
+                "--out_dir", str(b)]) == 0
+    summary = (a / "sweep" / "summary.csv").read_bytes()
+    assert summary == (b / "sweep" / "summary.csv").read_bytes()
+    assert len(summary.decode().splitlines()) == 2

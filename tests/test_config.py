@@ -29,7 +29,7 @@ BAD_VALUES = {
     "anchor_reduction": "median", "batch_size": "0", "mu": "-1",
     "t_thresh": "0.0", "epochs": "-1", "lr": "0.0", "momentum": "1.0",
     "hidden_dim": "0", "stage1_multiplier": "-3", "stage2_keep": "-1",
-    "memory_budget_bytes": "0",
+    "memory_budget_bytes": "0", "mu_list": "2,-1", "t_list": "0.5,1.5",
 }
 
 
@@ -171,6 +171,24 @@ def test_bench_matches_the_perfbench_recipe():
 
 def test_chunk_rows_key_is_gone():
     # rows per chunk follow from memory_budget_bytes and the shape
-    assert len(config_keys()) == 36
+    assert len(config_keys()) == 38
     with pytest.raises(ConfigError, match="unknown config key 'chunk_rows'"):
         parse_config("chunk_rows = 8192\n")
+
+
+def test_sweep_grid_is_part_of_the_config(tmp_path):
+    assert RunConfig().mu_list == (2, 3, 4, 5, 6, 7)
+    assert RunConfig().t_list == (0.5, 0.6, 0.7, 0.8, 0.9, 0.95)
+    cfg = parse_config("mu_list = 0, 4,,9\nt_list = 0.25,1.0\n")
+    assert (cfg.mu_list, cfg.t_list) == ((0, 4, 9), (0.25, 1.0))
+    path = tmp_path / "run.cfg"
+    write_config(cfg, path)
+    assert "mu_list = 0,4,9" in path.read_text().splitlines()
+    assert load_config(path) == cfg
+    with pytest.raises(ConfigError, match="'mu_list': cannot parse"):
+        parse_config("mu_list = 2.5\n")
+    for key in ("mu_list", "t_list"):
+        with pytest.raises(ConfigError, match=f"'{key}': must list at least one"):
+            parse_config(f"{key} = ,\n")
+    with pytest.raises(ConfigError, match="'t_list'"):
+        parse_config("t_list = nan\n")

@@ -178,10 +178,7 @@ def supervised_reference_fit(ds, cfg):
         order = derive_rng(cfg.seed, "batch-labeled", epoch).permutation(n)
         for step in range(math.ceil(n / cfg.batch_size)):
             idx = order[step * cfg.batch_size:(step + 1) * cfg.batch_size]
-            xb = np.empty((idx.size, ds.image_dim))
-            for r, i in enumerate(idx):
-                xb[r] = augment_view(ds.images[i].astype(np.float64), "weak",
-                                     cfg, cfg.seed, epoch, int(i))
+            xb = augment_view(ds.images[idx], idx, "weak", cfg, epoch)
             z1 = xb @ w1.T + b1
             a1 = np.tanh(z1)
             v = a1 @ w2.T + b2
