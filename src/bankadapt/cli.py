@@ -35,6 +35,8 @@ from .embank import (
     ValidationError,
     decode_bank_file,
     decode_dataset_file,
+    describe_bank_file,
+    describe_dataset_file,
     encode_bank_file,
     encode_dataset_file,
 )
@@ -120,11 +122,12 @@ def _echo_config(cfg: RunConfig, out: Path, command: str) -> None:
     write_config(cfg, out / f"resolved-{command}.cfg")
 
 
-def _load_world(cfg: RunConfig) -> tuple[EmbeddingBank, DownstreamDataset,
-                                         DownstreamDataset | None]:
-    """Bank and datasets from files when paths are set, else synthetic."""
+def _load_world(cfg: RunConfig, bank_fields: tuple[str, ...]
+                ) -> tuple[EmbeddingBank, DownstreamDataset, DownstreamDataset | None]:
+    """Bank and datasets from files when paths are set, else synthetic.  A
+    bank file is checked whole but keeps only bank_fields."""
     if cfg.bank and cfg.dataset:
-        bank = decode_bank_file(cfg.bank)
+        bank = decode_bank_file(cfg.bank, fields=bank_fields)
         ds = decode_dataset_file(cfg.dataset)
         eval_ds = decode_dataset_file(cfg.eval_dataset) if cfg.eval_dataset else None
         return bank, ds, eval_ds
@@ -142,6 +145,15 @@ def _sample_bank(cfg: RunConfig, bank: EmbeddingBank, ds: DownstreamDataset):
     k2 = default_k2(s1.n_selected, ds.size, cfg.stage2_keep)
     s2 = stage2_sample(s1, bank, ds, embedder, k2, cfg.memory_budget_bytes)
     return s1, s2
+
+
+def _train_bank_fields(cfg: RunConfig) -> tuple[str, ...]:
+    """The bank fields _selected_for_train reads."""
+    if cfg.mu == 0:
+        return ()
+    if cfg.samples:
+        return ("images", "caption_feats")
+    return ("images", "feats", "caption_feats")
 
 
 def _selected_for_train(cfg: RunConfig, bank: EmbeddingBank,
@@ -178,7 +190,7 @@ def cmd_synth_gen(cfg: RunConfig, args) -> int:
 
 def cmd_sample(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg)
-    bank, ds, _ = _load_world(cfg)
+    bank, ds, _ = _load_world(cfg, ("feats", "latent_class"))
     s1, s2 = _sample_bank(cfg, bank, ds)
     samples_path = Path(cfg.samples) if cfg.samples else out / "samples.csv"
     save_sample_csv(s2, samples_path, samples_path.with_name("deficits.csv"))
@@ -200,7 +212,7 @@ def cmd_sample(cfg: RunConfig, args) -> int:
 
 def cmd_train(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg)
-    bank, ds, eval_ds = _load_world(cfg)
+    bank, ds, eval_ds = _load_world(cfg, _train_bank_fields(cfg))
     selected = _selected_for_train(cfg, bank, ds)
     del bank  # selected holds copies of its rows; training needs no more of the bank
     embedder = FrozenEmbedder.from_seed("image", cfg.seed, ds.feat_dim,
@@ -249,8 +261,9 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     cells = [replace(cfg, mu=mu, t_thresh=t)
              for mu in cfg.mu_list for t in cfg.t_list]
     out = _out_dir(cfg)
-    bank, ds, eval_ds = _load_world(cfg)
-    selected = _selected_for_train(replace(cfg, mu=max(cfg.mu_list)), bank, ds)
+    widest = replace(cfg, mu=max(cfg.mu_list))
+    bank, ds, eval_ds = _load_world(cfg, _train_bank_fields(widest))
+    selected = _selected_for_train(widest, bank, ds)
     del bank  # selected holds copies of its rows; training needs no more of the bank
     embedder = FrozenEmbedder.from_seed("image", cfg.seed, ds.feat_dim,
                                         ds.image_dim)
@@ -276,21 +289,18 @@ def cmd_inspect(cfg: RunConfig, args) -> int:
     with open(path, "rb") as fh:
         magic = fh.read(4)
     if magic == b"DATB":
-        bank = decode_bank_file(path)
-        print(f"format = DATB\nrecords = {bank.size}\n"
-              f"image_dim = {bank.image_dim}\nfeat_dim = {bank.feat_dim}\n"
-              f"with_latent = {bool(np.any(bank.latent_class >= 0))}")
+        info = describe_bank_file(path)
     elif magic == b"DATD":
-        ds = decode_dataset_file(path)
-        print(f"format = DATD\nimages = {ds.size}\nclasses = {ds.n_classes}\n"
-              f"image_dim = {ds.image_dim}\nfeat_dim = {ds.feat_dim}")
+        info = describe_dataset_file(path)
     elif magic == b"DATC":
         params = load_params(path)
-        print(f"format = DATC\nimage_dim = {params.image_dim}\n"
-              f"hidden_dim = {params.hidden_dim}\nfeat_dim = {params.feat_dim}\n"
-              f"n_classes = {params.n_classes}")
+        info = {"image_dim": params.image_dim, "hidden_dim": params.hidden_dim,
+                "feat_dim": params.feat_dim, "n_classes": params.n_classes}
     else:
         raise ValidationError([f"unrecognized magic {magic!r} in {path}"])
+    print(f"format = {magic.decode()}")
+    for key, value in info.items():
+        print(f"{key} = {value}")
     return 0
 
 

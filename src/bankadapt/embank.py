@@ -30,26 +30,35 @@ Writers validate invariants and refuse to write a violating container, so a
 file that decodes cleanly round-trips bit-exactly.
 
 Reading (``read_container``, shared with the DATC checkpoint in
-``encoder.py``) takes one pass over the file into a single uint8 buffer.
-Magic, version and the CRC32 are checked on that buffer, and every numeric
-payload is an array view of it, converted only on a big-endian host.
-Decoding then checks, before anything is returned: every field fits the
-file and no byte follows the last one; every string-table entry lies inside
-its blob; each blob is UTF-8 and no non-empty entry starts or ends inside a
-multi-byte character, so every entry decodes; and the container invariants
-of ``validate_bank``/``validate_dataset``.  String tables come back as
-``StringTable``, which decodes an entry only when it is read: the samplers
-never read the bank's captions.
+``encoder.py``) streams the payload once, in file order, with ``readinto``.
+A field the caller keeps is read straight into its own array; a field it
+skips passes through one reusable block buffer of ``_BLOCK_BYTES`` and is
+dropped.  Either way every block updates the CRC32 and runs the field's
+checks, so a decode that keeps only ``feats`` still checks the whole file:
+every field fits the file and no byte follows the last one; every
+string-table entry lies inside its blob; each blob is UTF-8 and no
+non-empty entry starts or ends inside a multi-byte character, so every
+entry decodes; and the finite, unit-row and label-range invariants of
+``validate_bank``/``validate_dataset``.  For the character-boundary check a
+string table keeps a bitmap of its blob's continuation bytes (blob_len / 8
+bytes) and reads its offset table a second time.  Errors are raised once
+the CRC32 over the whole payload has matched, so a ``ChecksumError`` takes
+precedence over any other.  Skipped fields come back as ``None``; string
+tables come back as ``StringTable``, which decodes an entry only when it is
+read.
 """
 
 from __future__ import annotations
 
 import codecs
+import math
 import os
 import struct
 import zlib
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -60,10 +69,21 @@ _BANK_MAGIC = b"DATB"
 _DATASET_MAGIC = b"DATD"
 _BANK_HEADER = struct.Struct("<4sHHQII")
 _DATASET_HEADER = struct.Struct("<4sHHQIII")
-# Rows (or string-table entries) per block when validating, so that no
-# temporary grows with the row count.
+# Bytes of a field the reader takes in with one read, and bytes its checks
+# take at a time, so that their temporaries stay near a megabyte; both
+# multiples of 8, so that a blob's continuation bitmap is packed piece by
+# piece.  The block buffer of skipped fields is freed when the decode ends,
+# and glibc then raises its dynamic mmap and trim thresholds to its size:
+# at 4 MiB the n x n temporaries of each training step stay in the heap
+# instead of being mapped and faulted in anew (train-full: 7,000 minor page
+# faults against 39,000 with 1 MiB blocks, and about 12% less time).
+_BLOCK_BYTES = 1 << 22
+_CHECK_BYTES = 1 << 20
+# Rows (or string-table entries) per block when validating arrays in
+# memory, so that no temporary grows with the row count.
 _VALIDATE_BLOCK_ROWS = 1 << 12
-_UTF8_CHUNK = 1 << 20
+
+BANK_FIELDS = ("images", "feats", "caption_feats", "latent_class", "captions")
 
 
 class FormatError(ValueError):
@@ -92,14 +112,15 @@ class EmbeddingBank:
 
     latent_class holds the generating class for synthetic records (-1 when
     unknown or out of distribution); it is ground truth for precision
-    reporting only and is never read by the samplers or the trainer.
+    reporting only and is never read by the samplers or the trainer.  A
+    bank decoded with only some of BANK_FIELDS holds None for the others.
     """
 
-    images: np.ndarray         # (m, D_img) float32
-    feats: np.ndarray          # (m, d) float32, unit rows
-    caption_feats: np.ndarray  # (m, d) float32, unit rows
-    captions: Sequence[str]
-    latent_class: np.ndarray   # (m,) int32
+    images: np.ndarray | None         # (m, D_img) float32
+    feats: np.ndarray | None          # (m, d) float32, unit rows
+    caption_feats: np.ndarray | None  # (m, d) float32, unit rows
+    captions: Sequence[str] | None
+    latent_class: np.ndarray | None   # (m,) int32
 
     @property
     def size(self) -> int:
@@ -141,28 +162,65 @@ class DownstreamDataset:
         return self.class_text_feats.shape[1]
 
 
-def _check_finite(name: str, arr: np.ndarray, out: list[str]) -> None:
-    for start in range(0, arr.shape[0], _VALIDATE_BLOCK_ROWS):
-        bad = ~np.isfinite(arr[start:start + _VALIDATE_BLOCK_ROWS])
-        if bad.any():
-            idx = np.unravel_index(int(np.argmax(bad)), bad.shape)
-            idx = (start + int(idx[0]),) + tuple(int(i) for i in idx[1:])
-            out.append(f"{name} has non-finite value at index {idx}")
-            return
+# Each check takes (field name, block of rows, index of the block's first
+# row) and returns the block's first violation, or None.
+
+def _non_finite(name: str, block: np.ndarray, row0: int) -> str | None:
+    finite = np.isfinite(block)
+    if finite.all():
+        return None
+    idx = np.unravel_index(int(np.argmin(finite)), finite.shape)
+    idx = (row0 + int(idx[0]),) + tuple(int(i) for i in idx[1:])
+    return f"{name} has non-finite value at index {idx}"
 
 
-def _check_unit_rows(name: str, arr: np.ndarray, out: list[str]) -> None:
-    if arr.size == 0:
-        return
-    for start in range(0, arr.shape[0], _VALIDATE_BLOCK_ROWS):
-        block = arr[start:start + _VALIDATE_BLOCK_ROWS]
-        norms = np.linalg.norm(block.astype(np.float64), axis=1)
-        off = np.abs(norms - 1.0) > UNIT_NORM_TOL
-        if off.any():
-            i = int(np.argmax(off))
-            out.append(f"{name} row {start + i} has norm {norms[i]:.8f}, "
-                       f"expected 1 within {UNIT_NORM_TOL}")
-            return
+def _off_unit(name: str, block: np.ndarray, row0: int) -> str | None:
+    if block.size == 0:
+        return None
+    # np.linalg.norm(x, axis=1) is sqrt(add.reduce(x * x, axis=1)); the
+    # squares are taken in place so the float64 copy is the only temporary
+    squares = block.astype(np.float64)
+    np.multiply(squares, squares, out=squares)
+    norms = np.sqrt(np.add.reduce(squares, axis=1))
+    off = np.abs(norms - 1.0) > UNIT_NORM_TOL
+    if not off.any():
+        return None
+    i = int(np.argmax(off))
+    return (f"{name} row {row0 + i} has norm {norms[i]:.8f}, "
+            f"expected 1 within {UNIT_NORM_TOL}")
+
+
+def _label_outside(n_classes: int, name: str, block: np.ndarray,
+                   row0: int) -> str | None:
+    bad = (block < 0) | (block >= n_classes)
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    return f"label {int(block[i])} at index {row0 + i} outside [0, {n_classes})"
+
+
+# (check, field) pairs, in the order their violations are reported.
+_BANK_CHECKS = ((_non_finite, "images"), (_non_finite, "feats"),
+                (_non_finite, "caption_feats"), (_off_unit, "feats"),
+                (_off_unit, "caption_feats"))
+
+
+def _dataset_checks(n_classes: int) -> tuple:
+    return ((partial(_label_outside, n_classes), "labels"),
+            (_non_finite, "images"), (_non_finite, "class_text_feats"),
+            (_off_unit, "class_text_feats"))
+
+
+def _check_arrays(checks, container, out: list[str]) -> None:
+    """Run checks over the container's arrays in blocks of rows and append
+    each check's first violation to out."""
+    for check, name in checks:
+        arr = getattr(container, name)
+        for start in range(0, arr.shape[0], _VALIDATE_BLOCK_ROWS):
+            found = check(name, arr[start:start + _VALIDATE_BLOCK_ROWS], start)
+            if found:
+                out.append(found)
+                break
 
 
 def validate_bank(bank: EmbeddingBank) -> list[str]:
@@ -181,11 +239,7 @@ def validate_bank(bank: EmbeddingBank) -> list[str]:
         v.append(f"expected {m} captions, got {len(bank.captions)}")
     if bank.latent_class.shape != (m,):
         v.append(f"latent_class shape {bank.latent_class.shape}, expected ({m},)")
-    _check_finite("images", bank.images, v)
-    _check_finite("feats", bank.feats, v)
-    _check_finite("caption_feats", bank.caption_feats, v)
-    _check_unit_rows("feats", bank.feats, v)
-    _check_unit_rows("caption_feats", bank.caption_feats, v)
+    _check_arrays(_BANK_CHECKS, bank, v)
     return v
 
 
@@ -199,12 +253,7 @@ def validate_dataset(ds: DownstreamDataset) -> list[str]:
     if len(ds.class_names) != C or len(ds.class_descriptions) != C:
         v.append(f"expected {C} class names and descriptions, got "
                  f"{len(ds.class_names)} and {len(ds.class_descriptions)}")
-    if n and (ds.labels.min() < 0 or ds.labels.max() >= C):
-        bad = int(np.argmax((ds.labels < 0) | (ds.labels >= C)))
-        v.append(f"label {int(ds.labels[bad])} at index {bad} outside [0, {C})")
-    _check_finite("images", ds.images, v)
-    _check_finite("class_text_feats", ds.class_text_feats, v)
-    _check_unit_rows("class_text_feats", ds.class_text_feats, v)
+    _check_arrays(_dataset_checks(C), ds, v)
     return v
 
 
@@ -221,7 +270,7 @@ class StringTable(Sequence):
     """Read-only strings of a decoded container, each decoded when read.
 
     Holds the (count, 2) table of (offset, len) pairs and the UTF-8 blob as
-    views of the file buffer.  Compares equal to a list of the same strings.
+    arrays.  Compares equal to a list of the same strings.
     """
 
     __slots__ = ("_table", "_blob")
@@ -245,74 +294,194 @@ class StringTable(Sequence):
         return NotImplemented
 
 
-class _Cursor:
-    """Consecutive payload fields as views of one file buffer."""
+def _fill(fh, view: memoryview, what: str) -> None:
+    """Read exactly len(view) bytes into view."""
+    got = 0
+    while got < len(view):
+        n = fh.readinto(view[got:])
+        if not n:
+            raise TruncatedFileError(f"file ended while reading {what}")
+        got += n
 
-    def __init__(self, buf: np.ndarray, pos: int):
-        self.buf = buf
-        self.pos = pos
-        self.end = len(buf) - 4  # the stored crc32 follows the payload
 
-    def take(self, n: int, what: str) -> np.ndarray:
-        if self.pos + n > self.end:
-            raise TruncatedFileError(
-                f"truncated while reading {what}: expected {self.pos + n + 4} bytes, "
-                f"file has {len(self.buf)}")
-        chunk = self.buf[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
+def _first_split(entries: np.ndarray, continuation: np.ndarray,
+                 limit: np.uint64) -> int | None:
+    """The first non-empty entry that starts or ends on a continuation byte
+    (its bit set in the packed bitmap); every entry lies inside the blob."""
+    off, ln = entries[:, 0], entries[:, 1]
+    split = np.zeros(len(off), dtype=bool)
+    for pos in (off, off + ln):
+        inside = (ln > 0) & (pos < limit)
+        p = pos[inside]
+        split[inside] |= ((continuation[p >> 3] >> (7 - (p & 7))) & 1).astype(bool)
+    return int(np.argmax(split)) if split.any() else None
 
-    def take_array(self, count: int, dtype, what: str) -> np.ndarray:
-        """count little-endian items, as a view unless the host is big-endian."""
-        dtype = np.dtype(dtype)
-        raw = self.take(count * dtype.itemsize, what)
-        return raw.view(dtype.newbyteorder("<")).astype(dtype, copy=False)
+
+class _PayloadReader:
+    """The payload fields of one open container, read once in file order.
+
+    Every byte goes through the CRC32 and the checks of its field.  A
+    structural error is raised as soon as it is found, and the checks'
+    violations by finish, but each only once the CRC32 over the whole
+    payload has matched.
+    """
+
+    def __init__(self, fh, file_size: int, pos: int):
+        self._fh = fh
+        self._file_size = file_size
+        self._pos = pos
+        self._end = file_size - 4  # the stored crc32 follows the payload
+        self._crc = 0
+        self._block = np.empty(0, np.uint8)
+        self._found: dict[int, str] = {}
+
+    def _buffer(self, nbytes: int) -> np.ndarray:
+        """The reusable block buffer; it outgrows _BLOCK_BYTES only for a
+        row longer than that."""
+        if self._block.size < nbytes:
+            self._block = np.empty(max(nbytes, _BLOCK_BYTES), np.uint8)
+        return self._block[:nbytes]
+
+    def _consume(self, dst: np.ndarray, what: str) -> None:
+        """Fill the contiguous array dst from the file and fold it into the CRC32."""
+        if dst.nbytes == 0:
+            return
+        view = memoryview(dst).cast("B")
+        _fill(self._fh, view, what)
+        self._crc = zlib.crc32(view, self._crc)
+        self._pos += dst.nbytes
+
+    def _fail(self, error: Exception):
+        """Raise error once the rest of the payload has matched its CRC32."""
+        while self._pos < self._end:
+            self._consume(self._buffer(min(_BLOCK_BYTES, self._end - self._pos)),
+                          "the payload")
+        self._check_crc()
+        raise error
+
+    def _check_crc(self) -> None:
+        stored = bytearray(4)
+        _fill(self._fh, memoryview(stored), "the crc32")
+        (stored_crc,) = struct.unpack("<I", stored)
+        actual_crc = self._crc & 0xFFFFFFFF
+        if stored_crc != actual_crc:
+            raise ChecksumError(
+                f"payload crc32 {actual_crc:#010x} does not match stored {stored_crc:#010x}")
+
+    def array(self, what: str, shape: tuple, dtype, keep: bool = True,
+              checks: Sequence = (), visit=None) -> np.ndarray | None:
+        """The next field, shape items of dtype stored little-endian: an
+        array when keep is true, else None.
+
+        Each piece of _CHECK_BYTES goes through the checks of the (check,
+        field) pairs in checks whose field is what, and then through
+        visit(piece, index of its first row).  Pass every field of a
+        container the same checks: finish reports their violations in that
+        order.
+        """
+        stored = np.dtype(dtype).newbyteorder("<")
+        rows, row_shape = shape[0], tuple(shape[1:])
+        row_bytes = math.prod(row_shape) * stored.itemsize
+        if self._pos + rows * row_bytes > self._end:
+            self._fail(TruncatedFileError(
+                f"truncated while reading {what}: expected "
+                f"{self._pos + rows * row_bytes + 4} bytes, file has {self._file_size}"))
+        mine = [(i, check) for i, (check, name) in enumerate(checks) if name == what]
+        out = np.empty(shape, stored) if keep else None
+        step = max(1, _BLOCK_BYTES // max(row_bytes, 1))
+        piece = max(1, _CHECK_BYTES // max(row_bytes, 1))
+        for start in range(0, rows, step):
+            n = min(step, rows - start)
+            if out is None:
+                block = self._buffer(n * row_bytes).view(stored).reshape((n,) + row_shape)
+            else:
+                block = out[start:start + n]
+            self._consume(block, what)
+            for at in range(0, n, piece):
+                part = block[at:at + piece]
+                for i, check in mine:
+                    if i not in self._found:
+                        found = check(what, part, start + at)
+                        if found:
+                            self._found[i] = found
+                if visit is not None:
+                    visit(part, start + at)
+        return None if out is None else out.astype(dtype, copy=False)
+
+    def table(self, what: str, count: int, keep: bool = True) -> StringTable | None:
+        """The next string table, checked entry by entry (see the module
+        docstring): a StringTable when keep is true, else None."""
+        blob_len = int(self.array(f"{what} blob length", (1,), np.uint64)[0])
+        limit = np.uint64(blob_len)
+        table_at = self._pos
+        outside = None
+
+        def bounds(entries, row0):
+            nonlocal outside
+            if outside is None:
+                off, ln = entries[:, 0], entries[:, 1]
+                # ln > blob_len - off, without the wrap-around when off > blob_len
+                bad = (off > limit) | (ln > limit - np.minimum(off, limit))
+                if bad.any():
+                    outside = row0 + int(np.argmax(bad))
+
+        table = self.array(f"{what} offset table", (count, 2), np.uint64, keep,
+                           visit=bounds)
+        continuation = np.empty(-(-blob_len // 8), np.uint8)
+        decoder = codecs.getincrementaldecoder("utf-8")()
+        not_utf8 = None
+
+        def utf8(chunk, row0):
+            nonlocal not_utf8
+            stop = row0 + chunk.size
+            # continuation bytes, 0x80 to 0xBF, are the int8 values below -64
+            continuation[row0 // 8:-(-stop // 8)] = np.packbits(chunk.view(np.int8) < -64)
+            if not_utf8 is None:
+                try:
+                    decoder.decode(memoryview(chunk), final=stop == blob_len)
+                except UnicodeDecodeError as exc:
+                    not_utf8 = exc.reason
+
+        blob = self.array(f"{what} blob", (blob_len,), np.uint8, keep, visit=utf8)
+        # The entries before the first one outside the blob, against the
+        # bitmap: from memory when kept, else read again from the file
+        # (their bytes are already in the CRC32).
+        checked = count if outside is None else outside
+        step = max(1, _CHECK_BYTES // 16)
+        split = None
+        if table is None:
+            self._fh.seek(table_at)
+        for start in range(0, checked, step):
+            n = min(step, checked - start)
+            if table is None:
+                entries = self._buffer(16 * n).view("<u8").reshape(n, 2)
+                _fill(self._fh, memoryview(entries).cast("B"), f"{what} offset table")
+            else:
+                entries = table[start:start + n]
+            split = _first_split(entries, continuation, limit)
+            if split is not None:
+                split += start
+                break
+        if table is None:
+            self._fh.seek(self._pos)
+        if split is not None:
+            self._fail(FormatError(
+                f"{what} entry {split} splits a multi-byte UTF-8 character"))
+        if outside is not None:
+            self._fail(FormatError(f"{what} entry {outside} points outside the blob"))
+        if not_utf8 is not None:
+            self._fail(FormatError(f"{what} blob is not valid UTF-8: {not_utf8}"))
+        return None if table is None else StringTable(table, blob)
 
     def finish(self, what: str) -> None:
-        if self.pos != self.end:
-            raise FormatError(f"{self.end - self.pos} trailing bytes after the {what}")
-
-
-def _check_entries(table: np.ndarray, blob: np.ndarray, what: str) -> None:
-    """Every entry lies inside the blob and no non-empty one starts or ends
-    inside a multi-byte UTF-8 character; checked in blocks of entries."""
-    limit = np.uint64(len(blob))
-    for start in range(0, len(table), _VALIDATE_BLOCK_ROWS):
-        off = table[start:start + _VALIDATE_BLOCK_ROWS, 0]
-        ln = table[start:start + _VALIDATE_BLOCK_ROWS, 1]
-        # ln > blob_len - off, without the wrap-around when off > blob_len
-        outside = (off > limit) | (ln > limit - np.minimum(off, limit))
-        if outside.any():
-            raise FormatError(
-                f"{what} entry {start + int(np.argmax(outside))} points outside the blob")
-        split = np.zeros(len(off), dtype=bool)
-        for pos in (off, off + ln):
-            inside = (ln > 0) & (pos < limit)
-            split[inside] |= (blob[pos[inside]] & 0xC0) == 0x80
-        if split.any():
-            raise FormatError(f"{what} entry {start + int(np.argmax(split))} "
-                              f"splits a multi-byte UTF-8 character")
-
-
-def _check_utf8(blob: np.ndarray, what: str) -> None:
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    data = memoryview(blob)
-    try:
-        for start in range(0, len(data), _UTF8_CHUNK):
-            decoder.decode(data[start:start + _UTF8_CHUNK])
-        decoder.decode(b"", final=True)
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{what} blob is not valid UTF-8: {exc.reason}") from None
-
-
-def _decode_string_table(cur: _Cursor, count: int, what: str) -> StringTable:
-    """Entries are checked here so that each one decodes when it is read."""
-    (blob_len,) = struct.unpack("<Q", cur.take(8, f"{what} blob length"))
-    table = cur.take_array(2 * count, np.uint64, f"{what} offset table").reshape(count, 2)
-    blob = cur.take(blob_len, f"{what} blob")
-    _check_entries(table, blob, what)
-    _check_utf8(blob, what)
-    return StringTable(table, blob)
+        """Check that the payload ends here and matches its CRC32, then raise
+        the checks' violations, if any."""
+        if self._pos != self._end:
+            self._fail(FormatError(
+                f"{self._end - self._pos} trailing bytes after the {what}"))
+        self._check_crc()
+        if self._found:
+            raise ValidationError([self._found[i] for i in sorted(self._found)])
 
 
 def _f32_rows(arr: np.ndarray) -> bytes:
@@ -330,41 +499,26 @@ def write_container(path, header: bytes, parts) -> None:
         fh.write(struct.pack("<I", crc & 0xFFFFFFFF))
 
 
-def _read_file(path) -> np.ndarray:
-    """The whole file as one uint8 buffer, read straight into it (np.fromfile
-    took about twice as long on a 240 MiB bank, 2-core Linux VM)."""
-    with open(path, "rb", buffering=0) as fh:
-        buf = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
-        view = memoryview(buf)
-        pos = 0
-        while pos < len(buf):
-            n = fh.readinto(view[pos:])
-            if not n:
-                break
-            pos += n
-    return buf[:pos]
-
-
+@contextmanager
 def read_container(path, magic: bytes, header: struct.Struct,
-                   version: int = FORMAT_VERSION) -> tuple[tuple, _Cursor]:
-    """Read the file once; check its magic, version and crc32.
+                   version: int = FORMAT_VERSION):
+    """Open a container and check its size, magic and version.
 
-    Returns the header fields and a cursor over the payload."""
-    buf = _read_file(path)
-    if len(buf) < header.size + 4:
-        raise TruncatedFileError(
-            f"expected at least {header.size + 4} bytes, file has {len(buf)}")
-    fields = header.unpack_from(buf, 0)
-    if fields[0] != magic:
-        raise FormatError(f"bad magic {fields[0]!r}, expected {magic!r}")
-    if fields[1] != version:
-        raise FormatError(f"unsupported version {fields[1]}, expected {version}")
-    (stored_crc,) = struct.unpack_from("<I", buf, len(buf) - 4)
-    actual_crc = zlib.crc32(buf[header.size:-4]) & 0xFFFFFFFF
-    if stored_crc != actual_crc:
-        raise ChecksumError(
-            f"payload crc32 {actual_crc:#010x} does not match stored {stored_crc:#010x}")
-    return fields, _Cursor(buf, header.size)
+    Yields the header fields and a reader at the start of the payload; the
+    caller reads every field in order and then calls its finish."""
+    with open(path, "rb", buffering=0) as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < header.size + 4:
+            raise TruncatedFileError(
+                f"expected at least {header.size + 4} bytes, file has {size}")
+        head = bytearray(header.size)
+        _fill(fh, memoryview(head), "the header")
+        fields = header.unpack(head)
+        if fields[0] != magic:
+            raise FormatError(f"bad magic {fields[0]!r}, expected {magic!r}")
+        if fields[1] != version:
+            raise FormatError(f"unsupported version {fields[1]}, expected {version}")
+        yield fields, _PayloadReader(fh, size, header.size)
 
 
 def encode_bank_file(bank: EmbeddingBank, path) -> None:
@@ -381,21 +535,40 @@ def encode_bank_file(bank: EmbeddingBank, path) -> None:
     ])
 
 
-def decode_bank_file(path) -> EmbeddingBank:
-    fields, cur = read_container(path, _BANK_MAGIC, _BANK_HEADER)
-    _, _, flags, m, d_img, d = fields
-    images = cur.take_array(m * d_img, np.float32, "images").reshape(m, d_img)
-    feats = cur.take_array(m * d, np.float32, "feats").reshape(m, d)
-    caption_feats = cur.take_array(m * d, np.float32, "caption_feats").reshape(m, d)
-    latent = cur.take_array(m, np.int32, "latent_class")
-    captions = _decode_string_table(cur, m, "captions")
-    cur.finish("caption table")
-    bank = EmbeddingBank(images=images, feats=feats, caption_feats=caption_feats,
-                         captions=captions, latent_class=latent)
-    violations = validate_bank(bank)
-    if violations:
-        raise ValidationError(violations)
-    return bank
+def _read_bank(path, fields: Sequence[str]) -> tuple[EmbeddingBank, dict]:
+    unknown = sorted(set(fields) - set(BANK_FIELDS))
+    if unknown:
+        raise ValueError(f"unknown bank fields {unknown}, expected some of {BANK_FIELDS}")
+    with read_container(path, _BANK_MAGIC, _BANK_HEADER) as (header, rd):
+        _, _, _, m, d_img, d = header
+        with_latent = False
+
+        def see_latent(block, row0):
+            nonlocal with_latent
+            with_latent = with_latent or bool((block >= 0).any())
+
+        kept = {}
+        for name, width in (("images", d_img), ("feats", d), ("caption_feats", d)):
+            kept[name] = rd.array(name, (m, width), np.float32, name in fields,
+                                  _BANK_CHECKS)
+        kept["latent_class"] = rd.array("latent_class", (m,), np.int32,
+                                        "latent_class" in fields, visit=see_latent)
+        kept["captions"] = rd.table("captions", m, "captions" in fields)
+        rd.finish("caption table")
+    info = {"records": m, "image_dim": d_img, "feat_dim": d, "with_latent": with_latent}
+    return EmbeddingBank(**kept), info
+
+
+def decode_bank_file(path, fields: Sequence[str] = BANK_FIELDS) -> EmbeddingBank:
+    """Decode a DATB file, keeping only the named BANK_FIELDS (the others
+    are None); every check runs on every field either way."""
+    return _read_bank(path, fields)[0]
+
+
+def describe_bank_file(path) -> dict:
+    """A DATB file's record count, dimensions and whether any record has a
+    latent class, after every decode check, keeping no field."""
+    return _read_bank(path, ())[1]
 
 
 def encode_dataset_file(ds: DownstreamDataset, path) -> None:
@@ -413,19 +586,30 @@ def encode_dataset_file(ds: DownstreamDataset, path) -> None:
     ])
 
 
+def _read_dataset(path, keep: bool) -> tuple[DownstreamDataset | None, dict]:
+    with read_container(path, _DATASET_MAGIC, _DATASET_HEADER) as (header, rd):
+        _, _, _, n, C, d_img, d = header
+        checks = _dataset_checks(C)
+        images = rd.array("images", (n, d_img), np.float32, keep, checks)
+        labels = rd.array("labels", (n,), np.int32, keep, checks)
+        class_text_feats = rd.array("class_text_feats", (C, d), np.float32, keep,
+                                    checks)
+        names = rd.table("class names", C, keep)
+        descriptions = rd.table("class descriptions", C, keep)
+        rd.finish("string tables")
+    info = {"images": n, "classes": C, "image_dim": d_img, "feat_dim": d}
+    if not keep:
+        return None, info
+    return DownstreamDataset(images=images, labels=labels, class_names=names,
+                             class_descriptions=descriptions,
+                             class_text_feats=class_text_feats), info
+
+
 def decode_dataset_file(path) -> DownstreamDataset:
-    fields, cur = read_container(path, _DATASET_MAGIC, _DATASET_HEADER)
-    _, _, flags, n, C, d_img, d = fields
-    images = cur.take_array(n * d_img, np.float32, "images").reshape(n, d_img)
-    labels = cur.take_array(n, np.uint32, "labels").view(np.int32)
-    class_text_feats = cur.take_array(C * d, np.float32, "class_text_feats").reshape(C, d)
-    names = _decode_string_table(cur, C, "class names")
-    descriptions = _decode_string_table(cur, C, "class descriptions")
-    cur.finish("string tables")
-    ds = DownstreamDataset(images=images, labels=labels, class_names=names,
-                           class_descriptions=descriptions,
-                           class_text_feats=class_text_feats)
-    violations = validate_dataset(ds)
-    if violations:
-        raise ValidationError(violations)
-    return ds
+    return _read_dataset(path, True)[0]
+
+
+def describe_dataset_file(path) -> dict:
+    """A DATD file's image and class counts and dimensions, after every
+    decode check, keeping no field."""
+    return _read_dataset(path, False)[1]

@@ -20,7 +20,6 @@ All trainable math runs in binary64; checkpoints store binary64 exactly.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 
@@ -245,11 +244,10 @@ def save_params(params: EncoderParams, path) -> None:
 
 
 def load_params(path) -> EncoderParams:
-    fields, cur = read_container(path, _CHECKPOINT_MAGIC, _CHECKPOINT_HEADER,
-                                 CHECKPOINT_VERSION)
-    _, _, _, d_img, h, d, c = fields
-    shapes = [(h, d_img), (h,), (d, h), (d,), (c, d), (c,)]
-    arrays = [cur.take_array(math.prod(shape), np.float64, "weights").reshape(shape)
-              for shape in shapes]
-    cur.finish("weights")
+    with read_container(path, _CHECKPOINT_MAGIC, _CHECKPOINT_HEADER,
+                        CHECKPOINT_VERSION) as (fields, rd):
+        _, _, _, d_img, h, d, c = fields
+        shapes = [(h, d_img), (h,), (d, h), (d,), (c, d), (c,)]
+        arrays = [rd.array("weights", shape, np.float64) for shape in shapes]
+        rd.finish("weights")
     return EncoderParams(*arrays)

@@ -12,11 +12,16 @@ Scoring is exact cosine similarity, computed in row chunks.  A chunk holds
 as many rows (bytes_per_row each) as the memory budget leaves after the part
 that does not grow with the chunk: the query rows and up to 2*k*q held
 candidates (merge_bytes).  That part is charged at most three quarters of
-the budget, so a large k*q cannot shrink the chunk below a quarter of it.  The accumulation over the feature dimension
-runs in fixed index order with elementwise ops rather than a matmul, so
-scores (and therefore selections) are bit-identical no matter how the rows
-are chunked.  Ties are broken toward the lowest class/column index at
-assignment and toward the lowest record id within a column.
+the budget, so a large k*q cannot shrink the chunk below a quarter of it.
+Each chunk is normalized row by row and then copied feature-major (d x r),
+and its scores fill a (q, r) block: for t = 0, 1, ..., d-1 the block adds
+the product of query feature t and the chunk's feature-t row, with separate
+elementwise multiply and add rather than a matmul.  Every score is thus the
+same float operations in the same ascending-t order whatever the chunk
+shape, so scores (and therefore selections) are bit-identical no matter how
+the rows are chunked, while every numpy loop runs along the chunk's r rows
+instead of the q columns.  Ties are broken toward the lowest class/column
+index at assignment and toward the lowest record id within a column.
 
 Candidates are held as three arrays (id, column, score).  Once a column has
 k candidates, the score of its k-th is the column's floor, and a later row
@@ -60,9 +65,11 @@ class PrecisionUndefinedError(ValueError):
 
 def bytes_per_row(feat_dim: int, n_columns: int) -> int:
     """Bytes one chunk row may hold while it is scored and merged: the owned
-    float64 copy (8d), the score block and the per-feature product temporary
-    (16q), and its merge vectors."""
-    return 8 * feat_dim + 16 * n_columns + 8 * _MERGE_VECTORS
+    float64 copy and its feature-major transpose (16d), the score block and
+    the per-feature product temporary (16q), and then either the copy of the
+    score block that argmax along axis 0 makes plus argmax's output (8q + 8)
+    or the row's merge vectors, which are never alive at the same time."""
+    return 16 * feat_dim + 16 * n_columns + 8 * max(n_columns + 1, _MERGE_VECTORS)
 
 
 def merge_bytes(k: int, feat_dim: int, n_columns: int) -> int:
@@ -119,17 +126,37 @@ def _normalize_into(dst: np.ndarray, rows: np.ndarray, offset: int,
     return block
 
 
-def _scores_fixed_order(unit_rows: np.ndarray, unit_cols: np.ndarray,
+def _scores_fixed_order(unit_t: np.ndarray, unit_cols: np.ndarray,
                         out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """out[i, j] = sum_t unit_rows[i, t] * unit_cols[j, t], accumulated in
-    ascending t with elementwise ops so the rounding never depends on the
-    chunk shape."""
-    r = unit_rows.shape[0]
-    out[:r] = 0.0
-    for t in range(unit_rows.shape[1]):
-        np.multiply(unit_rows[:, t, None], unit_cols[None, :, t], out=tmp[:r])
-        np.add(out[:r], tmp[:r], out=out[:r])
-    return out[:r]
+    """out[j, i] = sum_t unit_cols[j, t] * unit_t[t, i] for the d x r
+    feature-major chunk unit_t, accumulated in ascending t with elementwise
+    ops so the rounding never depends on the chunk shape.  out and tmp are
+    flat buffers of at least q * r entries."""
+    size = unit_cols.shape[0] * unit_t.shape[1]
+    block = out[:size].reshape(unit_cols.shape[0], unit_t.shape[1])
+    prod = tmp[:size].reshape(block.shape)
+    block.fill(0.0)
+    for t in range(unit_t.shape[0]):
+        np.multiply(unit_cols[:, t, None], unit_t[t], out=prod)
+        np.add(block, prod, out=block)
+    return block
+
+
+def _admit(block: np.ndarray, start: int, floor: np.ndarray, ids: np.ndarray,
+           cols: np.ndarray, scores: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The candidates with the rows of a (q, r) score block appended whose
+    best score beats their column's floor; the first row is record start.
+    The chunk's merge vectors die on return, before the next block is
+    scored."""
+    assigned = np.argmax(block, axis=0)
+    row_score = block[assigned, np.arange(block.shape[1])]
+    admit = np.flatnonzero(row_score > floor[assigned])
+    if admit.size == 0:
+        return ids, cols, scores
+    return (np.concatenate([ids, admit + start]),
+            np.concatenate([cols, assigned[admit]]),
+            np.concatenate([scores, row_score[admit]]))
 
 
 def _cut_to_k(ids: np.ndarray, cols: np.ndarray, scores: np.ndarray, k: int,
@@ -165,10 +192,11 @@ def select_topk_streamed(v: np.ndarray, f: np.ndarray, k: int,
     v = np.asarray(v)
     f = np.asarray(f)
     q_unit = _normalize_into(np.empty(f.shape), f, 0, "query")
-    m, q = v.shape[0], q_unit.shape[0]
+    m, d, q = v.shape[0], v.shape[1], q_unit.shape[0]
     rows = min(chunk_rows, max(m, 1))
-    scratch_block = np.empty((rows, v.shape[1]))
-    scratch_out = np.empty((rows, q))
+    scratch_block = np.empty((rows, d))
+    scratch_t = np.empty(d * rows)
+    scratch_out = np.empty(q * rows)
     scratch_tmp = np.empty_like(scratch_out)
     ids = np.zeros(0, np.int64)
     cols = np.zeros(0, np.int64)
@@ -177,15 +205,10 @@ def select_topk_streamed(v: np.ndarray, f: np.ndarray, k: int,
     for start in range(0, m, chunk_rows):
         stop = min(start + chunk_rows, m)
         unit = _normalize_into(scratch_block, v[start:stop], start, "bank")
-        block = _scores_fixed_order(unit, q_unit, scratch_out, scratch_tmp)
-        assigned = np.argmax(block, axis=1)
-        row_score = block[np.arange(stop - start), assigned]
-        admit = np.flatnonzero(row_score > floor[assigned])
-        if admit.size == 0:
-            continue
-        ids = np.concatenate([ids, admit + start])
-        cols = np.concatenate([cols, assigned[admit]])
-        scores = np.concatenate([scores, row_score[admit]])
+        unit_t = scratch_t[:unit.size].reshape(d, stop - start)
+        np.copyto(unit_t, unit.T)
+        block = _scores_fixed_order(unit_t, q_unit, scratch_out, scratch_tmp)
+        ids, cols, scores = _admit(block, start, floor, ids, cols, scores)
         if ids.size > 2 * k * q:
             ids, cols, scores, floor = _cut_to_k(ids, cols, scores, k, q)
     ids, cols, scores, _ = _cut_to_k(ids, cols, scores, k, q)

@@ -1,12 +1,20 @@
 """Command line pipeline: subcommands, exit codes, and reproducibility."""
 
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bankadapt import cli
+from bankadapt import cli, embank
 from bankadapt.cli import main
+from bankadapt.embank import encode_bank_file, encode_dataset_file
+
+from conftest import random_bank, random_dataset
 
 TINY = ["--n_classes", "3", "--n_per_class", "6", "--eval_n_per_class", "8",
         "--bank_size", "300", "--image_dim", "8", "--feat_dim", "4",
@@ -36,6 +44,92 @@ def test_inspect_rejects_unknown_magic(tmp_path, capsys):
     bad.write_bytes(b"NOPE" + b"\x00" * 32)
     assert run(["inspect", str(bad)]) == 1
     assert run(["inspect", str(tmp_path / "missing.bin")]) == 2
+
+
+def test_inspect_prints_five_lines_and_keeps_no_payload_field(tmp_path, monkeypatch,
+                                                              capsys):
+    m = 200_000
+    bank = random_bank(seed=16, m=m, d_img=20, d=16)
+    bank.latent_class[:] = -1
+    bank.latent_class[m - 1] = 0  # with_latent rests on the last block alone
+    ds = random_dataset(seed=16, n=9, n_classes=3, d_img=20, d=16)
+    bank_path, ds_path = tmp_path / "bank.datb", tmp_path / "train.datd"
+    encode_bank_file(bank, bank_path)
+    encode_dataset_file(ds, ds_path)
+    block, piece = 1 << 16, 1 << 14
+    monkeypatch.setattr(embank, "_BLOCK_BYTES", block)
+    monkeypatch.setattr(embank, "_CHECK_BYTES", piece)
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert run(["inspect", str(bank_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out == (f"format = DATB\nrecords = {m}\nimage_dim = 20\n"
+                                       "feat_dim = 16\nwith_latent = True\n")
+    # Beyond the captions' continuation bitmap, the reader's block and the
+    # temporaries of four check pieces, less than half of the smallest field
+    # (latent_class, 800,000 bytes).
+    bitmap = sum(len(c.encode("utf-8")) for c in bank.captions) / 8
+    assert peak <= bitmap + block + 4 * piece + bank.latent_class.nbytes / 2, peak
+    assert run(["inspect", str(ds_path)]) == 0
+    assert capsys.readouterr().out == ("format = DATD\nimages = 9\nclasses = 3\n"
+                                       "image_dim = 20\nfeat_dim = 16\n")
+
+    bank.latent_class[m - 1] = -1
+    encode_bank_file(bank, bank_path)
+    assert run(["inspect", str(bank_path)]) == 0
+    assert capsys.readouterr().out.endswith("with_latent = False\n")
+    for path in (bank_path, ds_path):
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 0x01
+        path.write_bytes(bytes(data))
+        assert run(["inspect", str(path)]) == 1
+        assert "crc32" in capsys.readouterr().err
+
+
+# A child's ru_maxrss starts at the RSS of the process that spawned it, so
+# the child is spawned from a bare interpreter, not from the test process.
+SPAWN_AND_REPORT_MAXRSS = (
+    "import os, sys\n"
+    "pid = os.posix_spawn(sys.executable, sys.argv[1:], os.environ)\n"
+    "_, status, usage = os.wait4(pid, 0)\n"
+    "print(usage.ru_maxrss)\n"
+    "sys.exit(os.waitstatus_to_exitcode(status))\n")
+
+
+def child_peak_rss(args) -> int:
+    """Peak RSS in bytes of `python args`, from its own rusage (Linux KiB)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", SPAWN_AND_REPORT_MAXRSS,
+                           sys.executable, *args], env=env, capture_output=True,
+                          text=True, check=True)
+    return int(done.stdout.split()[-1]) * 1024
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in KiB on Linux only")
+def test_sample_stays_within_its_budget_end_to_end(tmp_path):
+    """sample on a 200,000-record bank (57 MiB) peaks, beyond an import-only
+    child, at no more than the fields it keeps (feats and latent_class), the
+    scorer's memory budget, and a slack of four reader blocks: the reader's
+    block buffer and the temporaries of its checks, which also covers the
+    captions' 0.6 MiB continuation bitmap and the small downstream set."""
+    m, d = 200_000, 16
+    bank_path, ds_path = tmp_path / "bank.datb", tmp_path / "train.datd"
+    encode_bank_file(random_bank(seed=17, m=m, d_img=32, d=d), bank_path)
+    encode_dataset_file(random_dataset(seed=17, n=12, n_classes=3, d_img=32, d=d),
+                        ds_path)
+    budget = 4 << 20
+    base = child_peak_rss(["-c", "import bankadapt.cli"])
+    peak = child_peak_rss(["-m", "bankadapt.cli", "sample", "--bank", str(bank_path),
+                           "--dataset", str(ds_path), "--memory_budget_bytes",
+                           str(budget), "--out_dir", str(tmp_path / "out")])
+    kept = m * d * 4 + m * 4
+    allowed = kept + budget + 4 * embank._BLOCK_BYTES
+    assert peak - base <= allowed, (peak - base, allowed)
+    assert allowed < bank_path.stat().st_size
 
 
 def test_sample_reports_precision_above_in_dist_rate(tmp_path, capsys):

@@ -397,3 +397,201 @@ class TestSharedReader:
         path.write_bytes(path.read_bytes()[:header_size + 3])
         with pytest.raises(TruncatedFileError, match="expected at least"):
             read(path)
+
+
+# --- the streaming reader ----------------------------------------------------
+
+KEEP = ("feats", "latent_class")
+
+
+def write_bank_unchecked(bank, path):
+    """encode_bank_file without its validation, for banks that break an
+    invariant on purpose."""
+    header = embank._BANK_HEADER.pack(b"DATB", embank.FORMAT_VERSION, 0, bank.size,
+                                      bank.image_dim, bank.feat_dim)
+    embank.write_container(path, header, [
+        np.ascontiguousarray(a, dtype).tobytes() for a, dtype in (
+            (bank.images, "<f4"), (bank.feats, "<f4"), (bank.caption_feats, "<f4"),
+            (bank.latent_class, "<i4"))] + [embank._encode_string_table(bank.captions)])
+
+
+def reference_decode(path):
+    """The DATB layout parsed with struct and np.frombuffer, without the reader."""
+    data = path.read_bytes()
+    _, _, _, m, d_img, d = struct.unpack_from("<4sHHQII", data)
+    pos = 24
+
+    def take(count, dtype):
+        nonlocal pos
+        arr = np.frombuffer(data, dtype, count, pos)
+        pos += arr.nbytes
+        return arr
+
+    images = take(m * d_img, "<f4").reshape(m, d_img)
+    feats = take(m * d, "<f4").reshape(m, d)
+    caption_feats = take(m * d, "<f4").reshape(m, d)
+    latent = take(m, "<i4")
+    (blob_len,) = take(1, "<u8")
+    table = take(2 * m, "<u8").reshape(m, 2)
+    blob = data[pos:pos + int(blob_len)]
+    captions = [blob[int(o):int(o) + int(n)].decode("utf-8") for o, n in table]
+    return EmbeddingBank(images=images, feats=feats, caption_feats=caption_feats,
+                         captions=captions, latent_class=latent)
+
+
+def unicode_bank(seed, m):
+    bank = random_bank(seed=seed, m=m, d_img=5, d=4)
+    object.__setattr__(bank, "captions",
+                       [f"é{i}写真" * (i % 4) + "🙂" * (i % 3) for i in range(m)])
+    return bank
+
+
+def test_full_decode_equals_a_reference_parse(tmp_path):
+    path = tmp_path / "bank.datb"
+    encode_bank_file(unicode_bank(11, 50), path)
+    assert_banks_equal(decode_bank_file(path), reference_decode(path))
+
+
+def test_selective_decode_keeps_only_the_named_fields(tmp_path):
+    path = tmp_path / "bank.datb"
+    encode_bank_file(unicode_bank(12, 30), path)
+    ref = reference_decode(path)
+    bank = decode_bank_file(path, fields=KEEP)
+    np.testing.assert_array_equal(bank.feats, ref.feats)
+    np.testing.assert_array_equal(bank.latent_class, ref.latent_class)
+    assert bank.images is None and bank.caption_feats is None and bank.captions is None
+    assert bank.feat_dim == 4
+    assert decode_bank_file(path, fields=("captions",)).captions == ref.captions
+    with pytest.raises(ValueError, match="unknown bank fields"):
+        decode_bank_file(path, fields=("feats", "labels"))
+
+
+def poke_f32(offset, scale=None, value=None):
+    """Set (or scale) the float32 at payload byte offset."""
+    def edit(payload):
+        (old,) = struct.unpack_from("<f", payload, offset)
+        struct.pack_into("<f", payload, offset, old * scale if value is None else value)
+    return edit
+
+
+def scale_row(offset, width, factor):
+    def edit(payload):
+        for c in range(width):
+            poke_f32(offset + 4 * c, scale=factor)(payload)
+    return edit
+
+
+# The 6-record CAPTIONS fixture (d_img 6, d 4): images at payload byte 0,
+# feats at 144, caption_feats at 240, latent_class at 336, the caption table
+# at 360.  The crc cases edit the file and keep its stored crc32; the others
+# edit the payload and store its new crc32.
+def flip_images_byte(data):
+    data[24 + 5] ^= 0x40
+
+
+STREAM_CASES = {
+    "crc flip in images": (flip_images_byte, ChecksumError, "does not match stored"),
+    "crc flip and a trailing byte": (
+        lambda data: (flip_images_byte(data), data.insert(-4, 0)),
+        ChecksumError, "does not match stored"),
+    "crc flip and a caption entry outside the blob": (
+        lambda data: (flip_images_byte(data), set_entry(3, 32, 2)(data, 24 + 360)),
+        ChecksumError, "does not match stored"),
+    "NaN in images": (poke_f32(4 * (3 * 6 + 2), value=float("nan")), ValidationError,
+                      r"^images has non-finite value at index \(3, 2\)$"),
+    "non-unit caption_feats row": (scale_row(240 + 16 * 5, 4, 2.0), ValidationError,
+                                   r"^caption_feats row 5 has norm \d\.\d{8}, "
+                                   r"expected 1 within 1e-05$"),
+    "caption entry outside the blob": (lambda p: set_entry(3, 32, 2)(p, 360),
+                                       FormatError, "^captions entry 3 points outside"),
+    "caption entry splits a character": (lambda p: set_entry(0, 0, 4)(p, 360),
+                                         FormatError, "^captions entry 0 splits a multi"),
+    "non-UTF-8 blob": (lambda p: poke_blob(13, 0xFF)(p, 360), FormatError,
+                       "^captions blob is not valid UTF-8: invalid start byte$"),
+    "short payload": (lambda p: p.pop(), TruncatedFileError,
+                      r"^truncated while reading captions blob: expected 525 bytes, "
+                      r"file has 524$"),
+    "trailing byte": (lambda p: p.append(0), FormatError,
+                      "^1 trailing bytes after the caption table$"),
+}
+
+
+@pytest.mark.parametrize("block", [None, 48])
+@pytest.mark.parametrize("case", STREAM_CASES)
+def test_every_check_runs_on_skipped_fields(tmp_path, monkeypatch, case, block):
+    """A decode that keeps only feats and latent_class raises what a full
+    decode raises, with the same message, also when rows and characters
+    cross block edges (48-byte blocks); a crc32 mismatch takes precedence
+    over any other error."""
+    if block:
+        monkeypatch.setattr(embank, "_BLOCK_BYTES", block)
+    bank = random_bank(seed=7, m=len(CAPTIONS))
+    object.__setattr__(bank, "captions", CAPTIONS)
+    path = tmp_path / "bank.datb"
+    encode_bank_file(bank, path)
+    edit, error, message = STREAM_CASES[case]
+    if case.startswith("crc"):
+        data = bytearray(path.read_bytes())
+        edit(data)
+        path.write_bytes(bytes(data))
+    else:
+        rewrite_payload(path, 24, edit)
+    with pytest.raises(error, match=message) as full:
+        decode_bank_file(path)
+    with pytest.raises(error, match=message) as selective:
+        decode_bank_file(path, fields=KEEP)
+    assert str(selective.value) == str(full.value)
+
+
+@pytest.mark.parametrize("block", [8, 48, 1 << 22])
+def test_blocks_that_end_inside_a_row_change_nothing(tmp_path, monkeypatch, block):
+    """48-byte blocks end inside 20-byte image rows, 16-byte feature rows,
+    table entries and multi-byte characters, so those rows go whole to the
+    next block; 13 records leave a one-row tail block in every numeric
+    field.  8-byte blocks are shorter than a row, which then gets a block
+    of its own.  Decoded values and violations must equal the whole-array
+    ones."""
+    m = 13
+    bank = unicode_bank(13, m)
+    good, bad = tmp_path / "good.datb", tmp_path / "bad.datb"
+    encode_bank_file(bank, good)
+    monkeypatch.setattr(embank, "_BLOCK_BYTES", block)
+    assert_banks_equal(decode_bank_file(good), reference_decode(good))
+    bank.images[1, 4] = np.inf      # last row of the first 48-byte block
+    bank.images[2, 0] = np.nan      # first row of the second
+    bank.feats[m - 1] *= 1.0 + 3e-5  # the one-row tail block
+    bank.caption_feats[3] *= 2.0     # first row of the second block
+    bank.caption_feats[m - 1, 0] = np.nan
+    write_bank_unchecked(bank, bad)
+    for fields in (embank.BANK_FIELDS, KEEP):
+        with pytest.raises(ValidationError) as exc:
+            decode_bank_file(bad, fields=fields)
+        assert exc.value.violations == whole_array_violations(bank)
+    assert [v.split(" has ")[0] for v in exc.value.violations] == [
+        "images", f"caption_feats", f"feats row {m - 1}", "caption_feats row 3"]
+
+
+def test_selective_decode_peak_is_the_kept_fields_a_block_and_the_bitmap(
+        tmp_path, monkeypatch):
+    """Beside the kept arrays and the captions' continuation bitmap, the
+    reader holds one block buffer and the temporaries of the checks on one
+    piece of it: at most four pieces (the unit-row check's float64 copy is
+    two, the UTF-8 check's mask, bytes and text about three)."""
+    block, piece = 1 << 18, 1 << 16
+    monkeypatch.setattr(embank, "_BLOCK_BYTES", block)
+    monkeypatch.setattr(embank, "_CHECK_BYTES", piece)
+    path = tmp_path / "big.datb"
+    bank = random_bank(seed=14, m=100_000, d_img=20, d=16)
+    encode_bank_file(bank, path)
+    blob_len = sum(len(c.encode("utf-8")) for c in bank.captions)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        kept = decode_bank_file(path, fields=KEEP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept_bytes = kept.feats.nbytes + kept.latent_class.nbytes
+    allowed = kept_bytes + blob_len / 8 + block + 4 * piece
+    assert peak <= allowed, (peak, allowed)
+    assert allowed < path.stat().st_size / 3

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -157,6 +158,26 @@ class TestTopkSelection:
                 stream.score, s[stream.selected_ids, stream.assigned_column])
             np.testing.assert_array_equal(stream.deficits, np.zeros(6, np.int64))
 
+    @pytest.mark.parametrize("m, q, d", [(60, 200, 8), (400, 1, 12), (300, 7, 64)])
+    def test_equals_a_top_k_over_the_fixed_order_matrix(self, m, q, d):
+        """More columns than chunk rows, a single column, and d = 64: ids,
+        columns and scores equal a top k over the full fixed-order score
+        matrix, bit for bit, for every chunk size."""
+        rng = np.random.default_rng(m + q + d)
+        v = rng.standard_normal((m, d))
+        f = rng.standard_normal((q, d))
+        k = 3
+        s = fixed_order_scores(v, f)
+        assigned = s.argmax(axis=1)
+        best = s[np.arange(m), assigned]
+        ids = np.array([i for j in range(q) for i in sorted(
+            np.flatnonzero(assigned == j), key=lambda i: (-best[i], i))[:k]], np.int64)
+        for rows in (1, 5, 59, m):
+            r = select_topk_streamed(v, f, k, rows)
+            assert np.array_equal(r.selected_ids, ids)
+            assert np.array_equal(r.assigned_column, assigned[ids])
+            assert np.array_equal(r.score, best[ids])
+
     @pytest.mark.parametrize("k", [1, 3, 4])
     def test_equal_scores_across_chunk_edges_at_the_kth_place(self, k):
         # Copies of one row straddle the chunk edges, and the k-th place is
@@ -238,13 +259,35 @@ class TestTopkSelection:
 class TestChunkBudget:
     def test_budget_inversion(self):
         budget = 1 << 22
-        for k, q in ((80, 10), (4, 2000), (320, 50)):
-            rows = budget_chunk_rows(budget, k, 64, q)
-            merge = merge_bytes(k, 64, q)
+        for (k, q), d in itertools.product(((80, 10), (4, 2000), (320, 50), (160, 12)),
+                                           (16, 64)):
+            rows = budget_chunk_rows(budget, k, d, q)
+            merge = merge_bytes(k, d, q)
             assert rows >= 1
-            assert rows * bytes_per_row(64, q) + min(merge, 3 * budget // 4) <= budget
+            assert rows * bytes_per_row(d, q) + min(merge, 3 * budget // 4) <= budget
             if merge <= 3 * budget // 4:
-                assert rows * bytes_per_row(64, q) + merge <= budget
+                assert rows * bytes_per_row(d, q) + merge <= budget
+
+    @pytest.mark.parametrize("m, q, d, k", [(200_000, 10, 16, 80), (20_000, 500, 16, 4),
+                                            (50_000, 12, 64, 40)])
+    def test_traced_peak_stays_within_the_accounted_bytes(self, m, q, d, k):
+        # rows * bytes_per_row + merge_bytes bounds what the selection
+        # allocates, argmax's copy of the (q, r) score block included.
+        rng = np.random.default_rng(q)
+        v = rng.standard_normal((m, d)).astype(np.float32)
+        f = rng.standard_normal((q, d))
+        budget = 1 << 22
+        rows = budget_chunk_rows(budget, k, d, q)
+        accounted = rows * bytes_per_row(d, q) + merge_bytes(k, d, q)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            select_topk_streamed(v, f, k, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert accounted <= budget
+        assert peak <= accounted, (peak, accounted)
 
     def test_large_label_bank_keeps_a_quarter_of_the_budget_for_the_chunk(self):
         # 3,000 downstream images in 10 classes: k1 * q = 24,000 held
