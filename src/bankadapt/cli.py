@@ -122,19 +122,25 @@ def _echo_config(cfg: RunConfig, out: Path, command: str) -> None:
     write_config(cfg, out / f"resolved-{command}.cfg")
 
 
-def _load_world(cfg: RunConfig, bank_fields: tuple[str, ...]
-                ) -> tuple[EmbeddingBank, DownstreamDataset, DownstreamDataset | None]:
-    """Bank and datasets from files when paths are set, else synthetic.  A
-    bank file is checked whole but keeps only bank_fields."""
+def _load_datasets(cfg: RunConfig
+                   ) -> tuple[DownstreamDataset, DownstreamDataset | None]:
+    """Training and evaluation datasets from files when the bank and dataset
+    paths are set, else synthetic."""
     if cfg.bank and cfg.dataset:
-        bank = decode_bank_file(cfg.bank, fields=bank_fields)
         ds = decode_dataset_file(cfg.dataset)
         eval_ds = decode_dataset_file(cfg.eval_dataset) if cfg.eval_dataset else None
-        return bank, ds, eval_ds
-    ds = generate_downstream(cfg)
-    eval_ds = generate_downstream(cfg, split="test",
-                                  n_per_class=cfg.eval_n_per_class)
-    return generate_pretrain_bank(cfg, ds), ds, eval_ds
+        return ds, eval_ds
+    return generate_downstream(cfg), generate_downstream(
+        cfg, split="test", n_per_class=cfg.eval_n_per_class)
+
+
+def _load_bank(cfg: RunConfig, ds: DownstreamDataset,
+               fields: tuple[str, ...]) -> EmbeddingBank:
+    """The bank file, checked whole but keeping only fields, when the bank
+    and dataset paths are set, else the synthetic bank for ds."""
+    if cfg.bank and cfg.dataset:
+        return decode_bank_file(cfg.bank, fields=fields)
+    return generate_pretrain_bank(cfg, ds)
 
 
 def _sample_bank(cfg: RunConfig, bank: EmbeddingBank, ds: DownstreamDataset):
@@ -147,25 +153,20 @@ def _sample_bank(cfg: RunConfig, bank: EmbeddingBank, ds: DownstreamDataset):
     return s1, s2
 
 
-def _train_bank_fields(cfg: RunConfig) -> tuple[str, ...]:
-    """The bank fields _selected_for_train reads."""
+def _selected_for_train(cfg: RunConfig, ds: DownstreamDataset) -> SelectedBank:
+    """The bank rows training draws unlabeled rows from; the bank is read
+    keeping only the fields the selection needs, and dropped on return."""
     if cfg.mu == 0:
-        return ()
-    if cfg.samples:
-        return ("images", "caption_feats")
-    return ("images", "feats", "caption_feats")
-
-
-def _selected_for_train(cfg: RunConfig, bank: EmbeddingBank,
-                        ds: DownstreamDataset) -> SelectedBank:
-    # with mu = 0 no step draws an unlabeled row, so no step reads the selection
-    if cfg.mu == 0:
+        # no step draws an unlabeled row, so no step reads the selection
+        _load_bank(cfg, ds, ())
         return SelectedBank(ids=np.zeros(0, dtype=np.int64),
                             images=np.zeros((0, ds.image_dim), dtype=np.float32),
                             caption_feats=np.zeros((0, ds.feat_dim),
                                                    dtype=np.float32))
     if cfg.samples:
+        bank = _load_bank(cfg, ds, ("images", "caption_feats"))
         return SelectedBank.from_bank(bank, load_sample_csv(cfg.samples))
+    bank = _load_bank(cfg, ds, ("images", "feats", "caption_feats"))
     return SelectedBank.from_bank(bank, _sample_bank(cfg, bank, ds)[1])
 
 
@@ -190,7 +191,8 @@ def cmd_synth_gen(cfg: RunConfig, args) -> int:
 
 def cmd_sample(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg)
-    bank, ds, _ = _load_world(cfg, ("feats", "latent_class"))
+    ds, _ = _load_datasets(cfg)
+    bank = _load_bank(cfg, ds, ("feats", "latent_class"))
     s1, s2 = _sample_bank(cfg, bank, ds)
     samples_path = Path(cfg.samples) if cfg.samples else out / "samples.csv"
     save_sample_csv(s2, samples_path, samples_path.with_name("deficits.csv"))
@@ -212,9 +214,8 @@ def cmd_sample(cfg: RunConfig, args) -> int:
 
 def cmd_train(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg)
-    bank, ds, eval_ds = _load_world(cfg, _train_bank_fields(cfg))
-    selected = _selected_for_train(cfg, bank, ds)
-    del bank  # selected holds copies of its rows; training needs no more of the bank
+    ds, eval_ds = _load_datasets(cfg)
+    selected = _selected_for_train(cfg, ds)
     embedder = FrozenEmbedder.from_seed("image", cfg.seed, ds.feat_dim,
                                         ds.image_dim)
     result = fit(ds, selected, ds.class_text_feats, cfg, eval_ds=eval_ds,
@@ -261,10 +262,8 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     cells = [replace(cfg, mu=mu, t_thresh=t)
              for mu in cfg.mu_list for t in cfg.t_list]
     out = _out_dir(cfg)
-    widest = replace(cfg, mu=max(cfg.mu_list))
-    bank, ds, eval_ds = _load_world(cfg, _train_bank_fields(widest))
-    selected = _selected_for_train(widest, bank, ds)
-    del bank  # selected holds copies of its rows; training needs no more of the bank
+    ds, eval_ds = _load_datasets(cfg)
+    selected = _selected_for_train(replace(cfg, mu=max(cfg.mu_list)), ds)
     embedder = FrozenEmbedder.from_seed("image", cfg.seed, ds.feat_dim,
                                         ds.image_dim)
     summary = ["mu,t_thresh,final_acc"]
@@ -289,18 +288,20 @@ def cmd_inspect(cfg: RunConfig, args) -> int:
     with open(path, "rb") as fh:
         magic = fh.read(4)
     if magic == b"DATB":
-        info = describe_bank_file(path)
+        m, d_img, d, with_latent = describe_bank_file(path)
+        print(f"format = DATB\nrecords = {m}\nimage_dim = {d_img}\n"
+              f"feat_dim = {d}\nwith_latent = {with_latent}")
     elif magic == b"DATD":
-        info = describe_dataset_file(path)
+        n, C, d_img, d = describe_dataset_file(path)
+        print(f"format = DATD\nimages = {n}\nclasses = {C}\n"
+              f"image_dim = {d_img}\nfeat_dim = {d}")
     elif magic == b"DATC":
         params = load_params(path)
-        info = {"image_dim": params.image_dim, "hidden_dim": params.hidden_dim,
-                "feat_dim": params.feat_dim, "n_classes": params.n_classes}
+        print(f"format = DATC\nimage_dim = {params.image_dim}\n"
+              f"hidden_dim = {params.hidden_dim}\nfeat_dim = {params.feat_dim}\n"
+              f"n_classes = {params.n_classes}")
     else:
         raise ValidationError([f"unrecognized magic {magic!r} in {path}"])
-    print(f"format = {magic.decode()}")
-    for key, value in info.items():
-        print(f"{key} = {value}")
     return 0
 
 

@@ -35,17 +35,18 @@ A field the caller keeps is read straight into its own array; a field it
 skips passes through one reusable block buffer of ``_BLOCK_BYTES`` and is
 dropped.  Either way every block updates the CRC32 and runs the field's
 checks, so a decode that keeps only ``feats`` still checks the whole file:
-every field fits the file and no byte follows the last one; every
-string-table entry lies inside its blob; each blob is UTF-8 and no
-non-empty entry starts or ends inside a multi-byte character, so every
-entry decodes; and the finite, unit-row and label-range invariants of
-``validate_bank``/``validate_dataset``.  For the character-boundary check a
-string table keeps a bitmap of its blob's continuation bytes (blob_len / 8
-bytes) and reads its offset table a second time.  Errors are raised once
-the CRC32 over the whole payload has matched, so a ``ChecksumError`` takes
+every field fits the file (checked before any buffer is sized from its
+length) and no byte follows the last one; every string-table entry lies
+inside its blob; each blob is UTF-8 and no non-empty entry starts or ends
+inside a multi-byte character, so every entry decodes; and the finite,
+unit-row and label-range invariants of ``validate_bank``/
+``validate_dataset``.  For the character-boundary check a string table
+keeps a bitmap of its blob's continuation bytes (blob_len / 8 bytes) and
+reads its offset table a second time.  Errors are raised once the CRC32
+over the whole payload has matched, so a ``ChecksumError`` takes
 precedence over any other.  Skipped fields come back as ``None``; string
-tables come back as ``StringTable``, which decodes an entry only when it is
-read.
+tables come back as ``StringTable``, which decodes an entry only when it
+is read.
 """
 
 from __future__ import annotations
@@ -69,19 +70,17 @@ _BANK_MAGIC = b"DATB"
 _DATASET_MAGIC = b"DATD"
 _BANK_HEADER = struct.Struct("<4sHHQII")
 _DATASET_HEADER = struct.Struct("<4sHHQIII")
-# Bytes of a field the reader takes in with one read, and bytes its checks
-# take at a time, so that their temporaries stay near a megabyte; both
-# multiples of 8, so that a blob's continuation bitmap is packed piece by
-# piece.  The block buffer of skipped fields is freed when the decode ends,
-# and glibc then raises its dynamic mmap and trim thresholds to its size:
-# at 4 MiB the n x n temporaries of each training step stay in the heap
-# instead of being mapped and faulted in anew (train-full: 7,000 minor page
-# faults against 39,000 with 1 MiB blocks, and about 12% less time).
+# Bytes of a field the reader takes in with one read, and bytes the checks
+# take at a time, in memory and while reading, so that their temporaries
+# stay near a megabyte; both multiples of 8, so that a blob's continuation
+# bitmap is packed piece by piece.  The block buffer of skipped fields is
+# freed when the decode ends, and glibc then raises its dynamic mmap and
+# trim thresholds to its size: at 4 MiB the n x n temporaries of each
+# training step stay in the heap instead of being mapped and faulted in
+# anew (train-full: 7,000 minor page faults against 39,000 with 1 MiB
+# blocks, and about 12% less time).
 _BLOCK_BYTES = 1 << 22
 _CHECK_BYTES = 1 << 20
-# Rows (or string-table entries) per block when validating arrays in
-# memory, so that no temporary grows with the row count.
-_VALIDATE_BLOCK_ROWS = 1 << 12
 
 BANK_FIELDS = ("images", "feats", "caption_feats", "latent_class", "captions")
 
@@ -211,16 +210,45 @@ def _dataset_checks(n_classes: int) -> tuple:
             (_off_unit, "class_text_feats"))
 
 
-def _check_arrays(checks, container, out: list[str]) -> None:
-    """Run checks over the container's arrays in blocks of rows and append
-    each check's first violation to out."""
-    for check, name in checks:
-        arr = getattr(container, name)
-        for start in range(0, arr.shape[0], _VALIDATE_BLOCK_ROWS):
-            found = check(name, arr[start:start + _VALIDATE_BLOCK_ROWS], start)
-            if found:
-                out.append(found)
-                break
+def _pieces(arr: np.ndarray):
+    """arr in pieces of whole rows of about _CHECK_BYTES, each with the
+    index of its first row; rows of no bytes come in one piece."""
+    row_bytes = arr[:1].nbytes
+    rows = max(1, _CHECK_BYTES // row_bytes if row_bytes else arr.shape[0])
+    for start in range(0, arr.shape[0], rows):
+        yield arr[start:start + rows], start
+
+
+class _Violations:
+    """The first violation of each (check, field) pair in checks, found
+    piece by piece and reported in the pairs' order."""
+
+    def __init__(self, checks):
+        self._checks = checks
+        self._found: list[str | None] = [None] * len(checks)
+
+    def visit(self, name: str):
+        """visit(piece, index of its first row), running field name's checks."""
+        mine = [i for i, (_, field) in enumerate(self._checks) if field == name]
+
+        def see(piece: np.ndarray, row0: int) -> None:
+            for i in mine:
+                if self._found[i] is None:
+                    self._found[i] = self._checks[i][0](name, piece, row0)
+        return see
+
+    def report(self) -> list[str]:
+        return [v for v in self._found if v is not None]
+
+
+def _check_arrays(checks, container) -> list[str]:
+    """The violations of checks over the container's arrays in memory."""
+    found = _Violations(checks)
+    for name in dict.fromkeys(field for _, field in checks):
+        see = found.visit(name)
+        for piece, row0 in _pieces(getattr(container, name)):
+            see(piece, row0)
+    return found.report()
 
 
 def validate_bank(bank: EmbeddingBank) -> list[str]:
@@ -239,8 +267,7 @@ def validate_bank(bank: EmbeddingBank) -> list[str]:
         v.append(f"expected {m} captions, got {len(bank.captions)}")
     if bank.latent_class.shape != (m,):
         v.append(f"latent_class shape {bank.latent_class.shape}, expected ({m},)")
-    _check_arrays(_BANK_CHECKS, bank, v)
-    return v
+    return v + _check_arrays(_BANK_CHECKS, bank)
 
 
 def validate_dataset(ds: DownstreamDataset) -> list[str]:
@@ -253,8 +280,7 @@ def validate_dataset(ds: DownstreamDataset) -> list[str]:
     if len(ds.class_names) != C or len(ds.class_descriptions) != C:
         v.append(f"expected {C} class names and descriptions, got "
                  f"{len(ds.class_names)} and {len(ds.class_descriptions)}")
-    _check_arrays(_dataset_checks(C), ds, v)
-    return v
+    return v + _check_arrays(_dataset_checks(C), ds)
 
 
 def _encode_string_table(strings: Sequence[str]) -> bytes:
@@ -320,8 +346,8 @@ def _first_split(entries: np.ndarray, continuation: np.ndarray,
 class _PayloadReader:
     """The payload fields of one open container, read once in file order.
 
-    Every byte goes through the CRC32 and the checks of its field.  A
-    structural error is raised as soon as it is found, and the checks'
+    Every byte goes through the CRC32 and the visit of its field.  A
+    structural error is raised as soon as it is found, and the visits'
     violations by finish, but each only once the CRC32 over the whole
     payload has matched.
     """
@@ -333,7 +359,6 @@ class _PayloadReader:
         self._end = file_size - 4  # the stored crc32 follows the payload
         self._crc = 0
         self._block = np.empty(0, np.uint8)
-        self._found: dict[int, str] = {}
 
     def _buffer(self, nbytes: int) -> np.ndarray:
         """The reusable block buffer; it outgrows _BLOCK_BYTES only for a
@@ -368,28 +393,24 @@ class _PayloadReader:
             raise ChecksumError(
                 f"payload crc32 {actual_crc:#010x} does not match stored {stored_crc:#010x}")
 
-    def array(self, what: str, shape: tuple, dtype, keep: bool = True,
-              checks: Sequence = (), visit=None) -> np.ndarray | None:
-        """The next field, shape items of dtype stored little-endian: an
-        array when keep is true, else None.
+    def _expect(self, what: str, nbytes: int) -> None:
+        """Fail unless the payload holds nbytes more."""
+        if self._pos + nbytes > self._end:
+            self._fail(TruncatedFileError(
+                f"truncated while reading {what}: expected "
+                f"{self._pos + nbytes + 4} bytes, file has {self._file_size}"))
 
-        Each piece of _CHECK_BYTES goes through the checks of the (check,
-        field) pairs in checks whose field is what, and then through
-        visit(piece, index of its first row).  Pass every field of a
-        container the same checks: finish reports their violations in that
-        order.
-        """
+    def array(self, what: str, shape: tuple, dtype, keep: bool = True,
+              visit=None) -> np.ndarray | None:
+        """The next field, shape items of dtype stored little-endian: an
+        array when keep is true, else None.  Each piece of it (see
+        _pieces) goes through visit(piece, index of its first row)."""
         stored = np.dtype(dtype).newbyteorder("<")
         rows, row_shape = shape[0], tuple(shape[1:])
         row_bytes = math.prod(row_shape) * stored.itemsize
-        if self._pos + rows * row_bytes > self._end:
-            self._fail(TruncatedFileError(
-                f"truncated while reading {what}: expected "
-                f"{self._pos + rows * row_bytes + 4} bytes, file has {self._file_size}"))
-        mine = [(i, check) for i, (check, name) in enumerate(checks) if name == what]
+        self._expect(what, rows * row_bytes)
         out = np.empty(shape, stored) if keep else None
-        step = max(1, _BLOCK_BYTES // max(row_bytes, 1))
-        piece = max(1, _CHECK_BYTES // max(row_bytes, 1))
+        step = max(1, _BLOCK_BYTES // row_bytes if row_bytes else rows)
         for start in range(0, rows, step):
             n = min(step, rows - start)
             if out is None:
@@ -397,15 +418,9 @@ class _PayloadReader:
             else:
                 block = out[start:start + n]
             self._consume(block, what)
-            for at in range(0, n, piece):
-                part = block[at:at + piece]
-                for i, check in mine:
-                    if i not in self._found:
-                        found = check(what, part, start + at)
-                        if found:
-                            self._found[i] = found
-                if visit is not None:
-                    visit(part, start + at)
+            if visit is not None:
+                for piece, at in _pieces(block):
+                    visit(piece, start + at)
         return None if out is None else out.astype(dtype, copy=False)
 
     def table(self, what: str, count: int, keep: bool = True) -> StringTable | None:
@@ -426,7 +441,9 @@ class _PayloadReader:
                     outside = row0 + int(np.argmax(bad))
 
         table = self.array(f"{what} offset table", (count, 2), np.uint64, keep,
-                           visit=bounds)
+                           bounds)
+        # the bitmap is sized from blob_len, so blob_len must fit the file first
+        self._expect(f"{what} blob", blob_len)
         continuation = np.empty(-(-blob_len // 8), np.uint8)
         decoder = codecs.getincrementaldecoder("utf-8")()
         not_utf8 = None
@@ -442,7 +459,7 @@ class _PayloadReader:
                 except UnicodeDecodeError as exc:
                     not_utf8 = exc.reason
 
-        blob = self.array(f"{what} blob", (blob_len,), np.uint8, keep, visit=utf8)
+        blob = self.array(f"{what} blob", (blob_len,), np.uint8, keep, utf8)
         # The entries before the first one outside the blob, against the
         # bitmap: from memory when kept, else read again from the file
         # (their bytes are already in the CRC32).
@@ -473,15 +490,15 @@ class _PayloadReader:
             self._fail(FormatError(f"{what} blob is not valid UTF-8: {not_utf8}"))
         return None if table is None else StringTable(table, blob)
 
-    def finish(self, what: str) -> None:
+    def finish(self, what: str, violations: Sequence[str] = ()) -> None:
         """Check that the payload ends here and matches its CRC32, then raise
-        the checks' violations, if any."""
+        violations, if any."""
         if self._pos != self._end:
             self._fail(FormatError(
                 f"{self._end - self._pos} trailing bytes after the {what}"))
         self._check_crc()
-        if self._found:
-            raise ValidationError([self._found[i] for i in sorted(self._found)])
+        if violations:
+            raise ValidationError(list(violations))
 
 
 def _f32_rows(arr: np.ndarray) -> bytes:
@@ -535,28 +552,30 @@ def encode_bank_file(bank: EmbeddingBank, path) -> None:
     ])
 
 
-def _read_bank(path, fields: Sequence[str]) -> tuple[EmbeddingBank, dict]:
+def _read_bank(path, fields: Sequence[str]) -> tuple[EmbeddingBank, tuple, bool]:
+    """The bank keeping fields, its header's (m, D_img, d), and whether any
+    record has a latent class."""
     unknown = sorted(set(fields) - set(BANK_FIELDS))
     if unknown:
         raise ValueError(f"unknown bank fields {unknown}, expected some of {BANK_FIELDS}")
     with read_container(path, _BANK_MAGIC, _BANK_HEADER) as (header, rd):
         _, _, _, m, d_img, d = header
+        found = _Violations(_BANK_CHECKS)
+        kept = {name: rd.array(name, (m, width), np.float32, name in fields,
+                               found.visit(name))
+                for name, width in (("images", d_img), ("feats", d),
+                                    ("caption_feats", d))}
         with_latent = False
 
-        def see_latent(block, row0):
+        def see_latent(piece, row0):
             nonlocal with_latent
-            with_latent = with_latent or bool((block >= 0).any())
+            with_latent = with_latent or bool((piece >= 0).any())
 
-        kept = {}
-        for name, width in (("images", d_img), ("feats", d), ("caption_feats", d)):
-            kept[name] = rd.array(name, (m, width), np.float32, name in fields,
-                                  _BANK_CHECKS)
         kept["latent_class"] = rd.array("latent_class", (m,), np.int32,
-                                        "latent_class" in fields, visit=see_latent)
+                                        "latent_class" in fields, see_latent)
         kept["captions"] = rd.table("captions", m, "captions" in fields)
-        rd.finish("caption table")
-    info = {"records": m, "image_dim": d_img, "feat_dim": d, "with_latent": with_latent}
-    return EmbeddingBank(**kept), info
+        rd.finish("caption table", found.report())
+    return EmbeddingBank(**kept), (m, d_img, d), with_latent
 
 
 def decode_bank_file(path, fields: Sequence[str] = BANK_FIELDS) -> EmbeddingBank:
@@ -565,10 +584,12 @@ def decode_bank_file(path, fields: Sequence[str] = BANK_FIELDS) -> EmbeddingBank
     return _read_bank(path, fields)[0]
 
 
-def describe_bank_file(path) -> dict:
-    """A DATB file's record count, dimensions and whether any record has a
-    latent class, after every decode check, keeping no field."""
-    return _read_bank(path, ())[1]
+def describe_bank_file(path) -> tuple[int, int, int, bool]:
+    """A DATB file's record count, image and feature dimensions, and whether
+    any record has a latent class, after every decode check, keeping no
+    field."""
+    _, header, with_latent = _read_bank(path, ())
+    return (*header, with_latent)
 
 
 def encode_dataset_file(ds: DownstreamDataset, path) -> None:
@@ -586,30 +607,31 @@ def encode_dataset_file(ds: DownstreamDataset, path) -> None:
     ])
 
 
-def _read_dataset(path, keep: bool) -> tuple[DownstreamDataset | None, dict]:
+def _read_dataset(path, keep: bool) -> tuple[DownstreamDataset | None, tuple]:
+    """The dataset when keep is true, else None, and its header's (n, C,
+    D_img, d)."""
     with read_container(path, _DATASET_MAGIC, _DATASET_HEADER) as (header, rd):
         _, _, _, n, C, d_img, d = header
-        checks = _dataset_checks(C)
-        images = rd.array("images", (n, d_img), np.float32, keep, checks)
-        labels = rd.array("labels", (n,), np.int32, keep, checks)
+        found = _Violations(_dataset_checks(C))
+        images = rd.array("images", (n, d_img), np.float32, keep, found.visit("images"))
+        labels = rd.array("labels", (n,), np.int32, keep, found.visit("labels"))
         class_text_feats = rd.array("class_text_feats", (C, d), np.float32, keep,
-                                    checks)
+                                    found.visit("class_text_feats"))
         names = rd.table("class names", C, keep)
         descriptions = rd.table("class descriptions", C, keep)
-        rd.finish("string tables")
-    info = {"images": n, "classes": C, "image_dim": d_img, "feat_dim": d}
+        rd.finish("string tables", found.report())
     if not keep:
-        return None, info
+        return None, (n, C, d_img, d)
     return DownstreamDataset(images=images, labels=labels, class_names=names,
                              class_descriptions=descriptions,
-                             class_text_feats=class_text_feats), info
+                             class_text_feats=class_text_feats), (n, C, d_img, d)
 
 
 def decode_dataset_file(path) -> DownstreamDataset:
     return _read_dataset(path, True)[0]
 
 
-def describe_dataset_file(path) -> dict:
-    """A DATD file's image and class counts and dimensions, after every
-    decode check, keeping no field."""
+def describe_dataset_file(path) -> tuple[int, int, int, int]:
+    """A DATD file's image and class counts and its image and feature
+    dimensions, after every decode check, keeping no field."""
     return _read_dataset(path, False)[1]

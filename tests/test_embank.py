@@ -335,10 +335,11 @@ def whole_array_violations(bank):
 
 
 @pytest.mark.parametrize("extra", [0, 1, 37])
-def test_blocked_validation_matches_whole_array_checks(extra):
-    rows = embank._VALIDATE_BLOCK_ROWS
+def test_blocked_validation_matches_whole_array_checks(monkeypatch, extra):
+    rows = 16  # 32-byte rows in every field, so 16 rows per check piece
+    monkeypatch.setattr(embank, "_CHECK_BYTES", 32 * rows)
     m = 2 * rows + extra
-    bank = random_bank(seed=9, m=m, d_img=5, d=8)
+    bank = random_bank(seed=9, m=m, d_img=8, d=8)
     assert validate_bank(bank) == [] == whole_array_violations(bank)
     bank.images[rows + 3, 4] = np.inf
     bank.images[2 * rows - 1, 0] = np.nan
@@ -483,8 +484,9 @@ def scale_row(offset, width, factor):
 
 # The 6-record CAPTIONS fixture (d_img 6, d 4): images at payload byte 0,
 # feats at 144, caption_feats at 240, latent_class at 336, the caption table
-# at 360.  The crc cases edit the file and keep its stored crc32; the others
-# edit the payload and store its new crc32.
+# at 360 (its u64 blob length first, top byte at 367).  The crc cases edit
+# the file and keep its stored crc32; the others edit the payload and store
+# its new crc32.
 def flip_images_byte(data):
     data[24 + 5] ^= 0x40
 
@@ -493,6 +495,9 @@ STREAM_CASES = {
     "crc flip in images": (flip_images_byte, ChecksumError, "does not match stored"),
     "crc flip and a trailing byte": (
         lambda data: (flip_images_byte(data), data.insert(-4, 0)),
+        ChecksumError, "does not match stored"),
+    "crc flip in the caption blob length": (
+        lambda data: data.__setitem__(24 + 367, data[24 + 367] ^ 0x80),
         ChecksumError, "does not match stored"),
     "crc flip and a caption entry outside the blob": (
         lambda data: (flip_images_byte(data), set_entry(3, 32, 2)(data, 24 + 360)),
@@ -511,6 +516,11 @@ STREAM_CASES = {
     "short payload": (lambda p: p.pop(), TruncatedFileError,
                       r"^truncated while reading captions blob: expected 525 bytes, "
                       r"file has 524$"),
+    # 2**63 more blob bytes than the file holds: no bitmap is sized from them
+    "caption blob length 2**63 too long": (
+        lambda p: p.__setitem__(367, p[367] ^ 0x80), TruncatedFileError,
+        r"^truncated while reading captions blob: expected 9223372036854776333 bytes, "
+        r"file has 525$"),
     "trailing byte": (lambda p: p.append(0), FormatError,
                       "^1 trailing bytes after the caption table$"),
 }
@@ -541,6 +551,26 @@ def test_every_check_runs_on_skipped_fields(tmp_path, monkeypatch, case, block):
     with pytest.raises(error, match=message) as selective:
         decode_bank_file(path, fields=KEEP)
     assert str(selective.value) == str(full.value)
+
+
+def test_rows_of_no_bytes_are_read_as_one_block(tmp_path, monkeypatch):
+    """A header that promises 2**40 records with no image or feature bytes
+    fails at latent_class, as a whole-file parse does, after one read per
+    zero-width field rather than one per block of empty rows."""
+    payload = bytes(64)
+    path = tmp_path / "wide.datb"
+    path.write_bytes(embank._BANK_HEADER.pack(b"DATB", embank.FORMAT_VERSION, 0,
+                                              1 << 40, 0, 0)
+                     + payload + struct.pack("<I", zlib.crc32(payload)))
+    reads = []
+    consume = embank._PayloadReader._consume
+    monkeypatch.setattr(embank._PayloadReader, "_consume", lambda rd, dst, what: (
+        reads.append(what), consume(rd, dst, what)))
+    with pytest.raises(TruncatedFileError,
+                       match="^truncated while reading latent_class: expected "
+                             "4398046511132 bytes, file has 92$"):
+        decode_bank_file(path, fields=KEEP)
+    assert reads == ["images", "feats", "caption_feats", "the payload"]
 
 
 @pytest.mark.parametrize("block", [8, 48, 1 << 22])
