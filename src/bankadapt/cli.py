@@ -122,13 +122,25 @@ def _echo_config(cfg: RunConfig, out: Path, command: str) -> None:
     write_config(cfg, out / f"resolved-{command}.cfg")
 
 
+def _check_classes(what: str, n_classes: int, ds: DownstreamDataset,
+                   path: str) -> None:
+    """Refuse to score a head of n_classes classes on ds of another count."""
+    if n_classes != ds.n_classes:
+        raise ValidationError([f"{what} has {n_classes} classes, "
+                               f"dataset {path} has {ds.n_classes}"])
+
+
 def _load_datasets(cfg: RunConfig
                    ) -> tuple[DownstreamDataset, DownstreamDataset | None]:
     """Training and evaluation datasets from files when the bank and dataset
     paths are set, else synthetic."""
     if cfg.bank and cfg.dataset:
         ds = decode_dataset_file(cfg.dataset)
-        eval_ds = decode_dataset_file(cfg.eval_dataset) if cfg.eval_dataset else None
+        eval_ds = None
+        if cfg.eval_dataset:
+            eval_ds = decode_dataset_file(cfg.eval_dataset)
+            _check_classes(f"dataset {cfg.dataset}", ds.n_classes, eval_ds,
+                           cfg.eval_dataset)
         return ds, eval_ds
     return generate_downstream(cfg), generate_downstream(
         cfg, split="test", n_per_class=cfg.eval_n_per_class)
@@ -238,6 +250,8 @@ def cmd_eval(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg)
     params = load_params(cfg.checkpoint)
     ds = decode_dataset_file(cfg.dataset)
+    _check_classes(f"checkpoint {cfg.checkpoint}", params.n_classes, ds,
+                   cfg.dataset)
     acc = evaluate(params, ds)
     (out / "eval.txt").write_text(f"accuracy = {repr(acc)}\n", encoding="utf-8")
     _echo_config(cfg, out, "eval")

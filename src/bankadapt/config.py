@@ -6,10 +6,10 @@ settings from it by the same names.  Every rule on its values is checked
 when it is built, so a run refuses a bad value before it reads any file.
 
 Every effective run writes its resolved configuration back out through
-write_config, and parse_config(write_config(cfg)) reproduces the exact
-values, so any run can be repeated bit-for-bit from its echo file.  The
-key `lambda` maps to the attribute `lambda_` because of the Python
-keyword.
+write_config, and parse_updates of that text, applied by apply_updates
+to a default RunConfig, reproduces the exact values, so any run can be
+repeated bit-for-bit from its echo file.  The key `lambda` maps to the
+attribute `lambda_` because of the Python keyword.
 """
 
 from __future__ import annotations
@@ -250,16 +250,6 @@ def parse_updates(text: str) -> dict[str, str]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         updates[key] = raw
     return updates
-
-
-def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
-    cfg = base if base is not None else RunConfig()
-    return apply_updates(cfg, parse_updates(text))
-
-
-def load_config(path, base: RunConfig | None = None) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read(), base)
 
 
 def config_values(cfg: RunConfig) -> dict[str, object]:

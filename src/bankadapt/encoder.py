@@ -104,11 +104,6 @@ class EncoderParams:
     def fields(self) -> tuple[np.ndarray, ...]:
         return (self.w1, self.b1, self.w2, self.b2, self.head_w, self.head_b)
 
-    def add_(self, other: "EncoderParams") -> "EncoderParams":
-        for mine, theirs in zip(self.fields(), other.fields()):
-            mine += theirs
-        return self
-
     def norm(self) -> float:
         return float(np.sqrt(sum(float(np.sum(f * f)) for f in self.fields())))
 
@@ -204,23 +199,17 @@ def encode_and_classify(params: EncoderParams, x: np.ndarray) -> ForwardTrace:
 
 
 def param_gradients(params: EncoderParams, trace: ForwardTrace,
-                    d_logits: np.ndarray | None = None,
+                    d_logits: np.ndarray,
                     d_unit: np.ndarray | None = None) -> EncoderParams:
-    """Reverse accumulation from upstream logit and/or unit-embedding grads.
+    """Reverse accumulation from upstream logit and unit-embedding grads.
 
-    d_logits: (N, classes) dL/dlogits; d_unit: (N, feat) dL/dv.  Either may
-    be None.  Accumulation over the batch is a fixed-order matmul, so results
-    are reproducible run to run.
+    d_logits: (N, classes) dL/dlogits; d_unit: (N, feat) dL/dv, or None for
+    no gradient through v.  Accumulation over the batch is a fixed-order
+    matmul, so results are reproducible run to run.
     """
-    n = trace.x.shape[0]
-    d_v = np.zeros_like(trace.embedding)
-    if d_logits is not None:
-        head_w_grad = d_logits.T @ trace.embedding
-        head_b_grad = d_logits.sum(axis=0)
-        d_v += d_logits @ params.head_w
-    else:
-        head_w_grad = np.zeros_like(params.head_w)
-        head_b_grad = np.zeros_like(params.head_b)
+    head_w_grad = d_logits.T @ trace.embedding
+    head_b_grad = d_logits.sum(axis=0)
+    d_v = d_logits @ params.head_w
     if d_unit is not None:
         # (I - v v^T)/||V|| applied row-wise
         inner = np.sum(d_unit * trace.unit_embedding, axis=1, keepdims=True)

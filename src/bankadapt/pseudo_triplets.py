@@ -1,7 +1,10 @@
 """Confidence-thresholded pseudo-labels and the unified image-text-label batch.
 
 A batch mixes three origins into one stack of (text feature, label) rows,
-each paired with one image view in the same order:
+each paired with one image view in the same order.  The views come from a
+stack of the step's weak labeled views (rows [0, b)), weak unlabeled views
+(rows [b, b+u)) and strong unlabeled views (rows [b+u, b+2u)), and
+image_rows names each triplet's row of that stack.  The origins, in order:
 
   downstream       weak views of labeled images, paired with their class
                    template feature and true label;
@@ -42,14 +45,13 @@ class PseudoLabels:
 @dataclass(frozen=True)
 class BatchTriplets:
     """Rows in fixed emission order: downstream ascending, confident weak
-    ascending, then all strong ascending.  Trainers rely on that order to
-    route contrastive gradients back to the right forward pass."""
+    ascending, then all strong ascending.  The objective gathers each row's
+    embedding from the stacked views through image_rows and scatters its
+    contrastive gradient back through the same index."""
 
     text_feats: np.ndarray  # (N, feat_dim) unit rows
     labels: np.ndarray      # (N,) int64
-    n_downstream: int
-    n_weak: int
-    n_strong: int
+    image_rows: np.ndarray  # (N,) int64 rows of the stacked views
 
     @property
     def n(self) -> int:
@@ -90,10 +92,12 @@ def build_batch_triplets(labels: np.ndarray, pseudo: PseudoLabels,
         raise ValueError("pseudo-labels and caption features must agree in length")
     if b and (labels.min() < 0 or labels.max() >= n_classes):
         raise ValueError("labeled batch contains a label outside [0, classes)")
-    weak = pseudo.label[pseudo.confident]
+    confident = np.flatnonzero(pseudo.confident)
+    weak = pseudo.label[confident]
+    strong = np.arange(u, dtype=np.int64)
     return BatchTriplets(
         text_feats=np.concatenate([class_text_feats[labels],
                                    class_text_feats[weak], caption_feats]),
-        labels=np.concatenate([labels.astype(np.int64), weak,
-                               n_classes + np.arange(u, dtype=np.int64)]),
-        n_downstream=b, n_weak=weak.shape[0], n_strong=u)
+        labels=np.concatenate([labels.astype(np.int64), weak, n_classes + strong]),
+        image_rows=np.concatenate([np.arange(b, dtype=np.int64), b + confident,
+                                   b + u + strong]))

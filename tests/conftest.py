@@ -3,6 +3,7 @@ synthetic generators, so the storage tests do not depend on them."""
 
 import numpy as np
 
+from bankadapt.config import RunConfig, apply_updates, parse_updates
 from bankadapt.embank import DownstreamDataset, EmbeddingBank
 
 
@@ -33,6 +34,18 @@ def fixed_order_scores(v, f) -> np.ndarray:
     for t in range(a.shape[1]):
         s += a[:, t, None] * b[None, :, t]
     return s
+
+
+def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
+    """A RunConfig from `key = value` text, applied over base (defaults when
+    None), as the CLI applies a --config file."""
+    cfg = base if base is not None else RunConfig()
+    return apply_updates(cfg, parse_updates(text))
+
+
+def load_config(path, base: RunConfig | None = None) -> RunConfig:
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_config(fh.read(), base)
 
 
 def random_bank(seed=0, m=17, d_img=6, d=4) -> EmbeddingBank:

@@ -1,5 +1,7 @@
 """Command line pipeline: subcommands, exit codes, and reproducibility."""
 
+import ast
+import importlib
 import os
 import re
 import subprocess
@@ -13,8 +15,11 @@ import pytest
 from bankadapt import cli, embank
 from bankadapt.cli import main
 from bankadapt.embank import encode_bank_file, encode_dataset_file
+from bankadapt.encoder import init_params, save_params
 
 from conftest import random_bank, random_dataset
+
+PERFBENCH_TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 TINY = ["--n_classes", "3", "--n_per_class", "6", "--eval_n_per_class", "8",
         "--bank_size", "300", "--image_dim", "8", "--feat_dim", "4",
@@ -246,6 +251,52 @@ def test_full_file_pipeline(tmp_path, capsys):
 
 def test_eval_requires_paths():
     assert run(["eval"]) == 1
+
+
+@pytest.mark.parametrize("n_classes", [2, 5])
+def test_eval_refuses_a_dataset_with_another_class_count(tmp_path, capsys,
+                                                         n_classes):
+    ckpt, same, other = (tmp_path / n for n in ("e.datc", "s.datd", "o.datd"))
+    save_params(init_params(0, 6, 5, 4, 3), ckpt)
+    encode_dataset_file(random_dataset(n_classes=3), same)
+    encode_dataset_file(random_dataset(n_classes=n_classes), other)
+    out = ["--out_dir", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert run(["eval", "--checkpoint", str(ckpt), "--dataset", str(other),
+                *out]) == 1
+    err = capsys.readouterr().err
+    assert f"checkpoint {ckpt} has 3 classes, dataset {other} has {n_classes}" in err
+    assert not (tmp_path / "out" / "eval.txt").exists()
+    assert run(["eval", "--checkpoint", str(ckpt), "--dataset", str(same),
+                *out]) == 0
+
+
+def test_train_refuses_an_eval_dataset_with_another_class_count(tmp_path, capsys):
+    bank, train, other = (tmp_path / n for n in ("b.datb", "t.datd", "e.datd"))
+    encode_bank_file(random_bank(), bank)
+    encode_dataset_file(random_dataset(n_classes=3), train)
+    encode_dataset_file(random_dataset(n_classes=4), other)
+    capsys.readouterr()
+    assert run(["train", "--bank", str(bank), "--dataset", str(train),
+                "--eval_dataset", str(other), "--image_dim", "6",
+                "--feat_dim", "4", "--epochs", "1",
+                "--out_dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"dataset {train} has 3 classes, dataset {other} has 4" in err
+    assert not (tmp_path / "out" / "metrics.csv").exists()
+
+
+def test_every_traced_name_resolves():
+    # perfbench/tracer.py wraps these names; a missing one would only be
+    # reported as "not traced"
+    tree = ast.parse(PERFBENCH_TRACER.read_text(encoding="utf-8"))
+    (points,) = [node.value for node in tree.body
+                 if isinstance(node, ast.Assign) and len(node.targets) == 1
+                 and getattr(node.targets[0], "id", "") == "WRAP_POINTS"]
+    names = [(p.elts[0].value, p.elts[1].value) for p in points.elts]
+    assert ("bankadapt.objective", "param_gradients") in names
+    for module, attr in names:
+        assert hasattr(importlib.import_module(module), attr), f"{module}.{attr}"
 
 
 def test_bad_flag_value_exits_one(tmp_path, capsys):

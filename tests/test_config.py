@@ -12,10 +12,10 @@ from bankadapt.config import (
     RunConfig,
     apply_updates,
     config_keys,
-    load_config,
-    parse_config,
     write_config,
 )
+
+from conftest import load_config, parse_config
 
 PERFBENCH_RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 

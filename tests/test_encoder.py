@@ -212,12 +212,12 @@ class TestGradients:
         rng = np.random.default_rng(4)
         trace = encode_and_classify(p, rng.standard_normal((3, 4)))
         d_logits = rng.standard_normal((3, 2))
-        g1 = param_gradients(p, trace, d_logits=d_logits)
-        g2 = param_gradients(p, trace, d_logits=d_logits)
-        total = g1.add_(g2)
-        np.testing.assert_allclose(
-            total.head_w, 2 * param_gradients(p, trace, d_logits=d_logits).head_w,
-            atol=1e-14)
+        # a batch stacked twice accumulates twice the gradient
+        twice = encode_and_classify(p, np.concatenate([trace.x, trace.x]))
+        total = param_gradients(p, twice, d_logits=np.concatenate([d_logits] * 2))
+        single = param_gradients(p, trace, d_logits=d_logits)
+        for got, want in zip(total.fields(), single.fields()):
+            np.testing.assert_allclose(got, 2 * want, rtol=0, atol=1e-14)
         assert total.norm() > 0
 
 

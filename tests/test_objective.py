@@ -3,17 +3,101 @@
 import numpy as np
 import pytest
 
+from bankadapt import objective
 from bankadapt.config import RunConfig
-from bankadapt.encoder import encode_and_classify, init_params
+from bankadapt.encoder import (
+    EncoderParams,
+    encode_and_classify,
+    init_params,
+    param_gradients,
+)
 from bankadapt.gradcheck import (
     FIXTURE_KINDS,
     finite_diff_check,
     make_fixture,
     run_gradient_suite,
 )
+from bankadapt.losses import (
+    contrastive_loss,
+    supervised_logit_grads,
+    supervised_loss,
+    total_loss,
+    unlabeled_logit_grads,
+    unlabeled_loss,
+)
 from bankadapt.objective import ObjectiveBatch, batch_objective
-from bankadapt.pseudo_triplets import pseudo_label_batch
+from bankadapt.pseudo_triplets import build_batch_triplets, pseudo_label_batch
 from bankadapt.seeding import derive_rng
+
+GRAD_FIELDS = ("w1", "b1", "w2", "b2", "head_w", "head_b")
+LOSS_FIELDS = ("loss_x", "loss_u", "loss_i2t", "loss_t2i", "loss_con",
+               "loss_total")
+
+
+def three_pass_objective(params, batch, cfg, include_supervised=True):
+    """Reference: one forward and one backward pass per group of views
+    (labeled weak, unlabeled weak, unlabeled strong), the contrastive
+    gradient routed back to the pass that produced each triplet's view by
+    the triplet counts, and the three parameter gradients summed."""
+    b, u = batch.n_labeled, batch.n_unlabeled
+    trace_l = encode_and_classify(params, batch.labeled_weak)
+    trace_w = encode_and_classify(params, batch.unlabeled_weak) if u else None
+    trace_s = encode_and_classify(params, batch.unlabeled_strong) if u else None
+
+    if include_supervised:
+        loss_x = supervised_loss(batch.labels, trace_l.probs)
+        d_logits_l = supervised_logit_grads(batch.labels, trace_l.probs)
+    else:
+        loss_x = 0.0
+        d_logits_l = None
+
+    weak_probs = trace_w.probs if u else np.zeros((0, params.n_classes))
+    pseudo = pseudo_label_batch(weak_probs, cfg.t_thresh)
+    confident = pseudo.confident
+    if u:
+        loss_u = unlabeled_loss(pseudo, trace_s.probs)
+        d_logits_s = unlabeled_logit_grads(pseudo, trace_s.probs) * cfg.eta
+    else:
+        loss_u = 0.0
+        d_logits_s = None
+
+    triplets = build_batch_triplets(batch.labels, pseudo, batch.caption_feats,
+                                    batch.class_text_feats)
+    n_weak = int(confident.sum())
+    loss_i2t = loss_t2i = 0.0
+    d_unit_l = d_unit_w = d_unit_s = None
+    if cfg.lambda_ > 0.0 and triplets.n >= 2:
+        v_parts = [trace_l.unit_embedding]
+        if u:
+            v_parts.append(trace_w.unit_embedding[confident])
+            v_parts.append(trace_s.unit_embedding)
+        con = contrastive_loss(np.concatenate(v_parts), triplets.text_feats,
+                               triplets.labels, cfg)
+        loss_i2t, loss_t2i = con.loss_i2t, con.loss_t2i
+        grad_v = con.grad_v * cfg.lambda_
+        d_unit_l = grad_v[:b]
+        if u:
+            d_unit_w = np.zeros_like(trace_w.unit_embedding)
+            d_unit_w[confident] = grad_v[b:b + n_weak]
+            d_unit_s = grad_v[b + n_weak:]
+
+    def backward(trace, d_logits, d_unit):
+        if d_logits is None:
+            d_logits = np.zeros_like(trace.logits)
+        return param_gradients(params, trace, d_logits, d_unit)
+
+    parts = []
+    if d_logits_l is not None or d_unit_l is not None:
+        parts.append(backward(trace_l, d_logits_l, d_unit_l))
+    if u and d_unit_w is not None:
+        parts.append(backward(trace_w, None, d_unit_w))
+    if u and (d_logits_s is not None or d_unit_s is not None):
+        parts.append(backward(trace_s, d_logits_s, d_unit_s))
+    grads = EncoderParams(*(sum((p.fields()[i] for p in parts),
+                                np.zeros_like(f))
+                            for i, f in enumerate(params.fields())))
+    breakdown = total_loss(loss_x, loss_u, loss_i2t, loss_t2i, n_weak, cfg)
+    return breakdown, grads
 
 
 def small_batch(seed=0, b=3, u=4, image_dim=6, feat_dim=4, n_classes=3):
@@ -153,3 +237,67 @@ def test_small_suite_green():
     kinds = [r.kind for r in results]
     assert kinds == list(FIXTURE_KINDS)
     assert all(r.max_rel_err <= 1e-4 for r in results)
+
+
+def sharp_params(seed):
+    """Initial params with a sharpened head, so some unlabeled rows of
+    small_batch() clear t = 0.5 and some do not."""
+    params = init_params(seed, 6, 5, 4, 3)
+    params.head_w *= 6.0
+    return params
+
+
+def reference_cases():
+    """Gradcheck fixtures of every kind, a batch without unlabeled rows, a
+    batch whose unlabeled rows are all below the threshold, and weights
+    other than one."""
+    cases = []
+    for kind in FIXTURE_KINDS:
+        fx = make_fixture(kind, seed=31)
+        cases.append((kind, fx.params, fx.batch, fx.cfg, fx.include_supervised))
+    cases.append(("u=0", init_params(12, 6, 5, 4, 3), small_batch(u=0),
+                  config(), True))
+    cases.append(("none confident", init_params(18, 6, 5, 4, 3), small_batch(),
+                  config(t=0.99), True))
+    cases.append(("weights", sharp_params(19), small_batch(),
+                  config(eta=0.7, lam=0.4), True))
+    return cases
+
+
+@pytest.mark.parametrize("case", reference_cases(), ids=lambda c: c[0])
+def test_stacked_pass_matches_three_pass_reference(case):
+    _, params, batch, cfg, include_supervised = case
+    got_bd, got = batch_objective(params, batch, cfg, include_supervised)
+    want_bd, want = three_pass_objective(params, batch, cfg, include_supervised)
+    assert got_bd.n_confident == want_bd.n_confident
+    for name in LOSS_FIELDS:
+        assert abs(getattr(got_bd, name) - getattr(want_bd, name)) <= 1e-12, name
+    for name in GRAD_FIELDS:
+        np.testing.assert_allclose(getattr(got, name), getattr(want, name),
+                                   rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_reference_cases_cover_the_confidence_gate():
+    confident = {name: three_pass_objective(p, b, c, s)[0].n_confident
+                 for name, p, b, c, s in reference_cases()}
+    assert confident["u=0"] == confident["none confident"] == 0
+    assert min(confident[k] for k in ("unlabeled", "full", "weights")) > 0
+
+
+@pytest.mark.parametrize("u, lam", [(4, 1.0), (0, 1.0), (4, 0.0)])
+def test_one_forward_and_one_backward_per_step(monkeypatch, u, lam):
+    calls = {"forward": 0, "backward": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(objective, "encode_and_classify",
+                        counted("forward", objective.encode_and_classify))
+    monkeypatch.setattr(objective, "param_gradients",
+                        counted("backward", objective.param_gradients))
+    bd, _ = batch_objective(sharp_params(19), small_batch(u=u), config(lam=lam))
+    assert bd.n_confident == (3 if u else 0)
+    assert calls == {"forward": 1, "backward": 1}

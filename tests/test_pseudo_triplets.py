@@ -85,7 +85,7 @@ class TestPseudoLabel:
 class TestStrongLabel:
     def test_formula(self):
         batch, *_ = small_batch(n_classes=9, u=3)
-        assert batch.labels[batch.n_downstream + batch.n_weak:].tolist() == [9, 10, 11]
+        assert batch.labels[origins(batch, u=3) == "strong"].tolist() == [9, 10, 11]
 
 
 def small_batch(b=3, u=4, n_classes=3, d_feat=4, seed=0, peaked=None,
@@ -106,12 +106,20 @@ def small_batch(b=3, u=4, n_classes=3, d_feat=4, seed=0, peaked=None,
     return batch, labels, captions, class_feats
 
 
+def origins(batch, b=3, u=4):
+    """Each triplet's origin, read from its row of the stacked views: weak
+    labeled [0, b), weak unlabeled [b, b+u), strong unlabeled [b+u, b+2u)."""
+    rows = batch.image_rows
+    return np.where(rows < b, "downstream",
+                    np.where(rows < b + u, "weak", "strong"))
+
+
 class TestBatchAssembly:
     def test_counts_and_order(self):
         batch, labels, captions, class_feats = small_batch(peaked={1: 2, 3: 0})
-        assert batch.n_downstream == 3
-        assert batch.n_weak == 2
-        assert batch.n_strong == 4
+        # weak rows are the confident unlabeled rows 1 and 3 of the stack
+        assert batch.image_rows.tolist() == [0, 1, 2, 4, 6, 7, 8, 9, 10]
+        assert batch.image_rows.dtype == np.int64
         assert batch.n == 3 + 2 + 4
         assert batch.text_feats.shape == (9, 4)
         # downstream rows, then confident weak rows ascending, then strong
@@ -121,20 +129,21 @@ class TestBatchAssembly:
 
     def test_downstream_text_feat_is_class_template(self):
         batch, labels, _, class_feats = small_batch()
-        b = batch.n_downstream
+        b = int(np.sum(origins(batch) == "downstream"))
+        assert b == 3
         np.testing.assert_array_equal(batch.text_feats[:b], class_feats[labels])
         assert batch.labels[:b].tolist() == labels.tolist()
 
     def test_confident_weak_uses_pseudo_class_template(self):
         batch, _, _, class_feats = small_batch(peaked={1: 2})
-        assert batch.n_weak == 1
-        row = batch.n_downstream
+        (row,) = np.flatnonzero(origins(batch) == "weak")
+        assert batch.image_rows[row] == 3 + 1
         np.testing.assert_array_equal(batch.text_feats[row], class_feats[2])
         assert batch.labels[row] == 2
 
     def test_strong_labels_are_fresh_and_above_downstream_range(self):
         batch, *_ = small_batch(n_classes=3, u=4)
-        strong = batch.labels[batch.n_downstream + batch.n_weak:]
+        strong = batch.labels[origins(batch) == "strong"]
         assert strong.tolist() == [3, 4, 5, 6]
         assert (strong >= 3).all()  # outside [0, n_classes)
 
@@ -144,8 +153,8 @@ class TestBatchAssembly:
 
     def test_no_confident_records_yields_no_weak_triplets(self):
         batch, *_ = small_batch(peaked=None, t_thresh=0.95)
-        assert batch.n_weak == 0
-        assert batch.n == batch.n_downstream + batch.n_strong
+        assert not np.any(origins(batch) == "weak")
+        assert batch.image_rows.tolist() == [0, 1, 2, 7, 8, 9, 10]
 
     def test_text_feats_are_unit_norm(self):
         batch, *_ = small_batch(peaked={0: 1})
@@ -154,7 +163,7 @@ class TestBatchAssembly:
 
     def test_label_partition_by_origin(self):
         batch, *_ = small_batch(n_classes=3, peaked={0: 0, 2: 1})
-        n_class_rows = batch.n_downstream + batch.n_weak
+        n_class_rows = int(np.sum(origins(batch) != "strong"))
         assert ((batch.labels[:n_class_rows] >= 0)
                 & (batch.labels[:n_class_rows] < 3)).all()
         assert (batch.labels[n_class_rows:] >= 3).all()
@@ -166,7 +175,7 @@ class TestBatchAssembly:
         batch = build_batch_triplets(
             np.array([0, 2]), pseudo_label_batch(np.zeros((0, 3)), 0.9),
             np.zeros((0, 4)), class_feats)
-        assert batch.n == 2 and batch.n_strong == 0 and batch.n_weak == 0
+        assert batch.n == 2 and batch.image_rows.tolist() == [0, 1]
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError, match="agree in length"):
