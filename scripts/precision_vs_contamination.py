@@ -14,7 +14,6 @@ import argparse
 import numpy as np
 
 from bankadapt.config import RunConfig
-from bankadapt.encoder import FrozenEmbedder
 from bankadapt.sampler import sampler_precision, stage1_sample, stage2_sample
 from bankadapt.synth import generate_downstream, generate_pretrain_bank
 
@@ -39,10 +38,8 @@ def main() -> int:
                             noise_sigma=args.noise_sigma)
             ds = generate_downstream(cfg)
             bank = generate_pretrain_bank(cfg, ds)
-            embedder = FrozenEmbedder.from_seed("image", seed,
-                                                cfg.feat_dim, cfg.image_dim)
-            s1 = stage1_sample(bank, ds)
-            s2 = stage2_sample(s1, bank, ds, embedder)
+            s1 = stage1_sample(bank, ds, cfg)
+            s2 = stage2_sample(s1, bank, ds, cfg)
             p1s.append(sampler_precision(s1, bank, ds))
             p2s.append(sampler_precision(s2, bank, ds))
         p1 = float(np.mean(p1s))

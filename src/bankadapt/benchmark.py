@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import RunConfig
-from .encoder import FrozenEmbedder
 from .sampler import stage1_sample, stage2_sample
 from .synth import generate_downstream, generate_pretrain_bank
 from .trainer import SelectedBank, TrainResult, fit
@@ -41,7 +40,6 @@ class BenchmarkWorld:
     train_ds: object
     eval_ds: object
     selected: SelectedBank
-    embedder: FrozenEmbedder
 
 
 def build_world(seed: int) -> BenchmarkWorld:
@@ -50,20 +48,16 @@ def build_world(seed: int) -> BenchmarkWorld:
     eval_ds = generate_downstream(cfg, split="test",
                                   n_per_class=cfg.eval_n_per_class)
     bank = generate_pretrain_bank(cfg, train_ds)
-    embedder = FrozenEmbedder.from_seed("image", seed, cfg.feat_dim,
-                                        cfg.image_dim)
-    s1 = stage1_sample(bank, train_ds)
-    s2 = stage2_sample(s1, bank, train_ds, embedder)
+    s1 = stage1_sample(bank, train_ds, cfg)
+    s2 = stage2_sample(s1, bank, train_ds, cfg)
     return BenchmarkWorld(seed=seed, train_ds=train_ds, eval_ds=eval_ds,
-                          selected=SelectedBank.from_bank(bank, s2),
-                          embedder=embedder)
+                          selected=SelectedBank.from_bank(bank, s2, train_ds))
 
 
 def run_variant(world: BenchmarkWorld, variant: str) -> TrainResult:
     eta, lambda_, mu = VARIANTS[variant]
     cfg = replace(BENCH, seed=world.seed, eta=eta, lambda_=lambda_, mu=mu)
-    return fit(world.train_ds, world.selected, world.train_ds.class_text_feats,
-               cfg, eval_ds=world.eval_ds)
+    return fit(world.train_ds, world.selected, cfg, eval_ds=world.eval_ds)
 
 
 def run_fits(seeds=range(5), variants=("baseline", "full")) -> dict[str, list[TrainResult]]:

@@ -19,10 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from .config import (
-    KEY_HELP,
     ConfigError,
     RunConfig,
     apply_updates,
+    config_help,
     config_keys,
     config_values,
     format_value,
@@ -40,11 +40,9 @@ from .embank import (
     encode_bank_file,
     encode_dataset_file,
 )
-from .encoder import FrozenEmbedder, load_params, save_params
+from .encoder import load_params, save_params
 from .gradcheck import run_gradient_suite
 from .sampler import (
-    default_k1,
-    default_k2,
     load_sample_csv,
     sampler_precision,
     save_sample_csv,
@@ -60,9 +58,10 @@ GRADCHECK_TOLERANCE = 1e-4
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", metavar="FILE",
                      help="flat key = value file applied before flag overrides")
+    key_help = config_help()
     for key, default in config_values(RunConfig()).items():
         sub.add_argument(f"--{key}", metavar="V", dest=key,
-                         help=f"{KEY_HELP[key]} (default: {format_value(default)})")
+                         help=f"{key_help[key]} (default: {format_value(default)})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,17 +86,12 @@ def build_parser() -> argparse.ArgumentParser:
         if name != "inspect":
             _add_config_flags(parsers[name])
 
-    parsers["train"].add_argument("--no-unlabeled", action="store_true",
-                                  help="drop the pseudo-label loss (eta = 0)")
-    parsers["train"].add_argument("--no-contrastive", action="store_true",
-                                  help="drop the contrastive loss (lambda = 0)")
     parsers["inspect"].add_argument("path", help="file to inspect")
     return parser
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """File values, then flag values, then the ablation switches, built and
-    checked as one RunConfig."""
+    """File values, then flag values, built and checked as one RunConfig."""
     updates = {}
     if getattr(args, "config", None):
         updates = parse_updates(Path(args.config).read_text(encoding="utf-8"))
@@ -105,10 +99,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, key, None)
         if value is not None:
             updates[key] = value
-    if getattr(args, "no_unlabeled", False):
-        updates["eta"] = "0.0"
-    if getattr(args, "no_contrastive", False):
-        updates["lambda"] = "0.0"
     return apply_updates(RunConfig(), updates)
 
 
@@ -122,25 +112,47 @@ def _echo_config(cfg: RunConfig, out: Path, command: str) -> None:
     write_config(cfg, out / f"resolved-{command}.cfg")
 
 
-def _check_classes(what: str, n_classes: int, ds: DownstreamDataset,
-                   path: str) -> None:
-    """Refuse to score a head of n_classes classes on ds of another count."""
-    if n_classes != ds.n_classes:
-        raise ValidationError([f"{what} has {n_classes} classes, "
-                               f"dataset {path} has {ds.n_classes}"])
+_SIZES = {"n_classes": "{} classes", "image_dim": "image_dim {}",
+          "feat_dim": "feat_dim {}"}
+
+
+def _check_sizes(what: str, own, ds: DownstreamDataset, path: str,
+                 names: tuple[str, ...]) -> None:
+    """Refuse ds unless each named size equals own's (a checkpoint's or the
+    training dataset's)."""
+    for name in names:
+        want, got = getattr(own, name), getattr(ds, name)
+        if want != got:
+            raise ValidationError([f"{what} has {_SIZES[name].format(want)}, "
+                                   f"dataset {path} has {_SIZES[name].format(got)}"])
+
+
+def _from_files(cfg: RunConfig) -> bool:
+    """Whether the data comes from files (bank and dataset both set) rather
+    than the synthetic world; a data path without both is refused."""
+    missing = [key for key in ("bank", "dataset") if not getattr(cfg, key)]
+    given = [key for key in ("bank", "dataset", "eval_dataset")
+             if getattr(cfg, key)]
+    if missing and given:
+        raise ConfigError(
+            f"key {given[0]!r} is set without "
+            f"{' and '.join(repr(key) for key in missing)}: files are read only "
+            "with both 'bank' and 'dataset' set; leave every data path unset "
+            "for the synthetic world")
+    return not missing
 
 
 def _load_datasets(cfg: RunConfig
                    ) -> tuple[DownstreamDataset, DownstreamDataset | None]:
     """Training and evaluation datasets from files when the bank and dataset
     paths are set, else synthetic."""
-    if cfg.bank and cfg.dataset:
+    if _from_files(cfg):
         ds = decode_dataset_file(cfg.dataset)
         eval_ds = None
         if cfg.eval_dataset:
             eval_ds = decode_dataset_file(cfg.eval_dataset)
-            _check_classes(f"dataset {cfg.dataset}", ds.n_classes, eval_ds,
-                           cfg.eval_dataset)
+            _check_sizes(f"dataset {cfg.dataset}", ds, eval_ds, cfg.eval_dataset,
+                         ("n_classes", "image_dim", "feat_dim"))
         return ds, eval_ds
     return generate_downstream(cfg), generate_downstream(
         cfg, split="test", n_per_class=cfg.eval_n_per_class)
@@ -150,19 +162,14 @@ def _load_bank(cfg: RunConfig, ds: DownstreamDataset,
                fields: tuple[str, ...]) -> EmbeddingBank:
     """The bank file, checked whole but keeping only fields, when the bank
     and dataset paths are set, else the synthetic bank for ds."""
-    if cfg.bank and cfg.dataset:
+    if _from_files(cfg):
         return decode_bank_file(cfg.bank, fields=fields)
     return generate_pretrain_bank(cfg, ds)
 
 
 def _sample_bank(cfg: RunConfig, bank: EmbeddingBank, ds: DownstreamDataset):
-    embedder = FrozenEmbedder.from_seed("image", cfg.seed, ds.feat_dim,
-                                        ds.image_dim)
-    k1 = default_k1(ds.size, ds.n_classes, cfg.stage1_multiplier)
-    s1 = stage1_sample(bank, ds, k1, cfg.memory_budget_bytes)
-    k2 = default_k2(s1.n_selected, ds.size, cfg.stage2_keep)
-    s2 = stage2_sample(s1, bank, ds, embedder, k2, cfg.memory_budget_bytes)
-    return s1, s2
+    s1 = stage1_sample(bank, ds, cfg)
+    return s1, stage2_sample(s1, bank, ds, cfg)
 
 
 def _selected_for_train(cfg: RunConfig, ds: DownstreamDataset) -> SelectedBank:
@@ -177,9 +184,9 @@ def _selected_for_train(cfg: RunConfig, ds: DownstreamDataset) -> SelectedBank:
                                                    dtype=np.float32))
     if cfg.samples:
         bank = _load_bank(cfg, ds, ("images", "caption_feats"))
-        return SelectedBank.from_bank(bank, load_sample_csv(cfg.samples))
+        return SelectedBank.from_bank(bank, load_sample_csv(cfg.samples), ds)
     bank = _load_bank(cfg, ds, ("images", "feats", "caption_feats"))
-    return SelectedBank.from_bank(bank, _sample_bank(cfg, bank, ds)[1])
+    return SelectedBank.from_bank(bank, _sample_bank(cfg, bank, ds)[1], ds)
 
 
 def cmd_synth_gen(cfg: RunConfig, args) -> int:
@@ -202,10 +209,10 @@ def cmd_synth_gen(cfg: RunConfig, args) -> int:
 
 
 def cmd_sample(cfg: RunConfig, args) -> int:
-    out = _out_dir(cfg)
     ds, _ = _load_datasets(cfg)
     bank = _load_bank(cfg, ds, ("feats", "latent_class"))
     s1, s2 = _sample_bank(cfg, bank, ds)
+    out = _out_dir(cfg)
     samples_path = Path(cfg.samples) if cfg.samples else out / "samples.csv"
     save_sample_csv(s2, samples_path, samples_path.with_name("deficits.csv"))
     print(f"stage 1 kept {s1.n_selected} records "
@@ -225,13 +232,10 @@ def cmd_sample(cfg: RunConfig, args) -> int:
 
 
 def cmd_train(cfg: RunConfig, args) -> int:
-    out = _out_dir(cfg)
     ds, eval_ds = _load_datasets(cfg)
     selected = _selected_for_train(cfg, ds)
-    embedder = FrozenEmbedder.from_seed("image", cfg.seed, ds.feat_dim,
-                                        ds.image_dim)
-    result = fit(ds, selected, ds.class_text_feats, cfg, eval_ds=eval_ds,
-                 embedder=embedder)
+    out = _out_dir(cfg)
+    result = fit(ds, selected, cfg, eval_ds=eval_ds)
     metrics_path = out / "metrics.csv"
     write_metrics_csv(result.metrics, metrics_path)
     ckpt_path = Path(cfg.checkpoint) if cfg.checkpoint else out / "encoder.datc"
@@ -250,8 +254,8 @@ def cmd_eval(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg)
     params = load_params(cfg.checkpoint)
     ds = decode_dataset_file(cfg.dataset)
-    _check_classes(f"checkpoint {cfg.checkpoint}", params.n_classes, ds,
-                   cfg.dataset)
+    _check_sizes(f"checkpoint {cfg.checkpoint}", params, ds, cfg.dataset,
+                 ("n_classes",))
     acc = evaluate(params, ds)
     (out / "eval.txt").write_text(f"accuracy = {repr(acc)}\n", encoding="utf-8")
     _echo_config(cfg, out, "eval")
@@ -275,18 +279,15 @@ def cmd_gradcheck(cfg: RunConfig, args) -> int:
 def cmd_sweep(cfg: RunConfig, args) -> int:
     cells = [replace(cfg, mu=mu, t_thresh=t)
              for mu in cfg.mu_list for t in cfg.t_list]
-    out = _out_dir(cfg)
     ds, eval_ds = _load_datasets(cfg)
     selected = _selected_for_train(replace(cfg, mu=max(cfg.mu_list)), ds)
-    embedder = FrozenEmbedder.from_seed("image", cfg.seed, ds.feat_dim,
-                                        ds.image_dim)
+    out = _out_dir(cfg)
     summary = ["mu,t_thresh,final_acc"]
     for cell in cells:
         mu, t = cell.mu, repr(cell.t_thresh)
         cell_dir = out / "sweep" / f"mu{mu}_t{t}"
         cell_dir.mkdir(parents=True, exist_ok=True)
-        result = fit(ds, selected, ds.class_text_feats, cell, eval_ds=eval_ds,
-                     embedder=embedder)
+        result = fit(ds, selected, cell, eval_ds=eval_ds)
         write_metrics_csv(result.metrics, cell_dir / "metrics.csv")
         acc = "" if result.final_acc is None else repr(result.final_acc)
         summary.append(f"{mu},{t},{acc}")

@@ -2,8 +2,12 @@
 
 RunConfig is the one configuration object: the synthetic world, the
 augmentation, the losses, the trainer and the sampler all read their
-settings from it by the same names.  Every rule on its values is checked
-when it is built, so a run refuses a bad value before it reads any file.
+settings from it by the same names, and no module keeps a default of its
+own.  Each key is declared once, as a field that carries its default, its
+`--help` text and the rule its value must hold; only the cross-key rule
+sigma_weak <= sigma_strong is written in __post_init__.  Every rule is
+checked when a RunConfig is built, in field order with the cross-key rule
+last, so a run refuses a bad value before it reads any file.
 
 Every effective run writes its resolved configuration back out through
 write_config, and parse_updates of that text, applied by apply_updates
@@ -14,12 +18,19 @@ attribute `lambda_` because of the Python keyword.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .embank import ValidationError
-from .sampler import DEFAULT_MEMORY_BUDGET_BYTES
 
 ANCHOR_REDUCTIONS = ("sum", "mean")
+
+# (predicate, rule) pairs shared by several keys
+AT_LEAST_ONE = (lambda v: v >= 1, "must be at least 1")
+NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
+POSITIVE = (lambda v: v > 0, "must be positive")
+IN_UNIT_INTERVAL = (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
+BELOW_ONE = (lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)")
+THRESHOLD = (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]")
 
 
 class ConfigError(ValidationError):
@@ -31,149 +42,103 @@ class ConfigError(ValidationError):
         self.message = message
 
 
+def _key(default, help_text: str, rule=None):
+    """A config key: its default, its --help text and its (predicate, rule)."""
+    return field(default=default, metadata={"help": help_text, "rule": rule})
+
+
 @dataclass(frozen=True)
 class RunConfig:
     # run identity
-    seed: int = 0
+    seed: int = _key(0, "base seed for every derived random stream")
     # synthetic world
-    n_classes: int = 10
-    n_per_class: int = 20
-    eval_n_per_class: int = 50
-    bank_size: int = 4000
-    image_dim: int = 32
-    feat_dim: int = 16
-    class_sep: float = 4.0
-    in_dist_fraction: float = 0.5
-    weak_pair_rate: float = 0.3
-    noise_sigma: float = 1.0
-    n_templates: int = 1
+    n_classes: int = _key(10, "number of downstream classes", AT_LEAST_ONE)
+    n_per_class: int = _key(20, "labeled images per class in the training split",
+                            AT_LEAST_ONE)
+    eval_n_per_class: int = _key(50, "images per class in the held-out split",
+                                 AT_LEAST_ONE)
+    bank_size: int = _key(4000, "records in the synthetic pre-training bank",
+                          NON_NEGATIVE)
+    image_dim: int = _key(32, "image vector dimensionality", AT_LEAST_ONE)
+    feat_dim: int = _key(16, "frozen feature space dimensionality", AT_LEAST_ONE)
+    class_sep: float = _key(4.0, "pairwise distance between class prototypes",
+                            POSITIVE)
+    in_dist_fraction: float = _key(
+        0.5, "fraction of bank records drawn from downstream classes",
+        IN_UNIT_INTERVAL)
+    weak_pair_rate: float = _key(
+        0.3, "fraction of bank captions swapped to an unrelated subject",
+        IN_UNIT_INTERVAL)
+    noise_sigma: float = _key(1.0, "observation noise around each prototype",
+                              NON_NEGATIVE)
+    n_templates: int = _key(
+        1, "text templates averaged into each class text feature", AT_LEAST_ONE)
     # augmentation
-    sigma_weak: float = 0.1
-    sigma_strong: float = 0.5
-    mask_frac: float = 0.25
+    sigma_weak: float = _key(0.1, "noise scale of the weak augmentation",
+                             NON_NEGATIVE)
+    sigma_strong: float = _key(0.5, "noise scale of the strong augmentation",
+                               NON_NEGATIVE)
+    mask_frac: float = _key(
+        0.25, "fraction of coordinates zeroed by the strong augmentation",
+        BELOW_ONE)
     # losses
-    tau: float = 0.07
-    eta: float = 1.0
-    lambda_: float = 1.0
-    anchor_reduction: str = "sum"
+    tau: float = _key(0.07, "contrastive temperature", POSITIVE)
+    eta: float = _key(1.0, "weight of the pseudo-label loss", NON_NEGATIVE)
+    lambda_: float = _key(1.0, "weight of the bidirectional contrastive loss",
+                          NON_NEGATIVE)
+    anchor_reduction: str = _key(
+        "sum", "contrastive anchor reduction: sum or mean",
+        (lambda v: v in ANCHOR_REDUCTIONS, f"must be one of {ANCHOR_REDUCTIONS}"))
     # training
-    batch_size: int = 32
-    mu: int = 4
-    t_thresh: float = 0.95
-    epochs: int = 12
-    lr: float = 0.05
-    momentum: float = 0.9
-    hidden_dim: int = 32
-    warm_start: bool = False
+    batch_size: int = _key(32, "labeled images per step", AT_LEAST_ONE)
+    mu: int = _key(4, "unlabeled-to-labeled ratio per step", NON_NEGATIVE)
+    t_thresh: float = _key(
+        0.95, "pseudo-label confidence threshold (inclusive)", THRESHOLD)
+    epochs: int = _key(12, "passes over the labeled set", NON_NEGATIVE)
+    lr: float = _key(0.05, "SGD learning rate", POSITIVE)
+    momentum: float = _key(0.9, "SGD momentum", BELOW_ONE)
+    hidden_dim: int = _key(32, "encoder hidden width", AT_LEAST_ONE)
+    warm_start: bool = _key(False, "start the encoder near the frozen projection")
     # sampler
-    stage1_multiplier: float = 8.0
-    stage2_keep: float = 0.5
-    memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES
+    stage1_multiplier: float = _key(
+        8.0, "stage-1 keeps multiplier * n downstream records", POSITIVE)
+    stage2_keep: float = _key(
+        0.5, "stage-2 keeps this fraction of the stage-1 selection", POSITIVE)
+    memory_budget_bytes: int = _key(
+        4 * 1024 * 1024, "bytes the sampler may hold while scoring and merging; "
+        "sets the rows per chunk, after at most three quarters for the held "
+        "candidates", AT_LEAST_ONE)
     # sweep grid
-    mu_list: tuple[int, ...] = (2, 3, 4, 5, 6, 7)
-    t_list: tuple[float, ...] = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95)
+    mu_list: tuple[int, ...] = _key(
+        (2, 3, 4, 5, 6, 7), "comma-separated mu grid of sweep",
+        (lambda v: len(v) >= 1 and all(mu >= 0 for mu in v),
+         "must list at least one 'mu', each non-negative"))
+    t_list: tuple[float, ...] = _key(
+        (0.5, 0.6, 0.7, 0.8, 0.9, 0.95), "comma-separated t_thresh grid of sweep",
+        (lambda v: len(v) >= 1 and all(THRESHOLD[0](t) for t in v),
+         "must list at least one 't_thresh', each in (0, 1]"))
     # paths ("" means unset)
-    bank: str = ""
-    dataset: str = ""
-    eval_dataset: str = ""
-    samples: str = ""
-    checkpoint: str = ""
-    out_dir: str = "out"
+    bank: str = _key("", "path to a DATB bank file")
+    dataset: str = _key("", "path to a DATD downstream dataset")
+    eval_dataset: str = _key("", "path to a DATD held-out dataset")
+    samples: str = _key(
+        "", "path to a sampler CSV (written by sample, reusable by train)")
+    checkpoint: str = _key("", "path to a DATC encoder checkpoint")
+    out_dir: str = _key("out", "directory receiving all run outputs")
 
     def __post_init__(self):
-        for key, holds, rule in self._rules():
-            if not holds:
-                value = getattr(self, _key_to_field(key))
-                raise ConfigError(f"key {key!r}: {rule}, got {value!r}")
-
-    def _rules(self) -> tuple[tuple[str, bool, str], ...]:
-        """(key, holds, rule) for every constraint, checked in this order."""
-        return (
-            ("n_classes", self.n_classes >= 1, "must be at least 1"),
-            ("n_per_class", self.n_per_class >= 1, "must be at least 1"),
-            ("eval_n_per_class", self.eval_n_per_class >= 1, "must be at least 1"),
-            ("bank_size", self.bank_size >= 0, "must be non-negative"),
-            ("image_dim", self.image_dim >= 1, "must be at least 1"),
-            ("feat_dim", self.feat_dim >= 1, "must be at least 1"),
-            ("class_sep", self.class_sep > 0.0, "must be positive"),
-            ("in_dist_fraction", 0.0 <= self.in_dist_fraction <= 1.0,
-             "must lie in [0, 1]"),
-            ("weak_pair_rate", 0.0 <= self.weak_pair_rate <= 1.0,
-             "must lie in [0, 1]"),
-            ("noise_sigma", self.noise_sigma >= 0.0, "must be non-negative"),
-            ("n_templates", self.n_templates >= 1, "must be at least 1"),
-            ("sigma_weak", self.sigma_weak >= 0.0, "must be non-negative"),
-            ("sigma_strong", self.sigma_strong >= 0.0, "must be non-negative"),
-            ("sigma_weak", self.sigma_weak <= self.sigma_strong,
-             f"must not exceed sigma_strong {self.sigma_strong!r}"),
-            ("mask_frac", 0.0 <= self.mask_frac < 1.0, "must lie in [0, 1)"),
-            ("tau", self.tau > 0.0, "must be positive"),
-            ("eta", self.eta >= 0.0, "must be non-negative"),
-            ("lambda", self.lambda_ >= 0.0, "must be non-negative"),
-            ("anchor_reduction", self.anchor_reduction in ANCHOR_REDUCTIONS,
-             f"must be one of {ANCHOR_REDUCTIONS}"),
-            ("batch_size", self.batch_size >= 1, "must be at least 1"),
-            ("mu", self.mu >= 0, "must be non-negative"),
-            ("t_thresh", 0.0 < self.t_thresh <= 1.0, "must lie in (0, 1]"),
-            ("epochs", self.epochs >= 0, "must be non-negative"),
-            ("lr", self.lr > 0.0, "must be positive"),
-            ("momentum", 0.0 <= self.momentum < 1.0, "must lie in [0, 1)"),
-            ("hidden_dim", self.hidden_dim >= 1, "must be at least 1"),
-            ("stage1_multiplier", self.stage1_multiplier > 0.0, "must be positive"),
-            ("stage2_keep", self.stage2_keep > 0.0, "must be positive"),
-            ("memory_budget_bytes", self.memory_budget_bytes >= 1,
-             "must be at least 1"),
-            ("mu_list", len(self.mu_list) >= 1
-             and all(mu >= 0 for mu in self.mu_list),
-             "must list at least one 'mu', each non-negative"),
-            ("t_list", len(self.t_list) >= 1
-             and all(0.0 < t <= 1.0 for t in self.t_list),
-             "must list at least one 't_thresh', each in (0, 1]"),
-        )
+        for f in fields(self):
+            if f.metadata["rule"] is not None:
+                holds, rule = f.metadata["rule"]
+                if not holds(getattr(self, f.name)):
+                    _refuse(f.name, rule, getattr(self, f.name))
+        if not self.sigma_weak <= self.sigma_strong:
+            _refuse("sigma_weak", f"must not exceed sigma_strong "
+                    f"{self.sigma_strong!r}", self.sigma_weak)
 
 
-KEY_HELP = {
-    "seed": "base seed for every derived random stream",
-    "n_classes": "number of downstream classes",
-    "n_per_class": "labeled images per class in the training split",
-    "eval_n_per_class": "images per class in the held-out split",
-    "bank_size": "records in the synthetic pre-training bank",
-    "image_dim": "image vector dimensionality",
-    "feat_dim": "frozen feature space dimensionality",
-    "class_sep": "pairwise distance between class prototypes",
-    "in_dist_fraction": "fraction of bank records drawn from downstream classes",
-    "weak_pair_rate": "fraction of bank captions swapped to an unrelated subject",
-    "noise_sigma": "observation noise around each prototype",
-    "n_templates": "text templates averaged into each class text feature",
-    "sigma_weak": "noise scale of the weak augmentation",
-    "sigma_strong": "noise scale of the strong augmentation",
-    "mask_frac": "fraction of coordinates zeroed by the strong augmentation",
-    "tau": "contrastive temperature",
-    "eta": "weight of the pseudo-label loss",
-    "lambda": "weight of the bidirectional contrastive loss",
-    "anchor_reduction": "contrastive anchor reduction: sum or mean",
-    "batch_size": "labeled images per step",
-    "mu": "unlabeled-to-labeled ratio per step",
-    "t_thresh": "pseudo-label confidence threshold (inclusive)",
-    "epochs": "passes over the labeled set",
-    "lr": "SGD learning rate",
-    "momentum": "SGD momentum",
-    "hidden_dim": "encoder hidden width",
-    "warm_start": "start the encoder near the frozen projection",
-    "stage1_multiplier": "stage-1 keeps multiplier * n downstream records",
-    "stage2_keep": "stage-2 keeps this fraction of the stage-1 selection",
-    "memory_budget_bytes": "bytes the sampler may hold while scoring and "
-                           "merging; sets the rows per chunk, after at most "
-                           "three quarters for the held candidates",
-    "mu_list": "comma-separated mu grid of sweep",
-    "t_list": "comma-separated t_thresh grid of sweep",
-    "bank": "path to a DATB bank file",
-    "dataset": "path to a DATD downstream dataset",
-    "eval_dataset": "path to a DATD held-out dataset",
-    "samples": "path to a sampler CSV (written by sample, reusable by train)",
-    "checkpoint": "path to a DATC encoder checkpoint",
-    "out_dir": "directory receiving all run outputs",
-}
+def _refuse(name: str, rule: str, value) -> None:
+    raise ConfigError(f"key {_field_to_key(name)!r}: {rule}, got {value!r}")
 
 
 def _field_to_key(name: str) -> str:
@@ -186,6 +151,11 @@ def _key_to_field(key: str) -> str:
 
 def config_keys() -> list[str]:
     return [_field_to_key(f.name) for f in fields(RunConfig)]
+
+
+def config_help() -> dict[str, str]:
+    """Every key's declared --help text, in schema order."""
+    return {_field_to_key(f.name): f.metadata["help"] for f in fields(RunConfig)}
 
 
 _LIST_ITEMS = {"tuple[int, ...]": int, "tuple[float, ...]": float}

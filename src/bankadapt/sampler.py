@@ -4,9 +4,10 @@ Stage 1 scores every bank record against the C class text features, assigns
 each record to its best class, and keeps the top k1 records per class (the
 label bank).  Stage 2 re-scores only the label bank against the frozen
 features of the individual downstream images, treating each image as a
-category of its own, and keeps the top k2 per image.  Defaults size the
-label bank at stage1_multiplier times the downstream set and keep
-stage2_keep of it.
+category of its own, and keeps the top k2 per image.  Both stages read
+their settings from the run's RunConfig and keep no default of their own:
+k1 sizes the label bank at stage1_multiplier times the downstream set, k2
+keeps stage2_keep of it, and memory_budget_bytes sizes the chunks.
 
 Scoring is exact cosine similarity, computed in row chunks.  A chunk holds
 as many rows (bytes_per_row each) as the memory budget leaves after the part
@@ -41,12 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig
 from .embank import DownstreamDataset, EmbeddingBank
 from .encoder import FrozenEmbedder
-
-DEFAULT_STAGE1_MULTIPLIER = 8.0
-DEFAULT_STAGE2_KEEP = 0.5
-DEFAULT_MEMORY_BUDGET_BYTES = 4 * 1024 * 1024
 
 # Int64/float64 vectors a chunk row or a held candidate may need at once in
 # the merge: assignment, row score, admitted index, the (id, column, score)
@@ -216,50 +214,44 @@ def select_topk_streamed(v: np.ndarray, f: np.ndarray, k: int,
                         deficits=k - np.bincount(cols, minlength=q), k=k)
 
 
-def default_k1(n_downstream: int, n_classes: int,
-               multiplier: float = DEFAULT_STAGE1_MULTIPLIER) -> int:
+def default_k1(n_downstream: int, n_classes: int, multiplier: float) -> int:
     """Per-class keep count sizing the label bank at multiplier x downstream."""
     return max(1, math.ceil(multiplier * n_downstream / n_classes))
 
 
-def default_k2(label_bank_size: int, n_downstream: int,
-               keep: float = DEFAULT_STAGE2_KEEP) -> int:
+def default_k2(label_bank_size: int, n_downstream: int, keep: float) -> int:
     """Per-image keep count retaining `keep` of the label bank overall."""
     return max(1, math.ceil(keep * label_bank_size / n_downstream))
 
 
 def stage1_sample(bank: EmbeddingBank, ds: DownstreamDataset,
-                  k1: int | None = None,
-                  memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES
-                  ) -> SampleResult:
+                  cfg: RunConfig) -> SampleResult:
     """Zero-shot retrieval: bank features against class text features."""
     if bank.feat_dim != ds.feat_dim:
         raise ValueError(f"bank feat_dim {bank.feat_dim} != dataset {ds.feat_dim}")
-    if k1 is None:
-        k1 = default_k1(ds.size, ds.n_classes)
-    rows = budget_chunk_rows(memory_budget_bytes, k1, ds.feat_dim,
+    k1 = default_k1(ds.size, ds.n_classes, cfg.stage1_multiplier)
+    rows = budget_chunk_rows(cfg.memory_budget_bytes, k1, ds.feat_dim,
                              ds.n_classes)
     return select_topk_streamed(bank.feats, ds.class_text_feats, k1, rows)
 
 
 def stage2_sample(label_bank: SampleResult, bank: EmbeddingBank,
-                  ds: DownstreamDataset, embedder: FrozenEmbedder,
-                  k2: int | None = None,
-                  memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES
-                  ) -> SampleResult:
+                  ds: DownstreamDataset, cfg: RunConfig) -> SampleResult:
     """Per-image retrieval within the label bank only.
 
-    Each downstream image acts as its own category; returned ids are bank
-    record ids, deduplicated by construction since each label-bank record is
-    assigned to exactly one image.
+    Each downstream image acts as its own category, embedded by the run
+    seed's frozen image embedder; returned ids are bank record ids,
+    deduplicated by construction since each label-bank record is assigned
+    to exactly one image.
     """
     if label_bank.n_selected == 0:
         raise ValueError("label bank is empty, nothing to re-rank")
-    if k2 is None:
-        k2 = default_k2(label_bank.n_selected, ds.size)
+    k2 = default_k2(label_bank.n_selected, ds.size, cfg.stage2_keep)
+    embedder = FrozenEmbedder.from_seed("image", cfg.seed, ds.feat_dim,
+                                        ds.image_dim)
     image_feats = embedder.embed_rows(np.asarray(ds.images, dtype=np.float64))
     pool_feats = bank.feats[label_bank.selected_ids]
-    rows = budget_chunk_rows(memory_budget_bytes, k2, ds.feat_dim, ds.size)
+    rows = budget_chunk_rows(cfg.memory_budget_bytes, k2, ds.feat_dim, ds.size)
     picked = select_topk_streamed(pool_feats, image_feats, k2, rows)
     return SampleResult(
         selected_ids=label_bank.selected_ids[picked.selected_ids],

@@ -46,7 +46,16 @@ class SelectedBank:
         return self.ids.shape[0]
 
     @classmethod
-    def from_bank(cls, bank: EmbeddingBank, result: SampleResult) -> "SelectedBank":
+    def from_bank(cls, bank: EmbeddingBank, result: SampleResult,
+                  ds: DownstreamDataset) -> "SelectedBank":
+        """The rows of result, refused unless the bank's image and feature
+        dimensions are ds's and every id lies inside the bank."""
+        for name, own, want in (
+                ("image_dim", bank.images.shape[1], ds.image_dim),
+                ("feat_dim", bank.caption_feats.shape[1], ds.feat_dim)):
+            if own != want:
+                raise ValidationError([f"bank has {name} {own}, "
+                                       f"dataset has {want}"])
         ids = np.asarray(result.selected_ids, dtype=np.int64)
         bad = np.flatnonzero((ids < 0) | (ids >= bank.size))
         if bad.size:
@@ -88,8 +97,7 @@ def steps_per_epoch(n: int, batch_size: int) -> int:
 
 
 def compose_batch(ds: DownstreamDataset, selected: SelectedBank,
-                  class_text_feats: np.ndarray, cfg: RunConfig,
-                  epoch: int, step: int) -> ObjectiveBatch:
+                  cfg: RunConfig, epoch: int, step: int) -> ObjectiveBatch:
     n = ds.size
     order_l = derive_rng(cfg.seed, "batch-labeled", epoch).permutation(n)
     lab_idx = order_l[step * cfg.batch_size:(step + 1) * cfg.batch_size]
@@ -114,7 +122,7 @@ def compose_batch(ds: DownstreamDataset, selected: SelectedBank,
         dim = ds.image_dim
         unlabeled_weak = np.zeros((0, dim))
         unlabeled_strong = np.zeros((0, dim))
-        caption_feats = np.zeros((0, class_text_feats.shape[1]))
+        caption_feats = np.zeros((0, ds.feat_dim))
 
     return ObjectiveBatch(
         labeled_weak=labeled_weak,
@@ -122,7 +130,7 @@ def compose_batch(ds: DownstreamDataset, selected: SelectedBank,
         unlabeled_weak=unlabeled_weak,
         unlabeled_strong=unlabeled_strong,
         caption_feats=caption_feats,
-        class_text_feats=np.asarray(class_text_feats, dtype=np.float64),
+        class_text_feats=np.asarray(ds.class_text_feats, dtype=np.float64),
     )
 
 
@@ -142,29 +150,25 @@ def evaluate(params: EncoderParams, ds: DownstreamDataset) -> float:
     return float(np.mean(pred == ds.labels))
 
 
-def fit(ds: DownstreamDataset, selected: SelectedBank,
-        class_text_feats: np.ndarray, cfg: RunConfig,
-        eval_ds: DownstreamDataset | None = None,
-        embedder: FrozenEmbedder | None = None,
-        params: EncoderParams | None = None) -> TrainResult:
-    feat_dim = class_text_feats.shape[1]
-    if params is None:
-        if cfg.warm_start:
-            if embedder is None:
-                raise ValidationError(["warm_start needs the frozen embedder"])
-            params = init_params_warm(cfg.seed, embedder, cfg.hidden_dim,
-                                      ds.n_classes)
-        else:
-            params = init_params(cfg.seed, ds.image_dim, cfg.hidden_dim,
-                                 feat_dim, ds.n_classes)
+def fit(ds: DownstreamDataset, selected: SelectedBank, cfg: RunConfig,
+        eval_ds: DownstreamDataset | None = None) -> TrainResult:
+    """Train from the seed's initial parameters; with warm_start the
+    encoder starts near the seed's frozen image embedder."""
+    if cfg.warm_start:
+        embedder = FrozenEmbedder.from_seed("image", cfg.seed, ds.feat_dim,
+                                            ds.image_dim)
+        params = init_params_warm(cfg.seed, embedder, cfg.hidden_dim,
+                                  ds.n_classes)
+    else:
+        params = init_params(cfg.seed, ds.image_dim, cfg.hidden_dim,
+                             ds.feat_dim, ds.n_classes)
     velocity = params.zeros_like()
     metrics: list[StepMetrics] = []
     global_step = 0
     n_steps = steps_per_epoch(ds.size, cfg.batch_size)
     for epoch in range(cfg.epochs):
         for step in range(n_steps):
-            batch = compose_batch(ds, selected, class_text_feats, cfg,
-                                  epoch, step)
+            batch = compose_batch(ds, selected, cfg, epoch, step)
             breakdown, grads = batch_objective(params, batch, cfg)
             grad_norm = grads.norm()
             sgd_update(params, velocity, grads, cfg.lr, cfg.momentum)

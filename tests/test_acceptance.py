@@ -9,6 +9,7 @@ each check.
 import math
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from bankadapt.benchmark import VARIANTS, mean_accuracy, run_benchmark
 from bankadapt.cli import main as cli_main
 from bankadapt.config import RunConfig
 from bankadapt.embank import DownstreamDataset, EmbeddingBank
-from bankadapt.encoder import FrozenEmbedder, encode_and_classify, init_params
+from bankadapt.encoder import encode_and_classify, init_params
 from bankadapt.gradcheck import FIXTURE_KINDS, run_gradient_suite
 from bankadapt.losses import contrastive_loss
 from bankadapt.pseudo_triplets import pseudo_label_batch
@@ -166,12 +167,12 @@ def test_criterion_3_stage_chunking_invariance():
                      in_dist_fraction=0.5, weak_pair_rate=0.3, noise_sigma=1.0)
     ds = generate_downstream(spec)
     bank = generate_pretrain_bank(spec, ds)
-    embedder = FrozenEmbedder.from_seed("image", 3, 8, 12)
     results = []
     # one row per chunk, against every row in one chunk
     for budget in (1, 1 << 30):
-        s1 = stage1_sample(bank, ds, memory_budget_bytes=budget)
-        s2 = stage2_sample(s1, bank, ds, embedder, memory_budget_bytes=budget)
+        cfg = replace(spec, memory_budget_bytes=budget)
+        s1 = stage1_sample(bank, ds, cfg)
+        s2 = stage2_sample(s1, bank, ds, cfg)
         results.append((s1, s2))
     (a1, a2), (b1, b2) = results
     for a, b in ((a1, b1), (a2, b2)):
@@ -191,9 +192,8 @@ def test_criterion_4_sampler_precision():
                          weak_pair_rate=0.3, noise_sigma=1.0)
         ds = generate_downstream(spec)
         bank = generate_pretrain_bank(spec, ds)
-        embedder = FrozenEmbedder.from_seed("image", seed, 16, 32)
-        s1 = stage1_sample(bank, ds)
-        s2 = stage2_sample(s1, bank, ds, embedder)
+        s1 = stage1_sample(bank, ds, spec)
+        s2 = stage2_sample(s1, bank, ds, spec)
         precisions.append(sampler_precision(s2, bank, ds))
     elapsed = time.perf_counter() - t0
     ok = all(p >= 0.50 for p in precisions) and elapsed < 60.0
@@ -287,13 +287,14 @@ def test_criterion_8_large_bank_performance():
                            class_names=[f"c{j}" for j in range(q)],
                            class_descriptions=[""] * q,
                            class_text_feats=text_feats.astype(np.float32))
-    budget = 64 * 1024 * 1024
-    k = default_k1(n, q)
+    cfg = RunConfig(memory_budget_bytes=64 * 1024 * 1024)
+    budget = cfg.memory_budget_bytes
+    k = default_k1(n, q, cfg.stage1_multiplier)
     accounted = (budget_chunk_rows(budget, k, d, q) * bytes_per_row(d, q)
                  + merge_bytes(k, d, q))
     tracemalloc.start()
     t0 = time.perf_counter()
-    result = stage1_sample(bank, ds, memory_budget_bytes=budget)
+    result = stage1_sample(bank, ds, cfg)
     elapsed = time.perf_counter() - t0
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()

@@ -14,6 +14,7 @@ import pytest
 
 from bankadapt import cli, embank
 from bankadapt.cli import main
+from bankadapt.config import RunConfig, config_help, config_values, format_value
 from bankadapt.embank import encode_bank_file, encode_dataset_file
 from bankadapt.encoder import init_params, save_params
 
@@ -217,13 +218,53 @@ def test_train_rerun_from_resolved_config_is_byte_identical(tmp_path):
     assert (a / "encoder.datc").read_bytes() == (b / "encoder.datc").read_bytes()
 
 
-def test_ablation_flags_match_explicit_weights(tmp_path):
-    a, b = tmp_path / "flags", tmp_path / "explicit"
-    assert run(["train", *TINY, "--no-unlabeled", "--no-contrastive",
-                "--mu", "0", "--out_dir", str(a)]) == 0
-    assert run(["train", *TINY, "--eta", "0.0", "--lambda", "0.0",
-                "--mu", "0", "--out_dir", str(b)]) == 0
-    assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
+def test_train_help_shows_every_key_with_its_declared_help(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "1000")  # no wrapping inside a help text
+    with pytest.raises(SystemExit) as done:
+        main(["train", "--help"])
+    assert done.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    defaults = config_values(RunConfig())
+    assert len(config_help()) == len(defaults) == 38
+    for key, help_text in config_help().items():
+        assert (f"--{key} V {help_text} (default: {format_value(defaults[key])})"
+                in text), key
+
+
+@pytest.mark.parametrize("flag", ["--no-unlabeled", "--no-contrastive"])
+def test_ablation_alias_flags_are_gone(flag, capsys):
+    # --eta 0 and --lambda 0 are the one spelling of each ablation
+    with pytest.raises(SystemExit) as done:
+        main(["train", flag])
+    assert done.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sample", "train", "sweep"])
+@pytest.mark.parametrize("given, named", [
+    (("bank",), "'dataset'"),
+    (("dataset",), "'bank'"),
+    (("eval_dataset",), "'bank' and 'dataset'"),
+    (("bank", "eval_dataset"), "'dataset'"),
+    (("dataset", "eval_dataset"), "'bank'"),
+])
+def test_a_lone_data_path_exits_one_before_reading(tmp_path, capsys, command,
+                                                   given, named):
+    # the files do not exist: reading them would exit 2, not 1
+    paths = [arg for key in given
+             for arg in (f"--{key}", str(tmp_path / f"missing-{key}"))]
+    out = tmp_path / "o"
+    assert run([command, *paths, "--out_dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"key {given[0]!r} is set without {named}" in err
+    assert not out.exists()
+
+
+def test_synth_gen_writes_a_lone_bank_path(tmp_path):
+    bank = tmp_path / "only.datb"
+    assert run(["synth-gen", *TINY, "--bank", str(bank),
+                "--out_dir", str(tmp_path / "w")]) == 0
+    assert bank.exists() and (tmp_path / "w" / "train.datd").exists()
 
 
 def test_full_file_pipeline(tmp_path, capsys):
@@ -284,6 +325,51 @@ def test_train_refuses_an_eval_dataset_with_another_class_count(tmp_path, capsys
     err = capsys.readouterr().err
     assert f"dataset {train} has 3 classes, dataset {other} has 4" in err
     assert not (tmp_path / "out" / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("name, d_img, d", [("image_dim", 9, 4),
+                                            ("feat_dim", 6, 5)])
+def test_train_refuses_an_eval_dataset_of_other_dims_before_fitting(
+        tmp_path, capsys, name, d_img, d):
+    bank, train, other = (tmp_path / n for n in ("b.datb", "t.datd", "e.datd"))
+    encode_bank_file(random_bank(), bank)
+    encode_dataset_file(random_dataset(), train)
+    encode_dataset_file(random_dataset(d_img=d_img, d=d), other)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(["train", "--bank", str(bank), "--dataset", str(train),
+                "--eval_dataset", str(other), "--epochs", "1",
+                "--out_dir", str(out)]) == 1
+    own = {"image_dim": 6, "feat_dim": 4}[name]
+    theirs = {"image_dim": d_img, "feat_dim": d}[name]
+    assert (f"dataset {train} has {name} {own}, dataset {other} has {name} "
+            f"{theirs}") in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("with_samples", [True, False])
+@pytest.mark.parametrize("name, d_img, d", [("image_dim", 9, 4),
+                                            ("feat_dim", 6, 5)])
+def test_train_refuses_a_bank_of_other_dims_before_fitting(
+        tmp_path, capsys, name, d_img, d, with_samples):
+    bank, train, samples = (tmp_path / n for n in ("b.datb", "t.datd", "s.csv"))
+    encode_bank_file(random_bank(d_img=d_img, d=d), bank)
+    encode_dataset_file(random_dataset(), train)
+    samples.write_text("record_id,assigned_column,score\n0,0,0.5\n")
+    extra = ["--samples", str(samples)] if with_samples else []
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(["train", "--bank", str(bank), "--dataset", str(train), *extra,
+                "--epochs", "1", "--out_dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    if with_samples or name == "image_dim":
+        own = {"image_dim": d_img, "feat_dim": d}[name]
+        theirs = {"image_dim": 6, "feat_dim": 4}[name]
+        assert f"bank has {name} {own}, dataset has {theirs}" in err
+    else:
+        # stage 1 refuses first, before any selection is gathered
+        assert "bank feat_dim 5 != dataset 4" in err
+    assert not out.exists()
 
 
 def test_every_traced_name_resolves():

@@ -1,18 +1,18 @@
 import gc
 import itertools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bankadapt import sampler
+from bankadapt import benchmark, sampler
 from bankadapt.config import RunConfig
 from bankadapt.embank import EmbeddingBank
 from bankadapt.encoder import FrozenEmbedder
 from bankadapt.sampler import (
-    DEFAULT_MEMORY_BUDGET_BYTES,
     DegenerateRowError,
     PrecisionUndefinedError,
     SampleResult,
@@ -294,16 +294,20 @@ class TestChunkBudget:
         # candidates are charged more than the whole default budget, yet the
         # chunk still gets a quarter of it.
         n, q, d = 3000, 10, 16
-        k1 = default_k1(n, q)
-        assert merge_bytes(k1, d, q) > DEFAULT_MEMORY_BUDGET_BYTES
-        rows = budget_chunk_rows(DEFAULT_MEMORY_BUDGET_BYTES, k1, d, q)
-        assert rows == DEFAULT_MEMORY_BUDGET_BYTES // 4 // bytes_per_row(d, q)
+        cfg = RunConfig()
+        k1 = default_k1(n, q, cfg.stage1_multiplier)
+        assert merge_bytes(k1, d, q) > cfg.memory_budget_bytes
+        rows = budget_chunk_rows(cfg.memory_budget_bytes, k1, d, q)
+        assert rows == cfg.memory_budget_bytes // 4 // bytes_per_row(d, q)
         assert rows > 2000
 
     def test_tiny_budget_still_makes_progress(self):
         assert budget_chunk_rows(16, 80, feat_dim=64, n_columns=10) == 1
-        _, ds, bank, _ = make_world(6, m=300)
-        r = stage1_sample(bank, ds, k1=2, memory_budget_bytes=16)
+        spec, ds, bank = make_world(6, m=300)
+        # k1 = ceil(0.09 * 200 / 10) = 2
+        cfg = replace(spec, stage1_multiplier=0.09, memory_budget_bytes=16)
+        r = stage1_sample(bank, ds, cfg)
+        assert r.k == 2
         assert r.n_selected == 2 * ds.n_classes
 
     def test_stage2_peak_stays_within_budget_at_rerank_shape(self):
@@ -319,7 +323,7 @@ class TestChunkBudget:
                              caption_feats=feats, captions=[""] * m,
                              latent_class=np.full(m, -1, np.int32))
         ds = random_dataset(seed=7, n=n, n_classes=n_classes, d_img=d_img, d=d)
-        emb = FrozenEmbedder.from_seed("image", 7, d, d_img)
+        cfg = RunConfig(seed=7)
         label_bank = SampleResult(
             selected_ids=np.arange(m, dtype=np.int64),
             assigned_column=np.zeros(m, np.int64), score=np.zeros(m),
@@ -327,12 +331,12 @@ class TestChunkBudget:
         gc.collect()
         tracemalloc.start()
         try:
-            r = stage2_sample(label_bank, bank, ds, emb)
+            r = stage2_sample(label_bank, bank, ds, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert r.k == 4 and r.n_selected > 0
-        allowed = DEFAULT_MEMORY_BUDGET_BYTES + feats.nbytes + n * d * 8
+        allowed = cfg.memory_budget_bytes + feats.nbytes + n * d * 8
         assert peak <= allowed, (peak, allowed)
 
 
@@ -341,8 +345,7 @@ def make_world(seed, m=8000, rho=0.25, noise=0.8, n_classes=10, npc=20):
                      in_dist_fraction=rho, weak_pair_rate=0.3, noise_sigma=noise)
     ds = generate_downstream(spec)
     bank = generate_pretrain_bank(spec, ds)
-    emb = FrozenEmbedder.from_seed("image", spec.seed, spec.feat_dim, spec.image_dim)
-    return spec, ds, bank, emb
+    return spec, ds, bank
 
 
 class TestStages:
@@ -363,54 +366,59 @@ class TestStages:
             images=protos.astype(np.float32), feats=feats, caption_feats=feats,
             captions=["a photo of class-00.", "a photo of class-01."],
             latent_class=np.array([0, 1], dtype=np.int32))
-        r = stage1_sample(bank, ds, k1=1)
+        # k1 = ceil(0.25 * 6 / 2) = 1
+        r = stage1_sample(bank, ds, replace(spec, stage1_multiplier=0.25))
+        assert r.k == 1
         assert r.n_selected == 2
         assert r.deficits.tolist() == [0, 0]
         picked_classes = sorted(bank.latent_class[r.selected_ids].tolist())
         assert picked_classes == [0, 1]
 
     def test_default_sizes_label_bank_at_eight_times_downstream(self):
-        _, ds, bank, _ = make_world(0)
-        r = stage1_sample(bank, ds)
-        assert r.k == default_k1(ds.size, ds.n_classes) == 8 * ds.size // ds.n_classes
+        spec, ds, bank = make_world(0)
+        r = stage1_sample(bank, ds, spec)
+        k1 = default_k1(ds.size, ds.n_classes, spec.stage1_multiplier)
+        assert r.k == k1 == 8 * ds.size // ds.n_classes
         assert r.n_selected + int(r.deficits.sum()) == 8 * ds.size
 
     def test_stage2_keeps_half_and_returns_bank_ids(self):
-        _, ds, bank, emb = make_world(1)
-        s1 = stage1_sample(bank, ds)
-        s2 = stage2_sample(s1, bank, ds, emb)
-        assert s2.k == default_k2(s1.n_selected, ds.size) == 4
+        spec, ds, bank = make_world(1)
+        s1 = stage1_sample(bank, ds, spec)
+        s2 = stage2_sample(s1, bank, ds, spec)
+        assert s2.k == default_k2(s1.n_selected, ds.size, spec.stage2_keep) == 4
         assert s2.n_selected <= s1.n_selected // 2
         assert set(s2.selected_ids.tolist()) <= set(s1.selected_ids.tolist())
         assert len(set(s2.selected_ids.tolist())) == s2.n_selected
 
     def test_stage1_precision_beats_base_rate(self):
         for seed in range(5):
-            _, ds, bank, _ = make_world(seed, rho=0.5)
-            p = sampler_precision(stage1_sample(bank, ds), bank, ds)
+            spec, ds, bank = make_world(seed, rho=0.5)
+            p = sampler_precision(stage1_sample(bank, ds, spec), bank, ds)
             assert p > 0.5
 
     def test_stage2_refines_stage1_precision(self):
         for seed in range(5):
-            _, ds, bank, emb = make_world(seed)
-            s1 = stage1_sample(bank, ds)
-            s2 = stage2_sample(s1, bank, ds, emb)
+            spec, ds, bank = make_world(seed)
+            s1 = stage1_sample(bank, ds, spec)
+            s2 = stage2_sample(s1, bank, ds, spec)
             assert sampler_precision(s2, bank, ds) >= sampler_precision(s1, bank, ds)
 
     def test_stage_outputs_are_chunk_independent(self):
-        spec, ds, bank, emb = make_world(2, m=2000)
+        spec, ds, bank = make_world(2, m=2000)
         budgets = (1, 100_000, 1 << 22)
         # one row per chunk, mid-size chunks with a partial last chunk, and
         # the whole bank in one chunk in stage 1
-        k1 = default_k1(ds.size, ds.n_classes)
-        k2 = default_k2(stage1_sample(bank, ds).n_selected, ds.size)
+        k1 = default_k1(ds.size, ds.n_classes, spec.stage1_multiplier)
+        k2 = default_k2(stage1_sample(bank, ds, spec).n_selected, ds.size,
+                        spec.stage2_keep)
         for k, q in ((k1, ds.n_classes), (k2, ds.size)):
             rows = [budget_chunk_rows(b, k, spec.feat_dim, q) for b in budgets]
             assert rows[0] == 1 < rows[1] < rows[2]
         base = None
         for budget in budgets:
-            s1 = stage1_sample(bank, ds, memory_budget_bytes=budget)
-            s2 = stage2_sample(s1, bank, ds, emb, memory_budget_bytes=budget)
+            cfg = replace(spec, memory_budget_bytes=budget)
+            s1 = stage1_sample(bank, ds, cfg)
+            s2 = stage2_sample(s1, bank, ds, cfg)
             key = (s2.selected_ids.tolist(), s2.assigned_column.tolist(),
                    s2.score.tolist())
             if base is None:
@@ -418,20 +426,28 @@ class TestStages:
             else:
                 assert key == base
 
+    def test_build_world_reads_the_sampler_keys_of_bench(self, monkeypatch):
+        # the benchmark's stages take their keep fraction from BENCH
+        half = benchmark.build_world(0).selected.size
+        monkeypatch.setattr(benchmark, "BENCH",
+                            replace(benchmark.BENCH, stage2_keep=0.25))
+        quarter = benchmark.build_world(0).selected.size
+        assert 0 < quarter < half
+
     def test_feat_dim_mismatch_rejected(self):
         bank = random_bank(d=4)
         ds = random_dataset(d=5)
         with pytest.raises(ValueError, match="feat_dim"):
-            stage1_sample(bank, ds)
+            stage1_sample(bank, ds, RunConfig())
 
     def test_empty_label_bank_rejected_by_stage2(self):
-        _, ds, bank, emb = make_world(3, m=100)
+        spec, ds, bank = make_world(3, m=100)
         empty = SampleResult(
             selected_ids=np.zeros(0, np.int64),
             assigned_column=np.zeros(0, np.int64),
             score=np.zeros(0), deficits=np.zeros(ds.n_classes, np.int64), k=1)
         with pytest.raises(ValueError, match="label bank"):
-            stage2_sample(empty, bank, ds, emb)
+            stage2_sample(empty, bank, ds, spec)
 
 
 class TestPrecision:
@@ -458,8 +474,10 @@ class TestPrecision:
 
 class TestCsv:
     def test_round_trip(self, tmp_path):
-        _, ds, bank, _ = make_world(4, m=500)
-        r = stage1_sample(bank, ds, k1=3)
+        spec, ds, bank = make_world(4, m=500)
+        # k1 = ceil(0.14 * 200 / 10) = 3
+        r = stage1_sample(bank, ds, replace(spec, stage1_multiplier=0.14))
+        assert r.k == 3
         path = tmp_path / "samples.csv"
         dpath = tmp_path / "deficits.csv"
         save_sample_csv(r, path, dpath)
@@ -470,8 +488,9 @@ class TestCsv:
         assert dpath.read_text().startswith("column,deficit")
 
     def test_header_is_stable(self, tmp_path):
-        _, ds, bank, _ = make_world(5, m=200)
-        r = stage1_sample(bank, ds, k1=2)
+        spec, ds, bank = make_world(5, m=200)
+        r = stage1_sample(bank, ds, replace(spec, stage1_multiplier=0.09))
+        assert r.k == 2
         path = tmp_path / "s.csv"
         save_sample_csv(r, path)
         assert path.read_text().splitlines()[0] == "record_id,assigned_column,score"

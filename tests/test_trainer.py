@@ -8,7 +8,13 @@ import pytest
 from bankadapt.augment import augment_view
 from bankadapt.config import RunConfig
 from bankadapt.embank import ValidationError
-from bankadapt.encoder import FrozenEmbedder, init_params, load_params, save_params
+from bankadapt.encoder import (
+    FrozenEmbedder,
+    init_params,
+    init_params_warm,
+    load_params,
+    save_params,
+)
 from bankadapt.sampler import SampleResult, stage1_sample, stage2_sample
 from bankadapt.seeding import derive_rng
 from bankadapt.synth import generate_downstream, generate_pretrain_bank
@@ -31,10 +37,9 @@ def tiny_world(seed=0, n_classes=3, n_per_class=8, bank_size=150,
                      weak_pair_rate=0.2, noise_sigma=noise_sigma)
     ds = generate_downstream(spec)
     bank = generate_pretrain_bank(spec, ds)
-    s1 = stage1_sample(bank, ds)
-    embedder = FrozenEmbedder.from_seed("image", seed, feat_dim, image_dim)
-    s2 = stage2_sample(s1, bank, ds, embedder)
-    return spec, ds, bank, SelectedBank.from_bank(bank, s2)
+    s1 = stage1_sample(bank, ds, spec)
+    s2 = stage2_sample(s1, bank, ds, spec)
+    return spec, ds, bank, SelectedBank.from_bank(bank, s2, ds)
 
 
 def empty_selected(image_dim, feat_dim):
@@ -69,37 +74,50 @@ def test_selected_bank_gathers_by_id():
 
 @pytest.mark.parametrize("bad_id", [150, 4000, -1])
 def test_selected_bank_rejects_ids_outside_the_bank(bad_id):
-    _, _, bank, _ = tiny_world()
+    _, ds, bank, _ = tiny_world()
     ids = np.array([3, bad_id, 7, 9999], dtype=np.int64)
     result = SampleResult(selected_ids=ids, assigned_column=np.zeros(4, np.int64),
                           score=np.zeros(4), deficits=np.zeros(1, np.int64), k=4)
     with pytest.raises(ValidationError, match=f"id {bad_id} is outside"):
-        SelectedBank.from_bank(bank, result)
+        SelectedBank.from_bank(bank, result, ds)
+
+
+@pytest.mark.parametrize("name, bank_value, ds_value", [
+    ("image_dim", 10, 12), ("feat_dim", 6, 5)])
+def test_selected_bank_refuses_a_bank_of_other_dims(name, bank_value, ds_value):
+    _, _, bank, _ = tiny_world()
+    _, other, _, _ = tiny_world(**{name: ds_value})
+    result = SampleResult(selected_ids=np.arange(4, dtype=np.int64),
+                          assigned_column=np.zeros(4, np.int64),
+                          score=np.zeros(4), deficits=np.zeros(1, np.int64), k=4)
+    with pytest.raises(ValidationError,
+                       match=f"bank has {name} {bank_value}, dataset has {ds_value}"):
+        SelectedBank.from_bank(bank, result, other)
 
 
 def test_compose_batch_shapes_and_determinism():
     _, ds, _, selected = tiny_world()
     cfg = quick_config()
-    a = compose_batch(ds, selected, ds.class_text_feats, cfg, epoch=0, step=1)
-    b = compose_batch(ds, selected, ds.class_text_feats, cfg, epoch=0, step=1)
+    a = compose_batch(ds, selected, cfg, epoch=0, step=1)
+    b = compose_batch(ds, selected, cfg, epoch=0, step=1)
     assert a.labeled_weak.shape == (8, ds.image_dim)
     assert a.unlabeled_weak.shape == (16, ds.image_dim)
     assert a.unlabeled_strong.shape == (16, ds.image_dim)
     assert a.caption_feats.shape == (16, ds.feat_dim)
     np.testing.assert_array_equal(a.labeled_weak, b.labeled_weak)
     np.testing.assert_array_equal(a.unlabeled_strong, b.unlabeled_strong)
-    c = compose_batch(ds, selected, ds.class_text_feats, cfg, epoch=1, step=1)
+    c = compose_batch(ds, selected, cfg, epoch=1, step=1)
     assert not np.array_equal(a.labeled_weak, c.labeled_weak)
 
 
 def test_compose_batch_short_final_batch():
     _, ds, _, selected = tiny_world(n_per_class=7)  # n=21, B=8 -> 8,8,5
     cfg = quick_config()
-    last = compose_batch(ds, selected, ds.class_text_feats, cfg, epoch=0, step=2)
+    last = compose_batch(ds, selected, cfg, epoch=0, step=2)
     assert last.labeled_weak.shape[0] == 5
     assert last.unlabeled_weak.shape[0] == 2 * 5
     with pytest.raises(ValueError, match="past the end"):
-        compose_batch(ds, selected, ds.class_text_feats, cfg, epoch=0, step=3)
+        compose_batch(ds, selected, cfg, epoch=0, step=3)
 
 
 def test_compose_batch_wraps_small_selected():
@@ -107,14 +125,14 @@ def test_compose_batch_wraps_small_selected():
     small = SelectedBank(ids=selected.ids[:5], images=selected.images[:5],
                          caption_feats=selected.caption_feats[:5])
     cfg = quick_config(mu=3)
-    batch = compose_batch(ds, small, ds.class_text_feats, cfg, epoch=0, step=0)
+    batch = compose_batch(ds, small, cfg, epoch=0, step=0)
     assert batch.unlabeled_weak.shape[0] == 24  # wrapped over 5 records
 
 
 def test_weak_view_identity_when_sigma_zero():
     _, ds, _, selected = tiny_world()
     cfg = quick_config(sigma_weak=0.0, sigma_strong=0.3, mask_frac=0.1)
-    batch = compose_batch(ds, selected, ds.class_text_feats, cfg, epoch=0, step=0)
+    batch = compose_batch(ds, selected, cfg, epoch=0, step=0)
     order = derive_rng(cfg.seed, "batch-labeled", 0).permutation(ds.size)
     idx = order[:cfg.batch_size]
     np.testing.assert_array_equal(batch.labeled_weak,
@@ -124,8 +142,8 @@ def test_weak_view_identity_when_sigma_zero():
 def test_fit_bit_deterministic():
     _, ds, _, selected = tiny_world()
     cfg = quick_config()
-    r1 = fit(ds, selected, ds.class_text_feats, cfg, eval_ds=ds)
-    r2 = fit(ds, selected, ds.class_text_feats, cfg, eval_ds=ds)
+    r1 = fit(ds, selected, cfg, eval_ds=ds)
+    r2 = fit(ds, selected, cfg, eval_ds=ds)
     for name in ("w1", "b1", "w2", "b2", "head_w", "head_b"):
         np.testing.assert_array_equal(getattr(r1.params, name),
                                       getattr(r2.params, name))
@@ -136,8 +154,8 @@ def test_metrics_csv_bytes_and_header(tmp_path):
     _, ds, _, selected = tiny_world()
     cfg = quick_config(epochs=1)
     p1, p2 = tmp_path / "m1.csv", tmp_path / "m2.csv"
-    write_metrics_csv(fit(ds, selected, ds.class_text_feats, cfg, eval_ds=ds).metrics, p1)
-    write_metrics_csv(fit(ds, selected, ds.class_text_feats, cfg, eval_ds=ds).metrics, p2)
+    write_metrics_csv(fit(ds, selected, cfg, eval_ds=ds).metrics, p1)
+    write_metrics_csv(fit(ds, selected, cfg, eval_ds=ds).metrics, p2)
     b1, b2 = p1.read_bytes(), p2.read_bytes()
     assert b1 == b2
     assert b1.decode().splitlines()[0] == METRICS_HEADER
@@ -147,14 +165,14 @@ def test_eval_only_at_epoch_boundaries():
     _, ds, _, selected = tiny_world()
     cfg = quick_config(epochs=3)
     per_epoch = steps_per_epoch(ds.size, cfg.batch_size)
-    result = fit(ds, selected, ds.class_text_feats, cfg, eval_ds=ds)
+    result = fit(ds, selected, cfg, eval_ds=ds)
     for m in result.metrics:
         at_boundary = (m.step + 1) % per_epoch == 0
         assert (m.acc_eval is not None) == at_boundary
         if m.acc_eval is not None:
             assert 0.0 <= m.acc_eval <= 1.0
     assert result.final_acc == result.metrics[-1].acc_eval
-    silent = fit(ds, selected, ds.class_text_feats, cfg)
+    silent = fit(ds, selected, cfg)
     assert all(m.acc_eval is None for m in silent.metrics)
     assert silent.final_acc is None
 
@@ -162,7 +180,7 @@ def test_eval_only_at_epoch_boundaries():
 def test_mu_zero_runs_supervised_only():
     _, ds, _, selected = tiny_world()
     cfg = quick_config(mu=0, epochs=1)
-    result = fit(ds, selected, ds.class_text_feats, cfg)
+    result = fit(ds, selected, cfg)
     assert all(m.loss_u == 0.0 for m in result.metrics)
     assert all(m.n_confident == 0 for m in result.metrics)
 
@@ -208,8 +226,7 @@ def supervised_reference_fit(ds, cfg):
 def test_supervised_path_matches_reference_bitwise():
     _, ds, _, _ = tiny_world(n_per_class=7)
     cfg = quick_config(mu=0, eta=0.0, lambda_=0.0, epochs=3)
-    result = fit(ds, empty_selected(ds.image_dim, ds.feat_dim),
-                 ds.class_text_feats, cfg)
+    result = fit(ds, empty_selected(ds.image_dim, ds.feat_dim), cfg)
     reference = supervised_reference_fit(ds, cfg)
     for got, want in zip(result.params.fields(), reference):
         np.testing.assert_array_equal(got, want)
@@ -218,7 +235,7 @@ def test_supervised_path_matches_reference_bitwise():
 def test_loss_decreases_on_separable_data():
     _, ds, _, selected = tiny_world(noise_sigma=0.3)
     cfg = quick_config(epochs=6, lr=0.01)
-    result = fit(ds, selected, ds.class_text_feats, cfg)
+    result = fit(ds, selected, cfg)
     per_epoch = steps_per_epoch(ds.size, cfg.batch_size)
     first = np.mean([m.loss_total for m in result.metrics[:per_epoch]])
     last = np.mean([m.loss_total for m in result.metrics[-per_epoch:]])
@@ -229,15 +246,15 @@ def test_loss_decreases_on_separable_data():
 def test_supervised_fit_reaches_train_accuracy(seed):
     _, ds, _, _ = tiny_world(seed=seed, noise_sigma=0.3)
     cfg = quick_config(seed=seed, mu=0, eta=0.0, lambda_=0.0, epochs=12, lr=0.1)
-    result = fit(ds, empty_selected(ds.image_dim, ds.feat_dim),
-                 ds.class_text_feats, cfg, eval_ds=ds)
+    result = fit(ds, empty_selected(ds.image_dim, ds.feat_dim), cfg,
+                 eval_ds=ds)
     assert result.final_acc >= 0.95
 
 
 def test_checkpoint_roundtrip_after_fit(tmp_path):
     _, ds, _, selected = tiny_world()
     cfg = quick_config(epochs=1)
-    result = fit(ds, selected, ds.class_text_feats, cfg)
+    result = fit(ds, selected, cfg)
     path = tmp_path / "enc.datc"
     save_params(result.params, path)
     loaded = load_params(path)
@@ -246,14 +263,15 @@ def test_checkpoint_roundtrip_after_fit(tmp_path):
     assert evaluate(loaded, ds) == evaluate(result.params, ds)
 
 
-def test_warm_start_requires_embedder():
-    _, ds, _, selected = tiny_world()
-    cfg = quick_config(warm_start=True, hidden_dim=12)
-    with pytest.raises(ValidationError):
-        fit(ds, selected, ds.class_text_feats, cfg)
-    embedder = FrozenEmbedder.from_seed("image", 0, ds.feat_dim, ds.image_dim)
-    result = fit(ds, selected, ds.class_text_feats, cfg, embedder=embedder)
-    assert len(result.metrics) == cfg.epochs * steps_per_epoch(ds.size, 8)
+def test_warm_start_begins_at_the_seeds_frozen_embedder():
+    _, ds, _, selected = tiny_world(seed=3)
+    cfg = quick_config(seed=3, warm_start=True, hidden_dim=12, epochs=0)
+    result = fit(ds, selected, cfg)
+    embedder = FrozenEmbedder.from_seed("image", 3, ds.feat_dim, ds.image_dim)
+    want = init_params_warm(3, embedder, 12, ds.n_classes)
+    assert result.metrics == []
+    for got, expected in zip(result.params.fields(), want.fields()):
+        np.testing.assert_array_equal(got, expected)
 
 
 @pytest.mark.parametrize("kwargs", [
