@@ -176,8 +176,10 @@ def _selected_for_train(cfg: RunConfig, ds: DownstreamDataset) -> SelectedBank:
     """The bank rows training draws unlabeled rows from; the bank is read
     keeping only the fields the selection needs, and dropped on return."""
     if cfg.mu == 0:
-        # no step draws an unlabeled row, so no step reads the selection
-        _load_bank(cfg, ds, ())
+        # No step draws an unlabeled row, so no step reads the selection:
+        # a bank file is still checked whole, a synthetic one is not made.
+        if _from_files(cfg):
+            decode_bank_file(cfg.bank, fields=())
         return SelectedBank(ids=np.zeros(0, dtype=np.int64),
                             images=np.zeros((0, ds.image_dim), dtype=np.float32),
                             caption_feats=np.zeros((0, ds.feat_dim),

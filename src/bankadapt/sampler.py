@@ -14,15 +14,34 @@ as many rows (bytes_per_row each) as the memory budget leaves after the part
 that does not grow with the chunk: the query rows and up to 2*k*q held
 candidates (merge_bytes).  That part is charged at most three quarters of
 the budget, so a large k*q cannot shrink the chunk below a quarter of it.
-Each chunk is normalized row by row and then copied feature-major (d x r),
-and its scores fill a (q, r) block: for t = 0, 1, ..., d-1 the block adds
-the product of query feature t and the chunk's feature-t row, with separate
-elementwise multiply and add rather than a matmul.  Every score is thus the
-same float operations in the same ascending-t order whatever the chunk
-shape, so scores (and therefore selections) are bit-identical no matter how
-the rows are chunked, while every numpy loop runs along the chunk's r rows
-instead of the q columns.  Ties are broken toward the lowest class/column
-index at assignment and toward the lowest record id within a column.
+Each chunk is normalized row by row.  A score is defined by one fixed
+arithmetic: s = 0, then s = s + q[j, t] * u[i, t] for t = 0, 1, ..., d-1,
+each product and sum rounded on its own.  Every score is thus the same
+float operations whatever the chunk shape, so scores (and therefore
+selections) are bit-identical no matter how the rows are chunked.  Two
+paths reach those scores:
+
+- With fewer than _GEMM_MIN_COLUMNS query columns, the chunk is copied
+  feature-major (d x r) and a (q, r) block is filled by that arithmetic
+  with d elementwise multiply and add passes, each running along the r
+  rows.
+- From _GEMM_MIN_COLUMNS columns on, one matmul scores the chunk.  A
+  matmul sums in its own order, but any order of a dot product of unit
+  rows lies within gamma_d = d*u / (1 - d*u) of the exact value (u = 2^-53;
+  Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1),
+  and so does the fixed-order score.  A row's fixed-order best column
+  therefore has a matmul score within twice that of the row's matmul
+  maximum; the slack used is 4 gamma_d, widened for float norms not
+  exactly 1.  Only the pairs within the slack are scored again, in pieces,
+  by the fixed arithmetic, and the row's best is taken among them.  When
+  near-ties leave more than _CANDIDATES_PER_ROW such pairs per row, the
+  chunk takes the fixed-order block instead.
+
+Both paths assign each row the column of its highest fixed-order score, so
+which one runs never changes a bit.  Ties are broken toward the lowest
+class/column index at assignment and toward the lowest record id within a
+column.  Non-finite rows are refused, as zero-norm rows are: the bound
+holds only for finite scores.
 
 Candidates are held as three arrays (id, column, score).  Once a column has
 k candidates, the score of its k-th is the column's floor, and a later row
@@ -52,9 +71,35 @@ from .encoder import FrozenEmbedder
 # order and rank arrays of a cut.
 _MERGE_VECTORS = 12
 
+# Fewest query columns at which a chunk is scored by one matmul and then
+# certified; below it the fixed-order block is the cheaper exact path.  The
+# crossover, measured on 1M random float32 rows of d = 16 at the default
+# budget with one BLAS thread (fixed-order against matmul): q = 10 0.21 s
+# against 0.30 s, q = 14 and 16 equal at 0.25-0.26 s, q = 20 0.31 s against
+# 0.25 s, q = 50 1.41 s against 0.32 s.
+_GEMM_MIN_COLUMNS = 16
+
+# A chunk whose near-maximum pairs outnumber this many per row (columns that
+# tie or nearly tie) is scored by the fixed-order block instead.
+_CANDIDATES_PER_ROW = 4
+
+# Int64/float64 vectors per candidate pair of the matmul path alive at once:
+# its row, column and exact score, its row's best score and its tie-masked
+# column.
+_CANDIDATE_VECTORS = 5
+
+
+def _slack(feat_dim: int) -> float:
+    """A bound on how far the matmul score of a row's fixed-order best pair
+    can lie below the row's matmul maximum: 4 gamma_d, widened for unit rows
+    whose float norm is up to gamma_(d+2) away from 1."""
+    def gamma(n: int) -> float:
+        return n * 2.0 ** -53 / (1 - n * 2.0 ** -53)
+    return 4 * gamma(feat_dim) * (1 + gamma(feat_dim + 2)) ** 2
+
 
 class DegenerateRowError(ValueError):
-    """A zero-norm row has no direction to score."""
+    """A zero-norm or non-finite row has no direction to score."""
 
 
 class PrecisionUndefinedError(ValueError):
@@ -64,16 +109,26 @@ class PrecisionUndefinedError(ValueError):
 def bytes_per_row(feat_dim: int, n_columns: int) -> int:
     """Bytes one chunk row may hold while it is scored and merged: the owned
     float64 copy and its feature-major transpose (16d), the score block and
-    the per-feature product temporary (16q), and then either the copy of the
-    score block that argmax along axis 0 makes plus argmax's output (8q + 8)
-    or the row's merge vectors, which are never alive at the same time."""
-    return 16 * feat_dim + 16 * n_columns + 8 * max(n_columns + 1, _MERGE_VECTORS)
+    the per-feature product temporary (16q), and then the largest of three
+    sets that are never alive at the same time: the copy of the score block
+    that argmax along axis 0 makes plus argmax's output (8q + 8), the row's
+    merge vectors, and, from _GEMM_MIN_COLUMNS columns on, the matmul path's
+    work beyond the block and its candidate mask (both held in the two
+    (q, r) buffers): the row's maximum and best column (16), up to
+    _CANDIDATES_PER_ROW candidate pairs with their vectors, and one piece of
+    gathered query and chunk features (16d)."""
+    gemm = 0
+    if n_columns >= _GEMM_MIN_COLUMNS:
+        gemm = 16 + 16 * feat_dim + 8 * _CANDIDATES_PER_ROW * _CANDIDATE_VECTORS
+    return (16 * feat_dim + 16 * n_columns
+            + max(8 * (n_columns + 1), 8 * _MERGE_VECTORS, gemm))
 
 
 def merge_bytes(k: int, feat_dim: int, n_columns: int) -> int:
     """Bytes the selection holds whatever the chunk size: the unit query
     rows (8dq), a few per-column vectors (floors, counts, offsets) and up to
-    2kq held candidates with the vectors of their cut."""
+    2kq held candidates with the vectors of their cut.  The matmul reads the
+    query rows in place, so its path adds nothing here."""
     return 8 * n_columns * (feat_dim + 8) + 2 * k * n_columns * 8 * _MERGE_VECTORS
 
 
@@ -117,9 +172,11 @@ def _normalize_into(dst: np.ndarray, rows: np.ndarray, offset: int,
     block = dst[:rows.shape[0]]
     np.copyto(block, rows, casting="unsafe")
     norms = np.sqrt(np.einsum("ij,ij->i", block, block))
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise DegenerateRowError(f"{what} row {offset + int(zero[0])} has zero norm")
+    bad = np.flatnonzero((norms == 0.0) | ~np.isfinite(norms))
+    if bad.size:
+        i = int(bad[0])
+        problem = "zero" if norms[i] == 0.0 else "a non-finite"
+        raise DegenerateRowError(f"{what} row {offset + i} has {problem} norm")
     block /= norms[:, None]
     return block
 
@@ -140,15 +197,45 @@ def _scores_fixed_order(unit_t: np.ndarray, unit_cols: np.ndarray,
     return block
 
 
-def _admit(block: np.ndarray, start: int, floor: np.ndarray, ids: np.ndarray,
-           cols: np.ndarray, scores: np.ndarray
-           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The candidates with the rows of a (q, r) score block appended whose
-    best score beats their column's floor; the first row is record start.
-    The chunk's merge vectors die on return, before the next block is
-    scored."""
-    assigned = np.argmax(block, axis=0)
-    row_score = block[assigned, np.arange(block.shape[1])]
+def _best_by_gemm(unit: np.ndarray, unit_cols: np.ndarray, out: np.ndarray,
+                  mask: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Each chunk row's best column (lowest on ties) and its fixed-order
+    score, from one matmul certified by _slack; None when more than
+    _CANDIDATES_PER_ROW pairs per row lie within the slack of their row's
+    matmul maximum.  out (float64) and mask (bool) are flat buffers of at
+    least r * q entries."""
+    (r, d), q = unit.shape, unit_cols.shape[0]
+    gemm = out[:r * q].reshape(r, q)
+    np.matmul(unit, unit_cols.T, out=gemm)
+    low = gemm.max(axis=1)
+    low -= _slack(d)
+    near = mask[:r * q].reshape(r, q)
+    np.greater_equal(gemm, low[:, None], out=near)
+    if np.count_nonzero(near) > _CANDIDATES_PER_ROW * r:
+        return None
+    row, col = np.divmod(np.flatnonzero(near), q)
+    exact = np.zeros(row.size)
+    for lo in range(0, row.size, r):  # pieces of r pairs bound the gathers
+        piece = slice(lo, lo + r)
+        prod = unit_cols[col[piece]]
+        prod *= unit[row[piece]]
+        acc = exact[piece]
+        for t in range(d):
+            acc += prod[:, t]
+    # Pairs come in (row, column) order and every row has one at least: its
+    # matmul maximum.
+    starts = np.searchsorted(row, np.arange(r))
+    best = np.maximum.reduceat(exact, starts)
+    assigned = np.minimum.reduceat(np.where(exact == best[row], col, q), starts)
+    return assigned, best
+
+
+def _admit(assigned: np.ndarray, row_score: np.ndarray, start: int,
+           floor: np.ndarray, ids: np.ndarray, cols: np.ndarray,
+           scores: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The candidates with a chunk's rows appended whose best score beats
+    their column's floor; the first row is record start.  The chunk's merge
+    vectors die on return, before the next chunk is scored."""
     admit = np.flatnonzero(row_score > floor[assigned])
     if admit.size == 0:
         return ids, cols, scores
@@ -196,6 +283,7 @@ def select_topk_streamed(v: np.ndarray, f: np.ndarray, k: int,
     scratch_t = np.empty(d * rows)
     scratch_out = np.empty(q * rows)
     scratch_tmp = np.empty_like(scratch_out)
+    scratch_mask = scratch_tmp.view(np.bool_)
     ids = np.zeros(0, np.int64)
     cols = np.zeros(0, np.int64)
     scores = np.zeros(0)
@@ -203,10 +291,16 @@ def select_topk_streamed(v: np.ndarray, f: np.ndarray, k: int,
     for start in range(0, m, chunk_rows):
         stop = min(start + chunk_rows, m)
         unit = _normalize_into(scratch_block, v[start:stop], start, "bank")
-        unit_t = scratch_t[:unit.size].reshape(d, stop - start)
-        np.copyto(unit_t, unit.T)
-        block = _scores_fixed_order(unit_t, q_unit, scratch_out, scratch_tmp)
-        ids, cols, scores = _admit(block, start, floor, ids, cols, scores)
+        best = None
+        if q >= _GEMM_MIN_COLUMNS:
+            best = _best_by_gemm(unit, q_unit, scratch_out, scratch_mask)
+        if best is None:
+            unit_t = scratch_t[:unit.size].reshape(d, stop - start)
+            np.copyto(unit_t, unit.T)
+            block = _scores_fixed_order(unit_t, q_unit, scratch_out, scratch_tmp)
+            assigned = np.argmax(block, axis=0)
+            best = assigned, block[assigned, np.arange(block.shape[1])]
+        ids, cols, scores = _admit(*best, start, floor, ids, cols, scores)
         if ids.size > 2 * k * q:
             ids, cols, scores, floor = _cut_to_k(ids, cols, scores, k, q)
     ids, cols, scores, _ = _cut_to_k(ids, cols, scores, k, q)

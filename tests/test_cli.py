@@ -471,6 +471,34 @@ def test_train_with_mu_zero_never_samples_the_bank(tmp_path, monkeypatch):
     assert (tmp_path / "o" / "metrics.csv").exists()
 
 
+def test_train_with_mu_zero_makes_no_synthetic_bank(tmp_path, monkeypatch):
+    # The synthetic streams are keyed per purpose, so skipping the bank
+    # moves nothing the fit reads.
+    args = [*TINY, "--mu", "0", "--lambda", "1"]
+    assert run(["train", *args, "--out_dir", str(tmp_path / "a")]) == 0
+
+    def refuse(*a, **kw):
+        raise AssertionError("the bank was generated")
+
+    monkeypatch.setattr(cli, "generate_pretrain_bank", refuse)
+    assert run(["train", *args, "--out_dir", str(tmp_path / "b")]) == 0
+    for name in ("metrics.csv", "encoder.datc"):
+        assert (tmp_path / "a" / name).read_bytes() == \
+            (tmp_path / "b" / name).read_bytes()
+
+
+def test_train_with_mu_zero_still_checks_the_bank_file(tmp_path):
+    world = tmp_path / "w"
+    assert run(["synth-gen", *TINY, "--out_dir", str(world)]) == 0
+    bank = world / "bank.datb"
+    raw = bytearray(bank.read_bytes())
+    raw[-5] ^= 0xFF
+    bank.write_bytes(bytes(raw))
+    assert run(["train", *TINY, "--mu", "0", "--bank", str(bank),
+                "--dataset", str(world / "train.datd"),
+                "--out_dir", str(tmp_path / "o")]) == 1
+
+
 def test_sweep_rerun_from_its_resolved_config(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run(["sweep", *TINY, "--epochs", "1", "--mu_list", "2",

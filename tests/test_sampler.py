@@ -104,6 +104,15 @@ class TestScores:
             select_topk_streamed(np.ones((2, 3)), np.vstack([np.ones(3), np.zeros(3)]),
                                  1, 2)
 
+    @pytest.mark.parametrize("which, bad", [("bank", np.nan), ("query", np.inf)])
+    def test_non_finite_row_names_its_index(self, which, bad):
+        v, f = np.ones((4, 3)), np.ones((2, 3))
+        (v if which == "bank" else f)[1, 2] = bad
+        for rows in (1, 4):
+            with pytest.raises(DegenerateRowError,
+                               match=f"{which} row 1 has a non-finite norm"):
+                select_topk_streamed(v, f, 1, rows)
+
     def test_cosine_bounds(self):
         rng = np.random.default_rng(3)
         r = select_all(rng.standard_normal((30, 5)), rng.standard_normal((4, 5)))
@@ -254,6 +263,140 @@ class TestTopkSelection:
             select_topk_streamed(v, v, 0, 1)
         with pytest.raises(ValueError, match="chunk_rows"):
             select_topk_streamed(v, v, 1, 0)
+
+
+def assert_top_k_of_fixed_order(r, v, f, k):
+    """r's ids, columns and scores are a top k over the full fixed-order
+    matrix, bit for bit."""
+    s = fixed_order_scores(v, f)
+    assigned = s.argmax(axis=1)
+    best = s[np.arange(len(v)), assigned]
+    ids = np.array([i for j in range(len(f)) for i in sorted(
+        np.flatnonzero(assigned == j), key=lambda i: (-best[i], i))[:k]], np.int64)
+    assert np.array_equal(r.selected_ids, ids)
+    assert np.array_equal(r.assigned_column, assigned[ids])
+    assert np.array_equal(r.score, best[ids])
+
+
+def assert_same_result(a, b):
+    for field in ("selected_ids", "assigned_column", "score", "deficits"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))
+    assert a.k == b.k
+
+
+def near_copies(seed, groups, copies, m, d=16):
+    """Rows near `groups` random directions, and `copies` query columns per
+    direction, each coordinate moved by up to two ulps: every row's best
+    columns tie or differ in their last bits."""
+    rng = np.random.default_rng(seed)
+    dirs = rng.standard_normal((groups, d))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    f = np.repeat(dirs, copies, axis=0)
+    f += rng.integers(-2, 3, f.shape) * np.spacing(np.abs(f))
+    v = dirs[rng.integers(0, groups, m)] + 0.1 * rng.standard_normal((m, d))
+    return v, f
+
+
+def unit(x):
+    return x / np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
+
+
+def force_path(monkeypatch, path):
+    """Score every chunk by the matmul path (never falling back) or by the
+    fixed-order block."""
+    if path == "matmul":
+        monkeypatch.setattr(sampler, "_GEMM_MIN_COLUMNS", 1)
+        monkeypatch.setattr(sampler, "_CANDIDATES_PER_ROW", 1 << 30)
+    else:
+        monkeypatch.setattr(sampler, "_GEMM_MIN_COLUMNS", 1 << 30)
+
+
+class TestCertifiedMatmul:
+    def test_slack_covers_a_matmul_argmax_that_differs(self):
+        # Seed 0 of near_copies has rows whose matmul argmax is not their
+        # fixed-order argmax, so a slack of 0 assigns them wrongly here.
+        v, f = near_copies(0, groups=16, copies=2, m=64)
+        fixed = fixed_order_scores(v, f).argmax(axis=1)
+        assert np.any((unit(v) @ unit(f).T).argmax(axis=1) != fixed)
+        for rows in (1, 7, 64):
+            assert_top_k_of_fixed_order(select_all(v, f, rows), v, f, 64)
+
+    def test_columns_one_ulp_apart(self):
+        # Each column has a twin whose first coordinate is one ulp larger:
+        # their scores tie exactly or differ in the last ulp, and the lower
+        # column must win a tie.
+        rng = np.random.default_rng(8)
+        base = rng.standard_normal((20, 16))
+        twin = base.copy()
+        twin[:, 0] = np.nextafter(twin[:, 0], np.inf)
+        f = np.stack([base, twin], axis=1).reshape(40, 16)
+        v = np.repeat(base, 10, axis=0) + 0.05 * rng.standard_normal((200, 16))
+        s = fixed_order_scores(v, f)
+        assigned = s.argmax(axis=1)
+        pair = assigned - assigned % 2
+        a, b = s[np.arange(200), pair], s[np.arange(200), pair + 1]
+        assert np.any(a == b) and np.any(np.nextafter(a, b) == b)
+        for k, rows in ((3, 1), (3, 33), (200, 200)):
+            assert_top_k_of_fixed_order(select_topk_streamed(v, f, k, rows),
+                                        v, f, k)
+
+    @pytest.mark.parametrize("copies", [2, 4, 16])
+    def test_tied_columns_match_the_oracle_within_the_accounted_peak(self, copies):
+        # Duplicated and scaled query columns: every row ties across the
+        # copies of its direction.  Up to four copies the matmul path
+        # recomputes them all; with 16 every column ties and the chunk
+        # falls back to the fixed-order block.
+        rng = np.random.default_rng(copies)
+        q, m, d, k = 16, 20_000, 16, 3
+        groups = q // copies
+        dirs = rng.standard_normal((groups, d))
+        scale = rng.uniform(0.5, 4.0, (groups, copies, 1))
+        f = (dirs[:, None, :] * scale).reshape(q, d)
+        v = (dirs[rng.integers(0, groups, m)]
+             + 0.3 * rng.standard_normal((m, d))).astype(np.float32)
+        rows = budget_chunk_rows(1 << 20, k, d, q)
+        accounted = rows * bytes_per_row(d, q) + merge_bytes(k, d, q)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            r = select_topk_streamed(v, f, k, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= accounted, (peak, accounted)
+        assert_top_k_of_fixed_order(r, v, f, k)
+
+    @pytest.mark.parametrize("case", ["random", "near copies", "all tie", "axes"])
+    def test_forcing_either_path_gives_identical_results(self, monkeypatch, case):
+        rng = np.random.default_rng(9)
+        if case == "random":
+            v, f = rng.standard_normal((500, 16)), rng.standard_normal((30, 16))
+        elif case == "near copies":
+            v, f = near_copies(1, groups=8, copies=5, m=300)
+        elif case == "all tie":
+            v = rng.standard_normal((100, 8))
+            f = np.outer(rng.uniform(0.1, 9.0, 20), rng.standard_normal(8))
+        else:
+            v, f = np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 2.0]]), np.eye(3)
+        results = {}
+        for path in ("matmul", "fixed"):
+            with monkeypatch.context() as mp:
+                force_path(mp, path)
+                results[path] = [select_topk_streamed(v, f, k, rows)
+                                 for k in (1, 4) for rows in (1, 13, len(v))]
+        for a, b in zip(results["matmul"], results["fixed"]):
+            assert_same_result(a, b)
+
+    def test_forcing_either_path_gives_identical_stage_outputs(self, monkeypatch):
+        spec, ds, bank = make_world(3, m=3000)
+        results = {}
+        for path in ("matmul", "fixed"):
+            with monkeypatch.context() as mp:
+                force_path(mp, path)
+                s1 = stage1_sample(bank, ds, spec)
+                results[path] = (s1, stage2_sample(s1, bank, ds, spec))
+        for a, b in zip(results["matmul"], results["fixed"]):
+            assert_same_result(a, b)
 
 
 class TestChunkBudget:
