@@ -113,6 +113,8 @@ class EmbeddingBank:
     unknown or out of distribution); it is ground truth for precision
     reporting only and is never read by the samplers or the trainer.  A
     bank decoded with only some of BANK_FIELDS holds None for the others.
+    captions may be a list or a StringTable; decoded and synthetic banks
+    hold a StringTable.
     """
 
     images: np.ndarray | None         # (m, D_img) float32
@@ -283,20 +285,35 @@ def validate_dataset(ds: DownstreamDataset) -> list[str]:
     return v + _check_arrays(_dataset_checks(C), ds)
 
 
-def _encode_string_table(strings: Sequence[str]) -> bytes:
-    blobs = [s.encode("utf-8") for s in strings]
-    table = np.zeros((len(blobs), 2), dtype="<u8")
-    table[:, 1] = np.fromiter(map(len, blobs), dtype=np.uint64, count=len(blobs))
+def _packed_table(lengths: np.ndarray) -> np.ndarray:
+    """The (count, 2) uint64 table of (offset, len) pairs of entries of
+    lengths stored one after another from offset 0."""
+    table = np.zeros((lengths.size, 2), dtype=np.uint64)
+    table[:, 1] = lengths
     np.cumsum(table[:-1, 1], out=table[1:, 0])
-    blob_len = int(table[:, 1].sum())
-    return struct.pack("<Q", blob_len) + table.tobytes() + b"".join(blobs)
+    return table
+
+
+def _encode_string_table(strings: Sequence[str]) -> list:
+    """The string table of strings as the buffers to write, in order:
+    blob_len, the (offset, len) table, and the blob holding the entries'
+    bytes one after another.  A StringTable is written from its arrays (see
+    StringTable.packed) without decoding an entry."""
+    if isinstance(strings, StringTable):
+        table, blob = strings.packed()
+    else:
+        blobs = [s.encode("utf-8") for s in strings]
+        table = _packed_table(np.fromiter(map(len, blobs), np.uint64, len(blobs)))
+        blob = b"".join(blobs)
+    return [struct.pack("<Q", len(blob)), np.ascontiguousarray(table, "<u8"), blob]
 
 
 class StringTable(Sequence):
-    """Read-only strings of a decoded container, each decoded when read.
+    """Read-only strings held as arrays, each decoded when read.
 
     Holds the (count, 2) table of (offset, len) pairs and the UTF-8 blob as
-    arrays.  Compares equal to a list of the same strings.
+    arrays, as a decoded container's string tables and a synthetic bank's
+    captions do.  Compares equal to a list of the same strings.
     """
 
     __slots__ = ("_table", "_blob")
@@ -304,6 +321,30 @@ class StringTable(Sequence):
     def __init__(self, table: np.ndarray, blob: np.ndarray):
         self._table = table
         self._blob = blob
+
+    @classmethod
+    def gathered(cls, vocabulary: Sequence[str], index: np.ndarray) -> StringTable:
+        """The strings vocabulary[i] for i in index, packed, made without a
+        string per entry: the vocabulary's bytes, padded to one width, are
+        gathered by index and the padding masked out."""
+        words = [w.encode("utf-8") for w in vocabulary]
+        lengths = np.array([len(w) for w in words], dtype=np.int64)
+        padded = np.zeros((len(words), int(lengths.max(initial=0))), np.uint8)
+        for row, w in zip(padded, words):
+            row[:len(w)] = np.frombuffer(w, np.uint8)
+        used = np.arange(padded.shape[1]) < lengths[:, None]
+        return cls(_packed_table(lengths[index]), padded[index][used[index]])
+
+    def packed(self) -> tuple[np.ndarray, np.ndarray]:
+        """The table and blob with each entry's bytes right after the
+        previous entry's, and no other bytes: these arrays when they are so
+        already, else a copy repacked by one gather."""
+        lengths = self._table[:, 1].astype(np.int64)
+        table = _packed_table(lengths)
+        if self._blob.size == lengths.sum() and np.array_equal(table, self._table):
+            return self._table, self._blob
+        shift = self._table[:, 0].astype(np.int64) - table[:, 0].astype(np.int64)
+        return table, self._blob[np.repeat(shift, lengths) + np.arange(lengths.sum())]
 
     def __len__(self) -> int:
         return self._table.shape[0]
@@ -501,12 +542,13 @@ class _PayloadReader:
             raise ValidationError(list(violations))
 
 
-def _f32_rows(arr: np.ndarray) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<f4").tobytes()
+def _f32_rows(arr: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(arr, dtype="<f4")
 
 
 def write_container(path, header: bytes, parts) -> None:
-    """Write header, payload parts and the payload's crc32."""
+    """Write header, payload parts (contiguous buffers, bytes or arrays, of
+    any size) and the payload's crc32."""
     crc = 0
     with open(path, "wb") as fh:
         fh.write(header)
@@ -547,8 +589,8 @@ def encode_bank_file(bank: EmbeddingBank, path) -> None:
         _f32_rows(bank.images),
         _f32_rows(bank.feats),
         _f32_rows(bank.caption_feats),
-        np.ascontiguousarray(bank.latent_class, dtype="<i4").tobytes(),
-        _encode_string_table(bank.captions),
+        np.ascontiguousarray(bank.latent_class, dtype="<i4"),
+        *_encode_string_table(bank.captions),
     ])
 
 
@@ -600,10 +642,10 @@ def encode_dataset_file(ds: DownstreamDataset, path) -> None:
     header = _DATASET_HEADER.pack(_DATASET_MAGIC, FORMAT_VERSION, 0, n, C, d_img, d)
     write_container(path, header, [
         _f32_rows(ds.images),
-        np.ascontiguousarray(ds.labels, dtype="<u4").tobytes(),
+        np.ascontiguousarray(ds.labels, dtype="<u4"),
         _f32_rows(ds.class_text_feats),
-        _encode_string_table(ds.class_names),
-        _encode_string_table(ds.class_descriptions),
+        *_encode_string_table(ds.class_names),
+        *_encode_string_table(ds.class_descriptions),
     ])
 
 

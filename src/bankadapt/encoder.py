@@ -61,12 +61,15 @@ class FrozenEmbedder:
         y = np.asarray(x, dtype=np.float64) @ self.projection.T
         if not np.all(np.isfinite(y)):
             raise NumericError(f"{self.kind} embedder produced non-finite values")
-        norms = np.linalg.norm(y, axis=1, keepdims=True)
+        # np.linalg.norm(y, axis=1) is sqrt(add.reduce(y.conj() * y, axis=1));
+        # for real rows the copy y.conj() is y itself
+        norms = np.sqrt(np.add.reduce(y * y, axis=1, keepdims=True))
         zero = np.flatnonzero(norms.ravel() == 0.0)
         if zero.size:
             raise NumericError(
                 f"{self.kind} embedder got zero-norm output at row {int(zero[0])}")
-        return y / norms
+        y /= norms
+        return y
 
 
 @dataclass
@@ -228,7 +231,7 @@ def save_params(params: EncoderParams, path) -> None:
     header = _CHECKPOINT_HEADER.pack(
         _CHECKPOINT_MAGIC, CHECKPOINT_VERSION, 0,
         params.image_dim, params.hidden_dim, params.feat_dim, params.n_classes)
-    write_container(path, header, [np.ascontiguousarray(f, dtype="<f8").tobytes()
+    write_container(path, header, [np.ascontiguousarray(f, dtype="<f8")
                                    for f in params.fields()])
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import RunConfig
-from .embank import DownstreamDataset, EmbeddingBank
+from .embank import DownstreamDataset, EmbeddingBank, StringTable
 from .encoder import FrozenEmbedder
 from .seeding import derive_rng
 
@@ -55,10 +55,6 @@ def prototypes(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
         raw[i] = v
     scaled = raw * (cfg.class_sep / np.sqrt(2.0))
     return scaled[:cfg.n_classes], scaled[cfg.n_classes:]
-
-
-def _caption(name: str) -> str:
-    return f"a photo of {name}."
 
 
 def class_text_features(cfg: RunConfig, protos: np.ndarray,
@@ -117,53 +113,47 @@ def weak_pair_mask(cfg: RunConfig) -> np.ndarray:
 
 
 def generate_pretrain_bank(cfg: RunConfig, ds: DownstreamDataset) -> EmbeddingBank:
-    if ds.image_dim != cfg.image_dim or ds.feat_dim != cfg.feat_dim:
+    """The bank for ds, made from arrays: a record's own concept and its
+    caption's subject index the C class prototypes, then the K distractors,
+    for its vectors and for its caption's words alike."""
+    if (ds.n_classes, ds.image_dim, ds.feat_dim) != (cfg.n_classes, cfg.image_dim,
+                                                     cfg.feat_dim):
         raise ValueError(
-            f"dataset dims ({ds.image_dim}, {ds.feat_dim}) do not match config "
-            f"({cfg.image_dim}, {cfg.feat_dim})")
+            f"dataset classes and dims ({ds.n_classes}, {ds.image_dim}, "
+            f"{ds.feat_dim}) do not match config ({cfg.n_classes}, "
+            f"{cfg.image_dim}, {cfg.feat_dim})")
     protos, distractors = prototypes(cfg)
-    m = cfg.bank_size
+    concepts = np.concatenate([protos, distractors])
+    C, K, m = cfg.n_classes, len(distractors), cfg.bank_size
     n_in = int(cfg.in_dist_fraction * m)
 
     rng_cls = derive_rng(cfg.seed, "bank-classes")
     latent = np.full(m, -1, dtype=np.int32)
-    latent[:n_in] = rng_cls.integers(0, cfg.n_classes, size=n_in)
-    distractor_of = rng_cls.integers(0, distractors.shape[0], size=m)
-
-    sources = np.where(latent[:, None] >= 0,
-                       protos[np.clip(latent, 0, None)],
-                       distractors[distractor_of])
-    rng_img = derive_rng(cfg.seed, "bank-images")
-    images = sources + rng_img.normal(0.0, cfg.noise_sigma, size=sources.shape)
-
-    image_emb = FrozenEmbedder.from_seed("image", cfg.seed, cfg.feat_dim,
-                                         cfg.image_dim)
-    text_emb = FrozenEmbedder.from_seed("text", cfg.seed, cfg.feat_dim,
-                                        cfg.image_dim)
-    feats = image_emb.embed_rows(images)
-
+    latent[:n_in] = rng_cls.integers(0, C, size=n_in)
+    own = np.where(latent >= 0, latent, C + rng_cls.integers(0, K, size=m))
     # caption subject: own concept, unless weak-paired to a random distractor
-    swapped = _raw_weak_mask(cfg)
     rng_swap = derive_rng(cfg.seed, "weak-pair-targets")
-    swap_to = rng_swap.integers(0, distractors.shape[0], size=m)
-    subj_vectors = sources.copy()
-    subj_vectors[swapped] = distractors[swap_to[swapped]]
+    subject = np.where(_raw_weak_mask(cfg), C + rng_swap.integers(0, K, size=m), own)
 
-    names = np.array([f"distractor-{k:02d}" for k in range(distractors.shape[0])])
-    own_names = np.where(latent >= 0,
-                         np.array(ds.class_names)[np.clip(latent, 0, None)],
-                         names[distractor_of])
-    subj_names = own_names.copy()
-    subj_names[swapped] = names[swap_to[swapped]]
-    captions = [_caption(n) for n in subj_names]
-    caption_feats = text_emb.embed_rows(subj_vectors)
-
-    # fixed shuffle so in-distribution records are not a contiguous prefix
+    # fixed shuffle so in-distribution records are not a contiguous prefix;
+    # np.take copies rows about twice as fast as x[index], and each float64
+    # array is cast to float32 before it is shuffled
     order = _bank_order(cfg)
+    images = derive_rng(cfg.seed, "bank-images").normal(
+        0.0, cfg.noise_sigma, size=(m, cfg.image_dim))
+    images += np.take(concepts, own, 0)  # noise + source is source + noise, bitwise
+    image_emb, text_emb = (FrozenEmbedder.from_seed(kind, cfg.seed, cfg.feat_dim,
+                                                    cfg.image_dim)
+                           for kind in ("image", "text"))
+    feats = np.take(image_emb.embed_rows(images).astype(np.float32), order, 0)
+    images = np.take(images.astype(np.float32), order, 0)
+    caption_feats = text_emb.embed_rows(np.take(concepts, subject, 0))
+    names = [*ds.class_names, *(f"distractor-{k:02d}" for k in range(K))]
     return EmbeddingBank(
-        images=images[order].astype(np.float32),
-        feats=feats[order].astype(np.float32),
-        caption_feats=caption_feats[order].astype(np.float32),
-        captions=[captions[i] for i in order],
+        images=images,
+        feats=feats,
+        caption_feats=np.take(caption_feats.astype(np.float32), order, 0),
+        captions=StringTable.gathered([f"a photo of {n}." for n in names],
+                                      subject[order]),
         latent_class=latent[order],
     )

@@ -138,6 +138,34 @@ def test_sample_stays_within_its_budget_end_to_end(tmp_path):
     assert allowed < bank_path.stat().st_size
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in KiB on Linux only")
+def test_synth_gen_stays_within_the_arrays_it_must_hold(tmp_path, monkeypatch):
+    """synth-gen of a 200,000-record bank (D_img 32, d 16), with one BLAS
+    thread, peaks beyond an import-only child when it embeds the caption
+    subjects.  It then holds the shuffled float32 images and feats
+    (4m(D + d) bytes), the float64 subject rows, their projection and its
+    squares (8mD + 16md), and four integer arrays of m entries: latent
+    class, own concept, caption subject and shuffle order (28m).  That is
+    732m bytes (140 MiB).  A slack of eight reader blocks (32 MiB) covers
+    the downstream sets, the finite check's mask, the BLAS buffers and the
+    pages the allocator keeps.  Making each caption a string, or keeping
+    float64 copies of the sources, breaks the bound (326 MiB before the
+    captions became arrays)."""
+    m, d_img, d = 200_000, 32, 16
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    base = child_peak_rss(["-c", "import bankadapt.cli"])
+    peak = child_peak_rss(["-m", "bankadapt.cli", "synth-gen", "--bank_size", str(m),
+                           "--n_classes", "50", "--n_per_class", "40",
+                           "--image_dim", str(d_img), "--feat_dim", str(d),
+                           "--out_dir", str(tmp_path)])
+    held = 4 * m * (d_img + d) + 8 * m * d_img + 16 * m * d + 28 * m
+    allowed = held + 8 * embank._BLOCK_BYTES
+    assert peak - base <= allowed, (peak - base, allowed)
+    assert embank.describe_bank_file(tmp_path / "bank.datb")[:3] == (m, d_img, d)
+
+
 def test_sample_reports_precision_above_in_dist_rate(tmp_path, capsys):
     out = tmp_path / "s"
     code = run(["sample", *TINY, "--in_dist_fraction", "0.25",

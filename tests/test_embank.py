@@ -275,6 +275,22 @@ def encode_string_table_per_entry(strings):
     return struct.pack("<Q", pos) + b"".join(parts) + b"".join(blobs)
 
 
+def decoded_string_table(strings, tail: bytes = b"") -> StringTable:
+    """The StringTable a decode returns for strings written per entry, with
+    tail appended to the blob and covered by no entry."""
+    data = encode_string_table_per_entry(strings) + tail
+    table = np.frombuffer(data, "<u8", count=2 * len(strings), offset=8)
+    return StringTable(table.reshape(-1, 2), np.frombuffer(data, np.uint8,
+                                                           offset=8 + table.nbytes))
+
+
+# b"h\xc3\xa9llo w\xc3\xb6rld \xf0\x9f\x99\x82 xyz": entries 0, 1 and 4
+# overlap, and no entry covers the spaces, the emoji or "xyz"
+OVERLAPPING = StringTable(
+    np.array([[0, 6], [1, 5], [0, 0], [7, 6], [3, 3]], dtype=np.uint64),
+    np.frombuffer("héllo wörld 🙂 xyz".encode("utf-8"), np.uint8))
+
+
 @pytest.mark.parametrize("strings", [
     [],
     [""],
@@ -282,9 +298,24 @@ def encode_string_table_per_entry(strings):
     ["a photo of thing-0.", "b", "", "caption three"],
     ["naïve café", "", "日本語のキャプション", "emoji 🙂 end", "x"],
     [f"entry {i} " + "é" * (i % 5) for i in range(1000)],
+    decoded_string_table(["naïve café", "", "日本語", "x"]),
+    decoded_string_table(["naïve café", "", "x"], tail="日本".encode("utf-8")),
+    OVERLAPPING,
+    StringTable(np.zeros((0, 2), np.uint64), np.zeros(0, np.uint8)),
+    StringTable.gathered(["", "naïve", "日本語", "x"],
+                         np.array([1, 0, 2, 2, 3, 0, 1])),
 ])
 def test_string_table_bytes_match_the_per_entry_layout(strings):
-    assert embank._encode_string_table(strings) == encode_string_table_per_entry(strings)
+    assert (b"".join(embank._encode_string_table(strings))
+            == encode_string_table_per_entry(list(strings)))
+
+
+def test_non_packed_string_tables_are_repacked():
+    assert list(OVERLAPPING) == ["héllo", "éllo", "", "wörld", "llo"]
+    table, blob = OVERLAPPING.packed()
+    assert StringTable(table, blob) == list(OVERLAPPING)
+    packed = decoded_string_table(list(OVERLAPPING))
+    assert packed.packed()[0] is packed._table
 
 
 def test_string_tables_decode_on_read_and_compare_as_lists(tmp_path):
@@ -413,7 +444,7 @@ def write_bank_unchecked(bank, path):
     embank.write_container(path, header, [
         np.ascontiguousarray(a, dtype).tobytes() for a, dtype in (
             (bank.images, "<f4"), (bank.feats, "<f4"), (bank.caption_feats, "<f4"),
-            (bank.latent_class, "<i4"))] + [embank._encode_string_table(bank.captions)])
+            (bank.latent_class, "<i4"))] + embank._encode_string_table(bank.captions))
 
 
 def reference_decode(path):

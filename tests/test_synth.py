@@ -1,9 +1,21 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from bankadapt import synth
+from bankadapt.cli import main
 from bankadapt.config import RunConfig
 from bankadapt.encoder import FrozenEmbedder
-from bankadapt.embank import validate_bank, validate_dataset
+from bankadapt.embank import (
+    EmbeddingBank,
+    StringTable,
+    decode_bank_file,
+    encode_bank_file,
+    validate_bank,
+    validate_dataset,
+)
+from bankadapt.seeding import derive_rng
 from bankadapt.synth import (
     generate_downstream,
     generate_pretrain_bank,
@@ -182,9 +194,106 @@ class TestBank:
         ds = generate_downstream(spec_a)
         with pytest.raises(ValueError, match="dims"):
             generate_pretrain_bank(spec_b, ds)
+        # the caption vocabulary puts the distractor names after C class names
+        spec_c = RunConfig(seed=0, n_classes=4, n_per_class=4, image_dim=16)
+        with pytest.raises(ValueError, match="classes"):
+            generate_pretrain_bank(spec_c, ds)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="in_dist_fraction"):
             RunConfig(in_dist_fraction=1.5)
         with pytest.raises(ValueError, match="n_templates"):
             RunConfig(n_templates=0)
+
+
+def reference_pretrain_bank(cfg: RunConfig, ds) -> EmbeddingBank:
+    """Per-record oracle for generate_pretrain_bank: the same random draws,
+    with each record's source and subject vectors copied out in float64 and
+    each caption made as its own string."""
+    protos, distractors = prototypes(cfg)
+    m = cfg.bank_size
+    n_in = int(cfg.in_dist_fraction * m)
+
+    rng_cls = derive_rng(cfg.seed, "bank-classes")
+    latent = np.full(m, -1, dtype=np.int32)
+    latent[:n_in] = rng_cls.integers(0, cfg.n_classes, size=n_in)
+    distractor_of = rng_cls.integers(0, distractors.shape[0], size=m)
+
+    sources = np.where(latent[:, None] >= 0,
+                       protos[np.clip(latent, 0, None)],
+                       distractors[distractor_of])
+    rng_img = derive_rng(cfg.seed, "bank-images")
+    images = sources + rng_img.normal(0.0, cfg.noise_sigma, size=sources.shape)
+
+    image_emb = FrozenEmbedder.from_seed("image", cfg.seed, cfg.feat_dim,
+                                         cfg.image_dim)
+    text_emb = FrozenEmbedder.from_seed("text", cfg.seed, cfg.feat_dim,
+                                        cfg.image_dim)
+    feats = image_emb.embed_rows(images)
+
+    swapped = synth._raw_weak_mask(cfg)
+    rng_swap = derive_rng(cfg.seed, "weak-pair-targets")
+    swap_to = rng_swap.integers(0, distractors.shape[0], size=m)
+    subj_vectors = sources.copy()
+    subj_vectors[swapped] = distractors[swap_to[swapped]]
+
+    names = [f"distractor-{k:02d}" for k in range(distractors.shape[0])]
+    subj_names = [ds.class_names[c] if c >= 0 else names[k]
+                  for c, k in zip(latent, distractor_of)]
+    for i in np.flatnonzero(swapped):
+        subj_names[i] = names[swap_to[i]]
+    captions = [f"a photo of {n}." for n in subj_names]
+    caption_feats = text_emb.embed_rows(subj_vectors)
+
+    order = synth._bank_order(cfg)
+    return EmbeddingBank(
+        images=images[order].astype(np.float32),
+        feats=feats[order].astype(np.float32),
+        caption_feats=caption_feats[order].astype(np.float32),
+        captions=[captions[i] for i in order],
+        latent_class=latent[order],
+    )
+
+
+def _oracle_case(tmp_path, cfg, ds):
+    ours, ref = tmp_path / "ours.datb", tmp_path / "ref.datb"
+    bank = generate_pretrain_bank(cfg, ds)
+    assert isinstance(bank.captions, StringTable)
+    encode_bank_file(bank, ours)
+    encode_bank_file(reference_pretrain_bank(cfg, ds), ref)
+    assert ours.read_bytes() == ref.read_bytes()
+    assert decode_bank_file(ours).captions == bank.captions
+
+
+# n_classes 12 makes the K = max(C, 8) distractors as many as the classes
+@pytest.mark.parametrize("weak_pair_rate", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("in_dist_fraction", [0.0, 0.5, 1.0])
+def test_bank_bytes_match_the_per_record_oracle(tmp_path, weak_pair_rate,
+                                                in_dist_fraction):
+    cfg = RunConfig(seed=3, n_classes=12, n_per_class=2, bank_size=500, image_dim=16,
+                    feat_dim=8, weak_pair_rate=weak_pair_rate,
+                    in_dist_fraction=in_dist_fraction)
+    _oracle_case(tmp_path, cfg, generate_downstream(cfg))
+
+
+@pytest.mark.parametrize("bank_size", [0, 1])
+def test_synth_gen_writes_banks_of_no_and_one_record(tmp_path, bank_size):
+    cfg = RunConfig(seed=5, n_classes=12, n_per_class=2, bank_size=bank_size)
+    assert main(["synth-gen", "--seed", "5", "--n_classes", "12", "--n_per_class", "2",
+                 "--bank_size", str(bank_size), "--out_dir", str(tmp_path)]) == 0
+    encode_bank_file(reference_pretrain_bank(cfg, generate_downstream(cfg)),
+                     tmp_path / "ref.datb")
+    written = tmp_path / "bank.datb"
+    assert written.read_bytes() == (tmp_path / "ref.datb").read_bytes()
+    bank = decode_bank_file(written)
+    assert bank.size == len(bank.captions) == bank_size
+
+
+def test_multi_byte_class_names_take_their_byte_lengths(tmp_path):
+    cfg = RunConfig(seed=6, n_classes=4, n_per_class=2, bank_size=400,
+                    in_dist_fraction=0.75, weak_pair_rate=0.3)
+    names = ["café", "日本語", "🙂 smile", ""]
+    ds = dataclasses.replace(generate_downstream(cfg), class_names=names)
+    _oracle_case(tmp_path, cfg, ds)
+    captions = generate_pretrain_bank(cfg, ds).captions
+    assert {f"a photo of {n}." for n in names} <= set(captions)
