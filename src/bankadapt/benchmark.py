@@ -50,8 +50,9 @@ def build_world(seed: int) -> BenchmarkWorld:
     bank = generate_pretrain_bank(cfg, train_ds)
     s1 = stage1_sample(bank, train_ds, cfg)
     s2 = stage2_sample(s1, bank, train_ds, cfg)
+    selected = SelectedBank.from_bank(bank, s2.selected_ids, train_ds)
     return BenchmarkWorld(seed=seed, train_ds=train_ds, eval_ds=eval_ds,
-                          selected=SelectedBank.from_bank(bank, s2, train_ds))
+                          selected=selected)
 
 
 def run_variant(world: BenchmarkWorld, variant: str) -> TrainResult:

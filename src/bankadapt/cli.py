@@ -188,7 +188,8 @@ def _selected_for_train(cfg: RunConfig, ds: DownstreamDataset) -> SelectedBank:
         bank = _load_bank(cfg, ds, ("images", "caption_feats"))
         return SelectedBank.from_bank(bank, load_sample_csv(cfg.samples), ds)
     bank = _load_bank(cfg, ds, ("images", "feats", "caption_feats"))
-    return SelectedBank.from_bank(bank, _sample_bank(cfg, bank, ds)[1], ds)
+    _, s2 = _sample_bank(cfg, bank, ds)
+    return SelectedBank.from_bank(bank, s2.selected_ids, ds)
 
 
 def cmd_synth_gen(cfg: RunConfig, args) -> int:
@@ -216,7 +217,7 @@ def cmd_sample(cfg: RunConfig, args) -> int:
     s1, s2 = _sample_bank(cfg, bank, ds)
     out = _out_dir(cfg)
     samples_path = Path(cfg.samples) if cfg.samples else out / "samples.csv"
-    save_sample_csv(s2, samples_path, samples_path.with_name("deficits.csv"))
+    save_sample_csv(s2, samples_path)
     print(f"stage 1 kept {s1.n_selected} records "
           f"({int(s1.deficits.sum())} short), stage 2 kept {s2.n_selected} "
           f"({int(s2.deficits.sum())} short) -> {samples_path}")
@@ -341,10 +342,10 @@ def main(argv=None) -> int:
         else:
             cfg = resolve_config(args)
         return COMMANDS[args.command](cfg, args)
-    except (OSError, FileNotFoundError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValidationError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

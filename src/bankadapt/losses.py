@@ -1,10 +1,12 @@
-"""The three training objectives and their gradients.
+"""The training losses and their gradients.
 
-Supervised term: mean cross-entropy of weak labeled views.  Unlabeled term:
-cross-entropy of strong views against confident pseudo-labels, summed and
-divided by the full unlabeled batch size (confidence only gates which terms
-enter; the divisor never shrinks).  Contrastive term: bidirectional
-multi-positive softmax contrast over the unified triplet batch.
+Classification term: one clamped cross-entropy, used for the labeled rows
+(weak views against their labels, divided by the labeled row count) and
+for the pseudo-labeled rows (strong views against confident pseudo-labels,
+divided by the full unlabeled row count: confidence only gates which rows
+enter, the divisor never shrinks).  Each term sums -log p left to right in
+row order, then divides.  Contrastive term: bidirectional multi-positive
+softmax contrast over the unified triplet batch.
 
 With z[i, j] = v_i . t_j / tau (temperature divides the cosine in every
 term), positives P(i) = {k : y_k = y_i} including i, and anchor_reduction
@@ -19,8 +21,8 @@ term), positives P(i) = {k : y_k = y_i} including i, and anchor_reduction
 "mean" divides both by the batch size.  The gradient in z is
 (softmax - positive-mass) per anchor, column-wise for text anchors and
 row-wise for image anchors; text features are frozen, so only the image
-embedding gradients are returned.  tau, anchor_reduction and the weights
-eta and lambda are read from a RunConfig.
+embedding gradients are returned.  tau and anchor_reduction are read from
+a RunConfig.
 """
 
 from __future__ import annotations
@@ -31,22 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .pseudo_triplets import PseudoLabels
 
 logger = logging.getLogger(__name__)
 
 _CLAMP = 1e-12
-
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    loss_x: float
-    loss_u: float
-    loss_i2t: float
-    loss_t2i: float
-    loss_con: float
-    loss_total: float
-    n_confident: int
 
 
 @dataclass(frozen=True)
@@ -57,56 +47,32 @@ class ContrastiveResult:
     grad_v: np.ndarray  # (N, d) gradient w.r.t. the unit image embeddings
 
 
-def cross_entropy(labels: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Row-wise -log probs[i, labels[i]], with p clamped away from zero.
+def cross_entropy_term(labels: np.ndarray, probs: np.ndarray, rows: np.ndarray,
+                       denom: int) -> tuple[float, np.ndarray]:
+    """Clamped -log probs[i, labels[i]] over rows, summed left to right in
+    row order and divided by denom, with its logit gradient: (softmax -
+    onehot) / denom on those rows, zero elsewhere.
 
-    One warning per call reports how many rows were clamped."""
-    p = probs[np.arange(labels.shape[0]), labels]
+    p is clamped away from zero; one warning per call reports how many rows
+    were clamped."""
+    if labels.shape[0] != probs.shape[0]:
+        raise ValueError("labels and probabilities disagree in length")
+    grad = np.zeros_like(probs)
+    if rows.size == 0:
+        return 0.0, grad
+    y = labels[rows]
+    p = probs[rows, y]
     low = p < _CLAMP
     if low.any():
         logger.warning("cross_entropy clamped %d of %d probabilities "
                        "(smallest %.3e)", int(low.sum()), p.shape[0], p.min())
         p = np.where(low, _CLAMP, p)
-    return -np.log(p)
-
-
-def supervised_loss(labels: np.ndarray, probs: np.ndarray) -> float:
-    if labels.shape[0] == 0:
-        raise ValueError("supervised loss over an empty batch is undefined")
-    return float(np.mean(cross_entropy(labels, probs)))
-
-
-def supervised_logit_grads(labels: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """(softmax - onehot) / B, the logit gradient of the mean cross-entropy."""
-    b = labels.shape[0]
-    g = probs.copy()
-    g[np.arange(b), labels] -= 1.0
-    return g / b
-
-
-def unlabeled_loss(pseudo: PseudoLabels, strong_probs: np.ndarray) -> float:
-    """Confident terms only, but divided by the full unlabeled row count."""
-    denom = strong_probs.shape[0]
-    if denom == 0:
-        return 0.0
-    if len(pseudo) != denom:
-        raise ValueError("pseudo labels and strong probabilities disagree in length")
-    rows = np.flatnonzero(pseudo.confident)
-    # left-to-right in row order; np.sum's pairwise order would move the
-    # last bits of loss_u
-    total = sum(cross_entropy(pseudo.label[rows], strong_probs[rows]).tolist())
-    return float(total) / denom
-
-
-def unlabeled_logit_grads(pseudo: PseudoLabels, strong_probs: np.ndarray) -> np.ndarray:
-    denom = strong_probs.shape[0]
-    g = np.zeros_like(strong_probs)
-    if denom == 0:
-        return g
-    rows = np.flatnonzero(pseudo.confident)
-    g[rows] = strong_probs[rows]
-    g[rows, pseudo.label[rows]] -= 1.0
-    return g / denom
+    # a Python sum runs left to right; np.sum's pairwise order would move
+    # the last bits
+    loss = sum((-np.log(p)).tolist()) / denom
+    grad[rows] = probs[rows]
+    grad[rows, y] -= 1.0
+    return loss, grad / denom
 
 
 def _positive_mass(labels: np.ndarray) -> np.ndarray:
@@ -164,12 +130,3 @@ def contrastive_loss(v: np.ndarray, text_feats: np.ndarray, labels: np.ndarray,
     grad_v = (d_z @ t) * (scale / cfg.tau)
     return ContrastiveResult(loss_i2t=loss_i2t, loss_t2i=loss_t2i,
                              loss_con=loss_i2t + loss_t2i, grad_v=grad_v)
-
-
-def total_loss(loss_x: float, loss_u: float, loss_i2t: float, loss_t2i: float,
-               n_confident: int, cfg: RunConfig) -> LossBreakdown:
-    loss_con = loss_i2t + loss_t2i
-    total = loss_x + cfg.eta * loss_u + cfg.lambda_ * loss_con
-    return LossBreakdown(loss_x=loss_x, loss_u=loss_u, loss_i2t=loss_i2t,
-                         loss_t2i=loss_t2i, loss_con=loss_con, loss_total=total,
-                         n_confident=n_confident)

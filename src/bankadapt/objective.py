@@ -4,7 +4,9 @@ The step's three groups of views are stacked into one input and encoded in
 one forward pass: weak labeled views (rows [0, b)) feed the supervised
 term, weak unlabeled views (rows [b, b+u)) are pseudo-labeled once (no
 gradient flows through the labeling itself), and strong unlabeled views
-(rows [b+u, b+2u)) feed the pseudo-label term.  The contrastive term runs
+(rows [b+u, b+2u)) feed the pseudo-label term.  Both terms are one
+cross_entropy_term: on every labeled row over b, and on the confident
+unlabeled rows over u.  The contrastive term runs
 over the unit embeddings of the unified triplet batch, gathered from the
 stack through the triplets' image_rows, and its gradient is scattered back
 through the same rows.  One backward pass then takes the logit and
@@ -27,16 +29,19 @@ from .encoder import (
     encode_and_classify,
     param_gradients,
 )
-from .losses import (
-    LossBreakdown,
-    contrastive_loss,
-    supervised_logit_grads,
-    supervised_loss,
-    total_loss,
-    unlabeled_logit_grads,
-    unlabeled_loss,
-)
+from .losses import contrastive_loss, cross_entropy_term
 from .pseudo_triplets import build_batch_triplets, pseudo_label_batch
+
+
+@dataclass(frozen=True)
+class LossBreakdown:
+    loss_x: float
+    loss_u: float
+    loss_i2t: float
+    loss_t2i: float
+    loss_con: float
+    loss_total: float
+    n_confident: int
 
 
 @dataclass(frozen=True)
@@ -77,16 +82,14 @@ def batch_objective(params: EncoderParams, batch: ObjectiveBatch, cfg: RunConfig
     probs = trace.probs
     d_logits = np.zeros_like(trace.logits)
 
-    loss_x = 0.0
-    if include_supervised:
-        loss_x = supervised_loss(batch.labels, probs[:b])
-        d_logits[:b] = supervised_logit_grads(batch.labels, probs[:b])
+    labeled = np.arange(b if include_supervised else 0)
+    loss_x, d_logits[:b] = cross_entropy_term(batch.labels, probs[:b], labeled, b)
     _require_finite("supervised loss", loss_x)
 
     pseudo = pseudo_label_batch(probs[b:b + u], cfg.t_thresh)
-    strong_probs = probs[b + u:]
-    loss_u = unlabeled_loss(pseudo, strong_probs)
-    d_logits[b + u:] = cfg.eta * unlabeled_logit_grads(pseudo, strong_probs)
+    loss_u, d_strong = cross_entropy_term(pseudo.label, probs[b + u:],
+                                          np.flatnonzero(pseudo.confident), u)
+    d_logits[b + u:] = cfg.eta * d_strong
     _require_finite("unlabeled loss", loss_u)
 
     triplets = build_batch_triplets(batch.labels, pseudo, batch.caption_feats,
@@ -100,10 +103,13 @@ def batch_objective(params: EncoderParams, batch: ObjectiveBatch, cfg: RunConfig
         loss_i2t, loss_t2i = con.loss_i2t, con.loss_t2i
         d_unit = np.zeros_like(trace.unit_embedding)
         d_unit[rows] = cfg.lambda_ * con.grad_v
-    _require_finite("contrastive loss", loss_i2t + loss_t2i)
+    loss_con = loss_i2t + loss_t2i
+    _require_finite("contrastive loss", loss_con)
 
     grads = param_gradients(params, trace, d_logits, d_unit)
-    breakdown = total_loss(loss_x, loss_u, loss_i2t, loss_t2i,
-                           int(pseudo.confident.sum()), cfg)
-    _require_finite("total loss", breakdown.loss_total)
-    return breakdown, grads
+    loss_total = loss_x + cfg.eta * loss_u + cfg.lambda_ * loss_con
+    _require_finite("total loss", loss_total)
+    return LossBreakdown(loss_x=loss_x, loss_u=loss_u, loss_i2t=loss_i2t,
+                         loss_t2i=loss_t2i, loss_con=loss_con,
+                         loss_total=loss_total,
+                         n_confident=int(pseudo.confident.sum())), grads

@@ -58,6 +58,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -369,42 +370,41 @@ def sampler_precision(result: SampleResult, bank: EmbeddingBank,
     return float(np.mean(hits))
 
 
-def save_sample_csv(result: SampleResult, path, deficits_path=None) -> None:
+def save_sample_csv(result: SampleResult, path) -> None:
+    """samples.csv at path and, beside it, deficits.csv."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["record_id", "assigned_column", "score"])
         for rid, col, sc in zip(result.selected_ids, result.assigned_column,
                                 result.score):
             w.writerow([int(rid), int(col), repr(float(sc))])
-    if deficits_path is not None:
-        with open(deficits_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["column", "deficit"])
-            for j, d in enumerate(result.deficits):
-                w.writerow([j, int(d)])
+    with open(Path(path).with_name("deficits.csv"), "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["column", "deficit"])
+        for j, d in enumerate(result.deficits):
+            w.writerow([j, int(d)])
 
 
-def load_sample_csv(path) -> SampleResult:
-    """Rebuild a SampleResult from its CSV; k and deficits are inferred from
-    the per-column counts (a run where every column fell short of k cannot
-    distinguish k from the largest observed count)."""
-    ids, cols, scores = [], [], []
+def load_sample_csv(path) -> np.ndarray:
+    """The record ids of a samples.csv, int64 in file order.  Every data row
+    must be a non-negative integer id, a non-negative integer column and a
+    float score; any other row is refused with its line number."""
+    ids = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != ["record_id", "assigned_column", "score"]:
             raise ValueError(f"unexpected sample csv header {header}")
         for row in reader:
-            ids.append(int(row[0]))
-            cols.append(int(row[1]))
-            scores.append(float(row[2]))
-    n_columns = (max(cols) + 1) if cols else 0
-    counts = np.bincount(cols, minlength=n_columns) if cols else np.zeros(0, int)
-    k = int(counts.max()) if cols else 0
-    return SampleResult(
-        selected_ids=np.asarray(ids, dtype=np.int64),
-        assigned_column=np.asarray(cols, dtype=np.int64),
-        score=np.asarray(scores, dtype=np.float64),
-        deficits=(k - counts).astype(np.int64),
-        k=k,
-    )
+            try:
+                if len(row) != 3 or not (row[0].isdecimal()
+                                         and row[1].isdecimal()):
+                    raise ValueError
+                float(row[2])
+                ids.append(np.int64(row[0]))
+            except (ValueError, OverflowError):
+                raise ValueError(
+                    f"{path} line {reader.line_num}: expected a non-negative "
+                    "integer record_id and assigned_column and a float score, "
+                    f"got {','.join(row)!r}") from None
+    return np.asarray(ids, dtype=np.int64)

@@ -26,7 +26,6 @@ from .encoder import (
     init_params_warm,
 )
 from .objective import ObjectiveBatch, batch_objective
-from .sampler import SampleResult
 from .seeding import derive_rng
 
 METRICS_HEADER = ("step,epoch,loss_x,loss_u,loss_con,loss_total,"
@@ -46,17 +45,18 @@ class SelectedBank:
         return self.ids.shape[0]
 
     @classmethod
-    def from_bank(cls, bank: EmbeddingBank, result: SampleResult,
+    def from_bank(cls, bank: EmbeddingBank, ids: np.ndarray,
                   ds: DownstreamDataset) -> "SelectedBank":
-        """The rows of result, refused unless the bank's image and feature
-        dimensions are ds's and every id lies inside the bank."""
+        """The bank rows of ids, in their order, refused unless the bank's
+        image and feature dimensions are ds's and every id lies inside the
+        bank."""
         for name, own, want in (
                 ("image_dim", bank.images.shape[1], ds.image_dim),
                 ("feat_dim", bank.caption_feats.shape[1], ds.feat_dim)):
             if own != want:
                 raise ValidationError([f"bank has {name} {own}, "
                                        f"dataset has {want}"])
-        ids = np.asarray(result.selected_ids, dtype=np.int64)
+        ids = np.asarray(ids, dtype=np.int64)
         bad = np.flatnonzero((ids < 0) | (ids >= bank.size))
         if bad.size:
             raise ValidationError([

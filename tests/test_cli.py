@@ -432,6 +432,22 @@ def test_train_with_missing_samples_file_exits_two(tmp_path, capsys):
     assert not (out / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize("row", ["4,1", "", "4,-1,0.5", "4.0,1,0.5"],
+                         ids=["short row", "blank line", "negative column",
+                              "non-integer id"])
+def test_train_refuses_a_malformed_samples_row(tmp_path, capsys, row):
+    samples = tmp_path / "s.csv"
+    samples.write_text(f"record_id,assigned_column,score\n3,0,0.5\n{row}\n"
+                       "5,1,0.25\n")
+    out = tmp_path / "o"
+    assert run(["train", *TINY, "--samples", str(samples),
+                "--out_dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"{samples} line 3:" in err
+    assert not (out / "metrics.csv").exists()
+
+
 def test_train_with_samples_from_a_larger_bank_exits_one(tmp_path, capsys):
     big, small = tmp_path / "big", tmp_path / "small"
     assert run(["synth-gen", *TINY, "--bank_size", "1200",

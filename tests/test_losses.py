@@ -10,12 +10,7 @@ from bankadapt.config import RunConfig
 from bankadapt.losses import (
     ContrastiveResult,
     contrastive_loss,
-    cross_entropy,
-    supervised_logit_grads,
-    supervised_loss,
-    total_loss,
-    unlabeled_logit_grads,
-    unlabeled_loss,
+    cross_entropy_term,
 )
 from bankadapt.pseudo_triplets import PseudoLabels, pseudo_label_batch
 from conftest import awkward_probs
@@ -56,46 +51,48 @@ def random_unit(rng, n, d):
     return unit(rng.standard_normal((n, d)))
 
 
+def per_row(labels, probs):
+    """cross_entropy_term over every row, divided by one: the sum of the
+    per-row terms."""
+    return cross_entropy_term(labels, probs, np.arange(labels.shape[0]), 1)
+
+
 class TestCrossEntropy:
     def test_uniform_two_class(self):
-        val = cross_entropy(np.array([0]), np.array([[0.5, 0.5]]))
-        assert abs(val[0] - math.log(2)) < 1e-12
+        val, _ = per_row(np.array([0]), np.array([[0.5, 0.5]]))
+        assert abs(val - math.log(2)) < 1e-12
 
     def test_quarter_probability_is_two_ln_two(self):
-        val = cross_entropy(np.array([1]), np.array([[0.75, 0.25]]))
-        assert abs(val[0] - 2 * math.log(2)) < 1e-12
+        val, _ = per_row(np.array([1]), np.array([[0.75, 0.25]]))
+        assert abs(val - 2 * math.log(2)) < 1e-12
 
     def test_zero_probability_clamps_instead_of_inf(self, caplog):
         probs = np.array([[0.0, 1.0], [1e-30, 1.0 - 1e-30], [0.5, 0.5]])
         with caplog.at_level(logging.WARNING, logger="bankadapt.losses"):
-            val = cross_entropy(np.array([0, 0, 1]), probs)
-        assert np.all(np.isfinite(val))
-        np.testing.assert_allclose(val[:2], -math.log(1e-12), atol=1e-9)
-        assert abs(val[2] - math.log(2)) < 1e-12
+            val, grad = per_row(np.array([0, 0, 1]), probs)
+        assert np.isfinite(val) and np.all(np.isfinite(grad))
+        assert abs(val - (-2 * math.log(1e-12) + math.log(2))) < 1e-9
         assert len(caplog.records) == 1  # one warning per call, not per row
         assert "clamped 2 of 3" in caplog.records[0].getMessage()
 
     def test_no_warning_without_clamps(self, caplog):
         with caplog.at_level(logging.WARNING, logger="bankadapt.losses"):
-            cross_entropy(np.array([0, 1]), np.array([[0.5, 0.5], [0.1, 0.9]]))
+            per_row(np.array([0, 1]), np.array([[0.5, 0.5], [0.1, 0.9]]))
         assert caplog.records == []
 
     def test_supervised_mean(self):
         probs = np.array([[0.5, 0.5], [0.25, 0.75]])
         labels = np.array([0, 1])
         expected = (math.log(2) + -math.log(0.75)) / 2
-        assert abs(supervised_loss(labels, probs) - expected) < 1e-12
-
-    def test_supervised_empty_batch_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            supervised_loss(np.zeros(0, int), np.zeros((0, 3)))
+        loss, _ = cross_entropy_term(labels, probs, np.arange(2), 2)
+        assert abs(loss - expected) < 1e-12
 
     def test_supervised_logit_grads_row_sums_vanish(self):
         rng = np.random.default_rng(0)
         probs = np.abs(rng.standard_normal((5, 4)))
         probs /= probs.sum(axis=1, keepdims=True)
         labels = rng.integers(0, 4, 5)
-        g = supervised_logit_grads(labels, probs)
+        _, g = cross_entropy_term(labels, probs, np.arange(5), 5)
         np.testing.assert_allclose(g.sum(axis=1), 0.0, atol=1e-12)
 
 
@@ -114,6 +111,13 @@ def reference_unlabeled(pseudo, strong_probs, mu, batch_size):
     return total / denom, g / denom
 
 
+def unlabeled_term(pseudo, strong_probs):
+    """cross_entropy_term on the confident rows over all unlabeled rows."""
+    return cross_entropy_term(pseudo.label, strong_probs,
+                              np.flatnonzero(pseudo.confident),
+                              strong_probs.shape[0])
+
+
 class TestUnlabeledLoss:
     def mk_pseudo(self, flags, labels):
         return PseudoLabels(label=np.array(labels, dtype=np.int64),
@@ -123,29 +127,29 @@ class TestUnlabeledLoss:
     def test_divides_by_full_batch_not_confident_count(self):
         probs = np.array([[0.25, 0.75], [0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])
         pseudo = self.mk_pseudo([1, 0, 0, 0], [1, 0, 0, 0])
-        val = unlabeled_loss(pseudo, probs)
+        val, _ = unlabeled_term(pseudo, probs)
         assert abs(val - (-math.log(0.75)) / 4) < 1e-12
 
     def test_no_confident_terms_gives_zero(self):
         probs = np.full((4, 2), 0.5)
         pseudo = self.mk_pseudo([0, 0, 0, 0], [0, 0, 0, 0])
-        assert unlabeled_loss(pseudo, probs) == 0.0
+        assert unlabeled_term(pseudo, probs)[0] == 0.0
 
     def test_mu_zero_is_zero(self):
         pseudo = self.mk_pseudo([], [])
-        assert unlabeled_loss(pseudo, np.zeros((0, 2))) == 0.0
+        assert unlabeled_term(pseudo, np.zeros((0, 2)))[0] == 0.0
 
     def test_grads_zero_for_unconfident_rows(self):
         probs = np.array([[0.9, 0.1], [0.3, 0.7]])
         pseudo = self.mk_pseudo([1, 0], [0, 1])
-        g = unlabeled_logit_grads(pseudo, probs)
+        _, g = unlabeled_term(pseudo, probs)
         np.testing.assert_allclose(g[1], 0.0)
         np.testing.assert_allclose(g[0], (probs[0] - np.array([1.0, 0.0])) / 2,
                                    atol=1e-12)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="disagree in length"):
-            unlabeled_loss(self.mk_pseudo([1], [0]), np.full((2, 2), 0.5))
+            unlabeled_term(self.mk_pseudo([1], [0]), np.full((2, 2), 0.5))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_per_row_reference(self, seed):
@@ -155,9 +159,9 @@ class TestUnlabeledLoss:
         labels = pseudo.label[pseudo.confident]
         assert (strong[pseudo.confident, labels] < 1e-12).any()  # clamps
         loss, grads = reference_unlabeled(pseudo, strong, mu=3, batch_size=20)
-        assert unlabeled_loss(pseudo, strong) == loss
-        np.testing.assert_array_equal(
-            unlabeled_logit_grads(pseudo, strong), grads)
+        got_loss, got_grads = unlabeled_term(pseudo, strong)
+        assert got_loss == loss
+        np.testing.assert_array_equal(got_grads, grads)
 
 
 E1 = np.array([1.0, 0.0])
@@ -299,27 +303,10 @@ class TestContrastiveGeneral:
         assert not hasattr(res, "grad_t")
 
 
-class TestTotalLoss:
-    def test_weighted_sum_identity(self):
-        cfg = RunConfig(tau=0.07, eta=0.5, lambda_=2.0)
-        br = total_loss(1.0, 0.25, 0.3, 0.4, n_confident=3, cfg=cfg)
-        assert abs(br.loss_total - (1.0 + 0.5 * 0.25 + 2.0 * 0.7)) <= 1e-12
-        assert br.loss_con == pytest.approx(0.7)
-        assert br.n_confident == 3
-
-    def test_all_components_non_negative_under_defaults(self):
-        rng = np.random.default_rng(6)
-        v = random_unit(rng, 4, 3)
-        t = random_unit(rng, 4, 3)
-        res = contrastive_loss(v, t, rng.integers(0, 2, 4), RunConfig())
-        br = total_loss(0.3, 0.1, res.loss_i2t, res.loss_t2i, 1, RunConfig())
-        assert br.loss_x >= 0 and br.loss_u >= 0 and br.loss_con >= 0
-        assert br.loss_total >= 0
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError, match="tau"):
-            RunConfig(tau=0.0)
-        with pytest.raises(ValueError, match="anchor_reduction"):
-            RunConfig(anchor_reduction="median")
-        with pytest.raises(ValueError, match="non-negative"):
-            RunConfig(eta=-1.0)
+def test_config_validation():
+    with pytest.raises(ValueError, match="tau"):
+        RunConfig(tau=0.0)
+    with pytest.raises(ValueError, match="anchor_reduction"):
+        RunConfig(anchor_reduction="median")
+    with pytest.raises(ValueError, match="non-negative"):
+        RunConfig(eta=-1.0)

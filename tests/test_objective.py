@@ -17,21 +17,29 @@ from bankadapt.gradcheck import (
     make_fixture,
     run_gradient_suite,
 )
-from bankadapt.losses import (
-    contrastive_loss,
-    supervised_logit_grads,
-    supervised_loss,
-    total_loss,
-    unlabeled_logit_grads,
-    unlabeled_loss,
-)
-from bankadapt.objective import ObjectiveBatch, batch_objective
+from bankadapt.losses import contrastive_loss
+from bankadapt.objective import LossBreakdown, ObjectiveBatch, batch_objective
 from bankadapt.pseudo_triplets import build_batch_triplets, pseudo_label_batch
 from bankadapt.seeding import derive_rng
 
 GRAD_FIELDS = ("w1", "b1", "w2", "b2", "head_w", "head_b")
 LOSS_FIELDS = ("loss_x", "loss_u", "loss_i2t", "loss_t2i", "loss_con",
                "loss_total")
+
+
+def per_row_cross_entropy(labels, probs, mask, denom):
+    """Per-row loop over the rows where mask is set: clamped -log p summed
+    left to right in row order, and softmax - onehot for the logit
+    gradient, both divided by denom."""
+    total = 0.0
+    g = np.zeros_like(probs)
+    for j in range(len(labels)):
+        if mask[j]:
+            label = int(labels[j])
+            total += -float(np.log(max(float(probs[j, label]), 1e-12)))
+            g[j] = probs[j]
+            g[j, label] -= 1.0
+    return total / denom, g / denom
 
 
 def three_pass_objective(params, batch, cfg, include_supervised=True):
@@ -45,8 +53,8 @@ def three_pass_objective(params, batch, cfg, include_supervised=True):
     trace_s = encode_and_classify(params, batch.unlabeled_strong) if u else None
 
     if include_supervised:
-        loss_x = supervised_loss(batch.labels, trace_l.probs)
-        d_logits_l = supervised_logit_grads(batch.labels, trace_l.probs)
+        loss_x, d_logits_l = per_row_cross_entropy(
+            batch.labels, trace_l.probs, np.ones(b, dtype=bool), b)
     else:
         loss_x = 0.0
         d_logits_l = None
@@ -55,8 +63,9 @@ def three_pass_objective(params, batch, cfg, include_supervised=True):
     pseudo = pseudo_label_batch(weak_probs, cfg.t_thresh)
     confident = pseudo.confident
     if u:
-        loss_u = unlabeled_loss(pseudo, trace_s.probs)
-        d_logits_s = unlabeled_logit_grads(pseudo, trace_s.probs) * cfg.eta
+        loss_u, d_logits_s = per_row_cross_entropy(pseudo.label, trace_s.probs,
+                                                   confident, u)
+        d_logits_s = d_logits_s * cfg.eta
     else:
         loss_u = 0.0
         d_logits_s = None
@@ -96,7 +105,12 @@ def three_pass_objective(params, batch, cfg, include_supervised=True):
     grads = EncoderParams(*(sum((p.fields()[i] for p in parts),
                                 np.zeros_like(f))
                             for i, f in enumerate(params.fields())))
-    breakdown = total_loss(loss_x, loss_u, loss_i2t, loss_t2i, n_weak, cfg)
+    loss_con = loss_i2t + loss_t2i
+    breakdown = LossBreakdown(
+        loss_x=loss_x, loss_u=loss_u, loss_i2t=loss_i2t, loss_t2i=loss_t2i,
+        loss_con=loss_con,
+        loss_total=loss_x + cfg.eta * loss_u + cfg.lambda_ * loss_con,
+        n_confident=n_weak)
     return breakdown, grads
 
 
@@ -127,6 +141,25 @@ def test_breakdown_total_identity():
     expect = bd.loss_x + 0.7 * bd.loss_u + 0.4 * (bd.loss_i2t + bd.loss_t2i)
     assert bd.loss_total == pytest.approx(expect, abs=1e-12)
     assert bd.loss_con == pytest.approx(bd.loss_i2t + bd.loss_t2i, abs=1e-15)
+
+
+def test_loss_x_is_summed_left_to_right_in_row_order():
+    b = 16
+    params = init_params(0, 6, 5, 4, 3)
+    batch = small_batch(seed=0, b=b, u=0)
+    probs = encode_and_classify(params, batch.labeled_weak).probs
+    want, _ = per_row_cross_entropy(batch.labels, probs, np.ones(b, bool), b)
+    pairwise = float(np.mean(-np.log(probs[np.arange(b), batch.labels])))
+    assert pairwise != want  # np.mean's pairwise order moves the last bit
+    bd, _ = batch_objective(params, batch, config())
+    assert bd.loss_x == want
+
+
+def test_all_components_non_negative():
+    bd, _ = batch_objective(sharp_params(19), small_batch(), config())
+    assert bd.n_confident > 0
+    assert bd.loss_x >= 0 and bd.loss_u >= 0 and bd.loss_con >= 0
+    assert bd.loss_total >= 0
 
 
 def test_no_unlabeled_rows():

@@ -623,11 +623,10 @@ class TestCsv:
         assert r.k == 3
         path = tmp_path / "samples.csv"
         dpath = tmp_path / "deficits.csv"
-        save_sample_csv(r, path, dpath)
+        save_sample_csv(r, path)
         back = load_sample_csv(path)
-        np.testing.assert_array_equal(back.selected_ids, r.selected_ids)
-        np.testing.assert_array_equal(back.assigned_column, r.assigned_column)
-        np.testing.assert_array_equal(back.score, r.score)
+        assert back.dtype == np.int64
+        np.testing.assert_array_equal(back, r.selected_ids)
         assert dpath.read_text().startswith("column,deficit")
 
     def test_header_is_stable(self, tmp_path):
@@ -642,4 +641,18 @@ class TestCsv:
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError, match="header"):
+            load_sample_csv(path)
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="header"):
+            load_sample_csv(path)
+
+    @pytest.mark.parametrize("row", ["99999999999999999999,0,0.5", "3,2,abc",
+                                     "3,2,0.5,1", " 3,2,0.5"])
+    def test_malformed_row_rejected_with_its_line(self, tmp_path, row):
+        path = tmp_path / "s.csv"
+        path.write_text(f"record_id,assigned_column,score\n{row}\n")
+        with pytest.raises(ValueError, match=f"{path} line 2:"):
             load_sample_csv(path)

@@ -15,7 +15,7 @@ from bankadapt.encoder import (
     load_params,
     save_params,
 )
-from bankadapt.sampler import SampleResult, stage1_sample, stage2_sample
+from bankadapt.sampler import stage1_sample, stage2_sample
 from bankadapt.seeding import derive_rng
 from bankadapt.synth import generate_downstream, generate_pretrain_bank
 from bankadapt.trainer import (
@@ -39,7 +39,7 @@ def tiny_world(seed=0, n_classes=3, n_per_class=8, bank_size=150,
     bank = generate_pretrain_bank(spec, ds)
     s1 = stage1_sample(bank, ds, spec)
     s2 = stage2_sample(s1, bank, ds, spec)
-    return spec, ds, bank, SelectedBank.from_bank(bank, s2, ds)
+    return spec, ds, bank, SelectedBank.from_bank(bank, s2.selected_ids, ds)
 
 
 def empty_selected(image_dim, feat_dim):
@@ -76,10 +76,8 @@ def test_selected_bank_gathers_by_id():
 def test_selected_bank_rejects_ids_outside_the_bank(bad_id):
     _, ds, bank, _ = tiny_world()
     ids = np.array([3, bad_id, 7, 9999], dtype=np.int64)
-    result = SampleResult(selected_ids=ids, assigned_column=np.zeros(4, np.int64),
-                          score=np.zeros(4), deficits=np.zeros(1, np.int64), k=4)
     with pytest.raises(ValidationError, match=f"id {bad_id} is outside"):
-        SelectedBank.from_bank(bank, result, ds)
+        SelectedBank.from_bank(bank, ids, ds)
 
 
 @pytest.mark.parametrize("name, bank_value, ds_value", [
@@ -87,12 +85,9 @@ def test_selected_bank_rejects_ids_outside_the_bank(bad_id):
 def test_selected_bank_refuses_a_bank_of_other_dims(name, bank_value, ds_value):
     _, _, bank, _ = tiny_world()
     _, other, _, _ = tiny_world(**{name: ds_value})
-    result = SampleResult(selected_ids=np.arange(4, dtype=np.int64),
-                          assigned_column=np.zeros(4, np.int64),
-                          score=np.zeros(4), deficits=np.zeros(1, np.int64), k=4)
     with pytest.raises(ValidationError,
                        match=f"bank has {name} {bank_value}, dataset has {ds_value}"):
-        SelectedBank.from_bank(bank, result, other)
+        SelectedBank.from_bank(bank, np.arange(4, dtype=np.int64), other)
 
 
 def test_compose_batch_shapes_and_determinism():
