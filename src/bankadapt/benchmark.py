@@ -48,8 +48,8 @@ def build_world(seed: int) -> BenchmarkWorld:
     eval_ds = generate_downstream(cfg, split="test",
                                   n_per_class=cfg.eval_n_per_class)
     bank = generate_pretrain_bank(cfg, train_ds)
-    s1 = stage1_sample(bank, train_ds, cfg)
-    s2 = stage2_sample(s1, bank, train_ds, cfg)
+    _, s1 = stage1_sample(bank, train_ds, cfg)
+    s2 = stage2_sample(s1, train_ds, cfg)
     selected = SelectedBank.from_bank(bank, s2.selected_ids, train_ds)
     return BenchmarkWorld(seed=seed, train_ds=train_ds, eval_ds=eval_ds,
                           selected=selected)

@@ -168,8 +168,8 @@ def _load_bank(cfg: RunConfig, ds: DownstreamDataset,
 
 
 def _sample_bank(cfg: RunConfig, bank: EmbeddingBank, ds: DownstreamDataset):
-    s1 = stage1_sample(bank, ds, cfg)
-    return s1, stage2_sample(s1, bank, ds, cfg)
+    _, s1 = stage1_sample(bank, ds, cfg)
+    return s1, stage2_sample(s1, ds, cfg)
 
 
 def _selected_for_train(cfg: RunConfig, ds: DownstreamDataset) -> SelectedBank:
@@ -185,8 +185,12 @@ def _selected_for_train(cfg: RunConfig, ds: DownstreamDataset) -> SelectedBank:
                             caption_feats=np.zeros((0, ds.feat_dim),
                                                    dtype=np.float32))
     if cfg.samples:
+        ids = load_sample_csv(cfg.samples)
+        if ids.size == 0:
+            raise ValueError(f"{cfg.samples} holds no record: mu = {cfg.mu} "
+                             "needs unlabeled rows to train on")
         bank = _load_bank(cfg, ds, ("images", "caption_feats"))
-        return SelectedBank.from_bank(bank, load_sample_csv(cfg.samples), ds)
+        return SelectedBank.from_bank(bank, ids, ds)
     bank = _load_bank(cfg, ds, ("images", "feats", "caption_feats"))
     _, s2 = _sample_bank(cfg, bank, ds)
     return SelectedBank.from_bank(bank, s2.selected_ids, ds)
@@ -213,8 +217,11 @@ def cmd_synth_gen(cfg: RunConfig, args) -> int:
 
 def cmd_sample(cfg: RunConfig, args) -> int:
     ds, _ = _load_datasets(cfg)
-    bank = _load_bank(cfg, ds, ("feats", "latent_class"))
-    s1, s2 = _sample_bank(cfg, bank, ds)
+    # a bank file is read once, keeping latent_class; stage 1 scores its
+    # feats as they are read
+    source = cfg.bank if _from_files(cfg) else generate_pretrain_bank(cfg, ds)
+    bank, s1 = stage1_sample(source, ds, cfg)
+    s2 = stage2_sample(s1, ds, cfg)
     out = _out_dir(cfg)
     samples_path = Path(cfg.samples) if cfg.samples else out / "samples.csv"
     save_sample_csv(s2, samples_path)

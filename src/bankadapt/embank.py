@@ -46,7 +46,9 @@ reads its offset table a second time.  Errors are raised once the CRC32
 over the whole payload has matched, so a ``ChecksumError`` takes
 precedence over any other.  Skipped fields come back as ``None``; string
 tables come back as ``StringTable``, which decodes an entry only when it
-is read.
+is read.  A bank's ``feats`` can also be handed to a consumer piece by
+piece as it is read, each piece once its checks have passed, so that a
+caller can scan the field without holding it (see ``decode_bank_file``).
 """
 
 from __future__ import annotations
@@ -594,17 +596,36 @@ def encode_bank_file(bank: EmbeddingBank, path) -> None:
     ])
 
 
-def _read_bank(path, fields: Sequence[str]) -> tuple[EmbeddingBank, tuple, bool]:
+def _read_bank(path, fields: Sequence[str], feats_to=None
+               ) -> tuple[EmbeddingBank, tuple, bool]:
     """The bank keeping fields, its header's (m, D_img, d), and whether any
-    record has a latent class."""
+    record has a latent class.  With feats_to, each piece of feats goes to
+    feats_to(rows, index of its first row) once its checks have run, until
+    a check finds a violation; a ValueError feats_to raises stops the
+    feeding and is raised once the whole file has passed every check."""
     unknown = sorted(set(fields) - set(BANK_FIELDS))
     if unknown:
         raise ValueError(f"unknown bank fields {unknown}, expected some of {BANK_FIELDS}")
     with read_container(path, _BANK_MAGIC, _BANK_HEADER) as (header, rd):
         _, _, _, m, d_img, d = header
         found = _Violations(_BANK_CHECKS)
+        visits = {name: found.visit(name)
+                  for name in ("images", "feats", "caption_feats")}
+        feed_error = None
+        if feats_to is not None:
+            check_feats = visits["feats"]
+
+            def feed(piece, row0):
+                nonlocal feed_error
+                check_feats(piece, row0)
+                if feed_error is None and not found.report():
+                    try:
+                        feats_to(piece, row0)
+                    except ValueError as exc:
+                        feed_error = exc
+            visits["feats"] = feed
         kept = {name: rd.array(name, (m, width), np.float32, name in fields,
-                               found.visit(name))
+                               visits[name])
                 for name, width in (("images", d_img), ("feats", d),
                                     ("caption_feats", d))}
         with_latent = False
@@ -617,13 +638,18 @@ def _read_bank(path, fields: Sequence[str]) -> tuple[EmbeddingBank, tuple, bool]
                                         "latent_class" in fields, see_latent)
         kept["captions"] = rd.table("captions", m, "captions" in fields)
         rd.finish("caption table", found.report())
+    if feed_error is not None:
+        raise feed_error
     return EmbeddingBank(**kept), (m, d_img, d), with_latent
 
 
-def decode_bank_file(path, fields: Sequence[str] = BANK_FIELDS) -> EmbeddingBank:
+def decode_bank_file(path, fields: Sequence[str] = BANK_FIELDS,
+                     feats_to=None) -> EmbeddingBank:
     """Decode a DATB file, keeping only the named BANK_FIELDS (the others
-    are None); every check runs on every field either way."""
-    return _read_bank(path, fields)[0]
+    are None); every check runs on every field either way.  feats_to, if
+    given, is fed feats piece by piece as it is read and checked (see
+    _read_bank)."""
+    return _read_bank(path, fields, feats_to)[0]
 
 
 def describe_bank_file(path) -> tuple[int, int, int, bool]:

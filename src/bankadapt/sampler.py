@@ -43,34 +43,50 @@ class/column index at assignment and toward the lowest record id within a
 column.  Non-finite rows are refused, as zero-norm rows are: the bound
 holds only for finite scores.
 
-Candidates are held as three arrays (id, column, score).  Once a column has
-k candidates, the score of its k-th is the column's floor, and a later row
-enters only with a score strictly above it: its id is larger than every
-held id, so it cannot win a tie.  The arrays are sorted by
-(column, -score, id) and cut to k per column only when they outgrow 2*k*q
-entries, and once at the end, so the result equals a top k taken over the
-full score matrix.  A column whose assigned pool is smaller than k reports
-a deficit; nothing is backfilled from other columns.
+The selector is fed rows in ascending record order, in pieces of any
+size: the rows of an in-memory bank at once, or each block of a bank file's
+feats as the reader checks it, so that feats is never held whole.  Each
+piece is scored chunk_rows rows at a time.  Candidates are held in arrays
+allocated once with room for 2*k*q + chunk_rows entries: id, column, score
+and the row as fed (a bank's stored float32 feats), so that the result
+carries the feats of its selected rows and stage 2 re-ranks them without
+the bank.  Once a column has k candidates, the score of its k-th is the
+column's floor, and a later row enters only with a score strictly above
+it: its id is larger than every held id, so it cannot win a tie.  The
+arrays are sorted by (column, -score, id) and compacted in place to k per
+column only when they hold more than 2*k*q entries, and once at the end,
+so the result equals a top k taken over the full score matrix.  A column
+whose assigned pool is smaller than k reports a deficit; nothing is
+backfilled from other columns.  merge_bytes and bytes_per_row charge every
+slot of the arrays, its carried row at 4d bytes (a stored row), and the
+copy a cut makes to compact the rows it keeps.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .config import RunConfig
-from .embank import DownstreamDataset, EmbeddingBank
+from .embank import DownstreamDataset, EmbeddingBank, decode_bank_file
 from .encoder import FrozenEmbedder
 
-# Int64/float64 vectors a chunk row or a held candidate may need at once in
-# the merge: assignment, row score, admitted index, the (id, column, score)
-# arrays and their copies while they grow, and the negated scores, sort
-# order and rank arrays of a cut.
-_MERGE_VECTORS = 12
+# Int64/float64 vectors a chunk row needs at once while it is admitted: its
+# assignment, row score, column floor and admitted index, and the mask of
+# the comparison.
+_ADMIT_VECTORS = 5
+
+# Int64/float64 vectors an entry of a cut needs at once beyond its slot, at
+# most three: while sorting the negated scores, the sort order and lexsort's
+# work array; while ranking the order, the rank and the repeated column
+# starts; while compacting the order, the rank and the kept index.  One
+# more covers the compacting copy of the id, column and score vectors.
+_CUT_VECTORS = 4
 
 # Fewest query columns at which a chunk is scored by one matmul and then
 # certified; below it the fixed-order block is the cheaper exact path.  The
@@ -107,30 +123,47 @@ class PrecisionUndefinedError(ValueError):
     """No ground-truth latent classes anywhere in the bank."""
 
 
+def _slot_bytes(feat_dim: int) -> int:
+    """Bytes of one entry of the candidate arrays: its id, column and score,
+    and its carried row as a bank stores it (float32)."""
+    return 24 + 4 * feat_dim
+
+
+def _cut_bytes(feat_dim: int) -> int:
+    """Bytes an entry of a cut needs beyond its slot: the cut's vectors, and
+    its share of the copy that compacts the carried rows.  A cut keeps at
+    most k per column of the more than 2k per column it sorts, so the copy
+    is at most half a carried row per entry (2d)."""
+    return 8 * _CUT_VECTORS + 2 * feat_dim
+
+
 def bytes_per_row(feat_dim: int, n_columns: int) -> int:
     """Bytes one chunk row may hold while it is scored and merged: the owned
     float64 copy and its feature-major transpose (16d), the score block and
-    the per-feature product temporary (16q), and then the largest of three
-    sets that are never alive at the same time: the copy of the score block
-    that argmax along axis 0 makes plus argmax's output (8q + 8), the row's
-    merge vectors, and, from _GEMM_MIN_COLUMNS columns on, the matmul path's
-    work beyond the block and its candidate mask (both held in the two
-    (q, r) buffers): the row's maximum and best column (16), up to
+    the per-feature product temporary (16q), its slot in the candidate
+    arrays, and then the largest of four sets that are never alive at the
+    same time: the copy of the score block that argmax along axis 0 makes
+    plus argmax's output (8q + 8), the row's admission vectors, its part of
+    a cut, and, from _GEMM_MIN_COLUMNS columns on, the matmul path's work
+    beyond the block and its candidate mask (both held in the two (q, r)
+    buffers): the row's maximum and best column (16), up to
     _CANDIDATES_PER_ROW candidate pairs with their vectors, and one piece of
     gathered query and chunk features (16d)."""
     gemm = 0
     if n_columns >= _GEMM_MIN_COLUMNS:
         gemm = 16 + 16 * feat_dim + 8 * _CANDIDATES_PER_ROW * _CANDIDATE_VECTORS
-    return (16 * feat_dim + 16 * n_columns
-            + max(8 * (n_columns + 1), 8 * _MERGE_VECTORS, gemm))
+    return (16 * feat_dim + 16 * n_columns + _slot_bytes(feat_dim)
+            + max(8 * (n_columns + 1), 8 * _ADMIT_VECTORS,
+                  _cut_bytes(feat_dim), gemm))
 
 
 def merge_bytes(k: int, feat_dim: int, n_columns: int) -> int:
     """Bytes the selection holds whatever the chunk size: the unit query
-    rows (8dq), a few per-column vectors (floors, counts, offsets) and up to
-    2kq held candidates with the vectors of their cut.  The matmul reads the
-    query rows in place, so its path adds nothing here."""
-    return 8 * n_columns * (feat_dim + 8) + 2 * k * n_columns * 8 * _MERGE_VECTORS
+    rows (8dq), a few per-column vectors (floors, counts, offsets) and 2kq
+    slots of the candidate arrays with their part of a cut.  The matmul
+    reads the query rows in place, so its path adds nothing here."""
+    held = _slot_bytes(feat_dim) + _cut_bytes(feat_dim)
+    return 8 * n_columns * (feat_dim + 8) + 2 * k * n_columns * held
 
 
 def budget_chunk_rows(memory_budget_bytes: int, k: int, feat_dim: int,
@@ -148,7 +181,8 @@ def budget_chunk_rows(memory_budget_bytes: int, k: int, feat_dim: int,
 
 @dataclass(frozen=True)
 class SampleResult:
-    """Selected record ids with their column assignment, score and deficits.
+    """Selected record ids with their column assignment, score, stored
+    feats and deficits.
 
     Rows are ordered by (column, rank); deficits[j] is how many records
     column j wanted but could not get from its assigned pool.
@@ -159,6 +193,7 @@ class SampleResult:
     score: np.ndarray            # (s,) float64
     deficits: np.ndarray         # (n_columns,) int64
     k: int
+    feats: np.ndarray            # (s, d) the selected rows as fed, float32 from a bank
 
     @property
     def n_selected(self) -> int:
@@ -231,82 +266,123 @@ def _best_by_gemm(unit: np.ndarray, unit_cols: np.ndarray, out: np.ndarray,
     return assigned, best
 
 
-def _admit(assigned: np.ndarray, row_score: np.ndarray, start: int,
-           floor: np.ndarray, ids: np.ndarray, cols: np.ndarray,
-           scores: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The candidates with a chunk's rows appended whose best score beats
-    their column's floor; the first row is record start.  The chunk's merge
-    vectors die on return, before the next chunk is scored."""
-    admit = np.flatnonzero(row_score > floor[assigned])
-    if admit.size == 0:
-        return ids, cols, scores
-    return (np.concatenate([ids, admit + start]),
-            np.concatenate([cols, assigned[admit]]),
-            np.concatenate([scores, row_score[admit]]))
+class TopKSelector:
+    """The top k rows per column of the rows fed to it: each row is
+    assigned to its most cosine-similar row of f, and each column keeps its
+    k best under (score desc, id asc).
 
+    feed takes rows in ascending record order, in pieces of any size, and
+    scores them chunk_rows at a time; result returns the selection with the
+    rows of the selected records as fed (of dtype).  Each row is used at
+    most once (its assigned column), so the selected ids are distinct by
+    construction.  See the module docstring for the scores and the merge.
+    """
 
-def _cut_to_k(ids: np.ndarray, cols: np.ndarray, scores: np.ndarray, k: int,
-              q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The candidates in (column, -score, id) order with at most k per
-    column, and each column's floor: its k-th score, or -inf below k."""
-    order = np.lexsort((ids, -scores, cols))
-    counts = np.bincount(cols, minlength=q)
-    starts = np.cumsum(counts) - counts
-    rank = np.arange(order.size)
-    rank -= np.repeat(starts, counts)
-    keep = order[rank < k]
-    full = counts >= k
-    floor = np.full(q, -np.inf)
-    floor[full] = scores[order[starts[full] + k - 1]]
-    return ids[keep], cols[keep], scores[keep], floor
+    def __init__(self, f: np.ndarray, k: int, chunk_rows: int,
+                 dtype=np.float32):
+        if k < 1:
+            raise ValueError(f"k must be at least 1, got {k}")
+        if chunk_rows < 1:
+            raise ValueError(f"chunk_rows must be at least 1, got {chunk_rows}")
+        f = np.asarray(f)
+        self._q_unit = _normalize_into(np.empty(f.shape), f, 0, "query")
+        q, d = self._q_unit.shape
+        self._k, self._chunk_rows, self._next = k, chunk_rows, 0
+        self._block = np.empty((chunk_rows, d))
+        self._t = np.empty(d * chunk_rows)
+        self._out = np.empty(q * chunk_rows)
+        self._tmp = np.empty_like(self._out)
+        room = 2 * k * q + chunk_rows
+        self._ids = np.empty(room, np.int64)
+        self._cols = np.empty(room, np.int64)
+        self._scores = np.empty(room)
+        self._rows = np.empty((room, d), dtype)
+        self._n = 0
+        self._floor = np.full(q, -np.inf)
+
+    def feed(self, rows: np.ndarray, first_record_id: int) -> None:
+        """Score rows, record ids first_record_id onwards, and merge them
+        into the candidates."""
+        if first_record_id < self._next:
+            raise ValueError(f"record {first_record_id} fed after record "
+                             f"{self._next - 1}: rows go in ascending order")
+        rows = np.asarray(rows)
+        if rows.ndim != 2 or rows.shape[1] != self._q_unit.shape[1]:
+            raise ValueError(f"bank feat_dim {rows.shape[-1]} != dataset "
+                             f"{self._q_unit.shape[1]}")
+        for lo in range(0, rows.shape[0], self._chunk_rows):
+            chunk = rows[lo:lo + self._chunk_rows]
+            self._admit(chunk, first_record_id + lo)
+            if self._n > 2 * self._k * self._floor.size:
+                self._cut()
+        self._next = first_record_id + rows.shape[0]
+
+    def result(self) -> SampleResult:
+        """The top k per column of every row fed so far."""
+        self._cut()
+        n, k = self._n, self._k
+        cols = self._cols[:n].copy()
+        return SampleResult(selected_ids=self._ids[:n].copy(),
+                            assigned_column=cols, score=self._scores[:n].copy(),
+                            deficits=k - np.bincount(cols, minlength=self._floor.size),
+                            k=k, feats=self._rows[:n].copy())
+
+    def _best(self, chunk: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each chunk row's best column and its fixed-order score."""
+        unit = _normalize_into(self._block, chunk, start, "bank")
+        (r, d), q = unit.shape, self._floor.size
+        if q >= _GEMM_MIN_COLUMNS:
+            best = _best_by_gemm(unit, self._q_unit, self._out,
+                                 self._tmp.view(np.bool_))
+            if best is not None:
+                return best
+        unit_t = self._t[:unit.size].reshape(d, r)
+        np.copyto(unit_t, unit.T)
+        block = _scores_fixed_order(unit_t, self._q_unit, self._out, self._tmp)
+        assigned = np.argmax(block, axis=0)
+        return assigned, block[assigned, np.arange(r)]
+
+    def _admit(self, chunk: np.ndarray, start: int) -> None:
+        """Append the chunk's rows whose best score beats their column's
+        floor; the first row is record start.  The chunk's merge vectors die
+        on return."""
+        assigned, row_score = self._best(chunk, start)
+        admit = np.flatnonzero(row_score > self._floor[assigned])
+        n, stop = self._n, self._n + admit.size
+        # mode "clip" writes into out directly; "raise" would buffer a copy
+        np.add(admit, start, out=self._ids[n:stop])
+        np.take(assigned, admit, out=self._cols[n:stop], mode="clip")
+        np.take(row_score, admit, out=self._scores[n:stop], mode="clip")
+        np.take(chunk, admit, axis=0, out=self._rows[n:stop], mode="clip")
+        self._n = stop
+
+    def _cut(self) -> None:
+        """Compact the candidates in place to (column, -score, id) order
+        with at most k per column, and raise each full column's floor to its
+        k-th score."""
+        n, k = self._n, self._k
+        ids, cols, scores = self._ids[:n], self._cols[:n], self._scores[:n]
+        order = np.lexsort((ids, -scores, cols))
+        counts = np.bincount(cols, minlength=self._floor.size)
+        starts = np.cumsum(counts) - counts
+        rank = np.arange(n)
+        rank -= np.repeat(starts, counts)
+        keep = order[rank < k]
+        full = counts >= k
+        self._floor[full] = scores[order[starts[full] + k - 1]]
+        for held in (self._ids, self._cols, self._scores, self._rows):
+            held[:keep.size] = held[keep]
+        self._n = keep.size
 
 
 def select_topk_streamed(v: np.ndarray, f: np.ndarray, k: int,
                          chunk_rows: int) -> SampleResult:
-    """Assign each row of v to its most cosine-similar row of f, then keep
-    the top k rows per column under (score desc, id asc).
-
-    Scores chunk_rows rows of v at a time and merges them into the
-    candidates through the column floors (see the module docstring).  Each
-    row is used at most once (its assigned column), so the selected ids are
-    distinct by construction.
-    """
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    if chunk_rows < 1:
-        raise ValueError(f"chunk_rows must be at least 1, got {chunk_rows}")
+    """The TopKSelector's result for the rows of v fed at once; the chunk
+    holds no more rows than v has."""
     v = np.asarray(v)
-    f = np.asarray(f)
-    q_unit = _normalize_into(np.empty(f.shape), f, 0, "query")
-    m, d, q = v.shape[0], v.shape[1], q_unit.shape[0]
-    rows = min(chunk_rows, max(m, 1))
-    scratch_block = np.empty((rows, d))
-    scratch_t = np.empty(d * rows)
-    scratch_out = np.empty(q * rows)
-    scratch_tmp = np.empty_like(scratch_out)
-    scratch_mask = scratch_tmp.view(np.bool_)
-    ids = np.zeros(0, np.int64)
-    cols = np.zeros(0, np.int64)
-    scores = np.zeros(0)
-    floor = np.full(q, -np.inf)
-    for start in range(0, m, chunk_rows):
-        stop = min(start + chunk_rows, m)
-        unit = _normalize_into(scratch_block, v[start:stop], start, "bank")
-        best = None
-        if q >= _GEMM_MIN_COLUMNS:
-            best = _best_by_gemm(unit, q_unit, scratch_out, scratch_mask)
-        if best is None:
-            unit_t = scratch_t[:unit.size].reshape(d, stop - start)
-            np.copyto(unit_t, unit.T)
-            block = _scores_fixed_order(unit_t, q_unit, scratch_out, scratch_tmp)
-            assigned = np.argmax(block, axis=0)
-            best = assigned, block[assigned, np.arange(block.shape[1])]
-        ids, cols, scores = _admit(*best, start, floor, ids, cols, scores)
-        if ids.size > 2 * k * q:
-            ids, cols, scores, floor = _cut_to_k(ids, cols, scores, k, q)
-    ids, cols, scores, _ = _cut_to_k(ids, cols, scores, k, q)
-    return SampleResult(selected_ids=ids, assigned_column=cols, score=scores,
-                        deficits=k - np.bincount(cols, minlength=q), k=k)
+    selector = TopKSelector(f, k, min(chunk_rows, max(v.shape[0], 1)), v.dtype)
+    selector.feed(v, 0)
+    return selector.result()
 
 
 def default_k1(n_downstream: int, n_classes: int, multiplier: float) -> int:
@@ -319,20 +395,29 @@ def default_k2(label_bank_size: int, n_downstream: int, keep: float) -> int:
     return max(1, math.ceil(keep * label_bank_size / n_downstream))
 
 
-def stage1_sample(bank: EmbeddingBank, ds: DownstreamDataset,
-                  cfg: RunConfig) -> SampleResult:
-    """Zero-shot retrieval: bank features against class text features."""
-    if bank.feat_dim != ds.feat_dim:
-        raise ValueError(f"bank feat_dim {bank.feat_dim} != dataset {ds.feat_dim}")
+def stage1_sample(bank: EmbeddingBank | str | os.PathLike, ds: DownstreamDataset,
+                  cfg: RunConfig) -> tuple[EmbeddingBank, SampleResult]:
+    """Zero-shot retrieval, bank features against class text features: the
+    bank as kept and the label bank.
+
+    An in-memory bank is fed whole and returned as given.  A DATB path is
+    read once, keeping only latent_class: each block of its feats goes to
+    the selector once the block's checks have passed, so feats is never
+    held whole, and a file that fails a check raises the decode's error."""
     k1 = default_k1(ds.size, ds.n_classes, cfg.stage1_multiplier)
     rows = budget_chunk_rows(cfg.memory_budget_bytes, k1, ds.feat_dim,
                              ds.n_classes)
-    return select_topk_streamed(bank.feats, ds.class_text_feats, k1, rows)
+    if isinstance(bank, EmbeddingBank):
+        return bank, select_topk_streamed(bank.feats, ds.class_text_feats, k1, rows)
+    selector = TopKSelector(ds.class_text_feats, k1, rows)
+    kept = decode_bank_file(bank, fields=("latent_class",), feats_to=selector.feed)
+    return kept, selector.result()
 
 
-def stage2_sample(label_bank: SampleResult, bank: EmbeddingBank,
-                  ds: DownstreamDataset, cfg: RunConfig) -> SampleResult:
-    """Per-image retrieval within the label bank only.
+def stage2_sample(label_bank: SampleResult, ds: DownstreamDataset,
+                  cfg: RunConfig) -> SampleResult:
+    """Per-image retrieval within the label bank only, from the feats it
+    carries.
 
     Each downstream image acts as its own category, embedded by the run
     seed's frozen image embedder; returned ids are bank record ids,
@@ -345,16 +430,9 @@ def stage2_sample(label_bank: SampleResult, bank: EmbeddingBank,
     embedder = FrozenEmbedder.from_seed("image", cfg.seed, ds.feat_dim,
                                         ds.image_dim)
     image_feats = embedder.embed_rows(np.asarray(ds.images, dtype=np.float64))
-    pool_feats = bank.feats[label_bank.selected_ids]
     rows = budget_chunk_rows(cfg.memory_budget_bytes, k2, ds.feat_dim, ds.size)
-    picked = select_topk_streamed(pool_feats, image_feats, k2, rows)
-    return SampleResult(
-        selected_ids=label_bank.selected_ids[picked.selected_ids],
-        assigned_column=picked.assigned_column,
-        score=picked.score,
-        deficits=picked.deficits,
-        k=k2,
-    )
+    picked = select_topk_streamed(label_bank.feats, image_feats, k2, rows)
+    return replace(picked, selected_ids=label_bank.selected_ids[picked.selected_ids])
 
 
 def sampler_precision(result: SampleResult, bank: EmbeddingBank,

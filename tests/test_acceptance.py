@@ -171,8 +171,8 @@ def test_criterion_3_stage_chunking_invariance():
     # one row per chunk, against every row in one chunk
     for budget in (1, 1 << 30):
         cfg = replace(spec, memory_budget_bytes=budget)
-        s1 = stage1_sample(bank, ds, cfg)
-        s2 = stage2_sample(s1, bank, ds, cfg)
+        _, s1 = stage1_sample(bank, ds, cfg)
+        s2 = stage2_sample(s1, ds, cfg)
         results.append((s1, s2))
     (a1, a2), (b1, b2) = results
     for a, b in ((a1, b1), (a2, b2)):
@@ -192,8 +192,8 @@ def test_criterion_4_sampler_precision():
                          weak_pair_rate=0.3, noise_sigma=1.0)
         ds = generate_downstream(spec)
         bank = generate_pretrain_bank(spec, ds)
-        s1 = stage1_sample(bank, ds, spec)
-        s2 = stage2_sample(s1, bank, ds, spec)
+        _, s1 = stage1_sample(bank, ds, spec)
+        s2 = stage2_sample(s1, ds, spec)
         precisions.append(sampler_precision(s2, bank, ds))
     elapsed = time.perf_counter() - t0
     ok = all(p >= 0.50 for p in precisions) and elapsed < 60.0
@@ -294,7 +294,7 @@ def test_criterion_8_large_bank_performance():
                  + merge_bytes(k, d, q))
     tracemalloc.start()
     t0 = time.perf_counter()
-    result = stage1_sample(bank, ds, cfg)
+    _, result = stage1_sample(bank, ds, cfg)
     elapsed = time.perf_counter() - t0
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()

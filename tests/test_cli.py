@@ -17,6 +17,7 @@ from bankadapt.cli import main
 from bankadapt.config import RunConfig, config_help, config_values, format_value
 from bankadapt.embank import encode_bank_file, encode_dataset_file
 from bankadapt.encoder import init_params, save_params
+from bankadapt.sampler import default_k1
 
 from conftest import random_bank, random_dataset
 
@@ -118,10 +119,13 @@ def child_peak_rss(args) -> int:
                     reason="ru_maxrss is in KiB on Linux only")
 def test_sample_stays_within_its_budget_end_to_end(tmp_path):
     """sample on a 200,000-record bank (57 MiB) peaks, beyond an import-only
-    child, at no more than the fields it keeps (feats and latent_class), the
-    scorer's memory budget, and a slack of four reader blocks: the reader's
-    block buffer and the temporaries of its checks, which also covers the
-    captions' 0.6 MiB continuation bitmap and the small downstream set."""
+    child, at no more than what it keeps (latent_class, and the stored feats
+    of up to 2*k1*C label-bank candidates), the scorer's memory budget, and
+    a slack of three reader blocks: the reader's block buffer and the
+    temporaries of its checks (four pieces, one block), which also covers
+    the captions' 0.6 MiB continuation bitmap and the small downstream set.
+    feats itself is scored while it is read and never held whole: a sample
+    that decodes it first (12.8 MiB here) breaks the bound."""
     m, d = 200_000, 16
     bank_path, ds_path = tmp_path / "bank.datb", tmp_path / "train.datd"
     encode_bank_file(random_bank(seed=17, m=m, d_img=32, d=d), bank_path)
@@ -132,8 +136,9 @@ def test_sample_stays_within_its_budget_end_to_end(tmp_path):
     peak = child_peak_rss(["-m", "bankadapt.cli", "sample", "--bank", str(bank_path),
                            "--dataset", str(ds_path), "--memory_budget_bytes",
                            str(budget), "--out_dir", str(tmp_path / "out")])
-    kept = m * d * 4 + m * 4
-    allowed = kept + budget + 4 * embank._BLOCK_BYTES
+    k1 = default_k1(12, 3, RunConfig().stage1_multiplier)
+    kept = m * 4 + 2 * k1 * 3 * d * 4
+    allowed = kept + budget + 3 * embank._BLOCK_BYTES
     assert peak - base <= allowed, (peak - base, allowed)
     assert allowed < bank_path.stat().st_size
 
@@ -446,6 +451,23 @@ def test_train_refuses_a_malformed_samples_row(tmp_path, capsys, row):
     assert err.startswith("error:") and err.count("\n") == 1
     assert f"{samples} line 3:" in err
     assert not (out / "metrics.csv").exists()
+
+
+def test_train_refuses_a_samples_file_with_no_row(tmp_path, capsys):
+    # a header alone leaves no unlabeled row to draw at mu > 0; mu = 0
+    # draws none and accepts it
+    samples = tmp_path / "s.csv"
+    samples.write_text("record_id,assigned_column,score\n")
+    out = tmp_path / "o"
+    assert run(["train", *TINY, "--samples", str(samples),
+                "--out_dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(samples) in err
+    assert not (out / "metrics.csv").exists()
+    assert run(["train", *TINY, "--mu", "0", "--epochs", "1", "--samples",
+                str(samples), "--out_dir", str(out)]) == 0
+    assert (out / "metrics.csv").exists()
 
 
 def test_train_with_samples_from_a_larger_bank_exits_one(tmp_path, capsys):

@@ -656,3 +656,46 @@ def test_selective_decode_peak_is_the_kept_fields_a_block_and_the_bitmap(
     allowed = kept_bytes + blob_len / 8 + block + 4 * piece
     assert peak <= allowed, (peak, allowed)
     assert allowed < path.stat().st_size / 3
+
+
+FEATS_FAULTS = {"nan row": ValidationError, "zero row": ValidationError,
+                "off-unit row": ValidationError, "flipped byte": ChecksumError,
+                "truncated": TruncatedFileError}
+
+
+@pytest.mark.parametrize("fault", FEATS_FAULTS)
+def test_sample_reports_the_decode_error_of_a_faulty_bank(tmp_path, monkeypatch,
+                                                          capsys, fault):
+    """sample scores feats while the bank is read, piece by piece; a file
+    that fails a check exits 1 with the decode's own error, never with the
+    scorer's refusal of a degenerate row.  The fault sits in row 3,000 of
+    5,000, so the pieces before it are scored first."""
+    m, d = 5000, 16
+    monkeypatch.setattr(embank, "_CHECK_BYTES", 1 << 14)  # 256 feats rows
+    bank = random_bank(seed=23, m=m, d_img=8, d=d)
+    row = 3000
+    if fault == "nan row":
+        bank.feats[row, 2] = np.nan
+    elif fault == "zero row":
+        bank.feats[row] = 0.0
+    elif fault == "off-unit row":
+        bank.feats[row] *= 2.0
+    bank_path, ds_path = tmp_path / "bank.datb", tmp_path / "train.datd"
+    write_bank_unchecked(bank, bank_path)
+    encode_dataset_file(random_dataset(seed=23, n=12, n_classes=3, d_img=8, d=d),
+                        ds_path)
+    data = bytearray(bank_path.read_bytes())
+    if fault == "flipped byte":
+        data[24 + 4 * m * 8 + 4 * (d * row + 1) + 3] ^= 0x40  # an exponent byte
+    elif fault == "truncated":  # 100 bytes short, with the crc32 of the rest
+        del data[-104:]
+        data += struct.pack("<I", zlib.crc32(data[24:]) & 0xFFFFFFFF)
+    bank_path.write_bytes(bytes(data))
+    with pytest.raises(FEATS_FAULTS[fault]) as decoded:
+        decode_bank_file(bank_path)
+    capsys.readouterr()
+    assert main(["sample", "--bank", str(bank_path), "--dataset", str(ds_path),
+                 "--out_dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {decoded.value}\n"
+    assert "zero norm" not in err and "non-finite norm" not in err

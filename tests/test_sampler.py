@@ -16,6 +16,7 @@ from bankadapt.sampler import (
     DegenerateRowError,
     PrecisionUndefinedError,
     SampleResult,
+    TopKSelector,
     budget_chunk_rows,
     bytes_per_row,
     default_k1,
@@ -211,13 +212,13 @@ class TestTopkSelection:
 
     def test_many_columns_cut_the_candidates_more_than_once(self, monkeypatch):
         cuts = []
-        cut = sampler._cut_to_k
+        cut = sampler.TopKSelector._cut
 
-        def counting_cut(ids, cols, scores, k, q):
-            cuts.append(ids.size)
-            return cut(ids, cols, scores, k, q)
+        def counting_cut(selector):
+            cuts.append(selector._n)
+            cut(selector)
 
-        monkeypatch.setattr(sampler, "_cut_to_k", counting_cut)
+        monkeypatch.setattr(sampler.TopKSelector, "_cut", counting_cut)
         rng = np.random.default_rng(5)
         v = rng.standard_normal((3000, 6))
         f = rng.standard_normal((40, 6))
@@ -279,8 +280,11 @@ def assert_top_k_of_fixed_order(r, v, f, k):
 
 
 def assert_same_result(a, b):
-    for field in ("selected_ids", "assigned_column", "score", "deficits"):
+    """The same selection, bit for bit, carried rows included."""
+    for field in ("selected_ids", "assigned_column", "deficits"):
         assert np.array_equal(getattr(a, field), getattr(b, field))
+    assert np.array_equal(a.score.view(np.int64), b.score.view(np.int64))
+    assert np.array_equal(a.feats.view(np.uint8), b.feats.view(np.uint8))
     assert a.k == b.k
 
 
@@ -393,10 +397,71 @@ class TestCertifiedMatmul:
         for path in ("matmul", "fixed"):
             with monkeypatch.context() as mp:
                 force_path(mp, path)
-                s1 = stage1_sample(bank, ds, spec)
-                results[path] = (s1, stage2_sample(s1, bank, ds, spec))
+                _, s1 = stage1_sample(bank, ds, spec)
+                results[path] = (s1, stage2_sample(s1, ds, spec))
         for a, b in zip(results["matmul"], results["fixed"]):
             assert_same_result(a, b)
+
+
+def feed_in_pieces(v, f, k, chunk_rows, bounds):
+    """The selection of v fed as the pieces v[bounds[i]:bounds[i + 1]]."""
+    selector = TopKSelector(f, k, chunk_rows)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        selector.feed(v[lo:hi], lo)
+    return selector.result()
+
+
+def feed_world(case, rng, d=16):
+    """Stored float32 unit rows and query columns.  "near ties": rows near
+    30 distinct columns, then rows near a direction 6 more columns share to
+    their last bits, so the first rows' chunks take the matmul path and the
+    last rows' chunks fall back to the fixed-order block."""
+    if case == "near ties":
+        f = rng.standard_normal((30, d))
+        shared = np.repeat(rng.standard_normal((1, d)), 6, axis=0)
+        shared += rng.integers(-2, 3, shared.shape) * np.spacing(np.abs(shared))
+        f = np.vstack([f, shared])
+        v = np.vstack([f[rng.integers(0, 30, 1000)], shared[rng.integers(0, 6, 500)]])
+        v += 0.05 * rng.standard_normal(v.shape)
+    else:
+        f = rng.standard_normal(({"fixed order": 10, "matmul": 50}[case], d))
+        v = rng.standard_normal((2000, d))
+    return unit(v).astype(np.float32), f
+
+
+class TestFeed:
+    @pytest.mark.parametrize("case", ["fixed order", "matmul", "near ties"])
+    def test_splitting_the_feed_never_changes_a_bit(self, monkeypatch, case):
+        rng = np.random.default_rng(21)
+        v, f = feed_world(case, rng)
+        m, k, chunk_rows = len(v), 6, 97
+        fallbacks = []
+        gemm = sampler._best_by_gemm
+
+        def spy(*args):
+            best = gemm(*args)
+            fallbacks.append(best is None)
+            return best
+
+        monkeypatch.setattr(sampler, "_best_by_gemm", spy)
+        whole = feed_in_pieces(v, f, k, chunk_rows, [0, m])
+        assert {"fixed order": set(), "matmul": {False},
+                "near ties": {False, True}}[case] == set(fallbacks)
+        np.testing.assert_array_equal(whole.feats.view(np.uint32),
+                                      v[whole.selected_ids].view(np.uint32))
+        assert whole.n_selected < m and 2 * k * len(f) < m  # cut mid-stream
+        sizes = rng.integers(1, 3 * chunk_rows, m)
+        pieces = np.minimum(np.concatenate([[0], np.cumsum(sizes)]), m)
+        pieces = np.unique(pieces)
+        assert np.any(pieces % chunk_rows != 0)
+        for bounds in (np.arange(m + 1), pieces):
+            assert_same_result(feed_in_pieces(v, f, k, chunk_rows, bounds), whole)
+
+    def test_rows_must_come_in_record_order(self):
+        selector = TopKSelector(np.eye(3), 1, 4)
+        selector.feed(np.eye(3, dtype=np.float32), 0)
+        with pytest.raises(ValueError, match="ascending"):
+            selector.feed(np.eye(3, dtype=np.float32), 2)
 
 
 class TestChunkBudget:
@@ -442,39 +507,36 @@ class TestChunkBudget:
         assert merge_bytes(k1, d, q) > cfg.memory_budget_bytes
         rows = budget_chunk_rows(cfg.memory_budget_bytes, k1, d, q)
         assert rows == cfg.memory_budget_bytes // 4 // bytes_per_row(d, q)
-        assert rows > 2000
+        assert rows > 1700
 
     def test_tiny_budget_still_makes_progress(self):
         assert budget_chunk_rows(16, 80, feat_dim=64, n_columns=10) == 1
         spec, ds, bank = make_world(6, m=300)
         # k1 = ceil(0.09 * 200 / 10) = 2
         cfg = replace(spec, stage1_multiplier=0.09, memory_budget_bytes=16)
-        r = stage1_sample(bank, ds, cfg)
+        _, r = stage1_sample(bank, ds, cfg)
         assert r.k == 2
         assert r.n_selected == 2 * ds.n_classes
 
     def test_stage2_peak_stays_within_budget_at_rerank_shape(self):
         # A 16,000-row label bank re-ranked against 2,000 images (d = 16):
         # the scratch, the candidates and their cuts stay inside the default
-        # budget, so the traced peak is that plus the gathered pool features
-        # and the image features.
+        # budget, so the traced peak is that plus the rows the result
+        # carries (at most the label bank's) and the image features.
         m, d, d_img, n, n_classes = 16_000, 16, 32, 2000, 50
         rng = np.random.default_rng(7)
         feats = rng.standard_normal((m, d)).astype(np.float32)
         feats /= np.linalg.norm(feats, axis=1, keepdims=True)
-        bank = EmbeddingBank(images=np.zeros((m, 1), np.float32), feats=feats,
-                             caption_feats=feats, captions=[""] * m,
-                             latent_class=np.full(m, -1, np.int32))
         ds = random_dataset(seed=7, n=n, n_classes=n_classes, d_img=d_img, d=d)
         cfg = RunConfig(seed=7)
         label_bank = SampleResult(
             selected_ids=np.arange(m, dtype=np.int64),
             assigned_column=np.zeros(m, np.int64), score=np.zeros(m),
-            deficits=np.zeros(n_classes, np.int64), k=m)
+            deficits=np.zeros(n_classes, np.int64), k=m, feats=feats)
         gc.collect()
         tracemalloc.start()
         try:
-            r = stage2_sample(label_bank, bank, ds, cfg)
+            r = stage2_sample(label_bank, ds, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -510,7 +572,7 @@ class TestStages:
             captions=["a photo of class-00.", "a photo of class-01."],
             latent_class=np.array([0, 1], dtype=np.int32))
         # k1 = ceil(0.25 * 6 / 2) = 1
-        r = stage1_sample(bank, ds, replace(spec, stage1_multiplier=0.25))
+        _, r = stage1_sample(bank, ds, replace(spec, stage1_multiplier=0.25))
         assert r.k == 1
         assert r.n_selected == 2
         assert r.deficits.tolist() == [0, 0]
@@ -519,15 +581,15 @@ class TestStages:
 
     def test_default_sizes_label_bank_at_eight_times_downstream(self):
         spec, ds, bank = make_world(0)
-        r = stage1_sample(bank, ds, spec)
+        _, r = stage1_sample(bank, ds, spec)
         k1 = default_k1(ds.size, ds.n_classes, spec.stage1_multiplier)
         assert r.k == k1 == 8 * ds.size // ds.n_classes
         assert r.n_selected + int(r.deficits.sum()) == 8 * ds.size
 
     def test_stage2_keeps_half_and_returns_bank_ids(self):
         spec, ds, bank = make_world(1)
-        s1 = stage1_sample(bank, ds, spec)
-        s2 = stage2_sample(s1, bank, ds, spec)
+        _, s1 = stage1_sample(bank, ds, spec)
+        s2 = stage2_sample(s1, ds, spec)
         assert s2.k == default_k2(s1.n_selected, ds.size, spec.stage2_keep) == 4
         assert s2.n_selected <= s1.n_selected // 2
         assert set(s2.selected_ids.tolist()) <= set(s1.selected_ids.tolist())
@@ -536,14 +598,14 @@ class TestStages:
     def test_stage1_precision_beats_base_rate(self):
         for seed in range(5):
             spec, ds, bank = make_world(seed, rho=0.5)
-            p = sampler_precision(stage1_sample(bank, ds, spec), bank, ds)
+            p = sampler_precision(stage1_sample(bank, ds, spec)[1], bank, ds)
             assert p > 0.5
 
     def test_stage2_refines_stage1_precision(self):
         for seed in range(5):
             spec, ds, bank = make_world(seed)
-            s1 = stage1_sample(bank, ds, spec)
-            s2 = stage2_sample(s1, bank, ds, spec)
+            _, s1 = stage1_sample(bank, ds, spec)
+            s2 = stage2_sample(s1, ds, spec)
             assert sampler_precision(s2, bank, ds) >= sampler_precision(s1, bank, ds)
 
     def test_stage_outputs_are_chunk_independent(self):
@@ -552,7 +614,7 @@ class TestStages:
         # one row per chunk, mid-size chunks with a partial last chunk, and
         # the whole bank in one chunk in stage 1
         k1 = default_k1(ds.size, ds.n_classes, spec.stage1_multiplier)
-        k2 = default_k2(stage1_sample(bank, ds, spec).n_selected, ds.size,
+        k2 = default_k2(stage1_sample(bank, ds, spec)[1].n_selected, ds.size,
                         spec.stage2_keep)
         for k, q in ((k1, ds.n_classes), (k2, ds.size)):
             rows = [budget_chunk_rows(b, k, spec.feat_dim, q) for b in budgets]
@@ -560,8 +622,8 @@ class TestStages:
         base = None
         for budget in budgets:
             cfg = replace(spec, memory_budget_bytes=budget)
-            s1 = stage1_sample(bank, ds, cfg)
-            s2 = stage2_sample(s1, bank, ds, cfg)
+            _, s1 = stage1_sample(bank, ds, cfg)
+            s2 = stage2_sample(s1, ds, cfg)
             key = (s2.selected_ids.tolist(), s2.assigned_column.tolist(),
                    s2.score.tolist())
             if base is None:
@@ -588,9 +650,10 @@ class TestStages:
         empty = SampleResult(
             selected_ids=np.zeros(0, np.int64),
             assigned_column=np.zeros(0, np.int64),
-            score=np.zeros(0), deficits=np.zeros(ds.n_classes, np.int64), k=1)
+            score=np.zeros(0), deficits=np.zeros(ds.n_classes, np.int64), k=1,
+            feats=np.zeros((0, ds.feat_dim), np.float32))
         with pytest.raises(ValueError, match="label bank"):
-            stage2_sample(empty, bank, ds, spec)
+            stage2_sample(empty, ds, spec)
 
 
 class TestPrecision:
@@ -600,7 +663,8 @@ class TestPrecision:
         ds = random_dataset(seed=0)
         r = SampleResult(selected_ids=np.array([0, 1]),
                          assigned_column=np.array([0, 0]),
-                         score=np.zeros(2), deficits=np.zeros(3, np.int64), k=2)
+                         score=np.zeros(2), deficits=np.zeros(3, np.int64), k=2,
+                         feats=bank.feats[[0, 1]])
         with pytest.raises(PrecisionUndefinedError):
             sampler_precision(r, bank, ds)
 
@@ -611,7 +675,8 @@ class TestPrecision:
         ds = random_dataset(seed=1)
         r = SampleResult(selected_ids=np.array([0, 2]),
                          assigned_column=np.array([0, 1]),
-                         score=np.zeros(2), deficits=np.zeros(3, np.int64), k=1)
+                         score=np.zeros(2), deficits=np.zeros(3, np.int64), k=1,
+                         feats=bank.feats[[0, 2]])
         assert sampler_precision(r, bank, ds) == 0.0
 
 
@@ -619,7 +684,7 @@ class TestCsv:
     def test_round_trip(self, tmp_path):
         spec, ds, bank = make_world(4, m=500)
         # k1 = ceil(0.14 * 200 / 10) = 3
-        r = stage1_sample(bank, ds, replace(spec, stage1_multiplier=0.14))
+        _, r = stage1_sample(bank, ds, replace(spec, stage1_multiplier=0.14))
         assert r.k == 3
         path = tmp_path / "samples.csv"
         dpath = tmp_path / "deficits.csv"
@@ -631,7 +696,7 @@ class TestCsv:
 
     def test_header_is_stable(self, tmp_path):
         spec, ds, bank = make_world(5, m=200)
-        r = stage1_sample(bank, ds, replace(spec, stage1_multiplier=0.09))
+        _, r = stage1_sample(bank, ds, replace(spec, stage1_multiplier=0.09))
         assert r.k == 2
         path = tmp_path / "s.csv"
         save_sample_csv(r, path)
