@@ -38,7 +38,7 @@ def main() -> int:
                             noise_sigma=args.noise_sigma)
             ds = generate_downstream(cfg)
             bank = generate_pretrain_bank(cfg, ds)
-            _, s1 = stage1_sample(bank, ds, cfg)
+            s1 = stage1_sample(bank, ds, cfg)
             s2 = stage2_sample(s1, ds, cfg)
             p1s.append(sampler_precision(s1, bank, ds))
             p2s.append(sampler_precision(s2, bank, ds))

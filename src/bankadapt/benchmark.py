@@ -48,7 +48,7 @@ def build_world(seed: int) -> BenchmarkWorld:
     eval_ds = generate_downstream(cfg, split="test",
                                   n_per_class=cfg.eval_n_per_class)
     bank = generate_pretrain_bank(cfg, train_ds)
-    _, s1 = stage1_sample(bank, train_ds, cfg)
+    s1 = stage1_sample(bank, train_ds, cfg)
     s2 = stage2_sample(s1, train_ds, cfg)
     selected = SelectedBank.from_bank(bank, s2.selected_ids, train_ds)
     return BenchmarkWorld(seed=seed, train_ds=train_ds, eval_ds=eval_ds,

@@ -158,17 +158,24 @@ def _load_datasets(cfg: RunConfig
         cfg, split="test", n_per_class=cfg.eval_n_per_class)
 
 
+def _bank_source(cfg: RunConfig, ds: DownstreamDataset) -> EmbeddingBank | str:
+    """The bank file's path when the bank and dataset paths are set, else
+    the synthetic bank for ds."""
+    return cfg.bank if _from_files(cfg) else generate_pretrain_bank(cfg, ds)
+
+
 def _load_bank(cfg: RunConfig, ds: DownstreamDataset,
                fields: tuple[str, ...]) -> EmbeddingBank:
-    """The bank file, checked whole but keeping only fields, when the bank
-    and dataset paths are set, else the synthetic bank for ds."""
-    if _from_files(cfg):
-        return decode_bank_file(cfg.bank, fields=fields)
-    return generate_pretrain_bank(cfg, ds)
+    """The bank of _bank_source; a file is checked whole but keeps only
+    fields."""
+    source = _bank_source(cfg, ds)
+    if isinstance(source, EmbeddingBank):
+        return source
+    return decode_bank_file(source, fields=fields)
 
 
 def _sample_bank(cfg: RunConfig, bank: EmbeddingBank, ds: DownstreamDataset):
-    _, s1 = stage1_sample(bank, ds, cfg)
+    s1 = stage1_sample(bank, ds, cfg)
     return s1, stage2_sample(s1, ds, cfg)
 
 
@@ -219,8 +226,9 @@ def cmd_sample(cfg: RunConfig, args) -> int:
     ds, _ = _load_datasets(cfg)
     # a bank file is read once, keeping latent_class; stage 1 scores its
     # feats as they are read
-    source = cfg.bank if _from_files(cfg) else generate_pretrain_bank(cfg, ds)
-    bank, s1 = stage1_sample(source, ds, cfg)
+    kept = {}
+    s1 = stage1_sample(_bank_source(cfg, ds), ds, cfg, kept)
+    bank = kept["bank"]
     s2 = stage2_sample(s1, ds, cfg)
     out = _out_dir(cfg)
     samples_path = Path(cfg.samples) if cfg.samples else out / "samples.csv"

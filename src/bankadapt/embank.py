@@ -602,7 +602,9 @@ def _read_bank(path, fields: Sequence[str], feats_to=None
     record has a latent class.  With feats_to, each piece of feats goes to
     feats_to(rows, index of its first row) once its checks have run, until
     a check finds a violation; a ValueError feats_to raises stops the
-    feeding and is raised once the whole file has passed every check."""
+    feeding and is raised once the whole file has passed every check.  An
+    empty bank's feats is fed as one empty (0, d) piece, so that feats_to
+    sees the header's width either way."""
     unknown = sorted(set(fields) - set(BANK_FIELDS))
     if unknown:
         raise ValueError(f"unknown bank fields {unknown}, expected some of {BANK_FIELDS}")
@@ -628,6 +630,8 @@ def _read_bank(path, fields: Sequence[str], feats_to=None
                                visits[name])
                 for name, width in (("images", d_img), ("feats", d),
                                     ("caption_feats", d))}
+        if feats_to is not None and m == 0:
+            feed(np.zeros((0, d), np.float32), 0)
         with_latent = False
 
         def see_latent(piece, row0):

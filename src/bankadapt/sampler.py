@@ -47,19 +47,20 @@ The selector is fed rows in ascending record order, in pieces of any
 size: the rows of an in-memory bank at once, or each block of a bank file's
 feats as the reader checks it, so that feats is never held whole.  Each
 piece is scored chunk_rows rows at a time.  Candidates are held in arrays
-allocated once with room for 2*k*q + chunk_rows entries: id, column, score
-and the row as fed (a bank's stored float32 feats), so that the result
-carries the feats of its selected rows and stage 2 re-ranks them without
-the bank.  Once a column has k candidates, the score of its k-th is the
-column's floor, and a later row enters only with a score strictly above
-it: its id is larger than every held id, so it cannot win a tie.  The
-arrays are sorted by (column, -score, id) and compacted in place to k per
-column only when they hold more than 2*k*q entries, and once at the end,
-so the result equals a top k taken over the full score matrix.  A column
-whose assigned pool is smaller than k reports a deficit; nothing is
-backfilled from other columns.  merge_bytes and bytes_per_row charge every
-slot of the arrays, its carried row at 4d bytes (a stored row), and the
-copy a cut makes to compact the rows it keeps.
+allocated once with room for 2*k*q entries: id, column, score and, for
+stage 1, the row as fed (a bank's stored float32 feats), so that the label
+bank carries the feats of its rows and stage 2 re-ranks them without the
+bank; stage 2 carries none.  Once a column has k candidates, the score of
+its k-th is the column's floor, and a later row enters only with a score
+strictly above it: its id is larger than every held id, so it cannot win a
+tie.  When a chunk's admitted rows do not fit, the arrays are sorted by
+(column, -score, id) and compacted in place to k per column, which frees at
+least half of them, and once more at the end, so the result equals a top k
+taken over the full score matrix.  A column whose assigned pool is smaller
+than k reports a deficit; nothing is backfilled from other columns.
+merge_bytes charges every slot of the arrays, a carried row at 4d bytes (a
+stored row), and the copy a cut makes to compact the rows it keeps; a
+chunk row needs no slot of its own.
 """
 
 from __future__ import annotations
@@ -81,11 +82,12 @@ from .encoder import FrozenEmbedder
 # the comparison.
 _ADMIT_VECTORS = 5
 
-# Int64/float64 vectors an entry of a cut needs at once beyond its slot, at
-# most three: while sorting the negated scores, the sort order and lexsort's
-# work array; while ranking the order, the rank and the repeated column
-# starts; while compacting the order, the rank and the kept index.  One
-# more covers the compacting copy of the id, column and score vectors.
+# Int64/float64 vectors an entry of a cut needs at once beyond its id,
+# column and score, at most three: while sorting the negated scores, the
+# sort order and lexsort's work array; while ranking the order, the rank
+# and the repeated column starts; while compacting the order, the rank and
+# the kept index.  One more covers the compacting copy of the id, column
+# and score vectors.
 _CUT_VECTORS = 4
 
 # Fewest query columns at which a chunk is scored by one matmul and then
@@ -123,57 +125,51 @@ class PrecisionUndefinedError(ValueError):
     """No ground-truth latent classes anywhere in the bank."""
 
 
-def _slot_bytes(feat_dim: int) -> int:
-    """Bytes of one entry of the candidate arrays: its id, column and score,
-    and its carried row as a bank stores it (float32)."""
-    return 24 + 4 * feat_dim
-
-
-def _cut_bytes(feat_dim: int) -> int:
-    """Bytes an entry of a cut needs beyond its slot: the cut's vectors, and
-    its share of the copy that compacts the carried rows.  A cut keeps at
-    most k per column of the more than 2k per column it sorts, so the copy
-    is at most half a carried row per entry (2d)."""
-    return 8 * _CUT_VECTORS + 2 * feat_dim
+def _slot_bytes(feat_dim: int, carry_rows: bool) -> int:
+    """Bytes one entry of the candidate arrays holds at most: its id, column
+    and score and the vectors of a cut over it, and, when rows are carried,
+    its row as a bank stores it (float32) and its share of the copy that
+    compacts the rows: a cut keeps at most k per column, k*q rows for the
+    2kq slots, so half a carried row per entry (2d)."""
+    return 24 + 8 * _CUT_VECTORS + (6 * feat_dim if carry_rows else 0)
 
 
 def bytes_per_row(feat_dim: int, n_columns: int) -> int:
     """Bytes one chunk row may hold while it is scored and merged: the owned
     float64 copy and its feature-major transpose (16d), the score block and
-    the per-feature product temporary (16q), its slot in the candidate
-    arrays, and then the largest of four sets that are never alive at the
-    same time: the copy of the score block that argmax along axis 0 makes
-    plus argmax's output (8q + 8), the row's admission vectors, its part of
-    a cut, and, from _GEMM_MIN_COLUMNS columns on, the matmul path's work
-    beyond the block and its candidate mask (both held in the two (q, r)
-    buffers): the row's maximum and best column (16), up to
+    the per-feature product temporary (16q), and then the largest of three
+    sets that are never alive at the same time: the copy of the score block
+    that argmax along axis 0 makes plus argmax's output (8q + 8), the row's
+    admission vectors, and, from _GEMM_MIN_COLUMNS columns on, the matmul
+    path's work beyond the block and its candidate mask (both held in the
+    two (q, r) buffers): the row's maximum and best column (16), up to
     _CANDIDATES_PER_ROW candidate pairs with their vectors, and one piece of
     gathered query and chunk features (16d)."""
     gemm = 0
     if n_columns >= _GEMM_MIN_COLUMNS:
         gemm = 16 + 16 * feat_dim + 8 * _CANDIDATES_PER_ROW * _CANDIDATE_VECTORS
-    return (16 * feat_dim + 16 * n_columns + _slot_bytes(feat_dim)
-            + max(8 * (n_columns + 1), 8 * _ADMIT_VECTORS,
-                  _cut_bytes(feat_dim), gemm))
+    return (16 * feat_dim + 16 * n_columns
+            + max(8 * (n_columns + 1), 8 * _ADMIT_VECTORS, gemm))
 
 
-def merge_bytes(k: int, feat_dim: int, n_columns: int) -> int:
+def merge_bytes(k: int, feat_dim: int, n_columns: int,
+                carry_rows: bool = True) -> int:
     """Bytes the selection holds whatever the chunk size: the unit query
-    rows (8dq), a few per-column vectors (floors, counts, offsets) and 2kq
-    slots of the candidate arrays with their part of a cut.  The matmul
-    reads the query rows in place, so its path adds nothing here."""
-    held = _slot_bytes(feat_dim) + _cut_bytes(feat_dim)
-    return 8 * n_columns * (feat_dim + 8) + 2 * k * n_columns * held
+    rows (8dq), a few per-column vectors (floors, counts, offsets) and the
+    2kq slots of the candidate arrays.  The matmul reads the query rows in
+    place, so its path adds nothing here."""
+    return (8 * n_columns * (feat_dim + 8)
+            + 2 * k * n_columns * _slot_bytes(feat_dim, carry_rows))
 
 
 def budget_chunk_rows(memory_budget_bytes: int, k: int, feat_dim: int,
-                      n_columns: int) -> int:
+                      n_columns: int, carry_rows: bool = True) -> int:
     """Rows per chunk: the budget less merge_bytes, over bytes_per_row.  The
     merge is charged at most three quarters of the budget, so the chunk never
     gets less than a quarter of it; past that point the held candidates,
     which grow with the k*q selected, are what the selection holds beyond
     the budget."""
-    reserved = min(merge_bytes(k, feat_dim, n_columns),
+    reserved = min(merge_bytes(k, feat_dim, n_columns, carry_rows),
                    3 * memory_budget_bytes // 4)
     spare = memory_budget_bytes - reserved
     return max(1, spare // bytes_per_row(feat_dim, n_columns))
@@ -181,8 +177,8 @@ def budget_chunk_rows(memory_budget_bytes: int, k: int, feat_dim: int,
 
 @dataclass(frozen=True)
 class SampleResult:
-    """Selected record ids with their column assignment, score, stored
-    feats and deficits.
+    """Selected record ids with their column assignment, score and
+    deficits, and the selected rows when the selection carries them.
 
     Rows are ordered by (column, rank); deficits[j] is how many records
     column j wanted but could not get from its assigned pool.
@@ -193,7 +189,7 @@ class SampleResult:
     score: np.ndarray            # (s,) float64
     deficits: np.ndarray         # (n_columns,) int64
     k: int
-    feats: np.ndarray            # (s, d) the selected rows as fed, float32 from a bank
+    feats: np.ndarray | None = None  # (s, d) the rows as fed, float32 from a bank
 
     @property
     def n_selected(self) -> int:
@@ -272,14 +268,15 @@ class TopKSelector:
     k best under (score desc, id asc).
 
     feed takes rows in ascending record order, in pieces of any size, and
-    scores them chunk_rows at a time; result returns the selection with the
-    rows of the selected records as fed (of dtype).  Each row is used at
-    most once (its assigned column), so the selected ids are distinct by
-    construction.  See the module docstring for the scores and the merge.
+    scores them chunk_rows at a time; result returns the selection, with the
+    rows of the selected records as fed, stored as carry (a dtype), unless
+    carry is None.  Each row is used at most once (its assigned column), so
+    the selected ids are distinct by construction.  See the module
+    docstring for the scores and the merge.
     """
 
     def __init__(self, f: np.ndarray, k: int, chunk_rows: int,
-                 dtype=np.float32):
+                 carry=np.float32):
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
         if chunk_rows < 1:
@@ -292,11 +289,15 @@ class TopKSelector:
         self._t = np.empty(d * chunk_rows)
         self._out = np.empty(q * chunk_rows)
         self._tmp = np.empty_like(self._out)
-        room = 2 * k * q + chunk_rows
+        room = 2 * k * q
         self._ids = np.empty(room, np.int64)
         self._cols = np.empty(room, np.int64)
         self._scores = np.empty(room)
-        self._rows = np.empty((room, d), dtype)
+        self._held = [self._ids, self._cols, self._scores]
+        self._rows = None
+        if carry is not None:
+            self._rows = np.empty((room, d), carry)
+            self._held.append(self._rows)
         self._n = 0
         self._floor = np.full(q, -np.inf)
 
@@ -311,10 +312,7 @@ class TopKSelector:
             raise ValueError(f"bank feat_dim {rows.shape[-1]} != dataset "
                              f"{self._q_unit.shape[1]}")
         for lo in range(0, rows.shape[0], self._chunk_rows):
-            chunk = rows[lo:lo + self._chunk_rows]
-            self._admit(chunk, first_record_id + lo)
-            if self._n > 2 * self._k * self._floor.size:
-                self._cut()
+            self._admit(rows[lo:lo + self._chunk_rows], first_record_id + lo)
         self._next = first_record_id + rows.shape[0]
 
     def result(self) -> SampleResult:
@@ -322,10 +320,11 @@ class TopKSelector:
         self._cut()
         n, k = self._n, self._k
         cols = self._cols[:n].copy()
+        feats = None if self._rows is None else self._rows[:n].copy()
         return SampleResult(selected_ids=self._ids[:n].copy(),
                             assigned_column=cols, score=self._scores[:n].copy(),
                             deficits=k - np.bincount(cols, minlength=self._floor.size),
-                            k=k, feats=self._rows[:n].copy())
+                            k=k, feats=feats)
 
     def _best(self, chunk: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
         """Each chunk row's best column and its fixed-order score."""
@@ -344,17 +343,24 @@ class TopKSelector:
 
     def _admit(self, chunk: np.ndarray, start: int) -> None:
         """Append the chunk's rows whose best score beats their column's
-        floor; the first row is record start.  The chunk's merge vectors die
-        on return."""
+        floor, cutting whenever the arrays are full; the first row is record
+        start.  The chunk's merge vectors die on return."""
         assigned, row_score = self._best(chunk, start)
         admit = np.flatnonzero(row_score > self._floor[assigned])
-        n, stop = self._n, self._n + admit.size
-        # mode "clip" writes into out directly; "raise" would buffer a copy
-        np.add(admit, start, out=self._ids[n:stop])
-        np.take(assigned, admit, out=self._cols[n:stop], mode="clip")
-        np.take(row_score, admit, out=self._scores[n:stop], mode="clip")
-        np.take(chunk, admit, axis=0, out=self._rows[n:stop], mode="clip")
-        self._n = stop
+        room = self._ids.size
+        while admit.size:
+            if self._n == room:
+                self._cut()  # keeps at most k*q, half the room
+            n = self._n
+            piece, admit = admit[:room - n], admit[room - n:]
+            stop = n + piece.size
+            # mode "clip" writes into out directly; "raise" would buffer a copy
+            np.add(piece, start, out=self._ids[n:stop])
+            np.take(assigned, piece, out=self._cols[n:stop], mode="clip")
+            np.take(row_score, piece, out=self._scores[n:stop], mode="clip")
+            if self._rows is not None:
+                np.take(chunk, piece, axis=0, out=self._rows[n:stop], mode="clip")
+            self._n = stop
 
     def _cut(self) -> None:
         """Compact the candidates in place to (column, -score, id) order
@@ -370,17 +376,19 @@ class TopKSelector:
         keep = order[rank < k]
         full = counts >= k
         self._floor[full] = scores[order[starts[full] + k - 1]]
-        for held in (self._ids, self._cols, self._scores, self._rows):
+        for held in self._held:
             held[:keep.size] = held[keep]
         self._n = keep.size
 
 
 def select_topk_streamed(v: np.ndarray, f: np.ndarray, k: int,
-                         chunk_rows: int) -> SampleResult:
-    """The TopKSelector's result for the rows of v fed at once; the chunk
-    holds no more rows than v has."""
+                         chunk_rows: int, carry_rows: bool = True) -> SampleResult:
+    """The TopKSelector's result for the rows of v fed at once, carrying
+    the selected rows of v when carry_rows; the chunk holds no more rows
+    than v has."""
     v = np.asarray(v)
-    selector = TopKSelector(f, k, min(chunk_rows, max(v.shape[0], 1)), v.dtype)
+    selector = TopKSelector(f, k, min(chunk_rows, max(v.shape[0], 1)),
+                            v.dtype if carry_rows else None)
     selector.feed(v, 0)
     return selector.result()
 
@@ -396,22 +404,28 @@ def default_k2(label_bank_size: int, n_downstream: int, keep: float) -> int:
 
 
 def stage1_sample(bank: EmbeddingBank | str | os.PathLike, ds: DownstreamDataset,
-                  cfg: RunConfig) -> tuple[EmbeddingBank, SampleResult]:
+                  cfg: RunConfig, kept: dict | None = None) -> SampleResult:
     """Zero-shot retrieval, bank features against class text features: the
-    bank as kept and the label bank.
+    label bank, carrying the stored feats of its rows.
 
-    An in-memory bank is fed whole and returned as given.  A DATB path is
-    read once, keeping only latent_class: each block of its feats goes to
-    the selector once the block's checks have passed, so feats is never
-    held whole, and a file that fails a check raises the decode's error."""
+    An in-memory bank is fed whole.  A DATB path is read once, keeping only
+    latent_class: each block of its feats goes to the selector once the
+    block's checks have passed, so feats is never held whole, and a file
+    that fails a check raises the decode's error.  kept, when given, gets
+    the bank scored under "bank": as given, or as read from the path."""
     k1 = default_k1(ds.size, ds.n_classes, cfg.stage1_multiplier)
     rows = budget_chunk_rows(cfg.memory_budget_bytes, k1, ds.feat_dim,
                              ds.n_classes)
     if isinstance(bank, EmbeddingBank):
-        return bank, select_topk_streamed(bank.feats, ds.class_text_feats, k1, rows)
-    selector = TopKSelector(ds.class_text_feats, k1, rows)
-    kept = decode_bank_file(bank, fields=("latent_class",), feats_to=selector.feed)
-    return kept, selector.result()
+        result = select_topk_streamed(bank.feats, ds.class_text_feats, k1, rows)
+    else:
+        selector = TopKSelector(ds.class_text_feats, k1, rows)
+        bank = decode_bank_file(bank, fields=("latent_class",),
+                                feats_to=selector.feed)
+        result = selector.result()
+    if kept is not None:
+        kept["bank"] = bank
+    return result
 
 
 def stage2_sample(label_bank: SampleResult, ds: DownstreamDataset,
@@ -422,7 +436,7 @@ def stage2_sample(label_bank: SampleResult, ds: DownstreamDataset,
     Each downstream image acts as its own category, embedded by the run
     seed's frozen image embedder; returned ids are bank record ids,
     deduplicated by construction since each label-bank record is assigned
-    to exactly one image.
+    to exactly one image.  The result carries no rows.
     """
     if label_bank.n_selected == 0:
         raise ValueError("label bank is empty, nothing to re-rank")
@@ -430,8 +444,10 @@ def stage2_sample(label_bank: SampleResult, ds: DownstreamDataset,
     embedder = FrozenEmbedder.from_seed("image", cfg.seed, ds.feat_dim,
                                         ds.image_dim)
     image_feats = embedder.embed_rows(np.asarray(ds.images, dtype=np.float64))
-    rows = budget_chunk_rows(cfg.memory_budget_bytes, k2, ds.feat_dim, ds.size)
-    picked = select_topk_streamed(label_bank.feats, image_feats, k2, rows)
+    rows = budget_chunk_rows(cfg.memory_budget_bytes, k2, ds.feat_dim, ds.size,
+                             carry_rows=False)
+    picked = select_topk_streamed(label_bank.feats, image_feats, k2, rows,
+                                  carry_rows=False)
     return replace(picked, selected_ids=label_bank.selected_ids[picked.selected_ids])
 
 

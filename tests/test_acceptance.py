@@ -171,7 +171,7 @@ def test_criterion_3_stage_chunking_invariance():
     # one row per chunk, against every row in one chunk
     for budget in (1, 1 << 30):
         cfg = replace(spec, memory_budget_bytes=budget)
-        _, s1 = stage1_sample(bank, ds, cfg)
+        s1 = stage1_sample(bank, ds, cfg)
         s2 = stage2_sample(s1, ds, cfg)
         results.append((s1, s2))
     (a1, a2), (b1, b2) = results
@@ -192,7 +192,7 @@ def test_criterion_4_sampler_precision():
                          weak_pair_rate=0.3, noise_sigma=1.0)
         ds = generate_downstream(spec)
         bank = generate_pretrain_bank(spec, ds)
-        _, s1 = stage1_sample(bank, ds, spec)
+        s1 = stage1_sample(bank, ds, spec)
         s2 = stage2_sample(s1, ds, spec)
         precisions.append(sampler_precision(s2, bank, ds))
     elapsed = time.perf_counter() - t0
@@ -294,7 +294,7 @@ def test_criterion_8_large_bank_performance():
                  + merge_bytes(k, d, q))
     tracemalloc.start()
     t0 = time.perf_counter()
-    _, result = stage1_sample(bank, ds, cfg)
+    result = stage1_sample(bank, ds, cfg)
     elapsed = time.perf_counter() - t0
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()

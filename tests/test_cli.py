@@ -405,6 +405,25 @@ def test_train_refuses_a_bank_of_other_dims_before_fitting(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("m, d, message", [
+    (30, 5, "bank feat_dim 5 != dataset 4"),
+    (0, 5, "bank feat_dim 5 != dataset 4"),
+    (0, 4, "label bank is empty, nothing to re-rank")])
+def test_sample_refuses_a_bank_of_another_feat_dim(tmp_path, capsys, m, d,
+                                                   message):
+    # an empty bank has no feats row to score, yet its width is still
+    # checked against the dataset's before its emptiness is reported
+    bank, train = tmp_path / "b.datb", tmp_path / "t.datd"
+    encode_bank_file(random_bank(m=m, d=d), bank)
+    encode_dataset_file(random_dataset(), train)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(["sample", "--bank", str(bank), "--dataset", str(train),
+                "--out_dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out / "samples.csv").exists()
+
+
 def test_every_traced_name_resolves():
     # perfbench/tracer.py wraps these names; a missing one would only be
     # reported as "not traced"

@@ -284,7 +284,9 @@ def assert_same_result(a, b):
     for field in ("selected_ids", "assigned_column", "deficits"):
         assert np.array_equal(getattr(a, field), getattr(b, field))
     assert np.array_equal(a.score.view(np.int64), b.score.view(np.int64))
-    assert np.array_equal(a.feats.view(np.uint8), b.feats.view(np.uint8))
+    assert (a.feats is None) == (b.feats is None)
+    if a.feats is not None:
+        assert np.array_equal(a.feats.view(np.uint8), b.feats.view(np.uint8))
     assert a.k == b.k
 
 
@@ -397,7 +399,7 @@ class TestCertifiedMatmul:
         for path in ("matmul", "fixed"):
             with monkeypatch.context() as mp:
                 force_path(mp, path)
-                _, s1 = stage1_sample(bank, ds, spec)
+                s1 = stage1_sample(bank, ds, spec)
                 results[path] = (s1, stage2_sample(s1, ds, spec))
         for a, b in zip(results["matmul"], results["fixed"]):
             assert_same_result(a, b)
@@ -507,22 +509,22 @@ class TestChunkBudget:
         assert merge_bytes(k1, d, q) > cfg.memory_budget_bytes
         rows = budget_chunk_rows(cfg.memory_budget_bytes, k1, d, q)
         assert rows == cfg.memory_budget_bytes // 4 // bytes_per_row(d, q)
-        assert rows > 1700
+        assert rows > 2000
 
     def test_tiny_budget_still_makes_progress(self):
         assert budget_chunk_rows(16, 80, feat_dim=64, n_columns=10) == 1
         spec, ds, bank = make_world(6, m=300)
         # k1 = ceil(0.09 * 200 / 10) = 2
         cfg = replace(spec, stage1_multiplier=0.09, memory_budget_bytes=16)
-        _, r = stage1_sample(bank, ds, cfg)
+        r = stage1_sample(bank, ds, cfg)
         assert r.k == 2
         assert r.n_selected == 2 * ds.n_classes
 
     def test_stage2_peak_stays_within_budget_at_rerank_shape(self):
         # A 16,000-row label bank re-ranked against 2,000 images (d = 16):
         # the scratch, the candidates and their cuts stay inside the default
-        # budget, so the traced peak is that plus the rows the result
-        # carries (at most the label bank's) and the image features.
+        # budget, so the traced peak is that plus the image features: stage
+        # 2 carries no rows.
         m, d, d_img, n, n_classes = 16_000, 16, 32, 2000, 50
         rng = np.random.default_rng(7)
         feats = rng.standard_normal((m, d)).astype(np.float32)
@@ -540,8 +542,8 @@ class TestChunkBudget:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert r.k == 4 and r.n_selected > 0
-        allowed = cfg.memory_budget_bytes + feats.nbytes + n * d * 8
+        assert r.k == 4 and r.n_selected > 0 and r.feats is None
+        allowed = cfg.memory_budget_bytes + n * d * 8
         assert peak <= allowed, (peak, allowed)
 
 
@@ -572,7 +574,7 @@ class TestStages:
             captions=["a photo of class-00.", "a photo of class-01."],
             latent_class=np.array([0, 1], dtype=np.int32))
         # k1 = ceil(0.25 * 6 / 2) = 1
-        _, r = stage1_sample(bank, ds, replace(spec, stage1_multiplier=0.25))
+        r = stage1_sample(bank, ds, replace(spec, stage1_multiplier=0.25))
         assert r.k == 1
         assert r.n_selected == 2
         assert r.deficits.tolist() == [0, 0]
@@ -581,14 +583,14 @@ class TestStages:
 
     def test_default_sizes_label_bank_at_eight_times_downstream(self):
         spec, ds, bank = make_world(0)
-        _, r = stage1_sample(bank, ds, spec)
+        r = stage1_sample(bank, ds, spec)
         k1 = default_k1(ds.size, ds.n_classes, spec.stage1_multiplier)
         assert r.k == k1 == 8 * ds.size // ds.n_classes
         assert r.n_selected + int(r.deficits.sum()) == 8 * ds.size
 
     def test_stage2_keeps_half_and_returns_bank_ids(self):
         spec, ds, bank = make_world(1)
-        _, s1 = stage1_sample(bank, ds, spec)
+        s1 = stage1_sample(bank, ds, spec)
         s2 = stage2_sample(s1, ds, spec)
         assert s2.k == default_k2(s1.n_selected, ds.size, spec.stage2_keep) == 4
         assert s2.n_selected <= s1.n_selected // 2
@@ -598,13 +600,13 @@ class TestStages:
     def test_stage1_precision_beats_base_rate(self):
         for seed in range(5):
             spec, ds, bank = make_world(seed, rho=0.5)
-            p = sampler_precision(stage1_sample(bank, ds, spec)[1], bank, ds)
+            p = sampler_precision(stage1_sample(bank, ds, spec), bank, ds)
             assert p > 0.5
 
     def test_stage2_refines_stage1_precision(self):
         for seed in range(5):
             spec, ds, bank = make_world(seed)
-            _, s1 = stage1_sample(bank, ds, spec)
+            s1 = stage1_sample(bank, ds, spec)
             s2 = stage2_sample(s1, ds, spec)
             assert sampler_precision(s2, bank, ds) >= sampler_precision(s1, bank, ds)
 
@@ -614,7 +616,7 @@ class TestStages:
         # one row per chunk, mid-size chunks with a partial last chunk, and
         # the whole bank in one chunk in stage 1
         k1 = default_k1(ds.size, ds.n_classes, spec.stage1_multiplier)
-        k2 = default_k2(stage1_sample(bank, ds, spec)[1].n_selected, ds.size,
+        k2 = default_k2(stage1_sample(bank, ds, spec).n_selected, ds.size,
                         spec.stage2_keep)
         for k, q in ((k1, ds.n_classes), (k2, ds.size)):
             rows = [budget_chunk_rows(b, k, spec.feat_dim, q) for b in budgets]
@@ -622,7 +624,7 @@ class TestStages:
         base = None
         for budget in budgets:
             cfg = replace(spec, memory_budget_bytes=budget)
-            _, s1 = stage1_sample(bank, ds, cfg)
+            s1 = stage1_sample(bank, ds, cfg)
             s2 = stage2_sample(s1, ds, cfg)
             key = (s2.selected_ids.tolist(), s2.assigned_column.tolist(),
                    s2.score.tolist())
@@ -650,8 +652,7 @@ class TestStages:
         empty = SampleResult(
             selected_ids=np.zeros(0, np.int64),
             assigned_column=np.zeros(0, np.int64),
-            score=np.zeros(0), deficits=np.zeros(ds.n_classes, np.int64), k=1,
-            feats=np.zeros((0, ds.feat_dim), np.float32))
+            score=np.zeros(0), deficits=np.zeros(ds.n_classes, np.int64), k=1)
         with pytest.raises(ValueError, match="label bank"):
             stage2_sample(empty, ds, spec)
 
@@ -663,8 +664,7 @@ class TestPrecision:
         ds = random_dataset(seed=0)
         r = SampleResult(selected_ids=np.array([0, 1]),
                          assigned_column=np.array([0, 0]),
-                         score=np.zeros(2), deficits=np.zeros(3, np.int64), k=2,
-                         feats=bank.feats[[0, 1]])
+                         score=np.zeros(2), deficits=np.zeros(3, np.int64), k=2)
         with pytest.raises(PrecisionUndefinedError):
             sampler_precision(r, bank, ds)
 
@@ -675,8 +675,7 @@ class TestPrecision:
         ds = random_dataset(seed=1)
         r = SampleResult(selected_ids=np.array([0, 2]),
                          assigned_column=np.array([0, 1]),
-                         score=np.zeros(2), deficits=np.zeros(3, np.int64), k=1,
-                         feats=bank.feats[[0, 2]])
+                         score=np.zeros(2), deficits=np.zeros(3, np.int64), k=1)
         assert sampler_precision(r, bank, ds) == 0.0
 
 
@@ -684,7 +683,7 @@ class TestCsv:
     def test_round_trip(self, tmp_path):
         spec, ds, bank = make_world(4, m=500)
         # k1 = ceil(0.14 * 200 / 10) = 3
-        _, r = stage1_sample(bank, ds, replace(spec, stage1_multiplier=0.14))
+        r = stage1_sample(bank, ds, replace(spec, stage1_multiplier=0.14))
         assert r.k == 3
         path = tmp_path / "samples.csv"
         dpath = tmp_path / "deficits.csv"
@@ -696,7 +695,7 @@ class TestCsv:
 
     def test_header_is_stable(self, tmp_path):
         spec, ds, bank = make_world(5, m=200)
-        _, r = stage1_sample(bank, ds, replace(spec, stage1_multiplier=0.09))
+        r = stage1_sample(bank, ds, replace(spec, stage1_multiplier=0.09))
         assert r.k == 2
         path = tmp_path / "s.csv"
         save_sample_csv(r, path)

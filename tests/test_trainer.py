@@ -37,7 +37,7 @@ def tiny_world(seed=0, n_classes=3, n_per_class=8, bank_size=150,
                      weak_pair_rate=0.2, noise_sigma=noise_sigma)
     ds = generate_downstream(spec)
     bank = generate_pretrain_bank(spec, ds)
-    _, s1 = stage1_sample(bank, ds, spec)
+    s1 = stage1_sample(bank, ds, spec)
     s2 = stage2_sample(s1, ds, spec)
     return spec, ds, bank, SelectedBank.from_bank(bank, s2.selected_ids, ds)
 
