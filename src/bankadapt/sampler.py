@@ -43,6 +43,16 @@ class/column index at assignment and toward the lowest record id within a
 column.  Non-finite rows are refused, as zero-norm rows are: the bound
 holds only for finite scores.
 
+Below _GEMM_MIN_COLUMNS columns, once every column holds k candidates (its
+floor, below, is finite), each chunk is screened before the fixed-order
+block: one matmul of its unit rows, plus the slack, is compared with every
+column's floor, and only the rows that reach some floor are scored by the
+fixed arithmetic.  The slack covers twice the distance from either score
+of a pair to its exact value, so a row screened out has a fixed-order
+score below the floor in every column and would have been refused.
+Floors only rise, so the screen never changes a bit either.  When more than
+half a chunk reaches a floor, the whole chunk is scored unscreened.
+
 The selector is fed rows in ascending record order, in pieces of any
 size: the rows of an in-memory bank at once, or each block of a bank file's
 feats as the reader checks it, so that feats is never held whole.  Each
@@ -78,8 +88,8 @@ from .embank import DownstreamDataset, EmbeddingBank, decode_bank_file
 from .encoder import FrozenEmbedder
 
 # Int64/float64 vectors a chunk row needs at once while it is admitted: its
-# assignment, row score, column floor and admitted index, and the mask of
-# the comparison.
+# position in the chunk, assignment and row score, and then its column floor
+# and the mask of the comparison, or its admitted index and position.
 _ADMIT_VECTORS = 5
 
 # Int64/float64 vectors an entry of a cut needs at once beyond its id,
@@ -95,7 +105,8 @@ _CUT_VECTORS = 4
 # crossover, measured on 1M random float32 rows of d = 16 at the default
 # budget with one BLAS thread (fixed-order against matmul): q = 10 0.21 s
 # against 0.30 s, q = 14 and 16 equal at 0.25-0.26 s, q = 20 0.31 s against
-# 0.25 s, q = 50 1.41 s against 0.32 s.
+# 0.25 s, q = 50 1.41 s against 0.32 s.  It was measured before the
+# fixed-order block was screened against the floors.
 _GEMM_MIN_COLUMNS = 16
 
 # A chunk whose near-maximum pairs outnumber this many per row (columns that
@@ -136,15 +147,19 @@ def _slot_bytes(feat_dim: int, carry_rows: bool) -> int:
 
 def bytes_per_row(feat_dim: int, n_columns: int) -> int:
     """Bytes one chunk row may hold while it is scored and merged: the owned
-    float64 copy and its feature-major transpose (16d), the score block and
-    the per-feature product temporary (16q), and then the largest of three
-    sets that are never alive at the same time: the copy of the score block
-    that argmax along axis 0 makes plus argmax's output (8q + 8), the row's
-    admission vectors, and, from _GEMM_MIN_COLUMNS columns on, the matmul
-    path's work beyond the block and its candidate mask (both held in the
-    two (q, r) buffers): the row's maximum and best column (16), up to
-    _CANDIDATES_PER_ROW candidate pairs with their vectors, and one piece of
-    gathered query and chunk features (16d)."""
+    float64 copy and its feature-major transpose (16d), which also hold the
+    rows the screen keeps, the score block and the per-feature product
+    temporary (16q), which also hold the screen's matmul and its mask, and
+    then the largest of three sets that are never alive at the same time:
+    the copy of the score block that argmax along axis 0 makes plus argmax's
+    output (8q + 8), which covers the screen's row mask (1) and the positions
+    of the rows it keeps, at most half of them, beside argmax over just those
+    rows (4 + 4q + 4), the row's admission vectors, and, from
+    _GEMM_MIN_COLUMNS columns on, the matmul path's work beyond the block and
+    its candidate mask (both held in the two (q, r) buffers): the row's
+    maximum and best column (16), up to _CANDIDATES_PER_ROW candidate pairs
+    with their vectors, and one piece of gathered query and chunk features
+    (16d)."""
     gemm = 0
     if n_columns >= _GEMM_MIN_COLUMNS:
         gemm = 16 + 16 * feat_dim + 8 * _CANDIDATES_PER_ROW * _CANDIDATE_VECTORS
@@ -262,6 +277,27 @@ def _best_by_gemm(unit: np.ndarray, unit_cols: np.ndarray, out: np.ndarray,
     return assigned, best
 
 
+def _screen(unit: np.ndarray, unit_cols: np.ndarray, floor: np.ndarray,
+            out: np.ndarray, mask: np.ndarray) -> np.ndarray | None:
+    """The chunk rows whose matmul score plus _slack reaches the floor of
+    some column, ascending; None when more than half the rows do.  Any
+    other row's fixed-order score lies below the floor in every column, so
+    it would be refused.  out (float64) and mask (bool) are flat
+    buffers of at least q * r entries."""
+    (r, d), q = unit.shape, unit_cols.shape[0]
+    gemm = out[:q * r].reshape(q, r)
+    np.matmul(unit_cols, unit.T, out=gemm)
+    gemm += _slack(d)
+    near = mask[:q * r].reshape(q, r)
+    # >= rather than >: a sum rounded down onto the floor may stand for a
+    # bound above it
+    np.greater_equal(gemm, floor[:, None], out=near)
+    hit = near.any(axis=0)
+    if 2 * np.count_nonzero(hit) > r:
+        return None
+    return np.flatnonzero(hit)
+
+
 class TopKSelector:
     """The top k rows per column of the rows fed to it: each row is
     assigned to its most cosine-similar row of f, and each column keeps its
@@ -326,26 +362,40 @@ class TopKSelector:
                             deficits=k - np.bincount(cols, minlength=self._floor.size),
                             k=k, feats=feats)
 
-    def _best(self, chunk: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
-        """Each chunk row's best column and its fixed-order score."""
+    def _best(self, chunk: np.ndarray,
+              start: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The positions of the chunk rows that may beat a floor, ascending,
+        with each one's best column and fixed-order score: every row, or
+        the rows the screen keeps."""
         unit = _normalize_into(self._block, chunk, start, "bank")
         (r, d), q = unit.shape, self._floor.size
+        kept = None
         if q >= _GEMM_MIN_COLUMNS:
             best = _best_by_gemm(unit, self._q_unit, self._out,
                                  self._tmp.view(np.bool_))
             if best is not None:
-                return best
-        unit_t = self._t[:unit.size].reshape(d, r)
-        np.copyto(unit_t, unit.T)
+                return np.arange(r), *best
+        elif self._floor.min() > -np.inf:
+            kept = _screen(unit, self._q_unit, self._floor, self._out,
+                           self._tmp.view(np.bool_))
+        if kept is None:
+            unit_t = self._t[:unit.size].reshape(d, r)
+            np.copyto(unit_t, unit.T)
+        else:  # gather into the free _t, then transpose over the unit rows
+            picked = self._t[:kept.size * d].reshape(kept.size, d)
+            np.take(unit, kept, axis=0, out=picked, mode="clip")
+            unit_t = self._block.reshape(-1)[:picked.size].reshape(d, kept.size)
+            np.copyto(unit_t, picked.T)
         block = _scores_fixed_order(unit_t, self._q_unit, self._out, self._tmp)
         assigned = np.argmax(block, axis=0)
-        return assigned, block[assigned, np.arange(r)]
+        cols = np.arange(block.shape[1])
+        return (cols if kept is None else kept), assigned, block[assigned, cols]
 
     def _admit(self, chunk: np.ndarray, start: int) -> None:
         """Append the chunk's rows whose best score beats their column's
         floor, cutting whenever the arrays are full; the first row is record
         start.  The chunk's merge vectors die on return."""
-        assigned, row_score = self._best(chunk, start)
+        at, assigned, row_score = self._best(chunk, start)
         admit = np.flatnonzero(row_score > self._floor[assigned])
         room = self._ids.size
         while admit.size:
@@ -355,11 +405,12 @@ class TopKSelector:
             piece, admit = admit[:room - n], admit[room - n:]
             stop = n + piece.size
             # mode "clip" writes into out directly; "raise" would buffer a copy
-            np.add(piece, start, out=self._ids[n:stop])
+            rows = at[piece]
+            np.add(rows, start, out=self._ids[n:stop])
             np.take(assigned, piece, out=self._cols[n:stop], mode="clip")
             np.take(row_score, piece, out=self._scores[n:stop], mode="clip")
             if self._rows is not None:
-                np.take(chunk, piece, axis=0, out=self._rows[n:stop], mode="clip")
+                np.take(chunk, rows, axis=0, out=self._rows[n:stop], mode="clip")
             self._n = stop
 
     def _cut(self) -> None:
@@ -482,8 +533,10 @@ def save_sample_csv(result: SampleResult, path) -> None:
 def load_sample_csv(path) -> np.ndarray:
     """The record ids of a samples.csv, int64 in file order.  Every data row
     must be a non-negative integer id, a non-negative integer column and a
-    float score; any other row is refused with its line number."""
-    ids = []
+    float score; any other row is refused with its line number.  A sampler
+    never selects a record twice, so an id that repeats is refused with both
+    line numbers."""
+    ids, line_of = [], {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -501,4 +554,8 @@ def load_sample_csv(path) -> np.ndarray:
                     f"{path} line {reader.line_num}: expected a non-negative "
                     "integer record_id and assigned_column and a float score, "
                     f"got {','.join(row)!r}") from None
+            first = line_of.setdefault(ids[-1], reader.line_num)
+            if first != reader.line_num:
+                raise ValueError(f"{path} lines {first} and {reader.line_num}: "
+                                 f"record_id {ids[-1]} is selected twice")
     return np.asarray(ids, dtype=np.int64)

@@ -489,6 +489,20 @@ def test_train_refuses_a_samples_file_with_no_row(tmp_path, capsys):
     assert (out / "metrics.csv").exists()
 
 
+def test_train_refuses_a_samples_file_that_repeats_an_id(tmp_path, capsys):
+    # 05 and 5 name the same record
+    samples = tmp_path / "s.csv"
+    samples.write_text("record_id,assigned_column,score\n5,0,0.5\n3,1,0.25\n"
+                       "05,1,0.125\n")
+    out = tmp_path / "o"
+    assert run(["train", *TINY, "--samples", str(samples),
+                "--out_dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"{samples} lines 2 and 4:" in err and "record_id 5 " in err
+    assert not (out / "metrics.csv").exists()
+
+
 def test_train_with_samples_from_a_larger_bank_exits_one(tmp_path, capsys):
     big, small = tmp_path / "big", tmp_path / "small"
     assert run(["synth-gen", *TINY, "--bank_size", "1200",

@@ -406,8 +406,9 @@ class TestCertifiedMatmul:
 
 
 def feed_in_pieces(v, f, k, chunk_rows, bounds):
-    """The selection of v fed as the pieces v[bounds[i]:bounds[i + 1]]."""
-    selector = TopKSelector(f, k, chunk_rows)
+    """The selection of v fed as the pieces v[bounds[i]:bounds[i + 1]],
+    carrying its rows in v's dtype."""
+    selector = TopKSelector(f, k, chunk_rows, v.dtype)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         selector.feed(v[lo:hi], lo)
     return selector.result()
@@ -464,6 +465,105 @@ class TestFeed:
         selector.feed(np.eye(3, dtype=np.float32), 0)
         with pytest.raises(ValueError, match="ascending"):
             selector.feed(np.eye(3, dtype=np.float32), 2)
+
+
+def floor_probes(q, k, rng, d=16):
+    """Rows that set every column's floor, then rows that cannot beat one,
+    then probes at the floors: for each column, a copy of its k-th row (a
+    score equal to the floor, with a later id), rows one ulp above and one
+    ulp below the floor and near-copies within _slack below it, each probe
+    between rows that reach no floor.  Returns the rows, the query columns
+    and the probe ids by kind."""
+    f = rng.standard_normal((q, d))
+    # 2k rows near each column: all are admitted, and the next row cuts them
+    # to the k best, so the floors stay at the k-th of these from then on
+    head = f[np.arange(2 * k * q) % q] + 0.2 * rng.standard_normal((2 * k * q, d))
+    s = fixed_order_scores(head, f)
+    assert np.array_equal(s.argmax(axis=1), np.arange(2 * k * q) % q)
+    rows, ids = [head, rng.standard_normal((200, d))], {}
+    for j in range(q):
+        pool = np.flatnonzero(s.argmax(axis=1) == j)
+        at = pool[np.lexsort((pool, -s[pool, j]))[k - 1]]
+        kth, floor = head[at], s[at, j]
+        near = kth + rng.integers(-40, 41, (4000, d)) * np.spacing(np.abs(kth))
+        ns = fixed_order_scores(near, f)
+        ours = ns.argmax(axis=1) == j
+        above = near[ours & (ns[:, j] == np.nextafter(floor, np.inf))][:1]
+        below = near[ours & (ns[:, j] == np.nextafter(floor, -np.inf))][:1]
+        close = near[ours & (ns[:, j] < floor)
+                     & (ns[:, j] >= floor - sampler._slack(d))][-4:]
+        assert len(above) == len(below) == 1 and len(close) == 4
+        for kind, row in (("at", kth), ("above", above[0]), ("below", below[0]),
+                          *(("close", c) for c in close)):
+            ids.setdefault(kind, []).append(sum(map(len, rows)) + 2)
+            rows.append(np.vstack([rng.standard_normal((2, d)), row,
+                                   rng.standard_normal((2, d))]))
+    return np.vstack(rows), f, ids
+
+
+class TestScreen:
+    @pytest.mark.parametrize("q", [10, 15])
+    @pytest.mark.parametrize("case", ["floor probes", "random"])
+    def test_the_screen_never_changes_a_bit(self, monkeypatch, case, q):
+        rng = np.random.default_rng(q)
+        k, chunk_rows = 6, 97
+        if case == "random":
+            v, f = rng.standard_normal((3000, 16)), rng.standard_normal((q, 16))
+        else:
+            v, f, probes = floor_probes(q, k, rng)
+        m = len(v)
+        sizes = rng.integers(1, 3 * chunk_rows, m)
+        pieces = np.unique(np.minimum(np.concatenate([[0], np.cumsum(sizes)]), m))
+        kept = []
+        screen = sampler._screen
+
+        def spy(*args):
+            kept.append(screen(*args))
+            return kept[-1]
+
+        results = {}
+        for on in (True, False):
+            with monkeypatch.context() as mp:
+                mp.setattr(sampler, "_screen", spy if on else lambda *args: None)
+                results[on] = [feed_in_pieces(v, f, k, chunk_rows, bounds)
+                               for bounds in ([0, m], np.arange(m + 1), pieces)]
+        # the screen ran and turned rows away
+        assert any(x is not None and x.size < chunk_rows / 2 for x in kept)
+        for r in results[True] + results[False]:
+            assert_same_result(r, results[False][0])
+        r = results[False][0]
+        assert_top_k_of_fixed_order(r, v, f, k)
+        if case == "random":
+            assert {j: r.selected_ids[r.assigned_column == j].tolist()
+                    for j in range(q)} == brute_force_select(v, f, k)[0]
+        else:
+            chosen = set(r.selected_ids.tolist())
+            assert set(probes["above"]) <= chosen
+            assert not chosen & set(probes["at"] + probes["below"] + probes["close"])
+
+    def test_the_screen_turns_away_most_rows_at_the_sample_1m_shape(self, monkeypatch):
+        # Stage 1 of sample-1m: 10 classes, k1 = 160, the default budget.
+        # The first chunk (7,353 rows, scored before any floor is set) and
+        # the rows that may beat a floor while the floors rise (about
+        # k1 * q * ln(m / (k1 * q))) reach the fixed-order block: 17,781 of
+        # these half a million rows, where 100,000 rows would send 14%.
+        cfg, m, q, d = RunConfig(), 500_000, 10, 16
+        k1 = default_k1(20 * q, q, cfg.stage1_multiplier)
+        rows = budget_chunk_rows(cfg.memory_budget_bytes, k1, d, q)
+        rng = np.random.default_rng(3)
+        v = rng.standard_normal((m, d)).astype(np.float32)
+        f = rng.standard_normal((q, d))
+        scored = []
+        fixed = sampler._scores_fixed_order
+
+        def counting(unit_t, *args):
+            scored.append(unit_t.shape[1])
+            return fixed(unit_t, *args)
+
+        monkeypatch.setattr(sampler, "_scores_fixed_order", counting)
+        r = select_topk_streamed(v, f, k1, rows)
+        assert (k1, r.n_selected) == (160, 1600)
+        assert sum(scored) < 0.05 * m, sum(scored)
 
 
 class TestChunkBudget:
