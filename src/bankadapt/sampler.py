@@ -18,40 +18,39 @@ Each chunk is normalized row by row.  A score is defined by one fixed
 arithmetic: s = 0, then s = s + q[j, t] * u[i, t] for t = 0, 1, ..., d-1,
 each product and sum rounded on its own.  Every score is thus the same
 float operations whatever the chunk shape, so scores (and therefore
-selections) are bit-identical no matter how the rows are chunked.  Two
-paths reach those scores:
+selections) are bit-identical no matter how the rows are chunked.
 
-- With fewer than _GEMM_MIN_COLUMNS query columns, the chunk is copied
-  feature-major (d x r) and a (q, r) block is filled by that arithmetic
-  with d elementwise multiply and add passes, each running along the r
-  rows.
-- From _GEMM_MIN_COLUMNS columns on, one matmul scores the chunk.  A
-  matmul sums in its own order, but any order of a dot product of unit
-  rows lies within gamma_d = d*u / (1 - d*u) of the exact value (u = 2^-53;
-  Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1),
-  and so does the fixed-order score.  A row's fixed-order best column
-  therefore has a matmul score within twice that of the row's matmul
-  maximum; the slack used is 4 gamma_d, widened for float norms not
-  exactly 1.  Only the pairs within the slack are scored again, in pieces,
-  by the fixed arithmetic, and the row's best is taken among them.  When
-  near-ties leave more than _CANDIDATES_PER_ROW such pairs per row, the
-  chunk takes the fixed-order block instead.
+One path reaches those scores.  One matmul scores the chunk, laid out with
+its longer side contiguous: (q, r) when the q columns are no more than the
+r rows, else (r, q).  A matmul sums in its own order, but any order of a
+dot product of unit rows lies within gamma_d = d*u / (1 - d*u) of the exact
+value (u = 2^-53; Higham, Accuracy and Stability of Numerical Algorithms,
+2nd ed., 3.1), and so does the fixed-order score.  The slack used, _slack,
+is 4 gamma_d, widened for float norms not exactly 1: it covers twice the
+distance between the two scores of a pair.
 
-Both paths assign each row the column of its highest fixed-order score, so
-which one runs never changes a bit.  Ties are broken toward the lowest
-class/column index at assignment and toward the lowest record id within a
-column.  Non-finite rows are refused, as zero-norm rows are: the bound
-holds only for finite scores.
+- Screen.  Once every column holds k candidates (its floor, below, is
+  finite), a row whose matmul score plus the slack reaches no column's
+  floor has a fixed-order score below the floor in every column and would
+  be refused, so it is dropped.  The matmul scores of the rows kept are
+  gathered into the free (q, r) buffer.  Floors only rise, so the screen
+  never changes a bit.
+- Rescoring.  A row's fixed-order best column has a matmul score within
+  the slack of the row's matmul maximum.  Only the pairs within the slack
+  are scored again by the fixed arithmetic, and their scores are written
+  over their matmul scores.  A chunk's pairs are taken all at once when
+  they number at most _PAIRS_PER_ROW per chunk row; columns that tie or
+  nearly tie make more, and then they are taken in groups within that
+  cap, each of whole lines of the layout or of part of one line.  A group
+  is scored in pieces of half a chunk of pairs.
+- Assignment.  Every score left from the matmul lies below the row's best
+  fixed-order score, so each row takes its maximum and the lowest column
+  that holds it, by argmax along the contiguous axis: over the (r, q)
+  scores, or over a copy of the (q, r) scores into the free buffer.
 
-Below _GEMM_MIN_COLUMNS columns, once every column holds k candidates (its
-floor, below, is finite), each chunk is screened before the fixed-order
-block: one matmul of its unit rows, plus the slack, is compared with every
-column's floor, and only the rows that reach some floor are scored by the
-fixed arithmetic.  The slack covers twice the distance from either score
-of a pair to its exact value, so a row screened out has a fixed-order
-score below the floor in every column and would have been refused.
-Floors only rise, so the screen never changes a bit either.  When more than
-half a chunk reaches a floor, the whole chunk is scored unscreened.
+Ties are broken toward the lowest class/column index at assignment and
+toward the lowest record id within a column.  Non-finite rows are refused,
+as zero-norm rows are: the bound holds only for finite scores.
 
 The selector is fed rows in ascending record order, in pieces of any
 size: the rows of an in-memory bank at once, or each block of a bank file's
@@ -87,11 +86,6 @@ from .config import RunConfig
 from .embank import DownstreamDataset, EmbeddingBank, decode_bank_file
 from .encoder import FrozenEmbedder
 
-# Int64/float64 vectors a chunk row needs at once while it is admitted: its
-# position in the chunk, assignment and row score, and then its column floor
-# and the mask of the comparison, or its admitted index and position.
-_ADMIT_VECTORS = 5
-
 # Int64/float64 vectors an entry of a cut needs at once beyond its id,
 # column and score, at most three: while sorting the negated scores, the
 # sort order and lexsort's work array; while ranking the order, the rank
@@ -100,23 +94,16 @@ _ADMIT_VECTORS = 5
 # and score vectors.
 _CUT_VECTORS = 4
 
-# Fewest query columns at which a chunk is scored by one matmul and then
-# certified; below it the fixed-order block is the cheaper exact path.  The
-# crossover, measured on 1M random float32 rows of d = 16 at the default
-# budget with one BLAS thread (fixed-order against matmul): q = 10 0.21 s
-# against 0.30 s, q = 14 and 16 equal at 0.25-0.26 s, q = 20 0.31 s against
-# 0.25 s, q = 50 1.41 s against 0.32 s.  It was measured before the
-# fixed-order block was screened against the floors.
-_GEMM_MIN_COLUMNS = 16
+# Bytes a ufunc call may allocate whatever the chunk size: numpy's iterator
+# buffers a comparison of scores against a broadcast row or column in up to
+# np.getbufsize() (8,192) float64 entries, 64 KiB, and holds about 1 KiB of
+# its own (measured with numpy 2.4); the rest covers the small objects a
+# chunk's scoring makes beside the vectors bytes_per_row counts.
+_UFUNC_BYTES = 72 * 1024
 
-# A chunk whose near-maximum pairs outnumber this many per row (columns that
-# tie or nearly tie) is scored by the fixed-order block instead.
-_CANDIDATES_PER_ROW = 4
-
-# Int64/float64 vectors per candidate pair of the matmul path alive at once:
-# its row, column and exact score, its row's best score and its tie-masked
-# column.
-_CANDIDATE_VECTORS = 5
+# Near-maximum pairs per chunk row that the rescoring holds at once; a chunk
+# with more (columns that tie or nearly tie) is rescored in groups of columns.
+_PAIRS_PER_ROW = 3
 
 
 def _slack(feat_dim: int) -> float:
@@ -146,34 +133,25 @@ def _slot_bytes(feat_dim: int, carry_rows: bool) -> int:
 
 
 def bytes_per_row(feat_dim: int, n_columns: int) -> int:
-    """Bytes one chunk row may hold while it is scored and merged: the owned
-    float64 copy and its feature-major transpose (16d), which also hold the
-    rows the screen keeps, the score block and the per-feature product
-    temporary (16q), which also hold the screen's matmul and its mask, and
-    then the largest of three sets that are never alive at the same time:
-    the copy of the score block that argmax along axis 0 makes plus argmax's
-    output (8q + 8), which covers the screen's row mask (1) and the positions
-    of the rows it keeps, at most half of them, beside argmax over just those
-    rows (4 + 4q + 4), the row's admission vectors, and, from
-    _GEMM_MIN_COLUMNS columns on, the matmul path's work beyond the block and
-    its candidate mask (both held in the two (q, r) buffers): the row's
-    maximum and best column (16), up to _CANDIDATES_PER_ROW candidate pairs
-    with their vectors, and one piece of gathered query and chunk features
-    (16d)."""
-    gemm = 0
-    if n_columns >= _GEMM_MIN_COLUMNS:
-        gemm = 16 + 16 * feat_dim + 8 * _CANDIDATES_PER_ROW * _CANDIDATE_VECTORS
-    return (16 * feat_dim + 16 * n_columns
-            + max(8 * (n_columns + 1), 8 * _ADMIT_VECTORS, gemm))
+    """Bytes one chunk row may hold while it is scored and merged: its owned
+    float64 unit row (8d); its share of the two (q, r) buffers (16q), which
+    hold the matmul, the screen's mask, the kept rows' matmul scores, the
+    mask of the near-maximum pairs and the assignment's copy; its
+    position in the chunk (8); and the rescoring's work, which outweighs the
+    few vectors the screen, the assignment or the admission hold at once:
+    up to _PAIRS_PER_ROW pairs with their two indices and fixed-order score
+    (24 each), and a piece of half a chunk of pairs, its gathered query and
+    chunk features (8d) and the chunk positions of its rows (4)."""
+    return 16 * feat_dim + 16 * n_columns + 12 + 24 * _PAIRS_PER_ROW
 
 
 def merge_bytes(k: int, feat_dim: int, n_columns: int,
                 carry_rows: bool = True) -> int:
     """Bytes the selection holds whatever the chunk size: the unit query
-    rows (8dq), a few per-column vectors (floors, counts, offsets) and the
-    2kq slots of the candidate arrays.  The matmul reads the query rows in
-    place, so its path adds nothing here."""
-    return (8 * n_columns * (feat_dim + 8)
+    rows (8dq), a few per-column vectors (floors, counts, offsets), the 2kq
+    slots of the candidate arrays and what one ufunc call may allocate
+    (_UFUNC_BYTES).  The matmul reads the query rows in place."""
+    return (8 * n_columns * (feat_dim + 8) + _UFUNC_BYTES
             + 2 * k * n_columns * _slot_bytes(feat_dim, carry_rows))
 
 
@@ -228,76 +206,6 @@ def _normalize_into(dst: np.ndarray, rows: np.ndarray, offset: int,
     return block
 
 
-def _scores_fixed_order(unit_t: np.ndarray, unit_cols: np.ndarray,
-                        out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """out[j, i] = sum_t unit_cols[j, t] * unit_t[t, i] for the d x r
-    feature-major chunk unit_t, accumulated in ascending t with elementwise
-    ops so the rounding never depends on the chunk shape.  out and tmp are
-    flat buffers of at least q * r entries."""
-    size = unit_cols.shape[0] * unit_t.shape[1]
-    block = out[:size].reshape(unit_cols.shape[0], unit_t.shape[1])
-    prod = tmp[:size].reshape(block.shape)
-    block.fill(0.0)
-    for t in range(unit_t.shape[0]):
-        np.multiply(unit_cols[:, t, None], unit_t[t], out=prod)
-        np.add(block, prod, out=block)
-    return block
-
-
-def _best_by_gemm(unit: np.ndarray, unit_cols: np.ndarray, out: np.ndarray,
-                  mask: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Each chunk row's best column (lowest on ties) and its fixed-order
-    score, from one matmul certified by _slack; None when more than
-    _CANDIDATES_PER_ROW pairs per row lie within the slack of their row's
-    matmul maximum.  out (float64) and mask (bool) are flat buffers of at
-    least r * q entries."""
-    (r, d), q = unit.shape, unit_cols.shape[0]
-    gemm = out[:r * q].reshape(r, q)
-    np.matmul(unit, unit_cols.T, out=gemm)
-    low = gemm.max(axis=1)
-    low -= _slack(d)
-    near = mask[:r * q].reshape(r, q)
-    np.greater_equal(gemm, low[:, None], out=near)
-    if np.count_nonzero(near) > _CANDIDATES_PER_ROW * r:
-        return None
-    row, col = np.divmod(np.flatnonzero(near), q)
-    exact = np.zeros(row.size)
-    for lo in range(0, row.size, r):  # pieces of r pairs bound the gathers
-        piece = slice(lo, lo + r)
-        prod = unit_cols[col[piece]]
-        prod *= unit[row[piece]]
-        acc = exact[piece]
-        for t in range(d):
-            acc += prod[:, t]
-    # Pairs come in (row, column) order and every row has one at least: its
-    # matmul maximum.
-    starts = np.searchsorted(row, np.arange(r))
-    best = np.maximum.reduceat(exact, starts)
-    assigned = np.minimum.reduceat(np.where(exact == best[row], col, q), starts)
-    return assigned, best
-
-
-def _screen(unit: np.ndarray, unit_cols: np.ndarray, floor: np.ndarray,
-            out: np.ndarray, mask: np.ndarray) -> np.ndarray | None:
-    """The chunk rows whose matmul score plus _slack reaches the floor of
-    some column, ascending; None when more than half the rows do.  Any
-    other row's fixed-order score lies below the floor in every column, so
-    it would be refused.  out (float64) and mask (bool) are flat
-    buffers of at least q * r entries."""
-    (r, d), q = unit.shape, unit_cols.shape[0]
-    gemm = out[:q * r].reshape(q, r)
-    np.matmul(unit_cols, unit.T, out=gemm)
-    gemm += _slack(d)
-    near = mask[:q * r].reshape(q, r)
-    # >= rather than >: a sum rounded down onto the floor may stand for a
-    # bound above it
-    np.greater_equal(gemm, floor[:, None], out=near)
-    hit = near.any(axis=0)
-    if 2 * np.count_nonzero(hit) > r:
-        return None
-    return np.flatnonzero(hit)
-
-
 class TopKSelector:
     """The top k rows per column of the rows fed to it: each row is
     assigned to its most cosine-similar row of f, and each column keeps its
@@ -322,7 +230,6 @@ class TopKSelector:
         q, d = self._q_unit.shape
         self._k, self._chunk_rows, self._next = k, chunk_rows, 0
         self._block = np.empty((chunk_rows, d))
-        self._t = np.empty(d * chunk_rows)
         self._out = np.empty(q * chunk_rows)
         self._tmp = np.empty_like(self._out)
         room = 2 * k * q
@@ -347,6 +254,9 @@ class TopKSelector:
         if rows.ndim != 2 or rows.shape[1] != self._q_unit.shape[1]:
             raise ValueError(f"bank feat_dim {rows.shape[-1]} != dataset "
                              f"{self._q_unit.shape[1]}")
+        if self._rows is not None and rows.dtype != self._rows.dtype:
+            raise ValueError(f"rows of dtype {rows.dtype} fed to a selector "
+                             f"that carries {self._rows.dtype} rows")
         for lo in range(0, rows.shape[0], self._chunk_rows):
             self._admit(rows[lo:lo + self._chunk_rows], first_record_id + lo)
         self._next = first_record_id + rows.shape[0]
@@ -365,31 +275,87 @@ class TopKSelector:
     def _best(self, chunk: np.ndarray,
               start: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The positions of the chunk rows that may beat a floor, ascending,
-        with each one's best column and fixed-order score: every row, or
-        the rows the screen keeps."""
+        with each one's best column (lowest on ties) and fixed-order score:
+        every row, or the rows the screen keeps."""
         unit = _normalize_into(self._block, chunk, start, "bank")
         (r, d), q = unit.shape, self._floor.size
-        kept = None
-        if q >= _GEMM_MIN_COLUMNS:
-            best = _best_by_gemm(unit, self._q_unit, self._out,
-                                 self._tmp.view(np.bool_))
-            if best is not None:
-                return np.arange(r), *best
-        elif self._floor.min() > -np.inf:
-            kept = _screen(unit, self._q_unit, self._floor, self._out,
-                           self._tmp.view(np.bool_))
-        if kept is None:
-            unit_t = self._t[:unit.size].reshape(d, r)
-            np.copyto(unit_t, unit.T)
-        else:  # gather into the free _t, then transpose over the unit rows
-            picked = self._t[:kept.size * d].reshape(kept.size, d)
-            np.take(unit, kept, axis=0, out=picked, mode="clip")
-            unit_t = self._block.reshape(-1)[:picked.size].reshape(d, kept.size)
-            np.copyto(unit_t, picked.T)
-        block = _scores_fixed_order(unit_t, self._q_unit, self._out, self._tmp)
-        assigned = np.argmax(block, axis=0)
-        cols = np.arange(block.shape[1])
-        return (cols if kept is None else kept), assigned, block[assigned, cols]
+        wide = q > r  # the matmul's longer side runs contiguous
+        ax = 1 if wide else 0  # its column axis
+        gemm = self._out[:q * r].reshape((r, q) if wide else (q, r))
+        if wide:
+            np.matmul(unit, self._q_unit.T, out=gemm)
+        else:
+            np.matmul(self._q_unit, unit.T, out=gemm)
+        slack = _slack(d)
+        at, scores, free = np.arange(r), gemm, self._tmp
+        if self._floor.min() > -np.inf:  # the screen
+            floor = self._floor - slack
+            reach = self._tmp.view(np.bool_)[:q * r].reshape(gemm.shape)
+            np.greater_equal(gemm, floor if wide else floor[:, None], out=reach)
+            at = np.flatnonzero(reach.any(axis=ax))
+            scores = self._tmp[:q * at.size].reshape(
+                (at.size, q) if wide else (q, at.size))
+            # mode "clip" writes into out directly; "raise" would buffer a copy
+            np.take(gemm, at, axis=1 - ax, out=scores, mode="clip")
+            free = self._out
+        near = free.view(np.bool_)[:scores.size].reshape(scores.shape)
+        np.greater_equal(scores, scores.max(axis=ax, keepdims=True) - slack,
+                         out=near)
+        for lo, hi in self._groups(near):
+            self._rescore(scores, near, unit, at, wide, lo, hi)
+        by_row = scores
+        if not wide:  # argmax runs along the contiguous axis
+            by_row = free[:scores.size].reshape(scores.shape[::-1])
+            np.copyto(by_row, scores.T)
+        assigned = by_row.argmax(axis=1)
+        return at, assigned, by_row[np.arange(at.size), assigned]
+
+    def _groups(self, near: np.ndarray) -> list[tuple[int, int]]:
+        """Ranges of near's flat entries, in order, that each mark at most
+        _PAIRS_PER_ROW pairs per chunk row: all of them at once when they
+        do, else runs of whole lines, and a line that alone marks more is
+        split."""
+        lines, width = near.shape
+        limit = _PAIRS_PER_ROW * self._chunk_rows
+        if np.count_nonzero(near) <= limit:
+            return [(0, near.size)]
+        ends = np.cumsum(np.count_nonzero(near, axis=1))
+        groups, lo = [], 0
+        while lo < lines:
+            held = ends[lo - 1] if lo else 0
+            hi = int(np.searchsorted(ends, held + limit, side="right"))
+            if hi > lo:
+                groups.append((lo * width, hi * width))
+            else:
+                hi = lo + 1
+                groups += [(a, min(a + limit, hi * width))
+                           for a in range(lo * width, hi * width, limit)]
+            lo = hi
+        return groups
+
+    def _rescore(self, scores: np.ndarray, near: np.ndarray, unit: np.ndarray,
+                 at: np.ndarray, wide: bool, lo: int, hi: int) -> None:
+        """Write the fixed-order score of each pair that near marks in its
+        flat entries lo to hi over its matmul score in scores, in pieces of
+        half a chunk of pairs.  Both are (n, q) when wide, else (q, n), and
+        their entry (i, j), or (j, i), is chunk row at[i] against column j."""
+        pos = np.flatnonzero(near.reshape(-1)[lo:hi])
+        pos += lo
+        line = np.empty_like(pos)
+        np.divmod(pos, near.shape[1], out=(line, pos))
+        i, j = (line, pos) if wide else (pos, line)
+        exact = np.zeros(i.size)
+        piece = max(1, self._chunk_rows // 2)
+        prod = np.empty((min(piece, i.size), unit.shape[1]))
+        for p in range(0, i.size, piece):
+            part = slice(p, p + piece)
+            acc = exact[part]
+            gathered = prod[:acc.size]
+            np.take(self._q_unit, j[part], axis=0, out=gathered, mode="clip")
+            gathered *= unit[at[i[part]]]
+            for t in range(unit.shape[1]):
+                acc += gathered[:, t]
+        scores[line, pos] = exact
 
     def _admit(self, chunk: np.ndarray, start: int) -> None:
         """Append the chunk's rows whose best score beats their column's

@@ -307,14 +307,26 @@ def unit(x):
     return x / np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
 
 
-def force_path(monkeypatch, path):
-    """Score every chunk by the matmul path (never falling back) or by the
-    fixed-order block."""
-    if path == "matmul":
-        monkeypatch.setattr(sampler, "_GEMM_MIN_COLUMNS", 1)
-        monkeypatch.setattr(sampler, "_CANDIDATES_PER_ROW", 1 << 30)
-    else:
-        monkeypatch.setattr(sampler, "_GEMM_MIN_COLUMNS", 1 << 30)
+def watch_rescoring(monkeypatch):
+    """Record, for each chunk scored, whether its matmul is laid out (r, q)
+    (wide: fewer rows than columns), its rows, the rows that reach the pair
+    rescoring, the pairs rescored and the groups they are taken in."""
+    seen = []
+    best, groups = sampler.TopKSelector._best, sampler.TopKSelector._groups
+
+    def spy_best(selector, chunk, start):
+        seen.append({"wide": selector._floor.size > len(chunk), "rows": len(chunk)})
+        return best(selector, chunk, start)
+
+    def spy_groups(selector, near):
+        out = groups(selector, near)
+        seen[-1].update(kept=near.size // selector._floor.size,
+                        pairs=int(np.count_nonzero(near)), groups=len(out))
+        return out
+
+    monkeypatch.setattr(sampler.TopKSelector, "_best", spy_best)
+    monkeypatch.setattr(sampler.TopKSelector, "_groups", spy_groups)
+    return seen
 
 
 class TestCertifiedMatmul:
@@ -373,7 +385,10 @@ class TestCertifiedMatmul:
         assert_top_k_of_fixed_order(r, v, f, k)
 
     @pytest.mark.parametrize("case", ["random", "near copies", "all tie", "axes"])
-    def test_forcing_either_path_gives_identical_results(self, monkeypatch, case):
+    def test_either_layout_gives_identical_results(self, monkeypatch, case):
+        # Chunks of fewer rows than query columns lay the matmul out (r, q),
+        # the others (q, r); every chunk size gives the same bits, a top k
+        # of the fixed-order matrix.
         rng = np.random.default_rng(9)
         if case == "random":
             v, f = rng.standard_normal((500, 16)), rng.standard_normal((30, 16))
@@ -384,25 +399,37 @@ class TestCertifiedMatmul:
             f = np.outer(rng.uniform(0.1, 9.0, 20), rng.standard_normal(8))
         else:
             v, f = np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 2.0]]), np.eye(3)
-        results = {}
-        for path in ("matmul", "fixed"):
-            with monkeypatch.context() as mp:
-                force_path(mp, path)
-                results[path] = [select_topk_streamed(v, f, k, rows)
-                                 for k in (1, 4) for rows in (1, 13, len(v))]
-        for a, b in zip(results["matmul"], results["fixed"]):
-            assert_same_result(a, b)
+        seen = watch_rescoring(monkeypatch)
+        for k in (1, 4):
+            first, *others = [select_topk_streamed(v, f, k, rows)
+                              for rows in (1, 13, len(v))]
+            assert_top_k_of_fixed_order(first, v, f, k)
+            for r in others:
+                assert_same_result(r, first)
+        assert {c["wide"] for c in seen} == ({True} if case == "axes" else {True, False})
+        if case == "all tie":  # every row ties in all 20 columns
+            assert all(c["groups"] > 1 for c in seen)
+        if case == "random":
+            assert all(c["groups"] == 1 for c in seen)
 
-    def test_forcing_either_path_gives_identical_stage_outputs(self, monkeypatch):
+    def test_either_layout_gives_identical_stage_outputs(self, monkeypatch):
+        # Stage 2 re-ranks against 200 images: the middle budget's chunks hold
+        # fewer rows than that, the largest budget's more, and one row per
+        # chunk lays out stage 1 (10 classes) as (r, q) too.
         spec, ds, bank = make_world(3, m=3000)
-        results = {}
-        for path in ("matmul", "fixed"):
-            with monkeypatch.context() as mp:
-                force_path(mp, path)
-                s1 = stage1_sample(bank, ds, spec)
-                results[path] = (s1, stage2_sample(s1, ds, spec))
-        for a, b in zip(results["matmul"], results["fixed"]):
-            assert_same_result(a, b)
+        seen = watch_rescoring(monkeypatch)
+        results = []
+        for budget in (1, 1 << 19, 1 << 22):
+            cfg = replace(spec, memory_budget_bytes=budget)
+            s1 = stage1_sample(bank, ds, cfg)
+            results.append((s1, stage2_sample(s1, ds, cfg)))
+        assert {(c["wide"], c["rows"] > 1) for c in seen} == {
+            (True, False), (True, True), (False, True)}
+        for stages in results[1:]:
+            for a, b in zip(stages, results[0]):
+                assert_same_result(a, b)
+        k1 = default_k1(ds.size, ds.n_classes, spec.stage1_multiplier)
+        assert_top_k_of_fixed_order(results[0][0], bank.feats, ds.class_text_feats, k1)
 
 
 def feed_in_pieces(v, f, k, chunk_rows, bounds):
@@ -417,8 +444,8 @@ def feed_in_pieces(v, f, k, chunk_rows, bounds):
 def feed_world(case, rng, d=16):
     """Stored float32 unit rows and query columns.  "near ties": rows near
     30 distinct columns, then rows near a direction 6 more columns share to
-    their last bits, so the first rows' chunks take the matmul path and the
-    last rows' chunks fall back to the fixed-order block."""
+    their last bits, so the first rows' near-maximum pairs are rescored at
+    once and the last rows' in groups."""
     if case == "near ties":
         f = rng.standard_normal((30, d))
         shared = np.repeat(rng.standard_normal((1, d)), 6, axis=0)
@@ -427,29 +454,21 @@ def feed_world(case, rng, d=16):
         v = np.vstack([f[rng.integers(0, 30, 1000)], shared[rng.integers(0, 6, 500)]])
         v += 0.05 * rng.standard_normal(v.shape)
     else:
-        f = rng.standard_normal(({"fixed order": 10, "matmul": 50}[case], d))
+        f = rng.standard_normal(({"10 columns": 10, "50 columns": 50}[case], d))
         v = rng.standard_normal((2000, d))
     return unit(v).astype(np.float32), f
 
 
 class TestFeed:
-    @pytest.mark.parametrize("case", ["fixed order", "matmul", "near ties"])
+    @pytest.mark.parametrize("case", ["10 columns", "50 columns", "near ties"])
     def test_splitting_the_feed_never_changes_a_bit(self, monkeypatch, case):
         rng = np.random.default_rng(21)
         v, f = feed_world(case, rng)
         m, k, chunk_rows = len(v), 6, 97
-        fallbacks = []
-        gemm = sampler._best_by_gemm
-
-        def spy(*args):
-            best = gemm(*args)
-            fallbacks.append(best is None)
-            return best
-
-        monkeypatch.setattr(sampler, "_best_by_gemm", spy)
+        seen = watch_rescoring(monkeypatch)
         whole = feed_in_pieces(v, f, k, chunk_rows, [0, m])
-        assert {"fixed order": set(), "matmul": {False},
-                "near ties": {False, True}}[case] == set(fallbacks)
+        assert {c["groups"] > 1 for c in seen} == (
+            {False, True} if case == "near ties" else {False})
         np.testing.assert_array_equal(whole.feats.view(np.uint32),
                                       v[whole.selected_ids].view(np.uint32))
         assert whole.n_selected < m and 2 * k * len(f) < m  # cut mid-stream
@@ -465,6 +484,12 @@ class TestFeed:
         selector.feed(np.eye(3, dtype=np.float32), 0)
         with pytest.raises(ValueError, match="ascending"):
             selector.feed(np.eye(3, dtype=np.float32), 2)
+
+    def test_rows_of_another_dtype_than_the_carried_are_refused(self):
+        v, f, _ = floor_probes(15, 6, np.random.default_rng(15))
+        selector = TopKSelector(f, 6, 97)  # carries float32 rows
+        with pytest.raises(ValueError, match="float64.*float32"):
+            selector.feed(v, 0)
 
 
 def floor_probes(q, k, rng, d=16):
@@ -501,6 +526,22 @@ def floor_probes(q, k, rng, d=16):
     return np.vstack(rows), f, ids
 
 
+def unscreened(monkeypatch):
+    """Score every chunk as if no floor were set, so that the screen keeps
+    every row."""
+    best = sampler.TopKSelector._best
+
+    def spy(selector, chunk, start):
+        floor = selector._floor
+        selector._floor = np.full_like(floor, -np.inf)
+        try:
+            return best(selector, chunk, start)
+        finally:
+            selector._floor = floor
+
+    monkeypatch.setattr(sampler.TopKSelector, "_best", spy)
+
+
 class TestScreen:
     @pytest.mark.parametrize("q", [10, 15])
     @pytest.mark.parametrize("case", ["floor probes", "random"])
@@ -514,21 +555,18 @@ class TestScreen:
         m = len(v)
         sizes = rng.integers(1, 3 * chunk_rows, m)
         pieces = np.unique(np.minimum(np.concatenate([[0], np.cumsum(sizes)]), m))
-        kept = []
-        screen = sampler._screen
-
-        def spy(*args):
-            kept.append(screen(*args))
-            return kept[-1]
-
         results = {}
         for on in (True, False):
             with monkeypatch.context() as mp:
-                mp.setattr(sampler, "_screen", spy if on else lambda *args: None)
+                if on:
+                    seen = watch_rescoring(mp)
+                else:
+                    unscreened(mp)
                 results[on] = [feed_in_pieces(v, f, k, chunk_rows, bounds)
                                for bounds in ([0, m], np.arange(m + 1), pieces)]
         # the screen ran and turned rows away
-        assert any(x is not None and x.size < chunk_rows / 2 for x in kept)
+        assert any(c["rows"] == chunk_rows and c["kept"] < chunk_rows / 2
+                   for c in seen)
         for r in results[True] + results[False]:
             assert_same_result(r, results[False][0])
         r = results[False][0]
@@ -543,27 +581,23 @@ class TestScreen:
 
     def test_the_screen_turns_away_most_rows_at_the_sample_1m_shape(self, monkeypatch):
         # Stage 1 of sample-1m: 10 classes, k1 = 160, the default budget.
-        # The first chunk (7,353 rows, scored before any floor is set) and
+        # The first chunk (7,264 rows, scored before any floor is set) and
         # the rows that may beat a floor while the floors rise (about
-        # k1 * q * ln(m / (k1 * q))) reach the fixed-order block: 17,781 of
-        # these half a million rows, where 100,000 rows would send 14%.
+        # k1 * q * ln(m / (k1 * q))) reach the pair rescoring, each with one
+        # pair: 17,641 of these half a million rows, where 100,000 rows
+        # would send 14%.
         cfg, m, q, d = RunConfig(), 500_000, 10, 16
         k1 = default_k1(20 * q, q, cfg.stage1_multiplier)
         rows = budget_chunk_rows(cfg.memory_budget_bytes, k1, d, q)
         rng = np.random.default_rng(3)
         v = rng.standard_normal((m, d)).astype(np.float32)
         f = rng.standard_normal((q, d))
-        scored = []
-        fixed = sampler._scores_fixed_order
-
-        def counting(unit_t, *args):
-            scored.append(unit_t.shape[1])
-            return fixed(unit_t, *args)
-
-        monkeypatch.setattr(sampler, "_scores_fixed_order", counting)
+        seen = watch_rescoring(monkeypatch)
         r = select_topk_streamed(v, f, k1, rows)
         assert (k1, r.n_selected) == (160, 1600)
-        assert sum(scored) < 0.05 * m, sum(scored)
+        kept = sum(c["kept"] for c in seen)
+        assert kept < 0.05 * m, kept
+        assert sum(c["pairs"] for c in seen) < 1.01 * kept
 
 
 class TestChunkBudget:
