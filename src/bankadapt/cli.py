@@ -224,11 +224,11 @@ def cmd_synth_gen(cfg: RunConfig, args) -> int:
 
 def cmd_sample(cfg: RunConfig, args) -> int:
     ds, _ = _load_datasets(cfg)
-    # a bank file is read once, keeping latent_class; stage 1 scores its
-    # feats as they are read
+    # a bank file is read once, keeping no field: stage 1 scores its feats
+    # as they are read, and its latent classes are kept at the label bank
     kept = {}
     s1 = stage1_sample(_bank_source(cfg, ds), ds, cfg, kept)
-    bank = kept["bank"]
+    latent = kept["latent"]
     s2 = stage2_sample(s1, ds, cfg)
     out = _out_dir(cfg)
     samples_path = Path(cfg.samples) if cfg.samples else out / "samples.csv"
@@ -236,14 +236,17 @@ def cmd_sample(cfg: RunConfig, args) -> int:
     print(f"stage 1 kept {s1.n_selected} records "
           f"({int(s1.deficits.sum())} short), stage 2 kept {s2.n_selected} "
           f"({int(s2.deficits.sum())} short) -> {samples_path}")
-    if bool(np.any(bank.latent_class >= 0)):
-        p1 = sampler_precision(s1, bank, ds)
-        p2 = sampler_precision(s2, bank, ds)
+    precision_path = out / "precision.txt"
+    if latent.known:
+        p1 = sampler_precision(s1, latent, ds)
+        p2 = sampler_precision(s2, latent, ds)
         report = (f"stage1_precision = {repr(p1)}\n"
                   f"stage2_precision = {repr(p2)}\n")
-        (out / "precision.txt").write_text(report, encoding="utf-8")
+        precision_path.write_text(report, encoding="utf-8")
         print(report, end="")
     else:
+        # a precision.txt of an earlier run would speak for another bank
+        precision_path.unlink(missing_ok=True)
         print("no ground-truth latent classes; precision not reported")
     _echo_config(cfg, out, "sample")
     return 0

@@ -40,15 +40,21 @@ length) and no byte follows the last one; every string-table entry lies
 inside its blob; each blob is UTF-8 and no non-empty entry starts or ends
 inside a multi-byte character, so every entry decodes; and the finite,
 unit-row and label-range invariants of ``validate_bank``/
-``validate_dataset``.  For the character-boundary check a string table
+``validate_dataset``.  A piece of a unit-row field (``feats``,
+``caption_feats``, ``class_text_feats``) is copied to float64 and its row
+norms taken once (``row_norms``), and both of its checks read them: a
+norm is finite exactly when its row is, so the finite check scans the
+piece only when some norm is not.  For the character-boundary check a string table
 keeps a bitmap of its blob's continuation bytes (blob_len / 8 bytes) and
 reads its offset table a second time.  Errors are raised once the CRC32
 over the whole payload has matched, so a ``ChecksumError`` takes
 precedence over any other.  Skipped fields come back as ``None``; string
 tables come back as ``StringTable``, which decodes an entry only when it
 is read.  A bank's ``feats`` can also be handed to a consumer piece by
-piece as it is read, each piece once its checks have passed, so that a
-caller can scan the field without holding it (see ``decode_bank_file``).
+piece as it is read, each piece once its checks have passed and with
+their float64 copy and norms, so that a caller can scan the field without
+holding it or copying it again, and its ``latent_class`` likewise, after
+the last piece of ``feats`` (see ``read_bank``).
 """
 
 from __future__ import annotations
@@ -74,15 +80,17 @@ _BANK_HEADER = struct.Struct("<4sHHQII")
 _DATASET_HEADER = struct.Struct("<4sHHQIII")
 # Bytes of a field the reader takes in with one read, and bytes the checks
 # take at a time, in memory and while reading, so that their temporaries
-# stay near a megabyte; both multiples of 8, so that a blob's continuation
-# bitmap is packed piece by piece.  The block buffer of skipped fields is
-# freed when the decode ends, and glibc then raises its dynamic mmap and
-# trim thresholds to its size: at 4 MiB the n x n temporaries of each
-# training step stay in the heap instead of being mapped and faulted in
-# anew (train-full: 7,000 minor page faults against 39,000 with 1 MiB
-# blocks, and about 12% less time).
+# stay near a megabyte: the float64 copy of a unit-row piece is twice its
+# bytes, and a feats copy lives on while the sampler scores it (sample-1m
+# peaks about 1 MiB lower than with 1 MiB pieces).  Both are multiples of
+# 8, so that a blob's continuation bitmap is packed piece by piece.  The
+# block buffer of skipped fields is freed when the decode ends, and glibc
+# then raises its dynamic mmap and trim thresholds to its size: at 4 MiB
+# the n x n temporaries of each training step stay in the heap instead of
+# being mapped and faulted in anew (train-full: 7,000 minor page faults
+# against 39,000 with 1 MiB blocks, and about 12% less time).
 _BLOCK_BYTES = 1 << 22
-_CHECK_BYTES = 1 << 20
+_CHECK_BYTES = 1 << 19
 
 BANK_FIELDS = ("images", "feats", "caption_feats", "latent_class", "captions")
 
@@ -165,10 +173,23 @@ class DownstreamDataset:
         return self.class_text_feats.shape[1]
 
 
-# Each check takes (field name, block of rows, index of the block's first
-# row) and returns the block's first violation, or None.
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of a float64 array, as the checks and
+    the sampler take it: sqrt(einsum("ij,ij->i"))."""
+    return np.sqrt(np.einsum("ij,ij->i", rows, rows))
 
-def _non_finite(name: str, block: np.ndarray, row0: int) -> str | None:
+
+# Each check takes (field name, block of rows, index of the block's first
+# row, the block's row norms or None) and returns the block's first
+# violation, or None.  The norms are given for a field with a unit-row check
+# (see _Violations.visit).
+
+def _non_finite(name: str, block: np.ndarray, row0: int,
+                norms: np.ndarray | None) -> str | None:
+    # A norm is finite exactly when every entry of its row is (a float32
+    # squared stays finite in float64), so finite norms spare the scan.
+    if norms is not None and np.isfinite(norms).all():
+        return None
     finite = np.isfinite(block)
     if finite.all():
         return None
@@ -177,14 +198,10 @@ def _non_finite(name: str, block: np.ndarray, row0: int) -> str | None:
     return f"{name} has non-finite value at index {idx}"
 
 
-def _off_unit(name: str, block: np.ndarray, row0: int) -> str | None:
-    if block.size == 0:
+def _off_unit(name: str, block: np.ndarray, row0: int,
+              norms: np.ndarray | None) -> str | None:
+    if norms is None:  # a piece of no bytes
         return None
-    # np.linalg.norm(x, axis=1) is sqrt(add.reduce(x * x, axis=1)); the
-    # squares are taken in place so the float64 copy is the only temporary
-    squares = block.astype(np.float64)
-    np.multiply(squares, squares, out=squares)
-    norms = np.sqrt(np.add.reduce(squares, axis=1))
     off = np.abs(norms - 1.0) > UNIT_NORM_TOL
     if not off.any():
         return None
@@ -194,7 +211,7 @@ def _off_unit(name: str, block: np.ndarray, row0: int) -> str | None:
 
 
 def _label_outside(n_classes: int, name: str, block: np.ndarray,
-                   row0: int) -> str | None:
+                   row0: int, norms: np.ndarray | None) -> str | None:
     bad = (block < 0) | (block >= n_classes)
     if not bad.any():
         return None
@@ -232,13 +249,23 @@ class _Violations:
         self._found: list[str | None] = [None] * len(checks)
 
     def visit(self, name: str):
-        """visit(piece, index of its first row), running field name's checks."""
+        """visit(piece, index of its first row), running field name's
+        checks.  A piece of a field with a unit-row check is copied to
+        float64 and its row norms taken once, for all of its checks; visit
+        returns that copy and its norms (None for other fields and for a
+        piece of no bytes, whose norms could still be long)."""
         mine = [i for i, (_, field) in enumerate(self._checks) if field == name]
+        unit_rows = any(self._checks[i][0] is _off_unit for i in mine)
 
-        def see(piece: np.ndarray, row0: int) -> None:
+        def see(piece: np.ndarray, row0: int):
+            rows64 = norms = None
+            if unit_rows and piece.size:
+                rows64 = piece.astype(np.float64)
+                norms = row_norms(rows64)
             for i in mine:
                 if self._found[i] is None:
-                    self._found[i] = self._checks[i][0](name, piece, row0)
+                    self._found[i] = self._checks[i][0](name, piece, row0, norms)
+            return rows64, norms
         return see
 
     def report(self) -> list[str]:
@@ -596,15 +623,21 @@ def encode_bank_file(bank: EmbeddingBank, path) -> None:
     ])
 
 
-def _read_bank(path, fields: Sequence[str], feats_to=None
-               ) -> tuple[EmbeddingBank, tuple, bool]:
+def read_bank(path, fields: Sequence[str] = BANK_FIELDS, feats_to=None,
+              latent_to=None) -> tuple[EmbeddingBank, tuple, bool]:
     """The bank keeping fields, its header's (m, D_img, d), and whether any
-    record has a latent class.  With feats_to, each piece of feats goes to
-    feats_to(rows, index of its first row) once its checks have run, until
-    a check finds a violation; a ValueError feats_to raises stops the
-    feeding and is raised once the whole file has passed every check.  An
-    empty bank's feats is fed as one empty (0, d) piece, so that feats_to
-    sees the header's width either way."""
+    record has a latent class.
+
+    With feats_to, each piece of feats goes to feats_to(rows, index of its
+    first row, rows64, norms) once its checks have run, until a check finds
+    a violation: rows64 is the checks' float64 copy of the rows, the
+    caller's to divide in place, and norms its row norms (see row_norms).
+    A ValueError feats_to raises stops the feeding and is raised once the
+    whole file has passed every check.  An empty bank's feats is fed as one
+    empty (0, d) piece, so that feats_to sees the header's width either
+    way.  With latent_to, each piece of latent_class goes to
+    latent_to(classes, index of its first class), after every piece of
+    feats."""
     unknown = sorted(set(fields) - set(BANK_FIELDS))
     if unknown:
         raise ValueError(f"unknown bank fields {unknown}, expected some of {BANK_FIELDS}")
@@ -619,10 +652,10 @@ def _read_bank(path, fields: Sequence[str], feats_to=None
 
             def feed(piece, row0):
                 nonlocal feed_error
-                check_feats(piece, row0)
+                rows64, norms = check_feats(piece, row0)
                 if feed_error is None and not found.report():
                     try:
-                        feats_to(piece, row0)
+                        feats_to(piece, row0, rows64, norms)
                     except ValueError as exc:
                         feed_error = exc
             visits["feats"] = feed
@@ -637,6 +670,8 @@ def _read_bank(path, fields: Sequence[str], feats_to=None
         def see_latent(piece, row0):
             nonlocal with_latent
             with_latent = with_latent or bool((piece >= 0).any())
+            if latent_to is not None:
+                latent_to(piece, row0)
 
         kept["latent_class"] = rd.array("latent_class", (m,), np.int32,
                                         "latent_class" in fields, see_latent)
@@ -652,15 +687,15 @@ def decode_bank_file(path, fields: Sequence[str] = BANK_FIELDS,
     """Decode a DATB file, keeping only the named BANK_FIELDS (the others
     are None); every check runs on every field either way.  feats_to, if
     given, is fed feats piece by piece as it is read and checked (see
-    _read_bank)."""
-    return _read_bank(path, fields, feats_to)[0]
+    read_bank)."""
+    return read_bank(path, fields, feats_to)[0]
 
 
 def describe_bank_file(path) -> tuple[int, int, int, bool]:
     """A DATB file's record count, image and feature dimensions, and whether
     any record has a latent class, after every decode check, keeping no
     field."""
-    _, header, with_latent = _read_bank(path, ())
+    _, header, with_latent = read_bank(path, ())
     return (*header, with_latent)
 
 

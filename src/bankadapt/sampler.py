@@ -14,7 +14,10 @@ as many rows (bytes_per_row each) as the memory budget leaves after the part
 that does not grow with the chunk: the query rows and up to 2*k*q held
 candidates (merge_bytes).  That part is charged at most three quarters of
 the budget, so a large k*q cannot shrink the chunk below a quarter of it.
-Each chunk is normalized row by row.  A score is defined by one fixed
+Each row is divided by its norm, sqrt(einsum("ij,ij->i")) of its float64
+copy (embank.row_norms): a copy the selector makes chunk by chunk, or the
+copy and norms a bank file's reader made for its unit-row check, which
+the selector divides in place.  A score is defined by one fixed
 arithmetic: s = 0, then s = s + q[j, t] * u[i, t] for t = 0, 1, ..., d-1,
 each product and sum rounded on its own.  Every score is thus the same
 float operations whatever the chunk shape, so scores (and therefore
@@ -53,8 +56,9 @@ toward the lowest record id within a column.  Non-finite rows are refused,
 as zero-norm rows are: the bound holds only for finite scores.
 
 The selector is fed rows in ascending record order, in pieces of any
-size: the rows of an in-memory bank at once, or each block of a bank file's
-feats as the reader checks it, so that feats is never held whole.  Each
+size: the rows of an in-memory bank at once, or each piece of a bank
+file's feats as the reader checks it, so that feats is never held whole
+and each row is copied to float64 and its norm taken once.  Each
 piece is scored chunk_rows rows at a time.  Candidates are held in arrays
 allocated once with room for 2*k*q entries: id, column, score and, for
 stage 1, the row as fed (a bank's stored float32 feats), so that the label
@@ -83,7 +87,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .embank import DownstreamDataset, EmbeddingBank, decode_bank_file
+from .embank import DownstreamDataset, EmbeddingBank, read_bank, row_norms
 from .encoder import FrozenEmbedder
 
 # Int64/float64 vectors an entry of a cut needs at once beyond its id,
@@ -133,15 +137,17 @@ def _slot_bytes(feat_dim: int, carry_rows: bool) -> int:
 
 
 def bytes_per_row(feat_dim: int, n_columns: int) -> int:
-    """Bytes one chunk row may hold while it is scored and merged: its owned
-    float64 unit row (8d); its share of the two (q, r) buffers (16q), which
-    hold the matmul, the screen's mask, the kept rows' matmul scores, the
-    mask of the near-maximum pairs and the assignment's copy; its
-    position in the chunk (8); and the rescoring's work, which outweighs the
-    few vectors the screen, the assignment or the admission hold at once:
-    up to _PAIRS_PER_ROW pairs with their two indices and fixed-order score
-    (24 each), and a piece of half a chunk of pairs, its gathered query and
-    chunk features (8d) and the chunk positions of its rows (4)."""
+    """Bytes one chunk row may hold while it is scored and merged: its
+    float64 unit row in the selector's block (8d), or, for a bank file's
+    rows, in the copy the reader made for its checks instead; its share of
+    the two (q, r) buffers (16q), which hold the matmul, the screen's mask,
+    the kept rows' matmul scores, the mask of the near-maximum pairs and
+    the assignment's copy; its position in the chunk (8); and the
+    rescoring's work, which outweighs the few vectors the screen, the
+    assignment or the admission hold at once: up to _PAIRS_PER_ROW pairs
+    with their two indices and fixed-order score (24 each), and a piece of
+    half a chunk of pairs, its gathered query and chunk features (8d) and
+    the chunk positions of its rows (4)."""
     return 16 * feat_dim + 16 * n_columns + 12 + 24 * _PAIRS_PER_ROW
 
 
@@ -189,6 +195,19 @@ class SampleResult:
         return self.selected_ids.shape[0]
 
 
+def _unit_rows(rows: np.ndarray, norms: np.ndarray, offset: int,
+               what: str) -> np.ndarray:
+    """Divide the float64 rows by their norms in place and return them; a
+    zero or non-finite norm is refused, naming its row (offset onwards)."""
+    bad = np.flatnonzero((norms == 0.0) | ~np.isfinite(norms))
+    if bad.size:
+        i = int(bad[0])
+        problem = "zero" if norms[i] == 0.0 else "a non-finite"
+        raise DegenerateRowError(f"{what} row {offset + i} has {problem} norm")
+    rows /= norms[:, None]
+    return rows
+
+
 def _normalize_into(dst: np.ndarray, rows: np.ndarray, offset: int,
                     what: str) -> np.ndarray:
     """Write unit-normalized float64 rows into dst[:len(rows)] and return that
@@ -196,14 +215,7 @@ def _normalize_into(dst: np.ndarray, rows: np.ndarray, offset: int,
     per chunk, which is what bytes_per_row accounts for."""
     block = dst[:rows.shape[0]]
     np.copyto(block, rows, casting="unsafe")
-    norms = np.sqrt(np.einsum("ij,ij->i", block, block))
-    bad = np.flatnonzero((norms == 0.0) | ~np.isfinite(norms))
-    if bad.size:
-        i = int(bad[0])
-        problem = "zero" if norms[i] == 0.0 else "a non-finite"
-        raise DegenerateRowError(f"{what} row {offset + i} has {problem} norm")
-    block /= norms[:, None]
-    return block
+    return _unit_rows(block, row_norms(block), offset, what)
 
 
 class TopKSelector:
@@ -229,7 +241,7 @@ class TopKSelector:
         self._q_unit = _normalize_into(np.empty(f.shape), f, 0, "query")
         q, d = self._q_unit.shape
         self._k, self._chunk_rows, self._next = k, chunk_rows, 0
-        self._block = np.empty((chunk_rows, d))
+        self._block = None  # made at the first feed without a float64 copy
         self._out = np.empty(q * chunk_rows)
         self._tmp = np.empty_like(self._out)
         room = 2 * k * q
@@ -244,9 +256,14 @@ class TopKSelector:
         self._n = 0
         self._floor = np.full(q, -np.inf)
 
-    def feed(self, rows: np.ndarray, first_record_id: int) -> None:
+    def feed(self, rows: np.ndarray, first_record_id: int,
+             rows64: np.ndarray | None = None,
+             norms: np.ndarray | None = None) -> None:
         """Score rows, record ids first_record_id onwards, and merge them
-        into the candidates."""
+        into the candidates.  rows64 and norms, when given, are rows
+        copied to float64 and their row_norms, as a bank file's reader
+        hands them on (see read_bank): rows64 is divided into unit rows in
+        place, with no copy or norm of the selector's own."""
         if first_record_id < self._next:
             raise ValueError(f"record {first_record_id} fed after record "
                              f"{self._next - 1}: rows go in ascending order")
@@ -257,9 +274,24 @@ class TopKSelector:
         if self._rows is not None and rows.dtype != self._rows.dtype:
             raise ValueError(f"rows of dtype {rows.dtype} fed to a selector "
                              f"that carries {self._rows.dtype} rows")
+        if rows64 is not None:
+            rows64 = _unit_rows(rows64, norms, first_record_id, "bank")
+        elif self._block is None:
+            self._block = np.empty((self._chunk_rows, rows.shape[1]))
         for lo in range(0, rows.shape[0], self._chunk_rows):
-            self._admit(rows[lo:lo + self._chunk_rows], first_record_id + lo)
+            chunk, start = rows[lo:lo + self._chunk_rows], first_record_id + lo
+            if rows64 is None:
+                unit = _normalize_into(self._block, chunk, start, "bank")
+            else:
+                unit = rows64[lo:lo + self._chunk_rows]
+            self._admit(chunk, unit, start)
         self._next = first_record_id + rows.shape[0]
+
+    def selected_ids(self) -> np.ndarray:
+        """The record ids result would return, without copying them or the
+        rest of the selection (a view, valid until the next feed)."""
+        self._cut()
+        return self._ids[:self._n]
 
     def result(self) -> SampleResult:
         """The top k per column of every row fed so far."""
@@ -272,12 +304,10 @@ class TopKSelector:
                             deficits=k - np.bincount(cols, minlength=self._floor.size),
                             k=k, feats=feats)
 
-    def _best(self, chunk: np.ndarray,
-              start: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The positions of the chunk rows that may beat a floor, ascending,
-        with each one's best column (lowest on ties) and fixed-order score:
-        every row, or the rows the screen keeps."""
-        unit = _normalize_into(self._block, chunk, start, "bank")
+    def _best(self, unit: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The positions of the chunk's unit rows that may beat a floor,
+        ascending, with each one's best column (lowest on ties) and
+        fixed-order score: every row, or the rows the screen keeps."""
         (r, d), q = unit.shape, self._floor.size
         wide = q > r  # the matmul's longer side runs contiguous
         ax = 1 if wide else 0  # its column axis
@@ -357,11 +387,12 @@ class TopKSelector:
                 acc += gathered[:, t]
         scores[line, pos] = exact
 
-    def _admit(self, chunk: np.ndarray, start: int) -> None:
-        """Append the chunk's rows whose best score beats their column's
-        floor, cutting whenever the arrays are full; the first row is record
-        start.  The chunk's merge vectors die on return."""
-        at, assigned, row_score = self._best(chunk, start)
+    def _admit(self, chunk: np.ndarray, unit: np.ndarray, start: int) -> None:
+        """Append the chunk's rows, whose unit rows are unit, whose best
+        score beats their column's floor, cutting whenever the arrays are
+        full; the first row is record start.  The chunk's merge vectors die
+        on return."""
+        at, assigned, row_score = self._best(unit)
         admit = np.flatnonzero(row_score > self._floor[assigned])
         room = self._ids.size
         while admit.size:
@@ -425,23 +456,39 @@ def stage1_sample(bank: EmbeddingBank | str | os.PathLike, ds: DownstreamDataset
     """Zero-shot retrieval, bank features against class text features: the
     label bank, carrying the stored feats of its rows.
 
-    An in-memory bank is fed whole.  A DATB path is read once, keeping only
-    latent_class: each block of its feats goes to the selector once the
-    block's checks have passed, so feats is never held whole, and a file
-    that fails a check raises the decode's error.  kept, when given, gets
-    the bank scored under "bank": as given, or as read from the path."""
+    An in-memory bank is fed whole.  A DATB path is read once, keeping no
+    field: each piece of its feats goes to the selector, with the float64
+    copy and norms of its checks, once the piece's checks have passed, so
+    feats is never held whole, and a file that fails a check raises the
+    decode's error.  kept, when given, gets under "latent" the
+    LatentClasses for precision reporting: the bank's, or, from a path,
+    those at the label bank's ids, kept as latent_class is read (it
+    follows feats, so the label bank is final by then)."""
     k1 = default_k1(ds.size, ds.n_classes, cfg.stage1_multiplier)
     rows = budget_chunk_rows(cfg.memory_budget_bytes, k1, ds.feat_dim,
                              ds.n_classes)
     if isinstance(bank, EmbeddingBank):
         result = select_topk_streamed(bank.feats, ds.class_text_feats, k1, rows)
+        if kept is not None:
+            kept["latent"] = LatentClasses.of(bank)
     else:
         selector = TopKSelector(ds.class_text_feats, k1, rows)
-        bank = decode_bank_file(bank, fields=("latent_class",),
-                                feats_to=selector.feed)
+        label = []
+
+        def keep_latent(classes, row0):
+            if not label:
+                ids = np.sort(selector.selected_ids())
+                label[:] = ids, np.empty(ids.size, np.int32)
+            ids, at_ids = label
+            lo, hi = np.searchsorted(ids, (row0, row0 + classes.size))
+            at_ids[lo:hi] = classes[ids[lo:hi] - row0]
+
+        _, _, with_latent = read_bank(bank, (), selector.feed, keep_latent)
         result = selector.result()
-    if kept is not None:
-        kept["bank"] = bank
+        # an empty bank's latent_class comes in no piece
+        ids, at_ids = label or (np.zeros(0, np.int64), np.zeros(0, np.int32))
+        if kept is not None:
+            kept["latent"] = LatentClasses(at_ids, with_latent, ids)
     return result
 
 
@@ -468,16 +515,39 @@ def stage2_sample(label_bank: SampleResult, ds: DownstreamDataset,
     return replace(picked, selected_ids=label_bank.selected_ids[picked.selected_ids])
 
 
-def sampler_precision(result: SampleResult, bank: EmbeddingBank,
+@dataclass(frozen=True)
+class LatentClasses:
+    """Ground-truth latent classes, for precision reporting only: those of
+    the records at ids (ascending), or of every record when ids is None,
+    and whether any record of the bank has one (known)."""
+
+    classes: np.ndarray        # int32, -1 = unknown / out of distribution
+    known: bool
+    ids: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, bank: EmbeddingBank) -> LatentClasses:
+        return cls(bank.latent_class, bool(np.any(bank.latent_class >= 0)))
+
+    def at(self, ids: np.ndarray) -> np.ndarray:
+        """The latent classes of records ids, each one of self.ids."""
+        return self.classes[ids if self.ids is None
+                            else np.searchsorted(self.ids, ids)]
+
+
+def sampler_precision(result: SampleResult, bank: EmbeddingBank | LatentClasses,
                       ds: DownstreamDataset) -> float:
-    """Fraction of selected records whose latent class is a downstream class."""
-    if bool(np.all(bank.latent_class < 0)):
+    """Fraction of selected records whose latent class is a downstream
+    class, from the bank's latent_class or from LatentClasses that hold the
+    selected records'."""
+    latent = bank if isinstance(bank, LatentClasses) else LatentClasses.of(bank)
+    if not latent.known:
         raise PrecisionUndefinedError(
             "bank carries no ground-truth latent classes; precision undefined")
     if result.n_selected == 0:
         raise ValueError("empty selection has no precision")
-    latent = bank.latent_class[result.selected_ids]
-    hits = (latent >= 0) & (latent < ds.n_classes)
+    classes = latent.at(result.selected_ids)
+    hits = (classes >= 0) & (classes < ds.n_classes)
     return float(np.mean(hits))
 
 

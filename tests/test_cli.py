@@ -15,9 +15,19 @@ import pytest
 from bankadapt import cli, embank
 from bankadapt.cli import main
 from bankadapt.config import RunConfig, config_help, config_values, format_value
-from bankadapt.embank import encode_bank_file, encode_dataset_file
+from bankadapt.embank import (
+    decode_bank_file,
+    decode_dataset_file,
+    encode_bank_file,
+    encode_dataset_file,
+)
 from bankadapt.encoder import init_params, save_params
-from bankadapt.sampler import default_k1
+from bankadapt.sampler import (
+    default_k1,
+    sampler_precision,
+    stage1_sample,
+    stage2_sample,
+)
 
 from conftest import random_bank, random_dataset
 
@@ -119,8 +129,9 @@ def child_peak_rss(args) -> int:
                     reason="ru_maxrss is in KiB on Linux only")
 def test_sample_stays_within_its_budget_end_to_end(tmp_path):
     """sample on a 200,000-record bank (57 MiB) peaks, beyond an import-only
-    child, at no more than what it keeps (latent_class, and the stored feats
-    of up to 2*k1*C label-bank candidates), the scorer's memory budget, and
+    child, at no more than what it keeps (the stored feats of up to 2*k1*C
+    label-bank candidates, and the ids and latent classes of the k1*C
+    records of the label bank), the scorer's memory budget, and
     a slack of three reader blocks: the reader's block buffer and the
     temporaries of its checks (four pieces, one block), which also covers
     the captions' 0.6 MiB continuation bitmap and the small downstream set.
@@ -137,7 +148,7 @@ def test_sample_stays_within_its_budget_end_to_end(tmp_path):
                            "--dataset", str(ds_path), "--memory_budget_bytes",
                            str(budget), "--out_dir", str(tmp_path / "out")])
     k1 = default_k1(12, 3, RunConfig().stage1_multiplier)
-    kept = m * 4 + 2 * k1 * 3 * d * 4
+    kept = 2 * k1 * 3 * d * 4 + k1 * 3 * (8 + 4)
     allowed = kept + budget + 3 * embank._BLOCK_BYTES
     assert peak - base <= allowed, (peak - base, allowed)
     assert allowed < bank_path.stat().st_size
@@ -180,6 +191,30 @@ def test_sample_reports_precision_above_in_dist_rate(tmp_path, capsys):
     p2 = float(text.splitlines()[1].split("=")[1])
     assert p2 > 0.25
     assert (out / "samples.csv").exists()
+
+
+def test_sample_removes_the_precision_of_an_earlier_bank(tmp_path, capsys):
+    """A bank file's latent classes are kept only at the label bank's ids,
+    and the precisions reported from them are those of the decoded bank.  A
+    bank with no latent class reports none, and removes the precision.txt
+    an earlier run wrote into the same out_dir."""
+    world, out = tmp_path / "world", tmp_path / "out"
+    assert run(["synth-gen", *TINY, "--out_dir", str(world)]) == 0
+    bank_path, ds_path = world / "bank.datb", world / "train.datd"
+    bank, ds = decode_bank_file(bank_path), decode_dataset_file(ds_path)
+    s1 = stage1_sample(bank, ds, RunConfig())
+    s2 = stage2_sample(s1, ds, RunConfig())
+    args = ["sample", "--dataset", str(ds_path), "--out_dir", str(out)]
+    assert run([*args, "--bank", str(bank_path)]) == 0
+    assert (out / "precision.txt").read_text() == (
+        f"stage1_precision = {sampler_precision(s1, bank, ds)!r}\n"
+        f"stage2_precision = {sampler_precision(s2, bank, ds)!r}\n")
+    bank.latent_class[:] = -1
+    encode_bank_file(bank, tmp_path / "unknown.datb")
+    capsys.readouterr()
+    assert run([*args, "--bank", str(tmp_path / "unknown.datb")]) == 0
+    assert "precision not reported" in capsys.readouterr().out
+    assert not (out / "precision.txt").exists()
 
 
 def test_sample_writes_deficits_that_sum_to_the_reported_shortfall(tmp_path, capsys):

@@ -699,3 +699,104 @@ def test_sample_reports_the_decode_error_of_a_faulty_bank(tmp_path, monkeypatch,
     err = capsys.readouterr().err
     assert err == f"error: {decoded.value}\n"
     assert "zero norm" not in err and "non-finite norm" not in err
+
+
+def verdicts(bank, path):
+    """The violations of validate_bank, of a full decode and of a decode
+    that keeps only feats and latent_class, of bank written to path."""
+    write_bank_unchecked(bank, path)
+    found = [validate_bank(bank)]
+    for fields in (embank.BANK_FIELDS, KEEP):
+        try:
+            decode_bank_file(path, fields=fields)
+            found.append([])
+        except ValidationError as exc:
+            found.append(exc.violations)
+    return found
+
+
+def edge_rows(rng, target, heads, d=16):
+    """float32 rows whose float64 norms step across target by about an ulp
+    at a time: for each of heads random heads of d - 1 coordinates, 41 rows
+    whose small last coordinate runs over consecutive float32 values."""
+    out = []
+    while len(out) < heads:
+        head = rng.standard_normal(d - 1)
+        head *= target * (1 - 5e-10) / np.linalg.norm(head)
+        head = head.astype(np.float32)
+        rest = target * target - float(np.sum(head.astype(np.float64) ** 2))
+        if not 0 < rest < 2e-9:
+            continue
+        last = np.float32(np.sqrt(rest))
+        rows = np.empty((41, d), np.float32)
+        rows[:, :-1] = head
+        rows[:, -1] = last + np.arange(-20, 21, dtype=np.float32) * np.spacing(last)
+        out.append(rows)
+    return np.vstack(out)
+
+
+@pytest.mark.parametrize("edge", [1 + UNIT_NORM_TOL, 1 - UNIT_NORM_TOL])
+def test_a_norm_at_the_tolerance_edge_gets_one_verdict(tmp_path, edge):
+    """validate_bank and the decode take a row's norm as
+    sqrt(einsum("ij,ij->i")) of its float64 copy, as the sampler does, and
+    give one verdict.  whole_array_violations takes np.linalg.norm, which
+    sums the squares by add.reduce in another order: the two norms can
+    differ in their last ulp, and their verdicts differ exactly for a row
+    whose two norms lie on either side of 1 +- 1e-5, which takes a norm
+    within about an ulp of the edge (float32 rows, d = 16; with numpy 2.4
+    on x86-64 such rows turn up at both edges, and the two sums may agree
+    on another build)."""
+    rows = edge_rows(np.random.default_rng(31), edge, 12)
+    wide = rows.astype(np.float64)
+    einsum_off = np.abs(np.sqrt(np.einsum("ij,ij->i", wide, wide)) - 1) > UNIT_NORM_TOL
+    reduce_off = np.abs(np.linalg.norm(wide, axis=1) - 1) > UNIT_NORM_TOL
+    flips = np.flatnonzero(einsum_off[1:] != einsum_off[:-1])
+    split = np.flatnonzero(einsum_off != reduce_off)
+    assert flips.size
+    base = random_bank(seed=31, m=1, d_img=3, d=16)
+    for i in sorted({*flips, *(flips + 1), *split[:6]}):
+        bank = EmbeddingBank(images=base.images, feats=rows[i:i + 1],
+                             caption_feats=base.caption_feats,
+                             captions=base.captions, latent_class=base.latent_class)
+        found = verdicts(bank, tmp_path / "edge.datb")
+        assert found[0] == found[1] == found[2]
+        assert bool(found[0]) == einsum_off[i]
+        assert (found[0] == whole_array_violations(bank)) == (i not in split)
+
+
+def test_a_row_of_float32_max_is_off_unit_and_finite(tmp_path):
+    """Its squares stay finite in float64, so its norm is finite and the
+    non-finite check, which reads the norms first, finds nothing."""
+    bank = random_bank(seed=32, m=40, d_img=5, d=16)
+    bank.feats[17] = np.finfo(np.float32).max
+    found = verdicts(bank, tmp_path / "max.datb")
+    assert found == [whole_array_violations(bank)] * 3
+    assert [v.split(" has ")[0] for v in found[0]] == ["feats row 17"]
+
+
+@pytest.mark.parametrize("nan_row, inf_row", [(3, 9), (9, 3)])
+def test_nan_and_inf_rows_in_one_piece(tmp_path, nan_row, inf_row):
+    """The first non-finite entry of the piece is named, and the inf row,
+    whose norm is inf, is off-unit too; the NaN row's NaN norm is not."""
+    bank = random_bank(seed=33, m=40, d_img=5, d=16)
+    bank.feats[nan_row, 5] = np.nan
+    bank.feats[inf_row, ::2] = np.inf
+    bank.feats[inf_row, 1::2] = -np.inf
+    found = verdicts(bank, tmp_path / "nonfinite.datb")
+    assert found == [whole_array_violations(bank)] * 3
+    first = (3, 5) if nan_row == 3 else (3, 0)
+    assert found[0] == [f"feats has non-finite value at index {first}",
+                        f"feats row {inf_row} has norm inf, expected 1 within 1e-05"]
+
+
+def test_a_piece_of_no_bytes_gets_no_float64_copy():
+    """A piece of 2**40 rows of width 0, as a header with d = 0 makes:
+    norms for it would take 8 TiB, so none are taken."""
+    see = embank._Violations(embank._BANK_CHECKS).visit("feats")
+    tracemalloc.start()
+    try:
+        assert see(np.empty((1 << 40, 0), np.float32), 0) == (None, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16, peak

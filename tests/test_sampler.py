@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bankadapt import benchmark, sampler
+from bankadapt import benchmark, embank, sampler
 from bankadapt.config import RunConfig
-from bankadapt.embank import EmbeddingBank
+from bankadapt.embank import EmbeddingBank, decode_bank_file, encode_bank_file
 from bankadapt.encoder import FrozenEmbedder
 from bankadapt.sampler import (
     DegenerateRowError,
@@ -314,9 +314,9 @@ def watch_rescoring(monkeypatch):
     seen = []
     best, groups = sampler.TopKSelector._best, sampler.TopKSelector._groups
 
-    def spy_best(selector, chunk, start):
-        seen.append({"wide": selector._floor.size > len(chunk), "rows": len(chunk)})
-        return best(selector, chunk, start)
+    def spy_best(selector, unit):
+        seen.append({"wide": selector._floor.size > len(unit), "rows": len(unit)})
+        return best(selector, unit)
 
     def spy_groups(selector, near):
         out = groups(selector, near)
@@ -361,9 +361,10 @@ class TestCertifiedMatmul:
     @pytest.mark.parametrize("copies", [2, 4, 16])
     def test_tied_columns_match_the_oracle_within_the_accounted_peak(self, copies):
         # Duplicated and scaled query columns: every row ties across the
-        # copies of its direction.  Up to four copies the matmul path
-        # recomputes them all; with 16 every column ties and the chunk
-        # falls back to the fixed-order block.
+        # copies of its direction, and the rescoring scores each tied pair
+        # again by the fixed arithmetic.  Up to four copies a chunk's pairs
+        # are rescored at once; with 16 every column ties, and they are
+        # rescored in groups of at most _PAIRS_PER_ROW pairs per chunk row.
         rng = np.random.default_rng(copies)
         q, m, d, k = 16, 20_000, 16, 3
         groups = q // copies
@@ -441,6 +442,23 @@ def feed_in_pieces(v, f, k, chunk_rows, bounds):
     return selector.result()
 
 
+def feed_from_file(tmp_path, monkeypatch, v, f, k, chunk_rows, piece_rows):
+    """The selection of the float32 unit rows v stored as a bank's feats and
+    fed to the selector by decode_bank_file, as stage1_sample feeds them:
+    in the reader's check pieces of piece_rows rows, each with its float64
+    copy and norms."""
+    m = len(v)
+    bank = EmbeddingBank(images=np.zeros((m, 1), np.float32), feats=v,
+                         caption_feats=v, captions=[""] * m,
+                         latent_class=np.full(m, -1, np.int32))
+    path = tmp_path / "feed.datb"
+    encode_bank_file(bank, path)
+    monkeypatch.setattr(embank, "_CHECK_BYTES", piece_rows * v[:1].nbytes)
+    selector = TopKSelector(f, k, chunk_rows)
+    decode_bank_file(path, fields=(), feats_to=selector.feed)
+    return selector.result()
+
+
 def feed_world(case, rng, d=16):
     """Stored float32 unit rows and query columns.  "near ties": rows near
     30 distinct columns, then rows near a direction 6 more columns share to
@@ -461,7 +479,8 @@ def feed_world(case, rng, d=16):
 
 class TestFeed:
     @pytest.mark.parametrize("case", ["10 columns", "50 columns", "near ties"])
-    def test_splitting_the_feed_never_changes_a_bit(self, monkeypatch, case):
+    def test_splitting_the_feed_never_changes_a_bit(self, tmp_path, monkeypatch,
+                                                    case):
         rng = np.random.default_rng(21)
         v, f = feed_world(case, rng)
         m, k, chunk_rows = len(v), 6, 97
@@ -478,6 +497,12 @@ class TestFeed:
         assert np.any(pieces % chunk_rows != 0)
         for bounds in (np.arange(m + 1), pieces):
             assert_same_result(feed_in_pieces(v, f, k, chunk_rows, bounds), whole)
+        # the reader's 150-row pieces, each scored as a chunk of 97 rows and
+        # one of 53, so the chunks straddle the in-memory feed's
+        seen.clear()
+        assert_same_result(feed_from_file(tmp_path, monkeypatch, v, f, k,
+                                          chunk_rows, 150), whole)
+        assert {c["rows"] for c in seen} - {m % 150} == {97, 53}
 
     def test_rows_must_come_in_record_order(self):
         selector = TopKSelector(np.eye(3), 1, 4)
@@ -531,11 +556,11 @@ def unscreened(monkeypatch):
     every row."""
     best = sampler.TopKSelector._best
 
-    def spy(selector, chunk, start):
+    def spy(selector, unit):
         floor = selector._floor
         selector._floor = np.full_like(floor, -np.inf)
         try:
-            return best(selector, chunk, start)
+            return best(selector, unit)
         finally:
             selector._floor = floor
 
@@ -545,7 +570,7 @@ def unscreened(monkeypatch):
 class TestScreen:
     @pytest.mark.parametrize("q", [10, 15])
     @pytest.mark.parametrize("case", ["floor probes", "random"])
-    def test_the_screen_never_changes_a_bit(self, monkeypatch, case, q):
+    def test_the_screen_never_changes_a_bit(self, tmp_path, monkeypatch, case, q):
         rng = np.random.default_rng(q)
         k, chunk_rows = 6, 97
         if case == "random":
@@ -578,6 +603,17 @@ class TestScreen:
             chosen = set(r.selected_ids.tolist())
             assert set(probes["above"]) <= chosen
             assert not chosen & set(probes["at"] + probes["below"] + probes["close"])
+        # the rows as a bank stores them (float32 unit rows), fed by the
+        # reader in 150-row pieces, screened and unscreened
+        v32 = unit(v).astype(np.float32)
+        seen = watch_rescoring(monkeypatch)
+        on_file = feed_from_file(tmp_path, monkeypatch, v32, f, k, chunk_rows, 150)
+        assert any(c["rows"] == chunk_rows and c["kept"] < chunk_rows / 2
+                   for c in seen)
+        with monkeypatch.context() as mp:
+            unscreened(mp)
+            assert_same_result(on_file, feed_in_pieces(v32, f, k, chunk_rows, [0, m]))
+        assert_top_k_of_fixed_order(on_file, v32, f, k)
 
     def test_the_screen_turns_away_most_rows_at_the_sample_1m_shape(self, monkeypatch):
         # Stage 1 of sample-1m: 10 classes, k1 = 160, the default budget.
@@ -774,6 +810,26 @@ class TestStages:
                             replace(benchmark.BENCH, stage2_keep=0.25))
         quarter = benchmark.build_world(0).selected.size
         assert 0 < quarter < half
+
+    def test_a_bank_file_keeps_latent_classes_at_the_label_bank_only(
+            self, tmp_path, monkeypatch):
+        # 4 KiB blocks: latent_class comes in three pieces, after feats
+        spec, ds, bank = make_world(7, m=3000)
+        path = tmp_path / "bank.datb"
+        encode_bank_file(bank, path)
+        monkeypatch.setattr(embank, "_BLOCK_BYTES", 1 << 12)
+        from_file, in_memory = {}, {}
+        s1 = stage1_sample(path, ds, spec, from_file)
+        assert_same_result(s1, stage1_sample(bank, ds, spec, in_memory))
+        latent = from_file["latent"]
+        assert latent.known and in_memory["latent"].known
+        assert np.array_equal(latent.ids, np.sort(s1.selected_ids))
+        assert np.array_equal(latent.at(s1.selected_ids),
+                              bank.latent_class[s1.selected_ids])
+        s2 = stage2_sample(s1, ds, spec)
+        for s in (s1, s2):
+            assert (sampler_precision(s, latent, ds)
+                    == sampler_precision(s, bank, ds))
 
     def test_feat_dim_mismatch_rejected(self):
         bank = random_bank(d=4)

@@ -1,5 +1,6 @@
 """The scripts under scripts/ run end to end on a small input."""
 
+import json
 import os
 import subprocess
 import sys
@@ -26,3 +27,16 @@ def test_script_runs(name, args, header):
     done = run_script(name, *args)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[0] == header
+
+
+def test_every_bench_record_is_complete():
+    """Each BENCH_<label>.json at the repository root parses, names its own
+    label and says what was measured, how, where, in sum and run by run."""
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        record = json.loads(path.read_text(encoding="utf-8"))
+        assert record["label"] == path.stem.removeprefix("BENCH_"), path.name
+        missing = [key for key in ("what", "command", "host", "summary", "runs")
+                   if key not in record]
+        assert not missing, (path.name, missing)
