@@ -174,11 +174,6 @@ def _load_bank(cfg: RunConfig, ds: DownstreamDataset,
     return decode_bank_file(source, fields=fields)
 
 
-def _sample_bank(cfg: RunConfig, bank: EmbeddingBank, ds: DownstreamDataset):
-    s1 = stage1_sample(bank, ds, cfg)
-    return s1, stage2_sample(s1, ds, cfg)
-
-
 def _selected_for_train(cfg: RunConfig, ds: DownstreamDataset) -> SelectedBank:
     """The bank rows training draws unlabeled rows from; the bank is read
     keeping only the fields the selection needs, and dropped on return."""
@@ -199,7 +194,7 @@ def _selected_for_train(cfg: RunConfig, ds: DownstreamDataset) -> SelectedBank:
         bank = _load_bank(cfg, ds, ("images", "caption_feats"))
         return SelectedBank.from_bank(bank, ids, ds)
     bank = _load_bank(cfg, ds, ("images", "feats", "caption_feats"))
-    _, s2 = _sample_bank(cfg, bank, ds)
+    s2 = stage2_sample(stage1_sample(bank, ds, cfg), ds, cfg)
     return SelectedBank.from_bank(bank, s2.selected_ids, ds)
 
 

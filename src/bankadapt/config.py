@@ -32,6 +32,13 @@ IN_UNIT_INTERVAL = (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
 BELOW_ONE = (lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)")
 THRESHOLD = (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]")
 
+# A text value's echo must read back as it: no line break that
+# str.splitlines splits at, and no lone surrogate (argv's stand-in for a
+# byte that is not UTF-8), the one thing UTF-8 cannot encode
+ONE_UTF8_LINE = (lambda v: "".join(v.splitlines()) == v
+                 and not any("\ud800" <= c <= "\udfff" for c in v),
+                 "must be one line of UTF-8 text")
+
 
 class ConfigError(ValidationError):
     """Unknown key, malformed line, or a value that fails to parse or
@@ -118,13 +125,14 @@ class RunConfig:
         (lambda v: len(v) >= 1 and all(THRESHOLD[0](t) for t in v),
          "must list at least one 't_thresh', each in (0, 1]"))
     # paths ("" means unset)
-    bank: str = _key("", "path to a DATB bank file")
-    dataset: str = _key("", "path to a DATD downstream dataset")
-    eval_dataset: str = _key("", "path to a DATD held-out dataset")
+    bank: str = _key("", "path to a DATB bank file", ONE_UTF8_LINE)
+    dataset: str = _key("", "path to a DATD downstream dataset", ONE_UTF8_LINE)
+    eval_dataset: str = _key("", "path to a DATD held-out dataset", ONE_UTF8_LINE)
     samples: str = _key(
-        "", "path to a sampler CSV (written by sample, reusable by train)")
-    checkpoint: str = _key("", "path to a DATC encoder checkpoint")
-    out_dir: str = _key("out", "directory receiving all run outputs")
+        "", "path to a sampler CSV (written by sample, reusable by train)",
+        ONE_UTF8_LINE)
+    checkpoint: str = _key("", "path to a DATC encoder checkpoint", ONE_UTF8_LINE)
+    out_dir: str = _key("out", "directory receiving all run outputs", ONE_UTF8_LINE)
 
     def __post_init__(self):
         for f in fields(self):

@@ -42,19 +42,20 @@ inside a multi-byte character, so every entry decodes; and the finite,
 unit-row and label-range invariants of ``validate_bank``/
 ``validate_dataset``.  A piece of a unit-row field (``feats``,
 ``caption_feats``, ``class_text_feats``) is copied to float64 and its row
-norms taken once (``row_norms``), and both of its checks read them: a
-norm is finite exactly when its row is, so the finite check scans the
-piece only when some norm is not.  For the character-boundary check a string table
+norms taken once (``copy_with_norms``, the one place a row's float64 copy
+and norm are made), and both of its checks read them: a norm is finite
+exactly when its row is, so the finite check scans the piece only when
+some norm is not.  For the character-boundary check a string table
 keeps a bitmap of its blob's continuation bytes (blob_len / 8 bytes) and
 reads its offset table a second time.  Errors are raised once the CRC32
 over the whole payload has matched, so a ``ChecksumError`` takes
 precedence over any other.  Skipped fields come back as ``None``; string
 tables come back as ``StringTable``, which decodes an entry only when it
 is read.  A bank's ``feats`` can also be handed to a consumer piece by
-piece as it is read, each piece once its checks have passed and with
-their float64 copy and norms, so that a caller can scan the field without
-holding it or copying it again, and its ``latent_class`` likewise, after
-the last piece of ``feats`` (see ``read_bank``).
+piece as it is read, each piece once its checks have passed and always
+with their float64 copy and norms, so that a caller can scan the field
+without holding it or copying it again, and its ``latent_class``
+likewise, after the last piece of ``feats`` (see ``read_bank``).
 """
 
 from __future__ import annotations
@@ -173,10 +174,12 @@ class DownstreamDataset:
         return self.class_text_feats.shape[1]
 
 
-def row_norms(rows: np.ndarray) -> np.ndarray:
-    """The Euclidean norm of each row of a float64 array, as the checks and
-    the sampler take it: sqrt(einsum("ij,ij->i"))."""
-    return np.sqrt(np.einsum("ij,ij->i", rows, rows))
+def copy_with_norms(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A new float64 copy of rows, the caller's to divide in place, and the
+    Euclidean norm of each row, as the checks and the sampler take it:
+    sqrt(einsum("ij,ij->i")) of the copy."""
+    rows64 = np.array(rows, dtype=np.float64, order="C")
+    return rows64, np.sqrt(np.einsum("ij,ij->i", rows64, rows64))
 
 
 # Each check takes (field name, block of rows, index of the block's first
@@ -200,8 +203,8 @@ def _non_finite(name: str, block: np.ndarray, row0: int,
 
 def _off_unit(name: str, block: np.ndarray, row0: int,
               norms: np.ndarray | None) -> str | None:
-    if norms is None:  # a piece of no bytes
-        return None
+    if norms is None:  # rows of width 0 (see _Violations.visit), of norm 0
+        norms = np.zeros(1)
     off = np.abs(norms - 1.0) > UNIT_NORM_TOL
     if not off.any():
         return None
@@ -250,18 +253,17 @@ class _Violations:
 
     def visit(self, name: str):
         """visit(piece, index of its first row), running field name's
-        checks.  A piece of a field with a unit-row check is copied to
-        float64 and its row norms taken once, for all of its checks; visit
-        returns that copy and its norms (None for other fields and for a
-        piece of no bytes, whose norms could still be long)."""
+        checks.  A piece of a field with a unit-row check gets its
+        copy_with_norms once, for all of its checks, and visit returns
+        them; other fields get (None, None), and so do rows of width 0,
+        which are off-unit without their norms (of 2**40 such rows, 8 TiB)."""
         mine = [i for i, (_, field) in enumerate(self._checks) if field == name]
         unit_rows = any(self._checks[i][0] is _off_unit for i in mine)
 
         def see(piece: np.ndarray, row0: int):
             rows64 = norms = None
-            if unit_rows and piece.size:
-                rows64 = piece.astype(np.float64)
-                norms = row_norms(rows64)
+            if unit_rows and (piece.size or not piece.shape[0]):
+                rows64, norms = copy_with_norms(piece)
             for i in mine:
                 if self._found[i] is None:
                     self._found[i] = self._checks[i][0](name, piece, row0, norms)
@@ -630,14 +632,13 @@ def read_bank(path, fields: Sequence[str] = BANK_FIELDS, feats_to=None,
 
     With feats_to, each piece of feats goes to feats_to(rows, index of its
     first row, rows64, norms) once its checks have run, until a check finds
-    a violation: rows64 is the checks' float64 copy of the rows, the
-    caller's to divide in place, and norms its row norms (see row_norms).
-    A ValueError feats_to raises stops the feeding and is raised once the
-    whole file has passed every check.  An empty bank's feats is fed as one
-    empty (0, d) piece, so that feats_to sees the header's width either
-    way.  With latent_to, each piece of latent_class goes to
-    latent_to(classes, index of its first class), after every piece of
-    feats."""
+    a violation: rows64 and norms are the copy_with_norms of the rows that
+    the checks read.  A ValueError feats_to raises stops the feeding and is
+    raised once the whole file has passed every check.  An empty bank's
+    feats is fed as one empty (0, d) piece, so that feats_to sees the
+    header's width either way.  With latent_to, each piece of latent_class
+    goes to latent_to(classes, index of its first class), after every
+    piece of feats."""
     unknown = sorted(set(fields) - set(BANK_FIELDS))
     if unknown:
         raise ValueError(f"unknown bank fields {unknown}, expected some of {BANK_FIELDS}")
@@ -682,13 +683,10 @@ def read_bank(path, fields: Sequence[str] = BANK_FIELDS, feats_to=None,
     return EmbeddingBank(**kept), (m, d_img, d), with_latent
 
 
-def decode_bank_file(path, fields: Sequence[str] = BANK_FIELDS,
-                     feats_to=None) -> EmbeddingBank:
+def decode_bank_file(path, fields: Sequence[str] = BANK_FIELDS) -> EmbeddingBank:
     """Decode a DATB file, keeping only the named BANK_FIELDS (the others
-    are None); every check runs on every field either way.  feats_to, if
-    given, is fed feats piece by piece as it is read and checked (see
-    read_bank)."""
-    return read_bank(path, fields, feats_to)[0]
+    are None); every check runs on every field either way."""
+    return read_bank(path, fields)[0]
 
 
 def describe_bank_file(path) -> tuple[int, int, int, bool]:

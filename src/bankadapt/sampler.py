@@ -14,10 +14,11 @@ as many rows (bytes_per_row each) as the memory budget leaves after the part
 that does not grow with the chunk: the query rows and up to 2*k*q held
 candidates (merge_bytes).  That part is charged at most three quarters of
 the budget, so a large k*q cannot shrink the chunk below a quarter of it.
-Each row is divided by its norm, sqrt(einsum("ij,ij->i")) of its float64
-copy (embank.row_norms): a copy the selector makes chunk by chunk, or the
-copy and norms a bank file's reader made for its unit-row check, which
-the selector divides in place.  A score is defined by one fixed
+Every row arrives with its float64 copy and the copy's norms, made by
+embank.copy_with_norms (sqrt(einsum("ij,ij->i"))): for a bank file's rows
+by the reader's unit-row check, for rows in memory chunk by chunk by
+select_topk_streamed.  The selector divides that copy by the norms in
+place, and so makes unit rows.  A score is defined by one fixed
 arithmetic: s = 0, then s = s + q[j, t] * u[i, t] for t = 0, 1, ..., d-1,
 each product and sum rounded on its own.  Every score is thus the same
 float operations whatever the chunk shape, so scores (and therefore
@@ -56,24 +57,25 @@ toward the lowest record id within a column.  Non-finite rows are refused,
 as zero-norm rows are: the bound holds only for finite scores.
 
 The selector is fed rows in ascending record order, in pieces of any
-size: the rows of an in-memory bank at once, or each piece of a bank
-file's feats as the reader checks it, so that feats is never held whole
-and each row is copied to float64 and its norm taken once.  Each
-piece is scored chunk_rows rows at a time.  Candidates are held in arrays
-allocated once with room for 2*k*q entries: id, column, score and, for
-stage 1, the row as fed (a bank's stored float32 feats), so that the label
-bank carries the feats of its rows and stage 2 re-ranks them without the
-bank; stage 2 carries none.  Once a column has k candidates, the score of
-its k-th is the column's floor, and a later row enters only with a score
-strictly above it: its id is larger than every held id, so it cannot win a
-tie.  When a chunk's admitted rows do not fit, the arrays are sorted by
-(column, -score, id) and compacted in place to k per column, which frees at
-least half of them, and once more at the end, so the result equals a top k
-taken over the full score matrix.  A column whose assigned pool is smaller
-than k reports a deficit; nothing is backfilled from other columns.
-merge_bytes charges every slot of the arrays, a carried row at 4d bytes (a
-stored row), and the copy a cut makes to compact the rows it keeps; a
-chunk row needs no slot of its own.
+size: an in-memory bank's or the label bank's one chunk at a time, or
+each piece of a bank file's feats as the reader checks it, so that feats
+is never held whole and each row is copied to float64 and its norm taken
+once.  Each piece is scored chunk_rows rows at a time.  Candidates are
+held in arrays allocated once with room for 2*k*q entries: id, column,
+score and, for stage 1, the row as fed (a bank's stored float32 feats),
+so that the label bank carries the feats of its rows and stage 2
+re-ranks them without the bank; stage 2 carries none.  Once a column has
+k candidates, the score of its k-th is the column's floor, and a later
+row enters only with a score strictly above it: its id is larger than
+every held id, so it cannot win a tie.  When a chunk's admitted rows do
+not fit, the arrays are sorted by (column, -score, id) and compacted in
+place to k per column, which frees at least half of them, and once more
+at the end, so the result equals a top k taken over the full score
+matrix.  A column whose assigned pool is smaller than k reports a
+deficit; nothing is backfilled from other columns.  merge_bytes charges
+every slot of the arrays, a carried row at 4d bytes (a stored row), and
+the copy a cut makes to compact the rows it keeps; a chunk row needs no
+slot of its own.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .embank import DownstreamDataset, EmbeddingBank, read_bank, row_norms
+from .embank import DownstreamDataset, EmbeddingBank, copy_with_norms, read_bank
 from .encoder import FrozenEmbedder
 
 # Int64/float64 vectors an entry of a cut needs at once beyond its id,
@@ -138,8 +140,7 @@ def _slot_bytes(feat_dim: int, carry_rows: bool) -> int:
 
 def bytes_per_row(feat_dim: int, n_columns: int) -> int:
     """Bytes one chunk row may hold while it is scored and merged: its
-    float64 unit row in the selector's block (8d), or, for a bank file's
-    rows, in the copy the reader made for its checks instead; its share of
+    float64 unit row (8d), in the copy that is fed with it; its share of
     the two (q, r) buffers (16q), which hold the matmul, the screen's mask,
     the kept rows' matmul scores, the mask of the near-maximum pairs and
     the assignment's copy; its position in the chunk (8); and the
@@ -208,27 +209,17 @@ def _unit_rows(rows: np.ndarray, norms: np.ndarray, offset: int,
     return rows
 
 
-def _normalize_into(dst: np.ndarray, rows: np.ndarray, offset: int,
-                    what: str) -> np.ndarray:
-    """Write unit-normalized float64 rows into dst[:len(rows)] and return that
-    view.  Reusing one destination buffer keeps peak memory at a single block
-    per chunk, which is what bytes_per_row accounts for."""
-    block = dst[:rows.shape[0]]
-    np.copyto(block, rows, casting="unsafe")
-    return _unit_rows(block, row_norms(block), offset, what)
-
-
 class TopKSelector:
     """The top k rows per column of the rows fed to it: each row is
     assigned to its most cosine-similar row of f, and each column keeps its
     k best under (score desc, id asc).
 
-    feed takes rows in ascending record order, in pieces of any size, and
-    scores them chunk_rows at a time; result returns the selection, with the
-    rows of the selected records as fed, stored as carry (a dtype), unless
-    carry is None.  Each row is used at most once (its assigned column), so
-    the selected ids are distinct by construction.  See the module
-    docstring for the scores and the merge.
+    feed takes rows in ascending record order, in pieces of any size, each
+    with its copy_with_norms, and scores them chunk_rows at a time; result
+    returns the selection, with the rows of the selected records as fed,
+    stored as carry (a dtype), unless carry is None.  Each row is used at
+    most once (its assigned column), so the selected ids are distinct by
+    construction.  See the module docstring for the scores and the merge.
     """
 
     def __init__(self, f: np.ndarray, k: int, chunk_rows: int,
@@ -237,11 +228,9 @@ class TopKSelector:
             raise ValueError(f"k must be at least 1, got {k}")
         if chunk_rows < 1:
             raise ValueError(f"chunk_rows must be at least 1, got {chunk_rows}")
-        f = np.asarray(f)
-        self._q_unit = _normalize_into(np.empty(f.shape), f, 0, "query")
+        self._q_unit = _unit_rows(*copy_with_norms(f), 0, "query")
         q, d = self._q_unit.shape
         self._k, self._chunk_rows, self._next = k, chunk_rows, 0
-        self._block = None  # made at the first feed without a float64 copy
         self._out = np.empty(q * chunk_rows)
         self._tmp = np.empty_like(self._out)
         room = 2 * k * q
@@ -256,14 +245,12 @@ class TopKSelector:
         self._n = 0
         self._floor = np.full(q, -np.inf)
 
-    def feed(self, rows: np.ndarray, first_record_id: int,
-             rows64: np.ndarray | None = None,
-             norms: np.ndarray | None = None) -> None:
+    def feed(self, rows: np.ndarray, first_record_id: int, rows64: np.ndarray,
+             norms: np.ndarray) -> None:
         """Score rows, record ids first_record_id onwards, and merge them
-        into the candidates.  rows64 and norms, when given, are rows
-        copied to float64 and their row_norms, as a bank file's reader
-        hands them on (see read_bank): rows64 is divided into unit rows in
-        place, with no copy or norm of the selector's own."""
+        into the candidates.  rows64 and norms are the rows'
+        copy_with_norms, as a bank file's reader hands them on (see
+        read_bank); rows64 is divided into unit rows in place."""
         if first_record_id < self._next:
             raise ValueError(f"record {first_record_id} fed after record "
                              f"{self._next - 1}: rows go in ascending order")
@@ -274,17 +261,10 @@ class TopKSelector:
         if self._rows is not None and rows.dtype != self._rows.dtype:
             raise ValueError(f"rows of dtype {rows.dtype} fed to a selector "
                              f"that carries {self._rows.dtype} rows")
-        if rows64 is not None:
-            rows64 = _unit_rows(rows64, norms, first_record_id, "bank")
-        elif self._block is None:
-            self._block = np.empty((self._chunk_rows, rows.shape[1]))
+        unit = _unit_rows(rows64, norms, first_record_id, "bank")
         for lo in range(0, rows.shape[0], self._chunk_rows):
-            chunk, start = rows[lo:lo + self._chunk_rows], first_record_id + lo
-            if rows64 is None:
-                unit = _normalize_into(self._block, chunk, start, "bank")
-            else:
-                unit = rows64[lo:lo + self._chunk_rows]
-            self._admit(chunk, unit, start)
+            part = slice(lo, lo + self._chunk_rows)
+            self._admit(rows[part], unit[part], first_record_id + lo)
         self._next = first_record_id + rows.shape[0]
 
     def selected_ids(self) -> np.ndarray:
@@ -431,13 +411,16 @@ class TopKSelector:
 
 def select_topk_streamed(v: np.ndarray, f: np.ndarray, k: int,
                          chunk_rows: int, carry_rows: bool = True) -> SampleResult:
-    """The TopKSelector's result for the rows of v fed at once, carrying
-    the selected rows of v when carry_rows; the chunk holds no more rows
+    """The TopKSelector's result for the rows of v, carrying the selected
+    rows of v when carry_rows.  v is fed one chunk at a time, so that only
+    one chunk's float64 copy lives at once; the chunk holds no more rows
     than v has."""
     v = np.asarray(v)
-    selector = TopKSelector(f, k, min(chunk_rows, max(v.shape[0], 1)),
-                            v.dtype if carry_rows else None)
-    selector.feed(v, 0)
+    rows = min(chunk_rows, max(v.shape[0], 1))
+    selector = TopKSelector(f, k, rows, v.dtype if carry_rows else None)
+    for lo in range(0, max(v.shape[0], 1), rows):  # an empty v is fed too
+        piece = v[lo:lo + rows]
+        selector.feed(piece, lo, *copy_with_norms(piece))
     return selector.result()
 
 
@@ -456,11 +439,11 @@ def stage1_sample(bank: EmbeddingBank | str | os.PathLike, ds: DownstreamDataset
     """Zero-shot retrieval, bank features against class text features: the
     label bank, carrying the stored feats of its rows.
 
-    An in-memory bank is fed whole.  A DATB path is read once, keeping no
-    field: each piece of its feats goes to the selector, with the float64
-    copy and norms of its checks, once the piece's checks have passed, so
-    feats is never held whole, and a file that fails a check raises the
-    decode's error.  kept, when given, gets under "latent" the
+    An in-memory bank is fed a chunk at a time.  A DATB path is read once,
+    keeping no field: each piece of its feats goes to the selector, with
+    the float64 copy and norms of its checks, once the piece's checks have
+    passed, so feats is never held whole, and a file that fails a check
+    raises the decode's error.  kept, when given, gets under "latent" the
     LatentClasses for precision reporting: the bank's, or, from a path,
     those at the label bank's ids, kept as latent_class is read (it
     follows feats, so the label bank is final by then)."""

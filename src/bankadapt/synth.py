@@ -147,13 +147,15 @@ def generate_pretrain_bank(cfg: RunConfig, ds: DownstreamDataset) -> EmbeddingBa
                            for kind in ("image", "text"))
     feats = np.take(image_emb.embed_rows(images).astype(np.float32), order, 0)
     images = np.take(images.astype(np.float32), order, 0)
-    caption_feats = text_emb.embed_rows(np.take(concepts, subject, 0))
+    # a caption's feature, as its text, is its subject's: one gather of the
+    # C + K embedded concepts by the index the caption table takes
+    subject = subject[order]
     names = [*ds.class_names, *(f"distractor-{k:02d}" for k in range(K))]
     return EmbeddingBank(
         images=images,
         feats=feats,
-        caption_feats=np.take(caption_feats.astype(np.float32), order, 0),
-        captions=StringTable.gathered([f"a photo of {n}." for n in names],
-                                      subject[order]),
+        caption_feats=np.take(text_emb.embed_rows(concepts).astype(np.float32),
+                              subject, 0),
+        captions=StringTable.gathered([f"a photo of {n}." for n in names], subject),
         latent_class=latent[order],
     )

@@ -131,12 +131,13 @@ def test_sample_stays_within_its_budget_end_to_end(tmp_path):
     """sample on a 200,000-record bank (57 MiB) peaks, beyond an import-only
     child, at no more than what it keeps (the stored feats of up to 2*k1*C
     label-bank candidates, and the ids and latent classes of the k1*C
-    records of the label bank), the scorer's memory budget, and
-    a slack of three reader blocks: the reader's block buffer and the
-    temporaries of its checks (four pieces, one block), which also covers
-    the captions' 0.6 MiB continuation bitmap and the small downstream set.
-    feats itself is scored while it is read and never held whole: a sample
-    that decodes it first (12.8 MiB here) breaks the bound."""
+    records of the label bank), the scorer's memory budget, and a slack of
+    the reader's block buffer and two check pieces (5 MiB): a feats piece's
+    float64 copy, which the scorer divides in place, is twice its bytes.
+    The slack also covers the captions' 0.6 MiB continuation bitmap and the
+    small downstream set.  feats itself is scored while it is read and
+    never held whole: a sample that decodes it first (12.8 MiB here), or
+    keeps latent_class whole (0.8 MiB), breaks the bound."""
     m, d = 200_000, 16
     bank_path, ds_path = tmp_path / "bank.datb", tmp_path / "train.datd"
     encode_bank_file(random_bank(seed=17, m=m, d_img=32, d=d), bank_path)
@@ -149,7 +150,7 @@ def test_sample_stays_within_its_budget_end_to_end(tmp_path):
                            str(budget), "--out_dir", str(tmp_path / "out")])
     k1 = default_k1(12, 3, RunConfig().stage1_multiplier)
     kept = 2 * k1 * 3 * d * 4 + k1 * 3 * (8 + 4)
-    allowed = kept + budget + 3 * embank._BLOCK_BYTES
+    allowed = kept + budget + embank._BLOCK_BYTES + 2 * embank._CHECK_BYTES
     assert peak - base <= allowed, (peak - base, allowed)
     assert allowed < bank_path.stat().st_size
 
@@ -158,16 +159,16 @@ def test_sample_stays_within_its_budget_end_to_end(tmp_path):
                     reason="ru_maxrss is in KiB on Linux only")
 def test_synth_gen_stays_within_the_arrays_it_must_hold(tmp_path, monkeypatch):
     """synth-gen of a 200,000-record bank (D_img 32, d 16), with one BLAS
-    thread, peaks beyond an import-only child when it embeds the caption
-    subjects.  It then holds the shuffled float32 images and feats
-    (4m(D + d) bytes), the float64 subject rows, their projection and its
-    squares (8mD + 16md), and four integer arrays of m entries: latent
-    class, own concept, caption subject and shuffle order (28m).  That is
-    732m bytes (140 MiB).  A slack of eight reader blocks (32 MiB) covers
-    the downstream sets, the finite check's mask, the BLAS buffers and the
-    pages the allocator keeps.  Making each caption a string, or keeping
-    float64 copies of the sources, breaks the bound (326 MiB before the
-    captions became arrays)."""
+    thread, peaks beyond an import-only child when it shuffles the images.
+    It then holds the float64 images, their float32 cast and its shuffled
+    copy (16mD bytes), the shuffled float32 feats (4md), and four integer
+    arrays of m entries: latent class, own concept, caption subject and
+    shuffle order (28m).  That is 604m bytes (115 MiB).  A slack of eight
+    reader blocks (32 MiB) covers the downstream sets, the finite check's
+    mask, the BLAS buffers and the pages the allocator keeps.  Embedding
+    each record's caption subject rather than gathering the embedded
+    concepts breaks the bound (156 MiB), and so does making each caption a
+    string (326 MiB)."""
     m, d_img, d = 200_000, 32, 16
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setenv("OMP_NUM_THREADS", "1")
@@ -176,7 +177,7 @@ def test_synth_gen_stays_within_the_arrays_it_must_hold(tmp_path, monkeypatch):
                            "--n_classes", "50", "--n_per_class", "40",
                            "--image_dim", str(d_img), "--feat_dim", str(d),
                            "--out_dir", str(tmp_path)])
-    held = 4 * m * (d_img + d) + 8 * m * d_img + 16 * m * d + 28 * m
+    held = 16 * m * d_img + 4 * m * d + 28 * m
     allowed = held + 8 * embank._BLOCK_BYTES
     assert peak - base <= allowed, (peak - base, allowed)
     assert embank.describe_bank_file(tmp_path / "bank.datb")[:3] == (m, d_img, d)
@@ -594,12 +595,20 @@ def test_unknown_key_in_config_file(tmp_path):
                 "--out_dir", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("name", ["w\nx", "v\udc85u"])
+def test_an_out_dir_the_echo_cannot_replay_is_refused_first(tmp_path, capsys, name):
+    # "v\udc85u" is how argv hands a non-UTF-8 byte (0x85) to Python
+    assert run(["synth-gen", *TINY, "--out_dir", str(tmp_path / name)]) == 1
+    assert "key 'out_dir': must be one line of UTF-8 text" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_with_mu_zero_never_samples_the_bank(tmp_path, monkeypatch):
     # no step draws an unlabeled row at mu = 0, even with lambda > 0
     def refuse(*args, **kwargs):
         raise AssertionError("the bank was sampled")
 
-    monkeypatch.setattr(cli, "_sample_bank", refuse)
+    monkeypatch.setattr(cli, "stage1_sample", refuse)
     assert run(["train", *TINY, "--mu", "0", "--epochs", "1",
                 "--out_dir", str(tmp_path / "o")]) == 0
     assert (tmp_path / "o" / "metrics.csv").exists()

@@ -132,6 +132,21 @@ def test_every_rule_names_its_key(key):
         parse_config(f"{key} = {BAD_VALUES[key]}\n")
 
 
+PATH_KEYS = ("bank", "dataset", "eval_dataset", "samples", "checkpoint", "out_dir")
+
+
+@pytest.mark.parametrize("raw", ["w\nx", "w\rx", "w\x85x", "w\u2028x", "v\udc85u"])
+def test_a_path_the_echo_cannot_replay_is_refused(raw):
+    # A line break would split the echoed line, and a lone surrogate (a
+    # non-UTF-8 byte of argv) cannot be written as UTF-8 at all.
+    for key in PATH_KEYS:
+        with pytest.raises(ConfigError,
+                           match=f"^key '{key}': must be one line of UTF-8 text"):
+            apply_updates(RunConfig(), {key: raw})
+    assert apply_updates(RunConfig(), {"out_dir": "w x/caf\u00e9"}).out_dir == \
+        "w x/caf\u00e9"
+
+
 def test_sampler_and_eval_sizes_must_be_positive():
     for key in ("stage1_multiplier", "stage2_keep"):
         with pytest.raises(ConfigError, match=f"'{key}': must be positive"):

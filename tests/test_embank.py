@@ -800,3 +800,31 @@ def test_a_piece_of_no_bytes_gets_no_float64_copy():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 16, peak
+
+
+def test_unit_rows_of_width_0_are_off_unit(tmp_path):
+    """A row of no entries has norm 0, so it is no unit row: in memory, in
+    a bank file, whose feats never reach a consumer, and in a dataset."""
+    m = 3
+    bank = EmbeddingBank(images=np.zeros((m, 2), np.float32),
+                         feats=np.zeros((m, 0), np.float32),
+                         caption_feats=np.zeros((m, 0), np.float32),
+                         captions=["a", "b", "c"],
+                         latent_class=np.full(m, -1, np.int32))
+    expected = [f"{name} row 0 has norm 0.00000000, expected 1 within 1e-05"
+                for name in ("feats", "caption_feats")]
+    assert validate_bank(bank) == expected
+    with pytest.raises(ValidationError):
+        encode_bank_file(bank, tmp_path / "never.datb")
+    path = tmp_path / "narrow.datb"
+    write_bank_unchecked(bank, path)
+    fed = []
+    with pytest.raises(ValidationError) as raised:
+        embank.read_bank(path, (), lambda *piece: fed.append(piece))
+    assert raised.value.violations == expected and fed == []
+    ds = DownstreamDataset(images=np.zeros((2, 2), np.float32),
+                           labels=np.zeros(2, np.int32), class_names=["x"],
+                           class_descriptions=["y"],
+                           class_text_feats=np.zeros((1, 0), np.float32))
+    assert validate_dataset(ds) == [
+        "class_text_feats row 0 has norm 0.00000000, expected 1 within 1e-05"]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from bankadapt import benchmark, embank, sampler
 from bankadapt.config import RunConfig
-from bankadapt.embank import EmbeddingBank, decode_bank_file, encode_bank_file
+from bankadapt.embank import EmbeddingBank, copy_with_norms, encode_bank_file, read_bank
 from bankadapt.encoder import FrozenEmbedder
 from bankadapt.sampler import (
     DegenerateRowError,
@@ -438,13 +438,13 @@ def feed_in_pieces(v, f, k, chunk_rows, bounds):
     carrying its rows in v's dtype."""
     selector = TopKSelector(f, k, chunk_rows, v.dtype)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        selector.feed(v[lo:hi], lo)
+        selector.feed(v[lo:hi], lo, *copy_with_norms(v[lo:hi]))
     return selector.result()
 
 
 def feed_from_file(tmp_path, monkeypatch, v, f, k, chunk_rows, piece_rows):
     """The selection of the float32 unit rows v stored as a bank's feats and
-    fed to the selector by decode_bank_file, as stage1_sample feeds them:
+    fed to the selector by read_bank, as stage1_sample feeds them:
     in the reader's check pieces of piece_rows rows, each with its float64
     copy and norms."""
     m = len(v)
@@ -455,7 +455,7 @@ def feed_from_file(tmp_path, monkeypatch, v, f, k, chunk_rows, piece_rows):
     encode_bank_file(bank, path)
     monkeypatch.setattr(embank, "_CHECK_BYTES", piece_rows * v[:1].nbytes)
     selector = TopKSelector(f, k, chunk_rows)
-    decode_bank_file(path, fields=(), feats_to=selector.feed)
+    read_bank(path, (), selector.feed)
     return selector.result()
 
 
@@ -505,16 +505,17 @@ class TestFeed:
         assert {c["rows"] for c in seen} - {m % 150} == {97, 53}
 
     def test_rows_must_come_in_record_order(self):
+        rows = np.eye(3, dtype=np.float32)
         selector = TopKSelector(np.eye(3), 1, 4)
-        selector.feed(np.eye(3, dtype=np.float32), 0)
+        selector.feed(rows, 0, *copy_with_norms(rows))
         with pytest.raises(ValueError, match="ascending"):
-            selector.feed(np.eye(3, dtype=np.float32), 2)
+            selector.feed(rows, 2, *copy_with_norms(rows))
 
     def test_rows_of_another_dtype_than_the_carried_are_refused(self):
         v, f, _ = floor_probes(15, 6, np.random.default_rng(15))
         selector = TopKSelector(f, 6, 97)  # carries float32 rows
         with pytest.raises(ValueError, match="float64.*float32"):
-            selector.feed(v, 0)
+            selector.feed(v, 0, *copy_with_norms(v))
 
 
 def floor_probes(q, k, rng, d=16):
