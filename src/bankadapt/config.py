@@ -33,11 +33,12 @@ BELOW_ONE = (lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)")
 THRESHOLD = (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]")
 
 # A text value's echo must read back as it: no line break that
-# str.splitlines splits at, and no lone surrogate (argv's stand-in for a
-# byte that is not UTF-8), the one thing UTF-8 cannot encode
-ONE_UTF8_LINE = (lambda v: "".join(v.splitlines()) == v
+# str.splitlines splits at, no lone surrogate (argv's stand-in for a byte
+# that is not UTF-8), the one thing UTF-8 cannot encode, and no whitespace
+# at either end, which the echo's `key = value` line strips
+ONE_UTF8_LINE = (lambda v: "".join(v.splitlines()) == v == v.strip()
                  and not any("\ud800" <= c <= "\udfff" for c in v),
-                 "must be one line of UTF-8 text")
+                 "must be one line of UTF-8 text with no whitespace at either end")
 
 
 class ConfigError(ValidationError):
@@ -170,6 +171,8 @@ _LIST_ITEMS = {"tuple[int, ...]": int, "tuple[float, ...]": float}
 
 
 def _parse_value(key: str, field_type: str, raw: str):
+    if field_type == "str":  # kept as given (see ONE_UTF8_LINE)
+        return raw
     raw = raw.strip()
     try:
         if field_type in _LIST_ITEMS:
@@ -184,8 +187,7 @@ def _parse_value(key: str, field_type: str, raw: str):
                 return True
             if raw.lower() in ("false", "0", "no"):
                 return False
-            raise ValueError(raw)
-        return raw
+        raise ValueError(raw)
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: cannot parse {raw!r} as {field_type}") from exc
 
@@ -226,7 +228,7 @@ def parse_updates(text: str) -> dict[str, str]:
         key = key.strip()
         if key in updates:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        updates[key] = raw
+        updates[key] = raw.strip()
     return updates
 
 

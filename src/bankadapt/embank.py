@@ -30,32 +30,33 @@ Writers validate invariants and refuse to write a violating container, so a
 file that decodes cleanly round-trips bit-exactly.
 
 Reading (``read_container``, shared with the DATC checkpoint in
-``encoder.py``) streams the payload once, in file order, with ``readinto``.
-A field the caller keeps is read straight into its own array; a field it
-skips passes through one reusable block buffer of ``_BLOCK_BYTES`` and is
-dropped.  Either way every block updates the CRC32 and runs the field's
-checks, so a decode that keeps only ``feats`` still checks the whole file:
-every field fits the file (checked before any buffer is sized from its
-length) and no byte follows the last one; every string-table entry lies
-inside its blob; each blob is UTF-8 and no non-empty entry starts or ends
-inside a multi-byte character, so every entry decodes; and the finite,
-unit-row and label-range invariants of ``validate_bank``/
-``validate_dataset``.  A piece of a unit-row field (``feats``,
+``encoder.py``) streams the payload once, in file order, with ``readinto``,
+in blocks of whole rows of about ``_BLOCK_BYTES`` (512 KiB).  A field the
+caller keeps is read straight into its own array; a field it skips passes
+through one reusable block buffer and is dropped.  Either way every block
+updates the CRC32 and runs the field's checks, so a decode that keeps only
+``feats`` still checks the whole file: every field fits the file (checked
+before any buffer is sized from its length) and no byte follows the last
+one; every string-table entry lies inside its blob; each blob is UTF-8 and
+no non-empty entry starts or ends inside a multi-byte character, so every
+entry decodes; and the finite, unit-row and label-range invariants of
+``validate_bank``/``validate_dataset``, which check arrays in memory in
+the same blocks.  A block of a unit-row field (``feats``,
 ``caption_feats``, ``class_text_feats``) is copied to float64 and its row
 norms taken once (``copy_with_norms``, the one place a row's float64 copy
 and norm are made), and both of its checks read them: a norm is finite
-exactly when its row is, so the finite check scans the piece only when
+exactly when its row is, so the finite check scans the block only when
 some norm is not.  For the character-boundary check a string table
 keeps a bitmap of its blob's continuation bytes (blob_len / 8 bytes) and
 reads its offset table a second time.  Errors are raised once the CRC32
 over the whole payload has matched, so a ``ChecksumError`` takes
 precedence over any other.  Skipped fields come back as ``None``; string
 tables come back as ``StringTable``, which decodes an entry only when it
-is read.  A bank's ``feats`` can also be handed to a consumer piece by
-piece as it is read, each piece once its checks have passed and always
+is read.  A bank's ``feats`` can also be handed to a consumer block by
+block as it is read, each block once its checks have passed and always
 with their float64 copy and norms, so that a caller can scan the field
 without holding it or copying it again, and its ``latent_class``
-likewise, after the last piece of ``feats`` (see ``read_bank``).
+likewise, after the last block of ``feats`` (see ``read_bank``).
 """
 
 from __future__ import annotations
@@ -79,19 +80,12 @@ _BANK_MAGIC = b"DATB"
 _DATASET_MAGIC = b"DATD"
 _BANK_HEADER = struct.Struct("<4sHHQII")
 _DATASET_HEADER = struct.Struct("<4sHHQIII")
-# Bytes of a field the reader takes in with one read, and bytes the checks
-# take at a time, in memory and while reading, so that their temporaries
-# stay near a megabyte: the float64 copy of a unit-row piece is twice its
-# bytes, and a feats copy lives on while the sampler scores it (sample-1m
-# peaks about 1 MiB lower than with 1 MiB pieces).  Both are multiples of
-# 8, so that a blob's continuation bitmap is packed piece by piece.  The
-# block buffer of skipped fields is freed when the decode ends, and glibc
-# then raises its dynamic mmap and trim thresholds to its size: at 4 MiB
-# the n x n temporaries of each training step stay in the heap instead of
-# being mapped and faulted in anew (train-full: 7,000 minor page faults
-# against 39,000 with 1 MiB blocks, and about 12% less time).
-_BLOCK_BYTES = 1 << 22
-_CHECK_BYTES = 1 << 19
+# Bytes of a field the reader takes in with one read, and that the checks
+# take at a time in memory: a block, whose temporaries stay near a
+# megabyte (the float64 copy of a unit-row block is twice its bytes, and a
+# feats copy lives on while the sampler scores it).  A multiple of 8, so
+# that a blob's continuation bitmap is packed block by block.
+_BLOCK_BYTES = 1 << 19
 
 BANK_FIELDS = ("images", "feats", "caption_feats", "latent_class", "captions")
 
@@ -234,13 +228,9 @@ def _dataset_checks(n_classes: int) -> tuple:
             (_off_unit, "class_text_feats"))
 
 
-def _pieces(arr: np.ndarray):
-    """arr in pieces of whole rows of about _CHECK_BYTES, each with the
-    index of its first row; rows of no bytes come in one piece."""
-    row_bytes = arr[:1].nbytes
-    rows = max(1, _CHECK_BYTES // row_bytes if row_bytes else arr.shape[0])
-    for start in range(0, arr.shape[0], rows):
-        yield arr[start:start + rows], start
+def _block_rows(row_bytes: int, rows: int) -> int:
+    """Whole rows of about _BLOCK_BYTES; rows of no bytes make one block."""
+    return max(1, _BLOCK_BYTES // row_bytes if row_bytes else rows)
 
 
 class _Violations:
@@ -278,9 +268,10 @@ def _check_arrays(checks, container) -> list[str]:
     """The violations of checks over the container's arrays in memory."""
     found = _Violations(checks)
     for name in dict.fromkeys(field for _, field in checks):
-        see = found.visit(name)
-        for piece, row0 in _pieces(getattr(container, name)):
-            see(piece, row0)
+        see, arr = found.visit(name), getattr(container, name)
+        step = _block_rows(arr[:1].nbytes, arr.shape[0])
+        for start in range(0, arr.shape[0], step):
+            see(arr[start:start + step], start)
     return found.report()
 
 
@@ -475,14 +466,14 @@ class _PayloadReader:
     def array(self, what: str, shape: tuple, dtype, keep: bool = True,
               visit=None) -> np.ndarray | None:
         """The next field, shape items of dtype stored little-endian: an
-        array when keep is true, else None.  Each piece of it (see
-        _pieces) goes through visit(piece, index of its first row)."""
+        array when keep is true, else None.  Each block of it (see
+        _block_rows) goes through visit(block, index of its first row)."""
         stored = np.dtype(dtype).newbyteorder("<")
         rows, row_shape = shape[0], tuple(shape[1:])
         row_bytes = math.prod(row_shape) * stored.itemsize
         self._expect(what, rows * row_bytes)
         out = np.empty(shape, stored) if keep else None
-        step = max(1, _BLOCK_BYTES // row_bytes if row_bytes else rows)
+        step = _block_rows(row_bytes, rows)
         for start in range(0, rows, step):
             n = min(step, rows - start)
             if out is None:
@@ -491,8 +482,7 @@ class _PayloadReader:
                 block = out[start:start + n]
             self._consume(block, what)
             if visit is not None:
-                for piece, at in _pieces(block):
-                    visit(piece, start + at)
+                visit(block, start)
         return None if out is None else out.astype(dtype, copy=False)
 
     def table(self, what: str, count: int, keep: bool = True) -> StringTable | None:
@@ -536,7 +526,7 @@ class _PayloadReader:
         # bitmap: from memory when kept, else read again from the file
         # (their bytes are already in the CRC32).
         checked = count if outside is None else outside
-        step = max(1, _CHECK_BYTES // 16)
+        step = _block_rows(16, checked)
         split = None
         if table is None:
             self._fh.seek(table_at)

@@ -18,11 +18,18 @@ term), positives P(i) = {k : y_k = y_i} including i, and anchor_reduction
                               log( exp(z[i, k]) / sum_j exp(z[i, j]) )
     L_con = L_i2t + L_t2i
 
-"mean" divides both by the batch size.  The gradient in z is
-(softmax - positive-mass) per anchor, column-wise for text anchors and
-row-wise for image anchors; text features are frozen, so only the image
-embedding gradients are returned.  tau and anchor_reduction are read from
-a RunConfig.
+Positives share a label: with V_g and T_g the sums of group g's image
+embeddings and text features, n_g its size and S = sum_g V_g . T_g /
+(n_g tau), L_i2t = sum_i log sum_j exp(z[j, i]) - S and L_t2i = sum_i log
+sum_j exp(z[i, j]) - S, each log-sum shifted by its own column's or row's
+maximum.  The gradient in z is (softmax - positive mass) per anchor,
+column-wise for text anchors and row-wise for image anchors, and the
+positive mass times t is the anchor's group mean text feature, so
+dL/dv_k = (sum_i (P_col + P_row)[k, i] t_i - 2 T_{y_k} / n_{y_k}) / tau
+with P_col and P_row the column and row softmaxes of z: one n x n buffer
+holds z once for each.  "mean" divides both losses by the batch size.
+Text features are frozen, so only the image embedding gradients are
+returned.  tau and anchor_reduction are read from a RunConfig.
 """
 
 from __future__ import annotations
@@ -75,21 +82,10 @@ def cross_entropy_term(labels: np.ndarray, probs: np.ndarray, rows: np.ndarray,
     return loss, grad / denom
 
 
-def _positive_mass(labels: np.ndarray) -> np.ndarray:
-    """M[k, i] = [y_k == y_i] / |P(i)|; every column sums to one."""
-    same = labels[:, None] == labels[None, :]
-    counts = same.sum(axis=0)
-    return same.astype(np.float64) / counts[None, :]
-
-
-def _log_softmax(z: np.ndarray, axis: int) -> np.ndarray:
-    shifted = z - z.max(axis=axis, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
-
-
 def contrastive_loss(v: np.ndarray, text_feats: np.ndarray, labels: np.ndarray,
                      cfg: RunConfig) -> ContrastiveResult:
-    """Bidirectional contrast over one unified batch.
+    """Bidirectional contrast over one unified batch, from the group sums
+    (see the module docstring).
 
     v and text_feats must be unit rows; labels group the positives.  Returns
     the two directional losses and the gradient with respect to v (text
@@ -113,20 +109,30 @@ def contrastive_loss(v: np.ndarray, text_feats: np.ndarray, labels: np.ndarray,
             raise ValueError(f"{name} row {i} has norm {norms[i]:.8f}, "
                              "expected unit within 1e-6")
 
-    z = (v @ t.T) / cfg.tau            # z[i, j] = v_i . t_j / tau
-    mass = _positive_mass(labels)
+    _, group, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    v_sum = np.zeros((sizes.size, v.shape[1]))
+    t_sum = np.zeros_like(v_sum)
+    np.add.at(v_sum, group, v)
+    np.add.at(t_sum, group, t)
+    positive = float(np.sum(np.einsum("gd,gd->g", v_sum, t_sum) / sizes)) / cfg.tau
+    d_z_t = (t_sum / sizes[:, None])[group] * -2.0  # accumulates d_z @ t
 
-    log_col = _log_softmax(z, axis=0)  # softmax over images for each text anchor
-    log_row = _log_softmax(z, axis=1)  # softmax over texts for each image anchor
-    loss_i2t = -float(np.sum(mass * log_col))
-    loss_t2i = -float(np.sum(mass.T * log_row))
-
-    d_z = (np.exp(log_col) - mass) + (np.exp(log_row) - mass.T)
-    scale = 1.0
-    if cfg.anchor_reduction == "mean":
-        scale = 1.0 / n
-        loss_i2t *= scale
-        loss_t2i *= scale
-    grad_v = (d_z @ t) * (scale / cfg.tau)
+    # The same buffer holds z twice: shifted by its column maxima for the
+    # text anchors (L_i2t), then by its row maxima for the image anchors.
+    scale = 1.0 / n if cfg.anchor_reduction == "mean" else 1.0
+    z = np.empty((n, n))
+    losses = []
+    for axis in (0, 1):
+        np.matmul(v, t.T, out=z)
+        z /= cfg.tau                       # z[i, j] = v_i . t_j / tau
+        top = z.max(axis=axis, keepdims=True)
+        z -= top
+        np.exp(z, out=z)
+        total = z.sum(axis=axis, keepdims=True)
+        losses.append((float(np.sum(top + np.log(total))) - positive) * scale)
+        z /= total                         # each anchor's softmax
+        d_z_t += z @ t
+    loss_i2t, loss_t2i = losses
     return ContrastiveResult(loss_i2t=loss_i2t, loss_t2i=loss_t2i,
-                             loss_con=loss_i2t + loss_t2i, grad_v=grad_v)
+                             loss_con=loss_i2t + loss_t2i,
+                             grad_v=d_z_t * (scale / cfg.tau))

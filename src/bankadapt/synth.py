@@ -137,7 +137,7 @@ def generate_pretrain_bank(cfg: RunConfig, ds: DownstreamDataset) -> EmbeddingBa
 
     # fixed shuffle so in-distribution records are not a contiguous prefix;
     # np.take copies rows about twice as fast as x[index], and each float64
-    # array is cast to float32 before it is shuffled
+    # array is cast to float32, and dropped, before it is shuffled
     order = _bank_order(cfg)
     images = derive_rng(cfg.seed, "bank-images").normal(
         0.0, cfg.noise_sigma, size=(m, cfg.image_dim))
@@ -146,7 +146,8 @@ def generate_pretrain_bank(cfg: RunConfig, ds: DownstreamDataset) -> EmbeddingBa
                                                     cfg.image_dim)
                            for kind in ("image", "text"))
     feats = np.take(image_emb.embed_rows(images).astype(np.float32), order, 0)
-    images = np.take(images.astype(np.float32), order, 0)
+    images = images.astype(np.float32)
+    images = np.take(images, order, 0)
     # a caption's feature, as its text, is its subject's: one gather of the
     # C + K embedded concepts by the index the caption table takes
     subject = subject[order]

@@ -13,8 +13,15 @@ import numpy as np
 import pytest
 
 from bankadapt import cli, embank
+from bankadapt.benchmark import BENCH
 from bankadapt.cli import main
-from bankadapt.config import RunConfig, config_help, config_values, format_value
+from bankadapt.config import (
+    RunConfig,
+    config_help,
+    config_values,
+    format_value,
+    write_config,
+)
 from bankadapt.embank import (
     decode_bank_file,
     decode_dataset_file,
@@ -73,9 +80,8 @@ def test_inspect_prints_five_lines_and_keeps_no_payload_field(tmp_path, monkeypa
     bank_path, ds_path = tmp_path / "bank.datb", tmp_path / "train.datd"
     encode_bank_file(bank, bank_path)
     encode_dataset_file(ds, ds_path)
-    block, piece = 1 << 16, 1 << 14
+    block = 1 << 14
     monkeypatch.setattr(embank, "_BLOCK_BYTES", block)
-    monkeypatch.setattr(embank, "_CHECK_BYTES", piece)
     capsys.readouterr()
     tracemalloc.start()
     try:
@@ -86,10 +92,10 @@ def test_inspect_prints_five_lines_and_keeps_no_payload_field(tmp_path, monkeypa
     assert capsys.readouterr().out == (f"format = DATB\nrecords = {m}\nimage_dim = 20\n"
                                        "feat_dim = 16\nwith_latent = True\n")
     # Beyond the captions' continuation bitmap, the reader's block and the
-    # temporaries of four check pieces, less than half of the smallest field
-    # (latent_class, 800,000 bytes).
+    # temporaries of the checks on it (four blocks), less than half of the
+    # smallest field (latent_class, 800,000 bytes).
     bitmap = sum(len(c.encode("utf-8")) for c in bank.captions) / 8
-    assert peak <= bitmap + block + 4 * piece + bank.latent_class.nbytes / 2, peak
+    assert peak <= bitmap + 5 * block + bank.latent_class.nbytes / 2, peak
     assert run(["inspect", str(ds_path)]) == 0
     assert capsys.readouterr().out == ("format = DATD\nimages = 9\nclasses = 3\n"
                                        "image_dim = 20\nfeat_dim = 16\n")
@@ -131,16 +137,20 @@ def test_sample_stays_within_its_budget_end_to_end(tmp_path):
     """sample on a 200,000-record bank (57 MiB) peaks, beyond an import-only
     child, at no more than what it keeps (the stored feats of up to 2*k1*C
     label-bank candidates, and the ids and latent classes of the k1*C
-    records of the label bank), the scorer's memory budget, and a slack of
-    the reader's block buffer and two check pieces (5 MiB): a feats piece's
-    float64 copy, which the scorer divides in place, is twice its bytes.
-    The slack also covers the captions' 0.6 MiB continuation bitmap and the
-    small downstream set.  feats itself is scored while it is read and
-    never held whole: a sample that decodes it first (12.8 MiB here), or
-    keeps latent_class whole (0.8 MiB), breaks the bound."""
+    records of the label bank), the scorer's memory budget, and what the
+    reader holds: its block buffer, a feats block's float64 copy (twice its
+    bytes, divided in place by the scorer) and the captions' continuation
+    bitmap (0.56 MiB).  A slack of one more block covers what a trace of
+    ru_maxrss shows besides: the checks' masks and the scorer's gathers,
+    and numpy.random, which stage 2 imports once the reader has freed its
+    buffers.  feats itself is scored while it is read and never held
+    whole: a sample that decodes it first (12.8 MiB here), keeps
+    latent_class whole (0.8 MiB) or reads through a 4 MiB block breaks the
+    bound (about 6.0 MiB now, 7.8 MiB with a 4 MiB block, 6.6 allowed)."""
     m, d = 200_000, 16
+    bank = random_bank(seed=17, m=m, d_img=32, d=d)
     bank_path, ds_path = tmp_path / "bank.datb", tmp_path / "train.datd"
-    encode_bank_file(random_bank(seed=17, m=m, d_img=32, d=d), bank_path)
+    encode_bank_file(bank, bank_path)
     encode_dataset_file(random_dataset(seed=17, n=12, n_classes=3, d_img=32, d=d),
                         ds_path)
     budget = 4 << 20
@@ -150,7 +160,8 @@ def test_sample_stays_within_its_budget_end_to_end(tmp_path):
                            str(budget), "--out_dir", str(tmp_path / "out")])
     k1 = default_k1(12, 3, RunConfig().stage1_multiplier)
     kept = 2 * k1 * 3 * d * 4 + k1 * 3 * (8 + 4)
-    allowed = kept + budget + embank._BLOCK_BYTES + 2 * embank._CHECK_BYTES
+    bitmap = sum(len(c.encode("utf-8")) for c in bank.captions) / 8
+    allowed = kept + budget + 4 * embank._BLOCK_BYTES + bitmap
     assert peak - base <= allowed, (peak - base, allowed)
     assert allowed < bank_path.stat().st_size
 
@@ -159,15 +170,16 @@ def test_sample_stays_within_its_budget_end_to_end(tmp_path):
                     reason="ru_maxrss is in KiB on Linux only")
 def test_synth_gen_stays_within_the_arrays_it_must_hold(tmp_path, monkeypatch):
     """synth-gen of a 200,000-record bank (D_img 32, d 16), with one BLAS
-    thread, peaks beyond an import-only child when it shuffles the images.
-    It then holds the float64 images, their float32 cast and its shuffled
-    copy (16mD bytes), the shuffled float32 feats (4md), and four integer
-    arrays of m entries: latent class, own concept, caption subject and
-    shuffle order (28m).  That is 604m bytes (115 MiB).  A slack of eight
-    reader blocks (32 MiB) covers the downstream sets, the finite check's
-    mask, the BLAS buffers and the pages the allocator keeps.  Embedding
-    each record's caption subject rather than gathering the embedded
-    concepts breaks the bound (156 MiB), and so does making each caption a
+    thread, peaks beyond an import-only child when it casts the images.  It
+    then holds the float64 images and their float32 cast (12mD bytes; the
+    float64 images are dropped before the cast is shuffled), the shuffled
+    float32 feats (4md), and four integer arrays of m entries: latent
+    class, own concept, caption subject and shuffle order (28m).  That is
+    476m bytes (91 MiB).  A slack of 32 MiB covers the downstream sets, the
+    finite check's mask, the BLAS buffers and the pages the allocator
+    keeps.  Shuffling while the float64 images are alive (16mD) breaks the
+    bound (132 MiB), and so do embedding each record's caption subject
+    rather than gathering the embedded concepts, and making each caption a
     string (326 MiB)."""
     m, d_img, d = 200_000, 32, 16
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
@@ -177,10 +189,46 @@ def test_synth_gen_stays_within_the_arrays_it_must_hold(tmp_path, monkeypatch):
                            "--n_classes", "50", "--n_per_class", "40",
                            "--image_dim", str(d_img), "--feat_dim", str(d),
                            "--out_dir", str(tmp_path)])
-    held = 16 * m * d_img + 4 * m * d + 28 * m
-    allowed = held + 8 * embank._BLOCK_BYTES
+    held = 12 * m * d_img + 4 * m * d + 28 * m
+    allowed = held + (32 << 20)
     assert peak - base <= allowed, (peak - base, allowed)
     assert embank.describe_bank_file(tmp_path / "bank.datb")[:3] == (m, d_img, d)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in KiB on Linux only")
+def test_train_on_samples_stays_within_what_it_holds(tmp_path, monkeypatch):
+    """train --samples on a world of the frozen recipe (8,000 records, the
+    full variant's 84 steps), with one BLAS thread, peaks beyond a child
+    that imports bankadapt.cli and numpy.random (which train's first draw
+    imports) at no more than what the bank read and a step hold, as if both
+    were alive at once: the kept images and caption_feats of every record
+    (1.5 MiB), the reader's block buffer and a feats block's float64 copy
+    (three blocks), the downstream images, and two n x n float64 arrays of
+    the largest contrastive batch (n = b + 2u = 288): the loss's buffer,
+    and as much again for the step's forward and backward arrays.  A slack
+    of two blocks covers the checks' temporaries and the pages the
+    allocator keeps.  About 4.0 MiB now against 5.3 allowed; a 4 MiB
+    reader block and the n x n matrices of the matrix-form loss took 6.3."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    recipe, world, sampled = tmp_path / "bench.cfg", tmp_path / "w", tmp_path / "s"
+    write_config(BENCH, recipe)
+    assert run(["synth-gen", "--config", str(recipe), "--out_dir", str(world)]) == 0
+    files = ["--bank", str(world / "bank.datb"), "--dataset", str(world / "train.datd")]
+    assert run(["sample", "--config", str(recipe), *files,
+                "--out_dir", str(sampled)]) == 0
+    base = child_peak_rss(["-c", "import bankadapt.cli, numpy.random"])
+    peak = child_peak_rss(["-m", "bankadapt.cli", "train", "--config", str(recipe),
+                           *files, "--eval_dataset", str(world / "eval.datd"),
+                           "--samples", str(sampled / "samples.csv"),
+                           "--out_dir", str(tmp_path / "t")])
+    cfg = BENCH
+    n = cfg.batch_size * (1 + 2 * cfg.mu)
+    images = (cfg.n_per_class + cfg.eval_n_per_class) * cfg.n_classes * cfg.image_dim * 4
+    held = cfg.bank_size * (cfg.image_dim + cfg.feat_dim) * 4 + images + 2 * 8 * n * n
+    allowed = held + 5 * embank._BLOCK_BYTES
+    assert peak - base <= allowed, (peak - base, allowed)
 
 
 def test_sample_reports_precision_above_in_dist_rate(tmp_path, capsys):
@@ -600,6 +648,14 @@ def test_an_out_dir_the_echo_cannot_replay_is_refused_first(tmp_path, capsys, na
     # "v\udc85u" is how argv hands a non-UTF-8 byte (0x85) to Python
     assert run(["synth-gen", *TINY, "--out_dir", str(tmp_path / name)]) == 1
     assert "key 'out_dir': must be one line of UTF-8 text" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_out_dir_with_a_trailing_blank_is_refused_first(tmp_path, capsys):
+    # "w " names another directory than "w"; neither is made
+    assert run(["synth-gen", *TINY, "--out_dir", f"{tmp_path / 'w'} "]) == 1
+    assert "key 'out_dir': must be one line of UTF-8 text with no whitespace" \
+        in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -147,6 +147,18 @@ def test_a_path_the_echo_cannot_replay_is_refused(raw):
         "w x/caf\u00e9"
 
 
+@pytest.mark.parametrize("raw", [" w\r", " w", "w ", "w\t", "\u3000w"])
+def test_a_text_value_keeps_its_characters(raw):
+    # whitespace at either end is refused, naming the key, never stripped:
+    # the path given would not be the path used
+    for key in PATH_KEYS:
+        with pytest.raises(ConfigError, match=f"^key '{key}': must be one line of "
+                           "UTF-8 text with no whitespace at either end"):
+            apply_updates(RunConfig(), {key: raw})
+    # only the file form strips, around its '='
+    assert parse_config("out_dir =  w x \t\n").out_dir == "w x"
+
+
 def test_sampler_and_eval_sizes_must_be_positive():
     for key in ("stage1_multiplier", "stage2_keep"):
         with pytest.raises(ConfigError, match=f"'{key}': must be positive"):

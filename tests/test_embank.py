@@ -367,8 +367,8 @@ def whole_array_violations(bank):
 
 @pytest.mark.parametrize("extra", [0, 1, 37])
 def test_blocked_validation_matches_whole_array_checks(monkeypatch, extra):
-    rows = 16  # 32-byte rows in every field, so 16 rows per check piece
-    monkeypatch.setattr(embank, "_CHECK_BYTES", 32 * rows)
+    rows = 16  # 32-byte rows in every field, so 16 rows per block
+    monkeypatch.setattr(embank, "_BLOCK_BYTES", 32 * rows)
     m = 2 * rows + extra
     bank = random_bank(seed=9, m=m, d_img=8, d=8)
     assert validate_bank(bank) == [] == whole_array_violations(bank)
@@ -635,12 +635,11 @@ def test_blocks_that_end_inside_a_row_change_nothing(tmp_path, monkeypatch, bloc
 def test_selective_decode_peak_is_the_kept_fields_a_block_and_the_bitmap(
         tmp_path, monkeypatch):
     """Beside the kept arrays and the captions' continuation bitmap, the
-    reader holds one block buffer and the temporaries of the checks on one
-    piece of it: at most four pieces (the unit-row check's float64 copy is
-    two, the UTF-8 check's mask, bytes and text about three)."""
-    block, piece = 1 << 18, 1 << 16
+    reader holds one block buffer and the temporaries of the checks on it:
+    at most four blocks (the unit-row check's float64 copy is two, the
+    UTF-8 check's mask, bytes and text about three)."""
+    block = 1 << 16
     monkeypatch.setattr(embank, "_BLOCK_BYTES", block)
-    monkeypatch.setattr(embank, "_CHECK_BYTES", piece)
     path = tmp_path / "big.datb"
     bank = random_bank(seed=14, m=100_000, d_img=20, d=16)
     encode_bank_file(bank, path)
@@ -653,7 +652,7 @@ def test_selective_decode_peak_is_the_kept_fields_a_block_and_the_bitmap(
     finally:
         tracemalloc.stop()
     kept_bytes = kept.feats.nbytes + kept.latent_class.nbytes
-    allowed = kept_bytes + blob_len / 8 + block + 4 * piece
+    allowed = kept_bytes + blob_len / 8 + 5 * block
     assert peak <= allowed, (peak, allowed)
     assert allowed < path.stat().st_size / 3
 
@@ -666,12 +665,12 @@ FEATS_FAULTS = {"nan row": ValidationError, "zero row": ValidationError,
 @pytest.mark.parametrize("fault", FEATS_FAULTS)
 def test_sample_reports_the_decode_error_of_a_faulty_bank(tmp_path, monkeypatch,
                                                           capsys, fault):
-    """sample scores feats while the bank is read, piece by piece; a file
+    """sample scores feats while the bank is read, block by block; a file
     that fails a check exits 1 with the decode's own error, never with the
     scorer's refusal of a degenerate row.  The fault sits in row 3,000 of
-    5,000, so the pieces before it are scored first."""
+    5,000, so the blocks before it are scored first."""
     m, d = 5000, 16
-    monkeypatch.setattr(embank, "_CHECK_BYTES", 1 << 14)  # 256 feats rows
+    monkeypatch.setattr(embank, "_BLOCK_BYTES", 1 << 14)  # 256 feats rows
     bank = random_bank(seed=23, m=m, d_img=8, d=d)
     row = 3000
     if fault == "nan row":

@@ -1,12 +1,13 @@
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bankadapt.config import RunConfig
+from bankadapt.config import ANCHOR_REDUCTIONS, RunConfig
 from bankadapt.losses import (
     ContrastiveResult,
     contrastive_loss,
@@ -40,6 +41,36 @@ def oracle_contrastive(v, t, labels, tau, reduction="sum"):
         loss_i2t /= n
         loss_t2i /= n
     return loss_i2t, loss_t2i
+
+
+def matrix_contrastive_loss(v, t, labels, cfg):
+    """The contrastive term from the n x n matrices of its definition: the
+    positive mass M[k, i] = [y_k == y_i] / |P(i)| and both log-softmaxes of
+    z, each shifted by its own axis's maxima.  The oracle of
+    contrastive_loss, which reaches the same values from the group sums."""
+    v, t = np.asarray(v, np.float64), np.asarray(t, np.float64)
+    labels = np.asarray(labels)
+    n = v.shape[0]
+    same = labels[:, None] == labels[None, :]
+    mass = same.astype(np.float64) / same.sum(axis=0)[None, :]
+
+    def log_softmax(z, axis):
+        shifted = z - z.max(axis=axis, keepdims=True)
+        return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+
+    z = (v @ t.T) / cfg.tau
+    log_col, log_row = log_softmax(z, 0), log_softmax(z, 1)
+    loss_i2t = -float(np.sum(mass * log_col))
+    loss_t2i = -float(np.sum(mass.T * log_row))
+    d_z = (np.exp(log_col) - mass) + (np.exp(log_row) - mass.T)
+    scale = 1.0
+    if cfg.anchor_reduction == "mean":
+        scale = 1.0 / n
+        loss_i2t *= scale
+        loss_t2i *= scale
+    return ContrastiveResult(loss_i2t=loss_i2t, loss_t2i=loss_t2i,
+                             loss_con=loss_i2t + loss_t2i,
+                             grad_v=(d_z @ t) * (scale / cfg.tau))
 
 
 def unit(v):
@@ -301,6 +332,59 @@ class TestContrastiveGeneral:
         assert isinstance(res, ContrastiveResult)
         assert res.grad_v.shape == (2, 2)
         assert not hasattr(res, "grad_t")
+
+
+def contrastive_fixture(name):
+    """(v, t, labels, tau) of a named fixture, unit rows of width 16.  At
+    tau = 0.001 each text row lies near its image but one, which is
+    orthogonal to every image: z spans about 0 to 1000, and its column of
+    exp(z) shifted by the global maximum underflows to zero."""
+    rng = np.random.default_rng(sorted(CONTRASTIVE_FIXTURES).index(name))
+    n, groups, tau = CONTRASTIVE_FIXTURES[name]
+    labels = np.arange(n) if groups == n else rng.integers(0, groups, n)
+    v, t = random_unit(rng, n, 16), random_unit(rng, n, 16)
+    if tau == 0.001:
+        v[:, 8:] = 0.0
+        v = unit(v)
+        t = unit(v + 0.05 * rng.standard_normal(v.shape))
+        t[0] = np.eye(16)[15]
+    return v, t, labels, tau
+
+
+# name: (batch size, groups, tau)
+CONTRASTIVE_FIXTURES = {"singleton groups": (12, 12, 0.07), "one group": (12, 1, 0.07),
+                        "n = 288": (288, 10, 0.07), "tau = 0.001": (288, 10, 0.001)}
+
+
+@pytest.mark.parametrize("reduction", ANCHOR_REDUCTIONS)
+@pytest.mark.parametrize("name", CONTRASTIVE_FIXTURES)
+def test_group_sums_match_the_matrix_form(name, reduction):
+    v, t, labels, tau = contrastive_fixture(name)
+    cfg = RunConfig(tau=tau, anchor_reduction=reduction)
+    got, want = contrastive_loss(v, t, labels, cfg), matrix_contrastive_loss(
+        v, t, labels, cfg)
+    for field in ("loss_i2t", "loss_t2i", "loss_con"):
+        assert abs(getattr(got, field) - getattr(want, field)) <= \
+            1e-12 * abs(getattr(want, field)), field
+    assert np.abs(got.grad_v - want.grad_v).max() <= 1e-12 * np.abs(want.grad_v).max()
+    if tau == 0.001:
+        z = (v @ t.T) / tau
+        assert (np.exp(z - z.max()) == 0.0).all(axis=0).any()
+
+
+def test_one_call_holds_one_n_by_n_buffer():
+    """A 288-row call allocates one n x n float64 buffer (8n^2 bytes) and
+    vectors of n or n x d entries: at most 1.25 x 8n^2 at its peak.  The
+    matrix form holds about six such buffers."""
+    v, t, labels, tau = contrastive_fixture("n = 288")
+    n = v.shape[0]
+    tracemalloc.start()
+    try:
+        contrastive_loss(v, t, labels, RunConfig(tau=tau))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * n * n, peak / (8 * n * n)
 
 
 def test_config_validation():

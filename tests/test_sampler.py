@@ -445,15 +445,15 @@ def feed_in_pieces(v, f, k, chunk_rows, bounds):
 def feed_from_file(tmp_path, monkeypatch, v, f, k, chunk_rows, piece_rows):
     """The selection of the float32 unit rows v stored as a bank's feats and
     fed to the selector by read_bank, as stage1_sample feeds them:
-    in the reader's check pieces of piece_rows rows, each with its float64
-    copy and norms."""
+    in the reader's blocks of piece_rows rows, each with its float64 copy
+    and norms."""
     m = len(v)
     bank = EmbeddingBank(images=np.zeros((m, 1), np.float32), feats=v,
                          caption_feats=v, captions=[""] * m,
                          latent_class=np.full(m, -1, np.int32))
     path = tmp_path / "feed.datb"
     encode_bank_file(bank, path)
-    monkeypatch.setattr(embank, "_CHECK_BYTES", piece_rows * v[:1].nbytes)
+    monkeypatch.setattr(embank, "_BLOCK_BYTES", piece_rows * v[:1].nbytes)
     selector = TopKSelector(f, k, chunk_rows)
     read_bank(path, (), selector.feed)
     return selector.result()
