@@ -64,7 +64,9 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
                          help=f"{key_help[key]} (default: {format_value(default)})")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, where only command's, the one being
+    run, takes the config flags: a run never reads another's."""
     parser = argparse.ArgumentParser(
         prog="bankadapt",
         description="Bank-retrieval adaptation pipeline: generate synthetic "
@@ -80,12 +82,10 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep": "grid over mu and t_thresh, one training run per cell",
         "inspect": "print the parsed header of a DATB/DATD/DATC file",
     }
-    parsers = {}
-    for name, help_text in specs.items():
-        parsers[name] = sub.add_parser(name, help=help_text)
-        if name != "inspect":
-            _add_config_flags(parsers[name])
-
+    parsers = {name: sub.add_parser(name, help=help_text)
+               for name, help_text in specs.items()}
+    if command in parsers and command != "inspect":
+        _add_config_flags(parsers[command])
     parsers["inspect"].add_argument("path", help="file to inspect")
     return parser
 
@@ -164,19 +164,12 @@ def _bank_source(cfg: RunConfig, ds: DownstreamDataset) -> EmbeddingBank | str:
     return cfg.bank if _from_files(cfg) else generate_pretrain_bank(cfg, ds)
 
 
-def _load_bank(cfg: RunConfig, ds: DownstreamDataset,
-               fields: tuple[str, ...]) -> EmbeddingBank:
-    """The bank of _bank_source; a file is checked whole but keeps only
-    fields."""
-    source = _bank_source(cfg, ds)
-    if isinstance(source, EmbeddingBank):
-        return source
-    return decode_bank_file(source, fields=fields)
-
-
 def _selected_for_train(cfg: RunConfig, ds: DownstreamDataset) -> SelectedBank:
-    """The bank rows training draws unlabeled rows from; the bank is read
-    keeping only the fields the selection needs, and dropped on return."""
+    """The bank rows training draws unlabeled rows from: those of the
+    samples file, else those of a two-stage selection.  A bank file is read
+    once keeping only those rows of images and caption_feats, after, for a
+    selection, one read keeping no field, whose feats stage 1 scores as
+    they are read."""
     if cfg.mu == 0:
         # No step draws an unlabeled row, so no step reads the selection:
         # a bank file is still checked whole, a synthetic one is not made.
@@ -191,11 +184,13 @@ def _selected_for_train(cfg: RunConfig, ds: DownstreamDataset) -> SelectedBank:
         if ids.size == 0:
             raise ValueError(f"{cfg.samples} holds no record: mu = {cfg.mu} "
                              "needs unlabeled rows to train on")
-        bank = _load_bank(cfg, ds, ("images", "caption_feats"))
-        return SelectedBank.from_bank(bank, ids, ds)
-    bank = _load_bank(cfg, ds, ("images", "feats", "caption_feats"))
-    s2 = stage2_sample(stage1_sample(bank, ds, cfg), ds, cfg)
-    return SelectedBank.from_bank(bank, s2.selected_ids, ds)
+    source = _bank_source(cfg, ds)
+    if not cfg.samples:
+        ids = stage2_sample(stage1_sample(source, ds, cfg), ds, cfg).selected_ids
+    if isinstance(source, EmbeddingBank):
+        return SelectedBank.from_bank(source, ids, ds)
+    rows = decode_bank_file(source, fields=("images", "caption_feats"), rows=ids)
+    return SelectedBank.of_rows(rows, ids, ds)
 
 
 def cmd_synth_gen(cfg: RunConfig, args) -> int:
@@ -348,7 +343,8 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         if args.command == "inspect":
             cfg = RunConfig()

@@ -47,12 +47,19 @@ norms taken once (``copy_with_norms``, the one place a row's float64 copy
 and norm are made), and both of its checks read them: a norm is finite
 exactly when its row is, so the finite check scans the block only when
 some norm is not.  For the character-boundary check a string table
-keeps a bitmap of its blob's continuation bytes (blob_len / 8 bytes) and
-reads its offset table a second time.  Errors are raised once the CRC32
+marks its blob's continuation bytes in a zeroed bitmap (blob_len / 8
+bytes), written only for the blocks that hold one, and, when some block
+did, reads its offset table a second time; an ASCII blob touches no page
+of the bitmap and skips that read.  Errors are raised once the CRC32
 over the whole payload has matched, so a ``ChecksumError`` takes
 precedence over any other.  Skipped fields come back as ``None``; string
 tables come back as ``StringTable``, which decodes an entry only when it
-is read.  A bank's ``feats`` can also be handed to a consumer block by
+is read.  A bank's array fields can also be kept at some rows only
+(``decode_bank_file(path, fields, rows=ids)``): every block then passes
+through the block buffer, as a skipped field's does, and the rows at ids
+are copied out of it into the caller's order, so a few hundred selected
+rows of a large bank cost their own bytes and one block.  A bank's
+``feats`` can also be handed to a consumer block by
 block as it is read, each block once its checks have passed and always
 with their float64 copy and norms, so that a caller can scan the field
 without holding it or copying it again, and its ``latent_class``
@@ -464,23 +471,36 @@ class _PayloadReader:
                 f"{self._pos + nbytes + 4} bytes, file has {self._file_size}"))
 
     def array(self, what: str, shape: tuple, dtype, keep: bool = True,
-              visit=None) -> np.ndarray | None:
+              visit=None, ids: np.ndarray | None = None) -> np.ndarray | None:
         """The next field, shape items of dtype stored little-endian: an
-        array when keep is true, else None.  Each block of it (see
+        array when keep is true, else None; with ids (int64 row indices),
+        only the rows at ids, in ids' order, where an id outside the field
+        leaves its row unset (read_bank refuses it).  Each block of it (see
         _block_rows) goes through visit(block, index of its first row)."""
         stored = np.dtype(dtype).newbyteorder("<")
         rows, row_shape = shape[0], tuple(shape[1:])
         row_bytes = math.prod(row_shape) * stored.itemsize
         self._expect(what, rows * row_bytes)
-        out = np.empty(shape, stored) if keep else None
+        out = order = None
+        if keep and ids is not None:
+            # the rows at ids in ascending order, so each block finds its own
+            # by one search; order maps them back to the caller's positions
+            order = np.argsort(ids, kind="stable")
+            at = ids[order]
+            out = np.empty((ids.size,) + row_shape, stored)
+        elif keep:
+            out = np.empty(shape, stored)
         step = _block_rows(row_bytes, rows)
         for start in range(0, rows, step):
             n = min(step, rows - start)
-            if out is None:
+            if out is None or order is not None:
                 block = self._buffer(n * row_bytes).view(stored).reshape((n,) + row_shape)
             else:
                 block = out[start:start + n]
             self._consume(block, what)
+            if order is not None:
+                lo, hi = np.searchsorted(at, (start, start + n))
+                out[order[lo:hi]] = block[at[lo:hi] - start]
             if visit is not None:
                 visit(block, start)
         return None if out is None else out.astype(dtype, copy=False)
@@ -506,15 +526,21 @@ class _PayloadReader:
                            bounds)
         # the bitmap is sized from blob_len, so blob_len must fit the file first
         self._expect(f"{what} blob", blob_len)
-        continuation = np.empty(-(-blob_len // 8), np.uint8)
+        # zeroed pages are mapped only once written, so the bits of a block
+        # without a continuation byte cost no memory
+        continuation = np.zeros(-(-blob_len // 8), np.uint8)
+        seen_continuation = False
         decoder = codecs.getincrementaldecoder("utf-8")()
         not_utf8 = None
 
         def utf8(chunk, row0):
-            nonlocal not_utf8
+            nonlocal not_utf8, seen_continuation
             stop = row0 + chunk.size
             # continuation bytes, 0x80 to 0xBF, are the int8 values below -64
-            continuation[row0 // 8:-(-stop // 8)] = np.packbits(chunk.view(np.int8) < -64)
+            inner = chunk.view(np.int8) < -64
+            if inner.any():
+                seen_continuation = True
+                continuation[row0 // 8:-(-stop // 8)] = np.packbits(inner)
             if not_utf8 is None:
                 try:
                     decoder.decode(memoryview(chunk), final=stop == blob_len)
@@ -524,11 +550,15 @@ class _PayloadReader:
         blob = self.array(f"{what} blob", (blob_len,), np.uint8, keep, utf8)
         # The entries before the first one outside the blob, against the
         # bitmap: from memory when kept, else read again from the file
-        # (their bytes are already in the CRC32).
-        checked = count if outside is None else outside
+        # (their bytes are already in the CRC32).  A blob without a
+        # continuation byte splits no character.
+        checked = 0
+        if seen_continuation:
+            checked = count if outside is None else outside
         step = _block_rows(16, checked)
         split = None
-        if table is None:
+        reread = table is None and checked > 0
+        if reread:
             self._fh.seek(table_at)
         for start in range(0, checked, step):
             n = min(step, checked - start)
@@ -541,7 +571,7 @@ class _PayloadReader:
             if split is not None:
                 split += start
                 break
-        if table is None:
+        if reread:
             self._fh.seek(self._pos)
         if split is not None:
             self._fail(FormatError(
@@ -615,10 +645,24 @@ def encode_bank_file(bank: EmbeddingBank, path) -> None:
     ])
 
 
+def refuse_outside(ids: np.ndarray, m: int) -> None:
+    """Refuse int64 record ids unless each lies inside a bank of m records,
+    naming the first that does not."""
+    bad = np.flatnonzero((ids < 0) | (ids >= m))
+    if bad.size:
+        raise ValidationError([f"selected record id {int(ids[bad[0]])} is "
+                               f"outside the bank's {m} records"])
+
+
 def read_bank(path, fields: Sequence[str] = BANK_FIELDS, feats_to=None,
-              latent_to=None) -> tuple[EmbeddingBank, tuple, bool]:
+              latent_to=None, rows=None) -> tuple[EmbeddingBank, tuple, bool]:
     """The bank keeping fields, its header's (m, D_img, d), and whether any
     record has a latent class.
+
+    With rows (record ids), each kept field holds only the rows at rows,
+    in rows' order; the others still go through every check.  An id
+    outside the bank is refused once the whole file has passed them.
+    captions cannot be kept by rows.
 
     With feats_to, each piece of feats goes to feats_to(rows, index of its
     first row, rows64, norms) once its checks have run, until a check finds
@@ -632,6 +676,11 @@ def read_bank(path, fields: Sequence[str] = BANK_FIELDS, feats_to=None,
     unknown = sorted(set(fields) - set(BANK_FIELDS))
     if unknown:
         raise ValueError(f"unknown bank fields {unknown}, expected some of {BANK_FIELDS}")
+    ids = None
+    if rows is not None:
+        if "captions" in fields:
+            raise ValueError("captions cannot be kept by rows")
+        ids = np.asarray(rows, dtype=np.int64)
     with read_container(path, _BANK_MAGIC, _BANK_HEADER) as (header, rd):
         _, _, _, m, d_img, d = header
         found = _Violations(_BANK_CHECKS)
@@ -651,7 +700,7 @@ def read_bank(path, fields: Sequence[str] = BANK_FIELDS, feats_to=None,
                         feed_error = exc
             visits["feats"] = feed
         kept = {name: rd.array(name, (m, width), np.float32, name in fields,
-                               visits[name])
+                               visits[name], ids)
                 for name, width in (("images", d_img), ("feats", d),
                                     ("caption_feats", d))}
         if feats_to is not None and m == 0:
@@ -665,18 +714,23 @@ def read_bank(path, fields: Sequence[str] = BANK_FIELDS, feats_to=None,
                 latent_to(piece, row0)
 
         kept["latent_class"] = rd.array("latent_class", (m,), np.int32,
-                                        "latent_class" in fields, see_latent)
+                                        "latent_class" in fields, see_latent, ids)
         kept["captions"] = rd.table("captions", m, "captions" in fields)
         rd.finish("caption table", found.report())
     if feed_error is not None:
         raise feed_error
+    if ids is not None:
+        refuse_outside(ids, m)
     return EmbeddingBank(**kept), (m, d_img, d), with_latent
 
 
-def decode_bank_file(path, fields: Sequence[str] = BANK_FIELDS) -> EmbeddingBank:
+def decode_bank_file(path, fields: Sequence[str] = BANK_FIELDS,
+                     rows=None) -> EmbeddingBank:
     """Decode a DATB file, keeping only the named BANK_FIELDS (the others
-    are None); every check runs on every field either way."""
-    return read_bank(path, fields)[0]
+    are None), and of those, with rows (record ids), only the rows at
+    rows, in rows' order; every check runs on every row of every field
+    either way (see read_bank)."""
+    return read_bank(path, fields, rows=rows)[0]
 
 
 def describe_bank_file(path) -> tuple[int, int, int, bool]:

@@ -22,6 +22,10 @@ from .embank import DownstreamDataset, EmbeddingBank, StringTable
 from .encoder import FrozenEmbedder
 from .seeding import derive_rng
 
+# Rows of the bank's images whose sources generate_pretrain_bank gathers at
+# a time.
+_SOURCE_ROWS = 1 << 14
+
 
 def n_distractors(cfg: RunConfig) -> int:
     # at least as many distractor concepts as downstream classes, and enough
@@ -141,7 +145,11 @@ def generate_pretrain_bank(cfg: RunConfig, ds: DownstreamDataset) -> EmbeddingBa
     order = _bank_order(cfg)
     images = derive_rng(cfg.seed, "bank-images").normal(
         0.0, cfg.noise_sigma, size=(m, cfg.image_dim))
-    images += np.take(concepts, own, 0)  # noise + source is source + noise, bitwise
+    # noise + source is source + noise, bitwise; the sources are gathered a
+    # block of rows at a time, so that they never match the images in size
+    for start in range(0, m, _SOURCE_ROWS):
+        images[start:start + _SOURCE_ROWS] += np.take(
+            concepts, own[start:start + _SOURCE_ROWS], 0)
     image_emb, text_emb = (FrozenEmbedder.from_seed(kind, cfg.seed, cfg.feat_dim,
                                                     cfg.image_dim)
                            for kind in ("image", "text"))

@@ -11,13 +11,18 @@ epoch's unlabeled demand.  Every setting is read from one RunConfig.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .augment import STRONG, WEAK, augment_view
 from .config import RunConfig
-from .embank import DownstreamDataset, EmbeddingBank, ValidationError
+from .embank import (
+    DownstreamDataset,
+    EmbeddingBank,
+    ValidationError,
+    refuse_outside,
+)
 from .encoder import (
     EncoderParams,
     FrozenEmbedder,
@@ -45,25 +50,29 @@ class SelectedBank:
         return self.ids.shape[0]
 
     @classmethod
-    def from_bank(cls, bank: EmbeddingBank, ids: np.ndarray,
-                  ds: DownstreamDataset) -> "SelectedBank":
-        """The bank rows of ids, in their order, refused unless the bank's
-        image and feature dimensions are ds's and every id lies inside the
-        bank."""
+    def of_rows(cls, rows: EmbeddingBank, ids: np.ndarray,
+                ds: DownstreamDataset) -> "SelectedBank":
+        """ids with their rows: rows holds the images and caption_feats of
+        ids, in ids' order, as decode_bank_file(..., rows=ids) reads them.
+        Refused unless their image and feature dimensions are ds's."""
         for name, own, want in (
-                ("image_dim", bank.images.shape[1], ds.image_dim),
-                ("feat_dim", bank.caption_feats.shape[1], ds.feat_dim)):
+                ("image_dim", rows.images.shape[1], ds.image_dim),
+                ("feat_dim", rows.caption_feats.shape[1], ds.feat_dim)):
             if own != want:
                 raise ValidationError([f"bank has {name} {own}, "
                                        f"dataset has {want}"])
+        return cls(ids=np.asarray(ids, dtype=np.int64), images=rows.images,
+                   caption_feats=rows.caption_feats)
+
+    @classmethod
+    def from_bank(cls, bank: EmbeddingBank, ids: np.ndarray,
+                  ds: DownstreamDataset) -> "SelectedBank":
+        """The bank rows of ids, gathered in their order, refused unless
+        every id lies inside the bank, and as of_rows refuses them."""
         ids = np.asarray(ids, dtype=np.int64)
-        bad = np.flatnonzero((ids < 0) | (ids >= bank.size))
-        if bad.size:
-            raise ValidationError([
-                f"selected record id {int(ids[bad[0]])} is outside the bank's "
-                f"{bank.size} records"])
-        return cls(ids=ids, images=bank.images[ids],
-                   caption_feats=bank.caption_feats[ids])
+        refuse_outside(ids, bank.size)
+        return cls.of_rows(replace(bank, images=bank.images[ids],
+                                   caption_feats=bank.caption_feats[ids]), ids, ds)
 
 
 @dataclass(frozen=True)

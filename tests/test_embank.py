@@ -434,6 +434,7 @@ class TestSharedReader:
 # --- the streaming reader ----------------------------------------------------
 
 KEEP = ("feats", "latent_class")
+ARRAY_FIELDS = ("images", "feats", "caption_feats", "latent_class")
 
 
 def write_bank_unchecked(bank, path):
@@ -535,6 +536,8 @@ STREAM_CASES = {
         ChecksumError, "does not match stored"),
     "NaN in images": (poke_f32(4 * (3 * 6 + 2), value=float("nan")), ValidationError,
                       r"^images has non-finite value at index \(3, 2\)$"),
+    "non-unit feats row": (scale_row(144 + 16 * 3, 4, 2.0), ValidationError,
+                           r"^feats row 3 has norm \d\.\d{8}, expected 1 within 1e-05$"),
     "non-unit caption_feats row": (scale_row(240 + 16 * 5, 4, 2.0), ValidationError,
                                    r"^caption_feats row 5 has norm \d\.\d{8}, "
                                    r"expected 1 within 1e-05$"),
@@ -560,10 +563,11 @@ STREAM_CASES = {
 @pytest.mark.parametrize("block", [None, 48])
 @pytest.mark.parametrize("case", STREAM_CASES)
 def test_every_check_runs_on_skipped_fields(tmp_path, monkeypatch, case, block):
-    """A decode that keeps only feats and latent_class raises what a full
-    decode raises, with the same message, also when rows and characters
-    cross block edges (48-byte blocks); a crc32 mismatch takes precedence
-    over any other error."""
+    """A decode that keeps only feats and latent_class, or every array field
+    at rows 4 and 1 only (each fault lies in another row or in the caption
+    table), raises what a full decode raises, with the same message, also
+    when rows and characters cross block edges (48-byte blocks); a crc32
+    mismatch takes precedence over any other error."""
     if block:
         monkeypatch.setattr(embank, "_BLOCK_BYTES", block)
     bank = random_bank(seed=7, m=len(CAPTIONS))
@@ -582,6 +586,85 @@ def test_every_check_runs_on_skipped_fields(tmp_path, monkeypatch, case, block):
     with pytest.raises(error, match=message) as selective:
         decode_bank_file(path, fields=KEEP)
     assert str(selective.value) == str(full.value)
+    with pytest.raises(error, match=message) as by_rows:
+        decode_bank_file(path, fields=ARRAY_FIELDS, rows=[4, 1])
+    assert str(by_rows.value) == str(full.value)
+
+
+@pytest.mark.parametrize("block", [None, 48])
+@pytest.mark.parametrize("ids", [[1, 2, 3, 4, 5, 6], [9, 0, 7, 2, 12, 5], [0, 12],
+                                 [4, 11, 4], []],
+                         ids=["across block edges", "unsorted", "first and last",
+                              "repeated", "none"])
+def test_rows_keep_what_a_full_decode_gathers(tmp_path, monkeypatch, block, ids):
+    """decode_bank_file(rows=ids) holds, in ids' order, exactly the rows a
+    full decode holds at ids; 48-byte blocks hold two image rows, three
+    feature rows and twelve classes of the 13 records."""
+    if block:
+        monkeypatch.setattr(embank, "_BLOCK_BYTES", block)
+    path = tmp_path / "bank.datb"
+    encode_bank_file(unicode_bank(13, 13), path)
+    ref = reference_decode(path)
+    rows = decode_bank_file(path, fields=ARRAY_FIELDS, rows=ids)
+    at = np.array(ids, dtype=np.int64)
+    for name in ARRAY_FIELDS:
+        kept = getattr(rows, name)
+        assert kept.shape == getattr(ref, name)[at].shape, name
+        np.testing.assert_array_equal(kept, getattr(ref, name)[at])
+    assert rows.captions is None
+    only = decode_bank_file(path, fields=("caption_feats",), rows=ids)
+    assert only.images is None and only.feats is None
+    np.testing.assert_array_equal(only.caption_feats, ref.caption_feats[at])
+
+
+def test_rows_outside_the_bank_are_refused_once_the_file_has_passed(tmp_path):
+    path = tmp_path / "bank.datb"
+    encode_bank_file(random_bank(seed=8, m=13), path)
+    with pytest.raises(ValidationError,
+                       match="^selected record id 13 is outside the bank's 13 "
+                             "records$"):
+        decode_bank_file(path, fields=("images",), rows=[2, 13, -1])
+    with pytest.raises(ValidationError, match="^selected record id -1 is outside"):
+        decode_bank_file(path, fields=(), rows=[-1, 13])
+    with pytest.raises(ValueError, match="captions cannot be kept by rows"):
+        decode_bank_file(path, fields=("captions",), rows=[0])
+    data = bytearray(path.read_bytes())
+    data[24 + 5] ^= 0x40
+    path.write_bytes(bytes(data))
+    with pytest.raises(ChecksumError):
+        decode_bank_file(path, fields=("images",), rows=[2, 13])
+
+
+def test_a_late_block_of_multi_byte_characters_is_still_checked(tmp_path,
+                                                                monkeypatch):
+    """Under 48-byte blocks, only the last block of the caption blob holds
+    continuation bytes, and the last entry starts inside a character there:
+    every decode refuses it.  An ASCII blob sets no bit and never compares
+    an entry against the bitmap."""
+    monkeypatch.setattr(embank, "_BLOCK_BYTES", 48)
+    m = 20
+    captions = [f"plain caption {i}" for i in range(m - 1)] + ["tail \u00e9\u5199"]
+    bank = random_bank(seed=9, m=m)
+    object.__setattr__(bank, "captions", captions)
+    path = tmp_path / "bank.datb"
+    encode_bank_file(bank, path)
+    table = 4 * m * (bank.image_dim + 2 * bank.feat_dim + 1)
+    first_multi_byte = sum(len(c) for c in captions[:-1]) + len("tail ")
+    assert first_multi_byte >= 6 * 48
+    rewrite_payload(path, 24, lambda p: set_entry(m - 1, first_multi_byte + 1, 4)(
+        p, table))
+    for fields, rows in ((embank.BANK_FIELDS, None), (KEEP, None),
+                         (ARRAY_FIELDS, [0, 5])):
+        with pytest.raises(FormatError, match=f"^captions entry {m - 1} splits a "
+                                              "multi-byte UTF-8 character$"):
+            decode_bank_file(path, fields=fields, rows=rows)
+
+    def refuse(*args):
+        raise AssertionError("an ASCII blob was compared against the bitmap")
+
+    monkeypatch.setattr(embank, "_first_split", refuse)
+    encode_bank_file(random_bank(seed=9, m=m), path)
+    assert decode_bank_file(path, fields=KEEP).feats.shape == (m, 4)
 
 
 def test_rows_of_no_bytes_are_read_as_one_block(tmp_path, monkeypatch):
