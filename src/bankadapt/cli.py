@@ -12,9 +12,11 @@ Exit codes: 0 success, 1 validation failure, 2 I/O failure.
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -41,16 +43,40 @@ from .embank import (
     encode_dataset_file,
 )
 from .encoder import load_params, save_params
-from .gradcheck import run_gradient_suite
-from .sampler import (
-    load_sample_csv,
-    sampler_precision,
-    save_sample_csv,
-    stage1_sample,
-    stage2_sample,
-)
-from .synth import generate_downstream, generate_pretrain_bank
-from .trainer import SelectedBank, evaluate, fit, write_metrics_csv
+
+if TYPE_CHECKING:
+    from .trainer import SelectedBank
+
+# The names of modules that only some commands run, each with its module.
+# They are attributes of this module, which __getattr__ imports when one
+# is first looked up, so a command loads only the modules it calls.  The
+# commands look them up on the module, through _cli, when they call them,
+# so a name set on it (a test's stand-in, or the wrapper of perfbench's
+# tracer) is the one called; a bare global name would skip __getattr__.
+_LAZY = {
+    "run_gradient_suite": "gradcheck",
+    "load_sample_csv": "sample_csv",
+    "save_sample_csv": "sample_csv",
+    "sampler_precision": "sampler",
+    "stage1_sample": "sampler",
+    "stage2_sample": "sampler",
+    "generate_downstream": "synth",
+    "generate_pretrain_bank": "synth",
+    "SelectedBank": "trainer",
+    "evaluate": "trainer",
+    "fit": "trainer",
+    "write_metrics_csv": "trainer",
+}
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
+    globals()[name] = value
+    return value
+
 
 GRADCHECK_TOLERANCE = 1e-4
 
@@ -154,14 +180,14 @@ def _load_datasets(cfg: RunConfig
             _check_sizes(f"dataset {cfg.dataset}", ds, eval_ds, cfg.eval_dataset,
                          ("n_classes", "image_dim", "feat_dim"))
         return ds, eval_ds
-    return generate_downstream(cfg), generate_downstream(
+    return _cli.generate_downstream(cfg), _cli.generate_downstream(
         cfg, split="test", n_per_class=cfg.eval_n_per_class)
 
 
 def _bank_source(cfg: RunConfig, ds: DownstreamDataset) -> EmbeddingBank | str:
     """The bank file's path when the bank and dataset paths are set, else
     the synthetic bank for ds."""
-    return cfg.bank if _from_files(cfg) else generate_pretrain_bank(cfg, ds)
+    return cfg.bank if _from_files(cfg) else _cli.generate_pretrain_bank(cfg, ds)
 
 
 def _selected_for_train(cfg: RunConfig, ds: DownstreamDataset) -> SelectedBank:
@@ -175,30 +201,31 @@ def _selected_for_train(cfg: RunConfig, ds: DownstreamDataset) -> SelectedBank:
         # a bank file is still checked whole, a synthetic one is not made.
         if _from_files(cfg):
             decode_bank_file(cfg.bank, fields=())
-        return SelectedBank(ids=np.zeros(0, dtype=np.int64),
-                            images=np.zeros((0, ds.image_dim), dtype=np.float32),
-                            caption_feats=np.zeros((0, ds.feat_dim),
-                                                   dtype=np.float32))
+        return _cli.SelectedBank(ids=np.zeros(0, dtype=np.int64),
+                                 images=np.zeros((0, ds.image_dim), dtype=np.float32),
+                                 caption_feats=np.zeros((0, ds.feat_dim),
+                                                        dtype=np.float32))
     if cfg.samples:
-        ids = load_sample_csv(cfg.samples)
+        ids = _cli.load_sample_csv(cfg.samples)
         if ids.size == 0:
             raise ValueError(f"{cfg.samples} holds no record: mu = {cfg.mu} "
                              "needs unlabeled rows to train on")
     source = _bank_source(cfg, ds)
     if not cfg.samples:
-        ids = stage2_sample(stage1_sample(source, ds, cfg), ds, cfg).selected_ids
+        ids = _cli.stage2_sample(_cli.stage1_sample(source, ds, cfg), ds,
+                                 cfg).selected_ids
     if isinstance(source, EmbeddingBank):
-        return SelectedBank.from_bank(source, ids, ds)
+        return _cli.SelectedBank.from_bank(source, ids, ds)
     rows = decode_bank_file(source, fields=("images", "caption_feats"), rows=ids)
-    return SelectedBank.of_rows(rows, ids, ds)
+    return _cli.SelectedBank.of_rows(rows, ids, ds)
 
 
 def cmd_synth_gen(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg)
-    ds = generate_downstream(cfg)
-    eval_ds = generate_downstream(cfg, split="test",
-                                  n_per_class=cfg.eval_n_per_class)
-    bank = generate_pretrain_bank(cfg, ds)
+    ds = _cli.generate_downstream(cfg)
+    eval_ds = _cli.generate_downstream(cfg, split="test",
+                                       n_per_class=cfg.eval_n_per_class)
+    bank = _cli.generate_pretrain_bank(cfg, ds)
     bank_path = Path(cfg.bank) if cfg.bank else out / "bank.datb"
     ds_path = Path(cfg.dataset) if cfg.dataset else out / "train.datd"
     eval_path = Path(cfg.eval_dataset) if cfg.eval_dataset else out / "eval.datd"
@@ -217,19 +244,19 @@ def cmd_sample(cfg: RunConfig, args) -> int:
     # a bank file is read once, keeping no field: stage 1 scores its feats
     # as they are read, and its latent classes are kept at the label bank
     kept = {}
-    s1 = stage1_sample(_bank_source(cfg, ds), ds, cfg, kept)
+    s1 = _cli.stage1_sample(_bank_source(cfg, ds), ds, cfg, kept)
     latent = kept["latent"]
-    s2 = stage2_sample(s1, ds, cfg)
+    s2 = _cli.stage2_sample(s1, ds, cfg)
     out = _out_dir(cfg)
     samples_path = Path(cfg.samples) if cfg.samples else out / "samples.csv"
-    save_sample_csv(s2, samples_path)
+    _cli.save_sample_csv(s2, samples_path)
     print(f"stage 1 kept {s1.n_selected} records "
           f"({int(s1.deficits.sum())} short), stage 2 kept {s2.n_selected} "
           f"({int(s2.deficits.sum())} short) -> {samples_path}")
     precision_path = out / "precision.txt"
     if latent.known:
-        p1 = sampler_precision(s1, latent, ds)
-        p2 = sampler_precision(s2, latent, ds)
+        p1 = _cli.sampler_precision(s1, latent, ds)
+        p2 = _cli.sampler_precision(s2, latent, ds)
         report = (f"stage1_precision = {repr(p1)}\n"
                   f"stage2_precision = {repr(p2)}\n")
         precision_path.write_text(report, encoding="utf-8")
@@ -246,9 +273,9 @@ def cmd_train(cfg: RunConfig, args) -> int:
     ds, eval_ds = _load_datasets(cfg)
     selected = _selected_for_train(cfg, ds)
     out = _out_dir(cfg)
-    result = fit(ds, selected, cfg, eval_ds=eval_ds)
+    result = _cli.fit(ds, selected, cfg, eval_ds=eval_ds)
     metrics_path = out / "metrics.csv"
-    write_metrics_csv(result.metrics, metrics_path)
+    _cli.write_metrics_csv(result.metrics, metrics_path)
     ckpt_path = Path(cfg.checkpoint) if cfg.checkpoint else out / "encoder.datc"
     save_params(result.params, ckpt_path)
     _echo_config(cfg, out, "train")
@@ -267,7 +294,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
     ds = decode_dataset_file(cfg.dataset)
     _check_sizes(f"checkpoint {cfg.checkpoint}", params, ds, cfg.dataset,
                  ("n_classes",))
-    acc = evaluate(params, ds)
+    acc = _cli.evaluate(params, ds)
     (out / "eval.txt").write_text(f"accuracy = {repr(acc)}\n", encoding="utf-8")
     _echo_config(cfg, out, "eval")
     print(f"accuracy = {acc:.4f} on {ds.size} images")
@@ -275,7 +302,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
 
 
 def cmd_gradcheck(cfg: RunConfig, args) -> int:
-    results = run_gradient_suite(20, base_seed=cfg.seed)
+    results = _cli.run_gradient_suite(20, base_seed=cfg.seed)
     by_kind: dict[str, float] = {}
     for r in results:
         by_kind[r.kind] = max(by_kind.get(r.kind, 0.0), r.max_rel_err)
@@ -298,8 +325,8 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         mu, t = cell.mu, repr(cell.t_thresh)
         cell_dir = out / "sweep" / f"mu{mu}_t{t}"
         cell_dir.mkdir(parents=True, exist_ok=True)
-        result = fit(ds, selected, cell, eval_ds=eval_ds)
-        write_metrics_csv(result.metrics, cell_dir / "metrics.csv")
+        result = _cli.fit(ds, selected, cell, eval_ds=eval_ds)
+        _cli.write_metrics_csv(result.metrics, cell_dir / "metrics.csv")
         acc = "" if result.final_acc is None else repr(result.final_acc)
         summary.append(f"{mu},{t},{acc}")
     summary_path = out / "sweep" / "summary.csv"

@@ -34,14 +34,11 @@ returned.  tau and anchor_reduction are read from a RunConfig.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import RunConfig
-
-logger = logging.getLogger(__name__)
 
 _CLAMP = 1e-12
 
@@ -71,8 +68,12 @@ def cross_entropy_term(labels: np.ndarray, probs: np.ndarray, rows: np.ndarray,
     p = probs[rows, y]
     low = p < _CLAMP
     if low.any():
-        logger.warning("cross_entropy clamped %d of %d probabilities "
-                       "(smallest %.3e)", int(low.sum()), p.shape[0], p.min())
+        # imported here: a run that never clamps does not load logging
+        import logging
+
+        logging.getLogger(__name__).warning(
+            "cross_entropy clamped %d of %d probabilities (smallest %.3e)",
+            int(low.sum()), p.shape[0], p.min())
         p = np.where(low, _CLAMP, p)
     # a Python sum runs left to right; np.sum's pairwise order would move
     # the last bits

@@ -80,11 +80,9 @@ slot of its own.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -532,49 +530,3 @@ def sampler_precision(result: SampleResult, bank: EmbeddingBank | LatentClasses,
     classes = latent.at(result.selected_ids)
     hits = (classes >= 0) & (classes < ds.n_classes)
     return float(np.mean(hits))
-
-
-def save_sample_csv(result: SampleResult, path) -> None:
-    """samples.csv at path and, beside it, deficits.csv."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["record_id", "assigned_column", "score"])
-        for rid, col, sc in zip(result.selected_ids, result.assigned_column,
-                                result.score):
-            w.writerow([int(rid), int(col), repr(float(sc))])
-    with open(Path(path).with_name("deficits.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["column", "deficit"])
-        for j, d in enumerate(result.deficits):
-            w.writerow([j, int(d)])
-
-
-def load_sample_csv(path) -> np.ndarray:
-    """The record ids of a samples.csv, int64 in file order.  Every data row
-    must be a non-negative integer id, a non-negative integer column and a
-    float score; any other row is refused with its line number.  A sampler
-    never selects a record twice, so an id that repeats is refused with both
-    line numbers."""
-    ids, line_of = [], {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["record_id", "assigned_column", "score"]:
-            raise ValueError(f"unexpected sample csv header {header}")
-        for row in reader:
-            try:
-                if len(row) != 3 or not (row[0].isdecimal()
-                                         and row[1].isdecimal()):
-                    raise ValueError
-                float(row[2])
-                ids.append(np.int64(row[0]))
-            except (ValueError, OverflowError):
-                raise ValueError(
-                    f"{path} line {reader.line_num}: expected a non-negative "
-                    "integer record_id and assigned_column and a float score, "
-                    f"got {','.join(row)!r}") from None
-            first = line_of.setdefault(ids[-1], reader.line_num)
-            if first != reader.line_num:
-                raise ValueError(f"{path} lines {first} and {reader.line_num}: "
-                                 f"record_id {ids[-1]} is selected twice")
-    return np.asarray(ids, dtype=np.int64)

@@ -15,8 +15,6 @@ Generator is built.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 
@@ -26,6 +24,10 @@ def _fold(part) -> int:
             raise ValueError(f"seed key parts must be non-negative, got {part}")
         return int(part)
     if isinstance(part, str):
+        # imported here: a run that folds no string (inspect, eval) never
+        # loads OpenSSL's libcrypto
+        import hashlib
+
         digest = hashlib.blake2b(part.encode("utf-8"), digest_size=8).digest()
         return int.from_bytes(digest, "little")
     raise TypeError(f"unsupported seed key part {part!r}")

@@ -22,9 +22,8 @@ from .embank import DownstreamDataset, EmbeddingBank, StringTable
 from .encoder import FrozenEmbedder
 from .seeding import derive_rng
 
-# Rows of the bank's images whose sources generate_pretrain_bank gathers at
-# a time.
-_SOURCE_ROWS = 1 << 14
+# Rows of the bank generate_pretrain_bank makes at a time.
+_BLOCK_ROWS = 1 << 14
 
 
 def n_distractors(cfg: RunConfig) -> int:
@@ -116,6 +115,39 @@ def weak_pair_mask(cfg: RunConfig) -> np.ndarray:
     return _raw_weak_mask(cfg)[_bank_order(cfg)]
 
 
+def _shuffled_images(cfg: RunConfig, concepts: np.ndarray, own: np.ndarray,
+                     order: np.ndarray, embedder: FrozenEmbedder
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The float32 images and feats of the records whose own concepts are
+    own, in the bank's order: record order[j] is row j.
+
+    A block of records at a time, in draw order, from the one "bank-images"
+    Generator (its draws in blocks are its one draw, cut): the noise is
+    drawn, the sources added (noise + source is source + noise, bitwise)
+    and the block embedded, and its rows are written to where[i] for record
+    i, the inverse of order.  So no float64 array of the bank's size is
+    made.  The last block takes the rows left over, so that no block is
+    shorter than _BLOCK_ROWS unless it is the whole bank: BLAS may multiply
+    a few rows by another kernel, whose sums round otherwise than the
+    product of the whole bank, and a block of _BLOCK_ROWS rows or more
+    embeds each row as that product does."""
+    m = own.size
+    where = np.empty_like(order)
+    where[order] = np.arange(m)
+    images = np.empty((m, cfg.image_dim), dtype=np.float32)
+    feats = np.empty((m, cfg.feat_dim), dtype=np.float32)
+    rng = derive_rng(cfg.seed, "bank-images")
+    starts = range(0, max(m - _BLOCK_ROWS, 0) + 1, _BLOCK_ROWS)
+    for start, stop in zip(starts, [*starts[1:], m]):
+        sources = own[start:stop]
+        block = rng.normal(0.0, cfg.noise_sigma, size=(sources.size, cfg.image_dim))
+        block += np.take(concepts, sources, 0)
+        rows = where[start:stop]
+        feats[rows] = embedder.embed_rows(block)
+        images[rows] = block
+    return images, feats
+
+
 def generate_pretrain_bank(cfg: RunConfig, ds: DownstreamDataset) -> EmbeddingBank:
     """The bank for ds, made from arrays: a record's own concept and its
     caption's subject index the C class prototypes, then the K distractors,
@@ -139,26 +171,16 @@ def generate_pretrain_bank(cfg: RunConfig, ds: DownstreamDataset) -> EmbeddingBa
     rng_swap = derive_rng(cfg.seed, "weak-pair-targets")
     subject = np.where(_raw_weak_mask(cfg), C + rng_swap.integers(0, K, size=m), own)
 
-    # fixed shuffle so in-distribution records are not a contiguous prefix;
-    # np.take copies rows about twice as fast as x[index], and each float64
-    # array is cast to float32, and dropped, before it is shuffled
+    # fixed shuffle so in-distribution records are not a contiguous prefix
     order = _bank_order(cfg)
-    images = derive_rng(cfg.seed, "bank-images").normal(
-        0.0, cfg.noise_sigma, size=(m, cfg.image_dim))
-    # noise + source is source + noise, bitwise; the sources are gathered a
-    # block of rows at a time, so that they never match the images in size
-    for start in range(0, m, _SOURCE_ROWS):
-        images[start:start + _SOURCE_ROWS] += np.take(
-            concepts, own[start:start + _SOURCE_ROWS], 0)
     image_emb, text_emb = (FrozenEmbedder.from_seed(kind, cfg.seed, cfg.feat_dim,
                                                     cfg.image_dim)
                            for kind in ("image", "text"))
-    feats = np.take(image_emb.embed_rows(images).astype(np.float32), order, 0)
-    images = images.astype(np.float32)
-    images = np.take(images, order, 0)
+    images, feats = _shuffled_images(cfg, concepts, own, order, image_emb)
     # a caption's feature, as its text, is its subject's: one gather of the
     # C + K embedded concepts by the index the caption table takes
-    subject = subject[order]
+    subject, latent = subject[order], latent[order]
+    del own, order  # not held beside the caption table's temporaries
     names = [*ds.class_names, *(f"distractor-{k:02d}" for k in range(K))]
     return EmbeddingBank(
         images=images,
@@ -166,5 +188,5 @@ def generate_pretrain_bank(cfg: RunConfig, ds: DownstreamDataset) -> EmbeddingBa
         caption_feats=np.take(text_emb.embed_rows(concepts).astype(np.float32),
                               subject, 0),
         captions=StringTable.gathered([f"a photo of {n}." for n in names], subject),
-        latent_class=latent[order],
+        latent_class=latent,
     )

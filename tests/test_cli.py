@@ -122,6 +122,20 @@ SPAWN_AND_REPORT_MAXRSS = (
     "sys.exit(os.waitstatus_to_exitcode(status))\n")
 
 
+# `python -m bankadapt.cli`, in a child that has imported numpy.random first.
+MAIN_AFTER_NUMPY_RANDOM = ("import sys, numpy.random\n"
+                           "from bankadapt.cli import main\n"
+                           "sys.exit(main(sys.argv[1:]))\n")
+
+
+def import_peak_rss(*modules) -> int:
+    """Peak RSS in bytes of a child that only imports bankadapt.cli and
+    modules.  bankadapt.cli imports a command's modules when the command
+    runs, so the baseline of a command's peak names the modules its run
+    loads: their code is then not counted as what the run holds."""
+    return child_peak_rss(["-c", "import " + ", ".join(["bankadapt.cli", *modules])])
+
+
 def child_peak_rss(args) -> int:
     """Peak RSS in bytes of `python args`, from its own rusage (Linux KiB)."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
@@ -134,21 +148,22 @@ def child_peak_rss(args) -> int:
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="ru_maxrss is in KiB on Linux only")
 def test_sample_stays_within_its_budget_end_to_end(tmp_path):
-    """sample on a 200,000-record bank (57 MiB) peaks, beyond an import-only
-    child, at no more than what it keeps (the stored feats of up to 2*k1*C
-    label-bank candidates, and the ids and latent classes of the k1*C
-    records of the label bank), the scorer's memory budget, and what the
-    reader holds: its block buffer and a feats block's float64 copy (twice
-    its bytes, divided in place by the scorer).  The captions are ASCII, so
-    no page of their continuation bitmap (0.56 MiB) is written.  A slack of
-    one more block covers what a trace of ru_maxrss shows besides: the
-    checks' masks and the scorer's gathers, and numpy.random, which stage 2
-    imports once the reader has freed its buffers.  feats itself is scored
-    while it is read and never held whole: a sample that decodes it first
-    (12.8 MiB here), keeps latent_class whole (0.8 MiB), writes the whole
-    bitmap or reads through a 4 MiB block breaks the bound (about 4.6 MiB
-    now, 6.0 MiB with the whole bitmap, 7.8 MiB with a 4 MiB block, 6.0
-    allowed)."""
+    """sample on a 200,000-record bank (57 MiB) peaks, beyond a child that
+    only imports what sample loads (the scorer, the samples.csv writer and
+    numpy.random), at no more than what it keeps (the stored feats of up
+    to 2*k1*C label-bank candidates, and the ids and latent classes of the
+    k1*C records of the label bank), the scorer's memory budget, and what
+    the reader holds: its block buffer and a feats block's float64 copy
+    (twice its bytes, divided in place by the scorer).  The captions are
+    ASCII, so no page of their continuation bitmap (0.56 MiB) is written.
+    A slack of one more block covers what a trace of ru_maxrss shows
+    besides: the checks' masks and the scorer's gathers.  Stage 2's draw
+    imports numpy.random (5.3 MiB with the hashlib it loads) once the
+    reader has freed its buffers, which would hide what stage 1 holds, so
+    the measured child imports it first, beneath the data.  feats itself
+    is scored while it is read and never held whole: a sample that decodes
+    it first (12.8 MiB here) or reads through a 4 MiB block (19.2 MiB)
+    breaks the bound (about 5.0 MiB now, 6.0 allowed)."""
     m, d = 200_000, 16
     bank = random_bank(seed=17, m=m, d_img=32, d=d)
     bank_path, ds_path = tmp_path / "bank.datb", tmp_path / "train.datd"
@@ -156,10 +171,11 @@ def test_sample_stays_within_its_budget_end_to_end(tmp_path):
     encode_dataset_file(random_dataset(seed=17, n=12, n_classes=3, d_img=32, d=d),
                         ds_path)
     budget = 4 << 20
-    base = child_peak_rss(["-c", "import bankadapt.cli"])
-    peak = child_peak_rss(["-m", "bankadapt.cli", "sample", "--bank", str(bank_path),
-                           "--dataset", str(ds_path), "--memory_budget_bytes",
-                           str(budget), "--out_dir", str(tmp_path / "out")])
+    base = import_peak_rss("bankadapt.sampler", "bankadapt.sample_csv", "numpy.random")
+    peak = child_peak_rss(["-c", MAIN_AFTER_NUMPY_RANDOM, "sample",
+                           "--bank", str(bank_path), "--dataset", str(ds_path),
+                           "--memory_budget_bytes", str(budget),
+                           "--out_dir", str(tmp_path / "out")])
     k1 = default_k1(12, 3, RunConfig().stage1_multiplier)
     kept = 2 * k1 * 3 * d * 4 + k1 * 3 * (8 + 4)
     allowed = kept + budget + 4 * embank._BLOCK_BYTES
@@ -171,30 +187,28 @@ def test_sample_stays_within_its_budget_end_to_end(tmp_path):
                     reason="ru_maxrss is in KiB on Linux only")
 def test_synth_gen_stays_within_the_arrays_it_must_hold(tmp_path, monkeypatch):
     """synth-gen of a 200,000-record bank (D_img 32, d 16), with one BLAS
-    thread, peaks beyond an import-only child when it casts the images.  It
-    then holds the float64 images and their float32 cast (12mD bytes; the
-    float64 images are dropped before the cast is shuffled), the shuffled
-    float32 feats (4md), and four integer arrays of m entries: latent
-    class, own concept, caption subject and shuffle order (28m).  That is
-    476m bytes (91 MiB).  A slack of 12 MiB covers the downstream sets,
-    numpy.random, the finite check's mask, the BLAS buffers and the pages
-    the allocator keeps.  About 99 MiB now, against 103 allowed.  Anything
-    as large as the float64 images beside them breaks the bound: shuffling
-    while they are alive (16mD, 132 MiB), gathering every record's source
-    concept at once to add it to them (107 MiB), or squaring the whole
-    embedded output for its norms (112 MiB; both, 109 MiB), and so do
-    embedding each record's caption subject rather than gathering the
-    embedded concepts, and making each caption a string (326 MiB)."""
+    thread, peaks beyond a child that only imports what it loads (the
+    generator and numpy.random) when it gathers the captions.  It then
+    holds the float32 images, feats and caption_feats (4m(D + 2d) bytes),
+    the shuffled latent classes and caption subjects (12m), the caption
+    table (16m), and the gather's padded rows, their mask and the blob (3wm,
+    with w = 25 bytes, "a photo of distractor-49.").  That is 359m bytes
+    (68.5 MiB).  A slack of 8 MiB covers the downstream sets, the BLAS
+    buffers and the pages the allocator keeps.  About 73.7 MiB now, against
+    76.5 allowed.  The images are made a block of rows at a time: drawing
+    their noise in one float64 array, as once, breaks the bound (97.5
+    MiB), and so does anything else the size of the float64 images."""
     m, d_img, d = 200_000, 32, 16
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setenv("OMP_NUM_THREADS", "1")
-    base = child_peak_rss(["-c", "import bankadapt.cli"])
+    base = import_peak_rss("bankadapt.synth", "numpy.random")
     peak = child_peak_rss(["-m", "bankadapt.cli", "synth-gen", "--bank_size", str(m),
                            "--n_classes", "50", "--n_per_class", "40",
                            "--image_dim", str(d_img), "--feat_dim", str(d),
                            "--out_dir", str(tmp_path)])
-    held = 12 * m * d_img + 4 * m * d + 28 * m
-    allowed = held + (12 << 20)
+    widest = len("a photo of distractor-49.")
+    held = 4 * m * (d_img + 2 * d) + 28 * m + 3 * widest * m
+    allowed = held + (8 << 20)
     assert peak - base <= allowed, (peak - base, allowed)
     assert embank.describe_bank_file(tmp_path / "bank.datb")[:3] == (m, d_img, d)
 
@@ -204,15 +218,16 @@ def test_synth_gen_stays_within_the_arrays_it_must_hold(tmp_path, monkeypatch):
 def test_train_on_samples_stays_within_what_it_holds(tmp_path, monkeypatch):
     """train --samples on a world of the frozen recipe (8,000 records, the
     full variant's 84 steps), with one BLAS thread, peaks beyond a child
-    that imports bankadapt.cli and numpy.random (which train's first draw
-    imports) at no more than what the bank read and a step hold, as if both
-    were alive at once: the images and caption_feats of the records the
-    csv names, the reader's block buffer and a caption_feats block's
-    float64 copy (three blocks), the downstream images, and two n x n
-    float64 arrays of the largest contrastive batch (n = b + 2u = 288):
-    the loss's buffer, and as much again for the step's forward and
-    backward arrays.  A slack of two blocks covers the checks' temporaries
-    and the pages the allocator keeps.  About 3.4 MiB now against 4.0
+    that only imports what the run loads (the trainer, the samples.csv
+    reader, numpy.random for train's first draw, and logging for this
+    world's clamp warning) at no more than what the bank read and a step
+    hold, as if both were alive at once: the images and caption_feats of
+    the records the csv names, the reader's block buffer and a
+    caption_feats block's float64 copy (three blocks), the downstream
+    images, and two n x n float64 arrays of the largest contrastive batch
+    (n = b + 2u = 288): the loss's buffer, and as much again for the
+    step's forward and backward arrays.  A slack of two blocks covers the checks' temporaries
+    and the pages the allocator keeps.  About 3.6 MiB now against 4.0
     allowed.  Keeping images and caption_feats of every record (1.5 MiB
     here) took 3.9, within this bound: the next test bounds that on a
     larger bank.  A 4 MiB reader block and the n x n matrices of the
@@ -225,7 +240,8 @@ def test_train_on_samples_stays_within_what_it_holds(tmp_path, monkeypatch):
     files = ["--bank", str(world / "bank.datb"), "--dataset", str(world / "train.datd")]
     assert run(["sample", "--config", str(recipe), *files,
                 "--out_dir", str(sampled)]) == 0
-    base = child_peak_rss(["-c", "import bankadapt.cli, numpy.random"])
+    base = import_peak_rss("bankadapt.trainer", "bankadapt.sample_csv", "numpy.random",
+                           "logging")
     peak = child_peak_rss(["-m", "bankadapt.cli", "train", "--config", str(recipe),
                            *files, "--eval_dataset", str(world / "eval.datd"),
                            "--samples", str(sampled / "samples.csv"),
@@ -245,15 +261,17 @@ def test_train_on_samples_stays_within_what_it_holds(tmp_path, monkeypatch):
 def test_train_on_a_bank_file_holds_only_the_rows_it_trains_on(tmp_path, monkeypatch,
                                                                with_samples):
     """train on a 200,000-record bank (57 MiB), with one BLAS thread, peaks
-    beyond a child that imports bankadapt.cli and numpy.random at no more
-    than the model of test_train_on_samples_stays_within_what_it_holds,
-    with the selected rows of images and caption_feats in place of whole
-    fields, and, for a selection made by the run itself, what sample holds
-    beside it (the label bank's stored feats, ids and latent classes, and
-    the scorer's memory budget).  Keeping images and caption_feats of every
-    record (36.6 MiB here) breaks the bound, and so does keeping feats as
-    well (48.8 MiB); about 2.6 MiB with samples and 4.4 without, against
-    3.8 and 7.8 allowed."""
+    beyond a child that only imports what the run loads (the trainer,
+    numpy.random, logging for its clamp warnings, and the samples.csv
+    reader or the scorer) at no more than the model of
+    test_train_on_samples_stays_within_what_it_holds, with the selected
+    rows of images and caption_feats in place of whole fields, and, for a
+    selection made by the run itself, what sample holds beside it (the
+    label bank's stored feats, ids and latent classes, and the scorer's
+    memory budget).  Keeping images and caption_feats of every record
+    (36.6 MiB here) breaks the bound, and so does keeping feats as well
+    (48.8 MiB); about 2.4 MiB with samples and 3.7 without, against 3.8
+    and 7.8 allowed."""
     m, d_img, d = 200_000, 32, 16
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setenv("OMP_NUM_THREADS", "1")
@@ -266,7 +284,8 @@ def test_train_on_a_bank_file_holds_only_the_rows_it_trains_on(tmp_path, monkeyp
     samples = tmp_path / "s" / "samples.csv"
     selected = len(samples.read_text().splitlines()) - 1
     extra = ["--samples", str(samples)] if with_samples else []
-    base = child_peak_rss(["-c", "import bankadapt.cli, numpy.random"])
+    selects = "bankadapt.sample_csv" if with_samples else "bankadapt.sampler"
+    base = import_peak_rss("bankadapt.trainer", "numpy.random", "logging", selects)
     peak = child_peak_rss(["-m", "bankadapt.cli", "train", *files, *extra,
                            "--out_dir", str(tmp_path / "t")])
     cfg = RunConfig()
@@ -576,9 +595,19 @@ def test_sample_refuses_a_bank_of_another_feat_dim(tmp_path, capsys, m, d,
     assert not (out / "samples.csv").exists()
 
 
-def test_every_traced_name_resolves():
+def _counted(fn, name: str, calls: list):
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    return counted
+
+
+def test_every_traced_name_resolves(tmp_path, monkeypatch):
     # perfbench/tracer.py wraps these names; a missing one would only be
-    # reported as "not traced"
+    # reported as "not traced".  It sets its wrappers on the modules, so a
+    # bankadapt.cli name must be the function its command calls, whether
+    # bankadapt.cli had resolved it (it imports a command's modules when
+    # the command runs) or not.
     tree = ast.parse(PERFBENCH_TRACER.read_text(encoding="utf-8"))
     (points,) = [node.value for node in tree.body
                  if isinstance(node, ast.Assign) and len(node.targets) == 1
@@ -587,6 +616,66 @@ def test_every_traced_name_resolves():
     assert ("bankadapt.objective", "param_gradients") in names
     for module, attr in names:
         assert hasattr(importlib.import_module(module), attr), f"{module}.{attr}"
+    traced = {attr for module, attr in names if module == "bankadapt.cli"}
+    assert {"stage1_sample", "fit", "decode_bank_file"} <= traced
+    calls = []
+    for attr in traced:
+        monkeypatch.setattr(cli, attr, _counted(getattr(cli, attr), attr, calls))
+    world = tmp_path / "w"
+    files = ["--bank", str(world / "bank.datb"), "--dataset", str(world / "train.datd")]
+    assert run(["synth-gen", *TINY, "--out_dir", str(world)]) == 0
+    assert run(["sample", *TINY, *files, "--out_dir", str(tmp_path / "s")]) == 0
+    assert run(["train", *TINY, *files, "--samples", str(tmp_path / "s" / "samples.csv"),
+                "--out_dir", str(tmp_path / "t")]) == 0
+    assert set(calls) == traced
+
+
+# `python -m bankadapt.cli` with the arguments after -c, which prints, as
+# its last line, the modules loaded when it exits.
+MODULES_AT_EXIT = ("import runpy, sys\n"
+                   "try:\n"
+                   "    runpy.run_module('bankadapt.cli', run_name='__main__',\n"
+                   "                     alter_sys=True)\n"
+                   "finally:\n"
+                   "    print(*sorted(sys.modules))\n")
+
+
+def modules_at_exit(args) -> set[str]:
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", MODULES_AT_EXIT, *args], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.splitlines()[-1].split())
+
+
+TRAINER = {"bankadapt.trainer", "bankadapt.objective", "bankadapt.losses",
+           "bankadapt.augment", "bankadapt.pseudo_triplets"}
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    # logging is loaded by the losses' clamp warning alone, which this
+    # world's train never gives; eval and inspect make no draw, so neither
+    # numpy.random nor hashlib (for blake2b) is loaded
+    world, sampled, trained = tmp_path / "w", tmp_path / "s", tmp_path / "t"
+    files = ["--bank", str(world / "bank.datb"), "--dataset", str(world / "train.datd")]
+    cases = [
+        (["synth-gen", *TINY, "--out_dir", str(world)], {"bankadapt.synth"},
+         {"bankadapt.sampler", "bankadapt.trainer", "bankadapt.gradcheck"}),
+        (["sample", *TINY, *files, "--out_dir", str(sampled)], {"bankadapt.sampler"},
+         TRAINER | {"bankadapt.gradcheck", "bankadapt.synth", "logging"}),
+        (["train", *TINY, *files, "--samples", str(sampled / "samples.csv"),
+          "--out_dir", str(trained)], TRAINER,
+         {"bankadapt.sampler", "bankadapt.synth", "bankadapt.gradcheck", "logging"}),
+        (["eval", "--checkpoint", str(trained / "encoder.datc"),
+          "--dataset", str(world / "eval.datd"), "--out_dir", str(tmp_path / "e")],
+         {"bankadapt.trainer"}, {"numpy.random", "hashlib"}),
+        (["inspect", str(world / "bank.datb")], {"bankadapt.embank"},
+         {"numpy.random", "hashlib"}),
+    ]
+    for args, loads, skips in cases:
+        modules = modules_at_exit(args)
+        assert loads <= modules, (args[0], loads - modules)
+        assert not skips & modules, (args[0], skips & modules)
 
 
 def test_bad_flag_value_exits_one(tmp_path, capsys):

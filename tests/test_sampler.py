@@ -21,14 +21,13 @@ from bankadapt.sampler import (
     bytes_per_row,
     default_k1,
     default_k2,
-    load_sample_csv,
     merge_bytes,
     sampler_precision,
-    save_sample_csv,
     select_topk_streamed,
     stage1_sample,
     stage2_sample,
 )
+from bankadapt.sample_csv import load_sample_csv, save_sample_csv
 from bankadapt.synth import generate_downstream, generate_pretrain_bank
 
 from conftest import fixed_order_scores, random_bank, random_dataset

@@ -276,6 +276,17 @@ def test_bank_bytes_match_the_per_record_oracle(tmp_path, weak_pair_rate,
     _oracle_case(tmp_path, cfg, generate_downstream(cfg))
 
 
+# 500 = 7 * 64 + 52 and 449 = 7 * 64 + 1 records, in blocks of 64: the
+# rows left over join the last block
+@pytest.mark.parametrize("bank_size", [500, 449])
+def test_a_bank_made_in_blocks_matches_the_one_draw_oracle(tmp_path, monkeypatch,
+                                                           bank_size):
+    monkeypatch.setattr(synth, "_BLOCK_ROWS", 64)
+    cfg = RunConfig(seed=3, n_classes=12, n_per_class=2, bank_size=bank_size,
+                    image_dim=16, feat_dim=8, weak_pair_rate=0.3, in_dist_fraction=0.5)
+    _oracle_case(tmp_path, cfg, generate_downstream(cfg))
+
+
 @pytest.mark.parametrize("bank_size", [0, 1])
 def test_synth_gen_writes_banks_of_no_and_one_record(tmp_path, bank_size):
     cfg = RunConfig(seed=5, n_classes=12, n_per_class=2, bank_size=bank_size)
