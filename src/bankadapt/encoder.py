@@ -31,8 +31,6 @@ from .seeding import derive_rng
 CHECKPOINT_VERSION = 1
 _CHECKPOINT_MAGIC = b"DATC"
 _CHECKPOINT_HEADER = struct.Struct("<4sHHIIII")
-# Rows whose squares FrozenEmbedder.embed_rows takes at a time.
-_NORM_ROWS = 1 << 14
 
 
 class NumericError(ValueError):
@@ -59,22 +57,19 @@ class FrozenEmbedder:
         proj = rng.standard_normal((feat_dim, image_dim)) / np.sqrt(image_dim)
         return cls(kind=kind, projection=proj)
 
-    def embed_rows(self, x: np.ndarray) -> np.ndarray:
+    def embed_rows(self, x: np.ndarray, first_row: int = 0) -> np.ndarray:
+        """The unit feats of the rows of x, which an error numbers from
+        first_row (x being rows of a larger set drawn a block at a time)."""
         y = np.asarray(x, dtype=np.float64) @ self.projection.T
         if not np.all(np.isfinite(y)):
             raise NumericError(f"{self.kind} embedder produced non-finite values")
         # np.linalg.norm(y, axis=1) is sqrt(add.reduce(y.conj() * y, axis=1));
-        # for real rows the copy y.conj() is y itself.  Taken in blocks of
-        # rows, so that the squares never match y in size.
-        norms = np.empty((y.shape[0], 1))
-        for start in range(0, y.shape[0], _NORM_ROWS):
-            block = y[start:start + _NORM_ROWS]
-            norms[start:start + _NORM_ROWS] = np.sqrt(
-                np.add.reduce(block * block, axis=1, keepdims=True))
+        # for real rows the copy y.conj() is y itself
+        norms = np.sqrt(np.add.reduce(y * y, axis=1, keepdims=True))
         zero = np.flatnonzero(norms.ravel() == 0.0)
         if zero.size:
-            raise NumericError(
-                f"{self.kind} embedder got zero-norm output at row {int(zero[0])}")
+            raise NumericError(f"{self.kind} embedder got zero-norm output at row "
+                               f"{first_row + int(zero[0])}")
         y /= norms
         return y
 

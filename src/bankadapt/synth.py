@@ -143,7 +143,7 @@ def _shuffled_images(cfg: RunConfig, concepts: np.ndarray, own: np.ndarray,
         block = rng.normal(0.0, cfg.noise_sigma, size=(sources.size, cfg.image_dim))
         block += np.take(concepts, sources, 0)
         rows = where[start:stop]
-        feats[rows] = embedder.embed_rows(block)
+        feats[rows] = embedder.embed_rows(block, first_row=start)
         images[rows] = block
     return images, feats
 
