@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import RunConfig
+from .embank import decode_bank_file
 from .sampler import stage1_sample, stage2_sample
 from .synth import generate_downstream, generate_pretrain_bank
 from .trainer import SelectedBank, TrainResult, fit
@@ -48,11 +49,11 @@ def build_world(seed: int) -> BenchmarkWorld:
     eval_ds = generate_downstream(cfg, split="test",
                                   n_per_class=cfg.eval_n_per_class)
     bank = generate_pretrain_bank(cfg, train_ds)
-    s1 = stage1_sample(bank, train_ds, cfg)
-    s2 = stage2_sample(s1, train_ds, cfg)
-    selected = SelectedBank.from_bank(bank, s2.selected_ids, train_ds)
+    ids = stage2_sample(stage1_sample(bank, train_ds, cfg), train_ds,
+                        cfg).selected_ids
+    rows = decode_bank_file(bank, ("images", "caption_feats"), rows=ids)
     return BenchmarkWorld(seed=seed, train_ds=train_ds, eval_ds=eval_ds,
-                          selected=selected)
+                          selected=SelectedBank.of_rows(rows, ids, train_ds))
 
 
 def run_variant(world: BenchmarkWorld, variant: str) -> TrainResult:
@@ -69,12 +70,6 @@ def run_fits(seeds=range(5), variants=("baseline", "full")) -> dict[str, list[Tr
         for variant in variants:
             results[variant].append(run_variant(world, variant))
     return results
-
-
-def run_benchmark(seeds=range(5), variants=("baseline", "full")) -> dict[str, list[float]]:
-    """Held-out accuracy per variant, one entry per seed."""
-    return {v: [r.final_acc for r in fits]
-            for v, fits in run_fits(seeds, variants).items()}
 
 
 def mean_accuracy(accs: dict[str, list[float]]) -> dict[str, float]:

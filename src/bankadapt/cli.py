@@ -192,10 +192,10 @@ def _bank_source(cfg: RunConfig, ds: DownstreamDataset) -> EmbeddingBank | str:
 
 def _selected_for_train(cfg: RunConfig, ds: DownstreamDataset) -> SelectedBank:
     """The bank rows training draws unlabeled rows from: those of the
-    samples file, else those of a two-stage selection.  A bank file is read
-    once keeping only those rows of images and caption_feats, after, for a
-    selection, one read keeping no field, whose feats stage 1 scores as
-    they are read."""
+    samples file, else those of a two-stage selection.  The bank, a file or
+    the synthetic one, is read once keeping only those rows of images and
+    caption_feats, after, for a selection, one read keeping no field, whose
+    feats stage 1 scores as they are read."""
     if cfg.mu == 0:
         # No step draws an unlabeled row, so no step reads the selection:
         # a bank file is still checked whole, a synthetic one is not made.
@@ -214,8 +214,6 @@ def _selected_for_train(cfg: RunConfig, ds: DownstreamDataset) -> SelectedBank:
     if not cfg.samples:
         ids = _cli.stage2_sample(_cli.stage1_sample(source, ds, cfg), ds,
                                  cfg).selected_ids
-    if isinstance(source, EmbeddingBank):
-        return _cli.SelectedBank.from_bank(source, ids, ds)
     rows = decode_bank_file(source, fields=("images", "caption_feats"), rows=ids)
     return _cli.SelectedBank.of_rows(rows, ids, ds)
 
@@ -241,8 +239,8 @@ def cmd_synth_gen(cfg: RunConfig, args) -> int:
 
 def cmd_sample(cfg: RunConfig, args) -> int:
     ds, _ = _load_datasets(cfg)
-    # a bank file is read once, keeping no field: stage 1 scores its feats
-    # as they are read, and its latent classes are kept at the label bank
+    # the bank is read once, keeping no field: stage 1 scores its feats as
+    # they are read, and its latent classes are kept at the label bank
     kept = {}
     s1 = _cli.stage1_sample(_bank_source(cfg, ds), ds, cfg, kept)
     latent = kept["latent"]

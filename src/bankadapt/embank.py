@@ -59,11 +59,13 @@ is read.  A bank's array fields can also be kept at some rows only
 through the block buffer, as a skipped field's does, and the rows at ids
 are copied out of it into the caller's order, so a few hundred selected
 rows of a large bank cost their own bytes and one block.  A bank's
-``feats`` can also be handed to a consumer block by
-block as it is read, each block once its checks have passed and always
-with their float64 copy and norms, so that a caller can scan the field
-without holding it or copying it again, and its ``latent_class``
-likewise, after the last block of ``feats`` (see ``read_bank``).
+``feats`` can also be handed to a consumer block by block as it is read,
+each block once its checks have passed and always with their float64
+copy and norms, so that a caller can scan the field without holding it
+or copying it again, and its ``latent_class`` likewise, after the last
+block of ``feats`` (see ``read_bank``).  A bank in memory (an
+``EmbeddingBank``, such as the synthetic world's) is read the same way,
+through the same checks in the same blocks.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ import os
 import struct
 import zlib
 from collections.abc import Sequence
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import partial
 
@@ -645,7 +647,7 @@ def encode_bank_file(bank: EmbeddingBank, path) -> None:
     ])
 
 
-def refuse_outside(ids: np.ndarray, m: int) -> None:
+def _refuse_outside(ids: np.ndarray, m: int) -> None:
     """Refuse int64 record ids unless each lies inside a bank of m records,
     naming the first that does not."""
     bad = np.flatnonzero((ids < 0) | (ids >= m))
@@ -654,15 +656,45 @@ def refuse_outside(ids: np.ndarray, m: int) -> None:
                                f"outside the bank's {m} records"])
 
 
-def read_bank(path, fields: Sequence[str] = BANK_FIELDS, feats_to=None,
+class _BankInMemory(nullcontext):
+    """An EmbeddingBank opened and read as read_container and _PayloadReader
+    open and read a bank file: entered, it gives the header's fields and
+    itself; each array field goes to its visit in the same blocks, and
+    finish raises the visits' violations."""
+
+    def __init__(self, bank: EmbeddingBank):
+        header = (None, None, None, bank.size, bank.image_dim, bank.feat_dim)
+        super().__init__((header, self))
+        self._bank = bank
+
+    def array(self, what, shape, dtype, keep, visit, ids):
+        field = getattr(self._bank, what)
+        step = _block_rows(field[:1].nbytes, shape[0])
+        for start in range(0, shape[0], step):
+            visit(field[start:start + step], start)
+        if not keep or ids is None:
+            return field if keep else None
+        _refuse_outside(ids, shape[0])  # before the gather, which needs it
+        return field[ids]
+
+    def table(self, what, count, keep):
+        return self._bank.captions if keep else None
+
+    def finish(self, what, violations):
+        if violations:
+            raise ValidationError(list(violations))
+
+
+def read_bank(source, fields: Sequence[str] = BANK_FIELDS, feats_to=None,
               latent_to=None, rows=None) -> tuple[EmbeddingBank, tuple, bool]:
     """The bank keeping fields, its header's (m, D_img, d), and whether any
-    record has a latent class.
+    record has a latent class, from source: a DATB path, or an
+    EmbeddingBank, read the same way (see the module docstring).
 
     With rows (record ids), each kept field holds only the rows at rows,
     in rows' order; the others still go through every check.  An id
-    outside the bank is refused once the whole file has passed them.
-    captions cannot be kept by rows.
+    outside the bank is refused, from a file once the whole file has
+    passed them.  captions cannot be kept by rows.
 
     With feats_to, each piece of feats goes to feats_to(rows, index of its
     first row, rows64, norms) once its checks have run, until a check finds
@@ -681,7 +713,9 @@ def read_bank(path, fields: Sequence[str] = BANK_FIELDS, feats_to=None,
         if "captions" in fields:
             raise ValueError("captions cannot be kept by rows")
         ids = np.asarray(rows, dtype=np.int64)
-    with read_container(path, _BANK_MAGIC, _BANK_HEADER) as (header, rd):
+    opened = (_BankInMemory(source) if isinstance(source, EmbeddingBank)
+              else read_container(source, _BANK_MAGIC, _BANK_HEADER))
+    with opened as (header, rd):
         _, _, _, m, d_img, d = header
         found = _Violations(_BANK_CHECKS)
         visits = {name: found.visit(name)
@@ -720,17 +754,17 @@ def read_bank(path, fields: Sequence[str] = BANK_FIELDS, feats_to=None,
     if feed_error is not None:
         raise feed_error
     if ids is not None:
-        refuse_outside(ids, m)
+        _refuse_outside(ids, m)
     return EmbeddingBank(**kept), (m, d_img, d), with_latent
 
 
-def decode_bank_file(path, fields: Sequence[str] = BANK_FIELDS,
+def decode_bank_file(source, fields: Sequence[str] = BANK_FIELDS,
                      rows=None) -> EmbeddingBank:
-    """Decode a DATB file, keeping only the named BANK_FIELDS (the others
-    are None), and of those, with rows (record ids), only the rows at
-    rows, in rows' order; every check runs on every row of every field
-    either way (see read_bank)."""
-    return read_bank(path, fields, rows=rows)[0]
+    """Decode a DATB file (or read an EmbeddingBank), keeping only the
+    named BANK_FIELDS (the others are None), and of those, with rows
+    (record ids), only the rows at rows, in rows' order; every check runs
+    on every row of every field either way (see read_bank)."""
+    return read_bank(source, fields, rows=rows)[0]
 
 
 def describe_bank_file(path) -> tuple[int, int, int, bool]:

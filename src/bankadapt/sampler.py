@@ -15,9 +15,9 @@ that does not grow with the chunk: the query rows and up to 2*k*q held
 candidates (merge_bytes).  That part is charged at most three quarters of
 the budget, so a large k*q cannot shrink the chunk below a quarter of it.
 Every row arrives with its float64 copy and the copy's norms, made by
-embank.copy_with_norms (sqrt(einsum("ij,ij->i"))): for a bank file's rows
-by the reader's unit-row check, for rows in memory chunk by chunk by
-select_topk_streamed.  The selector divides that copy by the norms in
+embank.copy_with_norms (sqrt(einsum("ij,ij->i"))): for a bank's rows
+by read_bank's unit-row check, for the label bank's rows chunk by chunk
+by select_topk_streamed.  The selector divides that copy by the norms in
 place, and so makes unit rows.  A score is defined by one fixed
 arithmetic: s = 0, then s = s + q[j, t] * u[i, t] for t = 0, 1, ..., d-1,
 each product and sum rounded on its own.  Every score is thus the same
@@ -57,14 +57,14 @@ toward the lowest record id within a column.  Non-finite rows are refused,
 as zero-norm rows are: the bound holds only for finite scores.
 
 The selector is fed rows in ascending record order, in pieces of any
-size: an in-memory bank's or the label bank's one chunk at a time, or
-each piece of a bank file's feats as the reader checks it, so that feats
-is never held whole and each row is copied to float64 and its norm taken
-once.  Each piece is scored chunk_rows rows at a time.  Candidates are
-held in arrays allocated once with room for 2*k*q entries: id, column,
-score and, for stage 1, the row as fed (a bank's stored float32 feats),
-so that the label bank carries the feats of its rows and stage 2
-re-ranks them without the bank; stage 2 carries none.  Once a column has
+size: the label bank's one chunk at a time, or each piece of a bank's
+feats as read_bank checks it, so that the read never holds feats whole
+and each row is copied to float64 and its norm taken once.  Each piece
+is scored chunk_rows rows at a time.  Candidates are held in arrays
+allocated once with room for 2*k*q entries: id, column, score and, for
+stage 1, the row as fed (a bank's stored float32 feats), so that the
+label bank carries the feats of its rows and stage 2 re-ranks them
+without the bank; stage 2 carries none.  Once a column has
 k candidates, the score of its k-th is the column's floor, and a later
 row enters only with a score strictly above it: its id is larger than
 every held id, so it cannot win a tie.  When a chunk's admitted rows do
@@ -408,14 +408,13 @@ class TopKSelector:
 
 
 def select_topk_streamed(v: np.ndarray, f: np.ndarray, k: int,
-                         chunk_rows: int, carry_rows: bool = True) -> SampleResult:
-    """The TopKSelector's result for the rows of v, carrying the selected
-    rows of v when carry_rows.  v is fed one chunk at a time, so that only
-    one chunk's float64 copy lives at once; the chunk holds no more rows
-    than v has."""
+                         chunk_rows: int) -> SampleResult:
+    """The TopKSelector's result for the rows of v, carrying no rows.  v is
+    fed one chunk at a time, so that only one chunk's float64 copy lives at
+    once; the chunk holds no more rows than v has."""
     v = np.asarray(v)
     rows = min(chunk_rows, max(v.shape[0], 1))
-    selector = TopKSelector(f, k, rows, v.dtype if carry_rows else None)
+    selector = TopKSelector(f, k, rows, None)
     for lo in range(0, max(v.shape[0], 1), rows):  # an empty v is fed too
         piece = v[lo:lo + rows]
         selector.feed(piece, lo, *copy_with_norms(piece))
@@ -437,39 +436,34 @@ def stage1_sample(bank: EmbeddingBank | str | os.PathLike, ds: DownstreamDataset
     """Zero-shot retrieval, bank features against class text features: the
     label bank, carrying the stored feats of its rows.
 
-    An in-memory bank is fed a chunk at a time.  A DATB path is read once,
+    The bank, a DATB path or an EmbeddingBank, is read once by read_bank,
     keeping no field: each piece of its feats goes to the selector, with
     the float64 copy and norms of its checks, once the piece's checks have
-    passed, so feats is never held whole, and a file that fails a check
-    raises the decode's error.  kept, when given, gets under "latent" the
-    LatentClasses for precision reporting: the bank's, or, from a path,
-    those at the label bank's ids, kept as latent_class is read (it
-    follows feats, so the label bank is final by then)."""
+    passed, so the read never holds feats whole or copies it again, and a
+    bank that fails a check raises the read's error.  kept, when given, gets under
+    "latent" the LatentClasses for precision reporting, those at the label
+    bank's ids, kept as latent_class is read (it follows feats, so the
+    label bank is final by then)."""
     k1 = default_k1(ds.size, ds.n_classes, cfg.stage1_multiplier)
     rows = budget_chunk_rows(cfg.memory_budget_bytes, k1, ds.feat_dim,
                              ds.n_classes)
-    if isinstance(bank, EmbeddingBank):
-        result = select_topk_streamed(bank.feats, ds.class_text_feats, k1, rows)
-        if kept is not None:
-            kept["latent"] = LatentClasses.of(bank)
-    else:
-        selector = TopKSelector(ds.class_text_feats, k1, rows)
-        label = []
+    selector = TopKSelector(ds.class_text_feats, k1, rows)
+    label = []
 
-        def keep_latent(classes, row0):
-            if not label:
-                ids = np.sort(selector.selected_ids())
-                label[:] = ids, np.empty(ids.size, np.int32)
-            ids, at_ids = label
-            lo, hi = np.searchsorted(ids, (row0, row0 + classes.size))
-            at_ids[lo:hi] = classes[ids[lo:hi] - row0]
+    def keep_latent(classes, row0):
+        if not label:
+            ids = np.sort(selector.selected_ids())
+            label[:] = ids, np.empty(ids.size, np.int32)
+        ids, at_ids = label
+        lo, hi = np.searchsorted(ids, (row0, row0 + classes.size))
+        at_ids[lo:hi] = classes[ids[lo:hi] - row0]
 
-        _, _, with_latent = read_bank(bank, (), selector.feed, keep_latent)
-        result = selector.result()
-        # an empty bank's latent_class comes in no piece
-        ids, at_ids = label or (np.zeros(0, np.int64), np.zeros(0, np.int32))
-        if kept is not None:
-            kept["latent"] = LatentClasses(at_ids, with_latent, ids)
+    _, _, with_latent = read_bank(bank, (), selector.feed, keep_latent)
+    result = selector.result()
+    # an empty bank's latent_class comes in no piece
+    ids, at_ids = label or (np.zeros(0, np.int64), np.zeros(0, np.int32))
+    if kept is not None:
+        kept["latent"] = LatentClasses(at_ids, with_latent, ids)
     return result
 
 
@@ -491,37 +485,30 @@ def stage2_sample(label_bank: SampleResult, ds: DownstreamDataset,
     image_feats = embedder.embed_rows(np.asarray(ds.images, dtype=np.float64))
     rows = budget_chunk_rows(cfg.memory_budget_bytes, k2, ds.feat_dim, ds.size,
                              carry_rows=False)
-    picked = select_topk_streamed(label_bank.feats, image_feats, k2, rows,
-                                  carry_rows=False)
+    picked = select_topk_streamed(label_bank.feats, image_feats, k2, rows)
     return replace(picked, selected_ids=label_bank.selected_ids[picked.selected_ids])
 
 
 @dataclass(frozen=True)
 class LatentClasses:
     """Ground-truth latent classes, for precision reporting only: those of
-    the records at ids (ascending), or of every record when ids is None,
-    and whether any record of the bank has one (known)."""
+    the records at ids (ascending), and whether any record of the bank has
+    one (known)."""
 
     classes: np.ndarray        # int32, -1 = unknown / out of distribution
     known: bool
-    ids: np.ndarray | None = None
-
-    @classmethod
-    def of(cls, bank: EmbeddingBank) -> LatentClasses:
-        return cls(bank.latent_class, bool(np.any(bank.latent_class >= 0)))
+    ids: np.ndarray            # int64
 
     def at(self, ids: np.ndarray) -> np.ndarray:
         """The latent classes of records ids, each one of self.ids."""
-        return self.classes[ids if self.ids is None
-                            else np.searchsorted(self.ids, ids)]
+        return self.classes[np.searchsorted(self.ids, ids)]
 
 
-def sampler_precision(result: SampleResult, bank: EmbeddingBank | LatentClasses,
+def sampler_precision(result: SampleResult, latent: LatentClasses,
                       ds: DownstreamDataset) -> float:
     """Fraction of selected records whose latent class is a downstream
-    class, from the bank's latent_class or from LatentClasses that hold the
-    selected records'."""
-    latent = bank if isinstance(bank, LatentClasses) else LatentClasses.of(bank)
+    class, from LatentClasses that hold the selected records' (stage1_sample
+    keeps them)."""
     if not latent.known:
         raise PrecisionUndefinedError(
             "bank carries no ground-truth latent classes; precision undefined")

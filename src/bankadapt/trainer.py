@@ -11,18 +11,13 @@ epoch's unlabeled demand.  Every setting is read from one RunConfig.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .augment import STRONG, WEAK, augment_view
 from .config import RunConfig
-from .embank import (
-    DownstreamDataset,
-    EmbeddingBank,
-    ValidationError,
-    refuse_outside,
-)
+from .embank import DownstreamDataset, EmbeddingBank, ValidationError
 from .encoder import (
     EncoderParams,
     FrozenEmbedder,
@@ -53,8 +48,8 @@ class SelectedBank:
     def of_rows(cls, rows: EmbeddingBank, ids: np.ndarray,
                 ds: DownstreamDataset) -> "SelectedBank":
         """ids with their rows: rows holds the images and caption_feats of
-        ids, in ids' order, as decode_bank_file(..., rows=ids) reads them.
-        Refused unless their image and feature dimensions are ds's."""
+        ids, in ids' order, as decode_bank_file(bank, ..., rows=ids) reads
+        them.  Refused unless their image and feature dimensions are ds's."""
         for name, own, want in (
                 ("image_dim", rows.images.shape[1], ds.image_dim),
                 ("feat_dim", rows.caption_feats.shape[1], ds.feat_dim)):
@@ -63,16 +58,6 @@ class SelectedBank:
                                        f"dataset has {want}"])
         return cls(ids=np.asarray(ids, dtype=np.int64), images=rows.images,
                    caption_feats=rows.caption_feats)
-
-    @classmethod
-    def from_bank(cls, bank: EmbeddingBank, ids: np.ndarray,
-                  ds: DownstreamDataset) -> "SelectedBank":
-        """The bank rows of ids, gathered in their order, refused unless
-        every id lies inside the bank, and as of_rows refuses them."""
-        ids = np.asarray(ids, dtype=np.int64)
-        refuse_outside(ids, bank.size)
-        return cls.of_rows(replace(bank, images=bank.images[ids],
-                                   caption_feats=bank.caption_feats[ids]), ids, ds)
 
 
 @dataclass(frozen=True)

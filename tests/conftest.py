@@ -5,6 +5,7 @@ import numpy as np
 
 from bankadapt.config import RunConfig, apply_updates, parse_updates
 from bankadapt.embank import DownstreamDataset, EmbeddingBank
+from bankadapt.sampler import LatentClasses
 
 
 def unit_rows(rng, n, d, dtype=np.float32):
@@ -57,6 +58,14 @@ def random_bank(seed=0, m=17, d_img=6, d=4) -> EmbeddingBank:
         captions=[f"a photo of thing-{i}." for i in range(m)],
         latent_class=rng.integers(-1, 3, size=m).astype(np.int32),
     )
+
+
+def every_latent_class(bank: EmbeddingBank) -> LatentClasses:
+    """The LatentClasses of every record of bank, built directly from its
+    latent_class: an oracle for those stage1_sample keeps."""
+    classes = bank.latent_class
+    return LatentClasses(classes, bool((classes >= 0).any()),
+                         np.arange(classes.size, dtype=np.int64))
 
 
 def random_dataset(seed=0, n=12, n_classes=3, d_img=6, d=4) -> DownstreamDataset:

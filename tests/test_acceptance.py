@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bankadapt.benchmark import VARIANTS, mean_accuracy, run_benchmark
+from bankadapt.benchmark import VARIANTS, mean_accuracy, run_fits
 from bankadapt.cli import main as cli_main
 from bankadapt.config import RunConfig
 from bankadapt.embank import DownstreamDataset, EmbeddingBank
@@ -192,9 +192,10 @@ def test_criterion_4_sampler_precision():
                          weak_pair_rate=0.3, noise_sigma=1.0)
         ds = generate_downstream(spec)
         bank = generate_pretrain_bank(spec, ds)
-        s1 = stage1_sample(bank, ds, spec)
+        kept = {}
+        s1 = stage1_sample(bank, ds, spec, kept)
         s2 = stage2_sample(s1, ds, spec)
-        precisions.append(sampler_precision(s2, bank, ds))
+        precisions.append(sampler_precision(s2, kept["latent"], ds))
     elapsed = time.perf_counter() - t0
     ok = all(p >= 0.50 for p in precisions) and elapsed < 60.0
     _report(4, ok, "stage-2 precision per seed ["
@@ -207,7 +208,8 @@ def test_criterion_4_sampler_precision():
 @pytest.fixture(scope="module")
 def benchmark_runs():
     t0 = time.perf_counter()
-    accs = run_benchmark(seeds=range(5), variants=tuple(VARIANTS))
+    accs = {v: [r.final_acc for r in fits]
+            for v, fits in run_fits(seeds=range(5), variants=tuple(VARIANTS)).items()}
     return accs, time.perf_counter() - t0
 
 

@@ -36,7 +36,7 @@ from bankadapt.sampler import (
     stage2_sample,
 )
 
-from conftest import random_bank, random_dataset
+from conftest import every_latent_class, random_bank, random_dataset
 
 PERFBENCH_TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -315,11 +315,12 @@ def test_sample_removes_the_precision_of_an_earlier_bank(tmp_path, capsys):
     bank, ds = decode_bank_file(bank_path), decode_dataset_file(ds_path)
     s1 = stage1_sample(bank, ds, RunConfig())
     s2 = stage2_sample(s1, ds, RunConfig())
+    latent = every_latent_class(bank)
     args = ["sample", "--dataset", str(ds_path), "--out_dir", str(out)]
     assert run([*args, "--bank", str(bank_path)]) == 0
     assert (out / "precision.txt").read_text() == (
-        f"stage1_precision = {sampler_precision(s1, bank, ds)!r}\n"
-        f"stage2_precision = {sampler_precision(s2, bank, ds)!r}\n")
+        f"stage1_precision = {sampler_precision(s1, latent, ds)!r}\n"
+        f"stage2_precision = {sampler_precision(s2, latent, ds)!r}\n")
     bank.latent_class[:] = -1
     encode_bank_file(bank, tmp_path / "unknown.datb")
     capsys.readouterr()

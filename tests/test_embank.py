@@ -910,3 +910,28 @@ def test_unit_rows_of_width_0_are_off_unit(tmp_path):
                            class_text_feats=np.zeros((1, 0), np.float32))
     assert validate_dataset(ds) == [
         "class_text_feats row 0 has norm 0.00000000, expected 1 within 1e-05"]
+
+
+def test_a_bank_in_memory_is_read_as_its_file(tmp_path, monkeypatch):
+    """read_bank hands an EmbeddingBank's feats and latent_class to their
+    consumers in the pieces it hands its DATB file's, bit for bit: each
+    piece of feats with the same first row, float64 copy and norms."""
+    bank = random_bank(seed=5, m=40, d=4)
+    path = tmp_path / "bank.datb"
+    encode_bank_file(bank, path)
+    monkeypatch.setattr(embank, "_BLOCK_BYTES", 3 * 16)  # 3 feats rows a piece
+    handed = []
+    for source in (bank, path):
+        feats, latent = [], []
+        embank.read_bank(
+            source, (),
+            lambda rows, row0, rows64, norms: feats.append(
+                (row0, rows.tobytes(), rows64.tobytes(), norms.tobytes())),
+            lambda classes, row0: latent.append((row0, classes.tobytes())))
+        handed.append((feats, latent))
+    (feats, latent), (file_feats, file_latent) = handed
+    assert [piece[0] for piece in feats] == list(range(0, 40, 3))
+    assert feats == file_feats
+    assert [row0 for row0, _ in latent] == [0, 12, 24, 36]
+    assert latent == file_latent
+    assert b"".join(piece for _, piece in latent) == bank.latent_class.tobytes()

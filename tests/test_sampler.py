@@ -30,7 +30,7 @@ from bankadapt.sampler import (
 from bankadapt.sample_csv import load_sample_csv, save_sample_csv
 from bankadapt.synth import generate_downstream, generate_pretrain_bank
 
-from conftest import fixed_order_scores, random_bank, random_dataset
+from conftest import every_latent_class, fixed_order_scores, random_bank, random_dataset
 
 
 def brute_force_select(v, f, k):
@@ -770,15 +770,19 @@ class TestStages:
     def test_stage1_precision_beats_base_rate(self):
         for seed in range(5):
             spec, ds, bank = make_world(seed, rho=0.5)
-            p = sampler_precision(stage1_sample(bank, ds, spec), bank, ds)
+            kept = {}
+            p = sampler_precision(stage1_sample(bank, ds, spec, kept),
+                                  kept["latent"], ds)
             assert p > 0.5
 
     def test_stage2_refines_stage1_precision(self):
         for seed in range(5):
             spec, ds, bank = make_world(seed)
-            s1 = stage1_sample(bank, ds, spec)
+            kept = {}
+            s1 = stage1_sample(bank, ds, spec, kept)
             s2 = stage2_sample(s1, ds, spec)
-            assert sampler_precision(s2, bank, ds) >= sampler_precision(s1, bank, ds)
+            latent = kept["latent"]
+            assert sampler_precision(s2, latent, ds) >= sampler_precision(s1, latent, ds)
 
     def test_stage_outputs_are_chunk_independent(self):
         spec, ds, bank = make_world(2, m=2000)
@@ -826,10 +830,14 @@ class TestStages:
         assert np.array_equal(latent.ids, np.sort(s1.selected_ids))
         assert np.array_equal(latent.at(s1.selected_ids),
                               bank.latent_class[s1.selected_ids])
+        # the bank in memory keeps the same latent classes, read the same way
+        for name in ("ids", "classes", "known"):
+            assert np.array_equal(getattr(in_memory["latent"], name),
+                                  getattr(latent, name)), name
         s2 = stage2_sample(s1, ds, spec)
         for s in (s1, s2):
             assert (sampler_precision(s, latent, ds)
-                    == sampler_precision(s, bank, ds))
+                    == sampler_precision(s, every_latent_class(bank), ds))
 
     def test_feat_dim_mismatch_rejected(self):
         bank = random_bank(d=4)
@@ -856,7 +864,7 @@ class TestPrecision:
                          assigned_column=np.array([0, 0]),
                          score=np.zeros(2), deficits=np.zeros(3, np.int64), k=2)
         with pytest.raises(PrecisionUndefinedError):
-            sampler_precision(r, bank, ds)
+            sampler_precision(r, every_latent_class(bank), ds)
 
     def test_no_in_distribution_selection_scores_zero(self):
         bank = random_bank(seed=1)
@@ -866,7 +874,7 @@ class TestPrecision:
         r = SampleResult(selected_ids=np.array([0, 2]),
                          assigned_column=np.array([0, 1]),
                          score=np.zeros(2), deficits=np.zeros(3, np.int64), k=1)
-        assert sampler_precision(r, bank, ds) == 0.0
+        assert sampler_precision(r, every_latent_class(bank), ds) == 0.0
 
 
 class TestCsv:

@@ -1,12 +1,17 @@
-"""Code used only by tests lives in tests/: every function, class and method
-defined in src/bankadapt is used by src/, scripts/ or perfbench/."""
+"""Checks on the shape of the source.
+
+Code used only by tests lives in tests/: every function, class and method
+defined in src/bankadapt is used by src/, scripts/ or perfbench/.  And a
+bank file and a bank in memory are told apart in embank.py only.
+"""
 
 import ast
-import re
-from collections import Counter
 from pathlib import Path
 
+from bankadapt import cli
+
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "bankadapt"
 
 # Names kept in src/ although nothing there uses them yet, each with the
 # reason.
@@ -17,18 +22,51 @@ ALLOWED = {
 }
 
 
+def _trees(*folders):
+    return [ast.parse(path.read_text(encoding="utf-8"))
+            for folder in folders
+            for path in sorted((ROOT / folder).rglob("*.py"))]
+
+
+def _referenced(node) -> list[str]:
+    """The names node refers to: a name, an attribute, or the dotted parts
+    of an imported name."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.alias):
+        return node.name.split(".")
+    return []
+
+
 def test_src_holds_no_test_only_code():
-    texts = [path.read_text(encoding="utf-8")
-             for folder in ("src", "scripts", "perfbench")
-             for path in sorted((ROOT / folder).rglob("*.py"))]
-    defined = Counter(
+    """A name counts as used when code refers to it (a name, an attribute
+    or an import) or when it is a key of cli._LAZY, through which the
+    commands look names up; a word in a docstring or a comment does not
+    count."""
+    used = set(cli._LAZY)
+    for tree in _trees("src", "scripts", "perfbench"):
+        for node in ast.walk(tree):
+            used.update(_referenced(node))
+    defined = {
         node.name
-        for path in sorted((ROOT / "src" / "bankadapt").glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for tree in _trees("src/bankadapt")
+        for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not (node.name.startswith("__") and node.name.endswith("__")))
-    unused = sorted(
-        name for name, definitions in defined.items() if name not in ALLOWED
-        and sum(len(re.findall(rf"\b{name}\b", text)) for text in texts)
-        == definitions)
+        and not (node.name.startswith("__") and node.name.endswith("__"))}
+    unused = sorted(defined - ALLOWED - used)
     assert unused == [], unused
+
+
+def test_only_embank_tells_a_bank_file_from_a_bank_in_memory():
+    """read_bank takes a DATB path or an EmbeddingBank alike, so no module
+    but embank.py asks isinstance(..., EmbeddingBank)."""
+    asking = sorted(
+        path.name for path in PACKAGE.glob("*.py") if path.name != "embank.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance" and len(node.args) == 2
+        and any("EmbeddingBank" in _referenced(part)
+                for part in ast.walk(node.args[1])))
+    assert asking == [], asking

@@ -7,7 +7,7 @@ import pytest
 
 from bankadapt.augment import augment_view
 from bankadapt.config import RunConfig
-from bankadapt.embank import ValidationError
+from bankadapt.embank import ValidationError, decode_bank_file, encode_bank_file
 from bankadapt.encoder import (
     FrozenEmbedder,
     init_params,
@@ -39,7 +39,26 @@ def tiny_world(seed=0, n_classes=3, n_per_class=8, bank_size=150,
     bank = generate_pretrain_bank(spec, ds)
     s1 = stage1_sample(bank, ds, spec)
     s2 = stage2_sample(s1, ds, spec)
-    return spec, ds, bank, SelectedBank.from_bank(bank, s2.selected_ids, ds)
+    return spec, ds, bank, gather(bank, s2.selected_ids, ds)
+
+
+def gather(source, ids, ds):
+    """The SelectedBank of ids, read from source (a bank file or a bank in
+    memory) as train reads it."""
+    rows = decode_bank_file(source, ("images", "caption_feats"), rows=ids)
+    return SelectedBank.of_rows(rows, ids, ds)
+
+
+@pytest.fixture(params=["in memory", "file"])
+def source_of(request, tmp_path):
+    """source_of(bank): the bank itself, or its encoded DATB file."""
+    def source(bank):
+        if request.param == "in memory":
+            return bank
+        path = tmp_path / "bank.datb"
+        encode_bank_file(bank, path)
+        return path
+    return source
 
 
 def empty_selected(image_dim, feat_dim):
@@ -62,8 +81,9 @@ def test_steps_per_epoch():
     assert steps_per_epoch(1, 8) == 1
 
 
-def test_selected_bank_gathers_by_id():
+def test_selected_bank_gathers_by_id(source_of):
     _, ds, bank, selected = tiny_world()
+    selected = gather(source_of(bank), selected.ids, ds)
     assert selected.size == selected.ids.shape[0]
     for row in (0, selected.size // 2, selected.size - 1):
         rid = int(selected.ids[row])
@@ -73,21 +93,22 @@ def test_selected_bank_gathers_by_id():
 
 
 @pytest.mark.parametrize("bad_id", [150, 4000, -1])
-def test_selected_bank_rejects_ids_outside_the_bank(bad_id):
+def test_selected_bank_rejects_ids_outside_the_bank(bad_id, source_of):
     _, ds, bank, _ = tiny_world()
     ids = np.array([3, bad_id, 7, 9999], dtype=np.int64)
     with pytest.raises(ValidationError, match=f"id {bad_id} is outside"):
-        SelectedBank.from_bank(bank, ids, ds)
+        gather(source_of(bank), ids, ds)
 
 
 @pytest.mark.parametrize("name, bank_value, ds_value", [
     ("image_dim", 10, 12), ("feat_dim", 6, 5)])
-def test_selected_bank_refuses_a_bank_of_other_dims(name, bank_value, ds_value):
+def test_selected_bank_refuses_a_bank_of_other_dims(name, bank_value, ds_value,
+                                                    source_of):
     _, _, bank, _ = tiny_world()
     _, other, _, _ = tiny_world(**{name: ds_value})
     with pytest.raises(ValidationError,
                        match=f"bank has {name} {bank_value}, dataset has {ds_value}"):
-        SelectedBank.from_bank(bank, np.arange(4, dtype=np.int64), other)
+        gather(source_of(bank), np.arange(4, dtype=np.int64), other)
 
 
 def test_compose_batch_shapes_and_determinism():
