@@ -64,8 +64,9 @@ each block once its checks have passed and always with their float64
 copy and norms, so that a caller can scan the field without holding it
 or copying it again, and its ``latent_class`` likewise, after the last
 block of ``feats`` (see ``read_bank``).  A bank in memory (an
-``EmbeddingBank``, such as the synthetic world's) is read the same way,
-through the same checks in the same blocks.
+``EmbeddingBank`` the program made) is read the same way, in the same
+blocks, but runs only the checks of the ``feats`` handed to a consumer,
+for their float64 copy and norms.
 """
 
 from __future__ import annotations
@@ -237,9 +238,12 @@ def _dataset_checks(n_classes: int) -> tuple:
             (_off_unit, "class_text_feats"))
 
 
-def _block_rows(row_bytes: int, rows: int) -> int:
-    """Whole rows of about _BLOCK_BYTES; rows of no bytes make one block."""
-    return max(1, _BLOCK_BYTES // row_bytes if row_bytes else rows)
+def _blocks(row_bytes: int, rows: int):
+    """(first row, rows) of each block of whole rows of about _BLOCK_BYTES;
+    rows of no bytes make one block."""
+    step = max(1, _BLOCK_BYTES // row_bytes if row_bytes else rows)
+    for start in range(0, rows, step):
+        yield start, min(step, rows - start)
 
 
 class _Violations:
@@ -278,9 +282,8 @@ def _check_arrays(checks, container) -> list[str]:
     found = _Violations(checks)
     for name in dict.fromkeys(field for _, field in checks):
         see, arr = found.visit(name), getattr(container, name)
-        step = _block_rows(arr[:1].nbytes, arr.shape[0])
-        for start in range(0, arr.shape[0], step):
-            see(arr[start:start + step], start)
+        for start, n in _blocks(arr[:1].nbytes, len(arr)):
+            see(arr[start:start + n], start)
     return found.report()
 
 
@@ -478,7 +481,7 @@ class _PayloadReader:
         array when keep is true, else None; with ids (int64 row indices),
         only the rows at ids, in ids' order, where an id outside the field
         leaves its row unset (read_bank refuses it).  Each block of it (see
-        _block_rows) goes through visit(block, index of its first row)."""
+        _blocks) goes through visit(block, index of its first row)."""
         stored = np.dtype(dtype).newbyteorder("<")
         rows, row_shape = shape[0], tuple(shape[1:])
         row_bytes = math.prod(row_shape) * stored.itemsize
@@ -492,9 +495,7 @@ class _PayloadReader:
             out = np.empty((ids.size,) + row_shape, stored)
         elif keep:
             out = np.empty(shape, stored)
-        step = _block_rows(row_bytes, rows)
-        for start in range(0, rows, step):
-            n = min(step, rows - start)
+        for start, n in _blocks(row_bytes, rows):
             if out is None or order is not None:
                 block = self._buffer(n * row_bytes).view(stored).reshape((n,) + row_shape)
             else:
@@ -557,13 +558,11 @@ class _PayloadReader:
         checked = 0
         if seen_continuation:
             checked = count if outside is None else outside
-        step = _block_rows(16, checked)
         split = None
         reread = table is None and checked > 0
         if reread:
             self._fh.seek(table_at)
-        for start in range(0, checked, step):
-            n = min(step, checked - start)
+        for start, n in _blocks(16, checked):
             if table is None:
                 entries = self._buffer(16 * n).view("<u8").reshape(n, 2)
                 _fill(self._fh, memoryview(entries).cast("B"), f"{what} offset table")
@@ -657,10 +656,8 @@ def _refuse_outside(ids: np.ndarray, m: int) -> None:
 
 
 class _BankInMemory(nullcontext):
-    """An EmbeddingBank opened and read as read_container and _PayloadReader
-    open and read a bank file: entered, it gives the header's fields and
-    itself; each array field goes to its visit in the same blocks, and
-    finish raises the visits' violations."""
+    """An EmbeddingBank, opened and read as read_container and _PayloadReader
+    open and read a bank file, in the same blocks."""
 
     def __init__(self, bank: EmbeddingBank):
         header = (None, None, None, bank.size, bank.image_dim, bank.feat_dim)
@@ -669,9 +666,8 @@ class _BankInMemory(nullcontext):
 
     def array(self, what, shape, dtype, keep, visit, ids):
         field = getattr(self._bank, what)
-        step = _block_rows(field[:1].nbytes, shape[0])
-        for start in range(0, shape[0], step):
-            visit(field[start:start + step], start)
+        for start, n in _blocks(field[:1].nbytes, shape[0]):
+            visit(field[start:start + n], start)
         if not keep or ids is None:
             return field if keep else None
         _refuse_outside(ids, shape[0])  # before the gather, which needs it
@@ -689,7 +685,8 @@ def read_bank(source, fields: Sequence[str] = BANK_FIELDS, feats_to=None,
               latent_to=None, rows=None) -> tuple[EmbeddingBank, tuple, bool]:
     """The bank keeping fields, its header's (m, D_img, d), and whether any
     record has a latent class, from source: a DATB path, or an
-    EmbeddingBank, read the same way (see the module docstring).
+    EmbeddingBank, read the same way but checked only in the feats fed to
+    feats_to (see the module docstring).
 
     With rows (record ids), each kept field holds only the rows at rows,
     in rows' order; the others still go through every check.  An id
@@ -713,11 +710,15 @@ def read_bank(source, fields: Sequence[str] = BANK_FIELDS, feats_to=None,
         if "captions" in fields:
             raise ValueError("captions cannot be kept by rows")
         ids = np.asarray(rows, dtype=np.int64)
-    opened = (_BankInMemory(source) if isinstance(source, EmbeddingBank)
+    memory = isinstance(source, EmbeddingBank)
+    opened = (_BankInMemory(source) if memory
               else read_container(source, _BANK_MAGIC, _BANK_HEADER))
     with opened as (header, rd):
         _, _, _, m, d_img, d = header
-        found = _Violations(_BANK_CHECKS)
+        # a bank the program made is valid: it runs only the checks of the
+        # feats it feeds, for their copy_with_norms
+        found = _Violations([c for c in _BANK_CHECKS
+                             if not memory or feats_to and c[1] == "feats"])
         visits = {name: found.visit(name)
                   for name in ("images", "feats", "caption_feats")}
         feed_error = None
@@ -760,10 +761,9 @@ def read_bank(source, fields: Sequence[str] = BANK_FIELDS, feats_to=None,
 
 def decode_bank_file(source, fields: Sequence[str] = BANK_FIELDS,
                      rows=None) -> EmbeddingBank:
-    """Decode a DATB file (or read an EmbeddingBank), keeping only the
-    named BANK_FIELDS (the others are None), and of those, with rows
-    (record ids), only the rows at rows, in rows' order; every check runs
-    on every row of every field either way (see read_bank)."""
+    """The bank read_bank reads from source, a DATB path or an EmbeddingBank,
+    keeping only the named BANK_FIELDS (the others are None), and of those,
+    with rows (record ids), only the rows at rows, in rows' order."""
     return read_bank(source, fields, rows=rows)[0]
 
 

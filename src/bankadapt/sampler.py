@@ -437,13 +437,12 @@ def stage1_sample(bank: EmbeddingBank | str | os.PathLike, ds: DownstreamDataset
     label bank, carrying the stored feats of its rows.
 
     The bank, a DATB path or an EmbeddingBank, is read once by read_bank,
-    keeping no field: each piece of its feats goes to the selector, with
-    the float64 copy and norms of its checks, once the piece's checks have
-    passed, so the read never holds feats whole or copies it again, and a
-    bank that fails a check raises the read's error.  kept, when given, gets under
-    "latent" the LatentClasses for precision reporting, those at the label
-    bank's ids, kept as latent_class is read (it follows feats, so the
-    label bank is final by then)."""
+    keeping no field: each piece of its feats goes to the selector with the
+    float64 copy and norms of its checks, once they pass, so the read never
+    holds feats whole or copies it again.  kept, when given, gets under
+    "latent" the LatentClasses at the label bank's ids, for precision
+    reporting, kept as latent_class is read (it follows feats, so the label
+    bank is final by then)."""
     k1 = default_k1(ds.size, ds.n_classes, cfg.stage1_multiplier)
     rows = budget_chunk_rows(cfg.memory_budget_bytes, k1, ds.feat_dim,
                              ds.n_classes)

@@ -935,3 +935,21 @@ def test_a_bank_in_memory_is_read_as_its_file(tmp_path, monkeypatch):
     assert [row0 for row0, _ in latent] == [0, 12, 24, 36]
     assert latent == file_latent
     assert b"".join(piece for _, piece in latent) == bank.latent_class.tobytes()
+
+
+def test_a_bank_in_memory_runs_only_the_checks_of_the_feats_it_hands_on(monkeypatch):
+    """A bank the program made takes only the float64 copies and norms of
+    the feats handed to feats_to: none for its other fields, none when
+    nothing takes its feats."""
+    bank = random_bank(seed=6, m=40, d=4)
+    monkeypatch.setattr(embank, "_BLOCK_BYTES", 3 * 16)
+    copied = []
+    copy = embank.copy_with_norms
+    monkeypatch.setattr(embank, "copy_with_norms",
+                        lambda rows: copied.append(len(rows)) or copy(rows))
+    rows = decode_bank_file(bank, ("images", "caption_feats"), rows=[7, 2])
+    assert np.array_equal(rows.images, bank.images[[7, 2]])
+    assert copied == []
+    fed = []
+    embank.read_bank(bank, (), lambda rows, row0, rows64, norms: fed.append(len(rows)))
+    assert copied == fed == [3] * 13 + [1]

@@ -2,6 +2,7 @@ import gc
 import itertools
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -373,16 +374,10 @@ class TestCertifiedMatmul:
         v = (dirs[rng.integers(0, groups, m)]
              + 0.3 * rng.standard_normal((m, d))).astype(np.float32)
         rows = budget_chunk_rows(1 << 20, k, d, q)
-        accounted = rows * bytes_per_row(d, q) + merge_bytes(k, d, q)
-        gc.collect()
-        tracemalloc.start()
-        try:
-            r = select_topk_streamed(v, f, k, rows)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= accounted, (peak, accounted)
-        assert_top_k_of_fixed_order(r, v, f, k)
+        for carry, r, peak in traced_selections(v, f, k, rows):
+            accounted = rows * bytes_per_row(d, q) + merge_bytes(k, d, q, carry)
+            assert peak <= accounted, (carry, peak, accounted)
+            assert_top_k_of_fixed_order(r, v, f, k)
 
     @pytest.mark.parametrize("case", ["random", "near copies", "all tie", "axes"])
     def test_either_layout_gives_identical_results(self, monkeypatch, case):
@@ -439,6 +434,23 @@ def feed_in_pieces(v, f, k, chunk_rows, bounds):
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         selector.feed(v[lo:hi], lo, *copy_with_norms(v[lo:hi]))
     return selector.result()
+
+
+def traced_selections(v, f, k, rows):
+    """The selection of v in chunks of rows carrying its rows, as stage 1's
+    does, then carrying none, as select_topk_streamed's does: for each,
+    whether it carries, its result and the peak tracemalloc traced."""
+    bounds = [*range(0, len(v), rows), len(v)]
+    for carry, select in ((True, partial(feed_in_pieces, v, f, k, rows, bounds)),
+                          (False, partial(select_topk_streamed, v, f, k, rows))):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            r = select()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        yield carry, r, peak
 
 
 def feed_from_file(tmp_path, monkeypatch, v, f, k, chunk_rows, piece_rows):
@@ -658,16 +670,10 @@ class TestChunkBudget:
         f = rng.standard_normal((q, d))
         budget = 1 << 22
         rows = budget_chunk_rows(budget, k, d, q)
-        accounted = rows * bytes_per_row(d, q) + merge_bytes(k, d, q)
-        gc.collect()
-        tracemalloc.start()
-        try:
-            select_topk_streamed(v, f, k, rows)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert accounted <= budget
-        assert peak <= accounted, (peak, accounted)
+        assert rows * bytes_per_row(d, q) + merge_bytes(k, d, q) <= budget
+        for carry, _, peak in traced_selections(v, f, k, rows):
+            accounted = rows * bytes_per_row(d, q) + merge_bytes(k, d, q, carry)
+            assert peak <= accounted, (carry, peak, accounted)
 
     def test_large_label_bank_keeps_a_quarter_of_the_budget_for_the_chunk(self):
         # 3,000 downstream images in 10 classes: k1 * q = 24,000 held
