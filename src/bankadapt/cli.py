@@ -218,6 +218,14 @@ def _selected_for_train(cfg: RunConfig, ds: DownstreamDataset) -> SelectedBank:
     return _cli.SelectedBank.of_rows(rows, ids, ds)
 
 
+def _report_clamps(n_clamped: int, fit_name: str) -> None:
+    """One stderr line for a fit whose cross-entropy terms clamped a
+    probability; standard output stays as it is either way."""
+    if n_clamped:
+        print(f"{fit_name}: cross_entropy clamped {n_clamped} probabilities "
+              "to 1e-12", file=sys.stderr)
+
+
 def cmd_synth_gen(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg)
     ds = _cli.generate_downstream(cfg)
@@ -272,6 +280,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
     selected = _selected_for_train(cfg, ds)
     out = _out_dir(cfg)
     result = _cli.fit(ds, selected, cfg, eval_ds=eval_ds)
+    _report_clamps(result.n_clamped, "train")
     metrics_path = out / "metrics.csv"
     _cli.write_metrics_csv(result.metrics, metrics_path)
     ckpt_path = Path(cfg.checkpoint) if cfg.checkpoint else out / "encoder.datc"
@@ -324,6 +333,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         cell_dir = out / "sweep" / f"mu{mu}_t{t}"
         cell_dir.mkdir(parents=True, exist_ok=True)
         result = _cli.fit(ds, selected, cell, eval_ds=eval_ds)
+        _report_clamps(result.n_clamped, f"sweep cell {cell_dir.name}")
         _cli.write_metrics_csv(result.metrics, cell_dir / "metrics.csv")
         acc = "" if result.final_acc is None else repr(result.final_acc)
         summary.append(f"{mu},{t},{acc}")

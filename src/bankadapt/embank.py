@@ -96,6 +96,8 @@ _DATASET_HEADER = struct.Struct("<4sHHQIII")
 # feats copy lives on while the sampler scores it).  A multiple of 8, so
 # that a blob's continuation bitmap is packed block by block.
 _BLOCK_BYTES = 1 << 19
+# entries of StringTable.gathered's blob filled by one gather
+_GATHER_ROWS = 1 << 16
 
 BANK_FIELDS = ("images", "feats", "caption_feats", "latent_class", "captions")
 
@@ -360,14 +362,24 @@ class StringTable(Sequence):
     def gathered(cls, vocabulary: Sequence[str], index: np.ndarray) -> StringTable:
         """The strings vocabulary[i] for i in index, packed, made without a
         string per entry: the vocabulary's bytes, padded to one width, are
-        gathered by index and the padding masked out."""
+        gathered by index and the padding masked out, _GATHER_ROWS entries
+        at a time into the blob at their table offsets, so no temporary
+        holds more than a block of padded rows."""
         words = [w.encode("utf-8") for w in vocabulary]
         lengths = np.array([len(w) for w in words], dtype=np.int64)
         padded = np.zeros((len(words), int(lengths.max(initial=0))), np.uint8)
         for row, w in zip(padded, words):
             row[:len(w)] = np.frombuffer(w, np.uint8)
         used = np.arange(padded.shape[1]) < lengths[:, None]
-        return cls(_packed_table(lengths[index]), padded[index][used[index]])
+        sizes = lengths[index]
+        table = _packed_table(sizes)
+        blob = np.empty(int(sizes.sum()), np.uint8)
+        for start in range(0, sizes.size, _GATHER_ROWS):
+            part = index[start:start + _GATHER_ROWS]
+            block = padded[part][used[part]]
+            at = int(table[start, 0])
+            blob[at:at + block.size] = block
+        return cls(table, blob)
 
     def packed(self) -> tuple[np.ndarray, np.ndarray]:
         """The table and blob with each entry's bytes right after the

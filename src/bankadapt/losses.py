@@ -5,8 +5,10 @@ Classification term: one clamped cross-entropy, used for the labeled rows
 for the pseudo-labeled rows (strong views against confident pseudo-labels,
 divided by the full unlabeled row count: confidence only gates which rows
 enter, the divisor never shrinks).  Each term sums -log p left to right in
-row order, then divides.  Contrastive term: bidirectional multi-positive
-softmax contrast over the unified triplet batch.
+row order, then divides.  A p below 1e-12 is clamped to it, and each term
+returns how many it clamped: the fit counts them, nothing here logs.
+Contrastive term: bidirectional multi-positive softmax contrast over the
+unified triplet batch.
 
 With z[i, j] = v_i . t_j / tau (temperature divides the cosine in every
 term), positives P(i) = {k : y_k = y_i} including i, and anchor_reduction
@@ -18,13 +20,15 @@ term), positives P(i) = {k : y_k = y_i} including i, and anchor_reduction
                               log( exp(z[i, k]) / sum_j exp(z[i, j]) )
     L_con = L_i2t + L_t2i
 
-Positives share a label: with V_g and T_g the sums of group g's image
-embeddings and text features, n_g its size and S = sum_g V_g . T_g /
-(n_g tau), L_i2t = sum_i log sum_j exp(z[j, i]) - S and L_t2i = sum_i log
-sum_j exp(z[i, j]) - S, each log-sum shifted by its own column's or row's
-maximum.  The gradient in z is (softmax - positive mass) per anchor,
-column-wise for text anchors and row-wise for image anchors, and the
-positive mass times t is the anchor's group mean text feature, so
+Labels are non-negative integers, and the groups are the labels present,
+in ascending order, counted by one bincount.  Positives share a label: with
+V_g and T_g the sums of group g's image embeddings and text features, n_g
+its size and S = sum_g V_g . T_g / (n_g tau), L_i2t = sum_i log sum_j
+exp(z[j, i]) - S and L_t2i = sum_i log sum_j exp(z[i, j]) - S, each
+log-sum shifted by its own column's or row's maximum.  The gradient in z
+is (softmax - positive mass) per anchor, column-wise for text anchors and
+row-wise for image anchors, and the positive mass times t is the anchor's
+group mean text feature, so
 dL/dv_k = (sum_i (P_col + P_row)[k, i] t_i - 2 T_{y_k} / n_{y_k}) / tau
 with P_col and P_row the column and row softmaxes of z: one n x n buffer
 holds z once for each.  "mean" divides both losses by the batch size.
@@ -52,35 +56,28 @@ class ContrastiveResult:
 
 
 def cross_entropy_term(labels: np.ndarray, probs: np.ndarray, rows: np.ndarray,
-                       denom: int) -> tuple[float, np.ndarray]:
+                       denom: int) -> tuple[float, np.ndarray, int]:
     """Clamped -log probs[i, labels[i]] over rows, summed left to right in
     row order and divided by denom, with its logit gradient: (softmax -
-    onehot) / denom on those rows, zero elsewhere.
-
-    p is clamped away from zero; one warning per call reports how many rows
-    were clamped."""
+    onehot) / denom on those rows, zero elsewhere, and the number of rows
+    whose p was clamped away from zero (the caller reports them)."""
     if labels.shape[0] != probs.shape[0]:
         raise ValueError("labels and probabilities disagree in length")
     grad = np.zeros_like(probs)
     if rows.size == 0:
-        return 0.0, grad
+        return 0.0, grad, 0
     y = labels[rows]
     p = probs[rows, y]
     low = p < _CLAMP
-    if low.any():
-        # imported here: a run that never clamps does not load logging
-        import logging
-
-        logging.getLogger(__name__).warning(
-            "cross_entropy clamped %d of %d probabilities (smallest %.3e)",
-            int(low.sum()), p.shape[0], p.min())
+    n_clamped = int(low.sum())
+    if n_clamped:
         p = np.where(low, _CLAMP, p)
     # a Python sum runs left to right; np.sum's pairwise order would move
     # the last bits
     loss = sum((-np.log(p)).tolist()) / denom
     grad[rows] = probs[rows]
     grad[rows, y] -= 1.0
-    return loss, grad / denom
+    return loss, grad / denom, n_clamped
 
 
 def contrastive_loss(v: np.ndarray, text_feats: np.ndarray, labels: np.ndarray,
@@ -102,6 +99,10 @@ def contrastive_loss(v: np.ndarray, text_feats: np.ndarray, labels: np.ndarray,
         raise ValueError(f"text_feats shape {t.shape} must match embeddings {v.shape}")
     if labels.shape != (n,):
         raise ValueError(f"labels shape {labels.shape} must be ({n},)")
+    if labels.dtype.kind not in "iu" or not np.can_cast(labels.dtype, np.intp):
+        raise ValueError(f"labels must be integers, got {labels.dtype}")
+    if labels.min() < 0:
+        raise ValueError(f"labels must be non-negative, got {labels.min()}")
     for name, arr in (("image embeddings", v), ("text features", t)):
         norms = np.linalg.norm(arr, axis=1)
         off = np.abs(norms - 1.0) > 1e-6
@@ -110,7 +111,12 @@ def contrastive_loss(v: np.ndarray, text_feats: np.ndarray, labels: np.ndarray,
             raise ValueError(f"{name} row {i} has norm {norms[i]:.8f}, "
                              "expected unit within 1e-6")
 
-    _, group, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    # the present labels in ascending order, as groups 0, 1, ...: counts
+    # by one bincount, each row's group by the rank of its label
+    counts = np.bincount(labels)
+    present = counts > 0
+    sizes = counts[present]
+    group = (np.cumsum(present) - 1)[labels]
     v_sum = np.zeros((sizes.size, v.shape[1]))
     t_sum = np.zeros_like(v_sum)
     np.add.at(v_sum, group, v)

@@ -6,14 +6,14 @@ term, weak unlabeled views (rows [b, b+u)) are pseudo-labeled once (no
 gradient flows through the labeling itself), and strong unlabeled views
 (rows [b+u, b+2u)) feed the pseudo-label term.  Both terms are one
 cross_entropy_term: on every labeled row over b, and on the confident
-unlabeled rows over u.  The contrastive term runs
-over the unit embeddings of the unified triplet batch, gathered from the
-stack through the triplets' image_rows, and its gradient is scattered back
-through the same rows.  One backward pass then takes the logit and
-unit-embedding gradients of the whole stack.  Loss weights scale the
-gradients here so the returned gradients are exactly the gradient of
-breakdown.loss_total.  The loss weights, tau, anchor_reduction and
-t_thresh are read from a RunConfig.
+unlabeled rows over u; the breakdown carries how many probabilities the
+two clamped.  The contrastive term runs over the unit embeddings of the
+unified triplet batch, gathered from the stack through the triplets'
+image_rows, and its gradient is scattered back through the same rows.  One
+backward pass then takes the logit and unit-embedding gradients of the
+whole stack.  Loss weights scale the gradients here so the returned
+gradients are exactly the gradient of breakdown.loss_total.  The loss
+weights, tau, anchor_reduction and t_thresh are read from a RunConfig.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ class LossBreakdown:
     loss_con: float
     loss_total: float
     n_confident: int
+    n_clamped: int  # probabilities the two cross-entropy terms clamped
 
 
 @dataclass(frozen=True)
@@ -83,12 +84,13 @@ def batch_objective(params: EncoderParams, batch: ObjectiveBatch, cfg: RunConfig
     d_logits = np.zeros_like(trace.logits)
 
     labeled = np.arange(b if include_supervised else 0)
-    loss_x, d_logits[:b] = cross_entropy_term(batch.labels, probs[:b], labeled, b)
+    loss_x, d_logits[:b], clamped_x = cross_entropy_term(batch.labels, probs[:b],
+                                                         labeled, b)
     _require_finite("supervised loss", loss_x)
 
     pseudo = pseudo_label_batch(probs[b:b + u], cfg.t_thresh)
-    loss_u, d_strong = cross_entropy_term(pseudo.label, probs[b + u:],
-                                          np.flatnonzero(pseudo.confident), u)
+    loss_u, d_strong, clamped_u = cross_entropy_term(
+        pseudo.label, probs[b + u:], np.flatnonzero(pseudo.confident), u)
     d_logits[b + u:] = cfg.eta * d_strong
     _require_finite("unlabeled loss", loss_u)
 
@@ -112,4 +114,5 @@ def batch_objective(params: EncoderParams, batch: ObjectiveBatch, cfg: RunConfig
     return LossBreakdown(loss_x=loss_x, loss_u=loss_u, loss_i2t=loss_i2t,
                          loss_t2i=loss_t2i, loss_con=loss_con,
                          loss_total=loss_total,
-                         n_confident=int(pseudo.confident.sum())), grads
+                         n_confident=int(pseudo.confident.sum()),
+                         n_clamped=clamped_x + clamped_u), grads

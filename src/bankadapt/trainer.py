@@ -77,6 +77,7 @@ class StepMetrics:
 class TrainResult:
     params: EncoderParams
     metrics: list[StepMetrics]
+    n_clamped: int  # probabilities the cross-entropy terms clamped, all steps
 
     @property
     def final_acc(self) -> float | None:
@@ -158,12 +159,14 @@ def fit(ds: DownstreamDataset, selected: SelectedBank, cfg: RunConfig,
                              ds.feat_dim, ds.n_classes)
     velocity = params.zeros_like()
     metrics: list[StepMetrics] = []
+    n_clamped = 0
     global_step = 0
     n_steps = steps_per_epoch(ds.size, cfg.batch_size)
     for epoch in range(cfg.epochs):
         for step in range(n_steps):
             batch = compose_batch(ds, selected, cfg, epoch, step)
             breakdown, grads = batch_objective(params, batch, cfg)
+            n_clamped += breakdown.n_clamped
             grad_norm = grads.norm()
             sgd_update(params, velocity, grads, cfg.lr, cfg.momentum)
             acc = None
@@ -176,7 +179,7 @@ def fit(ds: DownstreamDataset, selected: SelectedBank, cfg: RunConfig,
                 n_confident=breakdown.n_confident, grad_norm=grad_norm,
                 acc_eval=acc))
             global_step += 1
-    return TrainResult(params=params, metrics=metrics)
+    return TrainResult(params=params, metrics=metrics, n_clamped=n_clamped)
 
 
 def write_metrics_csv(metrics: list[StepMetrics], path) -> None:

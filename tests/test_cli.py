@@ -185,15 +185,16 @@ def test_synth_gen_stays_within_the_arrays_it_must_hold(tmp_path, monkeypatch):
     thread, peaks beyond a child that imports bankadapt.cli, the generator
     and hashlib when it gathers the captions.  It then holds the float32
     images, feats and caption_feats (4m(D + 2d) bytes), the shuffled latent
-    classes and caption subjects (12m), the caption table (16m), and the
-    gather's padded rows, their mask and the blob (3wm, with w = 25 bytes,
-    "a photo of distractor-49.").  That is 359m bytes (68.5 MiB).  A slack
-    of 10 MiB covers the downstream sets, numpy.random (2 MiB beyond the
-    hashlib it loads), the BLAS buffers and the pages the allocator keeps.
-    About 76.0 MiB now, against 78.5 allowed.  The images are made a block
-    of rows at a time: drawing their noise in one float64 array, as once,
-    breaks the bound, and so does anything else the size of the float64
-    images."""
+    classes and caption subjects (12m), the caption table (16m), the blob
+    (at most wm, with w = 25 bytes, "a photo of distractor-49.") and one
+    block of the gather's padded rows and their mask (2w x 65,536).  That
+    is 309m bytes and 3.1 MiB (62.1 MiB).  A slack of 10 MiB covers the
+    downstream sets, numpy.random (2 MiB beyond the hashlib it loads), the
+    BLAS buffers and the pages the allocator keeps.  About 70.9 MiB now,
+    against 72.1 allowed.  The images are made a block of rows at a time:
+    drawing their noise in one float64 array, as once, breaks the bound,
+    and so do the gather's padded rows and mask of every entry at once
+    (75.6)."""
     m, d_img, d = 200_000, 32, 16
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setenv("OMP_NUM_THREADS", "1")
@@ -203,7 +204,7 @@ def test_synth_gen_stays_within_the_arrays_it_must_hold(tmp_path, monkeypatch):
                            "--image_dim", str(d_img), "--feat_dim", str(d),
                            "--out_dir", str(tmp_path)])
     widest = len("a photo of distractor-49.")
-    held = 4 * m * (d_img + 2 * d) + 28 * m + 3 * widest * m
+    held = 4 * m * (d_img + 2 * d) + 28 * m + widest * (m + 2 * embank._GATHER_ROWS)
     allowed = held + (10 << 20)
     assert peak - base <= allowed, (peak - base, allowed)
     assert embank.describe_bank_file(tmp_path / "bank.datb")[:3] == (m, d_img, d)
@@ -216,19 +217,20 @@ def test_train_on_samples_stays_within_what_it_holds(tmp_path, monkeypatch):
     full variant's 84 steps), with one BLAS thread, peaks beyond a child
     that imports bankadapt.cli, numpy.random (which train's first draw
     imports) and what the run loads of the code bankadapt.cli once held
-    (the trainer, the samples.csv reader, hashlib, and logging for this
-    world's clamp warning) at no more than what the bank read and a step
-    hold, as if both were alive at once: the images and caption_feats of
-    the records the csv names, the reader's block buffer and a
+    (the trainer, the samples.csv reader and hashlib; this world's fit
+    clamps once, and counts it) at no more than what the bank read and a
+    step hold, as if both were alive at once: the images and caption_feats
+    of the records the csv names, the reader's block buffer and a
     caption_feats block's float64 copy (three blocks), the downstream
     images, and two n x n float64 arrays of the largest contrastive batch
     (n = b + 2u = 288): the loss's buffer, and as much again for the
     step's forward and backward arrays.  A slack of two blocks covers the
-    checks' temporaries and the pages the allocator keeps.  About 3.5 MiB
-    now against 4.0 allowed.  Keeping images and caption_feats of every
-    record (1.5 MiB here) took 3.9, within this bound: the next test bounds
-    that on a larger bank.  A 4 MiB reader block and the n x n matrices of
-    the matrix-form loss took 6.3."""
+    checks' temporaries and the pages the allocator keeps.  About 3.1 MiB
+    now against 4.0 allowed; logging, imported to warn of the clamp, took
+    3.8.  Keeping images and caption_feats of every record (1.5 MiB here)
+    took 3.6-3.8, within this bound: the next test bounds that on a larger
+    bank.  A 4 MiB reader block and the n x n matrices of the matrix-form
+    loss took 6.3 (with logging)."""
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setenv("OMP_NUM_THREADS", "1")
     recipe, world, sampled = tmp_path / "bench.cfg", tmp_path / "w", tmp_path / "s"
@@ -238,7 +240,7 @@ def test_train_on_samples_stays_within_what_it_holds(tmp_path, monkeypatch):
     assert run(["sample", "--config", str(recipe), *files,
                 "--out_dir", str(sampled)]) == 0
     base = import_peak_rss("numpy.random", "bankadapt.trainer", "bankadapt.sample_csv",
-                           "hashlib", "logging")
+                           "hashlib")
     peak = child_peak_rss(["-m", "bankadapt.cli", "train", "--config", str(recipe),
                            *files, "--eval_dataset", str(world / "eval.datd"),
                            "--samples", str(sampled / "samples.csv"),
@@ -647,10 +649,33 @@ TRAINER = {"bankadapt.trainer", "bankadapt.objective", "bankadapt.losses",
            "bankadapt.augment", "bankadapt.pseudo_triplets"}
 
 
-def test_each_command_loads_only_the_modules_it_runs(tmp_path):
-    # logging is loaded by the losses' clamp warning alone, which this
-    # world's train never gives; eval and inspect make no draw, so neither
-    # numpy.random nor hashlib (for blake2b) is loaded
+@pytest.fixture(scope="module")
+def clamping_worlds(tmp_path_factory):
+    """train-full's worlds 0 and 3 (the frozen recipe at seeds 0 and 3),
+    each made by synth-gen and sampled: per seed, the arguments of train
+    --samples on that world, all but --out_dir.  train's cross-entropy
+    terms clamp a probability once over world 0's 84 steps and three times
+    over world 3's."""
+    root = tmp_path_factory.mktemp("clamping")
+    recipe = root / "bench.cfg"
+    write_config(BENCH, recipe)
+    worlds = {}
+    for seed in (0, 3):
+        world, sampled = root / f"w{seed}", root / f"s{seed}"
+        common = ["--config", str(recipe), "--seed", str(seed),
+                  "--bank", str(world / "bank.datb"),
+                  "--dataset", str(world / "train.datd")]
+        assert run(["synth-gen", *common, "--out_dir", str(world)]) == 0
+        assert run(["sample", *common, "--out_dir", str(sampled)]) == 0
+        worlds[seed] = ["train", *common, "--eval_dataset", str(world / "eval.datd"),
+                        "--samples", str(sampled / "samples.csv")]
+    return worlds
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, clamping_worlds):
+    # a train that clamps counts its clamps and loads no logging; eval and
+    # inspect make no draw, so neither numpy.random nor hashlib (for
+    # blake2b) is loaded
     world, sampled, trained = tmp_path / "w", tmp_path / "s", tmp_path / "t"
     files = ["--bank", str(world / "bank.datb"), "--dataset", str(world / "train.datd")]
     cases = [
@@ -660,6 +685,8 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
          TRAINER | {"bankadapt.gradcheck", "bankadapt.synth", "logging"}),
         (["train", *TINY, *files, "--samples", str(sampled / "samples.csv"),
           "--out_dir", str(trained)], TRAINER,
+         {"bankadapt.sampler", "bankadapt.synth", "bankadapt.gradcheck", "logging"}),
+        ([*clamping_worlds[0], "--out_dir", str(tmp_path / "clamps")], TRAINER,
          {"bankadapt.sampler", "bankadapt.synth", "bankadapt.gradcheck", "logging"}),
         (["eval", "--checkpoint", str(trained / "encoder.datc"),
           "--dataset", str(world / "eval.datd"), "--out_dir", str(tmp_path / "e")],
@@ -671,6 +698,19 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
         modules = modules_at_exit(args)
         assert loads <= modules, (args[0], loads - modules)
         assert not skips & modules, (args[0], skips & modules)
+
+
+def test_train_reports_its_clamps_in_one_stderr_line(tmp_path, clamping_worlds, capsys):
+    """World 3's fit clamps three probabilities in its 84 steps: one line
+    on stderr says so, and stdout is the one line of a fit without a clamp."""
+    out = tmp_path / "t"
+    capsys.readouterr()
+    assert run([*clamping_worlds[3], "--out_dir", str(out)]) == 0
+    printed = capsys.readouterr()
+    assert printed.err == "train: cross_entropy clamped 3 probabilities to 1e-12\n"
+    acc = float((out / "metrics.csv").read_text().splitlines()[-1].split(",")[-1])
+    assert printed.out == (f"84 steps -> {out / 'metrics.csv'}, {out / 'encoder.datc'}, "
+                           f"eval acc {acc:.4f}\n")
 
 
 def test_bad_flag_value_exits_one(tmp_path, capsys):

@@ -310,6 +310,17 @@ def test_string_table_bytes_match_the_per_entry_layout(strings):
             == encode_string_table_per_entry(list(strings)))
 
 
+def test_a_gather_in_blocks_packs_the_bytes_of_one_gather(monkeypatch):
+    vocabulary = ["", "naïve", "日本語", "x", "a photo of distractor-09."]
+    index = np.random.default_rng(0).integers(0, len(vocabulary), 23)
+    whole = StringTable.gathered(vocabulary, index)
+    monkeypatch.setattr(embank, "_GATHER_ROWS", 4)
+    blocks = StringTable.gathered(vocabulary, index)
+    assert blocks == [vocabulary[i] for i in index]
+    for got, want in zip(blocks.packed(), whole.packed()):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_non_packed_string_tables_are_repacked():
     assert list(OVERLAPPING) == ["héllo", "éllo", "", "wörld", "llo"]
     table, blob = OVERLAPPING.packed()

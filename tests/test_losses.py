@@ -90,32 +90,34 @@ def per_row(labels, probs):
 
 class TestCrossEntropy:
     def test_uniform_two_class(self):
-        val, _ = per_row(np.array([0]), np.array([[0.5, 0.5]]))
+        val, _, _ = per_row(np.array([0]), np.array([[0.5, 0.5]]))
         assert abs(val - math.log(2)) < 1e-12
 
     def test_quarter_probability_is_two_ln_two(self):
-        val, _ = per_row(np.array([1]), np.array([[0.75, 0.25]]))
+        val, _, _ = per_row(np.array([1]), np.array([[0.75, 0.25]]))
         assert abs(val - 2 * math.log(2)) < 1e-12
 
     def test_zero_probability_clamps_instead_of_inf(self, caplog):
         probs = np.array([[0.0, 1.0], [1e-30, 1.0 - 1e-30], [0.5, 0.5]])
-        with caplog.at_level(logging.WARNING, logger="bankadapt.losses"):
-            val, grad = per_row(np.array([0, 0, 1]), probs)
+        with caplog.at_level(logging.DEBUG):
+            val, grad, n_clamped = per_row(np.array([0, 0, 1]), probs)
         assert np.isfinite(val) and np.all(np.isfinite(grad))
         assert abs(val - (-2 * math.log(1e-12) + math.log(2))) < 1e-9
-        assert len(caplog.records) == 1  # one warning per call, not per row
-        assert "clamped 2 of 3" in caplog.records[0].getMessage()
+        assert n_clamped == 2  # counted for the caller, not logged
+        assert caplog.records == []
 
-    def test_no_warning_without_clamps(self, caplog):
-        with caplog.at_level(logging.WARNING, logger="bankadapt.losses"):
-            per_row(np.array([0, 1]), np.array([[0.5, 0.5], [0.1, 0.9]]))
+    def test_no_clamp_counted_without_clamps(self, caplog):
+        with caplog.at_level(logging.DEBUG):
+            _, _, n_clamped = per_row(np.array([0, 1]),
+                                      np.array([[0.5, 0.5], [0.1, 0.9]]))
+        assert n_clamped == 0
         assert caplog.records == []
 
     def test_supervised_mean(self):
         probs = np.array([[0.5, 0.5], [0.25, 0.75]])
         labels = np.array([0, 1])
         expected = (math.log(2) + -math.log(0.75)) / 2
-        loss, _ = cross_entropy_term(labels, probs, np.arange(2), 2)
+        loss, _, _ = cross_entropy_term(labels, probs, np.arange(2), 2)
         assert abs(loss - expected) < 1e-12
 
     def test_supervised_logit_grads_row_sums_vanish(self):
@@ -123,23 +125,27 @@ class TestCrossEntropy:
         probs = np.abs(rng.standard_normal((5, 4)))
         probs /= probs.sum(axis=1, keepdims=True)
         labels = rng.integers(0, 4, 5)
-        _, g = cross_entropy_term(labels, probs, np.arange(5), 5)
+        _, g, _ = cross_entropy_term(labels, probs, np.arange(5), 5)
         np.testing.assert_allclose(g.sum(axis=1), 0.0, atol=1e-12)
 
 
 def reference_unlabeled(pseudo, strong_probs, mu, batch_size):
     """Per-row loop over confident rows: clamped -log p summed left to right
-    in row order, and softmax - onehot for the logit gradient."""
+    in row order, softmax - onehot for the logit gradient, and the count of
+    clamped rows."""
     denom = mu * batch_size
     total = 0.0
+    clamped = 0
     g = np.zeros_like(strong_probs)
     for j in range(len(pseudo)):
         if pseudo.confident[j]:
             label = int(pseudo.label[j])
-            total += -float(np.log(max(float(strong_probs[j, label]), 1e-12)))
+            p = float(strong_probs[j, label])
+            clamped += p < 1e-12
+            total += -float(np.log(max(p, 1e-12)))
             g[j] = strong_probs[j]
             g[j, label] -= 1.0
-    return total / denom, g / denom
+    return total / denom, g / denom, clamped
 
 
 def unlabeled_term(pseudo, strong_probs):
@@ -158,7 +164,7 @@ class TestUnlabeledLoss:
     def test_divides_by_full_batch_not_confident_count(self):
         probs = np.array([[0.25, 0.75], [0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])
         pseudo = self.mk_pseudo([1, 0, 0, 0], [1, 0, 0, 0])
-        val, _ = unlabeled_term(pseudo, probs)
+        val, _, _ = unlabeled_term(pseudo, probs)
         assert abs(val - (-math.log(0.75)) / 4) < 1e-12
 
     def test_no_confident_terms_gives_zero(self):
@@ -173,7 +179,7 @@ class TestUnlabeledLoss:
     def test_grads_zero_for_unconfident_rows(self):
         probs = np.array([[0.9, 0.1], [0.3, 0.7]])
         pseudo = self.mk_pseudo([1, 0], [0, 1])
-        _, g = unlabeled_term(pseudo, probs)
+        _, g, _ = unlabeled_term(pseudo, probs)
         np.testing.assert_allclose(g[1], 0.0)
         np.testing.assert_allclose(g[0], (probs[0] - np.array([1.0, 0.0])) / 2,
                                    atol=1e-12)
@@ -187,12 +193,11 @@ class TestUnlabeledLoss:
         t = 0.7
         pseudo = pseudo_label_batch(awkward_probs(seed, t_thresh=t), t)
         strong = awkward_probs(seed + 100, t_thresh=t)
-        labels = pseudo.label[pseudo.confident]
-        assert (strong[pseudo.confident, labels] < 1e-12).any()  # clamps
-        loss, grads = reference_unlabeled(pseudo, strong, mu=3, batch_size=20)
-        got_loss, got_grads = unlabeled_term(pseudo, strong)
+        loss, grads, clamped = reference_unlabeled(pseudo, strong, mu=3, batch_size=20)
+        got_loss, got_grads, got_clamped = unlabeled_term(pseudo, strong)
         assert got_loss == loss
         np.testing.assert_array_equal(got_grads, grads)
+        assert got_clamped == clamped > 0
 
 
 E1 = np.array([1.0, 0.0])
@@ -370,6 +375,42 @@ def test_group_sums_match_the_matrix_form(name, reduction):
     if tau == 0.001:
         z = (v @ t.T) / tau
         assert (np.exp(z - z.max()) == 0.0).all(axis=0).any()
+
+
+# C = 10 downstream classes: labeled rows carry their class, weak views
+# their pseudo-label and strong views C + pseudo-label: the labels present
+# leave gaps
+LABEL_GAPS = {"groups 0, 3, 7": [0, 3, 7, 3, 0, 7, 7, 3],
+              "strong labels C + j": [1, 4, 4, 1, 14, 11, 14, 1]}
+
+
+@pytest.mark.parametrize("reduction", ANCHOR_REDUCTIONS)
+@pytest.mark.parametrize("name", LABEL_GAPS)
+def test_labels_with_gaps_match_the_matrix_form(name, reduction):
+    """Groups are the labels present, in ascending order: the values match
+    the matrix form, and the bits those of the same labels numbered 0, 1,
+    ... without gaps."""
+    labels = np.array(LABEL_GAPS[name])
+    rng = np.random.default_rng(len(name))
+    v, t = random_unit(rng, labels.size, 6), random_unit(rng, labels.size, 6)
+    cfg = RunConfig(tau=0.07, anchor_reduction=reduction)
+    got = contrastive_loss(v, t, labels, cfg)
+    want = matrix_contrastive_loss(v, t, labels, cfg)
+    assert abs(got.loss_con - want.loss_con) <= 1e-12 * abs(want.loss_con)
+    assert np.abs(got.grad_v - want.grad_v).max() <= 1e-12 * np.abs(want.grad_v).max()
+    dense = contrastive_loss(v, t, np.unique(labels, return_inverse=True)[1], cfg)
+    assert (got.loss_i2t, got.loss_t2i) == (dense.loss_i2t, dense.loss_t2i)
+    np.testing.assert_array_equal(got.grad_v, dense.grad_v)
+
+
+@pytest.mark.parametrize("labels, message", [
+    (np.array([0, -1, 1]), "non-negative"),
+    (np.array([0.0, 1.0, 1.0]), "integers"),
+], ids=["negative", "float"])
+def test_labels_that_name_no_group_are_refused(labels, message):
+    v = random_unit(np.random.default_rng(6), 3, 4)
+    with pytest.raises(ValueError, match=message):
+        contrastive_loss(v, v, labels, RunConfig())
 
 
 def test_one_call_holds_one_n_by_n_buffer():

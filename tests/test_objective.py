@@ -30,16 +30,19 @@ LOSS_FIELDS = ("loss_x", "loss_u", "loss_i2t", "loss_t2i", "loss_con",
 def per_row_cross_entropy(labels, probs, mask, denom):
     """Per-row loop over the rows where mask is set: clamped -log p summed
     left to right in row order, and softmax - onehot for the logit
-    gradient, both divided by denom."""
+    gradient, both divided by denom, and the count of clamped rows."""
     total = 0.0
+    clamped = 0
     g = np.zeros_like(probs)
     for j in range(len(labels)):
         if mask[j]:
             label = int(labels[j])
-            total += -float(np.log(max(float(probs[j, label]), 1e-12)))
+            p = float(probs[j, label])
+            clamped += p < 1e-12
+            total += -float(np.log(max(p, 1e-12)))
             g[j] = probs[j]
             g[j, label] -= 1.0
-    return total / denom, g / denom
+    return total / denom, g / denom, clamped
 
 
 def three_pass_objective(params, batch, cfg, include_supervised=True):
@@ -53,21 +56,21 @@ def three_pass_objective(params, batch, cfg, include_supervised=True):
     trace_s = encode_and_classify(params, batch.unlabeled_strong) if u else None
 
     if include_supervised:
-        loss_x, d_logits_l = per_row_cross_entropy(
+        loss_x, d_logits_l, clamped_x = per_row_cross_entropy(
             batch.labels, trace_l.probs, np.ones(b, dtype=bool), b)
     else:
-        loss_x = 0.0
+        loss_x, clamped_x = 0.0, 0
         d_logits_l = None
 
     weak_probs = trace_w.probs if u else np.zeros((0, params.n_classes))
     pseudo = pseudo_label_batch(weak_probs, cfg.t_thresh)
     confident = pseudo.confident
     if u:
-        loss_u, d_logits_s = per_row_cross_entropy(pseudo.label, trace_s.probs,
-                                                   confident, u)
+        loss_u, d_logits_s, clamped_u = per_row_cross_entropy(
+            pseudo.label, trace_s.probs, confident, u)
         d_logits_s = d_logits_s * cfg.eta
     else:
-        loss_u = 0.0
+        loss_u, clamped_u = 0.0, 0
         d_logits_s = None
 
     triplets = build_batch_triplets(batch.labels, pseudo, batch.caption_feats,
@@ -110,7 +113,7 @@ def three_pass_objective(params, batch, cfg, include_supervised=True):
         loss_x=loss_x, loss_u=loss_u, loss_i2t=loss_i2t, loss_t2i=loss_t2i,
         loss_con=loss_con,
         loss_total=loss_x + cfg.eta * loss_u + cfg.lambda_ * loss_con,
-        n_confident=n_weak)
+        n_confident=n_weak, n_clamped=clamped_x + clamped_u)
     return breakdown, grads
 
 
@@ -148,7 +151,7 @@ def test_loss_x_is_summed_left_to_right_in_row_order():
     params = init_params(0, 6, 5, 4, 3)
     batch = small_batch(seed=0, b=b, u=0)
     probs = encode_and_classify(params, batch.labeled_weak).probs
-    want, _ = per_row_cross_entropy(batch.labels, probs, np.ones(b, bool), b)
+    want, _, _ = per_row_cross_entropy(batch.labels, probs, np.ones(b, bool), b)
     pairwise = float(np.mean(-np.log(probs[np.arange(b), batch.labels])))
     assert pairwise != want  # np.mean's pairwise order moves the last bit
     bd, _ = batch_objective(params, batch, config())
@@ -282,8 +285,8 @@ def sharp_params(seed):
 
 def reference_cases():
     """Gradcheck fixtures of every kind, a batch without unlabeled rows, a
-    batch whose unlabeled rows are all below the threshold, and weights
-    other than one."""
+    batch whose unlabeled rows are all below the threshold, a head so sharp
+    that both cross-entropy terms clamp, and weights other than one."""
     cases = []
     for kind in FIXTURE_KINDS:
         fx = make_fixture(kind, seed=31)
@@ -292,6 +295,9 @@ def reference_cases():
                   config(), True))
     cases.append(("none confident", init_params(18, 6, 5, 4, 3), small_batch(),
                   config(t=0.99), True))
+    clamping = init_params(21, 6, 5, 4, 3)
+    clamping.head_w *= 300.0
+    cases.append(("clamps", clamping, small_batch(), config(), True))
     cases.append(("weights", sharp_params(19), small_batch(),
                   config(eta=0.7, lam=0.4), True))
     return cases
@@ -303,6 +309,7 @@ def test_stacked_pass_matches_three_pass_reference(case):
     got_bd, got = batch_objective(params, batch, cfg, include_supervised)
     want_bd, want = three_pass_objective(params, batch, cfg, include_supervised)
     assert got_bd.n_confident == want_bd.n_confident
+    assert got_bd.n_clamped == want_bd.n_clamped
     for name in LOSS_FIELDS:
         assert abs(getattr(got_bd, name) - getattr(want_bd, name)) <= 1e-12, name
     for name in GRAD_FIELDS:
@@ -310,11 +317,15 @@ def test_stacked_pass_matches_three_pass_reference(case):
                                    rtol=0, atol=1e-12, err_msg=name)
 
 
-def test_reference_cases_cover_the_confidence_gate():
-    confident = {name: three_pass_objective(p, b, c, s)[0].n_confident
+def test_reference_cases_cover_the_confidence_gate_and_the_clamp():
+    breakdown = {name: three_pass_objective(p, b, c, s)[0]
                  for name, p, b, c, s in reference_cases()}
+    confident = {name: bd.n_confident for name, bd in breakdown.items()}
     assert confident["u=0"] == confident["none confident"] == 0
     assert min(confident[k] for k in ("unlabeled", "full", "weights")) > 0
+    # 2 of the labeled rows' probabilities and 1 of the confident rows'
+    assert breakdown["clamps"].n_clamped == 3
+    assert all(bd.n_clamped == 0 for name, bd in breakdown.items() if name != "clamps")
 
 
 @pytest.mark.parametrize("u, lam", [(4, 1.0), (0, 1.0), (4, 0.0)])
