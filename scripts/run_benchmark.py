@@ -1,7 +1,8 @@
 """Run the frozen benchmark variants and print per-seed accuracy tables.
 
-Each variant also reports its confident pseudo-labels (n_confident summed
-over every step of the fit), per seed and in total.
+Each variant also reports, per seed and in total, its confident
+pseudo-labels (n_confident summed over every step of the fit) and the
+probabilities its cross-entropy terms clamped to 1e-12 (n_clamped).
 
 Usage:
     python3 scripts/run_benchmark.py
@@ -12,6 +13,14 @@ import argparse
 import time
 
 from bankadapt.benchmark import VARIANTS, mean_accuracy, run_fits
+
+
+def print_counts(name: str, counts: dict[str, list[int]], seeds: str) -> None:
+    """A table of one count per variant and seed, with each variant's total."""
+    print(f"\n{name:<12} {seeds}   total")
+    for v, per_seed in counts.items():
+        row = " ".join(f"{c:5d}" for c in per_seed)
+        print(f"{v:<12} {row}  {sum(per_seed):5d}")
 
 
 def main() -> int:
@@ -33,6 +42,7 @@ def main() -> int:
     accs = {v: [r.final_acc for r in fits[v]] for v in variants}
     confident = {v: [sum(m.n_confident for m in r.metrics) for r in fits[v]]
                  for v in variants}
+    clamped = {v: [r.n_clamped for r in fits[v]] for v in variants}
     means = mean_accuracy(accs)
 
     seeds = " ".join(f"seed{s}" for s in range(args.seeds))
@@ -45,10 +55,8 @@ def main() -> int:
             if v != "baseline":
                 delta = (means[v] - means["baseline"]) * 100
                 print(f"{v} - baseline: {delta:+.1f} points")
-    print(f"\nn_confident  {seeds}   total")
-    for v in variants:
-        row = " ".join(f"{c:5d}" for c in confident[v])
-        print(f"{v:<12} {row}  {sum(confident[v]):5d}")
+    print_counts("n_confident", confident, seeds)
+    print_counts("n_clamped", clamped, seeds)
     print(f"{len(variants) * args.seeds} runs in {elapsed:.0f}s")
     return 0
 

@@ -32,15 +32,18 @@ from .config import (
     write_config,
 )
 from .embank import (
+    DATB,
+    DATC,
+    DATD,
     DownstreamDataset,
     EmbeddingBank,
     ValidationError,
     decode_bank_file,
     decode_dataset_file,
-    describe_bank_file,
-    describe_dataset_file,
     encode_bank_file,
     encode_dataset_file,
+    read_bank,
+    read_fields,
 )
 from .encoder import load_params, save_params
 
@@ -345,24 +348,18 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
 
 
 def cmd_inspect(cfg: RunConfig, args) -> int:
-    path = Path(args.path)
-    with open(path, "rb") as fh:
+    with open(args.path, "rb") as fh:
         magic = fh.read(4)
-    if magic == b"DATB":
-        m, d_img, d, with_latent = describe_bank_file(path)
-        print(f"format = DATB\nrecords = {m}\nimage_dim = {d_img}\n"
-              f"feat_dim = {d}\nwith_latent = {with_latent}")
-    elif magic == b"DATD":
-        n, C, d_img, d = describe_dataset_file(path)
-        print(f"format = DATD\nimages = {n}\nclasses = {C}\n"
-              f"image_dim = {d_img}\nfeat_dim = {d}")
-    elif magic == b"DATC":
-        params = load_params(path)
-        print(f"format = DATC\nimage_dim = {params.image_dim}\n"
-              f"hidden_dim = {params.hidden_dim}\nfeat_dim = {params.feat_dim}\n"
-              f"n_classes = {params.n_classes}")
+    layout = next((lay for lay in (DATB, DATD, DATC) if lay.magic == magic), None)
+    if layout is None:
+        raise ValidationError([f"unrecognized magic {magic!r} in {args.path}"])
+    if layout is DATB:
+        _, sizes, with_latent = read_bank(args.path, ())
+        sizes = {**sizes, "with_latent": with_latent}
     else:
-        raise ValidationError([f"unrecognized magic {magic!r} in {path}"])
+        sizes = read_fields(layout, args.path)[1]
+    for name, value in {"format": magic.decode(), **sizes}.items():
+        print(f"{name} = {value}")
     return 0
 
 

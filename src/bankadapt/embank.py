@@ -1,6 +1,8 @@
 """In-memory and on-disk containers for the pre-training bank and downstream data.
 
-Two little-endian binary formats, both ending in a CRC32 of the payload:
+Three little-endian binary formats, each ending in a CRC32 of the payload;
+each is declared once, here, as a ``Layout`` (DATB, DATD and DATC), which
+drives its writer, its reader and ``inspect``:
 
 DATB (embedding bank), header 24 bytes::
 
@@ -19,28 +21,30 @@ DATD (downstream dataset), header 28 bytes::
     magic b"DATD" | version u16 | flags u16 | n u64 | C u32 | D_img u32 | d u32
     payload:
         images           n*D_img float32
-        labels           n       uint32
+        labels           n       int32 in [0, C), so the same bytes as uint32
         class_text_feats C*d     float32, unit rows
         names table, descriptions table (same layout as the caption table,
         C entries each)
     crc32 u32 over the payload bytes
 
+DATC, the checkpoint of ``encoder.py``, is laid out the same way: four u32
+sizes, then six float64 arrays.
+
 Arrays are stored in binary32; training code converts to binary64 at the edge.
 Writers validate invariants and refuse to write a violating container, so a
 file that decodes cleanly round-trips bit-exactly.
 
-Reading (``read_container``, shared with the DATC checkpoint in
-``encoder.py``) streams the payload once, in file order, with ``readinto``,
-in blocks of whole rows of about ``_BLOCK_BYTES`` (512 KiB).  A field the
-caller keeps is read straight into its own array; a field it skips passes
-through one reusable block buffer and is dropped.  Either way every block
-updates the CRC32 and runs the field's checks, so a decode that keeps only
-``feats`` still checks the whole file: every field fits the file (checked
-before any buffer is sized from its length) and no byte follows the last
-one; every string-table entry lies inside its blob; each blob is UTF-8 and
-no non-empty entry starts or ends inside a multi-byte character, so every
-entry decodes; and the finite, unit-row and label-range invariants of
-``validate_bank``/``validate_dataset``, which check arrays in memory in
+Reading (``read_fields``) streams the payload once, in file order, with
+``readinto``, in blocks of whole rows of about ``_BLOCK_BYTES`` (512 KiB).
+A field the caller keeps is read straight into its own array; a field it
+skips passes through one reusable block buffer and is dropped.  Either way
+every block updates the CRC32 and runs the field's checks, so a decode
+that keeps only ``feats`` still checks the whole file: every field fits
+the file (checked before any buffer is sized from its length) and no byte
+follows the last one; every string-table entry lies inside its blob; each
+blob is UTF-8 and no non-empty entry starts or ends inside a multi-byte
+character, so every entry decodes; and the layout's finite, unit-row and
+label-range checks, which ``validate`` runs on a container in memory in
 the same blocks.  A block of a unit-row field (``feats``,
 ``caption_feats``, ``class_text_feats``) is copied to float64 and its row
 norms taken once (``copy_with_norms``, the one place a row's float64 copy
@@ -59,14 +63,14 @@ is read.  A bank's array fields can also be kept at some rows only
 through the block buffer, as a skipped field's does, and the rows at ids
 are copied out of it into the caller's order, so a few hundred selected
 rows of a large bank cost their own bytes and one block.  A bank's
-``feats`` can also be handed to a consumer block by block as it is read,
-each block once its checks have passed and always with their float64
+``feats`` can also be handed to a consumer piece by piece as it is read,
+each piece once its checks have passed and always with their float64
 copy and norms, so that a caller can scan the field without holding it
 or copying it again, and its ``latent_class`` likewise, after the last
-block of ``feats`` (see ``read_bank``).  A bank in memory (an
-``EmbeddingBank`` the program made) is read the same way, in the same
-blocks, but runs only the checks of the ``feats`` handed to a consumer,
-for their float64 copy and norms.
+piece of ``feats`` (see ``read_bank``).  A container in memory is read
+the same way, in the same blocks; a bank the program made runs only the
+checks of the ``feats`` handed to a consumer, for their float64 copy and
+norms.
 """
 
 from __future__ import annotations
@@ -76,7 +80,7 @@ import math
 import os
 import struct
 import zlib
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import partial
@@ -86,10 +90,6 @@ import numpy as np
 FORMAT_VERSION = 1
 UNIT_NORM_TOL = 1e-5
 
-_BANK_MAGIC = b"DATB"
-_DATASET_MAGIC = b"DATD"
-_BANK_HEADER = struct.Struct("<4sHHQII")
-_DATASET_HEADER = struct.Struct("<4sHHQIII")
 # Bytes of a field the reader takes in with one read, and that the checks
 # take at a time in memory: a block, whose temporaries stay near a
 # megabyte (the float64 copy of a unit-row block is twice its bytes, and a
@@ -98,8 +98,6 @@ _DATASET_HEADER = struct.Struct("<4sHHQIII")
 _BLOCK_BYTES = 1 << 19
 # entries of StringTable.gathered's blob filled by one gather
 _GATHER_ROWS = 1 << 16
-
-BANK_FIELDS = ("images", "feats", "caption_feats", "latent_class", "captions")
 
 
 class FormatError(ValueError):
@@ -129,7 +127,7 @@ class EmbeddingBank:
     latent_class holds the generating class for synthetic records (-1 when
     unknown or out of distribution); it is ground truth for precision
     reporting only and is never read by the samplers or the trainer.  A
-    bank decoded with only some of BANK_FIELDS holds None for the others.
+    bank decoded with only some of DATB.names holds None for the others.
     captions may be a list or a StringTable; decoded and synthetic banks
     hold a StringTable.
     """
@@ -228,22 +226,69 @@ def _label_outside(n_classes: int, name: str, block: np.ndarray,
     return f"label {int(block[i])} at index {row0 + i} outside [0, {n_classes})"
 
 
-# (check, field) pairs, in the order their violations are reported.
-_BANK_CHECKS = ((_non_finite, "images"), (_non_finite, "feats"),
-                (_non_finite, "caption_feats"), (_off_unit, "feats"),
-                (_off_unit, "caption_feats"))
+@dataclass(frozen=True)
+class Layout:
+    """One container format, declared once for its writer, its reader and
+    inspect.  The header is magic, version u16 and flags u16, then the
+    sizes, named by sizes in header order.  fields are the payload fields
+    in file order, each (name, stored dtype, the names of the sizes that
+    shape it), where a dtype of None is a string table of as many entries
+    as its one size.  end is what a trailing-bytes error calls the end of
+    the payload, and checks(sizes) gives the (check, field) pairs of the
+    array checks (see _Violations), in the order their violations are
+    reported."""
+
+    magic: bytes
+    header: struct.Struct
+    sizes: tuple[str, ...]
+    fields: tuple[tuple[str, str | None, tuple[str, ...]], ...]
+    end: str
+    checks: Callable[[dict], tuple] = lambda sizes: ()
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return tuple(name for name, _, _ in self.fields)
 
 
-def _dataset_checks(n_classes: int) -> tuple:
-    return ((partial(_label_outside, n_classes), "labels"),
-            (_non_finite, "images"), (_non_finite, "class_text_feats"),
-            (_off_unit, "class_text_feats"))
+DATB = Layout(
+    b"DATB", struct.Struct("<4sHHQII"), ("records", "image_dim", "feat_dim"),
+    (("images", "<f4", ("records", "image_dim")),
+     ("feats", "<f4", ("records", "feat_dim")),
+     ("caption_feats", "<f4", ("records", "feat_dim")),
+     ("latent_class", "<i4", ("records",)),
+     ("captions", None, ("records",))),
+    "caption table",
+    lambda sizes: ((_non_finite, "images"), (_non_finite, "feats"),
+                   (_non_finite, "caption_feats"), (_off_unit, "feats"),
+                   (_off_unit, "caption_feats")))
+DATD = Layout(
+    b"DATD", struct.Struct("<4sHHQIII"),
+    ("images", "classes", "image_dim", "feat_dim"),
+    (("images", "<f4", ("images", "image_dim")),
+     ("labels", "<i4", ("images",)),
+     ("class_text_feats", "<f4", ("classes", "feat_dim")),
+     ("class_names", None, ("classes",)),
+     ("class_descriptions", None, ("classes",))),
+    "string tables",
+    lambda sizes: ((partial(_label_outside, sizes["classes"]), "labels"),
+                   (_non_finite, "images"), (_non_finite, "class_text_feats"),
+                   (_off_unit, "class_text_feats")))
+DATC = Layout(
+    b"DATC", struct.Struct("<4sHHIIII"),
+    ("image_dim", "hidden_dim", "feat_dim", "n_classes"),
+    (("w1", "<f8", ("hidden_dim", "image_dim")), ("b1", "<f8", ("hidden_dim",)),
+     ("w2", "<f8", ("feat_dim", "hidden_dim")), ("b2", "<f8", ("feat_dim",)),
+     ("head_w", "<f8", ("n_classes", "feat_dim")), ("head_b", "<f8", ("n_classes",))),
+    "weights")
 
 
-def _blocks(row_bytes: int, rows: int):
-    """(first row, rows) of each block of whole rows of about _BLOCK_BYTES;
-    rows of no bytes make one block."""
+def _blocks(row_bytes: int, rows: int, max_rows: int | None = None):
+    """(first row, rows) of each block of whole rows of about _BLOCK_BYTES,
+    of at most max_rows rows when that is given; rows of no bytes make one
+    block."""
     step = max(1, _BLOCK_BYTES // row_bytes if row_bytes else rows)
+    if max_rows and row_bytes:
+        step = min(step, max_rows)
     for start in range(0, rows, step):
         yield start, min(step, rows - start)
 
@@ -279,46 +324,34 @@ class _Violations:
         return [v for v in self._found if v is not None]
 
 
-def _check_arrays(checks, container) -> list[str]:
-    """The violations of checks over the container's arrays in memory."""
-    found = _Violations(checks)
-    for name in dict.fromkeys(field for _, field in checks):
-        see, arr = found.visit(name), getattr(container, name)
-        for start, n in _blocks(arr[:1].nbytes, len(arr)):
-            see(arr[start:start + n], start)
-    return found.report()
+def _shapes(layout: Layout, container) -> tuple[dict, list[str]]:
+    """The sizes of container's fields, in header order, each taken from the
+    first field it shapes, and a violation for each field of another
+    shape."""
+    found, misshapen = {}, []
+    for name, dtype, dims in layout.fields:
+        value = getattr(container, name)
+        shape = (len(value),) if dtype is None else np.shape(value)
+        for dim, n in zip(dims, shape):
+            found.setdefault(dim, n)
+        want = tuple(found.get(dim) for dim in dims)
+        if shape != want:
+            misshapen.append(f"{name} shape {shape}, expected {want}")
+    return {dim: found.get(dim, 0) for dim in layout.sizes}, misshapen
 
 
-def validate_bank(bank: EmbeddingBank) -> list[str]:
-    """Return a list of invariant violations (empty when the bank is valid)."""
-    v: list[str] = []
-    m = bank.images.shape[0]
-    if bank.images.ndim != 2 or bank.feats.ndim != 2 or bank.caption_feats.ndim != 2:
-        v.append("images, feats and caption_feats must be 2-d arrays")
-        return v
-    if bank.feats.shape[0] != m or bank.caption_feats.shape[0] != m:
-        v.append(f"row counts disagree: images {m}, feats {bank.feats.shape[0]}, "
-                 f"caption_feats {bank.caption_feats.shape[0]}")
-    if bank.caption_feats.shape[1] != bank.feats.shape[1]:
-        v.append("feats and caption_feats must share the feature dimension")
-    if len(bank.captions) != m:
-        v.append(f"expected {m} captions, got {len(bank.captions)}")
-    if bank.latent_class.shape != (m,):
-        v.append(f"latent_class shape {bank.latent_class.shape}, expected ({m},)")
-    return v + _check_arrays(_BANK_CHECKS, bank)
-
-
-def validate_dataset(ds: DownstreamDataset) -> list[str]:
-    v: list[str] = []
-    n = ds.images.shape[0]
-    C = ds.class_text_feats.shape[0]
-    if ds.labels.shape != (n,):
-        v.append(f"labels shape {ds.labels.shape}, expected ({n},)")
-        return v
-    if len(ds.class_names) != C or len(ds.class_descriptions) != C:
-        v.append(f"expected {C} class names and descriptions, got "
-                 f"{len(ds.class_names)} and {len(ds.class_descriptions)}")
-    return v + _check_arrays(_dataset_checks(C), ds)
+def validate(layout: Layout, container) -> list[str]:
+    """Return a list of container's invariant violations (empty when it is
+    valid): each field's shape against the sizes, then, when every shape
+    fits, the layout's array checks, in the blocks a file is read in."""
+    misshapen = _shapes(layout, container)[1]
+    if misshapen:
+        return misshapen
+    try:
+        read_fields(layout, container)
+    except ValidationError as exc:
+        return exc.violations
+    return []
 
 
 def _packed_table(lengths: np.ndarray) -> np.ndarray:
@@ -488,7 +521,8 @@ class _PayloadReader:
                 f"{self._pos + nbytes + 4} bytes, file has {self._file_size}"))
 
     def array(self, what: str, shape: tuple, dtype, keep: bool = True,
-              visit=None, ids: np.ndarray | None = None) -> np.ndarray | None:
+              visit=None, ids: np.ndarray | None = None,
+              max_rows: int | None = None) -> np.ndarray | None:
         """The next field, shape items of dtype stored little-endian: an
         array when keep is true, else None; with ids (int64 row indices),
         only the rows at ids, in ids' order, where an id outside the field
@@ -507,7 +541,7 @@ class _PayloadReader:
             out = np.empty((ids.size,) + row_shape, stored)
         elif keep:
             out = np.empty(shape, stored)
-        for start, n in _blocks(row_bytes, rows):
+        for start, n in _blocks(row_bytes, rows, max_rows):
             if out is None or order is not None:
                 block = self._buffer(n * row_bytes).view(stored).reshape((n,) + row_shape)
             else:
@@ -518,7 +552,7 @@ class _PayloadReader:
                 out[order[lo:hi]] = block[at[lo:hi] - start]
             if visit is not None:
                 visit(block, start)
-        return None if out is None else out.astype(dtype, copy=False)
+        return None if out is None else out.astype(stored.newbyteorder("="), copy=False)
 
     def table(self, what: str, count: int, keep: bool = True) -> StringTable | None:
         """The next string table, checked entry by entry (see the module
@@ -606,10 +640,6 @@ class _PayloadReader:
             raise ValidationError(list(violations))
 
 
-def _f32_rows(arr: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(arr, dtype="<f4")
-
-
 def write_container(path, header: bytes, parts) -> None:
     """Write header, payload parts (contiguous buffers, bytes or arrays, of
     any size) and the payload's crc32."""
@@ -622,13 +652,29 @@ def write_container(path, header: bytes, parts) -> None:
         fh.write(struct.pack("<I", crc & 0xFFFFFFFF))
 
 
-@contextmanager
-def read_container(path, magic: bytes, header: struct.Struct,
-                   version: int = FORMAT_VERSION):
-    """Open a container and check its size, magic and version.
+def write_file(path, layout: Layout, container) -> None:
+    """Write container in layout, refused with its violations unless valid."""
+    violations = validate(layout, container)
+    if violations:
+        raise ValidationError(violations)
+    parts = []
+    for name, dtype, _ in layout.fields:
+        value = getattr(container, name)
+        parts += ([np.ascontiguousarray(value, dtype)] if dtype
+                  else _encode_string_table(value))
+    sizes = _shapes(layout, container)[0].values()
+    write_container(path, layout.header.pack(layout.magic, FORMAT_VERSION, 0, *sizes),
+                    parts)
 
-    Yields the header fields and a reader at the start of the payload; the
-    caller reads every field in order and then calls its finish."""
+
+@contextmanager
+def read_container(path, layout: Layout):
+    """Open a container file of layout and check its size, magic and version.
+
+    Yields its header's sizes, by name, and a reader at the start of the
+    payload; the caller reads every field in order and then calls its
+    finish."""
+    header = layout.header
     with open(path, "rb", buffering=0) as fh:
         size = os.fstat(fh.fileno()).st_size
         if size < header.size + 4:
@@ -636,26 +682,12 @@ def read_container(path, magic: bytes, header: struct.Struct,
                 f"expected at least {header.size + 4} bytes, file has {size}")
         head = bytearray(header.size)
         _fill(fh, memoryview(head), "the header")
-        fields = header.unpack(head)
-        if fields[0] != magic:
-            raise FormatError(f"bad magic {fields[0]!r}, expected {magic!r}")
-        if fields[1] != version:
-            raise FormatError(f"unsupported version {fields[1]}, expected {version}")
-        yield fields, _PayloadReader(fh, size, header.size)
-
-
-def encode_bank_file(bank: EmbeddingBank, path) -> None:
-    violations = validate_bank(bank)
-    if violations:
-        raise ValidationError(violations)
-    m, d_img, d = bank.size, bank.image_dim, bank.feat_dim
-    write_container(path, _BANK_HEADER.pack(_BANK_MAGIC, FORMAT_VERSION, 0, m, d_img, d), [
-        _f32_rows(bank.images),
-        _f32_rows(bank.feats),
-        _f32_rows(bank.caption_feats),
-        np.ascontiguousarray(bank.latent_class, dtype="<i4"),
-        *_encode_string_table(bank.captions),
-    ])
+        magic, version, _, *sizes = header.unpack(head)
+        if magic != layout.magic:
+            raise FormatError(f"bad magic {magic!r}, expected {layout.magic!r}")
+        if version != FORMAT_VERSION:
+            raise FormatError(f"unsupported version {version}, expected {FORMAT_VERSION}")
+        yield dict(zip(layout.sizes, sizes)), _PayloadReader(fh, size, header.size)
 
 
 def _refuse_outside(ids: np.ndarray, m: int) -> None:
@@ -667,18 +699,18 @@ def _refuse_outside(ids: np.ndarray, m: int) -> None:
                                f"outside the bank's {m} records"])
 
 
-class _BankInMemory(nullcontext):
-    """An EmbeddingBank, opened and read as read_container and _PayloadReader
-    open and read a bank file, in the same blocks."""
+class _InMemory(nullcontext):
+    """A container of layout in memory, opened and read as read_container and
+    _PayloadReader open and read its file, in the same blocks."""
 
-    def __init__(self, bank: EmbeddingBank):
-        header = (None, None, None, bank.size, bank.image_dim, bank.feat_dim)
-        super().__init__((header, self))
-        self._bank = bank
+    def __init__(self, layout: Layout, container):
+        super().__init__((_shapes(layout, container)[0], self))
+        self._container = container
 
-    def array(self, what, shape, dtype, keep, visit, ids):
-        field = getattr(self._bank, what)
-        for start, n in _blocks(field[:1].nbytes, shape[0]):
+    def array(self, what, shape, dtype, keep, visit, ids, max_rows):
+        field = getattr(self._container, what)
+        row_bytes = math.prod(shape[1:]) * np.dtype(dtype).itemsize
+        for start, n in _blocks(row_bytes, shape[0], max_rows):
             visit(field[start:start + n], start)
         if not keep or ids is None:
             return field if keep else None
@@ -686,19 +718,53 @@ class _BankInMemory(nullcontext):
         return field[ids]
 
     def table(self, what, count, keep):
-        return self._bank.captions if keep else None
+        return getattr(self._container, what) if keep else None
 
     def finish(self, what, violations):
         if violations:
             raise ValidationError(list(violations))
 
 
-def read_bank(source, fields: Sequence[str] = BANK_FIELDS, feats_to=None,
-              latent_to=None, rows=None) -> tuple[EmbeddingBank, tuple, bool]:
-    """The bank keeping fields, its header's (m, D_img, d), and whether any
-    record has a latent class, from source: a DATB path, or an
-    EmbeddingBank, read the same way but checked only in the feats fed to
-    feats_to (see the module docstring).
+def read_fields(layout: Layout, source, keep: Sequence[str] = (), checked=None,
+                visits=None, ids=None, max_rows=None) -> tuple[dict, dict]:
+    """The fields of source, a file of layout or a container of layout in
+    memory, that keep names (the others None), and its header's sizes, both
+    by name, after every check of the fields checked names (all when None).
+
+    visits maps a field to a function that takes the read's _Violations
+    and returns the field's visit, in place of its checks', and max_rows
+    maps a field to the most rows a block of it holds.  With ids (int64
+    record ids), a kept array field holds only the rows at ids."""
+    visits, max_rows = visits or {}, max_rows or {}
+    opened = (read_container(source, layout) if isinstance(source, (str, os.PathLike))
+              else _InMemory(layout, source))
+    with opened as (sizes, rd):
+        found = _Violations([c for c in layout.checks(sizes)
+                             if checked is None or c[1] in checked])
+        kept = {}
+        for name, dtype, dims in layout.fields:
+            shape = tuple(sizes[dim] for dim in dims)
+            if dtype is None:
+                kept[name] = rd.table(name, shape[0], name in keep)
+            else:
+                visit = visits[name](found) if name in visits else found.visit(name)
+                kept[name] = rd.array(name, shape, dtype, name in keep, visit, ids,
+                                      max_rows.get(name))
+        rd.finish(layout.end, found.report())
+    return kept, sizes
+
+
+def encode_bank_file(bank: EmbeddingBank, path) -> None:
+    write_file(path, DATB, bank)
+
+
+def read_bank(source, fields: Sequence[str] = DATB.names, feats_to=None,
+              latent_to=None, rows=None, feed_rows=None
+              ) -> tuple[EmbeddingBank, dict, bool]:
+    """The bank keeping fields, its header's sizes, and whether any record
+    has a latent class, from source: a DATB path, or an EmbeddingBank, read
+    the same way but checked only in the feats fed to feats_to (see the
+    module docstring).
 
     With rows (record ids), each kept field holds only the rows at rows,
     in rows' order; the others still go through every check.  An id
@@ -708,125 +774,71 @@ def read_bank(source, fields: Sequence[str] = BANK_FIELDS, feats_to=None,
     With feats_to, each piece of feats goes to feats_to(rows, index of its
     first row, rows64, norms) once its checks have run, until a check finds
     a violation: rows64 and norms are the copy_with_norms of the rows that
-    the checks read.  A ValueError feats_to raises stops the feeding and is
-    raised once the whole file has passed every check.  An empty bank's
-    feats is fed as one empty (0, d) piece, so that feats_to sees the
-    header's width either way.  With latent_to, each piece of latent_class
-    goes to latent_to(classes, index of its first class), after every
-    piece of feats."""
-    unknown = sorted(set(fields) - set(BANK_FIELDS))
+    the checks read.  A piece is a block of the read, of at most feed_rows
+    rows when that is given.  A ValueError feats_to raises stops the feeding
+    and is raised once the whole file has passed every check.  An empty
+    bank's feats is fed as one empty (0, d) piece, so that feats_to sees
+    the header's width either way.  With latent_to, each piece of
+    latent_class goes to latent_to(classes, index of its first class),
+    after every piece of feats."""
+    unknown = sorted(set(fields) - set(DATB.names))
     if unknown:
-        raise ValueError(f"unknown bank fields {unknown}, expected some of {BANK_FIELDS}")
+        raise ValueError(f"unknown bank fields {unknown}, expected some of {DATB.names}")
     ids = None
     if rows is not None:
         if "captions" in fields:
             raise ValueError("captions cannot be kept by rows")
         ids = np.asarray(rows, dtype=np.int64)
     memory = isinstance(source, EmbeddingBank)
-    opened = (_BankInMemory(source) if memory
-              else read_container(source, _BANK_MAGIC, _BANK_HEADER))
-    with opened as (header, rd):
-        _, _, _, m, d_img, d = header
-        # a bank the program made is valid: it runs only the checks of the
-        # feats it feeds, for their copy_with_norms
-        found = _Violations([c for c in _BANK_CHECKS
-                             if not memory or feats_to and c[1] == "feats"])
-        visits = {name: found.visit(name)
-                  for name in ("images", "feats", "caption_feats")}
-        feed_error = None
-        if feats_to is not None:
-            check_feats = visits["feats"]
+    feed_error, with_latent = None, False
 
-            def feed(piece, row0):
-                nonlocal feed_error
-                rows64, norms = check_feats(piece, row0)
-                if feed_error is None and not found.report():
-                    try:
-                        feats_to(piece, row0, rows64, norms)
-                    except ValueError as exc:
-                        feed_error = exc
-            visits["feats"] = feed
-        kept = {name: rd.array(name, (m, width), np.float32, name in fields,
-                               visits[name], ids)
-                for name, width in (("images", d_img), ("feats", d),
-                                    ("caption_feats", d))}
-        if feats_to is not None and m == 0:
-            feed(np.zeros((0, d), np.float32), 0)
-        with_latent = False
+    def feeding(found):
+        check = found.visit("feats")
 
-        def see_latent(piece, row0):
-            nonlocal with_latent
-            with_latent = with_latent or bool((piece >= 0).any())
-            if latent_to is not None:
-                latent_to(piece, row0)
+        def feed(piece, row0):
+            nonlocal feed_error
+            rows64, norms = check(piece, row0)
+            if feed_error is None and not found.report():
+                try:
+                    feats_to(piece, row0, rows64, norms)
+                except ValueError as exc:
+                    feed_error = exc
+        return feed
 
-        kept["latent_class"] = rd.array("latent_class", (m,), np.int32,
-                                        "latent_class" in fields, see_latent, ids)
-        kept["captions"] = rd.table("captions", m, "captions" in fields)
-        rd.finish("caption table", found.report())
+    def see_latent(piece, row0):
+        nonlocal with_latent
+        with_latent = with_latent or bool((piece >= 0).any())
+        if latent_to is not None:
+            latent_to(piece, row0)
+
+    visits = {"latent_class": lambda found: see_latent,
+              **({"feats": feeding} if feats_to is not None else {})}
+    # a bank the program made is valid: it runs only the checks of the
+    # feats it feeds, for their copy_with_norms
+    checked = (("feats",) if feats_to else ()) if memory else None
+    kept, sizes = read_fields(DATB, source, fields, checked, visits, ids,
+                              {"feats": feed_rows})
     if feed_error is not None:
         raise feed_error
     if ids is not None:
-        _refuse_outside(ids, m)
-    return EmbeddingBank(**kept), (m, d_img, d), with_latent
+        _refuse_outside(ids, sizes["records"])
+    if feats_to is not None and sizes["records"] == 0:
+        empty = np.zeros((0, sizes["feat_dim"]), np.float32)
+        feats_to(empty, 0, *copy_with_norms(empty))
+    return EmbeddingBank(**kept), sizes, with_latent
 
 
-def decode_bank_file(source, fields: Sequence[str] = BANK_FIELDS,
+def decode_bank_file(source, fields: Sequence[str] = DATB.names,
                      rows=None) -> EmbeddingBank:
     """The bank read_bank reads from source, a DATB path or an EmbeddingBank,
-    keeping only the named BANK_FIELDS (the others are None), and of those,
+    keeping only the named DATB.names (the others are None), and of those,
     with rows (record ids), only the rows at rows, in rows' order."""
     return read_bank(source, fields, rows=rows)[0]
 
 
-def describe_bank_file(path) -> tuple[int, int, int, bool]:
-    """A DATB file's record count, image and feature dimensions, and whether
-    any record has a latent class, after every decode check, keeping no
-    field."""
-    _, header, with_latent = read_bank(path, ())
-    return (*header, with_latent)
-
-
 def encode_dataset_file(ds: DownstreamDataset, path) -> None:
-    violations = validate_dataset(ds)
-    if violations:
-        raise ValidationError(violations)
-    n, C, d_img, d = ds.size, ds.n_classes, ds.image_dim, ds.feat_dim
-    header = _DATASET_HEADER.pack(_DATASET_MAGIC, FORMAT_VERSION, 0, n, C, d_img, d)
-    write_container(path, header, [
-        _f32_rows(ds.images),
-        np.ascontiguousarray(ds.labels, dtype="<u4"),
-        _f32_rows(ds.class_text_feats),
-        *_encode_string_table(ds.class_names),
-        *_encode_string_table(ds.class_descriptions),
-    ])
-
-
-def _read_dataset(path, keep: bool) -> tuple[DownstreamDataset | None, tuple]:
-    """The dataset when keep is true, else None, and its header's (n, C,
-    D_img, d)."""
-    with read_container(path, _DATASET_MAGIC, _DATASET_HEADER) as (header, rd):
-        _, _, _, n, C, d_img, d = header
-        found = _Violations(_dataset_checks(C))
-        images = rd.array("images", (n, d_img), np.float32, keep, found.visit("images"))
-        labels = rd.array("labels", (n,), np.int32, keep, found.visit("labels"))
-        class_text_feats = rd.array("class_text_feats", (C, d), np.float32, keep,
-                                    found.visit("class_text_feats"))
-        names = rd.table("class names", C, keep)
-        descriptions = rd.table("class descriptions", C, keep)
-        rd.finish("string tables", found.report())
-    if not keep:
-        return None, (n, C, d_img, d)
-    return DownstreamDataset(images=images, labels=labels, class_names=names,
-                             class_descriptions=descriptions,
-                             class_text_feats=class_text_feats), (n, C, d_img, d)
+    write_file(path, DATD, ds)
 
 
 def decode_dataset_file(path) -> DownstreamDataset:
-    return _read_dataset(path, True)[0]
-
-
-def describe_dataset_file(path) -> tuple[int, int, int, int]:
-    """A DATD file's image and class counts and its image and feature
-    dimensions, after every decode check, keeping no field."""
-    return _read_dataset(path, False)[1]
+    return DownstreamDataset(**read_fields(DATD, path, DATD.names)[0])

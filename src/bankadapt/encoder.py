@@ -16,21 +16,20 @@ only non-obvious term is the normalization Jacobian
 
 which projects upstream gradients onto the tangent space of the unit sphere.
 All trainable math runs in binary64; checkpoints store binary64 exactly.
+
+A checkpoint is a DATC container, declared by the ``DATC`` layout in
+``embank.py``: image_dim, hidden_dim, feat_dim and n_classes (u32 each) in
+its header, then w1, b1, w2, b2, head_w and head_b, float64, in its payload.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .embank import read_container, write_container
+from .embank import DATC, read_fields, write_file
 from .seeding import derive_rng
-
-CHECKPOINT_VERSION = 1
-_CHECKPOINT_MAGIC = b"DATC"
-_CHECKPOINT_HEADER = struct.Struct("<4sHHIIII")
 
 
 class NumericError(ValueError):
@@ -230,18 +229,8 @@ def param_gradients(params: EncoderParams, trace: ForwardTrace,
 
 
 def save_params(params: EncoderParams, path) -> None:
-    header = _CHECKPOINT_HEADER.pack(
-        _CHECKPOINT_MAGIC, CHECKPOINT_VERSION, 0,
-        params.image_dim, params.hidden_dim, params.feat_dim, params.n_classes)
-    write_container(path, header, [np.ascontiguousarray(f, dtype="<f8")
-                                   for f in params.fields()])
+    write_file(path, DATC, params)
 
 
 def load_params(path) -> EncoderParams:
-    with read_container(path, _CHECKPOINT_MAGIC, _CHECKPOINT_HEADER,
-                        CHECKPOINT_VERSION) as (fields, rd):
-        _, _, _, d_img, h, d, c = fields
-        shapes = [(h, d_img), (h,), (d, h), (d,), (c, d), (c,)]
-        arrays = [rd.array("weights", shape, np.float64) for shape in shapes]
-        rd.finish("weights")
-    return EncoderParams(*arrays)
+    return EncoderParams(**read_fields(DATC, path, DATC.names)[0])

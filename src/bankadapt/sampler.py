@@ -437,12 +437,12 @@ def stage1_sample(bank: EmbeddingBank | str | os.PathLike, ds: DownstreamDataset
     label bank, carrying the stored feats of its rows.
 
     The bank, a DATB path or an EmbeddingBank, is read once by read_bank,
-    keeping no field: each piece of its feats goes to the selector with the
-    float64 copy and norms of its checks, once they pass, so the read never
-    holds feats whole or copies it again.  kept, when given, gets under
-    "latent" the LatentClasses at the label bank's ids, for precision
-    reporting, kept as latent_class is read (it follows feats, so the label
-    bank is final by then)."""
+    keeping no field: each piece of its feats, of at most the chunk's rows,
+    goes to the selector with the float64 copy and norms of its checks,
+    once they pass, so the read never holds feats whole or copies it
+    again.  kept, when given, gets under "latent" the LatentClasses at the
+    label bank's ids, for precision reporting, kept as latent_class is
+    read (it follows feats, so the label bank is final by then)."""
     k1 = default_k1(ds.size, ds.n_classes, cfg.stage1_multiplier)
     rows = budget_chunk_rows(cfg.memory_budget_bytes, k1, ds.feat_dim,
                              ds.n_classes)
@@ -457,7 +457,8 @@ def stage1_sample(bank: EmbeddingBank | str | os.PathLike, ds: DownstreamDataset
         lo, hi = np.searchsorted(ids, (row0, row0 + classes.size))
         at_ids[lo:hi] = classes[ids[lo:hi] - row0]
 
-    _, _, with_latent = read_bank(bank, (), selector.feed, keep_latent)
+    _, _, with_latent = read_bank(bank, (), selector.feed, keep_latent,
+                                  feed_rows=rows)
     result = selector.result()
     # an empty bank's latent_class comes in no piece
     ids, at_ids = label or (np.zeros(0, np.int64), np.zeros(0, np.int32))

@@ -207,7 +207,8 @@ def test_synth_gen_stays_within_the_arrays_it_must_hold(tmp_path, monkeypatch):
     held = 4 * m * (d_img + 2 * d) + 28 * m + widest * (m + 2 * embank._GATHER_ROWS)
     allowed = held + (10 << 20)
     assert peak - base <= allowed, (peak - base, allowed)
-    assert embank.describe_bank_file(tmp_path / "bank.datb")[:3] == (m, d_img, d)
+    assert embank.read_bank(tmp_path / "bank.datb", ())[1] == {
+        "records": m, "image_dim": d_img, "feat_dim": d}
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),

@@ -1,3 +1,4 @@
+import math
 import struct
 import tracemalloc
 import zlib
@@ -12,6 +13,8 @@ from bankadapt.cli import main
 from bankadapt.embank import (
     UNIT_NORM_TOL,
     ChecksumError,
+    DATB,
+    DATD,
     DownstreamDataset,
     EmbeddingBank,
     FormatError,
@@ -22,10 +25,9 @@ from bankadapt.embank import (
     decode_dataset_file,
     encode_bank_file,
     encode_dataset_file,
-    validate_bank,
-    validate_dataset,
+    validate,
 )
-from bankadapt.encoder import init_params, load_params, save_params
+from bankadapt.encoder import EncoderParams, init_params, load_params, save_params
 
 from conftest import random_bank, random_dataset, unit_rows
 
@@ -152,7 +154,7 @@ class TestBankErrors:
     def test_mismatched_caption_count_reported(self):
         bank = random_bank(seed=6)
         object.__setattr__(bank, "captions", bank.captions[:-1])
-        assert any("captions" in v for v in validate_bank(bank))
+        assert any("captions" in v for v in validate(DATB, bank))
 
 
 class TestDatasetRoundTrip:
@@ -189,7 +191,7 @@ class TestDatasetRoundTrip:
             decode_dataset_file(path)
 
     def test_validate_dataset_accepts_good_data(self):
-        assert validate_dataset(random_dataset(seed=3)) == []
+        assert validate(DATD, random_dataset(seed=3)) == []
 
     def test_unit_norm_tolerance_is_enforced(self):
         rng = np.random.default_rng(0)
@@ -197,7 +199,7 @@ class TestDatasetRoundTrip:
         feats = unit_rows(rng, ds.n_classes, ds.feat_dim, dtype=np.float64)
         feats[1] *= 1.0 + 5e-5  # just outside the 1e-5 tolerance
         object.__setattr__(ds, "class_text_feats", feats.astype(np.float32))
-        assert any("class_text_feats row 1" in v for v in validate_dataset(ds))
+        assert any("class_text_feats row 1" in v for v in validate(DATD, ds))
 
 
 def rewrite_payload(path, header_size, edit):
@@ -359,7 +361,7 @@ def test_decode_peak_memory_stays_near_the_file_size(tmp_path):
 
 
 def whole_array_violations(bank):
-    """The finite and unit-row checks of validate_bank on whole arrays."""
+    """The finite and unit-row checks of validate(DATB, bank) on whole arrays."""
     out = []
     for name in ("images", "feats", "caption_feats"):
         bad = ~np.isfinite(getattr(bank, name))
@@ -382,13 +384,13 @@ def test_blocked_validation_matches_whole_array_checks(monkeypatch, extra):
     monkeypatch.setattr(embank, "_BLOCK_BYTES", 32 * rows)
     m = 2 * rows + extra
     bank = random_bank(seed=9, m=m, d_img=8, d=8)
-    assert validate_bank(bank) == [] == whole_array_violations(bank)
+    assert validate(DATB, bank) == [] == whole_array_violations(bank)
     bank.images[rows + 3, 4] = np.inf
     bank.images[2 * rows - 1, 0] = np.nan
     bank.feats[m - 1] *= 1.0 + 3e-5
     bank.caption_feats[rows] *= 1.0 - 3e-5
     bank.caption_feats[rows + 9] *= 2.0
-    got = validate_bank(bank)
+    got = validate(DATB, bank)
     assert got == whole_array_violations(bank)
     assert [v.split(" has ")[0] for v in got] == [
         "images", f"feats row {m - 1}", f"caption_feats row {rows}"]
@@ -451,7 +453,7 @@ ARRAY_FIELDS = ("images", "feats", "caption_feats", "latent_class")
 def write_bank_unchecked(bank, path):
     """encode_bank_file without its validation, for banks that break an
     invariant on purpose."""
-    header = embank._BANK_HEADER.pack(b"DATB", embank.FORMAT_VERSION, 0, bank.size,
+    header = embank.DATB.header.pack(b"DATB", embank.FORMAT_VERSION, 0, bank.size,
                                       bank.image_dim, bank.feat_dim)
     embank.write_container(path, header, [
         np.ascontiguousarray(a, dtype).tobytes() for a, dtype in (
@@ -459,28 +461,71 @@ def write_bank_unchecked(bank, path):
             (bank.latent_class, "<i4"))] + embank._encode_string_table(bank.captions))
 
 
-def reference_decode(path):
-    """The DATB layout parsed with struct and np.frombuffer, without the reader."""
-    data = path.read_bytes()
-    _, _, _, m, d_img, d = struct.unpack_from("<4sHHQII", data)
-    pos = 24
+class ReferenceParse:
+    """A container file parsed in file order with struct and np.frombuffer,
+    without the reader or the layouts: the header by its struct format,
+    then each field as it is taken, then the stored crc32 of the payload."""
 
-    def take(count, dtype):
-        nonlocal pos
-        arr = np.frombuffer(data, dtype, count, pos)
-        pos += arr.nbytes
+    def __init__(self, path, header: str):
+        self.data = path.read_bytes()
+        self.header = struct.unpack_from(header, self.data)
+        self.start = self.pos = struct.calcsize(header)
+
+    def take(self, count, dtype):
+        arr = np.frombuffer(self.data, dtype, count, self.pos)
+        self.pos += arr.nbytes
         return arr
 
-    images = take(m * d_img, "<f4").reshape(m, d_img)
-    feats = take(m * d, "<f4").reshape(m, d)
-    caption_feats = take(m * d, "<f4").reshape(m, d)
-    latent = take(m, "<i4")
-    (blob_len,) = take(1, "<u8")
-    table = take(2 * m, "<u8").reshape(m, 2)
-    blob = data[pos:pos + int(blob_len)]
-    captions = [blob[int(o):int(o) + int(n)].decode("utf-8") for o, n in table]
-    return EmbeddingBank(images=images, feats=feats, caption_feats=caption_feats,
-                         captions=captions, latent_class=latent)
+    def strings(self, count):
+        """A string table of count entries, as a list."""
+        (blob_len,) = self.take(1, "<u8")
+        table = self.take(2 * count, "<u8").reshape(count, 2)
+        blob = self.take(int(blob_len), np.uint8).tobytes()
+        return [blob[int(o):int(o) + int(n)].decode("utf-8") for o, n in table]
+
+    def end(self):
+        """Check that the crc32 of the payload, and nothing else, follows."""
+        assert len(self.data) == self.pos + 4
+        (crc,) = struct.unpack_from("<I", self.data, self.pos)
+        assert crc == zlib.crc32(self.data[self.start:self.pos])
+
+
+def reference_decode(path):
+    """The DATB layout parsed by ReferenceParse."""
+    ref = ReferenceParse(path, "<4sHHQII")
+    magic, version, _, m, d_img, d = ref.header
+    assert (magic, version) == (b"DATB", 1)
+    bank = EmbeddingBank(images=ref.take(m * d_img, "<f4").reshape(m, d_img),
+                         feats=ref.take(m * d, "<f4").reshape(m, d),
+                         caption_feats=ref.take(m * d, "<f4").reshape(m, d),
+                         latent_class=ref.take(m, "<i4"), captions=ref.strings(m))
+    ref.end()
+    return bank
+
+
+def reference_decode_dataset(path):
+    """The DATD layout parsed by ReferenceParse; labels are stored uint32."""
+    ref = ReferenceParse(path, "<4sHHQIII")
+    magic, version, _, n, C, d_img, d = ref.header
+    assert (magic, version) == (b"DATD", 1)
+    ds = DownstreamDataset(images=ref.take(n * d_img, "<f4").reshape(n, d_img),
+                           labels=ref.take(n, "<u4"),
+                           class_text_feats=ref.take(C * d, "<f4").reshape(C, d),
+                           class_names=ref.strings(C),
+                           class_descriptions=ref.strings(C))
+    ref.end()
+    return ds
+
+
+def reference_load_params(path):
+    """The DATC layout parsed by ReferenceParse."""
+    ref = ReferenceParse(path, "<4sHHIIII")
+    magic, version, _, d_img, h, d, c = ref.header
+    assert (magic, version) == (b"DATC", 1)
+    params = [ref.take(math.prod(shape), "<f8").reshape(shape)
+              for shape in ((h, d_img), (h,), (d, h), (d,), (c, d), (c,))]
+    ref.end()
+    return EncoderParams(*params)
 
 
 def unicode_bank(seed, m):
@@ -494,6 +539,36 @@ def test_full_decode_equals_a_reference_parse(tmp_path):
     path = tmp_path / "bank.datb"
     encode_bank_file(unicode_bank(11, 50), path)
     assert_banks_equal(decode_bank_file(path), reference_decode(path))
+
+
+def test_dataset_decode_equals_a_reference_parse(tmp_path):
+    """Labels up to C - 1, unicode names and a description left empty."""
+    ds = random_dataset(seed=17, n=40, n_classes=5, d_img=3, d=6)
+    ds.labels[:] = np.arange(40) % 5
+    object.__setattr__(ds, "class_names", ["café", "写真", "", "b", "🙂 end"])
+    object.__setattr__(ds, "class_descriptions", ["", "x", "naïve", "日本語", "y"])
+    path = tmp_path / "train.datd"
+    encode_dataset_file(ds, path)
+    ref, back = reference_decode_dataset(path), decode_dataset_file(path)
+    assert ref.labels.max() == ds.n_classes - 1
+    for name in ("images", "labels", "class_text_feats"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(ref, name))
+        np.testing.assert_array_equal(getattr(back, name), getattr(ds, name))
+    assert back.labels.dtype == np.int32
+    for name in ("class_names", "class_descriptions"):
+        assert getattr(back, name) == getattr(ref, name) == getattr(ds, name)
+
+
+def test_checkpoint_load_equals_a_reference_parse(tmp_path):
+    params = init_params(18, 7, 5, 4, 3)
+    path = tmp_path / "encoder.datc"
+    save_params(params, path)
+    ref, back = reference_load_params(path), load_params(path)
+    assert path.stat().st_size == 24 + 8 * (5 * 7 + 5 + 4 * 5 + 4 + 3 * 4 + 3) + 4
+    for mine, theirs, saved in zip(back.fields(), ref.fields(), params.fields()):
+        assert mine.dtype == np.float64
+        np.testing.assert_array_equal(mine, theirs)
+        np.testing.assert_array_equal(mine, saved)
 
 
 def test_selective_decode_keeps_only_the_named_fields(tmp_path):
@@ -664,7 +739,7 @@ def test_a_late_block_of_multi_byte_characters_is_still_checked(tmp_path,
     assert first_multi_byte >= 6 * 48
     rewrite_payload(path, 24, lambda p: set_entry(m - 1, first_multi_byte + 1, 4)(
         p, table))
-    for fields, rows in ((embank.BANK_FIELDS, None), (KEEP, None),
+    for fields, rows in ((DATB.names, None), (KEEP, None),
                          (ARRAY_FIELDS, [0, 5])):
         with pytest.raises(FormatError, match=f"^captions entry {m - 1} splits a "
                                               "multi-byte UTF-8 character$"):
@@ -684,7 +759,7 @@ def test_rows_of_no_bytes_are_read_as_one_block(tmp_path, monkeypatch):
     zero-width field rather than one per block of empty rows."""
     payload = bytes(64)
     path = tmp_path / "wide.datb"
-    path.write_bytes(embank._BANK_HEADER.pack(b"DATB", embank.FORMAT_VERSION, 0,
+    path.write_bytes(embank.DATB.header.pack(b"DATB", embank.FORMAT_VERSION, 0,
                                               1 << 40, 0, 0)
                      + payload + struct.pack("<I", zlib.crc32(payload)))
     reads = []
@@ -718,7 +793,7 @@ def test_blocks_that_end_inside_a_row_change_nothing(tmp_path, monkeypatch, bloc
     bank.caption_feats[3] *= 2.0     # first row of the second block
     bank.caption_feats[m - 1, 0] = np.nan
     write_bank_unchecked(bank, bad)
-    for fields in (embank.BANK_FIELDS, KEEP):
+    for fields in (DATB.names, KEEP):
         with pytest.raises(ValidationError) as exc:
             decode_bank_file(bad, fields=fields)
         assert exc.value.violations == whole_array_violations(bank)
@@ -795,11 +870,11 @@ def test_sample_reports_the_decode_error_of_a_faulty_bank(tmp_path, monkeypatch,
 
 
 def verdicts(bank, path):
-    """The violations of validate_bank, of a full decode and of a decode
+    """The violations of validate(DATB, bank), of a full decode and of a decode
     that keeps only feats and latent_class, of bank written to path."""
     write_bank_unchecked(bank, path)
-    found = [validate_bank(bank)]
-    for fields in (embank.BANK_FIELDS, KEEP):
+    found = [validate(DATB, bank)]
+    for fields in (DATB.names, KEEP):
         try:
             decode_bank_file(path, fields=fields)
             found.append([])
@@ -830,7 +905,7 @@ def edge_rows(rng, target, heads, d=16):
 
 @pytest.mark.parametrize("edge", [1 + UNIT_NORM_TOL, 1 - UNIT_NORM_TOL])
 def test_a_norm_at_the_tolerance_edge_gets_one_verdict(tmp_path, edge):
-    """validate_bank and the decode take a row's norm as
+    """validate(DATB, bank) and the decode take a row's norm as
     sqrt(einsum("ij,ij->i")) of its float64 copy, as the sampler does, and
     give one verdict.  whole_array_violations takes np.linalg.norm, which
     sums the squares by add.reduce in another order: the two norms can
@@ -885,7 +960,7 @@ def test_nan_and_inf_rows_in_one_piece(tmp_path, nan_row, inf_row):
 def test_a_piece_of_no_bytes_gets_no_float64_copy():
     """A piece of 2**40 rows of width 0, as a header with d = 0 makes:
     norms for it would take 8 TiB, so none are taken."""
-    see = embank._Violations(embank._BANK_CHECKS).visit("feats")
+    see = embank._Violations(DATB.checks({})).visit("feats")
     tracemalloc.start()
     try:
         assert see(np.empty((1 << 40, 0), np.float32), 0) == (None, None)
@@ -906,7 +981,7 @@ def test_unit_rows_of_width_0_are_off_unit(tmp_path):
                          latent_class=np.full(m, -1, np.int32))
     expected = [f"{name} row 0 has norm 0.00000000, expected 1 within 1e-05"
                 for name in ("feats", "caption_feats")]
-    assert validate_bank(bank) == expected
+    assert validate(DATB, bank) == expected
     with pytest.raises(ValidationError):
         encode_bank_file(bank, tmp_path / "never.datb")
     path = tmp_path / "narrow.datb"
@@ -919,7 +994,7 @@ def test_unit_rows_of_width_0_are_off_unit(tmp_path):
                            labels=np.zeros(2, np.int32), class_names=["x"],
                            class_descriptions=["y"],
                            class_text_feats=np.zeros((1, 0), np.float32))
-    assert validate_dataset(ds) == [
+    assert validate(DATD, ds) == [
         "class_text_feats row 0 has norm 0.00000000, expected 1 within 1e-05"]
 
 

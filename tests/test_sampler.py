@@ -813,6 +813,29 @@ class TestStages:
             else:
                 assert key == base
 
+    def test_the_selector_gets_no_piece_longer_than_its_chunk(self, tmp_path,
+                                                              monkeypatch):
+        """The budget charges a chunk's rows for the float64 copy of each
+        piece of feats, so stage 1 hands the selector pieces of at most
+        budget_chunk_rows rows, from a file and in memory alike, though the
+        reader's blocks hold all 3,000 rows at once."""
+        spec, ds, bank = make_world(3, m=3000)
+        cfg = replace(spec, memory_budget_bytes=1 << 20)
+        k1 = default_k1(ds.size, ds.n_classes, cfg.stage1_multiplier)
+        rows = budget_chunk_rows(cfg.memory_budget_bytes, k1, ds.feat_dim,
+                                 ds.n_classes)
+        assert rows < 3000 <= embank._BLOCK_BYTES // bank.feats[:1].nbytes
+        path = tmp_path / "bank.datb"
+        encode_bank_file(bank, path)
+        pieces = []
+        feed = TopKSelector.feed
+        monkeypatch.setattr(TopKSelector, "feed", lambda selector, piece, *rest: (
+            pieces.append(len(piece)), feed(selector, piece, *rest)))
+        from_file = stage1_sample(path, ds, cfg)
+        assert_same_result(from_file, stage1_sample(bank, ds, cfg))
+        assert max(pieces) == rows and sum(pieces) == 2 * 3000
+        assert_same_result(from_file, stage1_sample(path, ds, spec))
+
     def test_build_world_reads_the_sampler_keys_of_bench(self, monkeypatch):
         # the benchmark's stages take their keep fraction from BENCH
         half = benchmark.build_world(0).selected.size

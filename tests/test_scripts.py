@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -17,6 +18,11 @@ def run_script(name, *args):
                           env=env, capture_output=True, text=True, timeout=300)
 
 
+# Lines each script's output must hold beside its header.
+TABLES = {"run_benchmark.py": ["n_confident  seed0   total",
+                               "n_clamped    seed0   total"]}
+
+
 @pytest.mark.parametrize("name, args, header", [
     ("run_benchmark.py", ("--seeds", "1", "--variants", "baseline"),
      "variant      seed0   mean"),
@@ -26,7 +32,36 @@ def run_script(name, *args):
 def test_script_runs(name, args, header):
     done = run_script(name, *args)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[0] == header
+    lines = done.stdout.splitlines()
+    assert lines[0] == header
+    for table in TABLES.get(name, ()):
+        at = lines.index(table)
+        assert lines[at + 1].split()[0] == args[-1], (table, lines[at + 1])
+
+
+def test_source_size_counts_each_line_by_the_first_rule_that_holds(tmp_path):
+    """Docstring lines, then code (a multi-line string runs through its
+    lines), then comment-only lines, then blank ones; and their sums."""
+    (tmp_path / "m.py").write_text(
+        '"""Doc\nstring."""\n\n# note\nx = (1,\n     2)  # c\ns = """a\nb"""\n\n'
+        'def f():\n    """One."""\n    return x\n', encoding="utf-8")
+    done = run_script("source_size.py", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    header, row, total = (line.split() for line in done.stdout.splitlines())
+    assert header == ["module", "total", "docstring", "code", "comment", "blank"]
+    assert row == ["m.py", "12", "3", "6", "1", "2"]
+    assert total == ["all", "12", "3", "6", "1", "2"]
+
+
+def test_source_size_sums_every_module():
+    done = run_script("source_size.py")
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()[1:]]
+    modules = sorted(p.name for p in (ROOT / "src" / "bankadapt").glob("*.py"))
+    assert [r[0] for r in rows] == modules + ["all"]
+    counts = np.array([[int(n) for n in r[1:]] for r in rows])
+    assert (counts[:-1].sum(axis=0) == counts[-1]).all()
+    assert (counts[:, 1:].sum(axis=1) == counts[:, 0]).all()
 
 
 def test_every_bench_record_is_complete():

@@ -1,8 +1,10 @@
 """Checks on the shape of the source.
 
 Code used only by tests lives in tests/: every function, class and method
-defined in src/bankadapt is used by src/, scripts/ or perfbench/.  And a
-bank file and a bank in memory are told apart in embank.py only.
+defined in src/bankadapt is used by src/, scripts/ or perfbench/.  A
+bank file and a bank in memory are told apart in embank.py only, and only
+embank.py handles a container's bytes: every other module goes through
+its layouts.
 """
 
 import ast
@@ -70,3 +72,15 @@ def test_only_embank_tells_a_bank_file_from_a_bank_in_memory():
         and any("EmbeddingBank" in _referenced(part)
                 for part in ast.walk(node.args[1])))
     assert asking == [], asking
+
+
+def test_only_embank_handles_container_bytes():
+    """The formats are declared once, as embank.py's layouts, so no other
+    module refers to the container mechanics behind write_file and
+    read_fields."""
+    mechanics = {"write_container", "read_container", "_PayloadReader"}
+    referring = sorted(
+        path.name for path in PACKAGE.glob("*.py") if path.name != "embank.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if mechanics & set(_referenced(node)))
+    assert referring == [], referring

@@ -8,12 +8,13 @@ from bankadapt.cli import main
 from bankadapt.config import RunConfig
 from bankadapt.encoder import FrozenEmbedder
 from bankadapt.embank import (
+    DATB,
+    DATD,
     EmbeddingBank,
     StringTable,
     decode_bank_file,
     encode_bank_file,
-    validate_bank,
-    validate_dataset,
+    validate,
 )
 from bankadapt.seeding import derive_rng
 from bankadapt.synth import (
@@ -81,7 +82,7 @@ class TestDownstream:
 
     def test_dataset_passes_validation(self):
         ds = generate_downstream(RunConfig(seed=1, n_classes=4, n_per_class=6))
-        assert validate_dataset(ds) == []
+        assert validate(DATD, ds) == []
 
     def test_splits_share_text_feats_but_not_images(self):
         spec = RunConfig(seed=2, n_classes=3, n_per_class=8)
@@ -129,7 +130,7 @@ class TestBank:
         n_in = int(np.sum(bank.latent_class >= 0))
         assert n_in == int(0.3 * 1000)
         assert bank.size == 1000
-        assert validate_bank(bank) == []
+        assert validate(DATB, bank) == []
 
     def test_generation_is_deterministic(self):
         spec = RunConfig(seed=4, n_classes=3, n_per_class=4, bank_size=200)
