@@ -229,9 +229,10 @@ def _label_outside(n_classes: int, name: str, block: np.ndarray,
 @dataclass(frozen=True)
 class Layout:
     """One container format, declared once for its writer, its reader and
-    inspect.  The header is magic, version u16 and flags u16, then the
-    sizes, named by sizes in header order.  fields are the payload fields
-    in file order, each (name, stored dtype, the names of the sizes that
+    inspect.  The header is magic, version u16 and flags u16 (version 1
+    defines no flag; read_container refuses any set), then the sizes,
+    named by sizes in header order.  fields are the payload fields in
+    file order, each (name, stored dtype, the names of the sizes that
     shape it), where a dtype of None is a string table of as many entries
     as its one size.  end is what a trailing-bytes error calls the end of
     the payload, and checks(sizes) gives the (check, field) pairs of the
@@ -669,7 +670,8 @@ def write_file(path, layout: Layout, container) -> None:
 
 @contextmanager
 def read_container(path, layout: Layout):
-    """Open a container file of layout and check its size, magic and version.
+    """Open a container file of layout and check its size, magic, version
+    and flags (version 1 defines no flag, so any set one is refused).
 
     Yields its header's sizes, by name, and a reader at the start of the
     payload; the caller reads every field in order and then calls its
@@ -682,11 +684,14 @@ def read_container(path, layout: Layout):
                 f"expected at least {header.size + 4} bytes, file has {size}")
         head = bytearray(header.size)
         _fill(fh, memoryview(head), "the header")
-        magic, version, _, *sizes = header.unpack(head)
+        magic, version, flags, *sizes = header.unpack(head)
         if magic != layout.magic:
             raise FormatError(f"bad magic {magic!r}, expected {layout.magic!r}")
         if version != FORMAT_VERSION:
             raise FormatError(f"unsupported version {version}, expected {FORMAT_VERSION}")
+        if flags:
+            raise FormatError(f"unknown header flags {flags:#06x}: version "
+                              f"{FORMAT_VERSION} defines none")
         yield dict(zip(layout.sizes, sizes)), _PayloadReader(fh, size, header.size)
 
 

@@ -39,18 +39,22 @@ distance between the two scores of a pair.
   be refused, so it is dropped.  The matmul scores of the rows kept are
   gathered into the free (q, r) buffer.  Floors only rise, so the screen
   never changes a bit.
-- Rescoring.  A row's fixed-order best column has a matmul score within
-  the slack of the row's matmul maximum.  Only the pairs within the slack
-  are scored again by the fixed arithmetic, and their scores are written
-  over their matmul scores.  A chunk's pairs are taken all at once when
-  they number at most _PAIRS_PER_ROW per chunk row; columns that tie or
-  nearly tie make more, and then they are taken in groups within that
-  cap, each of whole lines of the layout or of part of one line.  A group
-  is scored in pieces of half a chunk of pairs.
-- Assignment.  Every score left from the matmul lies below the row's best
-  fixed-order score, so each row takes its maximum and the lowest column
-  that holds it, by argmax along the contiguous axis: over the (r, q)
-  scores, or over a copy of the (q, r) scores into the free buffer.
+- Assignment.  A row's fixed-order best column has a matmul score within
+  the slack of the row's matmul maximum.  Each row takes its matmul
+  argmax, along the contiguous axis: over the (r, q) scores, or over a
+  copy of the (q, r) scores into the free buffer.  Its runner-up is its
+  maximum once the argmax entry is set aside; when that lies more than
+  the slack below, the argmax is the only column within the slack, and so
+  the row's fixed-order best.  Every row then gets one fixed-order score,
+  of its (row, best column) pair, in pieces of half a chunk of pairs.
+- Ties.  The rows whose runner-up lies within the slack (columns that
+  tie or nearly tie) have their lines copied to the free buffer, and
+  their pairs within the slack are scored again by the fixed arithmetic
+  over their matmul scores.  Every score left from the matmul lies below
+  the row's best fixed-order score, so the row takes the lowest column
+  that holds its line's maximum.  A chunk's tied pairs are taken all at
+  once when they number at most _PAIRS_PER_ROW per chunk row, else in
+  groups within that cap, each of whole lines or of part of one line.
 
 Ties are broken toward the lowest class/column index at assignment and
 toward the lowest record id within a column.  Non-finite rows are refused,
@@ -71,11 +75,14 @@ every held id, so it cannot win a tie.  When a chunk's admitted rows do
 not fit, the arrays are sorted by (column, -score, id) and compacted in
 place to k per column, which frees at least half of them, and once more
 at the end, so the result equals a top k taken over the full score
-matrix.  A column whose assigned pool is smaller than k reports a
-deficit; nothing is backfilled from other columns.  merge_bytes charges
-every slot of the arrays, a carried row at 4d bytes (a stored row), and
-the copy a cut makes to compact the rows it keeps; a chunk row needs no
-slot of its own.
+matrix.  Wherever column and score tie, positions are already in id
+order (a cut leaves them so, and rows come in by ascending id), so a
+stable sort by (column, -score) is that order; a cut with no row come
+in since the last one does nothing.  A column whose assigned pool is
+smaller than k reports a deficit; nothing is backfilled from other
+columns.  merge_bytes charges every slot of the arrays, a carried row at
+4d bytes (a stored row), and the copy a cut makes to compact the rows it
+keeps; a chunk row needs no slot of its own.
 """
 
 from __future__ import annotations
@@ -91,11 +98,11 @@ from .embank import DownstreamDataset, EmbeddingBank, copy_with_norms, read_bank
 from .encoder import FrozenEmbedder
 
 # Int64/float64 vectors an entry of a cut needs at once beyond its id,
-# column and score, at most three: while sorting the negated scores, the
-# sort order and lexsort's work array; while ranking the order, the rank
-# and the repeated column starts; while compacting the order, the rank and
-# the kept index.  One more covers the compacting copy of the id, column
-# and score vectors.
+# column and score, at most four: while sorting, the negated scores, the
+# column key (one or two bytes up to 65,536 columns), the sort order and
+# lexsort's work array; while ranking, the order, the rank and the
+# repeated column starts; while compacting, the order, the rank, the kept
+# index and the compacting copy of one of the id, column and score vectors.
 _CUT_VECTORS = 4
 
 # Bytes a ufunc call may allocate whatever the chunk size: numpy's iterator
@@ -119,6 +126,21 @@ def _slack(feat_dim: int) -> float:
     return 4 * gamma(feat_dim) * (1 + gamma(feat_dim + 2)) ** 2
 
 
+def _ties(scores: np.ndarray, ax: int, assigned: np.ndarray,
+          slack: float) -> np.ndarray:
+    """The rows of the matmul scores (column axis ax) whose runner-up, the
+    maximum once the argmax (assigned) is set aside, lies within the slack
+    of it, ascending: the only rows whose fixed-order best column may lie
+    elsewhere.  scores is left as it was."""
+    every = np.arange(assigned.size)
+    best = (every, assigned) if ax == 1 else (assigned, every)
+    top = scores[best]
+    scores[best] = -np.inf
+    tie = np.flatnonzero(scores.max(axis=ax) >= top - slack)
+    scores[best] = top
+    return tie
+
+
 class DegenerateRowError(ValueError):
     """A zero-norm or non-finite row has no direction to score."""
 
@@ -138,16 +160,19 @@ def _slot_bytes(feat_dim: int, carry_rows: bool) -> int:
 
 def bytes_per_row(feat_dim: int, n_columns: int) -> int:
     """Bytes one chunk row may hold while it is scored and merged: its
-    float64 unit row (8d), in the copy that is fed with it; its share of
-    the two (q, r) buffers (16q), which hold the matmul, the screen's mask,
-    the kept rows' matmul scores, the mask of the near-maximum pairs and
-    the assignment's copy; its position in the chunk (8); and the
-    rescoring's work, which outweighs the few vectors the screen, the
-    assignment or the admission hold at once: up to _PAIRS_PER_ROW pairs
-    with their two indices and fixed-order score (24 each), and a piece of
-    half a chunk of pairs, its gathered query and chunk features (8d) and
-    the chunk positions of its rows (4)."""
-    return 16 * feat_dim + 16 * n_columns + 12 + 24 * _PAIRS_PER_ROW
+    float64 unit row (8d) and its norm (8), in the copy that is fed with
+    it; its share of the two (q, r) buffers (16q), which hold the matmul,
+    the screen's mask, the kept rows' matmul scores, the copy the argmax
+    takes by row, and the tied rows' lines and the mask of their pairs;
+    its position in the chunk and its best column (16); and the work of
+    breaking ties, which outweighs what the screen, the runner-up test,
+    the scoring of the best pairs or the admission hold at once: a tied
+    row's place among the kept rows and its position in the chunk (16),
+    the flat index of up to _PAIRS_PER_ROW of its pairs (8 each), and a
+    piece of half a chunk of pairs, with their gathered query and chunk
+    features (8d) and each pair's line, column, chunk position and
+    fixed-order score (16)."""
+    return 16 * feat_dim + 16 * n_columns + 56 + 8 * _PAIRS_PER_ROW
 
 
 def merge_bytes(k: int, feat_dim: int, n_columns: int,
@@ -240,7 +265,7 @@ class TopKSelector:
         if carry is not None:
             self._rows = np.empty((room, d), carry)
             self._held.append(self._rows)
-        self._n = 0
+        self._n = self._sorted = 0  # candidates held, and held after the last cut
         self._floor = np.full(q, -np.inf)
 
     def feed(self, rows: np.ndarray, first_record_id: int, rows64: np.ndarray,
@@ -289,34 +314,60 @@ class TopKSelector:
         (r, d), q = unit.shape, self._floor.size
         wide = q > r  # the matmul's longer side runs contiguous
         ax = 1 if wide else 0  # its column axis
-        gemm = self._out[:q * r].reshape((r, q) if wide else (q, r))
+        held, free = self._out, self._tmp  # the scores' buffer and the other
+        gemm = held[:q * r].reshape((r, q) if wide else (q, r))
         if wide:
             np.matmul(unit, self._q_unit.T, out=gemm)
         else:
             np.matmul(self._q_unit, unit.T, out=gemm)
         slack = _slack(d)
-        at, scores, free = np.arange(r), gemm, self._tmp
+        at, scores = np.arange(r), gemm
         if self._floor.min() > -np.inf:  # the screen
             floor = self._floor - slack
-            reach = self._tmp.view(np.bool_)[:q * r].reshape(gemm.shape)
+            reach = free.view(np.bool_)[:q * r].reshape(gemm.shape)
             np.greater_equal(gemm, floor if wide else floor[:, None], out=reach)
             at = np.flatnonzero(reach.any(axis=ax))
-            scores = self._tmp[:q * at.size].reshape(
+            scores = free[:q * at.size].reshape(
                 (at.size, q) if wide else (q, at.size))
             # mode "clip" writes into out directly; "raise" would buffer a copy
             np.take(gemm, at, axis=1 - ax, out=scores, mode="clip")
-            free = self._out
-        near = free.view(np.bool_)[:scores.size].reshape(scores.shape)
-        np.greater_equal(scores, scores.max(axis=ax, keepdims=True) - slack,
-                         out=near)
-        for lo, hi in self._groups(near):
-            self._rescore(scores, near, unit, at, wide, lo, hi)
-        by_row = scores
+            held, free = free, held
+        by_row, spare = scores, free
         if not wide:  # argmax runs along the contiguous axis
             by_row = free[:scores.size].reshape(scores.shape[::-1])
             np.copyto(by_row, scores.T)
+            spare = held  # free once the ties are found
         assigned = by_row.argmax(axis=1)
-        return at, assigned, by_row[np.arange(at.size), assigned]
+        tie = _ties(scores, ax, assigned, slack)
+        if tie.size:
+            self._break_ties(by_row, spare, unit, at, assigned, tie, slack)
+        score = np.empty(at.size)
+        for part in self._pieces(at.size):
+            score[part] = self._rescore(unit, at[part], assigned[part])
+        return at, assigned, score
+
+    def _break_ties(self, by_row: np.ndarray, spare: np.ndarray,
+                    unit: np.ndarray, at: np.ndarray, assigned: np.ndarray,
+                    tie: np.ndarray, slack: float) -> None:
+        """Set assigned[tie] to the fixed-order best columns, lowest on ties,
+        of the rows tie of the (n, q) matmul scores by_row (chunk rows at):
+        each one's pairs within the slack of its maximum are scored again,
+        in groups (_groups), into a copy of its line in spare; by_row's
+        buffer then holds the pairs' mask."""
+        q = by_row.shape[1]
+        lines = spare[:tie.size * q].reshape(tie.size, q)
+        # mode "clip" writes into out directly; "raise" would buffer a copy
+        np.take(by_row, tie, axis=0, out=lines, mode="clip")
+        near = by_row.reshape(-1).view(np.bool_)[:lines.size].reshape(lines.shape)
+        np.greater_equal(lines, lines.max(axis=1, keepdims=True) - slack, out=near)
+        tied = at[tie]
+        for lo, hi in self._groups(near):
+            pos = np.flatnonzero(near.reshape(-1)[lo:hi])
+            pos += lo
+            for part in self._pieces(pos.size):
+                line, col = np.divmod(pos[part], q)
+                lines.reshape(-1)[pos[part]] = self._rescore(unit, tied[line], col)
+        assigned[tie] = lines.argmax(axis=1)
 
     def _groups(self, near: np.ndarray) -> list[tuple[int, int]]:
         """Ranges of near's flat entries, in order, that each mark at most
@@ -341,29 +392,21 @@ class TopKSelector:
             lo = hi
         return groups
 
-    def _rescore(self, scores: np.ndarray, near: np.ndarray, unit: np.ndarray,
-                 at: np.ndarray, wide: bool, lo: int, hi: int) -> None:
-        """Write the fixed-order score of each pair that near marks in its
-        flat entries lo to hi over its matmul score in scores, in pieces of
-        half a chunk of pairs.  Both are (n, q) when wide, else (q, n), and
-        their entry (i, j), or (j, i), is chunk row at[i] against column j."""
-        pos = np.flatnonzero(near.reshape(-1)[lo:hi])
-        pos += lo
-        line = np.empty_like(pos)
-        np.divmod(pos, near.shape[1], out=(line, pos))
-        i, j = (line, pos) if wide else (pos, line)
-        exact = np.zeros(i.size)
-        piece = max(1, self._chunk_rows // 2)
-        prod = np.empty((min(piece, i.size), unit.shape[1]))
-        for p in range(0, i.size, piece):
-            part = slice(p, p + piece)
-            acc = exact[part]
-            gathered = prod[:acc.size]
-            np.take(self._q_unit, j[part], axis=0, out=gathered, mode="clip")
-            gathered *= unit[at[i[part]]]
-            for t in range(unit.shape[1]):
-                acc += gathered[:, t]
-        scores[line, pos] = exact
+    def _pieces(self, n: int):
+        """Slices of half a chunk, rounded up, over n pairs."""
+        piece = (self._chunk_rows + 1) // 2
+        return (slice(p, p + piece) for p in range(0, n, piece))
+
+    def _rescore(self, unit: np.ndarray, rows: np.ndarray,
+                 cols: np.ndarray) -> np.ndarray:
+        """The fixed-order scores of unit[rows] against the query columns
+        cols, pair by pair."""
+        prod = self._q_unit[cols]
+        prod *= unit[rows]
+        exact = np.zeros(rows.size)
+        for t in range(unit.shape[1]):
+            exact += prod[:, t]
+        return exact
 
     def _admit(self, chunk: np.ndarray, unit: np.ndarray, start: int) -> None:
         """Append the chunk's rows, whose unit rows are unit, whose best
@@ -391,11 +434,16 @@ class TopKSelector:
     def _cut(self) -> None:
         """Compact the candidates in place to (column, -score, id) order
         with at most k per column, and raise each full column's floor to its
-        k-th score."""
-        n, k = self._n, self._k
-        ids, cols, scores = self._ids[:n], self._cols[:n], self._scores[:n]
-        order = np.lexsort((ids, -scores, cols))
-        counts = np.bincount(cols, minlength=self._floor.size)
+        k-th score; nothing to do when no row came in since the last cut.
+        Positions are in id order wherever (column, score) tie (see the
+        module docstring), so lexsort, which is stable, needs no id key;
+        it sorts the column key by radix when that fits in 16 bits."""
+        n, k, q = self._n, self._k, self._floor.size
+        if n == self._sorted:
+            return
+        cols, scores = self._cols[:n], self._scores[:n]
+        order = np.lexsort((-scores, cols.astype(np.min_scalar_type(q - 1))))
+        counts = np.bincount(cols, minlength=q)
         starts = np.cumsum(counts) - counts
         rank = np.arange(n)
         rank -= np.repeat(starts, counts)
@@ -404,7 +452,7 @@ class TopKSelector:
         self._floor[full] = scores[order[starts[full] + k - 1]]
         for held in self._held:
             held[:keep.size] = held[keep]
-        self._n = keep.size
+        self._n = self._sorted = keep.size
 
 
 def select_topk_streamed(v: np.ndarray, f: np.ndarray, k: int,

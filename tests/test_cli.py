@@ -70,6 +70,18 @@ def test_inspect_rejects_unknown_magic(tmp_path, capsys):
     assert run(["inspect", str(tmp_path / "missing.bin")]) == 2
 
 
+def test_inspect_refuses_unknown_header_flags(tmp_path, capsys):
+    out = tmp_path / "world"
+    assert run(["synth-gen", *TINY, "--out_dir", str(out)]) == 0
+    path = out / "train.datd"
+    data = bytearray(path.read_bytes())
+    data[6] = 1
+    path.write_bytes(bytes(data))
+    capsys.readouterr()
+    assert run(["inspect", str(path)]) == 1
+    assert "flags 0x0001" in capsys.readouterr().err
+
+
 def test_inspect_prints_five_lines_and_keeps_no_payload_field(tmp_path, monkeypatch,
                                                               capsys):
     m = 200_000

@@ -425,6 +425,14 @@ class TestSharedReader:
         with pytest.raises(FormatError, match="version 7"):
             read(path)
 
+    def test_unknown_header_flags_are_refused(self, tmp_path, fmt):
+        path, read, _ = self.write(tmp_path, fmt)
+        good = path.read_bytes()
+        for flags in (0x0001, 0x8000):
+            path.write_bytes(good[:6] + struct.pack("<H", flags) + good[8:])
+            with pytest.raises(FormatError, match=f"flags {flags:#06x}"):
+                read(path)
+
     def test_short_payload_with_a_matching_crc(self, tmp_path, fmt):
         path, read, header_size = self.write(tmp_path, fmt)
         rewrite_payload(path, header_size, lambda payload: payload.pop())
