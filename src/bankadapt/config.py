@@ -58,7 +58,8 @@ def _key(default, help_text: str, rule=None):
 @dataclass(frozen=True)
 class RunConfig:
     # run identity
-    seed: int = _key(0, "base seed for every derived random stream")
+    seed: int = _key(0, "base seed for every derived random stream",
+                     NON_NEGATIVE)
     # synthetic world
     n_classes: int = _key(10, "number of downstream classes", AT_LEAST_ONE)
     n_per_class: int = _key(20, "labeled images per class in the training split",

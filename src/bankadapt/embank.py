@@ -62,15 +62,17 @@ is read.  A bank's array fields can also be kept at some rows only
 (``decode_bank_file(path, fields, rows=ids)``): every block then passes
 through the block buffer, as a skipped field's does, and the rows at ids
 are copied out of it into the caller's order, so a few hundred selected
-rows of a large bank cost their own bytes and one block.  A bank's
-``feats`` can also be handed to a consumer piece by piece as it is read,
-each piece once its checks have passed and always with their float64
-copy and norms, so that a caller can scan the field without holding it
-or copying it again, and its ``latent_class`` likewise, after the last
-piece of ``feats`` (see ``read_bank``).  A container in memory is read
-the same way, in the same blocks; a bank the program made runs only the
-checks of the ``feats`` handed to a consumer, for their float64 copy and
-norms.
+rows of a large bank cost their own bytes and one block; the ids may
+also be asked for only when the first kept field is reached.  Each block
+of an array field can be handed to a feed as it is read (``read_fields``'
+``feeds``), once its checks have passed, with the float64 copy and norms
+they read for a unit-row field, so that a caller scans the field without
+holding it or copying it again; a field of no rows is one empty block.
+So the sampler's stage 1 scores a bank's ``feats`` and then keeps its
+``latent_class`` at the rows it selected (see ``read_bank``).  A
+container in memory is read the same way, in the same blocks; a bank the
+program made runs only the checks of the ``feats`` handed to a feed, for
+their float64 copy and norms.
 """
 
 from __future__ import annotations
@@ -286,39 +288,48 @@ DATC = Layout(
 def _blocks(row_bytes: int, rows: int, max_rows: int | None = None):
     """(first row, rows) of each block of whole rows of about _BLOCK_BYTES,
     of at most max_rows rows when that is given; rows of no bytes make one
-    block."""
+    block, and so do no rows, an empty one."""
     step = max(1, _BLOCK_BYTES // row_bytes if row_bytes else rows)
     if max_rows and row_bytes:
         step = min(step, max_rows)
-    for start in range(0, rows, step):
+    for start in range(0, max(rows, 1), step):
         yield start, min(step, rows - start)
 
 
 class _Violations:
     """The first violation of each (check, field) pair in checks, found
-    piece by piece and reported in the pairs' order."""
+    piece by piece and reported in the pairs' order, and the first
+    ValueError a feed raised (error), held until the read has passed every
+    check."""
 
     def __init__(self, checks):
         self._checks = checks
         self._found: list[str | None] = [None] * len(checks)
+        self.error: ValueError | None = None
 
-    def visit(self, name: str):
-        """visit(piece, index of its first row), running field name's
-        checks.  A piece of a field with a unit-row check gets its
-        copy_with_norms once, for all of its checks, and visit returns
-        them; other fields get (None, None), and so do rows of width 0,
-        which are off-unit without their norms (of 2**40 such rows, 8 TiB)."""
+    def visit(self, name: str, feed=None):
+        """visit(piece, index of its first row), running field name's checks
+        and then, until a check finds a violation or a feed raises,
+        feed(piece, index of its first row, rows64, norms).  A piece of a
+        field with a unit-row check gets its copy_with_norms once, for all
+        of its checks and its feed; other fields get None for both, and so
+        do rows of width 0, which are off-unit without their norms (of 2**40
+        such rows, 8 TiB)."""
         mine = [i for i, (_, field) in enumerate(self._checks) if field == name]
         unit_rows = any(self._checks[i][0] is _off_unit for i in mine)
 
-        def see(piece: np.ndarray, row0: int):
+        def see(piece: np.ndarray, row0: int) -> None:
             rows64 = norms = None
             if unit_rows and (piece.size or not piece.shape[0]):
                 rows64, norms = copy_with_norms(piece)
             for i in mine:
                 if self._found[i] is None:
                     self._found[i] = self._checks[i][0](name, piece, row0, norms)
-            return rows64, norms
+            if feed is not None and self.error is None and not self.report():
+                try:
+                    feed(piece, row0, rows64, norms)
+                except ValueError as exc:
+                    self.error = exc
         return see
 
     def report(self) -> list[str]:
@@ -527,7 +538,7 @@ class _PayloadReader:
         """The next field, shape items of dtype stored little-endian: an
         array when keep is true, else None; with ids (int64 row indices),
         only the rows at ids, in ids' order, where an id outside the field
-        leaves its row unset (read_bank refuses it).  Each block of it (see
+        leaves its row unset (read_fields refuses it).  Each block of it (see
         _blocks) goes through visit(block, index of its first row)."""
         stored = np.dtype(dtype).newbyteorder("<")
         rows, row_shape = shape[0], tuple(shape[1:])
@@ -609,7 +620,7 @@ class _PayloadReader:
         reread = table is None and checked > 0
         if reread:
             self._fh.seek(table_at)
-        for start, n in _blocks(16, checked):
+        for start, n in _blocks(16, checked) if checked else ():
             if table is None:
                 entries = self._buffer(16 * n).view("<u8").reshape(n, 2)
                 _fill(self._fh, memoryview(entries).cast("B"), f"{what} offset table")
@@ -731,16 +742,20 @@ class _InMemory(nullcontext):
 
 
 def read_fields(layout: Layout, source, keep: Sequence[str] = (), checked=None,
-                visits=None, ids=None, max_rows=None) -> tuple[dict, dict]:
+                feeds=None, ids=None, max_rows=None) -> tuple[dict, dict]:
     """The fields of source, a file of layout or a container of layout in
     memory, that keep names (the others None), and its header's sizes, both
     by name, after every check of the fields checked names (all when None).
 
-    visits maps a field to a function that takes the read's _Violations
-    and returns the field's visit, in place of its checks', and max_rows
+    feeds maps a field to its feed, which gets each block of the field
+    once its checks have passed (see _Violations.visit); a ValueError a
+    feed raises is raised once source has passed every check.  max_rows
     maps a field to the most rows a block of it holds.  With ids (int64
-    record ids), a kept array field holds only the rows at ids."""
-    visits, max_rows = visits or {}, max_rows or {}
+    indices of the rows the header's first size counts, or a function that
+    returns them, called once, when the first kept array field is
+    reached), a kept array field holds only the rows at ids, and an id
+    outside is refused once source has passed every check."""
+    feeds, max_rows = feeds or {}, max_rows or {}
     opened = (read_container(source, layout) if isinstance(source, (str, os.PathLike))
               else _InMemory(layout, source))
     with opened as (sizes, rd):
@@ -751,11 +766,17 @@ def read_fields(layout: Layout, source, keep: Sequence[str] = (), checked=None,
             shape = tuple(sizes[dim] for dim in dims)
             if dtype is None:
                 kept[name] = rd.table(name, shape[0], name in keep)
-            else:
-                visit = visits[name](found) if name in visits else found.visit(name)
-                kept[name] = rd.array(name, shape, dtype, name in keep, visit, ids,
-                                      max_rows.get(name))
+                continue
+            if callable(ids) and name in keep:
+                ids = np.asarray(ids(), dtype=np.int64)
+            kept[name] = rd.array(name, shape, dtype, name in keep,
+                                  found.visit(name, feeds.get(name)), ids,
+                                  max_rows.get(name))
         rd.finish(layout.end, found.report())
+    if found.error is not None:
+        raise found.error
+    if ids is not None and not callable(ids):
+        _refuse_outside(ids, sizes[layout.sizes[0]])
     return kept, sizes
 
 
@@ -764,73 +785,39 @@ def encode_bank_file(bank: EmbeddingBank, path) -> None:
 
 
 def read_bank(source, fields: Sequence[str] = DATB.names, feats_to=None,
-              latent_to=None, rows=None, feed_rows=None
-              ) -> tuple[EmbeddingBank, dict, bool]:
+              rows=None, feed_rows=None) -> tuple[EmbeddingBank, dict, bool]:
     """The bank keeping fields, its header's sizes, and whether any record
     has a latent class, from source: a DATB path, or an EmbeddingBank, read
     the same way but checked only in the feats fed to feats_to (see the
     module docstring).
 
-    With rows (record ids), each kept field holds only the rows at rows,
-    in rows' order; the others still go through every check.  An id
-    outside the bank is refused, from a file once the whole file has
+    With rows (record ids, or a function that returns them, called once,
+    when the first kept field is reached), each kept field holds only the
+    rows at rows, in rows' order; the others still go through every check.
+    An id outside the bank is refused, from a file once the whole file has
     passed them.  captions cannot be kept by rows.
 
-    With feats_to, each piece of feats goes to feats_to(rows, index of its
-    first row, rows64, norms) once its checks have run, until a check finds
-    a violation: rows64 and norms are the copy_with_norms of the rows that
-    the checks read.  A piece is a block of the read, of at most feed_rows
-    rows when that is given.  A ValueError feats_to raises stops the feeding
-    and is raised once the whole file has passed every check.  An empty
-    bank's feats is fed as one empty (0, d) piece, so that feats_to sees
-    the header's width either way.  With latent_to, each piece of
-    latent_class goes to latent_to(classes, index of its first class),
-    after every piece of feats."""
+    feats_to is the feed of feats (see read_fields): it gets each piece of
+    feats as (rows, index of its first row, rows64, norms), where rows64
+    and norms are the copy_with_norms its checks read.  A piece is a block
+    of the read, of at most feed_rows rows when that is given; an empty
+    bank's feats is one empty (0, d) piece."""
     unknown = sorted(set(fields) - set(DATB.names))
     if unknown:
         raise ValueError(f"unknown bank fields {unknown}, expected some of {DATB.names}")
-    ids = None
-    if rows is not None:
-        if "captions" in fields:
-            raise ValueError("captions cannot be kept by rows")
-        ids = np.asarray(rows, dtype=np.int64)
+    if rows is not None and "captions" in fields:
+        raise ValueError("captions cannot be kept by rows")
+    ids = rows if rows is None or callable(rows) else np.asarray(rows, dtype=np.int64)
     memory = isinstance(source, EmbeddingBank)
-    feed_error, with_latent = None, False
-
-    def feeding(found):
-        check = found.visit("feats")
-
-        def feed(piece, row0):
-            nonlocal feed_error
-            rows64, norms = check(piece, row0)
-            if feed_error is None and not found.report():
-                try:
-                    feats_to(piece, row0, rows64, norms)
-                except ValueError as exc:
-                    feed_error = exc
-        return feed
-
-    def see_latent(piece, row0):
-        nonlocal with_latent
-        with_latent = with_latent or bool((piece >= 0).any())
-        if latent_to is not None:
-            latent_to(piece, row0)
-
-    visits = {"latent_class": lambda found: see_latent,
-              **({"feats": feeding} if feats_to is not None else {})}
+    known = []  # whether each block of latent_class holds a latent class
+    feeds = {"feats": feats_to,
+             "latent_class": lambda classes, *_: known.append((classes >= 0).any())}
     # a bank the program made is valid: it runs only the checks of the
     # feats it feeds, for their copy_with_norms
     checked = (("feats",) if feats_to else ()) if memory else None
-    kept, sizes = read_fields(DATB, source, fields, checked, visits, ids,
+    kept, sizes = read_fields(DATB, source, fields, checked, feeds, ids,
                               {"feats": feed_rows})
-    if feed_error is not None:
-        raise feed_error
-    if ids is not None:
-        _refuse_outside(ids, sizes["records"])
-    if feats_to is not None and sizes["records"] == 0:
-        empty = np.zeros((0, sizes["feat_dim"]), np.float32)
-        feats_to(empty, 0, *copy_with_norms(empty))
-    return EmbeddingBank(**kept), sizes, with_latent
+    return EmbeddingBank(**kept), sizes, any(known)
 
 
 def decode_bank_file(source, fields: Sequence[str] = DATB.names,

@@ -52,9 +52,9 @@ distance between the two scores of a pair.
   their pairs within the slack are scored again by the fixed arithmetic
   over their matmul scores.  Every score left from the matmul lies below
   the row's best fixed-order score, so the row takes the lowest column
-  that holds its line's maximum.  A chunk's tied pairs are taken all at
-  once when they number at most _PAIRS_PER_ROW per chunk row, else in
-  groups within that cap, each of whole lines or of part of one line.
+  that holds its line's maximum.  The tied lines' mask of those pairs is
+  walked flat, in spans of _PAIRS_PER_ROW entries per chunk row, so no
+  span holds more pairs than that.
 
 Ties are broken toward the lowest class/column index at assignment and
 toward the lowest record id within a column.  Non-finite rows are refused,
@@ -112,8 +112,9 @@ _CUT_VECTORS = 4
 # chunk's scoring makes beside the vectors bytes_per_row counts.
 _UFUNC_BYTES = 72 * 1024
 
-# Near-maximum pairs per chunk row that the rescoring holds at once; a chunk
-# with more (columns that tie or nearly tie) is rescored in groups of columns.
+# Near-maximum pairs per chunk row that the rescoring holds at once: the
+# tied lines' flat mask of them is walked in spans of this many entries per
+# chunk row.
 _PAIRS_PER_ROW = 3
 
 
@@ -351,46 +352,25 @@ class TopKSelector:
                     tie: np.ndarray, slack: float) -> None:
         """Set assigned[tie] to the fixed-order best columns, lowest on ties,
         of the rows tie of the (n, q) matmul scores by_row (chunk rows at):
-        each one's pairs within the slack of its maximum are scored again,
-        in groups (_groups), into a copy of its line in spare; by_row's
-        buffer then holds the pairs' mask."""
+        each one's pairs within the slack of its maximum are scored again
+        into a copy of its line in spare, the pairs of _PAIRS_PER_ROW
+        entries per chunk row of the flat mask of them at a time; by_row's
+        buffer then holds that mask."""
         q = by_row.shape[1]
         lines = spare[:tie.size * q].reshape(tie.size, q)
         # mode "clip" writes into out directly; "raise" would buffer a copy
         np.take(by_row, tie, axis=0, out=lines, mode="clip")
         near = by_row.reshape(-1).view(np.bool_)[:lines.size].reshape(lines.shape)
         np.greater_equal(lines, lines.max(axis=1, keepdims=True) - slack, out=near)
-        tied = at[tie]
-        for lo, hi in self._groups(near):
-            pos = np.flatnonzero(near.reshape(-1)[lo:hi])
+        tied, flat = at[tie], near.reshape(-1)
+        span = _PAIRS_PER_ROW * self._chunk_rows
+        for lo in range(0, flat.size, span):
+            pos = np.flatnonzero(flat[lo:lo + span])
             pos += lo
             for part in self._pieces(pos.size):
                 line, col = np.divmod(pos[part], q)
                 lines.reshape(-1)[pos[part]] = self._rescore(unit, tied[line], col)
         assigned[tie] = lines.argmax(axis=1)
-
-    def _groups(self, near: np.ndarray) -> list[tuple[int, int]]:
-        """Ranges of near's flat entries, in order, that each mark at most
-        _PAIRS_PER_ROW pairs per chunk row: all of them at once when they
-        do, else runs of whole lines, and a line that alone marks more is
-        split."""
-        lines, width = near.shape
-        limit = _PAIRS_PER_ROW * self._chunk_rows
-        if np.count_nonzero(near) <= limit:
-            return [(0, near.size)]
-        ends = np.cumsum(np.count_nonzero(near, axis=1))
-        groups, lo = [], 0
-        while lo < lines:
-            held = ends[lo - 1] if lo else 0
-            hi = int(np.searchsorted(ends, held + limit, side="right"))
-            if hi > lo:
-                groups.append((lo * width, hi * width))
-            else:
-                hi = lo + 1
-                groups += [(a, min(a + limit, hi * width))
-                           for a in range(lo * width, hi * width, limit)]
-            lo = hi
-        return groups
 
     def _pieces(self, n: int):
         """Slices of half a chunk, rounded up, over n pairs."""
@@ -484,34 +464,25 @@ def stage1_sample(bank: EmbeddingBank | str | os.PathLike, ds: DownstreamDataset
     """Zero-shot retrieval, bank features against class text features: the
     label bank, carrying the stored feats of its rows.
 
-    The bank, a DATB path or an EmbeddingBank, is read once by read_bank,
-    keeping no field: each piece of its feats, of at most the chunk's rows,
-    goes to the selector with the float64 copy and norms of its checks,
-    once they pass, so the read never holds feats whole or copies it
-    again.  kept, when given, gets under "latent" the LatentClasses at the
-    label bank's ids, for precision reporting, kept as latent_class is
-    read (it follows feats, so the label bank is final by then)."""
+    The bank, a DATB path or an EmbeddingBank, is read once by read_bank:
+    each piece of its feats, of at most the chunk's rows, goes to the
+    selector with the float64 copy and norms of its checks, once they pass,
+    so the read never holds feats whole or copies it again.  latent_class
+    is kept at the label bank's ids, which read_bank asks for when it
+    reaches that field (it follows feats, so the label bank is final by
+    then); kept, when given, gets them under "latent" as LatentClasses, for
+    precision reporting."""
     k1 = default_k1(ds.size, ds.n_classes, cfg.stage1_multiplier)
     rows = budget_chunk_rows(cfg.memory_budget_bytes, k1, ds.feat_dim,
                              ds.n_classes)
     selector = TopKSelector(ds.class_text_feats, k1, rows)
-    label = []
-
-    def keep_latent(classes, row0):
-        if not label:
-            ids = np.sort(selector.selected_ids())
-            label[:] = ids, np.empty(ids.size, np.int32)
-        ids, at_ids = label
-        lo, hi = np.searchsorted(ids, (row0, row0 + classes.size))
-        at_ids[lo:hi] = classes[ids[lo:hi] - row0]
-
-    _, _, with_latent = read_bank(bank, (), selector.feed, keep_latent,
-                                  feed_rows=rows)
+    label, _, with_latent = read_bank(
+        bank, ("latent_class",), selector.feed,
+        lambda: np.sort(selector.selected_ids()), rows)
     result = selector.result()
-    # an empty bank's latent_class comes in no piece
-    ids, at_ids = label or (np.zeros(0, np.int64), np.zeros(0, np.int32))
     if kept is not None:
-        kept["latent"] = LatentClasses(at_ids, with_latent, ids)
+        kept["latent"] = LatentClasses(label.latent_class, with_latent,
+                                       np.sort(result.selected_ids))
     return result
 
 

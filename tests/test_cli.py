@@ -379,6 +379,16 @@ def test_sample_rejects_a_non_positive_stage2_keep_before_decoding(tmp_path, cap
     assert not (tmp_path / "o").exists()
 
 
+def test_sample_rejects_a_negative_seed_before_decoding(tmp_path, capsys):
+    # the files do not exist: decoding them would exit 2, not 1
+    code = run(["sample", "--bank", str(tmp_path / "missing.datb"),
+                "--dataset", str(tmp_path / "missing.datd"),
+                "--seed", "-1", "--out_dir", str(tmp_path / "o")])
+    assert code == 1
+    assert "'seed'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_flag_makes_a_config_file_value_valid(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("sigma_weak = 0.6\n")

@@ -967,15 +967,20 @@ def test_nan_and_inf_rows_in_one_piece(tmp_path, nan_row, inf_row):
 
 def test_a_piece_of_no_bytes_gets_no_float64_copy():
     """A piece of 2**40 rows of width 0, as a header with d = 0 makes:
-    norms for it would take 8 TiB, so none are taken."""
-    see = embank._Violations(DATB.checks({})).visit("feats")
+    norms for it would take 8 TiB, so none are taken; the rows are off-unit,
+    so the piece never reaches its feed."""
+    fed = []
+    found = embank._Violations(DATB.checks({}))
+    see = found.visit("feats", lambda *piece: fed.append(piece))
     tracemalloc.start()
     try:
-        assert see(np.empty((1 << 40, 0), np.float32), 0) == (None, None)
+        see(np.empty((1 << 40, 0), np.float32), 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 16, peak
+    assert fed == [] and found.report() == [
+        "feats row 0 has norm 0.00000000, expected 1 within 1e-05"]
 
 
 def test_unit_rows_of_width_0_are_off_unit(tmp_path):
@@ -1007,28 +1012,56 @@ def test_unit_rows_of_width_0_are_off_unit(tmp_path):
 
 
 def test_a_bank_in_memory_is_read_as_its_file(tmp_path, monkeypatch):
-    """read_bank hands an EmbeddingBank's feats and latent_class to their
-    consumers in the pieces it hands its DATB file's, bit for bit: each
-    piece of feats with the same first row, float64 copy and norms."""
+    """read_fields hands an EmbeddingBank's feats and latent_class to their
+    feeds in the pieces it hands its DATB file's, bit for bit, checking the
+    feats in memory as read_bank does: each piece of feats with the same
+    first row, float64 copy and norms, each of latent_class with none."""
     bank = random_bank(seed=5, m=40, d=4)
     path = tmp_path / "bank.datb"
     encode_bank_file(bank, path)
     monkeypatch.setattr(embank, "_BLOCK_BYTES", 3 * 16)  # 3 feats rows a piece
     handed = []
-    for source in (bank, path):
+    for source, checked in ((bank, ("feats",)), (path, None)):
         feats, latent = [], []
-        embank.read_bank(
-            source, (),
-            lambda rows, row0, rows64, norms: feats.append(
-                (row0, rows.tobytes(), rows64.tobytes(), norms.tobytes())),
-            lambda classes, row0: latent.append((row0, classes.tobytes())))
+        feeds = {"feats": lambda rows, row0, rows64, norms: feats.append(
+                     (row0, rows.tobytes(), rows64.tobytes(), norms.tobytes())),
+                 "latent_class": lambda classes, row0, *unit: latent.append(
+                     (row0, classes.tobytes(), unit))}
+        embank.read_fields(DATB, source, (), checked, feeds)
         handed.append((feats, latent))
     (feats, latent), (file_feats, file_latent) = handed
     assert [piece[0] for piece in feats] == list(range(0, 40, 3))
     assert feats == file_feats
-    assert [row0 for row0, _ in latent] == [0, 12, 24, 36]
+    assert [row0 for row0, _, _ in latent] == [0, 12, 24, 36]
     assert latent == file_latent
-    assert b"".join(piece for _, piece in latent) == bank.latent_class.tobytes()
+    assert {unit for _, _, unit in latent} == {(None, None)}
+    assert b"".join(piece for _, piece, _ in latent) == bank.latent_class.tobytes()
+
+
+def test_rows_are_asked_for_once_after_the_last_piece_of_feats(tmp_path,
+                                                             monkeypatch):
+    """read_bank calls a rows function once, when it reaches the first kept
+    field, here caption_feats, after the last piece of feats, from a file
+    and in memory alike, and still refuses an id outside the bank."""
+    bank = random_bank(seed=8, m=40, d=4)
+    path = tmp_path / "bank.datb"
+    encode_bank_file(bank, path)
+    monkeypatch.setattr(embank, "_BLOCK_BYTES", 3 * 16)  # 3 feats rows a piece
+    for source in (bank, path):
+        events = []
+
+        def ids():
+            events.append("rows")
+            return [7, 2, 39]
+        kept = embank.read_bank(source, ("caption_feats", "latent_class"),
+                                lambda rows, row0, *unit: events.append(row0),
+                                ids)[0]
+        assert events == [*range(0, 40, 3), "rows"]
+        assert np.array_equal(kept.caption_feats, bank.caption_feats[[7, 2, 39]])
+        assert np.array_equal(kept.latent_class, bank.latent_class[[7, 2, 39]])
+        with pytest.raises(ValidationError,
+                           match="^selected record id 40 is outside the bank's 40 "):
+            embank.read_bank(source, ("latent_class",), rows=lambda: [3, 40])
 
 
 def test_a_bank_in_memory_runs_only_the_checks_of_the_feats_it_hands_on(monkeypatch):

@@ -365,32 +365,33 @@ def unit(x):
 def watch_rescoring(monkeypatch):
     """Record, for each chunk scored, whether its matmul is laid out (r, q)
     (wide: fewer rows than columns), its rows, the rows the screen keeps,
-    the pairs scored by the fixed arithmetic and the groups they are taken
-    in: one for the kept rows' best pairs, then those that _groups makes
-    of the pairs of the rows whose runner-up lies within the slack."""
+    the pairs scored by the fixed arithmetic and the spans of the tied
+    pairs' mask that hold a pair.  Each span is cut into pieces (_pieces)
+    before the kept rows' best pairs are, last, so every call of _pieces
+    but a chunk's last is a span's."""
     seen = []
     best = sampler.TopKSelector._best
-    groups = sampler.TopKSelector._groups
+    pieces = sampler.TopKSelector._pieces
     rescore = sampler.TopKSelector._rescore
 
     def spy_best(selector, unit):
         seen.append({"wide": selector._floor.size > len(unit), "rows": len(unit),
-                     "pairs": 0, "groups": 1})
+                     "pairs": 0, "pieces": []})
         out = best(selector, unit)
         seen[-1]["kept"] = out[0].size
+        seen[-1]["spans"] = sum(n > 0 for n in seen[-1].pop("pieces")[:-1])
         return out
 
-    def spy_groups(selector, near):
-        out = groups(selector, near)
-        seen[-1]["groups"] += len(out)
-        return out
+    def spy_pieces(selector, n):
+        seen[-1]["pieces"].append(n)
+        return pieces(selector, n)
 
     def spy_rescore(selector, unit, rows, cols):
         seen[-1]["pairs"] += rows.size
         return rescore(selector, unit, rows, cols)
 
     monkeypatch.setattr(sampler.TopKSelector, "_best", spy_best)
-    monkeypatch.setattr(sampler.TopKSelector, "_groups", spy_groups)
+    monkeypatch.setattr(sampler.TopKSelector, "_pieces", spy_pieces)
     monkeypatch.setattr(sampler.TopKSelector, "_rescore", spy_rescore)
     return seen
 
@@ -469,10 +470,10 @@ class TestCertifiedMatmul:
                 assert_same_result(r, first)
         assert {c["wide"] for c in seen} == ({True} if case == "axes" else {True, False})
         if case == "all tie":  # every row ties in all 20 columns, and the
-            # tied pairs take more than one group after the best pairs' one
-            assert all(c["groups"] > 2 for c in seen)
+            # tied pairs fill more than one span
+            assert all(c["spans"] > 1 for c in seen)
         if case == "random":  # no runner-up lies within the slack
-            assert all(c["groups"] == 1 for c in seen)
+            assert all(c["spans"] == 0 for c in seen)
 
     def test_either_layout_gives_identical_stage_outputs(self, monkeypatch):
         # Stage 2 re-ranks against 200 images: the middle budget's chunks hold
@@ -541,7 +542,7 @@ def feed_world(case, rng, d=16):
     """Stored float32 unit rows and query columns.  "near ties": rows near
     30 distinct columns, then rows near a direction 6 more columns share to
     their last bits, so the first rows take their argmax and the last rows'
-    tied pairs are rescored in groups."""
+    tied pairs are rescored over more than one span."""
     if case == "near ties":
         f = rng.standard_normal((30, d))
         shared = np.repeat(rng.standard_normal((1, d)), 6, axis=0)
@@ -564,7 +565,7 @@ class TestFeed:
         m, k, chunk_rows = len(v), 6, 97
         seen = watch_rescoring(monkeypatch)
         whole = feed_in_pieces(v, f, k, chunk_rows, [0, m])
-        assert {c["groups"] > 2 for c in seen} == (
+        assert {c["spans"] > 1 for c in seen} == (
             {False, True} if case == "near ties" else {False})
         np.testing.assert_array_equal(whole.feats.view(np.uint32),
                                       v[whole.selected_ids].view(np.uint32))
@@ -934,6 +935,28 @@ class TestStages:
         for s in (s1, s2):
             assert (sampler_precision(s, latent, ds)
                     == sampler_precision(s, every_latent_class(bank), ds))
+
+    def test_an_empty_bank_gives_each_feed_one_empty_block(self, tmp_path):
+        """An empty bank, from a file and in memory, hands each field's feed
+        one empty block of the header's width, and stage 1 keeps no latent
+        class."""
+        bank = random_bank(m=0, d_img=3, d=4)
+        ds = random_dataset(d=4)
+        path = tmp_path / "empty.datb"
+        encode_bank_file(bank, path)
+        shapes = {"images": (0, 3), "feats": (0, 4), "caption_feats": (0, 4),
+                  "latent_class": (0,)}
+        for source in (path, bank):
+            fed = {name: [] for name in shapes}
+            feeds = {name: partial(lambda seen, block, row0, *unit: seen.append(
+                (block.shape, row0)), fed[name]) for name in shapes}
+            embank.read_fields(embank.DATB, source, (), None, feeds)
+            assert fed == {name: [(shape, 0)] for name, shape in shapes.items()}
+            kept = {}
+            assert stage1_sample(source, ds, RunConfig(), kept).n_selected == 0
+            latent = kept["latent"]
+            assert latent.classes.dtype == np.int32 and not latent.known
+            assert latent.classes.size == latent.ids.size == 0
 
     def test_feat_dim_mismatch_rejected(self):
         bank = random_bank(d=4)
