@@ -479,7 +479,7 @@ class _PayloadReader:
     """The payload fields of one open container, read once in file order.
 
     Every byte goes through the CRC32 and the visit of its field.  A
-    structural error is raised as soon as it is found, and the visits'
+    structural error is raised as soon as it is found, and the checks'
     violations by finish, but each only once the CRC32 over the whole
     payload has matched.
     """
