@@ -171,15 +171,24 @@ def _from_files(cfg: RunConfig) -> bool:
     return not missing
 
 
+def _read_dataset(path: str) -> DownstreamDataset:
+    """The dataset file at path, refused when it holds no image: there is
+    nothing to sample for, train on or score."""
+    ds = decode_dataset_file(path)
+    if ds.size == 0:
+        raise ValidationError([f"dataset {path} holds no image"])
+    return ds
+
+
 def _load_datasets(cfg: RunConfig
                    ) -> tuple[DownstreamDataset, DownstreamDataset | None]:
     """Training and evaluation datasets from files when the bank and dataset
     paths are set, else synthetic."""
     if _from_files(cfg):
-        ds = decode_dataset_file(cfg.dataset)
+        ds = _read_dataset(cfg.dataset)
         eval_ds = None
         if cfg.eval_dataset:
-            eval_ds = decode_dataset_file(cfg.eval_dataset)
+            eval_ds = _read_dataset(cfg.eval_dataset)
             _check_sizes(f"dataset {cfg.dataset}", ds, eval_ds, cfg.eval_dataset,
                          ("n_classes", "image_dim", "feat_dim"))
         return ds, eval_ds
@@ -299,11 +308,11 @@ def cmd_eval(cfg: RunConfig, args) -> int:
         raise ConfigError("eval needs --checkpoint")
     if not cfg.dataset:
         raise ConfigError("eval needs --dataset")
-    out = _out_dir(cfg)
     params = load_params(cfg.checkpoint)
-    ds = decode_dataset_file(cfg.dataset)
+    ds = _read_dataset(cfg.dataset)
     _check_sizes(f"checkpoint {cfg.checkpoint}", params, ds, cfg.dataset,
                  ("n_classes",))
+    out = _out_dir(cfg)
     acc = _cli.evaluate(params, ds)
     (out / "eval.txt").write_text(f"accuracy = {repr(acc)}\n", encoding="utf-8")
     _echo_config(cfg, out, "eval")

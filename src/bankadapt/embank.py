@@ -98,8 +98,10 @@ UNIT_NORM_TOL = 1e-5
 # feats copy lives on while the sampler scores it).  A multiple of 8, so
 # that a blob's continuation bitmap is packed block by block.
 _BLOCK_BYTES = 1 << 19
-# entries of StringTable.gathered's blob filled by one gather
-_GATHER_ROWS = 1 << 16
+# Entries that StringTable.packed lays out by one gather: its int64 byte
+# indices then stay near a megabyte for the synthetic captions (about 20
+# bytes each).
+_GATHER_ROWS = 1 << 13
 
 
 class FormatError(ValueError):
@@ -378,14 +380,9 @@ def _packed_table(lengths: np.ndarray) -> np.ndarray:
 def _encode_string_table(strings: Sequence[str]) -> list:
     """The string table of strings as the buffers to write, in order:
     blob_len, the (offset, len) table, and the blob holding the entries'
-    bytes one after another.  A StringTable is written from its arrays (see
-    StringTable.packed) without decoding an entry."""
-    if isinstance(strings, StringTable):
-        table, blob = strings.packed()
-    else:
-        blobs = [s.encode("utf-8") for s in strings]
-        table = _packed_table(np.fromiter(map(len, blobs), np.uint64, len(blobs)))
-        blob = b"".join(blobs)
+    bytes one after another (see StringTable.packed)."""
+    table, blob = (strings if isinstance(strings, StringTable)
+                   else StringTable.of(strings)).packed()
     return [struct.pack("<Q", len(blob)), np.ascontiguousarray(table, "<u8"), blob]
 
 
@@ -404,38 +401,35 @@ class StringTable(Sequence):
         self._blob = blob
 
     @classmethod
-    def gathered(cls, vocabulary: Sequence[str], index: np.ndarray) -> StringTable:
-        """The strings vocabulary[i] for i in index, packed, made without a
-        string per entry: the vocabulary's bytes, padded to one width, are
-        gathered by index and the padding masked out, _GATHER_ROWS entries
-        at a time into the blob at their table offsets, so no temporary
-        holds more than a block of padded rows."""
-        words = [w.encode("utf-8") for w in vocabulary]
-        lengths = np.array([len(w) for w in words], dtype=np.int64)
-        padded = np.zeros((len(words), int(lengths.max(initial=0))), np.uint8)
-        for row, w in zip(padded, words):
-            row[:len(w)] = np.frombuffer(w, np.uint8)
-        used = np.arange(padded.shape[1]) < lengths[:, None]
-        sizes = lengths[index]
-        table = _packed_table(sizes)
-        blob = np.empty(int(sizes.sum()), np.uint8)
-        for start in range(0, sizes.size, _GATHER_ROWS):
-            part = index[start:start + _GATHER_ROWS]
-            block = padded[part][used[part]]
-            at = int(table[start, 0])
-            blob[at:at + block.size] = block
-        return cls(table, blob)
+    def of(cls, strings: Sequence[str], index: np.ndarray | None = None) -> StringTable:
+        """The strings, or with index the strings[i] for i in index: each
+        string is encoded once, into one blob, and the entries of an index
+        point into it, overlapping where index repeats a string, so no
+        entry's bytes are copied until packed() lays them out."""
+        words = [s.encode("utf-8") for s in strings]
+        table = _packed_table(np.fromiter(map(len, words), np.uint64, len(words)))
+        return cls(table if index is None else table[index],
+                   np.frombuffer(b"".join(words), np.uint8))
 
     def packed(self) -> tuple[np.ndarray, np.ndarray]:
         """The table and blob with each entry's bytes right after the
         previous entry's, and no other bytes: these arrays when they are so
-        already, else a copy repacked by one gather."""
-        lengths = self._table[:, 1].astype(np.int64)
-        table = _packed_table(lengths)
-        if self._blob.size == lengths.sum() and np.array_equal(table, self._table):
+        already, else a copy laid out _GATHER_ROWS entries at a time, so
+        that the gather's int64 byte indices are a block's only."""
+        table = _packed_table(self._table[:, 1])
+        size = int(table[:, 1].sum())
+        if self._blob.size == size and np.array_equal(table, self._table):
             return self._table, self._blob
-        shift = self._table[:, 0].astype(np.int64) - table[:, 0].astype(np.int64)
-        return table, self._blob[np.repeat(shift, lengths) + np.arange(lengths.sum())]
+        blob = np.empty(size, np.uint8)
+        for start in range(0, len(table), _GATHER_ROWS):
+            old = self._table[start:start + _GATHER_ROWS].astype(np.int64)
+            at = table[start:start + _GATHER_ROWS, 0].astype(np.int64)
+            lo, hi = int(at[0]), int(at[-1] + old[-1, 1])
+            # byte j of an entry packed at at[e] is old byte j + old[e, 0] - at[e]
+            index = np.repeat(old[:, 0] - at, old[:, 1])
+            index += np.arange(lo, hi)
+            blob[lo:hi] = self._blob[index]
+        return table, blob
 
     def __len__(self) -> int:
         return self._table.shape[0]

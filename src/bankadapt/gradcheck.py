@@ -23,6 +23,9 @@ FIXTURE_KINDS = ("supervised", "unlabeled", "contrastive", "full")
 
 _MARGIN = 1e-3
 _MAX_ATTEMPTS = 200
+# the fixtures' sizes, the pseudo-label threshold and the probe step
+_IMAGE_DIM, _HIDDEN_DIM, _FEAT_DIM, _N_CLASSES, _N_LABELED, _N_UNLABELED = 6, 5, 4, 3, 2, 4
+_T_THRESH, _STEP = 0.5, 1e-5
 
 
 @dataclass(frozen=True)
@@ -41,13 +44,13 @@ class GradCheckResult:
     block_errors: dict[str, float]
 
 
-def _config_for(kind: str, t_thresh: float) -> RunConfig:
+def _config_for(kind: str) -> RunConfig:
     if kind not in FIXTURE_KINDS:
         raise ValueError(f"unknown fixture kind {kind!r}")
     eta = 1.0 if kind in ("unlabeled", "full") else 0.0
     lam = 1.0 if kind in ("contrastive", "full") else 0.0
     return RunConfig(tau=0.07, eta=eta, lambda_=lam, anchor_reduction="sum",
-                     t_thresh=t_thresh)
+                     t_thresh=_T_THRESH)
 
 
 def _unit_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
@@ -56,40 +59,38 @@ def _unit_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
 
 
 def _margins_ok(params: EncoderParams, unlabeled_weak: np.ndarray,
-                t_thresh: float, need_confident: bool) -> bool:
+                need_confident: bool) -> bool:
     probs = encode_and_classify(params, unlabeled_weak).probs
     top = np.max(probs, axis=1)
-    if np.any(np.abs(top - t_thresh) <= _MARGIN):
+    if np.any(np.abs(top - _T_THRESH) <= _MARGIN):
         return False
     if probs.shape[1] >= 2:
         part = np.sort(probs, axis=1)
         if np.any(part[:, -1] - part[:, -2] <= _MARGIN):
             return False
-    if need_confident and not pseudo_label_batch(probs, t_thresh).confident.any():
+    if need_confident and not pseudo_label_batch(probs, _T_THRESH).confident.any():
         return False
     return True
 
 
-def make_fixture(kind: str, seed: int, *, image_dim: int = 6, hidden_dim: int = 5,
-                 feat_dim: int = 4, n_classes: int = 3, n_labeled: int = 2,
-                 n_unlabeled: int = 4, t_thresh: float = 0.5) -> GradCheckFixture:
+def make_fixture(kind: str, seed: int) -> GradCheckFixture:
     """Build a small batch whose objective is smooth at the current params."""
-    cfg = _config_for(kind, t_thresh)
+    cfg = _config_for(kind)
     need_confident = kind in ("unlabeled", "full")
     for attempt in range(_MAX_ATTEMPTS):
         rng = derive_rng(seed, "gradcheck", kind, attempt)
-        params = init_params(int(rng.integers(2**31)), image_dim, hidden_dim,
-                             feat_dim, n_classes)
+        params = init_params(int(rng.integers(2**31)), _IMAGE_DIM, _HIDDEN_DIM,
+                             _FEAT_DIM, _N_CLASSES)
         # Sharpen the head so confidences sit well away from t_thresh.
         params.head_w *= 6.0
-        labeled = rng.normal(size=(n_labeled, image_dim))
-        labels = rng.integers(0, n_classes, size=n_labeled).astype(np.int32)
-        unlabeled_weak = rng.normal(size=(n_unlabeled, image_dim))
+        labeled = rng.normal(size=(_N_LABELED, _IMAGE_DIM))
+        labels = rng.integers(0, _N_CLASSES, size=_N_LABELED).astype(np.int32)
+        unlabeled_weak = rng.normal(size=(_N_UNLABELED, _IMAGE_DIM))
         unlabeled_strong = unlabeled_weak + rng.normal(
-            scale=0.3, size=(n_unlabeled, image_dim))
-        caption_feats = _unit_rows(rng, n_unlabeled, feat_dim)
-        class_text_feats = _unit_rows(rng, n_classes, feat_dim)
-        if not _margins_ok(params, unlabeled_weak, t_thresh, need_confident):
+            scale=0.3, size=(_N_UNLABELED, _IMAGE_DIM))
+        caption_feats = _unit_rows(rng, _N_UNLABELED, _FEAT_DIM)
+        class_text_feats = _unit_rows(rng, _N_CLASSES, _FEAT_DIM)
+        if not _margins_ok(params, unlabeled_weak, need_confident):
             continue
         batch = ObjectiveBatch(labeled_weak=labeled, labels=labels,
                                unlabeled_weak=unlabeled_weak,
@@ -101,7 +102,7 @@ def make_fixture(kind: str, seed: int, *, image_dim: int = 6, hidden_dim: int = 
     raise RuntimeError(f"no well-margined fixture found for kind={kind} seed={seed}")
 
 
-def finite_diff_check(fixture: GradCheckFixture, step: float = 1e-5) -> GradCheckResult:
+def finite_diff_check(fixture: GradCheckFixture) -> GradCheckResult:
     """Compare analytic gradients to central differences, field by field."""
     params = fixture.params
 
@@ -120,12 +121,12 @@ def finite_diff_check(fixture: GradCheckFixture, step: float = 1e-5) -> GradChec
         for _ in it:
             idx = it.multi_index
             keep = target[idx]
-            target[idx] = keep + step
+            target[idx] = keep + _STEP
             up = objective()[0].loss_total
-            target[idx] = keep - step
+            target[idx] = keep - _STEP
             down = objective()[0].loss_total
             target[idx] = keep
-            fd[idx] = (up - down) / (2.0 * step)
+            fd[idx] = (up - down) / (2.0 * _STEP)
         denom = np.maximum(1e-8, np.abs(analytic) + np.abs(fd))
         rel = np.abs(analytic - fd) / denom
         block_errors[name] = float(np.max(rel)) if rel.size else 0.0
@@ -134,12 +135,12 @@ def finite_diff_check(fixture: GradCheckFixture, step: float = 1e-5) -> GradChec
                            block_errors=block_errors)
 
 
-def run_gradient_suite(n_fixtures: int = 20, base_seed: int = 0,
-                       step: float = 1e-5) -> list[GradCheckResult]:
+def run_gradient_suite(n_fixtures: int = 20, base_seed: int = 0
+                       ) -> list[GradCheckResult]:
     """Cycle through the four loss mixes, n_fixtures checks in total."""
     results = []
     for i in range(n_fixtures):
         kind = FIXTURE_KINDS[i % len(FIXTURE_KINDS)]
         fixture = make_fixture(kind, base_seed + i)
-        results.append(finite_diff_check(fixture, step=step))
+        results.append(finite_diff_check(fixture))
     return results

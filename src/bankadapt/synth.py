@@ -187,6 +187,6 @@ def generate_pretrain_bank(cfg: RunConfig, ds: DownstreamDataset) -> EmbeddingBa
         feats=feats,
         caption_feats=np.take(text_emb.embed_rows(concepts).astype(np.float32),
                               subject, 0),
-        captions=StringTable.gathered([f"a photo of {n}." for n in names], subject),
+        captions=StringTable.of([f"a photo of {n}." for n in names], subject),
         latent_class=latent,
     )

@@ -195,18 +195,19 @@ def test_sample_stays_within_its_budget_end_to_end(tmp_path):
 def test_synth_gen_stays_within_the_arrays_it_must_hold(tmp_path, monkeypatch):
     """synth-gen of a 200,000-record bank (D_img 32, d 16), with one BLAS
     thread, peaks beyond a child that imports bankadapt.cli, the generator
-    and hashlib when it gathers the captions.  It then holds the float32
-    images, feats and caption_feats (4m(D + 2d) bytes), the shuffled latent
-    classes and caption subjects (12m), the caption table (16m), the blob
-    (at most wm, with w = 25 bytes, "a photo of distractor-49.") and one
-    block of the gather's padded rows and their mask (2w x 65,536).  That
-    is 309m bytes and 3.1 MiB (62.1 MiB).  A slack of 10 MiB covers the
-    downstream sets, numpy.random (2 MiB beyond the hashlib it loads), the
-    BLAS buffers and the pages the allocator keeps.  About 70.9 MiB now,
-    against 72.1 allowed.  The images are made a block of rows at a time:
-    drawing their noise in one float64 array, as once, breaks the bound,
-    and so do the gather's padded rows and mask of every entry at once
-    (75.6)."""
+    and hashlib when it writes the bank.  It then holds the float32
+    images, feats and caption_feats (4m(D + 2d) bytes), the latent classes
+    (4m), the bank's caption table, whose entries point into its
+    vocabulary (16m), the packed table and blob the writer lays out (16m,
+    and at most wm, with w = 25 bytes, "a photo of distractor-49."), and
+    one block of packed()'s int64 byte indices and the offsets added to
+    them (16w x 8,192).  That is 317m bytes and 3.1 MiB (63.6 MiB).  A
+    slack of 8 MiB covers the downstream sets, numpy.random (2 MiB beyond
+    the hashlib it loads), the BLAS buffers and the pages the allocator
+    keeps.  About 68.9 MiB now, against 71.6 allowed.  The images are made
+    a block of rows at a time: drawing their noise in one float64 array,
+    as once, breaks the bound, and so does packing every caption by one
+    gather (139.7)."""
     m, d_img, d = 200_000, 32, 16
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setenv("OMP_NUM_THREADS", "1")
@@ -216,8 +217,8 @@ def test_synth_gen_stays_within_the_arrays_it_must_hold(tmp_path, monkeypatch):
                            "--image_dim", str(d_img), "--feat_dim", str(d),
                            "--out_dir", str(tmp_path)])
     widest = len("a photo of distractor-49.")
-    held = 4 * m * (d_img + 2 * d) + 28 * m + widest * (m + 2 * embank._GATHER_ROWS)
-    allowed = held + (10 << 20)
+    held = 4 * m * (d_img + 2 * d) + 36 * m + widest * (m + 16 * embank._GATHER_ROWS)
+    allowed = held + (8 << 20)
     assert peak - base <= allowed, (peak - base, allowed)
     assert embank.read_bank(tmp_path / "bank.datb", ())[1] == {
         "records": m, "image_dim": d_img, "feat_dim": d}
@@ -534,6 +535,33 @@ def test_eval_refuses_a_dataset_with_another_class_count(tmp_path, capsys,
     assert not (tmp_path / "out" / "eval.txt").exists()
     assert run(["eval", "--checkpoint", str(ckpt), "--dataset", str(same),
                 *out]) == 0
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("sample", "--dataset"), ("train", "--dataset"),
+    ("train --samples", "--dataset"), ("train", "--eval_dataset"),
+    ("eval", "--dataset")])
+def test_a_dataset_of_no_image_is_refused(tmp_path, capsys, command, flag):
+    paths = {n: tmp_path / n for n in ("b.datb", "t.datd", "s.csv", "e.datc")}
+    encode_bank_file(random_bank(), paths["b.datb"])
+    encode_dataset_file(random_dataset(), paths["t.datd"])
+    empty = tmp_path / "empty.datd"
+    encode_dataset_file(random_dataset(n=0, n_classes=50), empty)
+    paths["s.csv"].write_text("record_id,assigned_column,score\n0,0,0.5\n")
+    save_params(init_params(0, 6, 5, 4, 50), paths["e.datc"])
+    name, *extra = command.split()
+    args = {"--bank": paths["b.datb"], "--dataset": paths["t.datd"]}
+    if name == "eval":
+        args = {"--checkpoint": paths["e.datc"], "--dataset": paths["t.datd"]}
+    if extra:
+        args["--samples"] = paths["s.csv"]
+    args[flag] = empty
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([name, *(str(v) for kv in args.items() for v in kv),
+                "--epochs", "1", "--out_dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: dataset {empty} holds no image\n"
+    assert not out.exists()
 
 
 def test_train_refuses_an_eval_dataset_with_another_class_count(tmp_path, capsys):

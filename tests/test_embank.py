@@ -304,8 +304,11 @@ OVERLAPPING = StringTable(
     decoded_string_table(["naïve café", "", "x"], tail="日本".encode("utf-8")),
     OVERLAPPING,
     StringTable(np.zeros((0, 2), np.uint64), np.zeros(0, np.uint8)),
-    StringTable.gathered(["", "naïve", "日本語", "x"],
-                         np.array([1, 0, 2, 2, 3, 0, 1])),
+    # an index that repeats some entries of its vocabulary and skips others
+    StringTable.of(["", "naïve", "日本語", "x", "skipped"],
+                   np.array([1, 0, 2, 2, 3, 0, 1])),
+    StringTable.of(["naïve", "x"], np.zeros(0, np.int64)),
+    StringTable.of(["", "naïve café", "", "日本語", "emoji 🙂 end"]),
 ])
 def test_string_table_bytes_match_the_per_entry_layout(strings):
     assert (b"".join(embank._encode_string_table(strings))
@@ -315,12 +318,32 @@ def test_string_table_bytes_match_the_per_entry_layout(strings):
 def test_a_gather_in_blocks_packs_the_bytes_of_one_gather(monkeypatch):
     vocabulary = ["", "naïve", "日本語", "x", "a photo of distractor-09."]
     index = np.random.default_rng(0).integers(0, len(vocabulary), 23)
-    whole = StringTable.gathered(vocabulary, index)
+    strings = StringTable.of(vocabulary, index)
+    whole = strings.packed()
     monkeypatch.setattr(embank, "_GATHER_ROWS", 4)
-    blocks = StringTable.gathered(vocabulary, index)
-    assert blocks == [vocabulary[i] for i in index]
-    for got, want in zip(blocks.packed(), whole.packed()):
+    blocks = strings.packed()
+    assert StringTable(*blocks) == [vocabulary[i] for i in index]
+    for got, want in zip(blocks, whole):
         np.testing.assert_array_equal(got, want)
+
+
+def test_packing_a_table_holds_its_output_and_one_block():
+    """packed() of 200,000 entries pointing into a shared vocabulary (about
+    4 MB of entry bytes) traces its output, the new table and blob, and
+    one block's int64 byte indices, within 4 MiB of the output.  Gathering
+    every entry at once took 66 MiB."""
+    vocabulary = [f"a photo of thing-{k:02d}." for k in range(50)]  # 20 bytes
+    index = np.random.default_rng(0).integers(0, len(vocabulary), 200_000)
+    strings = StringTable.of(vocabulary, index)
+    tracemalloc.start()
+    try:
+        table, blob = strings.packed()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert blob.size == 20 * index.size
+    assert peak <= table.nbytes + blob.nbytes + (4 << 20), peak
+    assert StringTable(table, blob)[:3] == [vocabulary[i] for i in index[:3]]
 
 
 def test_non_packed_string_tables_are_repacked():
