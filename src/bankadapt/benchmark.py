@@ -16,10 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import cli
 from .config import RunConfig
-from .embank import decode_bank_file
-from .sampler import stage1_sample, stage2_sample
-from .synth import generate_downstream, generate_pretrain_bank
 from .trainer import SelectedBank, TrainResult, fit
 
 BENCH = RunConfig(bank_size=8000, noise_sigma=0.8, lr=0.0025,
@@ -44,16 +42,11 @@ class BenchmarkWorld:
 
 
 def build_world(seed: int) -> BenchmarkWorld:
+    """The synthetic world and selection train reads with BENCH's keys."""
     cfg = replace(BENCH, seed=seed)
-    train_ds = generate_downstream(cfg)
-    eval_ds = generate_downstream(cfg, split="test",
-                                  n_per_class=cfg.eval_n_per_class)
-    bank = generate_pretrain_bank(cfg, train_ds)
-    ids = stage2_sample(stage1_sample(bank, train_ds, cfg), train_ds,
-                        cfg).selected_ids
-    rows = decode_bank_file(bank, ("images", "caption_feats"), rows=ids)
+    train_ds, eval_ds = cli.load_datasets(cfg)
     return BenchmarkWorld(seed=seed, train_ds=train_ds, eval_ds=eval_ds,
-                          selected=SelectedBank.of_rows(rows, ids, train_ds))
+                          selected=cli.selected_for_train(cfg, train_ds))
 
 
 def run_variant(world: BenchmarkWorld, variant: str) -> TrainResult:

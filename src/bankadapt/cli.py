@@ -180,8 +180,8 @@ def _read_dataset(path: str) -> DownstreamDataset:
     return ds
 
 
-def _load_datasets(cfg: RunConfig
-                   ) -> tuple[DownstreamDataset, DownstreamDataset | None]:
+def load_datasets(cfg: RunConfig
+                  ) -> tuple[DownstreamDataset, DownstreamDataset | None]:
     """Training and evaluation datasets from files when the bank and dataset
     paths are set, else synthetic."""
     if _from_files(cfg):
@@ -202,28 +202,28 @@ def _bank_source(cfg: RunConfig, ds: DownstreamDataset) -> EmbeddingBank | str:
     return cfg.bank if _from_files(cfg) else _cli.generate_pretrain_bank(cfg, ds)
 
 
-def _selected_for_train(cfg: RunConfig, ds: DownstreamDataset) -> SelectedBank:
+def selected_for_train(cfg: RunConfig, ds: DownstreamDataset) -> SelectedBank:
     """The bank rows training draws unlabeled rows from: those of the
-    samples file, else those of a two-stage selection.  The bank, a file or
-    the synthetic one, is read once keeping only those rows of images and
-    caption_feats, after, for a selection, one read keeping no field, whose
-    feats stage 1 scores as they are read."""
-    if cfg.mu == 0:
-        # No step draws an unlabeled row, so no step reads the selection:
-        # a bank file is still checked whole, a synthetic one is not made.
-        if _from_files(cfg):
-            decode_bank_file(cfg.bank, fields=())
+    samples file, else those of a two-stage selection, and none at mu = 0.
+    The bank, a file or the synthetic one, is read once keeping only those
+    rows of images and caption_feats, after, for a selection, one read
+    keeping no field, whose feats stage 1 scores as they are read."""
+    if cfg.mu == 0 and not _from_files(cfg):
+        # No step draws an unlabeled row, so a synthetic bank is not made.
         return _cli.SelectedBank(ids=np.zeros(0, dtype=np.int64),
                                  images=np.zeros((0, ds.image_dim), dtype=np.float32),
                                  caption_feats=np.zeros((0, ds.feat_dim),
                                                         dtype=np.float32))
-    if cfg.samples:
+    source = _bank_source(cfg, ds)
+    if cfg.mu == 0:
+        # Nor here, yet the bank file is checked whole and its sizes compared.
+        ids = np.zeros(0, dtype=np.int64)
+    elif cfg.samples:
         ids = _cli.load_sample_csv(cfg.samples)
         if ids.size == 0:
             raise ValueError(f"{cfg.samples} holds no record: mu = {cfg.mu} "
                              "needs unlabeled rows to train on")
-    source = _bank_source(cfg, ds)
-    if not cfg.samples:
+    else:
         ids = _cli.stage2_sample(_cli.stage1_sample(source, ds, cfg), ds,
                                  cfg).selected_ids
     rows = decode_bank_file(source, fields=("images", "caption_feats"), rows=ids)
@@ -258,7 +258,7 @@ def cmd_synth_gen(cfg: RunConfig, args) -> int:
 
 
 def cmd_sample(cfg: RunConfig, args) -> int:
-    ds, _ = _load_datasets(cfg)
+    ds, _ = load_datasets(cfg)
     # the bank is read once, keeping no field: stage 1 scores its feats as
     # they are read, and its latent classes are kept at the label bank
     kept = {}
@@ -288,8 +288,8 @@ def cmd_sample(cfg: RunConfig, args) -> int:
 
 
 def cmd_train(cfg: RunConfig, args) -> int:
-    ds, eval_ds = _load_datasets(cfg)
-    selected = _selected_for_train(cfg, ds)
+    ds, eval_ds = load_datasets(cfg)
+    selected = selected_for_train(cfg, ds)
     out = _out_dir(cfg)
     result = _cli.fit(ds, selected, cfg, eval_ds=eval_ds)
     _report_clamps(result.n_clamped, "train")
@@ -336,8 +336,8 @@ def cmd_gradcheck(cfg: RunConfig, args) -> int:
 def cmd_sweep(cfg: RunConfig, args) -> int:
     cells = [replace(cfg, mu=mu, t_thresh=t)
              for mu in cfg.mu_list for t in cfg.t_list]
-    ds, eval_ds = _load_datasets(cfg)
-    selected = _selected_for_train(replace(cfg, mu=max(cfg.mu_list)), ds)
+    ds, eval_ds = load_datasets(cfg)
+    selected = selected_for_train(replace(cfg, mu=max(cfg.mu_list)), ds)
     out = _out_dir(cfg)
     summary = ["mu,t_thresh,final_acc"]
     for cell in cells:

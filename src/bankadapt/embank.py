@@ -82,7 +82,7 @@ import math
 import os
 import struct
 import zlib
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import partial
@@ -377,15 +377,6 @@ def _packed_table(lengths: np.ndarray) -> np.ndarray:
     return table
 
 
-def _encode_string_table(strings: Sequence[str]) -> list:
-    """The string table of strings as the buffers to write, in order:
-    blob_len, the (offset, len) table, and the blob holding the entries'
-    bytes one after another (see StringTable.packed)."""
-    table, blob = (strings if isinstance(strings, StringTable)
-                   else StringTable.of(strings)).packed()
-    return [struct.pack("<Q", len(blob)), np.ascontiguousarray(table, "<u8"), blob]
-
-
 class StringTable(Sequence):
     """Read-only strings held as arrays, each decoded when read.
 
@@ -411,25 +402,32 @@ class StringTable(Sequence):
         return cls(table if index is None else table[index],
                    np.frombuffer(b"".join(words), np.uint8))
 
-    def packed(self) -> tuple[np.ndarray, np.ndarray]:
-        """The table and blob with each entry's bytes right after the
-        previous entry's, and no other bytes: these arrays when they are so
-        already, else a copy laid out _GATHER_ROWS entries at a time, so
-        that the gather's int64 byte indices are a block's only."""
-        table = _packed_table(self._table[:, 1])
-        size = int(table[:, 1].sum())
-        if self._blob.size == size and np.array_equal(table, self._table):
-            return self._table, self._blob
-        blob = np.empty(size, np.uint8)
-        for start in range(0, len(table), _GATHER_ROWS):
+    def packed(self) -> Iterator:
+        """The buffers a container stores of the strings, in order: blob_len,
+        the (offset, len) table with each entry's bytes right after the
+        previous entry's, and those bytes.  The last two come _GATHER_ROWS
+        entries at a time, so that a gather's int64 byte indices are a
+        block's only, and no buffer holds the whole table or blob."""
+        lengths = self._table[:, 1]
+        starts = range(0, len(lengths), _GATHER_ROWS)
+
+        def tables():
+            at = np.uint64(0)
+            for start in starts:
+                table = _packed_table(lengths[start:start + _GATHER_ROWS])
+                table[:, 0] += at
+                at = table[-1].sum()
+                yield table
+
+        yield struct.pack("<Q", int(lengths.sum()))
+        yield from (np.ascontiguousarray(table, "<u8") for table in tables())
+        for start, table in zip(starts, tables()):
             old = self._table[start:start + _GATHER_ROWS].astype(np.int64)
-            at = table[start:start + _GATHER_ROWS, 0].astype(np.int64)
-            lo, hi = int(at[0]), int(at[-1] + old[-1, 1])
+            at = table[:, 0].astype(np.int64)
             # byte j of an entry packed at at[e] is old byte j + old[e, 0] - at[e]
             index = np.repeat(old[:, 0] - at, old[:, 1])
-            index += np.arange(lo, hi)
-            blob[lo:hi] = self._blob[index]
-        return table, blob
+            index += np.arange(at[0], at[-1] + old[-1, 1])
+            yield self._blob[index]
 
     def __len__(self) -> int:
         return self._table.shape[0]
@@ -663,14 +661,20 @@ def write_file(path, layout: Layout, container) -> None:
     violations = validate(layout, container)
     if violations:
         raise ValidationError(violations)
-    parts = []
-    for name, dtype, _ in layout.fields:
-        value = getattr(container, name)
-        parts += ([np.ascontiguousarray(value, dtype)] if dtype
-                  else _encode_string_table(value))
+
+    def parts():
+        # one at a time: a string table's blocks are packed as they are written
+        for name, dtype, _ in layout.fields:
+            value = getattr(container, name)
+            if dtype:
+                yield np.ascontiguousarray(value, dtype)
+            else:
+                yield from (value if isinstance(value, StringTable)
+                            else StringTable.of(value)).packed()
+
     sizes = _shapes(layout, container)[0].values()
     write_container(path, layout.header.pack(layout.magic, FORMAT_VERSION, 0, *sizes),
-                    parts)
+                    parts())
 
 
 @contextmanager

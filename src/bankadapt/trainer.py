@@ -100,31 +100,23 @@ def compose_batch(ds: DownstreamDataset, selected: SelectedBank,
         raise ValueError(f"step {step} is past the end of epoch {epoch}")
     labeled_weak = augment_view(ds.images[lab_idx], lab_idx, WEAK, cfg, epoch)
 
+    # u = 0 at mu = 0, where pos is empty whatever the selection's size
     u = cfg.mu * lab_idx.size
-    if u > 0 and selected.size > 0:
-        order_u = derive_rng(cfg.seed, "batch-unlabeled", epoch).permutation(
-            selected.size)
-        start = step * cfg.mu * cfg.batch_size
-        pos = order_u[(start + np.arange(u)) % selected.size]
-        # Augmentation ids offset by n so bank streams never collide with
-        # downstream streams.
-        aug_ids = n + pos
-        images = selected.images[pos]
-        unlabeled_weak = augment_view(images, aug_ids, WEAK, cfg, epoch)
-        unlabeled_strong = augment_view(images, aug_ids, STRONG, cfg, epoch)
-        caption_feats = selected.caption_feats[pos].astype(np.float64)
-    else:
-        dim = ds.image_dim
-        unlabeled_weak = np.zeros((0, dim))
-        unlabeled_strong = np.zeros((0, dim))
-        caption_feats = np.zeros((0, ds.feat_dim))
+    order_u = derive_rng(cfg.seed, "batch-unlabeled", epoch).permutation(
+        selected.size)
+    start = step * cfg.mu * cfg.batch_size
+    pos = order_u[(start + np.arange(u)) % selected.size]
+    # Augmentation ids offset by n so bank streams never collide with
+    # downstream streams.
+    aug_ids = n + pos
+    images = selected.images[pos]
 
     return ObjectiveBatch(
         labeled_weak=labeled_weak,
         labels=ds.labels[lab_idx].astype(np.int64),
-        unlabeled_weak=unlabeled_weak,
-        unlabeled_strong=unlabeled_strong,
-        caption_feats=caption_feats,
+        unlabeled_weak=augment_view(images, aug_ids, WEAK, cfg, epoch),
+        unlabeled_strong=augment_view(images, aug_ids, STRONG, cfg, epoch),
+        caption_feats=selected.caption_feats[pos].astype(np.float64),
         class_text_feats=np.asarray(ds.class_text_feats, dtype=np.float64),
     )
 

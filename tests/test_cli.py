@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bankadapt import cli, embank
+from bankadapt import benchmark, cli, embank
 from bankadapt.benchmark import BENCH
 from bankadapt.cli import main
 from bankadapt.config import (
@@ -29,6 +29,7 @@ from bankadapt.embank import (
     encode_dataset_file,
 )
 from bankadapt.encoder import init_params, save_params
+from bankadapt.trainer import write_metrics_csv
 from bankadapt.sampler import (
     default_k1,
     sampler_precision,
@@ -198,16 +199,17 @@ def test_synth_gen_stays_within_the_arrays_it_must_hold(tmp_path, monkeypatch):
     and hashlib when it writes the bank.  It then holds the float32
     images, feats and caption_feats (4m(D + 2d) bytes), the latent classes
     (4m), the bank's caption table, whose entries point into its
-    vocabulary (16m), the packed table and blob the writer lays out (16m,
-    and at most wm, with w = 25 bytes, "a photo of distractor-49."), and
-    one block of packed()'s int64 byte indices and the offsets added to
-    them (16w x 8,192).  That is 317m bytes and 3.1 MiB (63.6 MiB).  A
-    slack of 8 MiB covers the downstream sets, numpy.random (2 MiB beyond
-    the hashlib it loads), the BLAS buffers and the pages the allocator
-    keeps.  About 68.9 MiB now, against 71.6 allowed.  The images are made
-    a block of rows at a time: drawing their noise in one float64 array,
-    as once, breaks the bound, and so does packing every caption by one
-    gather (139.7)."""
+    vocabulary (16m), and the one block of the caption table the writer
+    packs at a time: its bytes (at most w x 8,192, with w = 25 bytes,
+    "a photo of distractor-49."), its int64 byte indices and the offsets
+    added to them (16w x 8,192).  That is 276m bytes and 3.3 MiB (56.0
+    MiB).  A slack of 8 MiB covers the downstream sets, numpy.random
+    (2 MiB beyond the hashlib it loads), the BLAS buffers and the pages
+    the allocator keeps.  About 62.7 MiB now, against 64.0 allowed.  The
+    images are made a block of rows at a time: drawing their noise in one
+    float64 array, as once, breaks the bound, and so do laying out the
+    whole packed table and blob before writing them (68.9) and packing
+    every caption by one gather (139.7)."""
     m, d_img, d = 200_000, 32, 16
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setenv("OMP_NUM_THREADS", "1")
@@ -217,7 +219,7 @@ def test_synth_gen_stays_within_the_arrays_it_must_hold(tmp_path, monkeypatch):
                            "--image_dim", str(d_img), "--feat_dim", str(d),
                            "--out_dir", str(tmp_path)])
     widest = len("a photo of distractor-49.")
-    held = 4 * m * (d_img + 2 * d) + 36 * m + widest * (m + 16 * embank._GATHER_ROWS)
+    held = 4 * m * (d_img + 2 * d) + 20 * m + widest * 17 * embank._GATHER_ROWS
     allowed = held + (8 << 20)
     assert peak - base <= allowed, (peak - base, allowed)
     assert embank.read_bank(tmp_path / "bank.datb", ())[1] == {
@@ -266,6 +268,34 @@ def test_train_on_samples_stays_within_what_it_holds(tmp_path, monkeypatch):
     held = selected * (cfg.image_dim + cfg.feat_dim) * 4 + images + 2 * 8 * n * n
     allowed = held + 5 * embank._BLOCK_BYTES
     assert peak - base <= allowed, (peak - base, allowed)
+
+
+def test_the_benchmark_trains_as_train_does(tmp_path):
+    """Seed 0's full fit of the frozen benchmark writes, byte for byte, the
+    metrics.csv and encoder.datc of train with BENCH's keys: on the
+    synthetic world, and with --samples on that world's synth-gen and
+    sample files, the path perfbench times as train-full."""
+    result = benchmark.run_variant(benchmark.build_world(0), "full")
+    assert (result.final_acc, sum(m.n_confident for m in result.metrics)) == (
+        0.692, 5215)
+    fitted = tmp_path / "fit"
+    fitted.mkdir()
+    write_metrics_csv(result.metrics, fitted / "metrics.csv")
+    save_params(result.params, fitted / "encoder.datc")
+    recipe, world, sampled = tmp_path / "bench.cfg", tmp_path / "w", tmp_path / "s"
+    write_config(BENCH, recipe)
+    config = ["--config", str(recipe)]
+    assert run(["train", *config, "--out_dir", str(tmp_path / "synthetic")]) == 0
+    assert run(["synth-gen", *config, "--out_dir", str(world)]) == 0
+    files = ["--bank", str(world / "bank.datb"), "--dataset", str(world / "train.datd")]
+    assert run(["sample", *config, *files, "--out_dir", str(sampled)]) == 0
+    assert run(["train", *config, *files, "--eval_dataset", str(world / "eval.datd"),
+                "--samples", str(sampled / "samples.csv"),
+                "--out_dir", str(tmp_path / "files")]) == 0
+    for name in ("metrics.csv", "encoder.datc"):
+        want = (fitted / name).read_bytes()
+        assert (tmp_path / "synthetic" / name).read_bytes() == want, name
+        assert (tmp_path / "files" / name).read_bytes() == want, name
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -621,6 +651,27 @@ def test_train_refuses_a_bank_of_other_dims_before_fitting(
     else:
         # stage 1 refuses first, before any selection is gathered
         assert "bank feat_dim 5 != dataset 4" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, mu", [("train", ["--mu", "0"]),
+                                         ("sweep", ["--mu_list", "0"])],
+                         ids=["train", "sweep"])
+@pytest.mark.parametrize("name, d_img, d", [("image_dim", 9, 4),
+                                            ("feat_dim", 6, 5)])
+def test_mu_zero_refuses_a_bank_of_other_dims_before_fitting(
+        tmp_path, capsys, command, mu, name, d_img, d):
+    # no step draws an unlabeled row, yet the bank file's sizes are compared
+    bank, train = tmp_path / "b.datb", tmp_path / "t.datd"
+    encode_bank_file(random_bank(d_img=d_img, d=d), bank)
+    encode_dataset_file(random_dataset(), train)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([command, "--bank", str(bank), "--dataset", str(train), *mu,
+                "--epochs", "1", "--out_dir", str(out)]) == 1
+    own = {"image_dim": d_img, "feat_dim": d}[name]
+    theirs = {"image_dim": 6, "feat_dim": 4}[name]
+    assert f"bank has {name} {own}, dataset has {theirs}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -240,12 +240,16 @@ def supervised_reference_fit(ds, cfg):
 
 
 def test_supervised_path_matches_reference_bitwise():
-    _, ds, _, _ = tiny_world(n_per_class=7)
+    # with an empty selection, and with a non-empty one, as the benchmark's
+    # baseline has: at mu = 0 no step draws an unlabeled row of either
+    _, ds, _, selected = tiny_world(n_per_class=7)
     cfg = quick_config(mu=0, eta=0.0, lambda_=0.0, epochs=3)
-    result = fit(ds, empty_selected(ds.image_dim, ds.feat_dim), cfg)
     reference = supervised_reference_fit(ds, cfg)
-    for got, want in zip(result.params.fields(), reference):
-        np.testing.assert_array_equal(got, want)
+    assert selected.size > 0
+    for rows in (empty_selected(ds.image_dim, ds.feat_dim), selected):
+        result = fit(ds, rows, cfg)
+        for got, want in zip(result.params.fields(), reference):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_loss_decreases_on_separable_data():
