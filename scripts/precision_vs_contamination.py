@@ -38,11 +38,10 @@ def main() -> int:
                             noise_sigma=args.noise_sigma)
             ds = generate_downstream(cfg)
             bank = generate_pretrain_bank(cfg, ds)
-            kept = {}
-            s1 = stage1_sample(bank, ds, cfg, kept)
+            s1 = stage1_sample(bank, ds, cfg)
             s2 = stage2_sample(s1, ds, cfg)
-            p1s.append(sampler_precision(s1, kept["latent"], ds))
-            p2s.append(sampler_precision(s2, kept["latent"], ds))
+            p1s.append(sampler_precision(s1, ds))
+            p2s.append(sampler_precision(s2, ds))
         p1 = float(np.mean(p1s))
         p2 = float(np.mean(p2s))
         print(f"{frac:7.2f}  {p1:6.3f}  {p2:6.3f}  {p2 - p1:+6.3f}")

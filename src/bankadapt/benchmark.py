@@ -18,7 +18,8 @@ import numpy as np
 
 from . import cli
 from .config import RunConfig
-from .trainer import SelectedBank, TrainResult, fit
+from .embank import EmbeddingBank
+from .trainer import TrainResult, fit
 
 BENCH = RunConfig(bank_size=8000, noise_sigma=0.8, lr=0.0025,
                   sigma_strong=0.3, mask_frac=0.1)
@@ -38,7 +39,7 @@ class BenchmarkWorld:
     seed: int
     train_ds: object
     eval_ds: object
-    selected: SelectedBank
+    selected: EmbeddingBank
 
 
 def build_world(seed: int) -> BenchmarkWorld:

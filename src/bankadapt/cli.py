@@ -16,7 +16,6 @@ import importlib
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -47,9 +46,6 @@ from .embank import (
 )
 from .encoder import load_params, save_params
 
-if TYPE_CHECKING:
-    from .trainer import SelectedBank
-
 # The names of modules that only some commands run, each with its module.
 # They are attributes of this module, which __getattr__ imports when one
 # is first looked up, so a command loads only the modules it calls.  The
@@ -65,7 +61,6 @@ _LAZY = {
     "stage2_sample": "sampler",
     "generate_downstream": "synth",
     "generate_pretrain_bank": "synth",
-    "SelectedBank": "trainer",
     "evaluate": "trainer",
     "fit": "trainer",
     "write_metrics_csv": "trainer",
@@ -202,18 +197,19 @@ def _bank_source(cfg: RunConfig, ds: DownstreamDataset) -> EmbeddingBank | str:
     return cfg.bank if _from_files(cfg) else _cli.generate_pretrain_bank(cfg, ds)
 
 
-def selected_for_train(cfg: RunConfig, ds: DownstreamDataset) -> SelectedBank:
+def selected_for_train(cfg: RunConfig, ds: DownstreamDataset) -> EmbeddingBank:
     """The bank rows training draws unlabeled rows from: those of the
     samples file, else those of a two-stage selection, and none at mu = 0.
     The bank, a file or the synthetic one, is read once keeping only those
     rows of images and caption_feats, after, for a selection, one read
-    keeping no field, whose feats stage 1 scores as they are read."""
+    keeping no field, whose feats stage 1 scores as they are read.  The
+    rows are refused unless their image and feature dimensions are ds's."""
     if cfg.mu == 0 and not _from_files(cfg):
         # No step draws an unlabeled row, so a synthetic bank is not made.
-        return _cli.SelectedBank(ids=np.zeros(0, dtype=np.int64),
-                                 images=np.zeros((0, ds.image_dim), dtype=np.float32),
-                                 caption_feats=np.zeros((0, ds.feat_dim),
-                                                        dtype=np.float32))
+        return EmbeddingBank(images=np.zeros((0, ds.image_dim), np.float32),
+                             feats=None,
+                             caption_feats=np.zeros((0, ds.feat_dim), np.float32),
+                             captions=None, latent_class=None)
     source = _bank_source(cfg, ds)
     if cfg.mu == 0:
         # Nor here, yet the bank file is checked whole and its sizes compared.
@@ -227,7 +223,12 @@ def selected_for_train(cfg: RunConfig, ds: DownstreamDataset) -> SelectedBank:
         ids = _cli.stage2_sample(_cli.stage1_sample(source, ds, cfg), ds,
                                  cfg).selected_ids
     rows = decode_bank_file(source, fields=("images", "caption_feats"), rows=ids)
-    return _cli.SelectedBank.of_rows(rows, ids, ds)
+    for name, own, want in (
+            ("image_dim", rows.images.shape[1], ds.image_dim),
+            ("feat_dim", rows.caption_feats.shape[1], ds.feat_dim)):
+        if own != want:
+            raise ValidationError([f"bank has {name} {own}, dataset has {want}"])
+    return rows
 
 
 def _report_clamps(n_clamped: int, fit_name: str) -> None:
@@ -261,9 +262,7 @@ def cmd_sample(cfg: RunConfig, args) -> int:
     ds, _ = load_datasets(cfg)
     # the bank is read once, keeping no field: stage 1 scores its feats as
     # they are read, and its latent classes are kept at the label bank
-    kept = {}
-    s1 = _cli.stage1_sample(_bank_source(cfg, ds), ds, cfg, kept)
-    latent = kept["latent"]
+    s1 = _cli.stage1_sample(_bank_source(cfg, ds), ds, cfg)
     s2 = _cli.stage2_sample(s1, ds, cfg)
     out = _out_dir(cfg)
     samples_path = Path(cfg.samples) if cfg.samples else out / "samples.csv"
@@ -272,9 +271,9 @@ def cmd_sample(cfg: RunConfig, args) -> int:
           f"({int(s1.deficits.sum())} short), stage 2 kept {s2.n_selected} "
           f"({int(s2.deficits.sum())} short) -> {samples_path}")
     precision_path = out / "precision.txt"
-    if latent.known:
-        p1 = _cli.sampler_precision(s1, latent, ds)
-        p2 = _cli.sampler_precision(s2, latent, ds)
+    if s1.latent_class is not None:
+        p1 = _cli.sampler_precision(s1, ds)
+        p2 = _cli.sampler_precision(s2, ds)
         report = (f"stage1_precision = {repr(p1)}\n"
                   f"stage2_precision = {repr(p2)}\n")
         precision_path.write_text(report, encoding="utf-8")

@@ -117,8 +117,7 @@ class ForwardTrace:
     """Everything the backward pass needs, cached from one batch forward."""
 
     x: np.ndarray        # (N, image_dim)
-    z1: np.ndarray       # (N, hidden) pre-activation
-    a1: np.ndarray       # (N, hidden) tanh(z1)
+    a1: np.ndarray       # (N, hidden) tanh of the layer-1 pre-activation
     embedding: np.ndarray    # (N, feat) V
     embed_norm: np.ndarray   # (N,) ||V||
     unit_embedding: np.ndarray  # (N, feat) v = V / ||V||
@@ -198,7 +197,7 @@ def encode_and_classify(params: EncoderParams, x: np.ndarray) -> ForwardTrace:
     logits = v_raw @ params.head_w.T + params.head_b
     _check_finite("classification head", logits)
     probs = softmax_rows(logits)
-    return ForwardTrace(x=x, z1=z1, a1=a1, embedding=v_raw, embed_norm=norms,
+    return ForwardTrace(x=x, a1=a1, embedding=v_raw, embed_norm=norms,
                         unit_embedding=unit, logits=logits, probs=probs)
 
 

@@ -18,18 +18,18 @@ if TYPE_CHECKING:
 
 
 def save_sample_csv(result: SampleResult, path) -> None:
-    """samples.csv at path and, beside it, deficits.csv."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["record_id", "assigned_column", "score"])
-        for rid, col, sc in zip(result.selected_ids, result.assigned_column,
-                                result.score):
-            w.writerow([int(rid), int(col), repr(float(sc))])
-    with open(Path(path).with_name("deficits.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["column", "deficit"])
-        for j, d in enumerate(result.deficits):
-            w.writerow([j, int(d)])
+    """samples.csv at path and, beside it, deficits.csv, in the bytes
+    csv.writer writes: CRLF line ends and repr of each score."""
+    samples = zip(result.selected_ids.tolist(), result.assigned_column.tolist(),
+                  result.score.tolist())
+    for at, header, lines in (
+            (path, "record_id,assigned_column,score",
+             [f"{rid},{col},{sc!r}\r\n" for rid, col, sc in samples]),
+            (Path(path).with_name("deficits.csv"), "column,deficit",
+             [f"{j},{d}\r\n" for j, d in enumerate(result.deficits.tolist())])):
+        with open(at, "w", newline="", encoding="utf-8") as fh:
+            fh.write(header + "\r\n")
+            fh.write("".join(lines))
 
 
 def load_sample_csv(path) -> np.ndarray:

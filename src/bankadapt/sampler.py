@@ -202,10 +202,13 @@ def budget_chunk_rows(memory_budget_bytes: int, k: int, feat_dim: int,
 @dataclass(frozen=True)
 class SampleResult:
     """Selected record ids with their column assignment, score and
-    deficits, and the selected rows when the selection carries them.
+    deficits, the selected rows when the selection carries them, and the
+    selected records' latent classes when the bank has any.
 
     Rows are ordered by (column, rank); deficits[j] is how many records
-    column j wanted but could not get from its assigned pool.
+    column j wanted but could not get from its assigned pool.  latent_class
+    is ground truth for precision reporting only: None when no record of
+    the bank has a latent class.
     """
 
     selected_ids: np.ndarray     # (s,) int64
@@ -214,6 +217,7 @@ class SampleResult:
     deficits: np.ndarray         # (n_columns,) int64
     k: int
     feats: np.ndarray | None = None  # (s, d) the rows as fed, float32 from a bank
+    latent_class: np.ndarray | None = None  # (s,) int32, -1 = unknown
 
     @property
     def n_selected(self) -> int:
@@ -460,30 +464,26 @@ def default_k2(label_bank_size: int, n_downstream: int, keep: float) -> int:
 
 
 def stage1_sample(bank: EmbeddingBank | str | os.PathLike, ds: DownstreamDataset,
-                  cfg: RunConfig, kept: dict | None = None) -> SampleResult:
+                  cfg: RunConfig) -> SampleResult:
     """Zero-shot retrieval, bank features against class text features: the
-    label bank, carrying the stored feats of its rows.
+    label bank, carrying the stored feats of its rows and, for precision
+    reporting, their latent classes.
 
     The bank, a DATB path or an EmbeddingBank, is read once by read_bank:
     each piece of its feats, of at most the chunk's rows, goes to the
     selector with the float64 copy and norms of its checks, once they pass,
     so the read never holds feats whole or copies it again.  latent_class
-    is kept at the label bank's ids, which read_bank asks for when it
-    reaches that field (it follows feats, so the label bank is final by
-    then); kept, when given, gets them under "latent" as LatentClasses, for
-    precision reporting."""
+    is kept at the label bank's ids, in their order, which read_bank asks
+    for when it reaches that field (it follows feats, so the label bank is
+    final by then)."""
     k1 = default_k1(ds.size, ds.n_classes, cfg.stage1_multiplier)
     rows = budget_chunk_rows(cfg.memory_budget_bytes, k1, ds.feat_dim,
                              ds.n_classes)
     selector = TopKSelector(ds.class_text_feats, k1, rows)
-    label, _, with_latent = read_bank(
-        bank, ("latent_class",), selector.feed,
-        lambda: np.sort(selector.selected_ids()), rows)
-    result = selector.result()
-    if kept is not None:
-        kept["latent"] = LatentClasses(label.latent_class, with_latent,
-                                       np.sort(result.selected_ids))
-    return result
+    label, _, with_latent = read_bank(bank, ("latent_class",), selector.feed,
+                                      selector.selected_ids, rows)
+    return replace(selector.result(),
+                   latent_class=label.latent_class if with_latent else None)
 
 
 def stage2_sample(label_bank: SampleResult, ds: DownstreamDataset,
@@ -494,7 +494,8 @@ def stage2_sample(label_bank: SampleResult, ds: DownstreamDataset,
     Each downstream image acts as its own category, embedded by the run
     seed's frozen image embedder; returned ids are bank record ids,
     deduplicated by construction since each label-bank record is assigned
-    to exactly one image.  The result carries no rows.
+    to exactly one image.  The result carries no rows; it carries the label
+    bank's latent classes of its records.
     """
     if label_bank.n_selected == 0:
         raise ValueError("label bank is empty, nothing to re-rank")
@@ -505,34 +506,20 @@ def stage2_sample(label_bank: SampleResult, ds: DownstreamDataset,
     rows = budget_chunk_rows(cfg.memory_budget_bytes, k2, ds.feat_dim, ds.size,
                              carry_rows=False)
     picked = select_topk_streamed(label_bank.feats, image_feats, k2, rows)
-    return replace(picked, selected_ids=label_bank.selected_ids[picked.selected_ids])
+    latent = label_bank.latent_class
+    return replace(picked, selected_ids=label_bank.selected_ids[picked.selected_ids],
+                   latent_class=None if latent is None else latent[picked.selected_ids])
 
 
-@dataclass(frozen=True)
-class LatentClasses:
-    """Ground-truth latent classes, for precision reporting only: those of
-    the records at ids (ascending), and whether any record of the bank has
-    one (known)."""
-
-    classes: np.ndarray        # int32, -1 = unknown / out of distribution
-    known: bool
-    ids: np.ndarray            # int64
-
-    def at(self, ids: np.ndarray) -> np.ndarray:
-        """The latent classes of records ids, each one of self.ids."""
-        return self.classes[np.searchsorted(self.ids, ids)]
-
-
-def sampler_precision(result: SampleResult, latent: LatentClasses,
-                      ds: DownstreamDataset) -> float:
+def sampler_precision(result: SampleResult, ds: DownstreamDataset) -> float:
     """Fraction of selected records whose latent class is a downstream
-    class, from LatentClasses that hold the selected records' (stage1_sample
-    keeps them)."""
-    if not latent.known:
+    class, from the latent classes result carries (stage1_sample keeps
+    them, and stage2_sample passes them on)."""
+    if result.latent_class is None:
         raise PrecisionUndefinedError(
             "bank carries no ground-truth latent classes; precision undefined")
     if result.n_selected == 0:
         raise ValueError("empty selection has no precision")
-    classes = latent.at(result.selected_ids)
+    classes = result.latent_class
     hits = (classes >= 0) & (classes < ds.n_classes)
     return float(np.mean(hits))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .augment import STRONG, WEAK, augment_view
 from .config import RunConfig
-from .embank import DownstreamDataset, EmbeddingBank, ValidationError
+from .embank import DownstreamDataset, EmbeddingBank
 from .encoder import (
     EncoderParams,
     FrozenEmbedder,
@@ -30,34 +30,6 @@ from .seeding import derive_rng
 
 METRICS_HEADER = ("step,epoch,loss_x,loss_u,loss_con,loss_total,"
                   "n_confident,grad_norm,acc_eval")
-
-
-@dataclass(frozen=True)
-class SelectedBank:
-    """Bank rows gathered by record id, in sampler emission order."""
-
-    ids: np.ndarray            # (k,) original bank record ids
-    images: np.ndarray         # (k, image_dim)
-    caption_feats: np.ndarray  # (k, feat_dim)
-
-    @property
-    def size(self) -> int:
-        return self.ids.shape[0]
-
-    @classmethod
-    def of_rows(cls, rows: EmbeddingBank, ids: np.ndarray,
-                ds: DownstreamDataset) -> "SelectedBank":
-        """ids with their rows: rows holds the images and caption_feats of
-        ids, in ids' order, as decode_bank_file(bank, ..., rows=ids) reads
-        them.  Refused unless their image and feature dimensions are ds's."""
-        for name, own, want in (
-                ("image_dim", rows.images.shape[1], ds.image_dim),
-                ("feat_dim", rows.caption_feats.shape[1], ds.feat_dim)):
-            if own != want:
-                raise ValidationError([f"bank has {name} {own}, "
-                                       f"dataset has {want}"])
-        return cls(ids=np.asarray(ids, dtype=np.int64), images=rows.images,
-                   caption_feats=rows.caption_feats)
 
 
 @dataclass(frozen=True)
@@ -91,7 +63,7 @@ def steps_per_epoch(n: int, batch_size: int) -> int:
     return math.ceil(n / batch_size)
 
 
-def compose_batch(ds: DownstreamDataset, selected: SelectedBank,
+def compose_batch(ds: DownstreamDataset, selected: EmbeddingBank,
                   cfg: RunConfig, epoch: int, step: int) -> ObjectiveBatch:
     n = ds.size
     order_l = derive_rng(cfg.seed, "batch-labeled", epoch).permutation(n)
@@ -137,10 +109,11 @@ def evaluate(params: EncoderParams, ds: DownstreamDataset) -> float:
     return float(np.mean(pred == ds.labels))
 
 
-def fit(ds: DownstreamDataset, selected: SelectedBank, cfg: RunConfig,
+def fit(ds: DownstreamDataset, selected: EmbeddingBank, cfg: RunConfig,
         eval_ds: DownstreamDataset | None = None) -> TrainResult:
     """Train from the seed's initial parameters; with warm_start the
-    encoder starts near the seed's frozen image embedder."""
+    encoder starts near the seed's frozen image embedder.  Unlabeled rows
+    are drawn from selected's images and caption_feats."""
     if cfg.warm_start:
         embedder = FrozenEmbedder.from_seed("image", cfg.seed, ds.feat_dim,
                                             ds.image_dim)

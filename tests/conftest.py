@@ -1,11 +1,13 @@
 """Shared fixtures: small random containers built directly, not via the
 synthetic generators, so the storage tests do not depend on them."""
 
+from dataclasses import replace
+
 import numpy as np
 
 from bankadapt.config import RunConfig, apply_updates, parse_updates
 from bankadapt.embank import DownstreamDataset, EmbeddingBank
-from bankadapt.sampler import LatentClasses
+from bankadapt.sampler import SampleResult
 
 
 def unit_rows(rng, n, d, dtype=np.float32):
@@ -60,12 +62,13 @@ def random_bank(seed=0, m=17, d_img=6, d=4) -> EmbeddingBank:
     )
 
 
-def every_latent_class(bank: EmbeddingBank) -> LatentClasses:
-    """The LatentClasses of every record of bank, built directly from its
-    latent_class: an oracle for those stage1_sample keeps."""
+def with_latent_class(result: SampleResult, bank: EmbeddingBank) -> SampleResult:
+    """result carrying the latent classes of its records, gathered directly
+    from bank's latent_class (None when no record of bank has one): an
+    oracle for those stage1_sample keeps and stage2_sample passes on."""
     classes = bank.latent_class
-    return LatentClasses(classes, bool((classes >= 0).any()),
-                         np.arange(classes.size, dtype=np.int64))
+    known = bool((classes >= 0).any())
+    return replace(result, latent_class=classes[result.selected_ids] if known else None)
 
 
 def random_dataset(seed=0, n=12, n_classes=3, d_img=6, d=4) -> DownstreamDataset:

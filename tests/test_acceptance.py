@@ -192,10 +192,9 @@ def test_criterion_4_sampler_precision():
                          weak_pair_rate=0.3, noise_sigma=1.0)
         ds = generate_downstream(spec)
         bank = generate_pretrain_bank(spec, ds)
-        kept = {}
-        s1 = stage1_sample(bank, ds, spec, kept)
+        s1 = stage1_sample(bank, ds, spec)
         s2 = stage2_sample(s1, ds, spec)
-        precisions.append(sampler_precision(s2, kept["latent"], ds))
+        precisions.append(sampler_precision(s2, ds))
     elapsed = time.perf_counter() - t0
     ok = all(p >= 0.50 for p in precisions) and elapsed < 60.0
     _report(4, ok, "stage-2 precision per seed ["

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,7 @@ from bankadapt.sampler import (
     stage2_sample,
 )
 
-from conftest import every_latent_class, random_bank, random_dataset
+from conftest import random_bank, random_dataset, with_latent_class
 
 PERFBENCH_TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -361,18 +362,49 @@ def test_sample_removes_the_precision_of_an_earlier_bank(tmp_path, capsys):
     bank, ds = decode_bank_file(bank_path), decode_dataset_file(ds_path)
     s1 = stage1_sample(bank, ds, RunConfig())
     s2 = stage2_sample(s1, ds, RunConfig())
-    latent = every_latent_class(bank)
+    p1, p2 = (sampler_precision(with_latent_class(s, bank), ds) for s in (s1, s2))
     args = ["sample", "--dataset", str(ds_path), "--out_dir", str(out)]
     assert run([*args, "--bank", str(bank_path)]) == 0
     assert (out / "precision.txt").read_text() == (
-        f"stage1_precision = {sampler_precision(s1, latent, ds)!r}\n"
-        f"stage2_precision = {sampler_precision(s2, latent, ds)!r}\n")
+        f"stage1_precision = {p1!r}\nstage2_precision = {p2!r}\n")
     bank.latent_class[:] = -1
     encode_bank_file(bank, tmp_path / "unknown.datb")
     capsys.readouterr()
     assert run([*args, "--bank", str(tmp_path / "unknown.datb")]) == 0
     assert "precision not reported" in capsys.readouterr().out
     assert not (out / "precision.txt").exists()
+
+
+def test_latent_classes_change_only_the_precision(tmp_path):
+    """Only the precision report reads latent_class: a bank file whose
+    latent classes are all -1, or permuted, gives the samples and deficits
+    of the original, and the metrics and checkpoint of train, with its
+    samples and with its own selection."""
+    world = tmp_path / "world"
+    assert run(["synth-gen", *TINY, "--out_dir", str(world)]) == 0
+    bank = decode_bank_file(world / "bank.datb")
+    variants = {"original": bank.latent_class,
+                "unknown": np.full_like(bank.latent_class, -1),
+                "permuted": np.random.default_rng(0).permutation(bank.latent_class)}
+    outputs, precision = {}, {}
+    for name, classes in variants.items():
+        path, out = tmp_path / f"{name}.datb", tmp_path / name
+        encode_bank_file(replace(bank, latent_class=classes), path)
+        files = [*TINY, "--bank", str(path), "--dataset", str(world / "train.datd")]
+        assert run(["sample", *files, "--out_dir", str(out / "s")]) == 0
+        assert run(["train", *files, "--samples", str(out / "s" / "samples.csv"),
+                    "--out_dir", str(out / "t")]) == 0
+        assert run(["train", *files, "--out_dir", str(out / "u")]) == 0
+        outputs[name] = {f: (out / f).read_bytes() for f in (
+            "s/samples.csv", "s/deficits.csv", "t/metrics.csv", "t/encoder.datc",
+            "u/metrics.csv", "u/encoder.datc")}
+        report = out / "s" / "precision.txt"
+        precision[name] = report.read_text() if report.exists() else None
+    assert outputs["unknown"] == outputs["original"] == outputs["permuted"]
+    # the variants do reach the report
+    assert precision["unknown"] is None
+    assert precision["original"] is not None
+    assert precision["permuted"] not in (None, precision["original"])
 
 
 def test_sample_writes_deficits_that_sum_to_the_reported_shortfall(tmp_path, capsys):

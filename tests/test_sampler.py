@@ -31,7 +31,7 @@ from bankadapt.sampler import (
 from bankadapt.sample_csv import load_sample_csv, save_sample_csv
 from bankadapt.synth import generate_downstream, generate_pretrain_bank
 
-from conftest import every_latent_class, fixed_order_scores, random_bank, random_dataset
+from conftest import fixed_order_scores, random_bank, random_dataset, with_latent_class
 
 
 def brute_force_select(v, f, k):
@@ -844,19 +844,14 @@ class TestStages:
     def test_stage1_precision_beats_base_rate(self):
         for seed in range(5):
             spec, ds, bank = make_world(seed, rho=0.5)
-            kept = {}
-            p = sampler_precision(stage1_sample(bank, ds, spec, kept),
-                                  kept["latent"], ds)
-            assert p > 0.5
+            assert sampler_precision(stage1_sample(bank, ds, spec), ds) > 0.5
 
     def test_stage2_refines_stage1_precision(self):
         for seed in range(5):
             spec, ds, bank = make_world(seed)
-            kept = {}
-            s1 = stage1_sample(bank, ds, spec, kept)
+            s1 = stage1_sample(bank, ds, spec)
             s2 = stage2_sample(s1, ds, spec)
-            latent = kept["latent"]
-            assert sampler_precision(s2, latent, ds) >= sampler_precision(s1, latent, ds)
+            assert sampler_precision(s2, ds) >= sampler_precision(s1, ds)
 
     def test_stage_outputs_are_chunk_independent(self):
         spec, ds, bank = make_world(2, m=2000)
@@ -919,22 +914,19 @@ class TestStages:
         path = tmp_path / "bank.datb"
         encode_bank_file(bank, path)
         monkeypatch.setattr(embank, "_BLOCK_BYTES", 1 << 12)
-        from_file, in_memory = {}, {}
-        s1 = stage1_sample(path, ds, spec, from_file)
-        assert_same_result(s1, stage1_sample(bank, ds, spec, in_memory))
-        latent = from_file["latent"]
-        assert latent.known and in_memory["latent"].known
-        assert np.array_equal(latent.ids, np.sort(s1.selected_ids))
-        assert np.array_equal(latent.at(s1.selected_ids),
-                              bank.latent_class[s1.selected_ids])
-        # the bank in memory keeps the same latent classes, read the same way
-        for name in ("ids", "classes", "known"):
-            assert np.array_equal(getattr(in_memory["latent"], name),
-                                  getattr(latent, name)), name
+        s1 = stage1_sample(path, ds, spec)
+        in_memory = stage1_sample(bank, ds, spec)
+        assert_same_result(s1, in_memory)
+        # in result order, which is not id order, from a file and in memory
+        assert (np.diff(s1.selected_ids) < 0).any()
+        for s in (s1, in_memory):
+            assert s.latent_class.dtype == np.int32
+            assert np.array_equal(s.latent_class, bank.latent_class[s1.selected_ids])
         s2 = stage2_sample(s1, ds, spec)
         for s in (s1, s2):
-            assert (sampler_precision(s, latent, ds)
-                    == sampler_precision(s, every_latent_class(bank), ds))
+            oracle = with_latent_class(s, bank)
+            assert np.array_equal(s.latent_class, oracle.latent_class)
+            assert sampler_precision(s, ds) == sampler_precision(oracle, ds)
 
     def test_an_empty_bank_gives_each_feed_one_empty_block(self, tmp_path):
         """An empty bank, from a file and in memory, hands each field's feed
@@ -952,11 +944,8 @@ class TestStages:
                 (block.shape, row0)), fed[name]) for name in shapes}
             embank.read_fields(embank.DATB, source, (), None, feeds)
             assert fed == {name: [(shape, 0)] for name, shape in shapes.items()}
-            kept = {}
-            assert stage1_sample(source, ds, RunConfig(), kept).n_selected == 0
-            latent = kept["latent"]
-            assert latent.classes.dtype == np.int32 and not latent.known
-            assert latent.classes.size == latent.ids.size == 0
+            s1 = stage1_sample(source, ds, RunConfig())
+            assert s1.n_selected == 0 and s1.latent_class is None
 
     def test_feat_dim_mismatch_rejected(self):
         bank = random_bank(d=4)
@@ -983,7 +972,7 @@ class TestPrecision:
                          assigned_column=np.array([0, 0]),
                          score=np.zeros(2), deficits=np.zeros(3, np.int64), k=2)
         with pytest.raises(PrecisionUndefinedError):
-            sampler_precision(r, every_latent_class(bank), ds)
+            sampler_precision(with_latent_class(r, bank), ds)
 
     def test_no_in_distribution_selection_scores_zero(self):
         bank = random_bank(seed=1)
@@ -993,7 +982,7 @@ class TestPrecision:
         r = SampleResult(selected_ids=np.array([0, 2]),
                          assigned_column=np.array([0, 1]),
                          score=np.zeros(2), deficits=np.zeros(3, np.int64), k=1)
-        assert sampler_precision(r, every_latent_class(bank), ds) == 0.0
+        assert sampler_precision(with_latent_class(r, bank), ds) == 0.0
 
 
 class TestCsv:
@@ -1017,6 +1006,24 @@ class TestCsv:
         path = tmp_path / "s.csv"
         save_sample_csv(r, path)
         assert path.read_text().splitlines()[0] == "record_id,assigned_column,score"
+
+    def test_bytes_are_those_csv_writer_wrote(self, tmp_path):
+        """samples.csv and deficits.csv, byte for byte: the header, CRLF line
+        ends, ids at and above 2**31, and repr of each score, signed zero
+        and the smallest subnormal included."""
+        r = SampleResult(selected_ids=np.array([2**31, 7, 0, 2**40 + 3]),
+                         assigned_column=np.array([0, 0, 1, 2]),
+                         score=np.array([-0.0, 5e-324, 1.0, -0.5]),
+                         deficits=np.array([0, 1, 2]), k=2)
+        path = tmp_path / "samples.csv"
+        save_sample_csv(r, path)
+        assert path.read_bytes() == (b"record_id,assigned_column,score\r\n"
+                                     b"2147483648,0,-0.0\r\n"
+                                     b"7,0,5e-324\r\n"
+                                     b"0,1,1.0\r\n"
+                                     b"1099511627779,2,-0.5\r\n")
+        assert (tmp_path / "deficits.csv").read_bytes() == (
+            b"column,deficit\r\n0,0\r\n1,1\r\n2,2\r\n")
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

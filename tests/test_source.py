@@ -74,6 +74,25 @@ def test_only_embank_tells_a_bank_file_from_a_bank_in_memory():
     assert asking == [], asking
 
 
+def test_only_the_bank_and_the_precision_report_refer_to_latent_classes():
+    """latent_class is ground truth for precision reporting only: the
+    scoring and the trainer never read it.  So no module refers to it (a
+    name, an attribute, a keyword or a string of the name) but embank.py,
+    which stores it, synth.py, which makes it, sampler.py, which carries it
+    from stage 1 to the precision, and cli.py, which reports it."""
+    def refers(node):
+        return ("latent_class" in _referenced(node)
+                or isinstance(node, ast.keyword) and node.arg == "latent_class"
+                or isinstance(node, ast.Constant) and node.value == "latent_class")
+
+    referring = sorted(
+        path.name for path in PACKAGE.glob("*.py")
+        if path.name not in {"embank.py", "synth.py", "sampler.py", "cli.py"}
+        and any(refers(node) for node in ast.walk(
+            ast.parse(path.read_text(encoding="utf-8")))))
+    assert referring == [], referring
+
+
 def test_only_embank_handles_container_bytes():
     """The formats are declared once, as embank.py's layouts, so no other
     module refers to the container mechanics behind write_file and

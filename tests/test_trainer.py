@@ -1,13 +1,19 @@
 """Training loop: batching, SGD, determinism, and metrics output."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from bankadapt.augment import augment_view
 from bankadapt.config import RunConfig
-from bankadapt.embank import ValidationError, decode_bank_file, encode_bank_file
+from bankadapt.embank import (
+    EmbeddingBank,
+    ValidationError,
+    decode_bank_file,
+    encode_bank_file,
+)
 from bankadapt.encoder import (
     FrozenEmbedder,
     init_params,
@@ -20,7 +26,6 @@ from bankadapt.seeding import derive_rng
 from bankadapt.synth import generate_downstream, generate_pretrain_bank
 from bankadapt.trainer import (
     METRICS_HEADER,
-    SelectedBank,
     compose_batch,
     evaluate,
     fit,
@@ -39,14 +44,13 @@ def tiny_world(seed=0, n_classes=3, n_per_class=8, bank_size=150,
     bank = generate_pretrain_bank(spec, ds)
     s1 = stage1_sample(bank, ds, spec)
     s2 = stage2_sample(s1, ds, spec)
-    return spec, ds, bank, gather(bank, s2.selected_ids, ds)
+    return spec, ds, bank, gather(bank, s2.selected_ids)
 
 
-def gather(source, ids, ds):
-    """The SelectedBank of ids, read from source (a bank file or a bank in
-    memory) as train reads it."""
-    rows = decode_bank_file(source, ("images", "caption_feats"), rows=ids)
-    return SelectedBank.of_rows(rows, ids, ds)
+def gather(source, ids):
+    """The rows of ids training draws from, read from source (a bank file or
+    a bank in memory) as train reads them."""
+    return decode_bank_file(source, ("images", "caption_feats"), rows=ids)
 
 
 @pytest.fixture(params=["in memory", "file"])
@@ -62,9 +66,10 @@ def source_of(request, tmp_path):
 
 
 def empty_selected(image_dim, feat_dim):
-    return SelectedBank(ids=np.zeros(0, dtype=np.int64),
-                        images=np.zeros((0, image_dim), dtype=np.float32),
-                        caption_feats=np.zeros((0, feat_dim), dtype=np.float32))
+    return EmbeddingBank(images=np.zeros((0, image_dim), dtype=np.float32),
+                         feats=None,
+                         caption_feats=np.zeros((0, feat_dim), dtype=np.float32),
+                         captions=None, latent_class=None)
 
 
 def quick_config(**kw):
@@ -82,11 +87,12 @@ def test_steps_per_epoch():
 
 
 def test_selected_bank_gathers_by_id(source_of):
-    _, ds, bank, selected = tiny_world()
-    selected = gather(source_of(bank), selected.ids, ds)
-    assert selected.size == selected.ids.shape[0]
+    spec, ds, bank, _ = tiny_world()
+    ids = stage2_sample(stage1_sample(bank, ds, spec), ds, spec).selected_ids
+    selected = gather(source_of(bank), ids)
+    assert selected.size == ids.shape[0]
     for row in (0, selected.size // 2, selected.size - 1):
-        rid = int(selected.ids[row])
+        rid = int(ids[row])
         np.testing.assert_array_equal(selected.images[row], bank.images[rid])
         np.testing.assert_array_equal(selected.caption_feats[row],
                                       bank.caption_feats[rid])
@@ -94,21 +100,10 @@ def test_selected_bank_gathers_by_id(source_of):
 
 @pytest.mark.parametrize("bad_id", [150, 4000, -1])
 def test_selected_bank_rejects_ids_outside_the_bank(bad_id, source_of):
-    _, ds, bank, _ = tiny_world()
+    _, _, bank, _ = tiny_world()
     ids = np.array([3, bad_id, 7, 9999], dtype=np.int64)
     with pytest.raises(ValidationError, match=f"id {bad_id} is outside"):
-        gather(source_of(bank), ids, ds)
-
-
-@pytest.mark.parametrize("name, bank_value, ds_value", [
-    ("image_dim", 10, 12), ("feat_dim", 6, 5)])
-def test_selected_bank_refuses_a_bank_of_other_dims(name, bank_value, ds_value,
-                                                    source_of):
-    _, _, bank, _ = tiny_world()
-    _, other, _, _ = tiny_world(**{name: ds_value})
-    with pytest.raises(ValidationError,
-                       match=f"bank has {name} {bank_value}, dataset has {ds_value}"):
-        gather(source_of(bank), np.arange(4, dtype=np.int64), other)
+        gather(source_of(bank), ids)
 
 
 def test_compose_batch_shapes_and_determinism():
@@ -138,8 +133,8 @@ def test_compose_batch_short_final_batch():
 
 def test_compose_batch_wraps_small_selected():
     _, ds, bank, selected = tiny_world()
-    small = SelectedBank(ids=selected.ids[:5], images=selected.images[:5],
-                         caption_feats=selected.caption_feats[:5])
+    small = replace(selected, images=selected.images[:5],
+                    caption_feats=selected.caption_feats[:5])
     cfg = quick_config(mu=3)
     batch = compose_batch(ds, small, cfg, epoch=0, step=0)
     assert batch.unlabeled_weak.shape[0] == 24  # wrapped over 5 records
