@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from bankadapt import cli
 from bankadapt.augment import augment_view
 from bankadapt.config import RunConfig
 from bankadapt.embank import (
@@ -104,6 +105,29 @@ def test_selected_bank_rejects_ids_outside_the_bank(bad_id, source_of):
     ids = np.array([3, bad_id, 7, 9999], dtype=np.int64)
     with pytest.raises(ValidationError, match=f"id {bad_id} is outside"):
         gather(source_of(bank), ids)
+
+
+@pytest.mark.parametrize("name, bank_value, ds_value", [
+    ("image_dim", 10, 12), ("feat_dim", 6, 5)])
+def test_selected_bank_refuses_a_bank_of_other_dims(name, bank_value, ds_value,
+                                                    source_of, tmp_path,
+                                                    monkeypatch):
+    """The rows train draws from, of a bank file or of the synthetic bank,
+    are refused when their dimensions are not the dataset's."""
+    _, _, bank, _ = tiny_world()
+    spec, other, _, _ = tiny_world(**{name: ds_value})
+    samples = tmp_path / "s.csv"
+    samples.write_text("record_id,assigned_column,score\n"
+                       + "".join(f"{i},0,0.5\n" for i in range(4)))
+    cfg = replace(spec, samples=str(samples))
+    source = source_of(bank)
+    if isinstance(source, EmbeddingBank):
+        monkeypatch.setattr(cli, "generate_pretrain_bank", lambda *_: source)
+    else:
+        cfg = replace(cfg, bank=str(source), dataset=str(tmp_path / "t.datd"))
+    with pytest.raises(ValidationError,
+                       match=f"bank has {name} {bank_value}, dataset has {ds_value}"):
+        cli.selected_for_train(cfg, other)
 
 
 def test_compose_batch_shapes_and_determinism():
