@@ -46,15 +46,19 @@ blob is UTF-8 and no non-empty entry starts or ends inside a multi-byte
 character, so every entry decodes; and the layout's finite, unit-row and
 label-range checks, which ``validate`` runs on a container in memory in
 the same blocks.  A block of a unit-row field (``feats``,
-``caption_feats``, ``class_text_feats``) is copied to float64 and its row
-norms taken once (``copy_with_norms``, the one place a row's float64 copy
-and norm are made), and both of its checks read them: a norm is finite
-exactly when its row is, so the finite check scans the block only when
-some norm is not.  For the character-boundary check a string table
-marks its blob's continuation bytes in a zeroed bitmap (blob_len / 8
-bytes), written only for the blocks that hold one, and, when some block
-did, reads its offset table a second time; an ASCII blob touches no page
-of the bitmap and skips that read.  Errors are raised once the CRC32
+``caption_feats``, ``class_text_feats``) is first screened by the sum of
+squares of each row, taken in float32: ``_unit_sums`` gives the range
+that certifies a row finite and of a norm the unit-row check accepts.
+Only a block holding a row the screen cannot certify is copied to
+float64 and its row norms taken (``copy_with_norms``), and both of its
+checks read them: a norm is finite exactly when its row is, so the
+finite check scans the block only when some norm is not.  So every
+verdict and message is the float64 checks' own.  For the
+character-boundary check a string table marks its blob's continuation
+bytes in a zeroed bitmap (blob_len / 8 bytes), written only for the
+blocks that hold one, and, when some block did, reads its offset table a
+second time; an ASCII blob touches no page of the bitmap and skips that
+read.  Errors are raised once the CRC32
 over the whole payload has matched, so a ``ChecksumError`` takes
 precedence over any other.  Skipped fields come back as ``None``; string
 tables come back as ``StringTable``, which decodes an entry only when it
@@ -65,14 +69,13 @@ are copied out of it into the caller's order, so a few hundred selected
 rows of a large bank cost their own bytes and one block; the ids may
 also be asked for only when the first kept field is reached.  Each block
 of an array field can be handed to a feed as it is read (``read_fields``'
-``feeds``), once its checks have passed, with the float64 copy and norms
-they read for a unit-row field, so that a caller scans the field without
-holding it or copying it again; a field of no rows is one empty block.
-So the sampler's stage 1 scores a bank's ``feats`` and then keeps its
-``latent_class`` at the rows it selected (see ``read_bank``).  A
-container in memory is read the same way, in the same blocks; a bank the
-program made runs only the checks of the ``feats`` handed to a feed, for
-their float64 copy and norms.
+``feeds``), once its checks have passed, with the float32 sums of
+squares the screen took for a unit-row field, so that a caller scans the
+field without holding it or summing its squares again; a field of no
+rows is one empty block.  So the sampler's stage 1 scores a bank's
+``feats`` and then keeps its ``latent_class`` at the rows it selected
+(see ``read_bank``).  A container in memory is read the same way, in the
+same blocks; a bank the program made runs no check.
 """
 
 from __future__ import annotations
@@ -85,7 +88,7 @@ import zlib
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -94,9 +97,9 @@ UNIT_NORM_TOL = 1e-5
 
 # Bytes of a field the reader takes in with one read, and that the checks
 # take at a time in memory: a block, whose temporaries stay near a
-# megabyte (the float64 copy of a unit-row block is twice its bytes, and a
-# feats copy lives on while the sampler scores it).  A multiple of 8, so
-# that a blob's continuation bitmap is packed block by block.
+# megabyte (the float64 copy of a unit-row block that fails the float32
+# screen is twice its bytes).  A multiple of 8, so that a blob's
+# continuation bitmap is packed block by block.
 _BLOCK_BYTES = 1 << 19
 # Entries that StringTable.packed lays out by one gather: its int64 byte
 # indices then stay near a megabyte for the synthetic captions (about 20
@@ -185,9 +188,45 @@ class DownstreamDataset:
 def copy_with_norms(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A new float64 copy of rows, the caller's to divide in place, and the
     Euclidean norm of each row, as the checks and the sampler take it:
-    sqrt(einsum("ij,ij->i")) of the copy."""
+    sqrt(einsum("ij,ij->i")) of the copy.  The reader takes it of a block
+    only when _unit_sums cannot certify each row, the sampler of its query
+    rows and of the rows its float32 screen keeps."""
     rows64 = np.array(rows, dtype=np.float64, order="C")
     return rows64, np.sqrt(np.einsum("ij,ij->i", rows64, rows64))
+
+
+@cache
+def _unit_sums(feat_dim: int) -> tuple[np.float32, np.float32]:
+    """The float32 range [lo, hi] inside which a row's sum of squares S,
+    taken in float32 in any order, certifies the row finite and of a norm
+    that _off_unit accepts (an empty range for rows too wide to bound).
+
+    For a row x of d = feat_dim entries, |S - |x|^2| <= g |x|^2 + e, with
+    g = gamma_d = d u / (1 - d u) at u = 2^-24 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 3.1) and e = d 2^-149 for
+    the squares that underflow, 2^-150 each at most, and what the later
+    sums carry of them.  _off_unit's norm n is the float64 root, rounded
+    once, of the float64 sum of squares, within g' |x|^2 + e' of |x|^2
+    (gamma_d and d 2^-1074 at 2^-53), and it accepts 1 - tol <= n <=
+    1 + tol, where n - 1 is exact.  Solving both bounds for S gives the
+    range; it is narrowed by 2^-40 of itself, which covers e, e' and the
+    float64 rounding of these few operations, and rounded inward to
+    float32.  A finite S also proves the row finite.  (Rows stored in
+    float32, as every unit-row field is, square exactly in float64; a row
+    in memory of float64 sums its squares in float64, which the float32
+    bound covers.)"""
+    d, u, w, tol = feat_dim, 2.0 ** -24, 2.0 ** -53, UNIT_NORM_TOL
+    if d * u >= 0.5:
+        return np.float32(np.inf), np.float32(-np.inf)
+    g, g64 = d * u / (1 - d * u), d * w / (1 - d * w)
+    lo = (1 - tol) ** 2 / (1 - w) ** 2 * (1 + g) / (1 - g64) * (1 + 2.0 ** -40)
+    hi = (1 + tol) ** 2 / (1 + w) ** 2 * (1 - g) / (1 + g64) * (1 - 2.0 ** -40)
+    lo32, hi32 = np.float32(lo), np.float32(hi)
+    if float(lo32) < lo:
+        lo32 = np.nextafter(lo32, np.float32(np.inf))
+    if float(hi32) > hi:
+        hi32 = np.nextafter(hi32, np.float32(-np.inf))
+    return lo32, hi32
 
 
 # Each check takes (field name, block of rows, index of the block's first
@@ -312,24 +351,33 @@ class _Violations:
     def visit(self, name: str, feed=None):
         """visit(piece, index of its first row), running field name's checks
         and then, until a check finds a violation or a feed raises,
-        feed(piece, index of its first row, rows64, norms).  A piece of a
-        field with a unit-row check gets its copy_with_norms once, for all
-        of its checks and its feed; other fields get None for both, and so
-        do rows of width 0, which are off-unit without their norms (of 2**40
-        such rows, 8 TiB)."""
+        feed(piece, index of its first row, sums).  A piece of a field with
+        a unit-row check has its rows' squares summed in its own dtype
+        (float32 as stored), and those sums are its feed's; when they lie
+        inside _unit_sums every row is finite and unit, and the field's
+        checks, the finite and the unit-row one, pass without running.
+        Else the piece's copy_with_norms is taken once, for both checks.
+        Other fields get None for sums, and so do rows of width 0, which
+        are off-unit without their norms (of 2**40 such rows, 8 TiB)."""
         mine = [i for i, (_, field) in enumerate(self._checks) if field == name]
         unit_rows = any(self._checks[i][0] is _off_unit for i in mine)
 
         def see(piece: np.ndarray, row0: int) -> None:
-            rows64 = norms = None
+            sums = norms = None
+            certified = False
             if unit_rows and (piece.size or not piece.shape[0]):
-                rows64, norms = copy_with_norms(piece)
+                sums = np.einsum("ij,ij->i", piece, piece)
+                lo, hi = _unit_sums(piece.shape[1])
+                # min and max carry a NaN, which no bound holds
+                certified = not sums.size or lo <= sums.min() and sums.max() <= hi
+                if not certified:
+                    norms = copy_with_norms(piece)[1]
             for i in mine:
-                if self._found[i] is None:
+                if self._found[i] is None and not certified:
                     self._found[i] = self._checks[i][0](name, piece, row0, norms)
             if feed is not None and self.error is None and not self.report():
                 try:
-                    feed(piece, row0, rows64, norms)
+                    feed(piece, row0, sums)
                 except ValueError as exc:
                     self.error = exc
         return see
@@ -739,11 +787,11 @@ class _InMemory(nullcontext):
             raise ValidationError(list(violations))
 
 
-def read_fields(layout: Layout, source, keep: Sequence[str] = (), checked=None,
+def read_fields(layout: Layout, source, keep: Sequence[str] = (), checked=True,
                 feeds=None, ids=None, max_rows=None) -> tuple[dict, dict]:
     """The fields of source, a file of layout or a container of layout in
     memory, that keep names (the others None), and its header's sizes, both
-    by name, after every check of the fields checked names (all when None).
+    by name, after every check of the layout, unless checked is false.
 
     feeds maps a field to its feed, which gets each block of the field
     once its checks have passed (see _Violations.visit); a ValueError a
@@ -757,8 +805,7 @@ def read_fields(layout: Layout, source, keep: Sequence[str] = (), checked=None,
     opened = (read_container(source, layout) if isinstance(source, (str, os.PathLike))
               else _InMemory(layout, source))
     with opened as (sizes, rd):
-        found = _Violations([c for c in layout.checks(sizes)
-                             if checked is None or c[1] in checked])
+        found = _Violations(layout.checks(sizes) if checked else ())
         kept = {}
         for name, dtype, dims in layout.fields:
             shape = tuple(sizes[dim] for dim in dims)
@@ -786,8 +833,7 @@ def read_bank(source, fields: Sequence[str] = DATB.names, feats_to=None,
               rows=None, feed_rows=None) -> tuple[EmbeddingBank, dict, bool]:
     """The bank keeping fields, its header's sizes, and whether any record
     has a latent class, from source: a DATB path, or an EmbeddingBank, read
-    the same way but checked only in the feats fed to feats_to (see the
-    module docstring).
+    the same way but not checked (see the module docstring).
 
     With rows (record ids, or a function that returns them, called once,
     when the first kept field is reached), each kept field holds only the
@@ -796,24 +842,23 @@ def read_bank(source, fields: Sequence[str] = DATB.names, feats_to=None,
     passed them.  captions cannot be kept by rows.
 
     feats_to is the feed of feats (see read_fields): it gets each piece of
-    feats as (rows, index of its first row, rows64, norms), where rows64
-    and norms are the copy_with_norms its checks read.  A piece is a block
-    of the read, of at most feed_rows rows when that is given; an empty
-    bank's feats is one empty (0, d) piece."""
+    feats as (rows, index of its first row, sums), where sums are the
+    float32 sums of squares of its rows that the checks' screen took from
+    a file, the feed's to overwrite, and None from a bank in memory.  A
+    piece is a block of the read, of at most feed_rows rows when that is
+    given; an empty bank's feats is one empty (0, d) piece."""
     unknown = sorted(set(fields) - set(DATB.names))
     if unknown:
         raise ValueError(f"unknown bank fields {unknown}, expected some of {DATB.names}")
     if rows is not None and "captions" in fields:
         raise ValueError("captions cannot be kept by rows")
     ids = rows if rows is None or callable(rows) else np.asarray(rows, dtype=np.int64)
-    memory = isinstance(source, EmbeddingBank)
     known = []  # whether each block of latent_class holds a latent class
     feeds = {"feats": feats_to,
              "latent_class": lambda classes, *_: known.append((classes >= 0).any())}
-    # a bank the program made is valid: it runs only the checks of the
-    # feats it feeds, for their copy_with_norms
-    checked = (("feats",) if feats_to else ()) if memory else None
-    kept, sizes = read_fields(DATB, source, fields, checked, feeds, ids,
+    # a bank the program made is valid, so it runs no check
+    kept, sizes = read_fields(DATB, source, fields,
+                              not isinstance(source, EmbeddingBank), feeds, ids,
                               {"feats": feed_rows})
     return EmbeddingBank(**kept), sizes, any(known)
 

@@ -14,13 +14,13 @@ as many rows (bytes_per_row each) as the memory budget leaves after the part
 that does not grow with the chunk: the query rows and up to 2*k*q held
 candidates (merge_bytes).  That part is charged at most three quarters of
 the budget, so a large k*q cannot shrink the chunk below a quarter of it.
-Every row arrives with its float64 copy and the copy's norms, made by
-embank.copy_with_norms (sqrt(einsum("ij,ij->i"))): for a bank's rows
-by read_bank's unit-row check, for the label bank's rows chunk by chunk
-by select_topk_streamed.  The selector divides that copy by the norms in
-place, and so makes unit rows.  A score is defined by one fixed
-arithmetic: s = 0, then s = s + q[j, t] * u[i, t] for t = 0, 1, ..., d-1,
-each product and sum rounded on its own.  Every score is thus the same
+A row is scored in float64 only when it may enter the selection (the
+screen, below, turns the others away in float32): its float64 copy and
+norm are made by embank.copy_with_norms (sqrt(einsum("ij,ij->i"))) and
+the copy is divided by the norm in place, which makes a unit row.  A
+score is defined by one fixed arithmetic: s = 0, then
+s = s + q[j, t] * u[i, t] for t = 0, 1, ..., d-1, each product and sum
+rounded on its own.  Every score is thus the same
 float operations whatever the chunk shape, so scores (and therefore
 selections) are bit-identical no matter how the rows are chunked.
 
@@ -34,11 +34,20 @@ is 4 gamma_d, widened for float norms not exactly 1: it covers twice the
 distance between the two scores of a pair.
 
 - Screen.  Once every column holds k candidates (its floor, below, is
-  finite), a row whose matmul score plus the slack reaches no column's
-  floor has a fixed-order score below the floor in every column and would
-  be refused, so it is dropped.  The matmul scores of the rows kept are
-  gathered into the free (q, r) buffer.  Floors only rise, so the screen
-  never changes a bit.
+  finite), the chunk's rows as fed (a bank's stored float32 rows) are
+  scored in float32 against the query rows rounded to float32, in the
+  same layout, and each score is divided by the row's norm, the root of
+  its float32 sum of squares (the one read_bank's check took, or taken
+  here).  A row whose screen score reaches no column's floor less
+  _slack32 has a fixed-order score below the floor in every column and
+  would be refused, so it is dropped; _slack32 bounds the distance
+  between the two scores.  The scores are written into one (q, r)
+  buffer and the mask of those that reach into the other.  Rows whose
+  sum of squares is zero, not finite or outside _SCREENED_SUMS are
+  kept, so a degenerate row still reaches its refusal.  Floors only
+  rise, so the screen never changes a bit.  The rows kept, and every row
+  until the floors are set, get their float64 unit rows and the float64
+  scores below.
 - Assignment.  A row's fixed-order best column has a matmul score within
   the slack of the row's matmul maximum.  Each row takes its matmul
   argmax, along the contiguous axis: over the (r, q) scores, or over a
@@ -61,12 +70,12 @@ toward the lowest record id within a column.  Non-finite rows are refused,
 as zero-norm rows are: the bound holds only for finite scores.
 
 The selector is fed rows in ascending record order, in pieces of any
-size: the label bank's one chunk at a time, or each piece of a bank's
-feats as read_bank checks it, so that the read never holds feats whole
-and each row is copied to float64 and its norm taken once.  Each piece
-is scored chunk_rows rows at a time.  Candidates are held in arrays
-allocated once with room for 2*k*q entries: id, column, score and, for
-stage 1, the row as fed (a bank's stored float32 feats), so that the
+size: the label bank's whole, or each piece of a bank's feats as
+read_bank checks it, with the sums of squares its check took, so that
+the read never holds feats whole and each row's squares are summed once.
+Each piece is scored chunk_rows rows at a time.  Candidates are held in
+arrays allocated once with room for 2*k*q entries: id, column, score and,
+for stage 1, the row as fed (a bank's stored float32 feats), so that the
 label bank carries the feats of its rows and stage 2 re-ranks them
 without the bank; stage 2 carries none.  Once a column has
 k candidates, the score of its k-th is the column's floor, and a later
@@ -118,13 +127,53 @@ _UFUNC_BYTES = 72 * 1024
 _PAIRS_PER_ROW = 3
 
 
+# The sums of squares of the rows the screen bounds: over them no square,
+# product or sum of the screen overflows, and what underflows stays within
+# _slack32's last terms.
+_SCREENED_SUMS = (2.0 ** -60, 2.0 ** 60)
+
+
+def _gamma(n: int, u: float = 2.0 ** -53) -> float:
+    """Higham's gamma_n = n u / (1 - n u), at unit roundoff u."""
+    return n * u / (1 - n * u)
+
+
 def _slack(feat_dim: int) -> float:
     """A bound on how far the matmul score of a row's fixed-order best pair
     can lie below the row's matmul maximum: 4 gamma_d, widened for unit rows
     whose float norm is up to gamma_(d+2) away from 1."""
-    def gamma(n: int) -> float:
-        return n * 2.0 ** -53 / (1 - n * 2.0 ** -53)
-    return 4 * gamma(feat_dim) * (1 + gamma(feat_dim + 2)) ** 2
+    return 4 * _gamma(feat_dim) * (1 + _gamma(feat_dim + 2)) ** 2
+
+
+def _slack32(feat_dim: int) -> float:
+    """A bound on how far below a column's floor the screen score of a row
+    (sum of squares in _SCREENED_SUMS) may lie when its fixed-order score
+    reaches the floor.
+
+    The screen score of a row x against a query row q is R = P / N, in
+    float32: P the matmul score of x against q rounded to float32, N the
+    root of x's float32 sum of squares.  With u = 2^-24 and g = gamma_d at
+    u (Higham, 3.1), in units of |x||q| or |x|:
+    - P lies within u (the query's rounding) + g (1 + u) (the matmul) of
+      x.q;
+    - N lies within u + g (the sum of squares and its root) of |x|;
+    - the division adds u of R.
+    So R lies within ((score + norm) / (1 - norm)) (1 + u) + u of the
+    cosine x.q / |x|, times |q| <= 1 + gamma_(d+2) at 2^-53.  The
+    fixed-order score lies within _slack(d) of that cosine: its distance
+    is about 2 gamma_d + 2^-52 at 2^-53.  A float64 floor less the slack
+    is rounded once, within 2^-52, before it is rounded down to float32.
+    A factor 1 + 2^-40 covers what underflows (each square, product and
+    quotient to at most 2^-150, d 2^-88 against a row of sum of squares
+    2^-60 or more) and the float64 rounding of this formula.  Rows fed as
+    float64 are screened in float64, within less."""
+    d, u = feat_dim, 2.0 ** -24
+    if d * u >= 0.5:
+        return math.inf  # no bound: the screen keeps every row
+    g = _gamma(d, u)
+    score, norm = u + g * (1 + u), u + g
+    screen = ((score + norm) / (1 - norm) * (1 + u) + u) * (1 + _gamma(d + 2))
+    return (screen + _slack(d) + 2.0 ** -52) * (1 + 2.0 ** -40)
 
 
 def _ties(scores: np.ndarray, ax: int, assigned: np.ndarray,
@@ -160,29 +209,33 @@ def _slot_bytes(feat_dim: int, carry_rows: bool) -> int:
 
 
 def bytes_per_row(feat_dim: int, n_columns: int) -> int:
-    """Bytes one chunk row may hold while it is scored and merged: its
-    float64 unit row (8d) and its norm (8), in the copy that is fed with
-    it; its share of the two (q, r) buffers (16q), which hold the matmul,
-    the screen's mask, the kept rows' matmul scores, the copy the argmax
+    """Bytes one chunk row may hold while it is scored and merged, when
+    the screen keeps it (every row is kept until the floors are set): its
+    share of the two (q, r) buffers (16q), which hold the screen's scores
+    and mask, then the kept rows' float64 matmul, the copy the argmax
     takes by row, and the tied rows' lines and the mask of their pairs;
-    its position in the chunk and its best column (16); and the work of
-    breaking ties, which outweighs what the screen, the runner-up test,
-    the scoring of the best pairs or the admission hold at once: a tied
-    row's place among the kept rows and its position in the chunk (16),
+    its float64 unit row (8d) and norm (8), from copy_with_norms of its
+    stored row (a gathered float32 row, 4d, while the copy is taken, or a
+    float64 one, 8d, when fed so); its position in the chunk and its best
+    column (16); and the work of breaking ties, which outweighs what the
+    screen (the sum of squares and root, 8, and three masks), the
+    runner-up test, the scoring of the best pairs or the admission hold
+    at once: a tied row's place among the kept rows and its position (16),
     the flat index of up to _PAIRS_PER_ROW of its pairs (8 each), and a
-    piece of half a chunk of pairs, with their gathered query and chunk
-    features (8d) and each pair's line, column, chunk position and
-    fixed-order score (16)."""
+    piece of half a chunk of pairs, with their gathered query and unit
+    rows (8d) and each pair's line, column, position and fixed-order
+    score (16)."""
     return 16 * feat_dim + 16 * n_columns + 56 + 8 * _PAIRS_PER_ROW
 
 
 def merge_bytes(k: int, feat_dim: int, n_columns: int,
                 carry_rows: bool = True) -> int:
     """Bytes the selection holds whatever the chunk size: the unit query
-    rows (8dq), a few per-column vectors (floors, counts, offsets), the 2kq
-    slots of the candidate arrays and what one ufunc call may allocate
-    (_UFUNC_BYTES).  The matmul reads the query rows in place."""
-    return (8 * n_columns * (feat_dim + 8) + _UFUNC_BYTES
+    rows and their float32 rounding (12dq), a few per-column vectors
+    (floors, the screen's thresholds, counts, offsets), the 2kq slots of
+    the candidate arrays and what one ufunc call may allocate
+    (_UFUNC_BYTES).  The matmuls read the query rows in place."""
+    return (4 * n_columns * (3 * feat_dim + 22) + _UFUNC_BYTES
             + 2 * k * n_columns * _slot_bytes(feat_dim, carry_rows))
 
 
@@ -224,15 +277,17 @@ class SampleResult:
         return self.selected_ids.shape[0]
 
 
-def _unit_rows(rows: np.ndarray, norms: np.ndarray, offset: int,
-               what: str) -> np.ndarray:
+def _unit_rows(rows: np.ndarray, norms: np.ndarray, what: str, offset: int = 0,
+               at: np.ndarray | None = None) -> np.ndarray:
     """Divide the float64 rows by their norms in place and return them; a
-    zero or non-finite norm is refused, naming its row (offset onwards)."""
+    zero or non-finite norm is refused, naming its row: offset + i for
+    row i, or offset + at[i] when the rows are those at at."""
     bad = np.flatnonzero((norms == 0.0) | ~np.isfinite(norms))
     if bad.size:
         i = int(bad[0])
         problem = "zero" if norms[i] == 0.0 else "a non-finite"
-        raise DegenerateRowError(f"{what} row {offset + i} has {problem} norm")
+        row = offset + (i if at is None else int(at[i]))
+        raise DegenerateRowError(f"{what} row {row} has {problem} norm")
     rows /= norms[:, None]
     return rows
 
@@ -242,8 +297,8 @@ class TopKSelector:
     assigned to its most cosine-similar row of f, and each column keeps its
     k best under (score desc, id asc).
 
-    feed takes rows in ascending record order, in pieces of any size, each
-    with its copy_with_norms, and scores them chunk_rows at a time; result
+    feed takes rows in ascending record order, in pieces of any size, and
+    scores them chunk_rows at a time; result
     returns the selection, with the rows of the selected records as fed,
     stored as carry (a dtype), unless carry is None.  Each row is used at
     most once (its assigned column), so the selected ids are distinct by
@@ -256,8 +311,10 @@ class TopKSelector:
             raise ValueError(f"k must be at least 1, got {k}")
         if chunk_rows < 1:
             raise ValueError(f"chunk_rows must be at least 1, got {chunk_rows}")
-        self._q_unit = _unit_rows(*copy_with_norms(f), 0, "query")
+        self._q_unit = _unit_rows(*copy_with_norms(f), "query")
+        self._q32 = self._q_unit.astype(np.float32)
         q, d = self._q_unit.shape
+        self._slack32 = _slack32(d)
         self._k, self._chunk_rows, self._next = k, chunk_rows, 0
         self._out = np.empty(q * chunk_rows)
         self._tmp = np.empty_like(self._out)
@@ -273,12 +330,12 @@ class TopKSelector:
         self._n = self._sorted = 0  # candidates held, and held after the last cut
         self._floor = np.full(q, -np.inf)
 
-    def feed(self, rows: np.ndarray, first_record_id: int, rows64: np.ndarray,
-             norms: np.ndarray) -> None:
+    def feed(self, rows: np.ndarray, first_record_id: int,
+             sums: np.ndarray | None = None) -> None:
         """Score rows, record ids first_record_id onwards, and merge them
-        into the candidates.  rows64 and norms are the rows'
-        copy_with_norms, as a bank file's reader hands them on (see
-        read_bank); rows64 is divided into unit rows in place."""
+        into the candidates.  sums are the rows' sums of squares, as a bank
+        file's reader hands them on (see read_bank), which the screen
+        overwrites with their roots; when None, the screen takes them."""
         if first_record_id < self._next:
             raise ValueError(f"record {first_record_id} fed after record "
                              f"{self._next - 1}: rows go in ascending order")
@@ -289,10 +346,10 @@ class TopKSelector:
         if self._rows is not None and rows.dtype != self._rows.dtype:
             raise ValueError(f"rows of dtype {rows.dtype} fed to a selector "
                              f"that carries {self._rows.dtype} rows")
-        unit = _unit_rows(rows64, norms, first_record_id, "bank")
         for lo in range(0, rows.shape[0], self._chunk_rows):
             part = slice(lo, lo + self._chunk_rows)
-            self._admit(rows[part], unit[part], first_record_id + lo)
+            self._admit(rows[part], None if sums is None else sums[part],
+                        first_record_id + lo)
         self._next = first_record_id + rows.shape[0]
 
     def selected_ids(self) -> np.ndarray:
@@ -312,31 +369,58 @@ class TopKSelector:
                             deficits=k - np.bincount(cols, minlength=self._floor.size),
                             k=k, feats=feats)
 
-    def _best(self, unit: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The positions of the chunk's unit rows that may beat a floor,
-        ascending, with each one's best column (lowest on ties) and
-        fixed-order score: every row, or the rows the screen keeps."""
+    def _screen(self, chunk: np.ndarray, sums: np.ndarray | None) -> np.ndarray | None:
+        """The positions of the chunk's rows that the screen keeps,
+        ascending, or None (every row) while some floor is unset.  The
+        scores go into one of the (q, r) buffers and their mask into the
+        other.  A row fed as float32 is scored in float32, any other in
+        float64; sums, or the squares summed here, become the norms."""
+        if self._floor.min() == -np.inf:
+            return None
+        r, q = chunk.shape[0], self._floor.size
+        wide = q > r  # the longer side runs contiguous, as in _best
+        rows = chunk if chunk.dtype == np.float32 else np.asarray(chunk, np.float64)
+        query = self._q32 if rows.dtype == np.float32 else self._q_unit
+        scores = self._out.view(rows.dtype)[:q * r].reshape((r, q) if wide else (q, r))
+        with np.errstate(invalid="ignore"):  # a non-finite row is kept anyway
+            if wide:
+                np.matmul(rows, query.T, out=scores)
+            else:
+                np.matmul(query, rows.T, out=scores)
+        norms = np.einsum("ij,ij->i", rows, rows) if sums is None else sums
+        lo, hi = _SCREENED_SUMS
+        blind = ~((norms >= lo) & (norms <= hi))  # NaN fails both
+        np.sqrt(norms, out=norms)
+        norms[blind] = 1  # their scores are not read
+        np.divide(scores, norms[:, None] if wide else norms, out=scores)
+        floor = self._floor - self._slack32
+        bar = floor.astype(np.float32)  # rounded down, below
+        np.nextafter(bar, -np.inf, out=bar, where=bar > floor)
+        reach = self._tmp.view(np.bool_)[:q * r].reshape(scores.shape)
+        np.greater_equal(scores, bar if wide else bar[:, None], out=reach)
+        keep = reach.any(axis=1 if wide else 0)
+        keep |= blind
+        return np.flatnonzero(keep)
+
+    def _best(self, chunk: np.ndarray, sums: np.ndarray | None,
+              start: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The positions of the chunk's rows (record start first) that may
+        beat a floor, ascending, with each one's best column (lowest on
+        ties) and fixed-order score: every row, or the rows the screen
+        keeps, which alone get their float64 unit rows."""
+        at = self._screen(chunk, sums)
+        unit = _unit_rows(*copy_with_norms(chunk if at is None else chunk[at]),
+                          "bank", start, at)
         (r, d), q = unit.shape, self._floor.size
         wide = q > r  # the matmul's longer side runs contiguous
         ax = 1 if wide else 0  # its column axis
         held, free = self._out, self._tmp  # the scores' buffer and the other
-        gemm = held[:q * r].reshape((r, q) if wide else (q, r))
+        scores = held[:q * r].reshape((r, q) if wide else (q, r))
         if wide:
-            np.matmul(unit, self._q_unit.T, out=gemm)
+            np.matmul(unit, self._q_unit.T, out=scores)
         else:
-            np.matmul(self._q_unit, unit.T, out=gemm)
+            np.matmul(self._q_unit, unit.T, out=scores)
         slack = _slack(d)
-        at, scores = np.arange(r), gemm
-        if self._floor.min() > -np.inf:  # the screen
-            floor = self._floor - slack
-            reach = free.view(np.bool_)[:q * r].reshape(gemm.shape)
-            np.greater_equal(gemm, floor if wide else floor[:, None], out=reach)
-            at = np.flatnonzero(reach.any(axis=ax))
-            scores = free[:q * at.size].reshape(
-                (at.size, q) if wide else (q, at.size))
-            # mode "clip" writes into out directly; "raise" would buffer a copy
-            np.take(gemm, at, axis=1 - ax, out=scores, mode="clip")
-            held, free = free, held
         by_row, spare = scores, free
         if not wide:  # argmax runs along the contiguous axis
             by_row = free[:scores.size].reshape(scores.shape[::-1])
@@ -345,18 +429,18 @@ class TopKSelector:
         assigned = by_row.argmax(axis=1)
         tie = _ties(scores, ax, assigned, slack)
         if tie.size:
-            self._break_ties(by_row, spare, unit, at, assigned, tie, slack)
-        score = np.empty(at.size)
-        for part in self._pieces(at.size):
-            score[part] = self._rescore(unit, at[part], assigned[part])
-        return at, assigned, score
+            self._break_ties(by_row, spare, unit, assigned, tie, slack)
+        score = np.empty(r)
+        for part in self._pieces(r):
+            score[part] = self._rescore(unit, part, assigned[part])
+        return np.arange(r) if at is None else at, assigned, score
 
     def _break_ties(self, by_row: np.ndarray, spare: np.ndarray,
-                    unit: np.ndarray, at: np.ndarray, assigned: np.ndarray,
-                    tie: np.ndarray, slack: float) -> None:
+                    unit: np.ndarray, assigned: np.ndarray, tie: np.ndarray,
+                    slack: float) -> None:
         """Set assigned[tie] to the fixed-order best columns, lowest on ties,
-        of the rows tie of the (n, q) matmul scores by_row (chunk rows at):
-        each one's pairs within the slack of its maximum are scored again
+        of the rows tie of the (n, q) matmul scores by_row of unit: each
+        one's pairs within the slack of its maximum are scored again
         into a copy of its line in spare, the pairs of _PAIRS_PER_ROW
         entries per chunk row of the flat mask of them at a time; by_row's
         buffer then holds that mask."""
@@ -366,14 +450,14 @@ class TopKSelector:
         np.take(by_row, tie, axis=0, out=lines, mode="clip")
         near = by_row.reshape(-1).view(np.bool_)[:lines.size].reshape(lines.shape)
         np.greater_equal(lines, lines.max(axis=1, keepdims=True) - slack, out=near)
-        tied, flat = at[tie], near.reshape(-1)
+        flat = near.reshape(-1)
         span = _PAIRS_PER_ROW * self._chunk_rows
         for lo in range(0, flat.size, span):
             pos = np.flatnonzero(flat[lo:lo + span])
             pos += lo
             for part in self._pieces(pos.size):
                 line, col = np.divmod(pos[part], q)
-                lines.reshape(-1)[pos[part]] = self._rescore(unit, tied[line], col)
+                lines.reshape(-1)[pos[part]] = self._rescore(unit, tie[line], col)
         assigned[tie] = lines.argmax(axis=1)
 
     def _pieces(self, n: int):
@@ -381,23 +465,23 @@ class TopKSelector:
         piece = (self._chunk_rows + 1) // 2
         return (slice(p, p + piece) for p in range(0, n, piece))
 
-    def _rescore(self, unit: np.ndarray, rows: np.ndarray,
-                 cols: np.ndarray) -> np.ndarray:
-        """The fixed-order scores of unit[rows] against the query columns
-        cols, pair by pair."""
+    def _rescore(self, unit: np.ndarray, rows, cols: np.ndarray) -> np.ndarray:
+        """The fixed-order scores of unit[rows] (rows an index array or a
+        slice) against the query columns cols, pair by pair."""
         prod = self._q_unit[cols]
         prod *= unit[rows]
-        exact = np.zeros(rows.size)
+        exact = np.zeros(cols.size)
         for t in range(unit.shape[1]):
             exact += prod[:, t]
         return exact
 
-    def _admit(self, chunk: np.ndarray, unit: np.ndarray, start: int) -> None:
-        """Append the chunk's rows, whose unit rows are unit, whose best
-        score beats their column's floor, cutting whenever the arrays are
-        full; the first row is record start.  The chunk's merge vectors die
-        on return."""
-        at, assigned, row_score = self._best(unit)
+    def _admit(self, chunk: np.ndarray, sums: np.ndarray | None,
+               start: int) -> None:
+        """Append the chunk's rows (sums of squares sums, or None) whose
+        best score beats their column's floor, cutting whenever the arrays
+        are full; the first row is record start.  The chunk's merge vectors
+        die on return."""
+        at, assigned, row_score = self._best(chunk, sums, start)
         admit = np.flatnonzero(row_score > self._floor[assigned])
         room = self._ids.size
         while admit.size:
@@ -441,15 +525,11 @@ class TopKSelector:
 
 def select_topk_streamed(v: np.ndarray, f: np.ndarray, k: int,
                          chunk_rows: int) -> SampleResult:
-    """The TopKSelector's result for the rows of v, carrying no rows.  v is
-    fed one chunk at a time, so that only one chunk's float64 copy lives at
-    once; the chunk holds no more rows than v has."""
+    """The TopKSelector's result for the rows of v, carrying no rows; the
+    chunk holds no more rows than v has."""
     v = np.asarray(v)
-    rows = min(chunk_rows, max(v.shape[0], 1))
-    selector = TopKSelector(f, k, rows, None)
-    for lo in range(0, max(v.shape[0], 1), rows):  # an empty v is fed too
-        piece = v[lo:lo + rows]
-        selector.feed(piece, lo, *copy_with_norms(piece))
+    selector = TopKSelector(f, k, min(chunk_rows, max(v.shape[0], 1)), None)
+    selector.feed(v, 0)
     return selector.result()
 
 
@@ -471,8 +551,8 @@ def stage1_sample(bank: EmbeddingBank | str | os.PathLike, ds: DownstreamDataset
 
     The bank, a DATB path or an EmbeddingBank, is read once by read_bank:
     each piece of its feats, of at most the chunk's rows, goes to the
-    selector with the float64 copy and norms of its checks, once they pass,
-    so the read never holds feats whole or copies it again.  latent_class
+    selector with the float32 sums of squares of its checks, once they
+    pass, so the read never holds feats whole or sums its squares again.  latent_class
     is kept at the label bank's ids, in their order, which read_bank asks
     for when it reaches that field (it follows feats, so the label bank is
     final by then)."""

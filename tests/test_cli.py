@@ -164,16 +164,19 @@ def test_sample_stays_within_its_budget_end_to_end(tmp_path):
     and hashlib), at no more than what it keeps (the stored feats of up to
     2*k1*C label-bank candidates, and the ids and latent classes of the
     k1*C records of the label bank), the scorer's memory budget, and what
-    the reader holds: its block buffer and a feats block's float64 copy
-    (twice its bytes, divided in place by the scorer).  The captions are
-    ASCII, so no page of their continuation bitmap (0.56 MiB) is written.
+    the reader holds: its block buffer, a block's float32 sums of squares,
+    which the scorer takes on, and the float64 copy of a block the float32
+    screen cannot certify (twice its bytes); the scorer copies to float64
+    only the rows its own screen keeps, inside its budget.  The captions
+    are ASCII, so no page of their continuation bitmap (0.56 MiB) is
+    written.
     A slack of one more block covers what a trace of ru_maxrss shows
     besides: the checks' masks and the scorer's gathers, and numpy.random,
     which stage 2 imports once the reader has freed its buffers.  feats
     itself is scored while it is read and never held whole: a sample that
     decodes it first (12.8 MiB here), keeps latent_class whole (0.8 MiB),
     writes the whole bitmap or reads through a 4 MiB block breaks the
-    bound (about 4.1 MiB now, 6.0 allowed)."""
+    bound (about 4.0 MiB now, 6.0 allowed)."""
     m, d = 200_000, 16
     bank = random_bank(seed=17, m=m, d_img=32, d=d)
     bank_path, ds_path = tmp_path / "bank.datb", tmp_path / "train.datd"

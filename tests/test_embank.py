@@ -972,6 +972,110 @@ def test_a_norm_at_the_tolerance_edge_gets_one_verdict(tmp_path, edge):
         assert (found[0] == whole_array_violations(bank)) == (i not in split)
 
 
+def float64_violations(bank):
+    """The finite and unit-row checks of validate(DATB, bank), on whole
+    arrays and in float64 alone: each row's norm is sqrt(einsum) of its
+    float64 copy, as copy_with_norms takes it."""
+    out = []
+    for name in ("images", "feats", "caption_feats"):
+        bad = ~np.isfinite(getattr(bank, name))
+        if bad.any():
+            idx = tuple(int(i) for i in np.argwhere(bad)[0])
+            out.append(f"{name} has non-finite value at index {idx}")
+    for name in ("feats", "caption_feats"):
+        wide = getattr(bank, name).astype(np.float64)
+        norms = np.sqrt(np.einsum("ij,ij->i", wide, wide))
+        off = np.abs(norms - 1.0) > UNIT_NORM_TOL
+        if off.any():
+            i = int(np.argmax(off))
+            out.append(f"{name} row {i} has norm {norms[i]:.8f}, "
+                       f"expected 1 within {UNIT_NORM_TOL}")
+    return out
+
+
+def screen_cases(kind, d=16):
+    """float32 rows for the reader's float32 screen, by kind, each row
+    either side of a boundary where the float64 check or the screen's
+    float32 sum may go wrong."""
+    rng = np.random.default_rng(41)
+    if kind in ("above 1 + tol", "below 1 - tol"):
+        # the rows on either side of each step of the float64 verdict, each
+        # about an ulp of the norm from 1 +- 1e-5
+        edge = 1 + UNIT_NORM_TOL if kind == "above 1 + tol" else 1 - UNIT_NORM_TOL
+        rows = edge_rows(rng, edge, 12, d)
+        wide = rows.astype(np.float64)
+        off = np.abs(np.sqrt(np.einsum("ij,ij->i", wide, wide)) - 1) > UNIT_NORM_TOL
+        flips = np.flatnonzero(off[1:] != off[:-1])
+        assert flips.size
+        return rows[sorted({*flips, *(flips + 1)})]
+    if kind in ("inside the certified range", "outside the certified range"):
+        # rows whose float32 sums of squares step across the ends of the
+        # range that certifies them, a float32 ulp at a time
+        lo, hi = embank._unit_sums(d)
+        rows = np.vstack([edge_rows(rng, math.sqrt(float(end)), 6, d)
+                          for end in (lo, hi)])
+        sums = np.einsum("ij,ij->i", rows, rows)
+        inside = (sums >= lo) & (sums <= hi)
+        assert inside.any() and not inside.all()
+        return rows[inside if kind == "inside the certified range" else ~inside]
+    base = unit_rows(rng, 4, d)
+    if kind == "nan":
+        base[:, 3] = np.nan
+    elif kind == "inf":
+        base[:, 3] = [np.inf, -np.inf, np.inf, -np.inf]
+    elif kind == "squares overflow":  # entries near 2**64, so squares past 2**128
+        base *= np.float32(2.0 ** 64) * np.array([[1], [0.75], [3], [4]], np.float32)
+    elif kind == "squares underflow":  # subnormal entries, whose squares are 0
+        base *= np.float32(2.0 ** -130) * np.array([[1], [2.0 ** -10], [0], [1]],
+                                                   np.float32)
+    else:  # "subnormal entries" in a unit row, which stays unit
+        base[:, :6] = np.float32(2.0 ** -140)
+        base[:, 6:] /= np.linalg.norm(base[:, 6:], axis=1, keepdims=True)
+    return base
+
+
+@pytest.mark.parametrize("kind", [
+    "above 1 + tol", "below 1 - tol", "inside the certified range",
+    "outside the certified range", "nan", "inf", "squares overflow",
+    "squares underflow", "subnormal entries"])
+def test_the_float32_screen_gives_the_verdicts_of_the_float64_check(
+        tmp_path, monkeypatch, kind):
+    """Each case row, in feats and in caption_feats, gets from validate, a
+    full decode and a decode that skips caption_feats the verdicts and
+    messages of the float64 check alone (float64_violations).  Only the
+    8-row blocks the screen cannot certify are copied to float64: those
+    holding a case row, unless the row is certified."""
+    monkeypatch.setattr(embank, "_BLOCK_BYTES", 8 * 64)  # 8 rows of feats
+    copied = []
+    copy = embank.copy_with_norms
+    monkeypatch.setattr(embank, "copy_with_norms",
+                        lambda rows: copied.append(len(rows)) or copy(rows))
+    rows = screen_cases(kind)
+    base = random_bank(seed=41, m=20, d_img=3, d=16)
+    lo, hi = embank._unit_sums(16)
+    for row in rows:
+        sums = float(np.einsum("i,i->", row, row))
+        certified = lo <= sums <= hi
+        feats, caption_feats = base.feats.copy(), base.caption_feats.copy()
+        feats[3] = caption_feats[13] = row
+        bank = EmbeddingBank(images=base.images, feats=feats,
+                             caption_feats=caption_feats, captions=base.captions,
+                             latent_class=base.latent_class)
+        copied.clear()
+        found = verdicts(bank, tmp_path / "case.datb")
+        assert found == [float64_violations(bank)] * 3, (kind, row)
+        # three reads, two blocks each (rows 0-7 of feats, 8-15 of
+        # caption_feats), unless the row is certified
+        assert copied == ([] if certified else [8, 8] * 3), (kind, row)
+        if kind in ("inside the certified range", "subnormal entries"):
+            assert certified and found[0] == []
+        if kind in ("outside the certified range", "nan", "inf",
+                    "squares overflow", "squares underflow"):
+            assert not certified
+        if kind in ("nan", "inf", "squares overflow", "squares underflow"):
+            assert found[0]
+
+
 def test_a_row_of_float32_max_is_off_unit_and_finite(tmp_path):
     """Its squares stay finite in float64, so its norm is finite and the
     non-finite check, which reads the norms first, finds nothing."""
@@ -1046,27 +1150,29 @@ def test_unit_rows_of_width_0_are_off_unit(tmp_path):
 def test_a_bank_in_memory_is_read_as_its_file(tmp_path, monkeypatch):
     """read_fields hands an EmbeddingBank's feats and latent_class to their
     feeds in the pieces it hands its DATB file's, bit for bit, checking the
-    feats in memory as read_bank does: each piece of feats with the same
-    first row, float64 copy and norms, each of latent_class with none."""
+    bank in memory as validate does: each piece of feats with the same
+    first row and float32 sums of squares, each of latent_class with
+    none."""
     bank = random_bank(seed=5, m=40, d=4)
     path = tmp_path / "bank.datb"
     encode_bank_file(bank, path)
     monkeypatch.setattr(embank, "_BLOCK_BYTES", 3 * 16)  # 3 feats rows a piece
     handed = []
-    for source, checked in ((bank, ("feats",)), (path, None)):
+    for source in (bank, path):
         feats, latent = [], []
-        feeds = {"feats": lambda rows, row0, rows64, norms: feats.append(
-                     (row0, rows.tobytes(), rows64.tobytes(), norms.tobytes())),
-                 "latent_class": lambda classes, row0, *unit: latent.append(
-                     (row0, classes.tobytes(), unit))}
-        embank.read_fields(DATB, source, (), checked, feeds)
+        feeds = {"feats": lambda rows, row0, sums: feats.append(
+                     (row0, rows.tobytes(), sums.dtype, sums.tobytes())),
+                 "latent_class": lambda classes, row0, sums: latent.append(
+                     (row0, classes.tobytes(), sums))}
+        embank.read_fields(DATB, source, (), True, feeds)
         handed.append((feats, latent))
     (feats, latent), (file_feats, file_latent) = handed
     assert [piece[0] for piece in feats] == list(range(0, 40, 3))
     assert feats == file_feats
+    assert {dtype for _, _, dtype, _ in feats} == {np.dtype(np.float32)}
     assert [row0 for row0, _, _ in latent] == [0, 12, 24, 36]
     assert latent == file_latent
-    assert {unit for _, _, unit in latent} == {(None, None)}
+    assert {sums for _, _, sums in latent} == {None}
     assert b"".join(piece for _, piece, _ in latent) == bank.latent_class.tobytes()
 
 
@@ -1096,19 +1202,26 @@ def test_rows_are_asked_for_once_after_the_last_piece_of_feats(tmp_path,
             embank.read_bank(source, ("latent_class",), rows=lambda: [3, 40])
 
 
-def test_a_bank_in_memory_runs_only_the_checks_of_the_feats_it_hands_on(monkeypatch):
-    """A bank the program made takes only the float64 copies and norms of
-    the feats handed to feats_to: none for its other fields, none when
-    nothing takes its feats."""
+def test_a_bank_in_memory_runs_no_check_of_the_feats_it_hands_on(monkeypatch):
+    """A bank the program made runs no check, not even of the feats handed
+    to feats_to, which need none: it takes no float64 copy and no sum of
+    squares, and its feed gets each piece of feats with sums None, for the
+    selector to take.  The same bank as a file would fail its checks."""
     bank = random_bank(seed=6, m=40, d=4)
+    bank.feats[5] *= 2  # off-unit, which only a check would see
     monkeypatch.setattr(embank, "_BLOCK_BYTES", 3 * 16)
-    copied = []
+    copied, summed = [], []
     copy = embank.copy_with_norms
     monkeypatch.setattr(embank, "copy_with_norms",
                         lambda rows: copied.append(len(rows)) or copy(rows))
+    monkeypatch.setattr(embank, "_unit_sums",
+                        lambda d: summed.append(d) or (np.float32(1), np.float32(1)))
     rows = decode_bank_file(bank, ("images", "caption_feats"), rows=[7, 2])
     assert np.array_equal(rows.images, bank.images[[7, 2]])
-    assert copied == []
     fed = []
-    embank.read_bank(bank, (), lambda rows, row0, rows64, norms: fed.append(len(rows)))
-    assert copied == fed == [3] * 13 + [1]
+    embank.read_bank(bank, (), lambda rows, row0, sums: fed.append((len(rows), sums)))
+    assert fed == [(3, None)] * 13 + [(1, None)]
+    assert copied == summed == []
+    assert validate(DATB, bank) == [
+        f"feats row 5 has norm {np.linalg.norm(bank.feats[5].astype(np.float64)):.8f}, "
+        f"expected 1 within {UNIT_NORM_TOL}"]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from bankadapt import benchmark, embank, sampler
 from bankadapt.config import RunConfig
-from bankadapt.embank import EmbeddingBank, copy_with_norms, encode_bank_file, read_bank
+from bankadapt.embank import EmbeddingBank, encode_bank_file, read_bank
 from bankadapt.encoder import FrozenEmbedder
 from bankadapt.sampler import (
     DegenerateRowError,
@@ -260,7 +260,7 @@ class TestTopkSelection:
             monkeypatch.setattr(sampler.TopKSelector, "_cut", counting_cut)
             selector = TopKSelector(f, k, size, v.dtype)
             for lo in range(0, m, size):
-                selector.feed(v[lo:lo + size], lo, *copy_with_norms(v[lo:lo + size]))
+                selector.feed(v[lo:lo + size], lo)
             r = selector.result()
             assert sum(cuts) >= 3, size  # two while feeding, one at the end
             assert r.selected_ids.tolist() == want, size
@@ -278,7 +278,7 @@ class TestTopkSelection:
         for ask_ids_first in (True, False):
             selector = TopKSelector(f, 4, rows)
             for lo in range(0, len(v), rows):
-                selector.feed(v[lo:lo + rows], lo, *copy_with_norms(v[lo:lo + rows]))
+                selector.feed(v[lo:lo + rows], lo)
             ids = selector.selected_ids().copy() if ask_ids_first else None
             results.append(selector.result())
             if ask_ids_first:
@@ -374,10 +374,10 @@ def watch_rescoring(monkeypatch):
     pieces = sampler.TopKSelector._pieces
     rescore = sampler.TopKSelector._rescore
 
-    def spy_best(selector, unit):
-        seen.append({"wide": selector._floor.size > len(unit), "rows": len(unit),
+    def spy_best(selector, chunk, *rest):
+        seen.append({"wide": selector._floor.size > len(chunk), "rows": len(chunk),
                      "pairs": 0, "pieces": []})
-        out = best(selector, unit)
+        out = best(selector, chunk, *rest)
         seen[-1]["kept"] = out[0].size
         seen[-1]["spans"] = sum(n > 0 for n in seen[-1].pop("pieces")[:-1])
         return out
@@ -387,7 +387,7 @@ def watch_rescoring(monkeypatch):
         return pieces(selector, n)
 
     def spy_rescore(selector, unit, rows, cols):
-        seen[-1]["pairs"] += rows.size
+        seen[-1]["pairs"] += cols.size
         return rescore(selector, unit, rows, cols)
 
     monkeypatch.setattr(sampler.TopKSelector, "_best", spy_best)
@@ -500,7 +500,7 @@ def feed_in_pieces(v, f, k, chunk_rows, bounds):
     carrying its rows in v's dtype."""
     selector = TopKSelector(f, k, chunk_rows, v.dtype)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        selector.feed(v[lo:hi], lo, *copy_with_norms(v[lo:hi]))
+        selector.feed(v[lo:hi], lo)
     return selector.result()
 
 
@@ -524,8 +524,8 @@ def traced_selections(v, f, k, rows):
 def feed_from_file(tmp_path, monkeypatch, v, f, k, chunk_rows, piece_rows):
     """The selection of the float32 unit rows v stored as a bank's feats and
     fed to the selector by read_bank, as stage1_sample feeds them:
-    in the reader's blocks of piece_rows rows, each with its float64 copy
-    and norms."""
+    in the reader's blocks of piece_rows rows, each with the float32 sums
+    of squares of its check."""
     m = len(v)
     bank = EmbeddingBank(images=np.zeros((m, 1), np.float32), feats=v,
                          caption_feats=v, captions=[""] * m,
@@ -586,49 +586,84 @@ class TestFeed:
     def test_rows_must_come_in_record_order(self):
         rows = np.eye(3, dtype=np.float32)
         selector = TopKSelector(np.eye(3), 1, 4)
-        selector.feed(rows, 0, *copy_with_norms(rows))
+        selector.feed(rows, 0)
         with pytest.raises(ValueError, match="ascending"):
-            selector.feed(rows, 2, *copy_with_norms(rows))
+            selector.feed(rows, 2)
 
     def test_rows_of_another_dtype_than_the_carried_are_refused(self):
         v, f, _ = floor_probes(15, 6, np.random.default_rng(15))
         selector = TopKSelector(f, 6, 97)  # carries float32 rows
         with pytest.raises(ValueError, match="float64.*float32"):
-            selector.feed(v, 0, *copy_with_norms(v))
+            selector.feed(v, 0)
 
 
-def floor_probes(q, k, rng, d=16):
-    """Rows that set every column's floor, then rows that cannot beat one,
-    then probes at the floors: for each column, a copy of its k-th row (a
-    score equal to the floor, with a later id), rows one ulp above and one
-    ulp below the floor and near-copies within _slack below it, each probe
-    between rows that reach no floor.  Returns the rows, the query columns
-    and the probe ids by kind."""
+def floor_probes(q, k, rng, d=16, dtype=np.float64):
+    """Rows of dtype that set every column's floor, then rows that cannot
+    beat one, then probes at the floors: for each column, a copy of its
+    k-th row (a score equal to the floor, with a later id), rows just above
+    and just below the floor and near-copies within the slack below it,
+    each probe between rows that reach no floor.  float64 rows are
+    screened in float64, within _slack, and their probes lie one ulp of
+    the score from the floor; float32 rows are screened in float32, within
+    _slack32, and their probes, near-copies of the k-th row a few float32
+    ulps away in each entry, lie within four float32 ulps of the floor.
+    Returns the rows, the query columns and the probe ids by kind."""
     f = rng.standard_normal((q, d))
     # 2k rows near each column: all are admitted, and the next row cuts them
     # to the k best, so the floors stay at the k-th of these from then on
     head = f[np.arange(2 * k * q) % q] + 0.2 * rng.standard_normal((2 * k * q, d))
+    head = head.astype(dtype)
     s = fixed_order_scores(head, f)
     assert np.array_equal(s.argmax(axis=1), np.arange(2 * k * q) % q)
-    rows, ids = [head, rng.standard_normal((200, d))], {}
+    rows, ids = [head, rng.standard_normal((200, d)).astype(dtype)], {}
+    wide = dtype == np.float32
+    slack = (sampler._slack32 if wide else sampler._slack)(d)
     for j in range(q):
         pool = np.flatnonzero(s.argmax(axis=1) == j)
         at = pool[np.lexsort((pool, -s[pool, j]))[k - 1]]
         kth, floor = head[at], s[at, j]
-        near = kth + rng.integers(-40, 41, (4000, d)) * np.spacing(np.abs(kth))
+        steps = rng.integers(-40, 41, (4000, d)).astype(dtype)
+        near = kth + steps * np.spacing(np.abs(kth))
         ns = fixed_order_scores(near, f)
         ours = ns.argmax(axis=1) == j
-        above = near[ours & (ns[:, j] == np.nextafter(floor, np.inf))][:1]
-        below = near[ours & (ns[:, j] == np.nextafter(floor, -np.inf))][:1]
-        close = near[ours & (ns[:, j] < floor)
-                     & (ns[:, j] >= floor - sampler._slack(d))][-4:]
+        if wide:
+            ulps = 4 * np.spacing(np.float32(floor))
+            above = ours & (ns[:, j] > floor) & (ns[:, j] <= floor + ulps)
+            below = ours & (ns[:, j] < floor) & (ns[:, j] >= floor - ulps)
+        else:
+            above = ours & (ns[:, j] == np.nextafter(floor, np.inf))
+            below = ours & (ns[:, j] == np.nextafter(floor, -np.inf))
+        above, below = near[above][:1], near[below][:1]
+        close = near[ours & (ns[:, j] < floor) & (ns[:, j] >= floor - slack)][-4:]
         assert len(above) == len(below) == 1 and len(close) == 4
         for kind, row in (("at", kth), ("above", above[0]), ("below", below[0]),
                           *(("close", c) for c in close)):
             ids.setdefault(kind, []).append(sum(map(len, rows)) + 2)
-            rows.append(np.vstack([rng.standard_normal((2, d)), row,
-                                   rng.standard_normal((2, d))]))
+            rows.append(np.vstack([rng.standard_normal((2, d)).astype(dtype), row,
+                                   rng.standard_normal((2, d)).astype(dtype)]))
     return np.vstack(rows), f, ids
+
+
+def screen_world(case, q, k, rng, d=16):
+    """The rows and query columns of a case of TestScreen, and the probe ids
+    by kind of its floor probes (None for the others).  "scaled": every
+    tenth row scaled by 2^60 and the next fifth by 2^-60, outside the sums
+    of squares the screen bounds; "subnormal entries": float32 rows, every
+    seventh with six subnormal entries, which the screen bounds, and every
+    fiftieth all subnormal, of sum of squares 0 in float32."""
+    if case in ("floor probes", "float32 floor probes"):
+        return floor_probes(q, k, rng, d, np.float32 if "32" in case else np.float64)
+    v, f = rng.standard_normal((3000, d)), rng.standard_normal((q, d))
+    if case == "scaled":
+        v = v.astype(np.float32)
+        v[::10] *= np.float32(2.0 ** 60)
+        v[5::10] *= np.float32(2.0 ** -60)
+    elif case == "subnormal entries":
+        v = v.astype(np.float32)
+        v[::7, :6] = np.float32(2.0 ** -140) * rng.integers(1, 9, (len(v[::7]), 6))
+        v[3::50] *= np.float32(2.0 ** -135)
+        assert (np.einsum("ij,ij->i", v[3::50], v[3::50]) == 0).all()
+    return v, f, None
 
 
 def unscreened(monkeypatch):
@@ -636,11 +671,11 @@ def unscreened(monkeypatch):
     every row."""
     best = sampler.TopKSelector._best
 
-    def spy(selector, unit):
+    def spy(selector, *args):
         floor = selector._floor
         selector._floor = np.full_like(floor, -np.inf)
         try:
-            return best(selector, unit)
+            return best(selector, *args)
         finally:
             selector._floor = floor
 
@@ -649,14 +684,12 @@ def unscreened(monkeypatch):
 
 class TestScreen:
     @pytest.mark.parametrize("q", [10, 15])
-    @pytest.mark.parametrize("case", ["floor probes", "random"])
+    @pytest.mark.parametrize("case", ["floor probes", "float32 floor probes",
+                                      "random", "scaled", "subnormal entries"])
     def test_the_screen_never_changes_a_bit(self, tmp_path, monkeypatch, case, q):
         rng = np.random.default_rng(q)
         k, chunk_rows = 6, 97
-        if case == "random":
-            v, f = rng.standard_normal((3000, 16)), rng.standard_normal((q, 16))
-        else:
-            v, f, probes = floor_probes(q, k, rng)
+        v, f, probes = screen_world(case, q, k, rng)
         m = len(v)
         sizes = rng.integers(1, 3 * chunk_rows, m)
         pieces = np.unique(np.minimum(np.concatenate([[0], np.cumsum(sizes)]), m))
@@ -676,7 +709,7 @@ class TestScreen:
             assert_same_result(r, results[False][0])
         r = results[False][0]
         assert_top_k_of_fixed_order(r, v, f, k)
-        if case == "random":
+        if probes is None:
             assert {j: r.selected_ids[r.assigned_column == j].tolist()
                     for j in range(q)} == brute_force_select(v, f, k)[0]
         else:
@@ -685,7 +718,7 @@ class TestScreen:
             assert not chosen & set(probes["at"] + probes["below"] + probes["close"])
         # the rows as a bank stores them (float32 unit rows), fed by the
         # reader in 150-row pieces, screened and unscreened
-        v32 = unit(v).astype(np.float32)
+        v32 = unit(v.astype(np.float64)).astype(np.float32)
         seen = watch_rescoring(monkeypatch)
         on_file = feed_from_file(tmp_path, monkeypatch, v32, f, k, chunk_rows, 150)
         assert any(c["rows"] == chunk_rows and c["kept"] < chunk_rows / 2
@@ -697,11 +730,12 @@ class TestScreen:
 
     def test_the_screen_turns_away_most_rows_at_the_sample_1m_shape(self, monkeypatch):
         # Stage 1 of sample-1m: 10 classes, k1 = 160, the default budget.
-        # The first chunk (7,323 rows, scored before any floor is set) and
+        # The first chunk (7,321 rows, scored before any floor is set) and
         # the rows that may beat a floor while the floors rise (about
         # k1 * q * ln(m / (k1 * q))) reach the assignment, and each has one
-        # pair scored by the fixed arithmetic: 17,867 of these half a
-        # million rows, where 100,000 rows would send 14%.
+        # pair scored by the fixed arithmetic: 17,857 of these half a
+        # million rows, where 100,000 rows would send 14%.  Those rows
+        # alone, and the query rows, are copied to float64.
         cfg, m, q, d = RunConfig(), 500_000, 10, 16
         k1 = default_k1(20 * q, q, cfg.stage1_multiplier)
         rows = budget_chunk_rows(cfg.memory_budget_bytes, k1, d, q)
@@ -709,10 +743,15 @@ class TestScreen:
         v = rng.standard_normal((m, d)).astype(np.float32)
         f = rng.standard_normal((q, d))
         seen = watch_rescoring(monkeypatch)
+        copied = []
+        copy = sampler.copy_with_norms
+        monkeypatch.setattr(sampler, "copy_with_norms",
+                            lambda rows: copied.append(len(rows)) or copy(rows))
         r = select_topk_streamed(v, f, k1, rows)
         assert (k1, r.n_selected) == (160, 1600)
         kept = sum(c["kept"] for c in seen)
         assert kept < 0.05 * m, kept
+        assert copied == [q] + [c["kept"] for c in seen]
         assert sum(c["pairs"] for c in seen) < 1.01 * kept
 
 
@@ -878,10 +917,10 @@ class TestStages:
 
     def test_the_selector_gets_no_piece_longer_than_its_chunk(self, tmp_path,
                                                               monkeypatch):
-        """The budget charges a chunk's rows for the float64 copy of each
-        piece of feats, so stage 1 hands the selector pieces of at most
-        budget_chunk_rows rows, from a file and in memory alike, though the
-        reader's blocks hold all 3,000 rows at once."""
+        """Stage 1 hands the selector pieces of at most budget_chunk_rows
+        rows, from a file and in memory alike, though the reader's blocks
+        could hold all 3,000 rows at once: each piece is scored as one
+        chunk, with the sums of squares the reader's check took of it."""
         spec, ds, bank = make_world(3, m=3000)
         cfg = replace(spec, memory_budget_bytes=1 << 20)
         k1 = default_k1(ds.size, ds.n_classes, cfg.stage1_multiplier)

@@ -4,7 +4,8 @@ Code used only by tests lives in tests/: every function, class and method
 defined in src/bankadapt is used by src/, scripts/ or perfbench/.  A
 bank file and a bank in memory are told apart in embank.py only, and only
 embank.py handles a container's bytes: every other module goes through
-its layouts.
+its layouts.  A row's float64 copy is made in embank.py and sampler.py
+only.
 """
 
 import ast
@@ -103,3 +104,18 @@ def test_only_embank_handles_container_bytes():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if mechanics & set(_referenced(node)))
     assert referring == [], referring
+
+
+def test_only_the_reader_and_the_selector_copy_rows_to_float64():
+    """A unit row's float64 copy and norm are made by embank.copy_with_norms
+    only where they are needed: in embank.py, for a block of a unit-row
+    field that the float32 screen cannot certify, and in sampler.py, for
+    the query rows and the rows the selector's float32 screen keeps.  No
+    third module calls it, so no third float64 copy of every row comes
+    back."""
+    calling = sorted(
+        path.name for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and "copy_with_norms" in _referenced(node.func))
+    assert set(calling) == {"embank.py", "sampler.py"}, calling
