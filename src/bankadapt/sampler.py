@@ -15,55 +15,47 @@ that does not grow with the chunk: the query rows and up to 2*k*q held
 candidates (merge_bytes).  That part is charged at most three quarters of
 the budget, so a large k*q cannot shrink the chunk below a quarter of it.
 A row is scored in float64 only when it may enter the selection (the
-screen, below, turns the others away in float32): its float64 copy and
-norm are made by embank.copy_with_norms (sqrt(einsum("ij,ij->i"))) and
-the copy is divided by the norm in place, which makes a unit row.  A
-score is defined by one fixed arithmetic: s = 0, then
-s = s + q[j, t] * u[i, t] for t = 0, 1, ..., d-1, each product and sum
-rounded on its own.  Every score is thus the same
-float operations whatever the chunk shape, so scores (and therefore
-selections) are bit-identical no matter how the rows are chunked.
+screen, below, turns the others away): its float64 copy and norm are made
+by embank.copy_with_norms (sqrt(einsum("ij,ij->i"))) and the copy is
+divided by the norm in place, which makes a unit row.  A score is defined
+by one fixed arithmetic: s = 0, then s = s + q[j, t] * u[i, t] for
+t = 0, 1, ..., d-1, each product and sum rounded on its own.  Every score
+is thus the same float operations whatever the chunk shape, so scores (and
+therefore selections) are bit-identical no matter how the rows are
+chunked.
 
-One path reaches those scores.  One matmul scores the chunk, laid out with
-its longer side contiguous: (q, r) when the q columns are no more than the
-r rows, else (r, q).  A matmul sums in its own order, but any order of a
-dot product of unit rows lies within gamma_d = d*u / (1 - d*u) of the exact
-value (u = 2^-53; Higham, Accuracy and Stability of Numerical Algorithms,
-2nd ed., 3.1), and so does the fixed-order score.  The slack used, _slack,
-is 4 gamma_d, widened for float norms not exactly 1: it covers twice the
-distance between the two scores of a pair.
+One pass reaches those scores, under one bound.  One matmul scores the
+chunk's rows as fed against the query rows, laid out with its longer side
+contiguous: (q, r) when the q columns are no more than the r rows, else
+(r, q).  A bank's stored float32 rows are scored in float32, against the
+query rounded to float32, any other rows in float64.  Each row's norm is
+the root of its sum of squares (the one read_bank's check took, or taken
+here).  A matmul sums in its own order, but any order of a dot product
+lies within gamma_d = d*u / (1 - d*u) of the exact value (Higham, Accuracy
+and Stability of Numerical Algorithms, 2nd ed., 3.1), so a row's score
+over its norm lies within _slack32 of the pair's fixed-order score, when
+its sum of squares lies in _SCREENED_SUMS.  The other rows (blind: zero,
+not finite or out of that range) are kept and take every column, so a
+degenerate row still reaches its refusal.
 
-- Screen.  Once every column holds k candidates (its floor, below, is
-  finite), the chunk's rows as fed (a bank's stored float32 rows) are
-  scored in float32 against the query rows rounded to float32, in the
-  same layout, and each score is divided by the row's norm, the root of
-  its float32 sum of squares (the one read_bank's check took, or taken
-  here).  A row whose screen score reaches no column's floor less
-  _slack32 has a fixed-order score below the floor in every column and
-  would be refused, so it is dropped; _slack32 bounds the distance
-  between the two scores.  The scores are written into one (q, r)
-  buffer and the mask of those that reach into the other.  Rows whose
-  sum of squares is zero, not finite or outside _SCREENED_SUMS are
-  kept, so a degenerate row still reaches its refusal.  Floors only
-  rise, so the screen never changes a bit.  The rows kept, and every row
-  until the floors are set, get their float64 unit rows and the float64
-  scores below.
-- Assignment.  A row's fixed-order best column has a matmul score within
-  the slack of the row's matmul maximum.  Each row takes its matmul
-  argmax, along the contiguous axis: over the (r, q) scores, or over a
-  copy of the (q, r) scores into the free buffer.  Its runner-up is its
-  maximum once the argmax entry is set aside; when that lies more than
-  the slack below, the argmax is the only column within the slack, and so
-  the row's fixed-order best.  Every row then gets one fixed-order score,
-  of its (row, best column) pair, in pieces of half a chunk of pairs.
-- Ties.  The rows whose runner-up lies within the slack (columns that
-  tie or nearly tie) have their lines copied to the free buffer, and
-  their pairs within the slack are scored again by the fixed arithmetic
-  over their matmul scores.  Every score left from the matmul lies below
-  the row's best fixed-order score, so the row takes the lowest column
-  that holds its line's maximum.  The tied lines' mask of those pairs is
-  walked flat, in spans of _PAIRS_PER_ROW entries per chunk row, so no
-  span holds more pairs than that.
+Once every column holds k candidates (its floor, below, is finite), the
+scores are divided by the norms, and a row whose score reaches no
+column's floor less _slack32 has a fixed-order score below the floor in
+every column and would be refused, so it is dropped.  Floors only rise,
+so the screen never changes a bit.  The rows kept, and every row until
+the floors are set, get their float64 unit rows.  A row's fixed-order
+best column then lies within 2 _slack32 of its top score, in units of its
+norm: _window widens that for the window's edge, taken in float32.  A
+kept row with one column in its window takes it.  A row with more
+(columns that tie or nearly tie), and a blind row, has the pairs of its
+window scored again by the fixed arithmetic, into a float64 line of -inf,
+and takes the lowest column that holds the line's maximum.  The tied
+lines' mask of those pairs is walked flat, in spans of _PAIRS_PER_ROW
+entries per chunk row, so no span holds more pairs than that.  Every kept
+row then gets one fixed-order score, of its (row, best column) pair, in
+pieces of half a chunk of pairs.  The scores and the tied lines take
+turns in one (q, r) float64 buffer, the screen's and the window's masks
+in one (q, r) mask.
 
 Ties are broken toward the lowest class/column index at assignment and
 toward the lowest record id within a column.  Non-finite rows are refused,
@@ -127,8 +119,8 @@ _UFUNC_BYTES = 72 * 1024
 _PAIRS_PER_ROW = 3
 
 
-# The sums of squares of the rows the screen bounds: over them no square,
-# product or sum of the screen overflows, and what underflows stays within
+# The sums of squares of the rows the pass bounds: over them no square,
+# product or sum of the pass overflows, and what underflows stays within
 # _slack32's last terms.
 _SCREENED_SUMS = (2.0 ** -60, 2.0 ** 60)
 
@@ -139,25 +131,25 @@ def _gamma(n: int, u: float = 2.0 ** -53) -> float:
 
 
 def _slack(feat_dim: int) -> float:
-    """A bound on how far the matmul score of a row's fixed-order best pair
-    can lie below the row's matmul maximum: 4 gamma_d, widened for unit rows
-    whose float norm is up to gamma_(d+2) away from 1."""
+    """A bound on how far the fixed-order score of a pair lies from its
+    cosine: 4 gamma_d, widened for unit rows whose float norm is up to
+    gamma_(d+2) away from 1, about twice the distance."""
     return 4 * _gamma(feat_dim) * (1 + _gamma(feat_dim + 2)) ** 2
 
 
 def _slack32(feat_dim: int) -> float:
-    """A bound on how far below a column's floor the screen score of a row
-    (sum of squares in _SCREENED_SUMS) may lie when its fixed-order score
-    reaches the floor.
+    """A bound on how far the score of a row (sum of squares in
+    _SCREENED_SUMS) in the scoring pass lies from the pair's fixed-order
+    score.
 
-    The screen score of a row x against a query row q is R = P / N, in
+    The pass's score of a row x against a query row q is R = P / N, in
     float32: P the matmul score of x against q rounded to float32, N the
     root of x's float32 sum of squares.  With u = 2^-24 and g = gamma_d at
     u (Higham, 3.1), in units of |x||q| or |x|:
     - P lies within u (the query's rounding) + g (1 + u) (the matmul) of
       x.q;
     - N lies within u + g (the sum of squares and its root) of |x|;
-    - the division adds u of R.
+    - the division, which only the screen takes, adds u of R.
     So R lies within ((score + norm) / (1 - norm)) (1 + u) + u of the
     cosine x.q / |x|, times |q| <= 1 + gamma_(d+2) at 2^-53.  The
     fixed-order score lies within _slack(d) of that cosine: its distance
@@ -166,29 +158,25 @@ def _slack32(feat_dim: int) -> float:
     A factor 1 + 2^-40 covers what underflows (each square, product and
     quotient to at most 2^-150, d 2^-88 against a row of sum of squares
     2^-60 or more) and the float64 rounding of this formula.  Rows fed as
-    float64 are screened in float64, within less."""
+    float64 are scored in float64, within less."""
     d, u = feat_dim, 2.0 ** -24
     if d * u >= 0.5:
-        return math.inf  # no bound: the screen keeps every row
+        return math.inf  # no bound: every row is kept and takes every column
     g = _gamma(d, u)
     score, norm = u + g * (1 + u), u + g
     screen = ((score + norm) / (1 - norm) * (1 + u) + u) * (1 + _gamma(d + 2))
     return (screen + _slack(d) + 2.0 ** -52) * (1 + 2.0 ** -40)
 
 
-def _ties(scores: np.ndarray, ax: int, assigned: np.ndarray,
-          slack: float) -> np.ndarray:
-    """The rows of the matmul scores (column axis ax) whose runner-up, the
-    maximum once the argmax (assigned) is set aside, lies within the slack
-    of it, ascending: the only rows whose fixed-order best column may lie
-    elsewhere.  scores is left as it was."""
-    every = np.arange(assigned.size)
-    best = (every, assigned) if ax == 1 else (assigned, every)
-    top = scores[best]
-    scores[best] = -np.inf
-    tie = np.flatnonzero(scores.max(axis=ax) >= top - slack)
-    scores[best] = top
-    return tie
+def _window(feat_dim: int) -> float:
+    """The width, in units of a row's norm N, of the window below the row's
+    top score T that holds its fixed-order best column: 2 _slack32, as each
+    score lies within _slack32 of its fixed-order score, widened so that
+    the edge T - width * N taken in float32 (the width rounded to float32,
+    each operation to nearest, u = 2^-24) lies below the exact one.  Those
+    roundings move the edge by less than u (|T| + 3 width N), and |T| <=
+    (2 + _slack32) N."""
+    return 2 * _slack32(feat_dim) * (1 + 2.0 ** -20) + 2.0 ** -21
 
 
 class DegenerateRowError(ValueError):
@@ -209,23 +197,23 @@ def _slot_bytes(feat_dim: int, carry_rows: bool) -> int:
 
 
 def bytes_per_row(feat_dim: int, n_columns: int) -> int:
-    """Bytes one chunk row may hold while it is scored and merged, when
-    the screen keeps it (every row is kept until the floors are set): its
-    share of the two (q, r) buffers (16q), which hold the screen's scores
-    and mask, then the kept rows' float64 matmul, the copy the argmax
-    takes by row, and the tied rows' lines and the mask of their pairs;
-    its float64 unit row (8d) and norm (8), from copy_with_norms of its
-    stored row (a gathered float32 row, 4d, while the copy is taken, or a
-    float64 one, 8d, when fed so); its position in the chunk and its best
-    column (16); and the work of breaking ties, which outweighs what the
-    screen (the sum of squares and root, 8, and three masks), the
-    runner-up test, the scoring of the best pairs or the admission hold
-    at once: a tied row's place among the kept rows and its position (16),
-    the flat index of up to _PAIRS_PER_ROW of its pairs (8 each), and a
-    piece of half a chunk of pairs, with their gathered query and unit
-    rows (8d) and each pair's line, column, position and fixed-order
-    score (16)."""
-    return 16 * feat_dim + 16 * n_columns + 56 + 8 * _PAIRS_PER_ROW
+    """Bytes one chunk row fed as float32 or float64 may hold while it is
+    scored and merged, when the screen keeps it and it ties (every row is
+    kept until the floors are set): its share of the (q, r) float64
+    buffer (8q), which holds the matmul's scores, then the tied rows'
+    lines, and of the (q, r) mask (q) of the screen's reach, then of the
+    window; one gathered line of that mask (q), a kept row's for the
+    argmax or a tied row's pairs; its float64 unit row (8d), from
+    copy_with_norms of its stored row (8d at most, gathered while the copy
+    is taken); eight vectors of it at most (64): its norm, position,
+    argmax, best column, top score, window edge and place among the tied
+    rows, and its flags; and the work of breaking ties, which outweighs
+    what the screen, the window or the scoring of the best pairs hold at
+    once: the flat index of up to _PAIRS_PER_ROW of its pairs (8 each),
+    and a piece of half a chunk of pairs, with their gathered query rows
+    and the sums of their products (8d) and each pair's line, column, row
+    and fixed-order score (16)."""
+    return 16 * feat_dim + 10 * n_columns + 80 + 8 * _PAIRS_PER_ROW
 
 
 def merge_bytes(k: int, feat_dim: int, n_columns: int,
@@ -234,7 +222,7 @@ def merge_bytes(k: int, feat_dim: int, n_columns: int,
     rows and their float32 rounding (12dq), a few per-column vectors
     (floors, the screen's thresholds, counts, offsets), the 2kq slots of
     the candidate arrays and what one ufunc call may allocate
-    (_UFUNC_BYTES).  The matmuls read the query rows in place."""
+    (_UFUNC_BYTES).  The matmul reads the query rows in place."""
     return (4 * n_columns * (3 * feat_dim + 22) + _UFUNC_BYTES
             + 2 * k * n_columns * _slot_bytes(feat_dim, carry_rows))
 
@@ -314,10 +302,10 @@ class TopKSelector:
         self._q_unit = _unit_rows(*copy_with_norms(f), "query")
         self._q32 = self._q_unit.astype(np.float32)
         q, d = self._q_unit.shape
-        self._slack32 = _slack32(d)
+        self._slack32, self._window = _slack32(d), _window(d)
         self._k, self._chunk_rows, self._next = k, chunk_rows, 0
         self._out = np.empty(q * chunk_rows)
-        self._tmp = np.empty_like(self._out)
+        self._mask = np.empty(q * chunk_rows, np.bool_)
         room = 2 * k * q
         self._ids = np.empty(room, np.int64)
         self._cols = np.empty(room, np.int64)
@@ -334,8 +322,8 @@ class TopKSelector:
              sums: np.ndarray | None = None) -> None:
         """Score rows, record ids first_record_id onwards, and merge them
         into the candidates.  sums are the rows' sums of squares, as a bank
-        file's reader hands them on (see read_bank), which the screen
-        overwrites with their roots; when None, the screen takes them."""
+        file's reader hands them on (see read_bank), which the scoring pass
+        overwrites with their roots; when None, the pass takes them."""
         if first_record_id < self._next:
             raise ValueError(f"record {first_record_id} fed after record "
                              f"{self._next - 1}: rows go in ascending order")
@@ -369,94 +357,85 @@ class TopKSelector:
                             deficits=k - np.bincount(cols, minlength=self._floor.size),
                             k=k, feats=feats)
 
-    def _screen(self, chunk: np.ndarray, sums: np.ndarray | None) -> np.ndarray | None:
-        """The positions of the chunk's rows that the screen keeps,
-        ascending, or None (every row) while some floor is unset.  The
-        scores go into one of the (q, r) buffers and their mask into the
-        other.  A row fed as float32 is scored in float32, any other in
-        float64; sums, or the squares summed here, become the norms."""
-        if self._floor.min() == -np.inf:
-            return None
-        r, q = chunk.shape[0], self._floor.size
-        wide = q > r  # the longer side runs contiguous, as in _best
-        rows = chunk if chunk.dtype == np.float32 else np.asarray(chunk, np.float64)
-        query = self._q32 if rows.dtype == np.float32 else self._q_unit
-        scores = self._out.view(rows.dtype)[:q * r].reshape((r, q) if wide else (q, r))
-        with np.errstate(invalid="ignore"):  # a non-finite row is kept anyway
-            if wide:
-                np.matmul(rows, query.T, out=scores)
-            else:
-                np.matmul(query, rows.T, out=scores)
-        norms = np.einsum("ij,ij->i", rows, rows) if sums is None else sums
-        lo, hi = _SCREENED_SUMS
-        blind = ~((norms >= lo) & (norms <= hi))  # NaN fails both
-        np.sqrt(norms, out=norms)
-        norms[blind] = 1  # their scores are not read
-        np.divide(scores, norms[:, None] if wide else norms, out=scores)
-        floor = self._floor - self._slack32
-        bar = floor.astype(np.float32)  # rounded down, below
-        np.nextafter(bar, -np.inf, out=bar, where=bar > floor)
-        reach = self._tmp.view(np.bool_)[:q * r].reshape(scores.shape)
-        np.greater_equal(scores, bar if wide else bar[:, None], out=reach)
-        keep = reach.any(axis=1 if wide else 0)
-        keep |= blind
-        return np.flatnonzero(keep)
-
     def _best(self, chunk: np.ndarray, sums: np.ndarray | None,
               start: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The positions of the chunk's rows (record start first) that may
         beat a floor, ascending, with each one's best column (lowest on
-        ties) and fixed-order score: every row, or the rows the screen
-        keeps, which alone get their float64 unit rows."""
-        at = self._screen(chunk, sums)
-        unit = _unit_rows(*copy_with_norms(chunk if at is None else chunk[at]),
-                          "bank", start, at)
-        (r, d), q = unit.shape, self._floor.size
-        wide = q > r  # the matmul's longer side runs contiguous
-        ax = 1 if wide else 0  # its column axis
-        held, free = self._out, self._tmp  # the scores' buffer and the other
-        scores = held[:q * r].reshape((r, q) if wide else (q, r))
-        if wide:
-            np.matmul(unit, self._q_unit.T, out=scores)
-        else:
-            np.matmul(self._q_unit, unit.T, out=scores)
-        slack = _slack(d)
-        by_row, spare = scores, free
-        if not wide:  # argmax runs along the contiguous axis
-            by_row = free[:scores.size].reshape(scores.shape[::-1])
-            np.copyto(by_row, scores.T)
-            spare = held  # free once the ties are found
-        assigned = by_row.argmax(axis=1)
-        tie = _ties(scores, ax, assigned, slack)
+        ties) and fixed-order score, from one matmul of the chunk: every
+        row, or the rows the screen keeps, which alone get their float64
+        unit rows.  A row fed as float32 is scored in float32, any other in
+        float64; sums, or the squares summed here, become the norms."""
+        r, q = chunk.shape[0], self._floor.size
+        wide = q > r  # the longer side runs contiguous
+        rows = chunk if chunk.dtype == np.float32 else np.asarray(chunk, np.float64)
+        query = self._q32 if rows.dtype == np.float32 else self._q_unit
+        out = self._out.view(rows.dtype)[:q * r].reshape((r, q) if wide else (q, r))
+        with np.errstate(invalid="ignore"):  # a non-finite row is refused below
+            if wide:
+                np.matmul(rows, query.T, out=out)
+            else:
+                np.matmul(query, rows.T, out=out)
+        scores = out if wide else out.T  # (r, q) in either layout
+        mask = self._mask[:q * r].reshape(out.shape)
+        mask = mask if wide else mask.T  # (r, q) too
+        norms = np.einsum("ij,ij->i", rows, rows) if sums is None else sums
+        lo, hi = _SCREENED_SUMS
+        blind = ~((norms >= lo) & (norms <= hi))  # NaN fails both
+        np.sqrt(norms, out=norms)
+        norms[blind] = 1  # their scores bound nothing
+        at, scale = np.arange(r), norms
+        if self._floor.min() > -np.inf:  # the screen
+            np.divide(scores, norms[:, None], out=scores)
+            floor = self._floor - self._slack32
+            bar = floor.astype(np.float32)  # rounded down, below
+            np.nextafter(bar, -np.inf, out=bar, where=bar > floor)
+            np.greater_equal(scores, bar, out=mask)
+            keep = mask.any(axis=1)
+            keep |= blind
+            at, scale = np.flatnonzero(keep), 1
+        if wide:  # a row's line runs contiguous: set its argmax aside
+            best = np.arange(r), scores.argmax(axis=1)
+            top = scores[best]
+            scores[best] = -np.inf
+            edge = top - self._window * scale
+            tied = scores.max(axis=1) >= edge
+            scores[best] = top
+            assigned = best[1][at]
+        else:  # a column runs contiguous: count each row's columns in its window
+            edge = scores.max(axis=1) - self._window * scale
+            np.greater_equal(scores, edge[:, None], out=mask)
+            tied = mask.sum(axis=1, dtype=np.min_scalar_type(q)) > 1
+            assigned = mask[at].argmax(axis=1)
+        tied |= blind
+        tie = np.flatnonzero(tied[at])
+        unit = _unit_rows(*copy_with_norms(chunk[at]), "bank", start, at)
         if tie.size:
-            self._break_ties(by_row, spare, unit, assigned, tie, slack)
-        score = np.empty(r)
-        for part in self._pieces(r):
+            if wide:  # the window's mask, drawn only for the tied rows' pairs
+                np.greater_equal(scores, edge[:, None], out=mask)
+            pairs = mask[at[tie]]
+            pairs[blind[at[tie]]] = True  # a blind row takes every column
+            self._break_ties(pairs, unit, assigned, tie)
+        score = np.empty(at.size)
+        for part in self._pieces(at.size):
             score[part] = self._rescore(unit, part, assigned[part])
-        return np.arange(r) if at is None else at, assigned, score
+        return at, assigned, score
 
-    def _break_ties(self, by_row: np.ndarray, spare: np.ndarray,
-                    unit: np.ndarray, assigned: np.ndarray, tie: np.ndarray,
-                    slack: float) -> None:
+    def _break_ties(self, pairs: np.ndarray, unit: np.ndarray,
+                    assigned: np.ndarray, tie: np.ndarray) -> None:
         """Set assigned[tie] to the fixed-order best columns, lowest on ties,
-        of the rows tie of the (n, q) matmul scores by_row of unit: each
-        one's pairs within the slack of its maximum are scored again
-        into a copy of its line in spare, the pairs of _PAIRS_PER_ROW
-        entries per chunk row of the flat mask of them at a time; by_row's
-        buffer then holds that mask."""
-        q = by_row.shape[1]
-        lines = spare[:tie.size * q].reshape(tie.size, q)
-        # mode "clip" writes into out directly; "raise" would buffer a copy
-        np.take(by_row, tie, axis=0, out=lines, mode="clip")
-        near = by_row.reshape(-1).view(np.bool_)[:lines.size].reshape(lines.shape)
-        np.greater_equal(lines, lines.max(axis=1, keepdims=True) - slack, out=near)
-        flat = near.reshape(-1)
+        of the kept rows tie of unit, whose pairs within the window are the
+        (n, q) mask pairs: those pairs are scored by the fixed arithmetic
+        into float64 lines of -inf in the scores' buffer, the pairs of
+        _PAIRS_PER_ROW entries per chunk row of the flat mask at a time."""
+        lines = self._out[:pairs.size].reshape(pairs.shape)  # the scores are read
+        lines.fill(-np.inf)
+        flat = pairs.reshape(-1)
         span = _PAIRS_PER_ROW * self._chunk_rows
         for lo in range(0, flat.size, span):
             pos = np.flatnonzero(flat[lo:lo + span])
             pos += lo
             for part in self._pieces(pos.size):
-                line, col = np.divmod(pos[part], q)
+                line, col = np.divmod(pos[part], pairs.shape[1])
                 lines.reshape(-1)[pos[part]] = self._rescore(unit, tie[line], col)
         assigned[tie] = lines.argmax(axis=1)
 
@@ -467,13 +446,12 @@ class TopKSelector:
 
     def _rescore(self, unit: np.ndarray, rows, cols: np.ndarray) -> np.ndarray:
         """The fixed-order scores of unit[rows] (rows an index array or a
-        slice) against the query columns cols, pair by pair."""
+        slice) against the query columns cols, pair by pair: cumsum adds
+        each pair's products in order, and + 0.0 turns a sum of -0.0
+        products into +0.0, as 0 + p0 + p1 + ... does."""
         prod = self._q_unit[cols]
         prod *= unit[rows]
-        exact = np.zeros(cols.size)
-        for t in range(unit.shape[1]):
-            exact += prod[:, t]
-        return exact
+        return np.cumsum(prod, axis=1)[:, -1] + 0.0
 
     def _admit(self, chunk: np.ndarray, sums: np.ndarray | None,
                start: int) -> None:

@@ -119,6 +119,27 @@ class TestScores:
         r = select_all(rng.standard_normal((30, 5)), rng.standard_normal((4, 5)))
         assert r.score.max() <= 1.0 + 1e-12 and r.score.min() >= -1.0 - 1e-12
 
+    @pytest.mark.parametrize("d", [1, 2, 16])
+    def test_the_products_are_summed_as_the_fixed_arithmetic_sums_them(self, d):
+        # The pair scores against the loop s = 0, then s = s + p_t, bit for
+        # bit: +0.0 where every product is -0.0 (row 0 of +0.0 against a
+        # negative query row, row 1 of -0.0 against a positive one), and in
+        # order where products of mixed magnitudes make the order show.
+        rng = np.random.default_rng(d)
+        f = rng.standard_normal((3, d))
+        f[0], f[1] = -np.abs(f[0]), np.abs(f[1])
+        selector = TopKSelector(f, 1, 8, None)
+        v = np.vstack([np.zeros(d), -np.zeros(d), rng.standard_normal((20, d)),
+                       rng.standard_normal((20, d)) * 10.0 ** rng.integers(-8, 9, (20, d))])
+        rows, cols = np.divmod(np.arange(3 * len(v)), 3)
+        prod = selector._q_unit[cols] * v[rows]
+        loop = np.zeros(len(rows))
+        for t in range(d):
+            loop += prod[:, t]
+        got = selector._rescore(v, rows, cols)
+        assert np.array_equal(got.view(np.int64), loop.view(np.int64))
+        assert np.signbit(prod[[0, 4]]).all() and not np.signbit(got[[0, 4]]).any()
+
 
 AXES_2D = np.eye(2)
 
@@ -425,6 +446,43 @@ class TestCertifiedMatmul:
             assert_top_k_of_fixed_order(select_topk_streamed(v, f, k, rows),
                                         v, f, k)
 
+    @pytest.mark.parametrize("scale", [2.0 ** 40, 2.0 ** -140])
+    def test_rows_outside_the_bounded_sums_take_every_column(self, scale):
+        # float32 rows whose sums of squares lie outside _SCREENED_SUMS,
+        # where their float32 scores bound nothing, among rows inside them:
+        # rows times 2^40, whose float32 argmax among columns 3e-7 apart is
+        # often not their fixed-order best, and subnormal rows (sum of
+        # squares 0 in float32), whose products underflow.  Every row is
+        # selected, so every assignment shows.
+        rng = np.random.default_rng(5)
+        m, d, dirs = 400, 16, rng.standard_normal((4, 16))
+        f = np.repeat(dirs, 4, axis=0) * (1 + 3e-7 * rng.standard_normal((16, d)))
+        v = dirs[rng.integers(0, 4, m)] + 0.1 * rng.standard_normal((m, d))
+        v32 = (v * scale).astype(np.float32)
+        v32[1::2] = v[1::2]
+        sums = np.einsum("ij,ij->i", v32, v32)
+        lo, hi = sampler._SCREENED_SUMS
+        assert not ((sums[::2] >= lo) & (sums[::2] <= hi)).any()
+        for rows in (7, m):
+            assert_top_k_of_fixed_order(select_topk_streamed(v32, f, m, rows), v32, f, m)
+
+    def test_each_chunk_is_scored_by_one_matmul_in_the_rows_dtype(self, monkeypatch):
+        # A bank's float32 rows get one float32 matmul per chunk, screened or
+        # not, and no float64 one; float64 rows get one float64 matmul.
+        rng = np.random.default_rng(4)
+        v, f = unit(rng.standard_normal((3000, 16))), rng.standard_normal((10, 16))
+        calls, matmul = [], np.matmul
+        monkeypatch.setattr(sampler.np, "matmul", lambda a, b, out: calls.append(
+            (a.dtype, b.dtype, out.dtype)) or matmul(a, b, out=out))
+        seen = watch_rescoring(monkeypatch)
+        for rows in (v.astype(np.float32), v):
+            calls.clear()
+            seen.clear()
+            select_topk_streamed(rows, f, 6, 97)
+            assert len(calls) == len(seen) == 31
+            assert set(calls) == {(rows.dtype,) * 3}
+            assert any(c["kept"] < c["rows"] for c in seen)  # the screen ran
+
     @pytest.mark.parametrize("copies", [2, 4, 16])
     def test_tied_columns_match_the_oracle_within_the_accounted_peak(self, copies):
         # Duplicated and scaled query columns: every row ties across the
@@ -730,12 +788,13 @@ class TestScreen:
 
     def test_the_screen_turns_away_most_rows_at_the_sample_1m_shape(self, monkeypatch):
         # Stage 1 of sample-1m: 10 classes, k1 = 160, the default budget.
-        # The first chunk (7,321 rows, scored before any floor is set) and
+        # The first chunk (7,894 rows, scored before any floor is set) and
         # the rows that may beat a floor while the floors rise (about
         # k1 * q * ln(m / (k1 * q))) reach the assignment, and each has one
-        # pair scored by the fixed arithmetic: 17,857 of these half a
-        # million rows, where 100,000 rows would send 14%.  Those rows
-        # alone, and the query rows, are copied to float64.
+        # pair scored by the fixed arithmetic, besides the pairs of the few
+        # whose window holds another column: 18,031 of these half a million
+        # rows and 18,033 pairs, where 100,000 rows would send 14%.  Those
+        # rows alone, and the query rows, are copied to float64.
         cfg, m, q, d = RunConfig(), 500_000, 10, 16
         k1 = default_k1(20 * q, q, cfg.stage1_multiplier)
         rows = budget_chunk_rows(cfg.memory_budget_bytes, k1, d, q)
@@ -771,7 +830,8 @@ class TestChunkBudget:
                                             (50_000, 12, 64, 40)])
     def test_traced_peak_stays_within_the_accounted_bytes(self, m, q, d, k):
         # rows * bytes_per_row + merge_bytes bounds what the selection
-        # allocates, argmax's copy of the (q, r) score block included.
+        # allocates, the argmax's gathered lines of the window's mask
+        # included.
         rng = np.random.default_rng(q)
         v = rng.standard_normal((m, d)).astype(np.float32)
         f = rng.standard_normal((q, d))

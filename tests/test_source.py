@@ -5,7 +5,7 @@ defined in src/bankadapt is used by src/, scripts/ or perfbench/.  A
 bank file and a bank in memory are told apart in embank.py only, and only
 embank.py handles a container's bytes: every other module goes through
 its layouts.  A row's float64 copy is made in embank.py and sampler.py
-only.
+only, and one function of sampler.py multiplies chunks.
 """
 
 import ast
@@ -119,3 +119,15 @@ def test_only_the_reader_and_the_selector_copy_rows_to_float64():
         if isinstance(node, ast.Call)
         and "copy_with_norms" in _referenced(node.func))
     assert set(calling) == {"embank.py", "sampler.py"}, calling
+
+
+def test_only_the_scoring_pass_multiplies_chunks():
+    """One matmul scores each chunk, in TopKSelector._best, which screens
+    the chunk and assigns its rows from the same scores: no other function
+    of sampler.py calls np.matmul or multiplies by the @ operator."""
+    tree = ast.parse((PACKAGE / "sampler.py").read_text(encoding="utf-8"))
+    multiplying = sorted(
+        func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+        and any(isinstance(node, ast.Call) and "matmul" in _referenced(node.func)
+                or isinstance(node, ast.MatMult) for node in ast.walk(func)))
+    assert multiplying == ["_best"], multiplying
