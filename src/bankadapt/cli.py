@@ -43,6 +43,7 @@ from .embank import (
     encode_dataset_file,
     read_bank,
     read_fields,
+    read_sizes,
 )
 from .encoder import load_params, save_params
 
@@ -136,19 +137,33 @@ def _echo_config(cfg: RunConfig, out: Path, command: str) -> None:
     write_config(cfg, out / f"resolved-{command}.cfg")
 
 
-_SIZES = {"n_classes": "{} classes", "image_dim": "image_dim {}",
+# Each artifact used with a dataset: its layout, and which of its header's
+# sizes must equal which of the dataset's (DATD) header's.  A later tie
+# between artifacts is added as a row.
+_AGREE = {
+    "eval dataset": (DATD, {"classes": "classes", "image_dim": "image_dim",
+                            "feat_dim": "feat_dim"}),
+    "checkpoint": (DATC, {"n_classes": "classes", "image_dim": "image_dim"}),
+    "bank": (DATB, {"image_dim": "image_dim", "feat_dim": "feat_dim"}),
+}
+_SIZES = {"classes": "{} classes", "image_dim": "image_dim {}",
           "feat_dim": "feat_dim {}"}
 
 
-def _check_sizes(what: str, own, ds: DownstreamDataset, path: str,
-                 names: tuple[str, ...]) -> None:
-    """Refuse ds unless each named size equals own's (a checkpoint's or the
-    training dataset's)."""
-    for name in names:
-        want, got = getattr(own, name), getattr(ds, name)
-        if want != got:
-            raise ValidationError([f"{what} has {_SIZES[name].format(want)}, "
-                                   f"dataset {path} has {_SIZES[name].format(got)}"])
+def _check_sizes(artifact: str, source, dataset) -> None:
+    """Refuse source, the artifact of an _AGREE row, unless each size of its
+    row equals dataset's.  Each is a file, named by its path (a config
+    value) and of which only the header is read, or a container in memory,
+    named as synthetic."""
+    layout, agree = _AGREE[artifact]
+    own, theirs = read_sizes(layout, source), read_sizes(DATD, dataset)
+    named = [f"{what} {src}" if isinstance(src, str) else f"synthetic {what}"
+             for what, src in ((artifact, source), ("dataset", dataset))]
+    for name, ds_name in agree.items():
+        if own[name] != theirs[ds_name]:
+            fmt = _SIZES[ds_name].format
+            raise ValidationError([f"{named[0]} has {fmt(own[name])}, "
+                                   f"{named[1]} has {fmt(theirs[ds_name])}"])
 
 
 def _from_files(cfg: RunConfig) -> bool:
@@ -184,8 +199,7 @@ def load_datasets(cfg: RunConfig
         eval_ds = None
         if cfg.eval_dataset:
             eval_ds = _read_dataset(cfg.eval_dataset)
-            _check_sizes(f"dataset {cfg.dataset}", ds, eval_ds, cfg.eval_dataset,
-                         ("n_classes", "image_dim", "feat_dim"))
+            _check_sizes("eval dataset", cfg.eval_dataset, cfg.dataset)
         return ds, eval_ds
     return _cli.generate_downstream(cfg), _cli.generate_downstream(
         cfg, split="test", n_per_class=cfg.eval_n_per_class)
@@ -193,8 +207,12 @@ def load_datasets(cfg: RunConfig
 
 def _bank_source(cfg: RunConfig, ds: DownstreamDataset) -> EmbeddingBank | str:
     """The bank file's path when the bank and dataset paths are set, else
-    the synthetic bank for ds."""
-    return cfg.bank if _from_files(cfg) else _cli.generate_pretrain_bank(cfg, ds)
+    the synthetic bank for ds, refused unless its sizes agree with the
+    dataset's (a file's from its header, before any byte of its payload)."""
+    source, dataset = ((cfg.bank, cfg.dataset) if _from_files(cfg)
+                       else (_cli.generate_pretrain_bank(cfg, ds), ds))
+    _check_sizes("bank", source, dataset)
+    return source
 
 
 def selected_for_train(cfg: RunConfig, ds: DownstreamDataset) -> EmbeddingBank:
@@ -202,8 +220,8 @@ def selected_for_train(cfg: RunConfig, ds: DownstreamDataset) -> EmbeddingBank:
     samples file, else those of a two-stage selection, and none at mu = 0.
     The bank, a file or the synthetic one, is read once keeping only those
     rows of images and caption_feats, after, for a selection, one read
-    keeping no field, whose feats stage 1 scores as they are read.  The
-    rows are refused unless their image and feature dimensions are ds's."""
+    keeping no field, whose feats stage 1 scores as they are read; its
+    sizes were compared with the dataset's before (see _bank_source)."""
     if cfg.mu == 0 and not _from_files(cfg):
         # No step draws an unlabeled row, so a synthetic bank is not made.
         return EmbeddingBank(images=np.zeros((0, ds.image_dim), np.float32),
@@ -212,7 +230,7 @@ def selected_for_train(cfg: RunConfig, ds: DownstreamDataset) -> EmbeddingBank:
                              captions=None, latent_class=None)
     source = _bank_source(cfg, ds)
     if cfg.mu == 0:
-        # Nor here, yet the bank file is checked whole and its sizes compared.
+        # Nor here, yet the bank file is checked whole.
         ids = np.zeros(0, dtype=np.int64)
     elif cfg.samples:
         ids = _cli.load_sample_csv(cfg.samples)
@@ -222,13 +240,7 @@ def selected_for_train(cfg: RunConfig, ds: DownstreamDataset) -> EmbeddingBank:
     else:
         ids = _cli.stage2_sample(_cli.stage1_sample(source, ds, cfg), ds,
                                  cfg).selected_ids
-    rows = decode_bank_file(source, fields=("images", "caption_feats"), rows=ids)
-    for name, own, want in (
-            ("image_dim", rows.images.shape[1], ds.image_dim),
-            ("feat_dim", rows.caption_feats.shape[1], ds.feat_dim)):
-        if own != want:
-            raise ValidationError([f"bank has {name} {own}, dataset has {want}"])
-    return rows
+    return decode_bank_file(source, fields=("images", "caption_feats"), rows=ids)
 
 
 def _report_clamps(n_clamped: int, fit_name: str) -> None:
@@ -303,14 +315,12 @@ def cmd_train(cfg: RunConfig, args) -> int:
 
 
 def cmd_eval(cfg: RunConfig, args) -> int:
-    if not cfg.checkpoint:
-        raise ConfigError("eval needs --checkpoint")
-    if not cfg.dataset:
-        raise ConfigError("eval needs --dataset")
-    params = load_params(cfg.checkpoint)
+    for key in ("checkpoint", "dataset"):
+        if not getattr(cfg, key):
+            raise ConfigError(f"eval needs --{key}")
     ds = _read_dataset(cfg.dataset)
-    _check_sizes(f"checkpoint {cfg.checkpoint}", params, ds, cfg.dataset,
-                 ("n_classes",))
+    _check_sizes("checkpoint", cfg.checkpoint, cfg.dataset)
+    params = load_params(cfg.checkpoint)
     out = _out_dir(cfg)
     acc = _cli.evaluate(params, ds)
     (out / "eval.txt").write_text(f"accuracy = {repr(acc)}\n", encoding="utf-8")

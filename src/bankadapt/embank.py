@@ -75,7 +75,8 @@ field without holding it or summing its squares again; a field of no
 rows is one empty block.  So the sampler's stage 1 scores a bank's
 ``feats`` and then keeps its ``latent_class`` at the rows it selected
 (see ``read_bank``).  A container in memory is read the same way, in the
-same blocks; a bank the program made runs no check.
+same blocks; a bank the program made runs no check.  ``read_sizes`` gives
+the sizes alone, of a file from its header before any payload byte.
 """
 
 from __future__ import annotations
@@ -148,14 +149,6 @@ class EmbeddingBank:
     @property
     def size(self) -> int:
         return self.images.shape[0]
-
-    @property
-    def image_dim(self) -> int:
-        return self.images.shape[1]
-
-    @property
-    def feat_dim(self) -> int:
-        return self.feats.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -787,6 +780,21 @@ class _InMemory(nullcontext):
             raise ValidationError(list(violations))
 
 
+def _opened(layout: Layout, source):
+    """source, a file of layout or a container of layout in memory, opened
+    as read_container opens a file: its sizes and a reader of its payload."""
+    return (read_container(source, layout) if isinstance(source, (str, os.PathLike))
+            else _InMemory(layout, source))
+
+
+def read_sizes(layout: Layout, source) -> dict:
+    """The sizes of source, a file of layout or a container of layout in
+    memory, by name: a file's header, after read_container's checks, with
+    no byte of its payload read."""
+    with _opened(layout, source) as (sizes, _):
+        return sizes
+
+
 def read_fields(layout: Layout, source, keep: Sequence[str] = (), checked=True,
                 feeds=None, ids=None, max_rows=None) -> tuple[dict, dict]:
     """The fields of source, a file of layout or a container of layout in
@@ -802,9 +810,7 @@ def read_fields(layout: Layout, source, keep: Sequence[str] = (), checked=True,
     reached), a kept array field holds only the rows at ids, and an id
     outside is refused once source has passed every check."""
     feeds, max_rows = feeds or {}, max_rows or {}
-    opened = (read_container(source, layout) if isinstance(source, (str, os.PathLike))
-              else _InMemory(layout, source))
-    with opened as (sizes, rd):
+    with _opened(layout, source) as (sizes, rd):
         found = _Violations(layout.checks(sizes) if checked else ())
         kept = {}
         for name, dtype, dims in layout.fields:

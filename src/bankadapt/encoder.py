@@ -90,18 +90,6 @@ class EncoderParams:
     def image_dim(self) -> int:
         return self.w1.shape[1]
 
-    @property
-    def hidden_dim(self) -> int:
-        return self.w1.shape[0]
-
-    @property
-    def feat_dim(self) -> int:
-        return self.w2.shape[0]
-
-    @property
-    def n_classes(self) -> int:
-        return self.head_w.shape[0]
-
     def zeros_like(self) -> "EncoderParams":
         return EncoderParams(*(np.zeros_like(f) for f in self.fields()))
 

@@ -584,24 +584,6 @@ def test_eval_requires_paths():
     assert run(["eval"]) == 1
 
 
-@pytest.mark.parametrize("n_classes", [2, 5])
-def test_eval_refuses_a_dataset_with_another_class_count(tmp_path, capsys,
-                                                         n_classes):
-    ckpt, same, other = (tmp_path / n for n in ("e.datc", "s.datd", "o.datd"))
-    save_params(init_params(0, 6, 5, 4, 3), ckpt)
-    encode_dataset_file(random_dataset(n_classes=3), same)
-    encode_dataset_file(random_dataset(n_classes=n_classes), other)
-    out = ["--out_dir", str(tmp_path / "out")]
-    capsys.readouterr()
-    assert run(["eval", "--checkpoint", str(ckpt), "--dataset", str(other),
-                *out]) == 1
-    err = capsys.readouterr().err
-    assert f"checkpoint {ckpt} has 3 classes, dataset {other} has {n_classes}" in err
-    assert not (tmp_path / "out" / "eval.txt").exists()
-    assert run(["eval", "--checkpoint", str(ckpt), "--dataset", str(same),
-                *out]) == 0
-
-
 @pytest.mark.parametrize("command, flag", [
     ("sample", "--dataset"), ("train", "--dataset"),
     ("train --samples", "--dataset"), ("train", "--eval_dataset"),
@@ -629,104 +611,85 @@ def test_a_dataset_of_no_image_is_refused(tmp_path, capsys, command, flag):
     assert not out.exists()
 
 
-def test_train_refuses_an_eval_dataset_with_another_class_count(tmp_path, capsys):
-    bank, train, other = (tmp_path / n for n in ("b.datb", "t.datd", "e.datd"))
-    encode_bank_file(random_bank(), bank)
-    encode_dataset_file(random_dataset(n_classes=3), train)
-    encode_dataset_file(random_dataset(n_classes=4), other)
-    capsys.readouterr()
-    assert run(["train", "--bank", str(bank), "--dataset", str(train),
-                "--eval_dataset", str(other), "--image_dim", "6",
-                "--feat_dim", "4", "--epochs", "1",
-                "--out_dir", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
-    assert f"dataset {train} has 3 classes, dataset {other} has 4" in err
-    assert not (tmp_path / "out" / "metrics.csv").exists()
+DATASET_SIZES = {"classes": 3, "image_dim": 6, "feat_dim": 4}
 
 
-@pytest.mark.parametrize("name, d_img, d", [("image_dim", 9, 4),
-                                            ("feat_dim", 6, 5)])
-def test_train_refuses_an_eval_dataset_of_other_dims_before_fitting(
-        tmp_path, capsys, name, d_img, d):
-    bank, train, other = (tmp_path / n for n in ("b.datb", "t.datd", "e.datd"))
-    encode_bank_file(random_bank(), bank)
-    encode_dataset_file(random_dataset(), train)
-    encode_dataset_file(random_dataset(d_img=d_img, d=d), other)
-    out = tmp_path / "out"
-    capsys.readouterr()
-    assert run(["train", "--bank", str(bank), "--dataset", str(train),
-                "--eval_dataset", str(other), "--epochs", "1",
-                "--out_dir", str(out)]) == 1
-    own = {"image_dim": 6, "feat_dim": 4}[name]
-    theirs = {"image_dim": d_img, "feat_dim": d}[name]
-    assert (f"dataset {train} has {name} {own}, dataset {other} has {name} "
-            f"{theirs}") in capsys.readouterr().err
-    assert not out.exists()
+def _write_artifacts(tmp_path, sizes: dict, m: int) -> dict:
+    """Write a dataset of DATASET_SIZES, a bank of m records, an eval
+    dataset and a checkpoint, and return their paths by _AGREE row name;
+    sizes maps a row name to the sizes its artifact takes in place of the
+    dataset's."""
+    paths = {"dataset": tmp_path / "t.datd", "bank": tmp_path / "b.datb",
+             "eval dataset": tmp_path / "e.datd", "checkpoint": tmp_path / "c.datc"}
+    of = {name: {**DATASET_SIZES, **sizes.get(name, {})} for name in paths}
+    encode_dataset_file(random_dataset(), paths["dataset"])
+    encode_bank_file(random_bank(m=m, d_img=of["bank"]["image_dim"],
+                                 d=of["bank"]["feat_dim"]), paths["bank"])
+    ev = of["eval dataset"]
+    encode_dataset_file(random_dataset(n_classes=ev["classes"], d_img=ev["image_dim"],
+                                       d=ev["feat_dim"]), paths["eval dataset"])
+    ck = of["checkpoint"]
+    save_params(init_params(0, ck["image_dim"], 5, 4, ck["classes"]),
+                paths["checkpoint"])
+    return paths
 
 
-@pytest.mark.parametrize("with_samples", [True, False])
-@pytest.mark.parametrize("name, d_img, d", [("image_dim", 9, 4),
-                                            ("feat_dim", 6, 5)])
-def test_train_refuses_a_bank_of_other_dims_before_fitting(
-        tmp_path, capsys, name, d_img, d, with_samples):
-    bank, train, samples = (tmp_path / n for n in ("b.datb", "t.datd", "s.csv"))
-    encode_bank_file(random_bank(d_img=d_img, d=d), bank)
-    encode_dataset_file(random_dataset(), train)
+@pytest.mark.parametrize("command, artifact, size, value, m", [
+    ("eval", "checkpoint", "classes", 2, 17),
+    ("eval", "checkpoint", "classes", 5, 17),
+    ("eval", "checkpoint", "image_dim", 9, 17),
+    *((command, "eval dataset", size, value, 17)
+      for command in ("train", "sweep --mu_list 2 --t_list 0.9")
+      for size, value in (("classes", 4), ("image_dim", 9), ("feat_dim", 5))),
+    *((command, "bank", size, value, 17)
+      for command in ("train", "train --samples", "train --mu 0",
+                      "sweep --mu_list 2 --t_list 0.9", "sweep --mu_list 0")
+      for size, value in (("image_dim", 9), ("feat_dim", 5))),
+    ("sample", "bank", "image_dim", 9, 30),
+    ("sample", "bank", "feat_dim", 5, 30),
+    ("sample", "bank", "feat_dim", 5, 0)])
+def test_an_artifact_of_other_sizes_than_the_dataset_is_refused(
+        tmp_path, capsys, monkeypatch, command, artifact, size, value, m):
+    # Each pair a command opens, with one size of the artifact another than
+    # the dataset's, is refused from the two headers: no bank is sampled or
+    # read, no checkpoint loaded, nothing fitted or scored.
+    paths = _write_artifacts(tmp_path, {artifact: {size: value}}, m)
+    samples = tmp_path / "s.csv"
     samples.write_text("record_id,assigned_column,score\n0,0,0.5\n")
-    extra = ["--samples", str(samples)] if with_samples else []
-    out = tmp_path / "out"
+    name, *extra = command.split()
+    if extra == ["--samples"]:
+        extra.append(str(samples))
+    opened = ["checkpoint" if name == "eval" else "bank", "dataset"]
+    if artifact == "eval dataset":
+        opened.append(artifact)
+    args = [name, *(v for a in opened for v in (f"--{a.replace(' ', '_')}",
+                                                 str(paths[a]))),
+            *extra, "--epochs", "1", "--out_dir", str(tmp_path / "out")]
+    ran = []
+    for spied in ("stage1_sample", "decode_bank_file", "load_params", "fit",
+                  "evaluate"):
+        monkeypatch.setattr(cli, spied, _counted(getattr(cli, spied), spied, ran))
     capsys.readouterr()
-    assert run(["train", "--bank", str(bank), "--dataset", str(train), *extra,
-                "--epochs", "1", "--out_dir", str(out)]) == 1
-    err = capsys.readouterr().err
-    if with_samples or name == "image_dim":
-        own = {"image_dim": d_img, "feat_dim": d}[name]
-        theirs = {"image_dim": 6, "feat_dim": 4}[name]
-        assert f"bank has {name} {own}, dataset has {theirs}" in err
-    else:
-        # stage 1 refuses first, before any selection is gathered
-        assert "bank feat_dim 5 != dataset 4" in err
-    assert not out.exists()
+    assert run(args) == 1
+    told = "{} classes" if size == "classes" else f"{size} {{}}"
+    assert capsys.readouterr().err == (
+        f"error: {artifact} {paths[artifact]} has {told.format(value)}, "
+        f"dataset {paths['dataset']} has {told.format(DATASET_SIZES[size])}\n")
+    assert ran == []
+    assert not (tmp_path / "out").exists()
+    # the same command on an artifact of the dataset's sizes gets past the
+    # check; an empty bank then holds no label bank to re-rank
+    _write_artifacts(tmp_path, {}, m)
+    assert run(args) == (0 if m else 1)
+    if not m:
+        assert capsys.readouterr().err == \
+            "error: label bank is empty, nothing to re-rank\n"
 
 
-@pytest.mark.parametrize("command, mu", [("train", ["--mu", "0"]),
-                                         ("sweep", ["--mu_list", "0"])],
-                         ids=["train", "sweep"])
-@pytest.mark.parametrize("name, d_img, d", [("image_dim", 9, 4),
-                                            ("feat_dim", 6, 5)])
-def test_mu_zero_refuses_a_bank_of_other_dims_before_fitting(
-        tmp_path, capsys, command, mu, name, d_img, d):
-    # no step draws an unlabeled row, yet the bank file's sizes are compared
-    bank, train = tmp_path / "b.datb", tmp_path / "t.datd"
-    encode_bank_file(random_bank(d_img=d_img, d=d), bank)
-    encode_dataset_file(random_dataset(), train)
-    out = tmp_path / "out"
-    capsys.readouterr()
-    assert run([command, "--bank", str(bank), "--dataset", str(train), *mu,
-                "--epochs", "1", "--out_dir", str(out)]) == 1
-    own = {"image_dim": d_img, "feat_dim": d}[name]
-    theirs = {"image_dim": 6, "feat_dim": 4}[name]
-    assert f"bank has {name} {own}, dataset has {theirs}" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("m, d, message", [
-    (30, 5, "bank feat_dim 5 != dataset 4"),
-    (0, 5, "bank feat_dim 5 != dataset 4"),
-    (0, 4, "label bank is empty, nothing to re-rank")])
-def test_sample_refuses_a_bank_of_another_feat_dim(tmp_path, capsys, m, d,
-                                                   message):
-    # an empty bank has no feats row to score, yet its width is still
-    # checked against the dataset's before its emptiness is reported
-    bank, train = tmp_path / "b.datb", tmp_path / "t.datd"
-    encode_bank_file(random_bank(m=m, d=d), bank)
-    encode_dataset_file(random_dataset(), train)
-    out = tmp_path / "out"
-    capsys.readouterr()
-    assert run(["sample", "--bank", str(bank), "--dataset", str(train),
-                "--out_dir", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert not (out / "samples.csv").exists()
+def test_every_size_of_a_pair_is_in_both_headers():
+    for layout, agree in cli._AGREE.values():
+        assert set(agree) <= set(layout.sizes)
+        assert set(agree.values()) <= set(embank.DATD.sizes)
 
 
 def _counted(fn, name: str, calls: list):

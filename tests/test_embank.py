@@ -248,7 +248,7 @@ class TestCaptionTableCorruption:
         bank_path, ds_path = tmp_path / "bank.datb", tmp_path / "train.datd"
         encode_bank_file(bank, bank_path)
         encode_dataset_file(random_dataset(seed=7), ds_path)
-        table = 4 * bank.size * (bank.image_dim + 2 * bank.feat_dim + 1)
+        table = 4 * bank.size * (bank.images.shape[1] + 2 * bank.feats.shape[1] + 1)
         return bank_path, ds_path, table
 
     def test_the_fixture_decodes(self, files):
@@ -494,7 +494,7 @@ def write_bank_unchecked(bank, path):
     """encode_bank_file without its validation, for banks that break an
     invariant on purpose."""
     header = embank.DATB.header.pack(b"DATB", embank.FORMAT_VERSION, 0, bank.size,
-                                      bank.image_dim, bank.feat_dim)
+                                      bank.images.shape[1], bank.feats.shape[1])
     embank.write_container(path, header, [
         np.ascontiguousarray(a, dtype).tobytes() for a, dtype in (
             (bank.images, "<f4"), (bank.feats, "<f4"), (bank.caption_feats, "<f4"),
@@ -619,7 +619,7 @@ def test_selective_decode_keeps_only_the_named_fields(tmp_path):
     np.testing.assert_array_equal(bank.feats, ref.feats)
     np.testing.assert_array_equal(bank.latent_class, ref.latent_class)
     assert bank.images is None and bank.caption_feats is None and bank.captions is None
-    assert bank.feat_dim == 4
+    assert bank.feats.shape[1] == 4
     assert decode_bank_file(path, fields=("captions",)).captions == ref.captions
     with pytest.raises(ValueError, match="unknown bank fields"):
         decode_bank_file(path, fields=("feats", "labels"))
@@ -774,7 +774,7 @@ def test_a_late_block_of_multi_byte_characters_is_still_checked(tmp_path,
     object.__setattr__(bank, "captions", captions)
     path = tmp_path / "bank.datb"
     encode_bank_file(bank, path)
-    table = 4 * m * (bank.image_dim + 2 * bank.feat_dim + 1)
+    table = 4 * m * (bank.images.shape[1] + 2 * bank.feats.shape[1] + 1)
     first_multi_byte = sum(len(c) for c in captions[:-1]) + len("tail ")
     assert first_multi_byte >= 6 * 48
     rewrite_payload(path, 24, lambda p: set_entry(m - 1, first_multi_byte + 1, 4)(

@@ -62,7 +62,7 @@ def three_pass_objective(params, batch, cfg, include_supervised=True):
         loss_x, clamped_x = 0.0, 0
         d_logits_l = None
 
-    weak_probs = trace_w.probs if u else np.zeros((0, params.n_classes))
+    weak_probs = trace_w.probs if u else np.zeros((0, params.head_w.shape[0]))
     pseudo = pseudo_label_batch(weak_probs, cfg.t_thresh)
     confident = pseudo.confident
     if u:

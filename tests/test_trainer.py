@@ -1,6 +1,7 @@
 """Training loop: batching, SGD, determinism, and metrics output."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from bankadapt.embank import (
     ValidationError,
     decode_bank_file,
     encode_bank_file,
+    encode_dataset_file,
 )
 from bankadapt.encoder import (
     FrozenEmbedder,
@@ -112,8 +114,8 @@ def test_selected_bank_rejects_ids_outside_the_bank(bad_id, source_of):
 def test_selected_bank_refuses_a_bank_of_other_dims(name, bank_value, ds_value,
                                                     source_of, tmp_path,
                                                     monkeypatch):
-    """The rows train draws from, of a bank file or of the synthetic bank,
-    are refused when their dimensions are not the dataset's."""
+    """A bank file or the synthetic bank is refused, before train draws a
+    row of it, when its dimensions are not the dataset's."""
     _, _, bank, _ = tiny_world()
     spec, other, _, _ = tiny_world(**{name: ds_value})
     samples = tmp_path / "s.csv"
@@ -123,10 +125,15 @@ def test_selected_bank_refuses_a_bank_of_other_dims(name, bank_value, ds_value,
     source = source_of(bank)
     if isinstance(source, EmbeddingBank):
         monkeypatch.setattr(cli, "generate_pretrain_bank", lambda *_: source)
+        names = "synthetic bank", "synthetic dataset"
     else:
-        cfg = replace(cfg, bank=str(source), dataset=str(tmp_path / "t.datd"))
-    with pytest.raises(ValidationError,
-                       match=f"bank has {name} {bank_value}, dataset has {ds_value}"):
+        dataset = tmp_path / "t.datd"
+        encode_dataset_file(other, dataset)
+        cfg = replace(cfg, bank=str(source), dataset=str(dataset))
+        names = f"bank {source}", f"dataset {dataset}"
+    message = (f"{names[0]} has {name} {bank_value}, "
+               f"{names[1]} has {name} {ds_value}")
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         cli.selected_for_train(cfg, other)
 
 
