@@ -143,7 +143,8 @@ def _echo_config(cfg: RunConfig, out: Path, command: str) -> None:
 _AGREE = {
     "eval dataset": (DATD, {"classes": "classes", "image_dim": "image_dim",
                             "feat_dim": "feat_dim"}),
-    "checkpoint": (DATC, {"n_classes": "classes", "image_dim": "image_dim"}),
+    "checkpoint": (DATC, {"n_classes": "classes", "image_dim": "image_dim",
+                          "feat_dim": "feat_dim"}),
     "bank": (DATB, {"image_dim": "image_dim", "feat_dim": "feat_dim"}),
 }
 _SIZES = {"classes": "{} classes", "image_dim": "image_dim {}",

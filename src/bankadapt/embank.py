@@ -61,18 +61,18 @@ second time; an ASCII blob touches no page of the bitmap and skips that
 read.  Errors are raised once the CRC32
 over the whole payload has matched, so a ``ChecksumError`` takes
 precedence over any other.  Skipped fields come back as ``None``; string
-tables come back as ``StringTable``, which decodes an entry only when it
-is read.  A bank's array fields can also be kept at some rows only
-(``decode_bank_file(path, fields, rows=ids)``): every block then passes
-through the block buffer, as a skipped field's does, and the rows at ids
-are copied out of it into the caller's order, so a few hundred selected
-rows of a large bank cost their own bytes and one block; the ids may
-also be asked for only when the first kept field is reached.  Each block
-of an array field can be handed to a feed as it is read (``read_fields``'
-``feeds``), once its checks have passed, with the float32 sums of
-squares the screen took for a unit-row field, so that a caller scans the
-field without holding it or summing its squares again; a field of no
-rows is one empty block.  So the sampler's stage 1 scores a bank's
+tables come back as ``StringTable``, their offset table and blob held as
+arrays and no entry decoded.  A bank's array fields can also be kept at
+some rows only (``decode_bank_file(path, fields, rows=ids)``): every block
+then passes through the block buffer, as a skipped field's does, and the
+rows at ids are copied out of it into the caller's order, so a few
+hundred selected rows of a large bank cost their own bytes and one block;
+the ids may also be asked for only when the first kept field is reached.
+Each block of an array field can be handed to a feed as it is read
+(``read_fields``' ``feeds``), once its checks have passed, with the
+float32 sums of squares the screen took for a unit-row field, so that a
+caller scans the field without holding it or summing its squares again;
+a field of no rows is one empty block.  So the sampler's stage 1 scores a bank's
 ``feats`` and then keeps its ``latent_class`` at the rows it selected
 (see ``read_bank``).  A container in memory is read the same way, in the
 same blocks; a bank the program made runs no check.  ``read_sizes`` gives
@@ -136,14 +136,14 @@ class EmbeddingBank:
     unknown or out of distribution); it is ground truth for precision
     reporting only and is never read by the samplers or the trainer.  A
     bank decoded with only some of DATB.names holds None for the others.
-    captions may be a list or a StringTable; decoded and synthetic banks
-    hold a StringTable.
+    captions are a list of str, which the writer encodes, or a
+    StringTable, as decoded and synthetic banks hold them.
     """
 
     images: np.ndarray | None         # (m, D_img) float32
     feats: np.ndarray | None          # (m, d) float32, unit rows
     caption_feats: np.ndarray | None  # (m, d) float32, unit rows
-    captions: Sequence[str] | None
+    captions: list[str] | StringTable | None
     latent_class: np.ndarray | None   # (m,) int32
 
     @property
@@ -157,8 +157,8 @@ class DownstreamDataset:
 
     images: np.ndarray            # (n, D_img) float32
     labels: np.ndarray            # (n,) int32 in [0, C)
-    class_names: Sequence[str]
-    class_descriptions: Sequence[str]
+    class_names: list[str] | StringTable
+    class_descriptions: list[str] | StringTable
     class_text_feats: np.ndarray  # (C, d) float32, unit rows
 
     @property
@@ -418,12 +418,11 @@ def _packed_table(lengths: np.ndarray) -> np.ndarray:
     return table
 
 
-class StringTable(Sequence):
-    """Read-only strings held as arrays, each decoded when read.
-
-    Holds the (count, 2) table of (offset, len) pairs and the UTF-8 blob as
-    arrays, as a decoded container's string tables and a synthetic bank's
-    captions do.  Compares equal to a list of the same strings.
+class StringTable:
+    """Strings held as arrays, never decoded: the (count, 2) table of
+    (offset, len) pairs and the UTF-8 blob, as a decoded container's string
+    tables and a synthetic bank's captions hold them, for the writer to
+    store again.
     """
 
     __slots__ = ("_table", "_blob")
@@ -472,17 +471,6 @@ class StringTable(Sequence):
 
     def __len__(self) -> int:
         return self._table.shape[0]
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        off, ln = (int(v) for v in self._table[i])
-        return self._blob[off:off + ln].tobytes().decode("utf-8")
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (list, StringTable)):
-            return len(self) == len(other) and list(self) == list(other)
-        return NotImplemented
 
 
 def _fill(fh, view: memoryview, what: str) -> None:

@@ -27,8 +27,8 @@ chunked.
 One pass reaches those scores, under one bound.  One matmul scores the
 chunk's rows as fed against the query rows, laid out with its longer side
 contiguous: (q, r) when the q columns are no more than the r rows, else
-(r, q).  A bank's stored float32 rows are scored in float32, against the
-query rounded to float32, any other rows in float64.  Each row's norm is
+(r, q).  The rows are fed as a bank stores them, float32, and are scored
+in float32, against the query rounded to float32.  Each row's norm is
 the root of its sum of squares (the one read_bank's check took, or taken
 here).  A matmul sums in its own order, but any order of a dot product
 lies within gamma_d = d*u / (1 - d*u) of the exact value (Higham, Accuracy
@@ -157,8 +157,7 @@ def _slack32(feat_dim: int) -> float:
     is rounded once, within 2^-52, before it is rounded down to float32.
     A factor 1 + 2^-40 covers what underflows (each square, product and
     quotient to at most 2^-150, d 2^-88 against a row of sum of squares
-    2^-60 or more) and the float64 rounding of this formula.  Rows fed as
-    float64 are scored in float64, within less."""
+    2^-60 or more) and the float64 rounding of this formula."""
     d, u = feat_dim, 2.0 ** -24
     if d * u >= 0.5:
         return math.inf  # no bound: every row is kept and takes every column
@@ -197,22 +196,21 @@ def _slot_bytes(feat_dim: int, carry_rows: bool) -> int:
 
 
 def bytes_per_row(feat_dim: int, n_columns: int) -> int:
-    """Bytes one chunk row fed as float32 or float64 may hold while it is
-    scored and merged, when the screen keeps it and it ties (every row is
-    kept until the floors are set): its share of the (q, r) float64
-    buffer (8q), which holds the matmul's scores, then the tied rows'
-    lines, and of the (q, r) mask (q) of the screen's reach, then of the
-    window; one gathered line of that mask (q), a kept row's for the
-    argmax or a tied row's pairs; its float64 unit row (8d), from
-    copy_with_norms of its stored row (8d at most, gathered while the copy
-    is taken); eight vectors of it at most (64): its norm, position,
-    argmax, best column, top score, window edge and place among the tied
-    rows, and its flags; and the work of breaking ties, which outweighs
-    what the screen, the window or the scoring of the best pairs hold at
-    once: the flat index of up to _PAIRS_PER_ROW of its pairs (8 each),
-    and a piece of half a chunk of pairs, with their gathered query rows
-    and the sums of their products (8d) and each pair's line, column, row
-    and fixed-order score (16)."""
+    """Bytes one chunk row may hold while it is scored and merged, when
+    the screen keeps it and it ties (every row is kept until the floors
+    are set): its share of the (q, r) float64 buffer (8q), which holds the
+    matmul's scores, then the tied rows' lines, and of the (q, r) mask (q)
+    of the screen's reach, then of the window; one gathered line of that
+    mask (q), a kept row's for the argmax or a tied row's pairs; its
+    float64 unit row (8d), from copy_with_norms of its stored row (4d,
+    gathered while the copy is taken); eight vectors of it at most (64):
+    its norm, position, argmax, best column, top score, window edge and
+    place among the tied rows, and its flags; and the work of breaking
+    ties, which outweighs what the screen, the window or the scoring of
+    the best pairs hold at once: the flat index of up to _PAIRS_PER_ROW of
+    its pairs (8 each), and a piece of half a chunk of pairs, with their
+    gathered query rows and the sums of their products (8d) and each
+    pair's line, column, row and fixed-order score (16)."""
     return 16 * feat_dim + 10 * n_columns + 80 + 8 * _PAIRS_PER_ROW
 
 
@@ -257,7 +255,7 @@ class SampleResult:
     score: np.ndarray            # (s,) float64
     deficits: np.ndarray         # (n_columns,) int64
     k: int
-    feats: np.ndarray | None = None  # (s, d) the rows as fed, float32 from a bank
+    feats: np.ndarray | None = None  # (s, d) float32, the rows as fed
     latent_class: np.ndarray | None = None  # (s,) int32, -1 = unknown
 
     @property
@@ -285,16 +283,16 @@ class TopKSelector:
     assigned to its most cosine-similar row of f, and each column keeps its
     k best under (score desc, id asc).
 
-    feed takes rows in ascending record order, in pieces of any size, and
-    scores them chunk_rows at a time; result
-    returns the selection, with the rows of the selected records as fed,
-    stored as carry (a dtype), unless carry is None.  Each row is used at
-    most once (its assigned column), so the selected ids are distinct by
-    construction.  See the module docstring for the scores and the merge.
+    feed takes float32 rows in ascending record order, in pieces of any
+    size, and scores them chunk_rows at a time; result returns the
+    selection, with the rows of the selected records when carry is true.
+    Each row is used at most once (its assigned column), so the selected
+    ids are distinct by construction.  See the module docstring for the
+    scores and the merge.
     """
 
     def __init__(self, f: np.ndarray, k: int, chunk_rows: int,
-                 carry=np.float32):
+                 carry: bool = True):
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
         if chunk_rows < 1:
@@ -312,8 +310,8 @@ class TopKSelector:
         self._scores = np.empty(room)
         self._held = [self._ids, self._cols, self._scores]
         self._rows = None
-        if carry is not None:
-            self._rows = np.empty((room, d), carry)
+        if carry:
+            self._rows = np.empty((room, d), np.float32)
             self._held.append(self._rows)
         self._n = self._sorted = 0  # candidates held, and held after the last cut
         self._floor = np.full(q, -np.inf)
@@ -331,9 +329,9 @@ class TopKSelector:
         if rows.ndim != 2 or rows.shape[1] != self._q_unit.shape[1]:
             raise ValueError(f"bank feat_dim {rows.shape[-1]} != dataset "
                              f"{self._q_unit.shape[1]}")
-        if self._rows is not None and rows.dtype != self._rows.dtype:
+        if rows.dtype != np.float32:
             raise ValueError(f"rows of dtype {rows.dtype} fed to a selector "
-                             f"that carries {self._rows.dtype} rows")
+                             "of float32 rows")
         for lo in range(0, rows.shape[0], self._chunk_rows):
             part = slice(lo, lo + self._chunk_rows)
             self._admit(rows[part], None if sums is None else sums[part],
@@ -363,22 +361,19 @@ class TopKSelector:
         beat a floor, ascending, with each one's best column (lowest on
         ties) and fixed-order score, from one matmul of the chunk: every
         row, or the rows the screen keeps, which alone get their float64
-        unit rows.  A row fed as float32 is scored in float32, any other in
-        float64; sums, or the squares summed here, become the norms."""
+        unit rows.  sums, or the squares summed here, become the norms."""
         r, q = chunk.shape[0], self._floor.size
         wide = q > r  # the longer side runs contiguous
-        rows = chunk if chunk.dtype == np.float32 else np.asarray(chunk, np.float64)
-        query = self._q32 if rows.dtype == np.float32 else self._q_unit
-        out = self._out.view(rows.dtype)[:q * r].reshape((r, q) if wide else (q, r))
+        out = self._out.view(np.float32)[:q * r].reshape((r, q) if wide else (q, r))
         with np.errstate(invalid="ignore"):  # a non-finite row is refused below
             if wide:
-                np.matmul(rows, query.T, out=out)
+                np.matmul(chunk, self._q32.T, out=out)
             else:
-                np.matmul(query, rows.T, out=out)
+                np.matmul(self._q32, chunk.T, out=out)
         scores = out if wide else out.T  # (r, q) in either layout
         mask = self._mask[:q * r].reshape(out.shape)
         mask = mask if wide else mask.T  # (r, q) too
-        norms = np.einsum("ij,ij->i", rows, rows) if sums is None else sums
+        norms = np.einsum("ij,ij->i", chunk, chunk) if sums is None else sums
         lo, hi = _SCREENED_SUMS
         blind = ~((norms >= lo) & (norms <= hi))  # NaN fails both
         np.sqrt(norms, out=norms)
@@ -503,10 +498,10 @@ class TopKSelector:
 
 def select_topk_streamed(v: np.ndarray, f: np.ndarray, k: int,
                          chunk_rows: int) -> SampleResult:
-    """The TopKSelector's result for the rows of v, carrying no rows; the
-    chunk holds no more rows than v has."""
+    """The TopKSelector's result for the float32 rows of v, carrying no
+    rows; the chunk holds no more rows than v has."""
     v = np.asarray(v)
-    selector = TopKSelector(f, k, min(chunk_rows, max(v.shape[0], 1)), None)
+    selector = TopKSelector(f, k, min(chunk_rows, max(v.shape[0], 1)), False)
     selector.feed(v, 0)
     return selector.result()
 

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 
 from bankadapt.config import RunConfig, apply_updates, parse_updates
-from bankadapt.embank import DownstreamDataset, EmbeddingBank
+from bankadapt.embank import DownstreamDataset, EmbeddingBank, StringTable
 from bankadapt.sampler import SampleResult
 
 
@@ -23,11 +23,20 @@ def embed_one(embedder, x) -> np.ndarray:
     return y / np.linalg.norm(y)
 
 
+def decoded(strings: StringTable | list[str]) -> list[str]:
+    """The entries of a StringTable, each its blob's bytes decoded as
+    UTF-8; a list of str is returned as it is."""
+    if isinstance(strings, list):
+        return strings
+    return [strings._blob[off:off + ln].tobytes().decode("utf-8")
+            for off, ln in strings._table.tolist()]
+
+
 def fixed_order_scores(v, f) -> np.ndarray:
-    """Full (m, q) cosine matrix with the sampler's arithmetic: float64 rows
-    divided by the square root of their einsum squared norms, products
-    summed over the feature index in ascending order.  Its entries equal the
-    sampler's scores bit for bit."""
+    """Full (m, q) cosine matrix with the sampler's arithmetic: the rows in
+    float64 (exact for float32 rows) divided by the square root of their
+    einsum squared norms, products summed over the feature index in
+    ascending order.  Its entries equal the sampler's scores bit for bit."""
     def unit(x):
         x = np.array(x, dtype=np.float64)
         return x / np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]

@@ -141,7 +141,7 @@ def test_criterion_3_sampler_bit_exactness():
         q = int(rng.integers(1, 17))
         d = int(rng.integers(3, 25))
         k = int(rng.integers(1, 13))
-        rows = rng.standard_normal((m, d))
+        rows = rng.standard_normal((m, d)).astype(np.float32)
         cols = rng.standard_normal((q, d))
         chunk_rows = int(rng.integers(1, m + 1))
         got = select_topk_streamed(rows, cols, k, chunk_rows)

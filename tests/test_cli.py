@@ -629,7 +629,7 @@ def _write_artifacts(tmp_path, sizes: dict, m: int) -> dict:
     encode_dataset_file(random_dataset(n_classes=ev["classes"], d_img=ev["image_dim"],
                                        d=ev["feat_dim"]), paths["eval dataset"])
     ck = of["checkpoint"]
-    save_params(init_params(0, ck["image_dim"], 5, 4, ck["classes"]),
+    save_params(init_params(0, ck["image_dim"], 5, ck["feat_dim"], ck["classes"]),
                 paths["checkpoint"])
     return paths
 
@@ -638,6 +638,7 @@ def _write_artifacts(tmp_path, sizes: dict, m: int) -> dict:
     ("eval", "checkpoint", "classes", 2, 17),
     ("eval", "checkpoint", "classes", 5, 17),
     ("eval", "checkpoint", "image_dim", 9, 17),
+    ("eval", "checkpoint", "feat_dim", 7, 17),
     *((command, "eval dataset", size, value, 17)
       for command in ("train", "sweep --mu_list 2 --t_list 0.9")
       for size, value in (("classes", 4), ("image_dim", 9), ("feat_dim", 5))),

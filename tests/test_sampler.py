@@ -35,7 +35,8 @@ from conftest import fixed_order_scores, random_bank, random_dataset, with_laten
 
 
 def brute_force_select(v, f, k):
-    """Independent oracle: plain matmul scores, pure-Python per-column sort."""
+    """Independent oracle: plain matmul scores of the rows in float64 (exact
+    for float32 rows), pure-Python per-column sort."""
     vn = np.asarray(v, np.float64)
     vn = vn / np.linalg.norm(vn, axis=1, keepdims=True)
     fn = np.asarray(f, np.float64)
@@ -65,7 +66,7 @@ def score_of(result):
 class TestScores:
     def test_chunk_size_never_changes_the_scores(self):
         rng = np.random.default_rng(0)
-        v = rng.standard_normal((1000, 12))
+        v = rng.standard_normal((1000, 12)).astype(np.float32)
         f = rng.standard_normal((7, 12))
         full = select_all(v, f)
         for rows in (1, 64, 999):
@@ -75,7 +76,7 @@ class TestScores:
 
     def test_scores_are_the_fixed_order_cosines(self):
         rng = np.random.default_rng(1)
-        v = rng.standard_normal((50, 8))
+        v = rng.standard_normal((50, 8)).astype(np.float32)
         f = rng.standard_normal((5, 8))
         r = select_all(v, f, 7)
         s = fixed_order_scores(v, f)
@@ -85,8 +86,9 @@ class TestScores:
                                    atol=1e-12)
 
     def test_rows_are_normalized_internally(self):
+        # integer rows, so that scaling them by 7.5 is exact in float32
         rng = np.random.default_rng(2)
-        v = rng.standard_normal((20, 6))
+        v = np.round(rng.standard_normal((20, 6)) * 1000).astype(np.float32)
         f = rng.standard_normal((3, 6))
         scaled = score_of(select_all(v * 7.5, f * 0.01))
         plain = score_of(select_all(v, f))
@@ -96,18 +98,18 @@ class TestScores:
             assert abs(scaled[rid][1] - sc) <= 1e-12
 
     def test_zero_norm_row_names_its_index(self):
-        v = np.ones((4, 3))
+        v = np.ones((4, 3), np.float32)
         v[2] = 0.0
         for rows in (1, 4):
             with pytest.raises(DegenerateRowError, match="bank row 2"):
                 select_topk_streamed(v, np.ones((2, 3)), 1, rows)
         with pytest.raises(DegenerateRowError, match="query row 1"):
-            select_topk_streamed(np.ones((2, 3)), np.vstack([np.ones(3), np.zeros(3)]),
-                                 1, 2)
+            select_topk_streamed(np.ones((2, 3), np.float32),
+                                 np.vstack([np.ones(3), np.zeros(3)]), 1, 2)
 
     @pytest.mark.parametrize("which, bad", [("bank", np.nan), ("query", np.inf)])
     def test_non_finite_row_names_its_index(self, which, bad):
-        v, f = np.ones((4, 3)), np.ones((2, 3))
+        v, f = np.ones((4, 3), np.float32), np.ones((2, 3))
         (v if which == "bank" else f)[1, 2] = bad
         for rows in (1, 4):
             with pytest.raises(DegenerateRowError,
@@ -116,7 +118,8 @@ class TestScores:
 
     def test_cosine_bounds(self):
         rng = np.random.default_rng(3)
-        r = select_all(rng.standard_normal((30, 5)), rng.standard_normal((4, 5)))
+        r = select_all(rng.standard_normal((30, 5)).astype(np.float32),
+                       rng.standard_normal((4, 5)))
         assert r.score.max() <= 1.0 + 1e-12 and r.score.min() >= -1.0 - 1e-12
 
     @pytest.mark.parametrize("d", [1, 2, 16])
@@ -128,7 +131,7 @@ class TestScores:
         rng = np.random.default_rng(d)
         f = rng.standard_normal((3, d))
         f[0], f[1] = -np.abs(f[0]), np.abs(f[1])
-        selector = TopKSelector(f, 1, 8, None)
+        selector = TopKSelector(f, 1, 8, False)
         v = np.vstack([np.zeros(d), -np.zeros(d), rng.standard_normal((20, d)),
                        rng.standard_normal((20, d)) * 10.0 ** rng.integers(-8, 9, (20, d))])
         rows, cols = np.divmod(np.arange(3 * len(v)), 3)
@@ -147,7 +150,7 @@ AXES_2D = np.eye(2)
 class TestTopkSelection:
     def test_engineered_two_column_example(self):
         v = np.array([[0.9, 0.1], [0.8, 0.2], [0.7, 0.3],
-                      [0.2, 0.9], [0.1, 0.8], [0.3, 0.6]])
+                      [0.2, 0.9], [0.1, 0.8], [0.3, 0.6]], np.float32)
         r = select_topk_streamed(v, AXES_2D, 2, 4)
         col0 = set(r.selected_ids[r.assigned_column == 0].tolist())
         col1 = set(r.selected_ids[r.assigned_column == 1].tolist())
@@ -156,12 +159,13 @@ class TestTopkSelection:
 
     def test_assignment_tie_goes_to_lowest_column(self):
         # [1, 1, 0] is equally close to the first two axes
-        r = select_topk_streamed(np.array([[1.0, 1.0, 0.0]]), np.eye(3), 1, 1)
+        r = select_topk_streamed(np.array([[1.0, 1.0, 0.0]], np.float32), np.eye(3),
+                                 1, 1)
         assert r.assigned_column.tolist() == [0]
         assert r.deficits.tolist() == [0, 1, 1]
 
     def test_score_tie_goes_to_lowest_record_id(self):
-        v = np.tile([1.0, 2.0], (3, 1))
+        v = np.tile(np.float32([1.0, 2.0]), (3, 1))
         for rows in (1, 2, 3):
             r = select_topk_streamed(v, np.array([[1.0, 0.0]]), 2, rows)
             assert r.selected_ids.tolist() == [0, 1]
@@ -169,7 +173,7 @@ class TestTopkSelection:
     def test_deficit_reported_without_backfill(self):
         # column 1 attracts a single row; column 0 has plenty but must not
         # donate its surplus
-        v = np.array([[0.9, 0.0], [0.8, 0.1], [0.85, 0.2], [0.1, 0.9]])
+        v = np.array([[0.9, 0.0], [0.8, 0.1], [0.85, 0.2], [0.1, 0.9]], np.float32)
         r = select_topk_streamed(v, AXES_2D, 3, 2)
         assert r.deficits.tolist() == [0, 2]
         assert sorted(r.selected_ids[r.assigned_column == 1].tolist()) == [3]
@@ -177,7 +181,7 @@ class TestTopkSelection:
 
     def test_streamed_equals_full_matrix_bitwise(self):
         rng = np.random.default_rng(4)
-        v = rng.standard_normal((500, 10))
+        v = rng.standard_normal((500, 10)).astype(np.float32)
         f = rng.standard_normal((6, 10))
         s = fixed_order_scores(v, f)
         oracle, _ = brute_force_select(v, f, 3)
@@ -195,7 +199,7 @@ class TestTopkSelection:
         columns and scores equal a top k over the full fixed-order score
         matrix, bit for bit, for every chunk size."""
         rng = np.random.default_rng(m + q + d)
-        v = rng.standard_normal((m, d))
+        v = rng.standard_normal((m, d)).astype(np.float32)
         f = rng.standard_normal((q, d))
         k = 3
         s = fixed_order_scores(v, f)
@@ -221,7 +225,7 @@ class TestTopkSelection:
         worse = dup + np.array([0.0, 0.4, 0.0])
         h = (k - 1) // 2
         v = np.vstack([worse, dup, better[:h], dup, dup, worse, better[h:],
-                       dup, worse, dup, dup, worse, dup, dup])
+                       dup, worse, dup, dup, worse, dup, dup]).astype(np.float32)
         m = len(v)
         f = np.array([[1.0, 0.0, 0.0]])
         want = brute_force_select(v, f, k)[0][0]
@@ -241,7 +245,7 @@ class TestTopkSelection:
 
         monkeypatch.setattr(sampler.TopKSelector, "_cut", counting_cut)
         rng = np.random.default_rng(5)
-        v = rng.standard_normal((3000, 6))
+        v = rng.standard_normal((3000, 6)).astype(np.float32)
         f = rng.standard_normal((40, 6))
         k = 2
         r = select_topk_streamed(v, f, k, 50)
@@ -259,7 +263,7 @@ class TestTopkSelection:
         q, k, d = 3, 10, 8
         f = np.eye(d)[:q]
         v = np.array([np.eye(d)[j] + c * np.eye(d)[q + j] for _ in range(16)
-                      for c in (0.5, 0.4, 0.3, 0.2, 0.1) for j in range(q)])
+                      for c in (0.5, 0.4, 0.3, 0.2, 0.1) for j in range(q)], np.float32)
         m = len(v)
         s = fixed_order_scores(v, f)
         oracle, _ = brute_force_select(v, f, k)
@@ -279,7 +283,7 @@ class TestTopkSelection:
                 cuts.append(selector._n != before)
 
             monkeypatch.setattr(sampler.TopKSelector, "_cut", counting_cut)
-            selector = TopKSelector(f, k, size, v.dtype)
+            selector = TopKSelector(f, k, size)
             for lo in range(0, m, size):
                 selector.feed(v[lo:lo + size], lo)
             r = selector.result()
@@ -312,7 +316,7 @@ class TestTopkSelection:
            rows=st.integers(1, 128))
     def test_matches_brute_force_oracle(self, seed, m, q, k, rows):
         rng = np.random.default_rng(seed)
-        v = rng.standard_normal((m, 5))
+        v = rng.standard_normal((m, 5)).astype(np.float32)
         f = rng.standard_normal((q, 5))
         r = select_topk_streamed(v, f, k, rows)
         oracle, _ = brute_force_select(v, f, k)
@@ -325,7 +329,7 @@ class TestTopkSelection:
     @given(seed=st.integers(0, 10_000), k=st.integers(1, 5))
     def test_growing_k_only_adds_records(self, seed, k):
         rng = np.random.default_rng(seed)
-        v = rng.standard_normal((80, 6))
+        v = rng.standard_normal((80, 6)).astype(np.float32)
         f = rng.standard_normal((4, 6))
         small = select_topk_streamed(v, f, k, 80)
         large = select_topk_streamed(v, f, k + 1, 80)
@@ -335,7 +339,7 @@ class TestTopkSelection:
             assert a <= b
 
     def test_invalid_k_and_chunk_rows(self):
-        v = np.ones((3, 2))
+        v = np.ones((3, 2), np.float32)
         with pytest.raises(ValueError, match="k must"):
             select_topk_streamed(v, v, 0, 1)
         with pytest.raises(ValueError, match="chunk_rows"):
@@ -367,16 +371,16 @@ def assert_same_result(a, b):
 
 
 def near_copies(seed, groups, copies, m, d=16):
-    """Rows near `groups` random directions, and `copies` query columns per
-    direction, each coordinate moved by up to two ulps: every row's best
-    columns tie or differ in their last bits."""
+    """float32 rows near `groups` random directions, and `copies` query
+    columns per direction, each coordinate moved by up to two ulps: every
+    row's best columns tie or differ in their last bits."""
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((groups, d))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     f = np.repeat(dirs, copies, axis=0)
     f += rng.integers(-2, 3, f.shape) * np.spacing(np.abs(f))
     v = dirs[rng.integers(0, groups, m)] + 0.1 * rng.standard_normal((m, d))
-    return v, f
+    return v.astype(np.float32), f
 
 
 def unit(x):
@@ -419,11 +423,12 @@ def watch_rescoring(monkeypatch):
 
 class TestCertifiedMatmul:
     def test_slack_covers_a_matmul_argmax_that_differs(self):
-        # Seed 0 of near_copies has rows whose matmul argmax is not their
-        # fixed-order argmax, so a slack of 0 assigns them wrongly here.
+        # Seed 0 of near_copies has rows whose float32 matmul argmax (against
+        # the unit query rounded to float32) is not their fixed-order argmax,
+        # so a slack of 0 assigns them wrongly here.
         v, f = near_copies(0, groups=16, copies=2, m=64)
         fixed = fixed_order_scores(v, f).argmax(axis=1)
-        assert np.any((unit(v) @ unit(f).T).argmax(axis=1) != fixed)
+        assert np.any((v @ unit(f).astype(np.float32).T).argmax(axis=1) != fixed)
         for rows in (1, 7, 64):
             assert_top_k_of_fixed_order(select_all(v, f, rows), v, f, 64)
 
@@ -436,7 +441,8 @@ class TestCertifiedMatmul:
         twin = base.copy()
         twin[:, 0] = np.nextafter(twin[:, 0], np.inf)
         f = np.stack([base, twin], axis=1).reshape(40, 16)
-        v = np.repeat(base, 10, axis=0) + 0.05 * rng.standard_normal((200, 16))
+        v = (np.repeat(base, 10, axis=0)
+             + 0.05 * rng.standard_normal((200, 16))).astype(np.float32)
         s = fixed_order_scores(v, f)
         assigned = s.argmax(axis=1)
         pair = assigned - assigned % 2
@@ -468,20 +474,18 @@ class TestCertifiedMatmul:
 
     def test_each_chunk_is_scored_by_one_matmul_in_the_rows_dtype(self, monkeypatch):
         # A bank's float32 rows get one float32 matmul per chunk, screened or
-        # not, and no float64 one; float64 rows get one float64 matmul.
+        # not, and no float64 one.
         rng = np.random.default_rng(4)
-        v, f = unit(rng.standard_normal((3000, 16))), rng.standard_normal((10, 16))
+        v = unit(rng.standard_normal((3000, 16))).astype(np.float32)
+        f = rng.standard_normal((10, 16))
         calls, matmul = [], np.matmul
         monkeypatch.setattr(sampler.np, "matmul", lambda a, b, out: calls.append(
             (a.dtype, b.dtype, out.dtype)) or matmul(a, b, out=out))
         seen = watch_rescoring(monkeypatch)
-        for rows in (v.astype(np.float32), v):
-            calls.clear()
-            seen.clear()
-            select_topk_streamed(rows, f, 6, 97)
-            assert len(calls) == len(seen) == 31
-            assert set(calls) == {(rows.dtype,) * 3}
-            assert any(c["kept"] < c["rows"] for c in seen)  # the screen ran
+        select_topk_streamed(v, f, 6, 97)
+        assert len(calls) == len(seen) == 31
+        assert set(calls) == {(np.dtype(np.float32),) * 3}
+        assert any(c["kept"] < c["rows"] for c in seen)  # the screen ran
 
     @pytest.mark.parametrize("copies", [2, 4, 16])
     def test_tied_columns_match_the_oracle_within_the_accounted_peak(self, copies):
@@ -511,14 +515,16 @@ class TestCertifiedMatmul:
         # of the fixed-order matrix.
         rng = np.random.default_rng(9)
         if case == "random":
-            v, f = rng.standard_normal((500, 16)), rng.standard_normal((30, 16))
+            v = rng.standard_normal((500, 16)).astype(np.float32)
+            f = rng.standard_normal((30, 16))
         elif case == "near copies":
             v, f = near_copies(1, groups=8, copies=5, m=300)
         elif case == "all tie":
-            v = rng.standard_normal((100, 8))
+            v = rng.standard_normal((100, 8)).astype(np.float32)
             f = np.outer(rng.uniform(0.1, 9.0, 20), rng.standard_normal(8))
         else:
-            v, f = np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 2.0]]), np.eye(3)
+            v = np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 2.0]], np.float32)
+            f = np.eye(3)
         seen = watch_rescoring(monkeypatch)
         for k in (1, 4):
             first, *others = [select_topk_streamed(v, f, k, rows)
@@ -554,9 +560,9 @@ class TestCertifiedMatmul:
 
 
 def feed_in_pieces(v, f, k, chunk_rows, bounds):
-    """The selection of v fed as the pieces v[bounds[i]:bounds[i + 1]],
-    carrying its rows in v's dtype."""
-    selector = TopKSelector(f, k, chunk_rows, v.dtype)
+    """The selection of the float32 rows v fed as the pieces
+    v[bounds[i]:bounds[i + 1]], carrying its rows."""
+    selector = TopKSelector(f, k, chunk_rows)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         selector.feed(v[lo:hi], lo)
     return selector.result()
@@ -648,76 +654,74 @@ class TestFeed:
         with pytest.raises(ValueError, match="ascending"):
             selector.feed(rows, 2)
 
-    def test_rows_of_another_dtype_than_the_carried_are_refused(self):
-        v, f, _ = floor_probes(15, 6, np.random.default_rng(15))
-        selector = TopKSelector(f, 6, 97)  # carries float32 rows
-        with pytest.raises(ValueError, match="float64.*float32"):
-            selector.feed(v, 0)
+    def test_rows_other_than_float32_are_refused(self):
+        # by a selector that carries its rows, as stage 1's does, and by one
+        # that carries none, as select_topk_streamed's does
+        rng = np.random.default_rng(15)
+        v, f = rng.standard_normal((30, 16)), rng.standard_normal((15, 16))
+        for select in (lambda: TopKSelector(f, 6, 97).feed(v, 0),
+                       lambda: select_topk_streamed(v, f, 6, 97)):
+            with pytest.raises(ValueError, match="rows of dtype float64 fed to a "
+                                                 "selector of float32 rows"):
+                select()
 
 
-def floor_probes(q, k, rng, d=16, dtype=np.float64):
-    """Rows of dtype that set every column's floor, then rows that cannot
+def floor_probes(q, k, rng, d=16):
+    """float32 rows that set every column's floor, then rows that cannot
     beat one, then probes at the floors: for each column, a copy of its
     k-th row (a score equal to the floor, with a later id), rows just above
     and just below the floor and near-copies within the slack below it,
-    each probe between rows that reach no floor.  float64 rows are
-    screened in float64, within _slack, and their probes lie one ulp of
-    the score from the floor; float32 rows are screened in float32, within
-    _slack32, and their probes, near-copies of the k-th row a few float32
-    ulps away in each entry, lie within four float32 ulps of the floor.
-    Returns the rows, the query columns and the probe ids by kind."""
+    each probe between rows that reach no floor.  The rows are screened in
+    float32, within _slack32, and the probes, near-copies of the k-th row a
+    few float32 ulps away in each entry, lie within four float32 ulps of
+    the floor.  Returns the rows, the query columns and the probe ids by
+    kind."""
     f = rng.standard_normal((q, d))
     # 2k rows near each column: all are admitted, and the next row cuts them
     # to the k best, so the floors stay at the k-th of these from then on
     head = f[np.arange(2 * k * q) % q] + 0.2 * rng.standard_normal((2 * k * q, d))
-    head = head.astype(dtype)
+    head = head.astype(np.float32)
     s = fixed_order_scores(head, f)
     assert np.array_equal(s.argmax(axis=1), np.arange(2 * k * q) % q)
-    rows, ids = [head, rng.standard_normal((200, d)).astype(dtype)], {}
-    wide = dtype == np.float32
-    slack = (sampler._slack32 if wide else sampler._slack)(d)
+    rows, ids = [head, rng.standard_normal((200, d)).astype(np.float32)], {}
+    slack = sampler._slack32(d)
     for j in range(q):
         pool = np.flatnonzero(s.argmax(axis=1) == j)
         at = pool[np.lexsort((pool, -s[pool, j]))[k - 1]]
         kth, floor = head[at], s[at, j]
-        steps = rng.integers(-40, 41, (4000, d)).astype(dtype)
+        steps = rng.integers(-40, 41, (4000, d)).astype(np.float32)
         near = kth + steps * np.spacing(np.abs(kth))
         ns = fixed_order_scores(near, f)
         ours = ns.argmax(axis=1) == j
-        if wide:
-            ulps = 4 * np.spacing(np.float32(floor))
-            above = ours & (ns[:, j] > floor) & (ns[:, j] <= floor + ulps)
-            below = ours & (ns[:, j] < floor) & (ns[:, j] >= floor - ulps)
-        else:
-            above = ours & (ns[:, j] == np.nextafter(floor, np.inf))
-            below = ours & (ns[:, j] == np.nextafter(floor, -np.inf))
+        ulps = 4 * np.spacing(np.float32(floor))
+        above = ours & (ns[:, j] > floor) & (ns[:, j] <= floor + ulps)
+        below = ours & (ns[:, j] < floor) & (ns[:, j] >= floor - ulps)
         above, below = near[above][:1], near[below][:1]
         close = near[ours & (ns[:, j] < floor) & (ns[:, j] >= floor - slack)][-4:]
         assert len(above) == len(below) == 1 and len(close) == 4
         for kind, row in (("at", kth), ("above", above[0]), ("below", below[0]),
                           *(("close", c) for c in close)):
             ids.setdefault(kind, []).append(sum(map(len, rows)) + 2)
-            rows.append(np.vstack([rng.standard_normal((2, d)).astype(dtype), row,
-                                   rng.standard_normal((2, d)).astype(dtype)]))
+            rows.append(np.vstack([rng.standard_normal((2, d)).astype(np.float32), row,
+                                   rng.standard_normal((2, d)).astype(np.float32)]))
     return np.vstack(rows), f, ids
 
 
 def screen_world(case, q, k, rng, d=16):
-    """The rows and query columns of a case of TestScreen, and the probe ids
-    by kind of its floor probes (None for the others).  "scaled": every
-    tenth row scaled by 2^60 and the next fifth by 2^-60, outside the sums
-    of squares the screen bounds; "subnormal entries": float32 rows, every
-    seventh with six subnormal entries, which the screen bounds, and every
+    """The float32 rows and query columns of a case of TestScreen, and the
+    probe ids by kind of its floor probes (None for the others).  "scaled":
+    every tenth row scaled by 2^60 and the next fifth by 2^-60, outside the
+    sums of squares the screen bounds; "subnormal entries": every seventh
+    row with six subnormal entries, which the screen bounds, and every
     fiftieth all subnormal, of sum of squares 0 in float32."""
-    if case in ("floor probes", "float32 floor probes"):
-        return floor_probes(q, k, rng, d, np.float32 if "32" in case else np.float64)
-    v, f = rng.standard_normal((3000, d)), rng.standard_normal((q, d))
+    if case == "floor probes":
+        return floor_probes(q, k, rng, d)
+    v = rng.standard_normal((3000, d)).astype(np.float32)
+    f = rng.standard_normal((q, d))
     if case == "scaled":
-        v = v.astype(np.float32)
         v[::10] *= np.float32(2.0 ** 60)
         v[5::10] *= np.float32(2.0 ** -60)
     elif case == "subnormal entries":
-        v = v.astype(np.float32)
         v[::7, :6] = np.float32(2.0 ** -140) * rng.integers(1, 9, (len(v[::7]), 6))
         v[3::50] *= np.float32(2.0 ** -135)
         assert (np.einsum("ij,ij->i", v[3::50], v[3::50]) == 0).all()
@@ -742,8 +746,8 @@ def unscreened(monkeypatch):
 
 class TestScreen:
     @pytest.mark.parametrize("q", [10, 15])
-    @pytest.mark.parametrize("case", ["floor probes", "float32 floor probes",
-                                      "random", "scaled", "subnormal entries"])
+    @pytest.mark.parametrize("case", ["floor probes", "random", "scaled",
+                                      "subnormal entries"])
     def test_the_screen_never_changes_a_bit(self, tmp_path, monkeypatch, case, q):
         rng = np.random.default_rng(q)
         k, chunk_rows = 6, 97
