@@ -654,15 +654,17 @@ class TestFeed:
         with pytest.raises(ValueError, match="ascending"):
             selector.feed(rows, 2)
 
-    def test_rows_other_than_float32_are_refused(self):
+    @pytest.mark.parametrize("dtype", [np.float64, np.float16, np.int32])
+    def test_rows_other_than_float32_are_refused(self, dtype):
         # by a selector that carries its rows, as stage 1's does, and by one
         # that carries none, as select_topk_streamed's does
         rng = np.random.default_rng(15)
-        v, f = rng.standard_normal((30, 16)), rng.standard_normal((15, 16))
+        v = (rng.standard_normal((30, 16)) * 100).astype(dtype)
+        f = rng.standard_normal((15, 16))
         for select in (lambda: TopKSelector(f, 6, 97).feed(v, 0),
                        lambda: select_topk_streamed(v, f, 6, 97)):
-            with pytest.raises(ValueError, match="rows of dtype float64 fed to a "
-                                                 "selector of float32 rows"):
+            with pytest.raises(ValueError, match=f"rows of dtype {np.dtype(dtype)} "
+                                                 "fed to a selector of float32 rows"):
                 select()
 
 
